@@ -1,16 +1,18 @@
 (* The incremental-ranking core bench: the asymptotic evidence behind the
    delta-driven hot path (doc/PERFORMANCE.md).
 
-   Part 1 — scaling: rounds/sec of ΔLRU-EDF, Incremental vs Rebuild, as
-   the color universe grows.  The workload keeps the per-round change
-   count constant (a fixed number of active colors per batch window, all
-   delay bounds equal to the window length) so the Rebuild mode's O(C)
+   Part 1 — scaling: rounds/sec of ΔLRU-EDF, production (incremental)
+   against the Rrs_oracle list-sort reference ("rebuild"), as the color
+   universe grows.  The workload keeps the per-round change count
+   constant (a fixed number of active colors per batch window, all
+   delay bounds equal to the window length) so the reference's O(C)
    per-round scan is the only thing that grows with C.
 
-   Part 2 — differential: every ranking policy in both modes on every
-   workload family plus the Appendix A/B adversarial constructions; any
-   field of Engine.result differing (including final_cache and the full
-   recorded schedule) counts as a divergence.
+   Part 2 — differential: every ranking policy and Par-EDF against its
+   Rrs_oracle reference on every workload family plus the Appendix A/B
+   adversarial constructions; any field of Engine.result differing
+   (including final_cache and the full recorded schedule) counts as a
+   divergence.
 
    Writes one run_summary JSONL line per scaling size plus one for the
    differential section to BENCH_core.json; exits nonzero on any
@@ -51,7 +53,7 @@ let spec =
     ("--diff-seeds", Arg.Set_int diff_seeds, "INT seeds per family (part 2)");
     ( "--rebuild-cap",
       Arg.Set_int rebuild_cap,
-      "INT largest size that still times the O(C)-per-round Rebuild arm \
+      "INT largest size that still times the O(C)-per-round reference \
        (above it rows are incremental-only)" );
     ("--out", Arg.Set_string out, "FILE JSONL artifact path");
   ]
@@ -121,26 +123,25 @@ let run_scaling oc =
   List.iter
     (fun size ->
       let instance = scaling_instance ~num_colors:size ~seed:1 in
-      let run ?registry mode () =
-        Engine.run_policy
-          (Engine.config ~n:!n ())
-          instance
-          (Lru_edf.make ?registry ~mode instance ~n:!n).policy
+      let run policy () =
+        Engine.run_policy (Engine.config ~n:!n ()) instance (policy ())
       in
       let registry = Rrs_obs.Metrics.create () in
       let incr_result, incr_seconds =
-        best_of (run ~registry Ranking.Incremental)
+        best_of
+          (run (fun () -> (Lru_edf.make ~registry instance ~n:!n).policy))
       in
       let updates =
         Rrs_obs.Metrics.value (Rrs_obs.Metrics.counter registry "ranking_update")
         / max 1 !repeats
       in
-      (* the Rebuild arm's per-round scan is Θ(C): above the cap a timing
+      (* the reference's per-round scan is Θ(C): above the cap a timing
          run would dominate the whole bench for no extra signal, so large
          sizes are incremental-only rows (the differential section still
-         exercises both arms on every instance it runs) *)
+         runs the reference on every instance it covers) *)
       let rebuild =
-        if size <= !rebuild_cap then Some (best_of (run Ranking.Rebuild))
+        if size <= !rebuild_cap then
+          Some (best_of (run (fun () -> Rrs_oracle.dlru_edf instance ~n:!n)))
         else None
       in
       (* one extra instrumented run: the engine's own registry measures
@@ -151,7 +152,7 @@ let run_scaling oc =
         (Engine.run_policy
            (Engine.config ~n:!n ~registry:engine_reg ())
            instance
-           (Lru_edf.make ~mode:Ranking.Incremental instance ~n:!n).policy);
+           (Lru_edf.policy instance ~n:!n));
       let latency =
         Rrs_obs.Metrics.histogram_stats
           (Rrs_obs.Metrics.histogram engine_reg "engine_round_latency_us"
@@ -245,14 +246,13 @@ let run_scaling oc =
 (* Part 2: differential                                                *)
 (* ------------------------------------------------------------------ *)
 
-let ranking_policies :
-    (string * (Ranking.mode -> Instance.t -> n:int -> Policy.t)) list =
+(* (name, production, reference) *)
+let ranking_policies : (string * Policy.factory * Policy.factory) list =
   [
-    ("dlru", fun mode instance ~n -> (Delta_lru.make ~mode instance ~n).policy);
-    ("edf", fun mode instance ~n -> (Edf_policy.make ~mode instance ~n).policy);
-    ( "seq-edf",
-      fun mode instance ~n -> (Edf_policy.make_seq ~mode instance ~n).policy );
-    ("dlru-edf", fun mode instance ~n -> (Lru_edf.make ~mode instance ~n).policy);
+    ("dlru", Delta_lru.policy, Rrs_oracle.dlru);
+    ("edf", Edf_policy.policy, Rrs_oracle.edf);
+    ("seq-edf", Edf_policy.seq_policy, Rrs_oracle.seq_edf);
+    ("dlru-edf", Lru_edf.policy, Rrs_oracle.dlru_edf);
   ]
 
 let diff_instances () =
@@ -274,48 +274,43 @@ let diff_instances () =
 let run_differential oc =
   print_endline
     "================================================================";
-  print_endline " Differential: Incremental vs Rebuild, full-result equality";
+  print_endline " Differential: production vs Rrs_oracle, full-result equality";
   print_endline
     "================================================================";
   let cases = ref 0 in
   let divergences = ref 0 in
   let instances = diff_instances () in
-  (* the live-telemetry plane rides along on the Incremental arm only:
-     its engine events stream into a flight recorder and a heartbeat
-     observes every round, while the Rebuild arm stays bare.  The
-     full-result equality below therefore proves ranking-mode identity
-     AND that recorder + heartbeat perturb nothing (the ISSUE's
-     non-perturbation acceptance bar, same standard as the Watchdog). *)
+  (* the live-telemetry plane rides along on the production runs only:
+     their engine events stream into a flight recorder and a heartbeat
+     observes every round, while the reference runs stay bare.  The
+     full-result equality below therefore proves decision identity AND
+     that recorder + heartbeat perturb nothing (the same
+     non-perturbation standard as the Watchdog). *)
   let recorder = Rrs_obs.Flight_recorder.create ~capacity:256 () in
   let heartbeat = Rrs_obs.Heartbeat.create ~every_rounds:128 () in
   List.iter
     (fun (iname, instance) ->
       List.iter
-        (fun (pname, make) ->
+        (fun (pname, production, reference) ->
           incr cases;
-          let run mode =
-            let cfg =
-              match mode with
-              | Ranking.Incremental ->
-                  Engine.config ~n:!n ~record_schedule:true
-                    ~sink:(Rrs_obs.Flight_recorder.sink recorder)
-                    ~heartbeat ()
-              | Ranking.Rebuild ->
-                  Engine.config ~n:!n ~record_schedule:true ()
-            in
-            Engine.run_policy cfg instance (make mode instance ~n:!n)
+          let telemetered =
+            Engine.config ~n:!n ~record_schedule:true
+              ~sink:(Rrs_obs.Flight_recorder.sink recorder)
+              ~heartbeat ()
           in
-          if run Ranking.Incremental <> run Ranking.Rebuild then begin
+          let bare = Engine.config ~n:!n ~record_schedule:true () in
+          if
+            Engine.run_policy telemetered instance (production instance ~n:!n)
+            <> Engine.run_policy bare instance (reference instance ~n:!n)
+          then begin
             incr divergences;
             Printf.printf "DIVERGED: %s on %s\n" pname iname
           end)
         ranking_policies;
-      (* Par-EDF takes the same two paths below the engine *)
+      (* Par-EDF runs below the engine *)
       incr cases;
-      if
-        Par_edf.run ~mode:Ranking.Incremental instance ~m:2
-        <> Par_edf.run ~mode:Ranking.Rebuild instance ~m:2
-      then begin
+      if Par_edf.run instance ~m:2 <> Rrs_oracle.par_edf instance ~m:2 then
+      begin
         incr divergences;
         Printf.printf "DIVERGED: par-edf on %s\n" iname
       end)
@@ -325,7 +320,7 @@ let run_differential oc =
     (List.length ranking_policies + 1)
     !divergences;
   Printf.printf
-    "live telemetry attached to the incremental arm: %d events recorded, %d \
+    "live telemetry attached to the production runs: %d events recorded, %d \
      heartbeats\n"
     (Rrs_obs.Flight_recorder.events_recorded recorder)
     (Rrs_obs.Heartbeat.beats heartbeat);

@@ -179,20 +179,21 @@ let dstruct_tests =
   let heap_input = Array.init 1024 (fun i -> (i * 7919) mod 1024) in
   Test.make_grouped ~name:"dstruct"
     [
-      Test.make ~name:"binary-heap/1k-push-pop"
+      Test.make ~name:"int-heap/1k-push-pop"
         (Staged.stage (fun () ->
-             let h = Rrs_dstruct.Binary_heap.create ~cmp:compare () in
-             Array.iter (Rrs_dstruct.Binary_heap.add h) heap_input;
-             while not (Rrs_dstruct.Binary_heap.is_empty h) do
-               ignore (Rrs_dstruct.Binary_heap.pop_min h)
+             let h = Rrs_dstruct.Int_heap.create () in
+             Array.iter (Rrs_dstruct.Int_heap.add h) heap_input;
+             while not (Rrs_dstruct.Int_heap.is_empty h) do
+               ignore (Rrs_dstruct.Int_heap.pop_min h)
              done));
-      Test.make ~name:"indexed-heap/1k-update-pop"
+      Test.make ~name:"int-indexed-heap/1k-update-pop"
         (Staged.stage (fun () ->
-             let h = Rrs_dstruct.Indexed_heap.create ~cmp:compare ~capacity:1024 in
-             Array.iteri (fun k p -> Rrs_dstruct.Indexed_heap.update h k p) heap_input;
-             Array.iteri (fun k p -> Rrs_dstruct.Indexed_heap.update h k (p * 3 mod 1024)) heap_input;
-             while not (Rrs_dstruct.Indexed_heap.is_empty h) do
-               ignore (Rrs_dstruct.Indexed_heap.pop_min h)
+             let module H = Rrs_dstruct.Int_indexed_heap in
+             let h = H.create ~capacity:1024 in
+             Array.iteri (fun k p -> H.update h k p) heap_input;
+             Array.iteri (fun k p -> H.update h k (p * 3 mod 1024)) heap_input;
+             while not (H.is_empty h) do
+               ignore (H.pop_min h)
              done));
       Test.make ~name:"fenwick/1k-add-search"
         (Staged.stage (fun () ->

@@ -235,23 +235,6 @@ let colors_arg =
   in
   Arg.(value & opt (some int) None & info [ "colors" ] ~docv:"COLORS" ~doc)
 
-let ranking_arg =
-  let doc =
-    "Ranking maintenance for the ΔLRU/EDF policy family: \
-     $(b,incremental) (the delta-driven index, default) or $(b,rebuild) \
-     (the original per-round re-sort — the differential oracle).  Both \
-     make byte-identical decisions."
-  in
-  Arg.(
-    value
-    & opt
-        (enum
-           [
-             ("incremental", Ranking.Incremental); ("rebuild", Ranking.Rebuild);
-           ])
-        Ranking.Incremental
-    & info [ "ranking" ] ~docv:"MODE" ~doc)
-
 let policy_id = function
   | `Lru_edf -> "dlru-edf"
   | `Dlru -> "dlru"
@@ -272,7 +255,7 @@ let with_analysis sink ~n ({ policy; eligibility } : Lru_edf.instrumented) =
   policy
 
 let simulate family seed n policy validate metrics_file trace_file
-    save_instance colors mode profile_file heartbeat_file heartbeat_every =
+    save_instance colors profile_file heartbeat_file heartbeat_every =
   let build_instance (f : Families.family) =
     match colors with
     | None -> Ok (f.build ~seed)
@@ -340,19 +323,19 @@ let simulate family seed n policy validate metrics_file trace_file
           | `Lru_edf ->
               run_plain (fun sink registry ->
                   with_analysis sink ~n
-                    (Lru_edf.make ~sink ?registry ~mode instance ~n))
+                    (Lru_edf.make ~sink ?registry instance ~n))
           | `Dlru ->
               run_plain (fun sink registry ->
                   let { Delta_lru.policy; eligibility } =
-                    Delta_lru.make ~sink ?registry ~mode instance ~n
+                    Delta_lru.make ~sink ?registry instance ~n
                   in
                   with_analysis sink ~n { Lru_edf.policy; eligibility })
           | `Edf ->
               run_plain (fun sink registry ->
-                  (Edf_policy.make ~sink ?registry ~mode instance ~n).policy)
+                  (Edf_policy.make ~sink ?registry instance ~n).policy)
           | `Seq_edf ->
               run_plain (fun sink registry ->
-                  (Edf_policy.make_seq ~sink ?registry ~mode instance ~n).policy)
+                  (Edf_policy.make_seq ~sink ?registry instance ~n).policy)
           | `Black -> run_plain (fun _ _ -> Static_policy.black instance ~n)
           | `Greedy ->
               run_plain (fun _ _ -> Naive_policies.greedy_backlog instance ~n)
@@ -380,7 +363,6 @@ let simulate family seed n policy validate metrics_file trace_file
                      ("family", family);
                      ("policy", policy_id policy);
                      ("n", string_of_int n);
-                     ("ranking", Ranking.mode_to_string mode);
                      ("colors", string_of_int instance.num_colors);
                    ]
                  ~reconfig_cost:r.reconfigurations ~drop_cost:r.dropped
@@ -435,7 +417,7 @@ let simulate_cmd =
     Term.(
       const simulate $ family_arg $ seed_arg $ resources_arg $ policy_arg
       $ validate_arg $ metrics_arg $ trace_arg $ save_instance_arg
-      $ colors_arg $ ranking_arg $ profile_arg $ heartbeat_arg
+      $ colors_arg $ profile_arg $ heartbeat_arg
       $ heartbeat_every_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -1,7 +1,6 @@
 type instrumented = { policy : Policy.t; eligibility : Eligibility.t }
 
-let make ?sink ?registry ?(mode = Ranking.Incremental) (instance : Instance.t)
-    ~n =
+let make ?sink ?registry (instance : Instance.t) ~n =
   if n < 2 || n mod 2 <> 0 then
     invalid_arg "Delta_lru.make: n must be a positive multiple of 2";
   let eligibility = Eligibility.create ?sink instance in
@@ -19,24 +18,12 @@ let make ?sink ?registry ?(mode = Ranking.Incremental) (instance : Instance.t)
   (* reusable scratch: the desired-set buffer the recency prefix lands
      in, so a round allocates no list *)
   let buf = Array.make (max 1 k) 0 in
-  (* The n/2 eligible colors with the freshest timestamps.  Incremental:
-     a prefix query on the delta-maintained recency index, written into
-     scratch.  Rebuild: the original full re-sort — the differential
-     oracle. *)
+  (* The n/2 eligible colors with the freshest timestamps: a prefix
+     query on the delta-maintained recency index, written into scratch. *)
   let reconfigure (view : Policy.view) =
     Eligibility.begin_round eligibility ~view ~in_cache;
     let len =
-      match mode with
-      | Ranking.Rebuild ->
-          let desired =
-            Policy.take k
-              (Ranking.timestamp_order eligibility
-                 (Eligibility.eligible_colors eligibility))
-          in
-          List.iteri (fun i c -> buf.(i) <- c) desired;
-          List.length desired
-      | Ranking.Incremental ->
-          Ranking.Index.recency_prefix_into (index view.pending) ~k ~out:buf
+      Ranking.Index.recency_prefix_into (index view.pending) ~k ~out:buf
     in
     Cache_state.assign_array cache buf len;
     Cache_state.to_assignment cache ~replicated:true
@@ -44,4 +31,3 @@ let make ?sink ?registry ?(mode = Ranking.Incremental) (instance : Instance.t)
   { policy = { Policy.name = "dlru"; reconfigure }; eligibility }
 
 let policy instance ~n = (make instance ~n).policy
-let oracle_policy instance ~n = (make ~mode:Ranking.Rebuild instance ~n).policy

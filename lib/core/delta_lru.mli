@@ -13,19 +13,14 @@ type instrumented = { policy : Policy.t; eligibility : Eligibility.t }
 val make :
   ?sink:Rrs_obs.Sink.t ->
   ?registry:Rrs_obs.Metrics.t ->
-  ?mode:Ranking.mode ->
   Instance.t ->
   n:int ->
   instrumented
 (** [sink] is handed to the underlying {!Eligibility.create}, streaming
-    the analysis events (epochs, wraps, timestamp updates).  [mode]
-    (default [Incremental]) selects the {!Ranking.Index}-backed hot path
-    or the original per-round re-sort; both make identical decisions.
-    [registry], when given, receives the ["ranking_update"] counter.
+    the analysis events (epochs, wraps, timestamp updates).  The
+    selection is a prefix query on a {!Ranking.Index}.  [registry], when
+    given, receives the ["ranking_update"] counter.
     @raise Invalid_argument if [n] is not a positive multiple of 2. *)
 
 val policy : Policy.factory
 (** [make] with the instrumentation discarded — for plain engine runs. *)
-
-val oracle_policy : Policy.factory
-(** [policy] forced to [Rebuild] mode — the differential oracle. *)

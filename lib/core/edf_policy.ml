@@ -5,16 +5,15 @@ type instrumented = { policy : Policy.t; eligibility : Eligibility.t }
    top-ranked nonidle additions); evictions happen only under capacity
    pressure and take the worst-ranked colors, exactly as in the paper.
 
-   The Incremental arm runs entirely on reusable scratch buffers:
-   prefix queries land in [top_buf], the candidate set is collected as
-   packed rank keys in [cand] (the key embeds the color, so sorting the
-   ints *is* sorting (color, key) pairs by rank), selection is an
-   insertion sort over at most distinct_slots + k keys, and the slot
-   assignment goes through [Cache_state.assign_array].  The Rebuild arm
-   keeps the verbatim seed list pipeline — the differential oracle. *)
+   A round runs entirely on reusable scratch buffers: prefix queries
+   land in [top_buf], the candidate set is collected as packed rank keys
+   in [cand] (the key embeds the color, so sorting the ints *is* sorting
+   (color, key) pairs by rank), selection is an insertion sort over at
+   most distinct_slots + k keys, and the slot assignment goes through
+   [Cache_state.assign_array]. *)
 
-let make_scheme ?sink ?registry ?(mode = Ranking.Incremental) ~name ~replicated
-    ~distinct_slots (instance : Instance.t) =
+let make_scheme ?sink ?registry ~name ~replicated ~distinct_slots
+    (instance : Instance.t) =
   let eligibility = Eligibility.create ?sink instance in
   let cache =
     Cache_state.create ~num_colors:instance.num_colors ~distinct_slots
@@ -28,13 +27,13 @@ let make_scheme ?sink ?registry ?(mode = Ranking.Incremental) ~name ~replicated
   let top_buf = Array.make (max 1 distinct_slots) 0 in
   let cand = Array.make (max 1 (2 * distinct_slots)) 0 in
   let desired = Array.make (max 1 distinct_slots) 0 in
-  let reconfigure_incremental (view : Policy.view) =
+  let reconfigure (view : Policy.view) =
     Eligibility.begin_round eligibility ~view ~in_cache;
     let idx = index view.pending in
     let top = Ranking.Index.ranked_prefix_into idx ~k:distinct_slots ~out:top_buf in
     (* candidates: currently cached colors, plus the top-ranked nonidle
        eligible colors not yet cached; all priced by their live packed
-       rank key (identical to what the oracle's key_of_color computes) *)
+       rank key (identical to what key_of_color computes) *)
     let ncand = ref 0 in
     let slots = Cache_state.live_slots cache in
     for s = 0 to Array.length slots - 1 do
@@ -61,56 +60,19 @@ let make_scheme ?sink ?registry ?(mode = Ranking.Incremental) ~name ~replicated
     Cache_state.assign_array cache desired keep;
     Cache_state.to_assignment cache ~replicated
   in
-  let reconfigure_rebuild (view : Policy.view) =
-    Eligibility.begin_round eligibility ~view ~in_cache;
-    let additions =
-      List.filter_map
-        (fun (color, key) ->
-          if Ranking.is_nonidle_eligible key && not (Cache_state.mem cache color)
-          then Some color
-          else None)
-        (Policy.take distinct_slots
-           (Ranking.ranked_eligible eligibility view.pending ~delay
-              ~exclude:(fun _ -> false)))
-    in
-    let candidates =
-      let cached = Cache_state.cached_colors cache in
-      List.map
-        (fun color ->
-          (color, Ranking.key_of_color eligibility view.pending ~delay color))
-        (cached @ additions)
-    in
-    let kept =
-      candidates
-      |> List.sort (fun (_, a) (_, b) -> Ranking.compare a b)
-      |> Policy.take distinct_slots
-      |> List.map fst
-    in
-    Cache_state.assign cache ~desired:kept;
-    Cache_state.to_assignment cache ~replicated
-  in
-  let reconfigure =
-    match mode with
-    | Ranking.Incremental -> reconfigure_incremental
-    | Ranking.Rebuild -> reconfigure_rebuild
-  in
   { policy = { Policy.name; reconfigure }; eligibility }
 
-let make ?sink ?registry ?mode instance ~n =
+let make ?sink ?registry instance ~n =
   if n < 2 || n mod 2 <> 0 then
     invalid_arg "Edf_policy.make: n must be a positive multiple of 2";
-  make_scheme ?sink ?registry ?mode ~name:"edf" ~replicated:true
+  make_scheme ?sink ?registry ~name:"edf" ~replicated:true
     ~distinct_slots:(n / 2) instance
 
 let policy instance ~n = (make instance ~n).policy
-let oracle_policy instance ~n = (make ~mode:Ranking.Rebuild instance ~n).policy
 
-let make_seq ?sink ?registry ?mode instance ~n =
+let make_seq ?sink ?registry instance ~n =
   if n < 1 then invalid_arg "Edf_policy.make_seq: n < 1";
-  make_scheme ?sink ?registry ?mode ~name:"seq-edf" ~replicated:false
+  make_scheme ?sink ?registry ~name:"seq-edf" ~replicated:false
     ~distinct_slots:n instance
 
 let seq_policy instance ~n = (make_seq instance ~n).policy
-
-let seq_oracle_policy instance ~n =
-  (make_seq ~mode:Ranking.Rebuild instance ~n).policy

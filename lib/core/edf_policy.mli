@@ -18,26 +18,20 @@ type instrumented = { policy : Policy.t; eligibility : Eligibility.t }
 val make :
   ?sink:Rrs_obs.Sink.t ->
   ?registry:Rrs_obs.Metrics.t ->
-  ?mode:Ranking.mode ->
   Instance.t ->
   n:int ->
   instrumented
 (** Standard EDF: [n/2] distinct slots, replicated.  [sink] is handed
-    to the underlying {!Eligibility.create}.  [mode] (default
-    [Incremental]) selects the {!Ranking.Index}-backed hot path or the
-    original per-round re-sort; both make identical decisions.
-    [registry], when given, receives the ["ranking_update"] counter.
+    to the underlying {!Eligibility.create}.  The ranking is a prefix
+    query on a {!Ranking.Index}.  [registry], when given, receives the
+    ["ranking_update"] counter.
     @raise Invalid_argument if [n] is not a positive multiple of 2. *)
 
 val policy : Policy.factory
 
-val oracle_policy : Policy.factory
-(** [policy] forced to [Rebuild] mode — the differential oracle. *)
-
 val make_seq :
   ?sink:Rrs_obs.Sink.t ->
   ?registry:Rrs_obs.Metrics.t ->
-  ?mode:Ranking.mode ->
   Instance.t ->
   n:int ->
   instrumented
@@ -45,6 +39,3 @@ val make_seq :
     @raise Invalid_argument if [n < 1]. *)
 
 val seq_policy : Policy.factory
-
-val seq_oracle_policy : Policy.factory
-(** [seq_policy] forced to [Rebuild] mode. *)

@@ -3,8 +3,8 @@ type instrumented = { policy : Policy.t; eligibility : Eligibility.t }
 let lru_slots ~n = n / 4
 let distinct_capacity ~n = n / 2
 
-let make_tuned ?sink ?registry ?(mode = Ranking.Incremental) ~lru_slots:quota
-    ~distinct_slots ~replicated (instance : Instance.t) ~n =
+let make_tuned ?sink ?registry ~lru_slots:quota ~distinct_slots ~replicated
+    (instance : Instance.t) ~n =
   let expected_n = if replicated then 2 * distinct_slots else distinct_slots in
   if n <> expected_n then
     invalid_arg
@@ -38,51 +38,25 @@ let make_tuned ?sink ?registry ?(mode = Ranking.Incremental) ~lru_slots:quota
   let cand = Array.make (max 1 (distinct_slots + edf_quota)) 0 in
   let desired = Array.make (max 1 distinct_slots) 0 in
   let exclude c = Array.unsafe_get is_lru c in
-  (* Both ranking queries, incremental or rebuilt.  Incremental prefix
-     queries on the delta-maintained index return exactly the prefixes
-     the Rebuild re-sorts (the differential oracle) would; both land in
-     the same scratch buffers so everything downstream is shared. *)
-  let lru_prefix (view : Policy.view) =
-    match mode with
-    | Ranking.Rebuild ->
-        let lru_set =
-          Policy.take quota
-            (Ranking.timestamp_order eligibility
-               (Eligibility.eligible_colors eligibility))
-        in
-        List.iteri (fun i c -> lru_buf.(i) <- c) lru_set;
-        List.length lru_set
-    | Ranking.Incremental ->
-        Ranking.Index.recency_prefix_into (index view.pending) ~k:quota
-          ~out:lru_buf
-  in
-  (* the top-[edf_quota] ranked non-LRU eligible colors, with their
-     packed keys readable afterwards; [excluded] upper-bounds the LRU
-     colors the rank prefix may contain *)
-  let edf_prefix (view : Policy.view) ~excluded =
-    match mode with
-    | Ranking.Rebuild ->
-        let ranked =
-          Policy.take edf_quota
-            (Ranking.ranked_eligible eligibility view.pending ~delay ~exclude)
-        in
-        List.iteri (fun i (c, _) -> edf_buf.(i) <- c) ranked;
-        List.length ranked
-    | Ranking.Incremental ->
-        Ranking.Index.ranked_prefix_excluding_into (index view.pending)
-          ~k:edf_quota ~excluded ~exclude ~out:edf_buf
-  in
   let reconfigure (view : Policy.view) =
     Eligibility.begin_round eligibility ~view ~in_cache;
     (* ΔLRU component: the [quota] eligible colors with the freshest
        timestamps are unconditionally cached *)
-    let lru_len = lru_prefix view in
+    let idx = index view.pending in
+    let lru_len =
+      Ranking.Index.recency_prefix_into idx ~k:quota ~out:lru_buf
+    in
     for i = 0 to lru_len - 1 do
       is_lru.(lru_buf.(i)) <- true
     done;
     (* EDF component: rank the eligible non-LRU colors; the nonidle ones
-       in the top [edf_quota] rankings that are not cached come in *)
-    let edf_len = edf_prefix view ~excluded:lru_len in
+       in the top [edf_quota] rankings that are not cached come in
+       ([excluded] upper-bounds the LRU colors the rank prefix may
+       contain) *)
+    let edf_len =
+      Ranking.Index.ranked_prefix_excluding_into idx ~k:edf_quota
+        ~excluded:lru_len ~exclude ~out:edf_buf
+    in
     (* candidate keep-set: currently cached non-LRU colors plus the
        nonidle uncached EDF additions, priced by their live rank key *)
     let ncand = ref 0 in
@@ -127,12 +101,11 @@ let make_tuned ?sink ?registry ?(mode = Ranking.Incremental) ~lru_slots:quota
   in
   { policy = { Policy.name; reconfigure }; eligibility }
 
-let make ?sink ?registry ?mode (instance : Instance.t) ~n =
+let make ?sink ?registry (instance : Instance.t) ~n =
   if n < 4 || n mod 4 <> 0 then
     invalid_arg "Lru_edf.make: n must be a positive multiple of 4";
-  make_tuned ?sink ?registry ?mode ~lru_slots:(lru_slots ~n)
+  make_tuned ?sink ?registry ~lru_slots:(lru_slots ~n)
     ~distinct_slots:(distinct_capacity ~n)
     ~replicated:true instance ~n
 
 let policy instance ~n = (make instance ~n).policy
-let oracle_policy instance ~n = (make ~mode:Ranking.Rebuild instance ~n).policy

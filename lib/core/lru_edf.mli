@@ -27,28 +27,21 @@ type instrumented = { policy : Policy.t; eligibility : Eligibility.t }
 val make :
   ?sink:Rrs_obs.Sink.t ->
   ?registry:Rrs_obs.Metrics.t ->
-  ?mode:Ranking.mode ->
   Instance.t ->
   n:int ->
   instrumented
 (** The paper's configuration: [n/4] LRU slots, [n/4] EDF slots,
     replicated.  [sink] is handed to the underlying
-    {!Eligibility.create}, streaming the analysis events.  [mode]
-    (default [Incremental]) selects the {!Ranking.Index}-backed hot
-    path or the original per-round re-sorts; both make identical
-    decisions.  [registry], when given, receives the ["ranking_update"]
-    counter.
+    {!Eligibility.create}, streaming the analysis events.  Both
+    components rank through prefix queries on a {!Ranking.Index}.
+    [registry], when given, receives the ["ranking_update"] counter.
     @raise Invalid_argument if [n] is not a positive multiple of 4. *)
 
 val policy : Policy.factory
 
-val oracle_policy : Policy.factory
-(** [policy] forced to [Rebuild] mode — the differential oracle. *)
-
 val make_tuned :
   ?sink:Rrs_obs.Sink.t ->
   ?registry:Rrs_obs.Metrics.t ->
-  ?mode:Ranking.mode ->
   lru_slots:int ->
   distinct_slots:int ->
   replicated:bool ->

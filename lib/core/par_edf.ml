@@ -8,76 +8,44 @@ type result = {
    pending deadline, delay bound, color) — execute one of its jobs, and
    repeat up to m times.  Jobs within a color are FIFO = EDF.
 
-   Incremental: one flat int-indexed heap over the nonidle colors,
-   priced by the packed klass-0 rank key (int order = the tuple order
-   above), kept in sync by {!Pending.on_front_change} (adds to idle
-   queues, front-batch exhaustions, expiries); a round costs
-   O(changes · log C + m log C) instead of rebuilding the heap from a
-   full nonidle scan, and allocates nothing.  Rebuild:
-   the original per-round scan-and-rebuild — the differential oracle.
-   The selection sequences coincide because the key is a total order
-   and both heaps always price a color at its live earliest deadline. *)
-let run ?(mode = Ranking.Incremental) (instance : Instance.t) ~m =
+   The nonidle colors live in one flat int-indexed heap, priced by the
+   packed klass-0 rank key (int order = the tuple order above) and kept
+   in sync by {!Pending.on_front_change} (adds to idle queues,
+   front-batch exhaustions, expiries); a round costs
+   O(changes · log C + m log C) instead of a full nonidle scan, and
+   allocates nothing. *)
+let run (instance : Instance.t) ~m =
   if m < 1 then invalid_arg "Par_edf.run: m < 1";
   let pending = Pending.create ~num_colors:instance.num_colors in
   let arrivals = Instance.arrivals_by_round instance in
   let dropped = ref 0 in
   let executed = ref 0 in
   let drops_by_color = Array.make instance.num_colors 0 in
-  let execute_best =
-    match mode with
-    | Ranking.Incremental ->
-        let module Iheap = Rrs_dstruct.Int_indexed_heap in
-        let heap = Iheap.create ~capacity:(max instance.num_colors 1) in
-        Pending.on_front_change pending (fun color ->
-            let deadline = Pending.front_deadline pending color in
-            if deadline >= 0 then
-              Iheap.update heap color
-                (Packed.pack_key ~klass:0 ~deadline
-                   ~delay:instance.delay.(color) ~color)
-            else Iheap.remove heap color);
-        fun () ->
-          let slots = ref m in
-          let continue_ = ref true in
-          while !slots > 0 && !continue_ do
-            if Iheap.is_empty heap then continue_ := false
-            else begin
-              let color = Iheap.min_key heap in
-              (* executing may exhaust the front batch, in which case
-                 the listener reprices or removes [color] for us *)
-              if Pending.execute pending color then begin
-                incr executed;
-                decr slots
-              end
-              else Iheap.remove heap color
-            end
-          done
-    | Ranking.Rebuild ->
-        let heap = Rrs_dstruct.Binary_heap.create ~cmp:compare () in
-        fun () ->
-          (* rebuild the candidate heap from the nonidle colors (their
-             count is usually small and bounded by the number of colors) *)
-          Rrs_dstruct.Binary_heap.clear heap;
-          Pending.iter_nonidle pending (fun color _count ->
-              match Pending.earliest_deadline pending color with
-              | Some deadline ->
-                  Rrs_dstruct.Binary_heap.add heap
-                    (deadline, instance.delay.(color), color)
-              | None -> ());
-          let slots = ref m in
-          while !slots > 0 && not (Rrs_dstruct.Binary_heap.is_empty heap) do
-            let _, _, color = Rrs_dstruct.Binary_heap.pop_min heap in
-            match Pending.execute_one pending color with
-            | Some _ -> (
-                incr executed;
-                decr slots;
-                match Pending.earliest_deadline pending color with
-                | Some deadline ->
-                    Rrs_dstruct.Binary_heap.add heap
-                      (deadline, instance.delay.(color), color)
-                | None -> ())
-            | None -> ()
-          done
+  let module Iheap = Rrs_dstruct.Int_indexed_heap in
+  let heap = Iheap.create ~capacity:(max instance.num_colors 1) in
+  Pending.on_front_change pending (fun color ->
+      let deadline = Pending.front_deadline pending color in
+      if deadline >= 0 then
+        Iheap.update heap color
+          (Packed.pack_key ~klass:0 ~deadline ~delay:instance.delay.(color)
+             ~color)
+      else Iheap.remove heap color);
+  let execute_best () =
+    let slots = ref m in
+    let continue_ = ref true in
+    while !slots > 0 && !continue_ do
+      if Iheap.is_empty heap then continue_ := false
+      else begin
+        let color = Iheap.min_key heap in
+        (* executing may exhaust the front batch, in which case the
+           listener reprices or removes [color] for us *)
+        if Pending.execute pending color then begin
+          incr executed;
+          decr slots
+        end
+        else Iheap.remove heap color
+      end
+    done
   in
   for round = 0 to instance.horizon do
     List.iter

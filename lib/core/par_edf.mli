@@ -14,11 +14,9 @@ type result = {
   drops_by_color : int array;
 }
 
-val run : ?mode:Ranking.mode -> Instance.t -> m:int -> result
-(** [mode] (default [Incremental]) selects the
-    {!Rrs_dstruct.Indexed_heap}-backed hot path kept in sync by
-    {!Pending.on_front_change}, or the original per-round
-    scan-and-rebuild; both produce identical results.
+val run : Instance.t -> m:int -> result
+(** Runs on a {!Rrs_dstruct.Int_indexed_heap} over the nonidle colors,
+    kept in sync by {!Pending.on_front_change}.
     @raise Invalid_argument if [m < 1]. *)
 
 val drop_cost : Instance.t -> m:int -> int

@@ -14,16 +14,6 @@ type t = {
 
 type factory = Instance.t -> n:int -> t
 
-let rec take_impl k = function
-  | [] -> []
-  | _ when k <= 0 -> []
-  | x :: rest -> x :: take_impl (k - 1) rest
-
-let take k xs =
-  (* Fun.protect-backed span: balanced even if the traversal raises
-     (this is an oracle/cold path, so the closure is acceptable) *)
-  Rrs_prof.span "policy.take" (fun () -> take_impl k xs)
-
 (* Ascending insertion sort of a.(0 .. len-1) — the flat-buffer
    selection sort for candidate sets of O(cache size) packed keys,
    where insertion sort on an int array beats an allocating merge

@@ -36,11 +36,6 @@ type factory = Instance.t -> n:int -> t
     policies only read [delta], [delay] and [num_colors]; oracle policies
     deliberately read everything and say so in their name). *)
 
-val take : int -> 'a list -> 'a list
-(** [take k xs] is the first [min k (length xs)] elements of [xs] — the
-    prefix-of-ranking helper shared by every reconfiguration scheme
-    (a non-negative [k] never raises; [k <= 0] is the empty list). *)
-
 val sort_int_prefix : int array -> int -> unit
 (** [sort_int_prefix a len] sorts [a.(0 .. len-1)] ascending in place
     (insertion sort — allocation-free, and fast on the small candidate

@@ -33,30 +33,6 @@ let key_of_color elig pending ~delay color =
 
 let is_nonidle_eligible k = Packed.key_klass k = 0
 
-let ranked_eligible elig pending ~delay ~exclude =
-  let keyed =
-    List.filter_map
-      (fun color ->
-        if exclude color then None
-        else Some (color, key_of_color elig pending ~delay color))
-      (Eligibility.eligible_colors elig)
-  in
-  List.sort (fun (_, a) (_, b) -> compare a b) keyed
-
-let timestamp_order elig colors =
-  (* most recent timestamp first; stable tie-break on ascending id comes
-     from sorting pairs (negated timestamp, id) *)
-  let keyed =
-    List.map (fun color -> (-Eligibility.timestamp elig color, color)) colors
-  in
-  List.map snd (List.sort Stdlib.compare keyed)
-
-type mode = Incremental | Rebuild
-
-let mode_to_string = function
-  | Incremental -> "incremental"
-  | Rebuild -> "rebuild"
-
 module Index = struct
   module Iheap = Rrs_dstruct.Int_indexed_heap
 
@@ -77,9 +53,9 @@ module Index = struct
 
   (* Both heaps hold exactly the eligible colors; keys are recomputed
      from the live Eligibility/Pending state at every refresh, so a heap
-     priority is always the packed form of the tuple the list-sort
-     oracle would compute.  [Iheap.update] inserts absent keys, which
-     makes refresh idempotent. *)
+     priority is always the packed form of the tuple [key_of_color]
+     computes.  [Iheap.update] inserts absent keys, which makes refresh
+     idempotent. *)
   let refresh_rank t color =
     if Eligibility.is_eligible t.elig color then begin
       Iheap.update t.rank color
@@ -211,29 +187,4 @@ module Index = struct
         raise e
 
   let rank_key t color = Iheap.priority t.rank color
-
-  (* List-building wrappers over the scratch queries: cold paths for the
-     oracle comparisons and tests. *)
-
-  let keyed_list t out n =
-    List.init n (fun i -> (out.(i), Iheap.priority t.rank out.(i)))
-
-  let ranked_prefix t ~k =
-    let out = Array.make (Stdlib.max 1 (Stdlib.min k (eligible_count t))) 0 in
-    let n = ranked_prefix_into t ~k ~out in
-    keyed_list t out n
-
-  let ranked_prefix_excluding t ~k ~excluded ~exclude =
-    let out = Array.make (Stdlib.max 1 (Stdlib.min k (eligible_count t))) 0 in
-    let n = ranked_prefix_excluding_into t ~k ~excluded ~exclude ~out in
-    keyed_list t out n
-
-  let ranked_all t = ranked_prefix t ~k:(eligible_count t)
-
-  let recency_prefix t ~k =
-    let out = Array.make (Stdlib.max 1 (Stdlib.min k (eligible_count t))) 0 in
-    let n = recency_prefix_into t ~k ~out in
-    List.init n (fun i -> out.(i))
-
-  let recency_all t = recency_prefix t ~k:(Iheap.length t.recency)
 end

@@ -33,35 +33,15 @@ val key_of_color :
 
 val is_nonidle_eligible : key -> bool
 
-val ranked_eligible :
-  Eligibility.t ->
-  Pending.t ->
-  delay:int array ->
-  exclude:(Types.color -> bool) ->
-  (Types.color * key) list
-(** All eligible colors not excluded, best rank first. *)
-
-val timestamp_order :
-  Eligibility.t -> Types.color list -> Types.color list
-(** The ΔLRU selection order: most recent timestamp first, ties by the
-    consistent color order (ascending id). *)
-
 (** {2 Incremental maintenance}
 
-    {!ranked_eligible}/{!timestamp_order} rebuild and re-sort the whole
-    eligible set every round — O(C + E log E) per call even when nothing
-    changed.  {!Index} maintains the same two orders under the typed
-    change feed ({!Eligibility.on_change}, {!Pending.on_front_change}),
-    paying O(log C) per state change and O(k log C) per prefix query.
-    The list-sort functions stay as the reference oracle: an index query
-    always returns exactly the prefix the oracle would. *)
-
-type mode = Incremental | Rebuild
-(** How a policy maintains its ranking: [Incremental] (the
-    {!Index}-backed delta-driven hot path, the default) or [Rebuild]
-    (the original per-round list sort — the differential oracle). *)
-
-val mode_to_string : mode -> string
+    {!Index} maintains the EDF rank order and the ΔLRU recency order
+    under the typed change feed ({!Eligibility.on_change},
+    {!Pending.on_front_change}), paying O(log C) per state change and
+    O(k log k) per prefix query instead of re-sorting the eligible set
+    every round.  A list-sort reference of both orders lives with the
+    tests ([test/oracle]); an index query always returns exactly the
+    prefix that reference would. *)
 
 module Index : sig
   type t
@@ -112,40 +92,15 @@ module Index : sig
       upper-bound the number of excluded colors present in the index. *)
 
   val recency_prefix_into : t -> k:int -> out:int array -> int
-  (** The first [min k E] colors of the ΔLRU selection order. *)
+  (** The first [min k E] colors of the ΔLRU selection order: most
+      recent timestamp first, ties by the consistent color order
+      (ascending id). *)
 
   val rank_key : t -> Types.color -> key
   (** The indexed rank key of an eligible color — what
       {!key_of_color} would recompute, read straight from the index;
       zero-alloc.
       @raise Not_found if the color is not in the index. *)
-
-  (** {3 List-building wrappers — cold paths for oracle and tests} *)
-
-  val ranked_prefix : t -> k:int -> (Types.color * key) list
-  (** The best-ranked [min k E] eligible colors, best first — equal to
-      [Policy.take k (ranked_eligible ...)] with no exclusion;
-      O(k log C), the heap is not modified. *)
-
-  val ranked_prefix_excluding :
-    t ->
-    k:int ->
-    excluded:int ->
-    exclude:(Types.color -> bool) ->
-    (Types.color * key) list
-  (** Same, skipping colors for which [exclude] holds.  [excluded] must
-      upper-bound the number of excluded colors present in the index
-      (the ΔLRU-EDF caller passes its LRU quota); O((k+excluded) log C). *)
-
-  val recency_prefix : t -> k:int -> Types.color list
-  (** The first [min k E] colors of the ΔLRU selection order — equal to
-      [Policy.take k (timestamp_order elig (eligible_colors elig))]. *)
-
-  val ranked_all : t -> (Types.color * key) list
-  (** Every eligible color, best rank first — the full oracle order, for
-      differential checks. *)
-
-  val recency_all : t -> Types.color list
 
   val eligible_count : t -> int
 

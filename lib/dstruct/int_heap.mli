@@ -1,10 +1,9 @@
 (** Flat 4-ary min-heap of plain ints, ordered by [<].
 
-    The zero-allocation replacement for [(int * int) Binary_heap.t] in
-    the engine's event heaps: entries are packed ints (see
-    [Rrs_core.Packed]), so the backing store is one unboxed [int array],
-    comparisons are native, and the 4-ary layout keeps all children of a
-    node in one cache line.  The inner sift loops use a bounds-check-free
+    The engine's zero-allocation event heap: entries are packed
+    [(value, color)] pairs (see [Rrs_core.Packed]), so the backing store
+    is one unboxed [int array], comparisons are native, and the 4-ary
+    layout keeps all children of a node in one cache line.  The inner sift loops use a bounds-check-free
     [unsafe_] tier reachable only through the safe public operations;
     {!check_invariant} exercises it under test. *)
 

@@ -1,11 +1,9 @@
-(* Specialized Indexed_heap: int keys, int priorities, -1 sentinels.
+(* Indexed min-heap over int keys with int priorities and -1 sentinels.
 
-   The generic Indexed_heap stores its priorities in an ['a option
-   array] and compares through a closure — every [update] allocates a
-   [Some] box and every sift step pays an indirect call.  Here the
-   priority array is a flat [int array] (presence is tracked by the
-   [pos] sentinel, so no option is needed), comparison is native [<],
-   and the heap is 4-ary so the children of a node share a cache line.
+   The priority array is a flat [int array] (presence is tracked by the
+   [pos] sentinel, so no option box is needed), comparison is native
+   [<], and the heap is 4-ary so the children of a node share a cache
+   line: no operation allocates or calls through a closure.
 
    Layout: parent of slot i is (i-1)/4; children are 4i+1 .. 4i+4.
 

@@ -1,6 +1,6 @@
 (** 4-ary min-heap over the integer keys [0 .. capacity-1] with an
-    inverse position index and {e int} priorities — the flat, option-free
-    specialization of {!Indexed_heap}.
+    inverse position index and {e int} priorities — flat and
+    option-free.
 
     This is the ranking hot path's structure: each color is a key, its
     priority is its rank key packed into a single tagged int

@@ -1,47 +1,48 @@
 (* The decision-identity harness for the incremental ranking core: every
-   policy of the ΔLRU/EDF family, run in Incremental and in Rebuild mode
-   on the same instance, must produce the same Engine.result down to the
-   final cache and the full recorded schedule.  Instances cover the
-   workload families, the Appendix A/B adversarial constructions, and
-   QCheck-random instances (including non-power-of-two delays). *)
+   policy of the ΔLRU/EDF family and Par-EDF must produce the same
+   result as its list-sort reference in Rrs_oracle on the same
+   instance, down to the final cache and the full recorded schedule.
+   Instances cover the workload families, the Appendix A/B adversarial
+   constructions, and QCheck-random instances (including
+   non-power-of-two delays). *)
 
 open Rrs_core
 module Families = Rrs_workload.Families
 module Adv = Rrs_workload.Adversarial
 
-let policies : (string * (Ranking.mode -> Instance.t -> n:int -> Policy.t)) list
-    =
+(* (name, production, reference) *)
+let policies : (string * Policy.factory * Policy.factory) list =
   [
-    ("dlru", fun mode instance ~n -> (Delta_lru.make ~mode instance ~n).policy);
-    ("edf", fun mode instance ~n -> (Edf_policy.make ~mode instance ~n).policy);
-    ( "seq-edf",
-      fun mode instance ~n -> (Edf_policy.make_seq ~mode instance ~n).policy );
-    ("dlru-edf", fun mode instance ~n -> (Lru_edf.make ~mode instance ~n).policy);
+    ("dlru", Delta_lru.policy, Rrs_oracle.dlru);
+    ("edf", Edf_policy.policy, Rrs_oracle.edf);
+    ("seq-edf", Edf_policy.seq_policy, Rrs_oracle.seq_edf);
+    ("dlru-edf", Lru_edf.policy, Rrs_oracle.dlru_edf);
   ]
 
-let run_both ?(n = 8) instance make =
-  let run mode =
+let run_both ?(n = 8) instance production reference =
+  let run (factory : Policy.factory) =
     Engine.run_policy
       (Engine.config ~n ~record_schedule:true ())
-      instance (make mode instance ~n)
+      instance (factory instance ~n)
   in
-  (run Ranking.Incremental, run Ranking.Rebuild)
+  (run production, run reference)
+
+let par_identical instance =
+  Par_edf.run instance ~m:2 = Rrs_oracle.par_edf instance ~m:2
 
 (* Structural equality covers every field: cost, counters, the per-color
    arrays, final_cache and the recorded schedule. *)
 let check_identical label instance =
   List.iter
-    (fun (pname, make) ->
-      let incr, rebuild = run_both instance make in
+    (fun (pname, production, reference) ->
+      let incr, oracle = run_both instance production reference in
       Alcotest.(check bool)
         (Printf.sprintf "%s/%s identical" pname label)
-        true (incr = rebuild))
+        true (incr = oracle))
     policies;
-  let par mode = Par_edf.run ~mode instance ~m:2 in
   Alcotest.(check bool)
     (Printf.sprintf "par-edf/%s identical" label)
-    true
-    (par Ranking.Incremental = par Ranking.Rebuild)
+    true (par_identical instance)
 
 let test_families () =
   List.iter
@@ -91,27 +92,25 @@ let prop_random_instances =
   QCheck.Test.make ~count:60 ~name:"identical decisions on random instances"
     arbitrary_instance (fun instance ->
       List.for_all
-        (fun (_, make) ->
-          let incr, rebuild = run_both instance make in
-          incr = rebuild)
+        (fun (_, production, reference) ->
+          let incr, oracle = run_both instance production reference in
+          incr = oracle)
         policies
-      && Par_edf.run ~mode:Ranking.Incremental instance ~m:2
-         = Par_edf.run ~mode:Ranking.Rebuild instance ~m:2)
+      && par_identical instance)
 
 (* Double-speed engines exercise two reconfigurations per round against
    one begin_round epoch update — a different event interleaving. *)
 let test_double_speed () =
   let f = Option.get (Families.find "bursty") in
   let instance = f.build ~seed:4 in
-  let run mode =
+  let run (factory : Policy.factory) =
     Engine.run_policy
       (Engine.config ~n:8 ~mini_rounds:2 ~record_schedule:true ())
-      instance
-      (Edf_policy.make_seq ~mode instance ~n:8).policy
+      instance (factory instance ~n:8)
   in
   Alcotest.(check bool)
     "ds-seq-edf identical" true
-    (run Ranking.Incremental = run Ranking.Rebuild)
+    (run Edf_policy.seq_policy = run Rrs_oracle.seq_edf)
 
 (* The watchdog's non-perturbation guarantee: attaching a Record-mode
    watchdog to a fully instrumented run must leave Engine.result

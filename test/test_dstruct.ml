@@ -1,222 +1,10 @@
 (* Unit and property tests for the container substrate. *)
 
-module BH = Rrs_dstruct.Binary_heap
-module IH = Rrs_dstruct.Indexed_heap
 module IntH = Rrs_dstruct.Int_heap
 module IIH = Rrs_dstruct.Int_indexed_heap
-module PH = Rrs_dstruct.Pairing_heap
-module DQ = Rrs_dstruct.Deque
-module RB = Rrs_dstruct.Ring_buffer
 module FW = Rrs_dstruct.Fenwick
 
 let int_cmp = Stdlib.compare
-
-(* ------------------------------------------------------------------ *)
-(* Binary heap                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_bh_empty () =
-  let h = BH.create ~cmp:int_cmp () in
-  Alcotest.(check bool) "empty" true (BH.is_empty h);
-  Alcotest.(check int) "length" 0 (BH.length h);
-  Alcotest.check_raises "min raises" Not_found (fun () -> ignore (BH.min h));
-  Alcotest.check_raises "pop raises" Not_found (fun () ->
-      ignore (BH.pop_min h));
-  Alcotest.(check (option int)) "pop_opt" None (BH.pop_min_opt h)
-
-let test_bh_order () =
-  let h = BH.create ~cmp:int_cmp () in
-  List.iter (BH.add h) [ 5; 1; 4; 1; 3; 9; 2 ];
-  Alcotest.(check int) "length" 7 (BH.length h);
-  Alcotest.(check int) "min" 1 (BH.min h);
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ]
-    (BH.to_sorted_list h);
-  Alcotest.(check int) "to_sorted_list is nondestructive" 7 (BH.length h);
-  let drained = List.init 7 (fun _ -> BH.pop_min h) in
-  Alcotest.(check (list int)) "drain order" [ 1; 1; 2; 3; 4; 5; 9 ] drained;
-  Alcotest.(check bool) "empty after drain" true (BH.is_empty h)
-
-let test_bh_of_array () =
-  let h = BH.of_array ~cmp:int_cmp [| 3; 1; 2 |] in
-  Alcotest.(check bool) "invariant" true (BH.check_invariant h);
-  Alcotest.(check (list int)) "sorted" [ 1; 2; 3 ] (BH.to_sorted_list h)
-
-let test_bh_clear_and_grow () =
-  let h = BH.create ~cmp:int_cmp ~initial_capacity:1 () in
-  for i = 100 downto 1 do
-    BH.add h i
-  done;
-  Alcotest.(check int) "grown" 100 (BH.length h);
-  Alcotest.(check int) "min" 1 (BH.min h);
-  BH.clear h;
-  Alcotest.(check bool) "cleared" true (BH.is_empty h);
-  BH.add h 42;
-  Alcotest.(check int) "usable after clear" 42 (BH.min h)
-
-let test_bh_fold_iter () =
-  let h = BH.of_array ~cmp:int_cmp [| 4; 2; 7 |] in
-  Alcotest.(check int) "fold sum" 13 (BH.fold ( + ) 0 h);
-  let count = ref 0 in
-  BH.iter (fun _ -> incr count) h;
-  Alcotest.(check int) "iter count" 3 !count
-
-let test_bh_peek () =
-  let h = BH.create ~cmp:int_cmp () in
-  Alcotest.(check (option int)) "empty" None (BH.peek_min_opt h);
-  List.iter (BH.add h) [ 5; 2; 7 ];
-  Alcotest.(check (option int)) "min" (Some 2) (BH.peek_min_opt h);
-  Alcotest.(check int) "nondestructive" 3 (BH.length h);
-  Alcotest.(check int) "agrees with pop" 2 (BH.pop_min h)
-
-(* regression: [create ~initial_capacity] used to be silently ignored,
-   so the first [add] always started from the tiny default and paid the
-   doubling ladder *)
-let test_bh_initial_capacity () =
-  let h = BH.create ~cmp:int_cmp ~initial_capacity:64 () in
-  Alcotest.(check int) "capacity honored" 64 (BH.capacity h);
-  BH.add h 7;
-  Alcotest.(check int) "first add does not grow" 64 (BH.capacity h);
-  for i = 1 to 63 do
-    BH.add h i
-  done;
-  Alcotest.(check int) "still at hint when full" 64 (BH.capacity h);
-  BH.add h 99;
-  Alcotest.(check bool) "grows past the hint" true (BH.capacity h > 64)
-
-let prop_bh_sorts =
-  QCheck.Test.make ~count:300 ~name:"binary heap sorts like List.sort"
-    QCheck.(list int)
-    (fun xs ->
-      let h = BH.create ~cmp:int_cmp () in
-      List.iter (BH.add h) xs;
-      BH.to_sorted_list h = List.sort int_cmp xs && BH.check_invariant h)
-
-let prop_bh_heapify =
-  QCheck.Test.make ~count:300 ~name:"of_array satisfies heap invariant"
-    QCheck.(array int)
-    (fun a -> BH.check_invariant (BH.of_array ~cmp:int_cmp a))
-
-(* ------------------------------------------------------------------ *)
-(* Indexed heap                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_ih_basics () =
-  let h = IH.create ~cmp:int_cmp ~capacity:8 in
-  IH.insert h 3 30;
-  IH.insert h 1 10;
-  IH.insert h 5 50;
-  Alcotest.(check int) "length" 3 (IH.length h);
-  Alcotest.(check bool) "mem" true (IH.mem h 3);
-  Alcotest.(check bool) "not mem" false (IH.mem h 0);
-  Alcotest.(check int) "priority" 30 (IH.priority h 3);
-  Alcotest.(check (pair int int)) "min" (1, 10) (IH.min h);
-  IH.update h 5 5;
-  Alcotest.(check (pair int int)) "decrease-key" (5, 5) (IH.min h);
-  IH.update h 5 500;
-  Alcotest.(check (pair int int)) "increase-key" (1, 10) (IH.min h);
-  IH.remove h 1;
-  Alcotest.(check (pair int int)) "after remove" (3, 30) (IH.min h);
-  IH.remove h 1;
-  Alcotest.(check int) "remove absent is noop" 2 (IH.length h);
-  Alcotest.(check bool) "invariant" true (IH.check_invariant h)
-
-let test_ih_update_inserts () =
-  let h = IH.create ~cmp:int_cmp ~capacity:4 in
-  IH.update h 2 20;
-  Alcotest.(check bool) "update inserts" true (IH.mem h 2);
-  Alcotest.check_raises "double insert rejected"
-    (Invalid_argument "Indexed_heap.insert: key present") (fun () ->
-      IH.insert h 2 7)
-
-let test_ih_out_of_range () =
-  let h = IH.create ~cmp:int_cmp ~capacity:2 in
-  Alcotest.check_raises "key range"
-    (Invalid_argument "Indexed_heap: key out of range") (fun () ->
-      IH.insert h 2 0)
-
-let test_ih_smallest () =
-  let h = IH.create ~cmp:int_cmp ~capacity:10 in
-  List.iteri (fun key prio -> IH.insert h key prio) [ 40; 10; 30; 20; 50 ];
-  Alcotest.(check (list (pair int int)))
-    "smallest 3"
-    [ (1, 10); (3, 20); (2, 30) ]
-    (IH.smallest h 3);
-  Alcotest.(check int) "smallest does not consume" 5 (IH.length h);
-  Alcotest.(check (list (pair int int)))
-    "smallest beyond size"
-    [ (1, 10); (3, 20); (2, 30); (0, 40); (4, 50) ]
-    (IH.smallest h 99)
-
-let test_ih_peek () =
-  let h = IH.create ~cmp:int_cmp ~capacity:4 in
-  Alcotest.(check bool) "empty" true (IH.peek_min_opt h = None);
-  IH.insert h 2 20;
-  IH.insert h 0 5;
-  Alcotest.(check bool) "min" true (IH.peek_min_opt h = Some (0, 5));
-  Alcotest.(check int) "nondestructive" 2 (IH.length h);
-  IH.remove h 0;
-  Alcotest.(check bool) "tracks removals" true (IH.peek_min_opt h = Some (2, 20))
-
-let test_ih_clear () =
-  let h = IH.create ~cmp:int_cmp ~capacity:4 in
-  IH.insert h 0 1;
-  IH.insert h 1 2;
-  IH.clear h;
-  Alcotest.(check bool) "cleared" true (IH.is_empty h);
-  Alcotest.(check bool) "mem after clear" false (IH.mem h 0);
-  IH.insert h 0 9;
-  Alcotest.(check (pair int int)) "reusable" (0, 9) (IH.min h)
-
-(* model-based: random ops against an association-list model *)
-let prop_ih_model =
-  let open QCheck in
-  let op =
-    oneof
-      [
-        map (fun (k, p) -> `Update (k, p)) (pair (int_bound 15) small_int);
-        map (fun k -> `Remove k) (int_bound 15);
-        always `Pop;
-      ]
-  in
-  Test.make ~count:300 ~name:"indexed heap matches a model" (list op)
-    (fun ops ->
-      let h = IH.create ~cmp:int_cmp ~capacity:16 in
-      let model = Hashtbl.create 16 in
-      let model_min () =
-        Hashtbl.fold
-          (fun k p acc ->
-            match acc with
-            | None -> Some (p, k)
-            | Some (bp, bk) ->
-                if (p, k) < (bp, bk) then Some (p, k) else Some (bp, bk))
-          model None
-      in
-      List.for_all
-        (fun op ->
-          (match op with
-          | `Update (k, p) ->
-              IH.update h k p;
-              Hashtbl.replace model k p
-          | `Remove k ->
-              IH.remove h k;
-              Hashtbl.remove model k
-          | `Pop -> (
-              match IH.pop_min_opt h with
-              | None -> ()
-              | Some (k, _) -> Hashtbl.remove model k));
-          IH.check_invariant h
-          && IH.length h = Hashtbl.length model
-          &&
-          (* priority ties are broken arbitrarily by the heap, so compare
-             priorities only *)
-          match (model_min (), IH.pop_min_opt h) with
-          | None, None -> true
-          | Some (p, _), Some (k', p') ->
-              IH.insert h k' p';
-              (* put it back *)
-              p = p'
-          | _ -> false)
-        ops)
 
 (* ------------------------------------------------------------------ *)
 (* Int heap (flat 4-ary)                                               *)
@@ -239,6 +27,64 @@ let test_inth_basics () =
   IntH.add h 42;
   Alcotest.(check int) "usable after clear" 42 (IntH.min h)
 
+let test_inth_ordering () =
+  let h = IntH.create () in
+  List.iter (IntH.add h) [ 3; 1; 4; 1; 5; 9; 2 ];
+  Alcotest.(check int) "length" 7 (IntH.length h);
+  Alcotest.(check int) "min" 1 (IntH.min h);
+  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ]
+    (IntH.to_sorted_list h);
+  Alcotest.(check int) "to_sorted_list is nondestructive" 7 (IntH.length h);
+  let drained = List.init 7 (fun _ -> IntH.pop_min h) in
+  Alcotest.(check (list int)) "drain order" [ 1; 1; 2; 3; 4; 5; 9 ] drained;
+  Alcotest.(check bool) "empty after drain" true (IntH.is_empty h)
+
+let test_inth_empty () =
+  let h = IntH.create () in
+  Alcotest.(check bool) "empty" true (IntH.is_empty h);
+  Alcotest.(check int) "length" 0 (IntH.length h);
+  Alcotest.check_raises "min raises" Not_found (fun () -> ignore (IntH.min h));
+  Alcotest.check_raises "pop raises" Not_found (fun () ->
+      ignore (IntH.pop_min h))
+
+let test_inth_clear_and_grow () =
+  let h = IntH.create ~initial_capacity:1 () in
+  for i = 100 downto 1 do
+    IntH.add h i
+  done;
+  Alcotest.(check int) "grown" 100 (IntH.length h);
+  Alcotest.(check int) "min" 1 (IntH.min h);
+  IntH.clear h;
+  Alcotest.(check bool) "cleared" true (IntH.is_empty h);
+  IntH.add h 42;
+  Alcotest.(check int) "usable after clear" 42 (IntH.min h)
+
+(* the creation-time hint sizes the first backing array exactly, and the
+   heap grows only once it is full *)
+let test_inth_initial_capacity () =
+  let h = IntH.create ~initial_capacity:64 () in
+  Alcotest.(check int) "capacity honored" 64 (IntH.capacity h);
+  IntH.add h 7;
+  Alcotest.(check int) "first add does not grow" 64 (IntH.capacity h);
+  for i = 1 to 63 do
+    IntH.add h i
+  done;
+  Alcotest.(check int) "still at hint when full" 64 (IntH.capacity h);
+  IntH.add h 99;
+  Alcotest.(check bool) "grows past the hint" true (IntH.capacity h > 64)
+
+let test_inth_iter () =
+  let h = IntH.create () in
+  List.iter (IntH.add h) [ 4; 2; 7 ];
+  let sum = ref 0 and count = ref 0 in
+  IntH.iter
+    (fun x ->
+      sum := !sum + x;
+      incr count)
+    h;
+  Alcotest.(check int) "iter sum" 13 !sum;
+  Alcotest.(check int) "iter count" 3 !count
+
 let prop_inth_sorts =
   QCheck.Test.make ~count:300 ~name:"int heap sorts like List.sort"
     QCheck.(list int)
@@ -247,6 +93,25 @@ let prop_inth_sorts =
       let h = IntH.create () in
       List.iter (IntH.add h) xs;
       IntH.to_sorted_list h = List.sort int_cmp xs && IntH.check_invariant h)
+
+(* the destructive path: draining with [pop_min] yields the sorted list
+   and keeps the invariant after every pop *)
+let prop_inth_drains =
+  QCheck.Test.make ~count:300 ~name:"int heap drains in List.sort order"
+    QCheck.(list int)
+    (fun xs ->
+      let xs = List.map abs xs in
+      let h = IntH.create () in
+      List.iter (IntH.add h) xs;
+      let drained =
+        List.map
+          (fun _ ->
+            let x = IntH.pop_min h in
+            if not (IntH.check_invariant h) then failwith "invariant";
+            x)
+          xs
+      in
+      drained = List.sort int_cmp xs && IntH.is_empty h)
 
 (* ------------------------------------------------------------------ *)
 (* Int indexed heap (flat 4-ary)                                       *)
@@ -276,6 +141,44 @@ let test_iih_basics () =
     (Invalid_argument "Int_indexed_heap: key out of range") (fun () ->
       IIH.insert h 8 0)
 
+(* decrease- and increase-key on several keys, each followed by a check
+   of the minimum and of the stored priority *)
+let test_iih_rekey () =
+  let h = IIH.create ~capacity:6 in
+  List.iter (fun (k, p) -> IIH.insert h k p) [ (0, 40); (2, 20); (4, 60) ];
+  IIH.update h 4 10;
+  Alcotest.(check (pair int int)) "decrease-key to the top" (4, 10) (IIH.min h);
+  Alcotest.(check int) "priority follows" 10 (IIH.priority h 4);
+  IIH.update h 4 70;
+  Alcotest.(check (pair int int)) "increase-key off the top" (2, 20)
+    (IIH.min h);
+  IIH.update h 0 15;
+  Alcotest.(check (pair int int)) "decrease a non-root key" (0, 15)
+    (IIH.min h);
+  IIH.update h 0 15;
+  Alcotest.(check int) "same-priority update is stable" 3 (IIH.length h);
+  IIH.remove h 0;
+  IIH.remove h 0;
+  Alcotest.(check int) "remove absent is noop" 2 (IIH.length h);
+  Alcotest.check_raises "priority of absent" Not_found (fun () ->
+      ignore (IIH.priority h 0));
+  Alcotest.(check (list (pair int int)))
+    "drain order" [ (2, 20); (4, 70) ]
+    (List.init 2 (fun _ -> IIH.pop_min h));
+  Alcotest.(check bool) "invariant" true (IIH.check_invariant h)
+
+(* every key-taking operation rejects keys outside [0 .. capacity-1] *)
+let test_iih_out_of_range () =
+  let h = IIH.create ~capacity:2 in
+  let range = Invalid_argument "Int_indexed_heap: key out of range" in
+  Alcotest.check_raises "insert at capacity" range (fun () -> IIH.insert h 2 0);
+  Alcotest.check_raises "insert negative" range (fun () -> IIH.insert h (-1) 0);
+  Alcotest.check_raises "update" range (fun () -> IIH.update h 2 0);
+  Alcotest.check_raises "remove" range (fun () -> IIH.remove h 2);
+  Alcotest.check_raises "mem" range (fun () -> ignore (IIH.mem h 2));
+  Alcotest.check_raises "priority" range (fun () -> ignore (IIH.priority h 2));
+  Alcotest.(check int) "heap untouched" 0 (IIH.length h)
+
 let test_iih_smallest_into () =
   let h = IIH.create ~capacity:10 in
   List.iteri (fun key prio -> IIH.insert h key prio) [ 40; 10; 30; 20; 50 ];
@@ -294,9 +197,49 @@ let test_iih_smallest_into () =
     (Invalid_argument "Int_indexed_heap.smallest_into: out buffer too small")
     (fun () -> ignore (IIH.smallest_into h 3 ~out:(Array.make 2 0)))
 
-(* differential: the flat 4-ary heap against the reference Indexed_heap
-   on identical random op sequences — same membership, same priorities,
-   same minimum at every step *)
+let test_iih_smallest () =
+  let h = IIH.create ~capacity:10 in
+  List.iteri (fun key prio -> IIH.insert h key prio) [ 40; 10; 30; 20; 50 ];
+  Alcotest.(check (list (pair int int)))
+    "smallest 3"
+    [ (1, 10); (3, 20); (2, 30) ]
+    (IIH.smallest h 3);
+  Alcotest.(check int) "smallest does not consume" 5 (IIH.length h);
+  Alcotest.(check (list (pair int int)))
+    "smallest beyond size"
+    [ (1, 10); (3, 20); (2, 30); (0, 40); (4, 50) ]
+    (IIH.smallest h 99);
+  Alcotest.(check (list (pair int int))) "smallest 0" [] (IIH.smallest h 0)
+
+let test_iih_update_inserts () =
+  let h = IIH.create ~capacity:4 in
+  IIH.update h 2 20;
+  Alcotest.(check bool) "update inserts" true (IIH.mem h 2);
+  Alcotest.check_raises "double insert rejected"
+    (Invalid_argument "Int_indexed_heap.insert: key present") (fun () ->
+      IIH.insert h 2 7)
+
+let test_iih_peek () =
+  let h = IIH.create ~capacity:4 in
+  Alcotest.(check bool) "empty" true (IIH.peek_min_opt h = None);
+  IIH.insert h 2 20;
+  IIH.insert h 0 5;
+  Alcotest.(check bool) "min" true (IIH.peek_min_opt h = Some (0, 5));
+  Alcotest.(check int) "nondestructive" 2 (IIH.length h);
+  IIH.remove h 0;
+  Alcotest.(check bool) "tracks removals" true
+    (IIH.peek_min_opt h = Some (2, 20))
+
+let test_iih_clear () =
+  let h = IIH.create ~capacity:4 in
+  IIH.insert h 0 1;
+  IIH.insert h 1 2;
+  IIH.clear h;
+  Alcotest.(check bool) "cleared" true (IIH.is_empty h);
+  Alcotest.(check bool) "mem after clear" false (IIH.mem h 0);
+  IIH.insert h 0 9;
+  Alcotest.(check (pair int int)) "reusable" (0, 9) (IIH.min h)
+
 let iih_op =
   let open QCheck in
   oneof
@@ -306,43 +249,84 @@ let iih_op =
       always `Pop;
     ]
 
-let prop_iih_differential =
-  QCheck.Test.make ~count:500
-    ~name:"int indexed heap matches Indexed_heap on random ops"
+(* model-based: random ops against a Hashtbl model — same length, and
+   the same minimum priority at every step *)
+let prop_iih_model =
+  QCheck.Test.make ~count:500 ~name:"int indexed heap matches a model"
     QCheck.(list iih_op)
     (fun ops ->
-      let flat = IIH.create ~capacity:16 in
-      let reference = IH.create ~cmp:int_cmp ~capacity:16 in
+      let h = IIH.create ~capacity:16 in
+      let model = Hashtbl.create 16 in
+      let model_min () =
+        Hashtbl.fold
+          (fun k p acc ->
+            match acc with
+            | None -> Some (p, k)
+            | Some (bp, bk) ->
+                if (p, k) < (bp, bk) then Some (p, k) else Some (bp, bk))
+          model None
+      in
       List.for_all
         (fun op ->
           (match op with
           | `Update (k, p) ->
-              IIH.update flat k p;
-              IH.update reference k p
+              IIH.update h k p;
+              Hashtbl.replace model k p
           | `Remove k ->
-              IIH.remove flat k;
-              IH.remove reference k
+              IIH.remove h k;
+              Hashtbl.remove model k
           | `Pop -> (
-              (* pop both; priority ties may pick different keys, so
-                 re-align by removing the flat heap's choice from both *)
-              match IIH.pop_min_opt flat with
-              | None -> assert (IH.pop_min_opt reference = None)
-              | Some (k, p) ->
-                  if IH.priority reference k <> p then
-                    failwith "pop priority mismatch";
-                  IH.remove reference k));
-          IIH.check_invariant flat
-          && IIH.length flat = IH.length reference
-          && List.for_all
-               (fun k ->
-                 IIH.mem flat k = IH.mem reference k
-                 && ((not (IIH.mem flat k))
-                    || IIH.priority flat k = IH.priority reference k))
-               (List.init 16 Fun.id)
+              match IIH.pop_min_opt h with
+              | None -> ()
+              | Some (k, _) -> Hashtbl.remove model k));
+          IIH.check_invariant h
+          && IIH.length h = Hashtbl.length model
+          && Hashtbl.fold
+               (fun k p ok -> ok && IIH.mem h k && IIH.priority h k = p)
+               model true
           &&
-          match (IIH.peek_min_opt flat, IH.peek_min_opt reference) with
+          (* priority ties are broken arbitrarily by the heap, so compare
+             priorities only *)
+          match (model_min (), IIH.peek_min_opt h) with
           | None, None -> true
-          | Some (_, p), Some (_, p') -> p = p'
+          | Some (p, _), Some (_, p') -> p = p'
+          | _ -> false)
+        ops)
+
+(* the same model, but the minimum is read by popping it and putting it
+   back, so every step also exercises a pop/insert round trip *)
+let prop_iih_pop_reinsert =
+  QCheck.Test.make ~count:300 ~name:"pop+reinsert keeps matching a model"
+    QCheck.(list iih_op)
+    (fun ops ->
+      let h = IIH.create ~capacity:16 in
+      let model = Hashtbl.create 16 in
+      let model_min () =
+        Hashtbl.fold
+          (fun _ p acc -> match acc with None -> Some p | Some q -> Some (min p q))
+          model None
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Update (k, p) ->
+              IIH.update h k p;
+              Hashtbl.replace model k p
+          | `Remove k ->
+              IIH.remove h k;
+              Hashtbl.remove model k
+          | `Pop -> (
+              match IIH.pop_min_opt h with
+              | None -> ()
+              | Some (k, _) -> Hashtbl.remove model k));
+          IIH.check_invariant h
+          && IIH.length h = Hashtbl.length model
+          &&
+          match (model_min (), IIH.pop_min_opt h) with
+          | None, None -> true
+          | Some p, Some (k', p') ->
+              IIH.insert h k' p';
+              p = p' && Hashtbl.find_opt model k' = Some p'
           | _ -> false)
         ops)
 
@@ -382,140 +366,6 @@ let prop_iih_smallest_matches_sort =
       got = List.length expected
       && Array.to_list (Array.sub out 0 got) = expected
       && IIH.check_invariant h)
-
-(* ------------------------------------------------------------------ *)
-(* Pairing heap                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_ph_basics () =
-  let h = PH.of_list ~cmp:int_cmp [ 3; 1; 2 ] in
-  Alcotest.(check int) "length" 3 (PH.length h);
-  Alcotest.(check int) "min" 1 (PH.min h);
-  let x, h' = PH.pop_min h in
-  Alcotest.(check int) "pop" 1 x;
-  Alcotest.(check int) "persistence: original intact" 3 (PH.length h);
-  Alcotest.(check int) "tail length" 2 (PH.length h');
-  Alcotest.check_raises "empty min" Not_found (fun () ->
-      ignore (PH.min (PH.empty ~cmp:int_cmp)))
-
-let test_ph_merge () =
-  let a = PH.of_list ~cmp:int_cmp [ 5; 3 ] in
-  let b = PH.of_list ~cmp:int_cmp [ 4; 1 ] in
-  let m = PH.merge a b in
-  Alcotest.(check (list int)) "merged" [ 1; 3; 4; 5 ] (PH.to_sorted_list m)
-
-let prop_ph_sorts =
-  QCheck.Test.make ~count:300 ~name:"pairing heap sorts like List.sort"
-    QCheck.(list int)
-    (fun xs ->
-      PH.to_sorted_list (PH.of_list ~cmp:int_cmp xs) = List.sort int_cmp xs)
-
-(* ------------------------------------------------------------------ *)
-(* Deque                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_dq_fifo () =
-  let d = List.fold_left (fun d x -> DQ.push_back x d) DQ.empty [ 1; 2; 3 ] in
-  Alcotest.(check int) "front" 1 (DQ.front d);
-  Alcotest.(check int) "back" 3 (DQ.back d);
-  let x, d = DQ.pop_front d in
-  let y, d = DQ.pop_front d in
-  let z, d = DQ.pop_front d in
-  Alcotest.(check (list int)) "fifo order" [ 1; 2; 3 ] [ x; y; z ];
-  Alcotest.(check bool) "empty" true (DQ.is_empty d)
-
-let test_dq_lifo () =
-  let d = List.fold_left (fun d x -> DQ.push_front x d) DQ.empty [ 1; 2; 3 ] in
-  Alcotest.(check (list int)) "to_list" [ 3; 2; 1 ] (DQ.to_list d);
-  let x, d' = DQ.pop_back d in
-  Alcotest.(check int) "pop_back" 1 x;
-  Alcotest.(check int) "len" 2 (DQ.length d');
-  Alcotest.(check int) "persistent" 3 (DQ.length d)
-
-let test_dq_errors () =
-  Alcotest.check_raises "front of empty" Not_found (fun () ->
-      ignore (DQ.front DQ.empty));
-  Alcotest.check_raises "pop_back of empty" Not_found (fun () ->
-      ignore (DQ.pop_back DQ.empty))
-
-let test_dq_map_fold () =
-  let d = DQ.of_list [ 1; 2; 3 ] in
-  Alcotest.(check (list int)) "map" [ 2; 4; 6 ] (DQ.to_list (DQ.map (( * ) 2) d));
-  Alcotest.(check int) "fold" 6 (DQ.fold_left ( + ) 0 d)
-
-(* model-based: a deque behaves like a list *)
-let prop_dq_model =
-  let open QCheck in
-  let op =
-    oneof
-      [
-        map (fun x -> `Push_front x) small_int;
-        map (fun x -> `Push_back x) small_int;
-        always `Pop_front;
-        always `Pop_back;
-      ]
-  in
-  Test.make ~count:300 ~name:"deque matches a list model" (list op) (fun ops ->
-      let d = ref DQ.empty in
-      let model = ref [] in
-      List.for_all
-        (fun op ->
-          (match op with
-          | `Push_front x ->
-              d := DQ.push_front x !d;
-              model := x :: !model
-          | `Push_back x ->
-              d := DQ.push_back x !d;
-              model := !model @ [ x ]
-          | `Pop_front -> (
-              match (DQ.pop_front_opt !d, !model) with
-              | Some (x, d'), y :: rest when x = y ->
-                  d := d';
-                  model := rest
-              | None, [] -> ()
-              | _ -> failwith "front mismatch")
-          | `Pop_back -> (
-              match (DQ.pop_back_opt !d, List.rev !model) with
-              | Some (x, d'), y :: rest when x = y ->
-                  d := d';
-                  model := List.rev rest
-              | None, [] -> ()
-              | _ -> failwith "back mismatch"));
-          DQ.to_list !d = !model && DQ.length !d = List.length !model)
-        ops)
-
-(* ------------------------------------------------------------------ *)
-(* Ring buffer                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_rb_basics () =
-  let r = RB.create ~capacity:3 in
-  Alcotest.(check bool) "empty" true (RB.is_empty r);
-  RB.push r 1;
-  RB.push r 2;
-  Alcotest.(check (option int)) "oldest" (Some 1) (RB.oldest r);
-  Alcotest.(check (option int)) "newest" (Some 2) (RB.newest r);
-  RB.push r 3;
-  Alcotest.(check bool) "full" true (RB.is_full r);
-  RB.push r 4;
-  Alcotest.(check (list int)) "evicted oldest" [ 2; 3; 4 ] (RB.to_list r);
-  Alcotest.(check int) "get" 3 (RB.get r 1);
-  Alcotest.check_raises "get out of range" (Invalid_argument "Ring_buffer.get")
-    (fun () -> ignore (RB.get r 3));
-  RB.clear r;
-  Alcotest.(check int) "cleared" 0 (RB.length r)
-
-let prop_rb_window =
-  QCheck.Test.make ~count:300 ~name:"ring buffer keeps the last k elements"
-    QCheck.(pair (int_range 1 10) (list small_int))
-    (fun (cap, xs) ->
-      let r = RB.create ~capacity:cap in
-      List.iter (RB.push r) xs;
-      let expected =
-        let n = List.length xs in
-        List.filteri (fun i _ -> i >= n - cap) xs
-      in
-      RB.to_list r = expected)
 
 (* ------------------------------------------------------------------ *)
 (* Fenwick                                                             *)
@@ -574,59 +424,35 @@ let () =
   let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests) in
   Alcotest.run "dstruct"
     [
-      ( "binary_heap",
-        [
-          Alcotest.test_case "empty" `Quick test_bh_empty;
-          Alcotest.test_case "ordering" `Quick test_bh_order;
-          Alcotest.test_case "of_array" `Quick test_bh_of_array;
-          Alcotest.test_case "clear+grow" `Quick test_bh_clear_and_grow;
-          Alcotest.test_case "initial capacity honored" `Quick
-            test_bh_initial_capacity;
-          Alcotest.test_case "fold/iter" `Quick test_bh_fold_iter;
-          Alcotest.test_case "peek_min_opt" `Quick test_bh_peek;
-        ] );
-      qsuite "binary_heap_props" [ prop_bh_sorts; prop_bh_heapify ];
-      ( "indexed_heap",
-        [
-          Alcotest.test_case "basics" `Quick test_ih_basics;
-          Alcotest.test_case "update inserts" `Quick test_ih_update_inserts;
-          Alcotest.test_case "out of range" `Quick test_ih_out_of_range;
-          Alcotest.test_case "smallest" `Quick test_ih_smallest;
-          Alcotest.test_case "peek_min_opt" `Quick test_ih_peek;
-          Alcotest.test_case "clear" `Quick test_ih_clear;
-        ] );
-      qsuite "indexed_heap_props" [ prop_ih_model ];
       ( "int_heap",
-        [ Alcotest.test_case "basics" `Quick test_inth_basics ] );
-      qsuite "int_heap_props" [ prop_inth_sorts ];
+        [
+          Alcotest.test_case "basics" `Quick test_inth_basics;
+          Alcotest.test_case "ordering" `Quick test_inth_ordering;
+          Alcotest.test_case "empty" `Quick test_inth_empty;
+          Alcotest.test_case "clear+grow" `Quick test_inth_clear_and_grow;
+          Alcotest.test_case "initial capacity honored" `Quick
+            test_inth_initial_capacity;
+          Alcotest.test_case "iter" `Quick test_inth_iter;
+        ] );
+      qsuite "int_heap_props" [ prop_inth_sorts; prop_inth_drains ];
       ( "int_indexed_heap",
         [
           Alcotest.test_case "basics" `Quick test_iih_basics;
+          Alcotest.test_case "rekey" `Quick test_iih_rekey;
+          Alcotest.test_case "out of range" `Quick test_iih_out_of_range;
           Alcotest.test_case "smallest_into" `Quick test_iih_smallest_into;
+          Alcotest.test_case "smallest" `Quick test_iih_smallest;
+          Alcotest.test_case "update inserts" `Quick test_iih_update_inserts;
+          Alcotest.test_case "peek_min_opt" `Quick test_iih_peek;
+          Alcotest.test_case "clear" `Quick test_iih_clear;
         ] );
       qsuite "int_indexed_heap_props"
         [
-          prop_iih_differential;
+          prop_iih_model;
+          prop_iih_pop_reinsert;
           prop_iih_storm;
           prop_iih_smallest_matches_sort;
         ];
-      ( "pairing_heap",
-        [
-          Alcotest.test_case "basics" `Quick test_ph_basics;
-          Alcotest.test_case "merge" `Quick test_ph_merge;
-        ] );
-      qsuite "pairing_heap_props" [ prop_ph_sorts ];
-      ( "deque",
-        [
-          Alcotest.test_case "fifo" `Quick test_dq_fifo;
-          Alcotest.test_case "lifo" `Quick test_dq_lifo;
-          Alcotest.test_case "errors" `Quick test_dq_errors;
-          Alcotest.test_case "map/fold" `Quick test_dq_map_fold;
-        ] );
-      qsuite "deque_props" [ prop_dq_model ];
-      ( "ring_buffer",
-        [ Alcotest.test_case "basics" `Quick test_rb_basics ] );
-      qsuite "ring_buffer_props" [ prop_rb_window ];
       ( "fenwick",
         [ Alcotest.test_case "basics" `Quick test_fw_basics ] );
       qsuite "fenwick_props" [ prop_fw_prefix; prop_fw_search ];

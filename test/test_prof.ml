@@ -17,11 +17,11 @@ let small_instance () =
     ~arrivals:[ arr 0 0 6; arr 0 2 4; arr 4 1 6; arr 8 3 8; arr 12 0 4 ]
     ()
 
-let run_instrumented ?(mode = Ranking.Incremental) instance =
+let run_instrumented instance =
   Engine.run_policy
     (Engine.config ~n:8 ~record_schedule:true ())
     instance
-    (Lru_edf.make ~mode instance ~n:8).policy
+    (Lru_edf.policy instance ~n:8)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace structure                                              *)
@@ -99,12 +99,8 @@ let tracks_of evs =
 let test_trace_structure () =
   let prof = Prof.create () in
   let f = Option.get (Families.find "uniform") in
-  (* both ranking arms: the incremental hot path emits ranking.query,
-     while policy.take lives only on the Rebuild/oracle list pipeline *)
   ignore
-    (Prof.with_profiler prof (fun () ->
-         ignore (run_instrumented (f.build ~seed:1));
-         run_instrumented ~mode:Ranking.Rebuild (f.build ~seed:1)));
+    (Prof.with_profiler prof (fun () -> run_instrumented (f.build ~seed:1)));
   Alcotest.(check bool) "events recorded" true (Prof.events prof > 0);
   let evs = parse_events (Prof.to_chrome_string prof) in
   List.iter (fun (tid, evs) -> check_track tid evs) (tracks_of evs);
@@ -124,7 +120,6 @@ let test_trace_structure () =
       "eligibility.begin_round";
       "ranking.index.build";
       "ranking.query";
-      "policy.take";
     ]
 
 let test_end_events_carry_alloc_args () =
@@ -316,15 +311,11 @@ let test_pool_workers_record_all_spans () =
    Engine.result — cost, counters, per-color arrays, final cache and
    the complete recorded schedule. *)
 let test_profiler_does_not_perturb_decisions () =
-  let policies :
-      (string * (Ranking.mode -> Instance.t -> n:int -> Policy.t)) list =
+  let policies : (string * Policy.factory) list =
     [
-      ( "dlru",
-        fun mode instance ~n -> (Delta_lru.make ~mode instance ~n).policy );
-      ( "edf",
-        fun mode instance ~n -> (Edf_policy.make ~mode instance ~n).policy );
-      ( "dlru-edf",
-        fun mode instance ~n -> (Lru_edf.make ~mode instance ~n).policy );
+      ("dlru", Delta_lru.policy);
+      ("edf", Edf_policy.policy);
+      ("dlru-edf", Lru_edf.policy);
     ]
   in
   let instances =
@@ -336,23 +327,20 @@ let test_profiler_does_not_perturb_decisions () =
   List.iter
     (fun instance ->
       List.iter
-        (fun (pname, make) ->
-          List.iter
-            (fun mode ->
-              let run () =
-                Engine.run_policy
-                  (Engine.config ~n:8 ~record_schedule:true ())
-                  instance (make mode instance ~n:8)
-              in
-              let plain = run () in
-              let profiled =
-                Prof.with_profiler (Prof.create ()) (fun () -> run ())
-              in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s/%s/%s identical under profiling" pname
-                   instance.Instance.name (Ranking.mode_to_string mode))
-                true (plain = profiled))
-            [ Ranking.Incremental; Ranking.Rebuild ])
+        (fun (pname, factory) ->
+          let run () =
+            Engine.run_policy
+              (Engine.config ~n:8 ~record_schedule:true ())
+              instance (factory instance ~n:8)
+          in
+          let plain = run () in
+          let profiled =
+            Prof.with_profiler (Prof.create ()) (fun () -> run ())
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s identical under profiling" pname
+               instance.Instance.name)
+            true (plain = profiled))
         policies)
     instances
 

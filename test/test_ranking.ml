@@ -1,4 +1,5 @@
-(* Direct tests for the EDF ranking and the cache-state helper — the two
+(* Direct tests for the EDF ranking (the Rrs_oracle list-sort reference
+   and the incremental Ranking.Index) and the cache-state helper — the
    internal modules every policy is built on. *)
 
 open Rrs_core
@@ -33,7 +34,7 @@ let test_nonidle_before_idle () =
     ~cached:(fun _ -> true);
   Pending.add pending 1 ~deadline:4 ~count:1;
   let ranked =
-    Ranking.ranked_eligible elig pending ~delay:[| 4; 4 |]
+    Rrs_oracle.ranked_eligible elig pending ~delay:[| 4; 4 |]
       ~exclude:(fun _ -> false)
   in
   Alcotest.(check (list int)) "nonidle first" [ 1; 0 ] (List.map fst ranked);
@@ -51,7 +52,7 @@ let test_deadline_order () =
   Pending.add pending 0 ~deadline:8 ~count:1;
   Pending.add pending 1 ~deadline:5 ~count:1;
   let ranked =
-    Ranking.ranked_eligible elig pending ~delay:[| 8; 8 |]
+    Rrs_oracle.ranked_eligible elig pending ~delay:[| 8; 8 |]
       ~exclude:(fun _ -> false)
   in
   Alcotest.(check (list int)) "earlier deadline first" [ 1; 0 ]
@@ -67,7 +68,7 @@ let test_delay_breaks_ties () =
   Pending.add pending 0 ~deadline:4 ~count:1;
   Pending.add pending 1 ~deadline:4 ~count:1;
   let ranked =
-    Ranking.ranked_eligible elig pending ~delay:[| 8; 4 |]
+    Rrs_oracle.ranked_eligible elig pending ~delay:[| 8; 4 |]
       ~exclude:(fun _ -> false)
   in
   Alcotest.(check (list int)) "smaller delay bound first" [ 1; 0 ]
@@ -84,7 +85,7 @@ let test_ineligible_ranks_worst () =
     (Ranking.compare k0 k1 < 0);
   (* ineligible colors are excluded from ranked_eligible *)
   let ranked =
-    Ranking.ranked_eligible elig pending ~delay:[| 4; 4 |]
+    Rrs_oracle.ranked_eligible elig pending ~delay:[| 4; 4 |]
       ~exclude:(fun _ -> false)
   in
   Alcotest.(check (list int)) "only eligible" [ 0 ] (List.map fst ranked)
@@ -96,7 +97,7 @@ let test_exclude () =
   begin_round elig pending ~round:0 ~arrivals:[ (0, 1); (1, 1); (2, 1) ]
     ~cached:(fun _ -> true);
   let ranked =
-    Ranking.ranked_eligible elig pending ~delay:[| 4; 4; 4 |]
+    Rrs_oracle.ranked_eligible elig pending ~delay:[| 4; 4; 4 |]
       ~exclude:(fun c -> c = 1)
   in
   Alcotest.(check (list int)) "excluded" [ 0; 2 ] (List.map fst ranked)
@@ -115,7 +116,7 @@ let test_timestamp_order () =
   (* colors 0,1 wrapped at round 0 (timestamp 0 after round 2); color 2
      wrapped at round 2 (timestamp 2 after round 4) *)
   Alcotest.(check (list int)) "most recent first, ties by id" [ 2; 0; 1 ]
-    (Ranking.timestamp_order elig [ 0; 1; 2 ])
+    (Rrs_oracle.timestamp_order elig [ 0; 1; 2 ])
 
 (* Cache_state *)
 
@@ -173,6 +174,20 @@ let prop_stable_assign_sound =
 
 (* Ranking.Index vs the list-sort oracle *)
 
+(* The whole index in rank / recency order, read through the public
+   scratch-buffer queries. *)
+let ranked_all idx =
+  let k = Ranking.Index.eligible_count idx in
+  let out = Array.make (max 1 k) 0 in
+  let n = Ranking.Index.ranked_prefix_into idx ~k ~out in
+  List.init n (fun i -> (out.(i), Ranking.Index.rank_key idx out.(i)))
+
+let recency_all idx =
+  let k = Ranking.Index.eligible_count idx in
+  let out = Array.make (max 1 k) 0 in
+  let n = Ranking.Index.recency_prefix_into idx ~k ~out in
+  List.init n (fun i -> out.(i))
+
 (* A policy that, every round, compares the delta-maintained index
    against a from-scratch re-sort of the same state — both orders, over
    the whole eligible set, not just a prefix — then acts like ΔLRU so
@@ -189,17 +204,17 @@ let index_check_policy (instance : Instance.t) ~n =
     Eligibility.begin_round elig ~view ~in_cache:(Cache_state.mem cache);
     let idx = index view.pending in
     let oracle_rank =
-      Ranking.ranked_eligible elig view.pending ~delay:instance.delay
+      Rrs_oracle.ranked_eligible elig view.pending ~delay:instance.delay
         ~exclude:(fun _ -> false)
     in
-    if Ranking.Index.ranked_all idx <> oracle_rank then incr mismatches;
+    if ranked_all idx <> oracle_rank then incr mismatches;
     let oracle_recency =
-      Ranking.timestamp_order elig (Eligibility.eligible_colors elig)
+      Rrs_oracle.timestamp_order elig (Eligibility.eligible_colors elig)
     in
-    if Ranking.Index.recency_all idx <> oracle_recency then incr mismatches;
+    if recency_all idx <> oracle_recency then incr mismatches;
     if Ranking.Index.eligible_count idx <> List.length oracle_rank then
       incr mismatches;
-    Cache_state.assign cache ~desired:(Policy.take (n / 2) oracle_recency);
+    Cache_state.assign cache ~desired:(Rrs_oracle.take (n / 2) oracle_recency);
     Cache_state.to_assignment cache ~replicated:true
   in
   (mismatches, { Policy.name = "index-check"; reconfigure })
