@@ -12,7 +12,14 @@
    exercise the sink.jsonl probe, and checks the committed artifact
    prefix stays parseable after the injected crash.
 
-   Part 3 measures what the machinery costs when it is idle: probe
+   Part 3 serves a short scripted session through an in-process
+   socket transport with one injection at each serve.* probe point
+   (command, journal, accept, write), and checks each is contained:
+   the client gets the documented reply or a dropped connection, the
+   loop keeps serving, and a journal fault costs exactly the un-acked
+   op.
+
+   Part 4 measures what the machinery costs when it is idle: probe
    points without a plan, probe points under an empty plan, and a
    Record-mode watchdog consuming a full event stream.
 
@@ -178,13 +185,6 @@ let experiment_campaign () =
       Printf.printf "seed %d: %d/%d experiments failed (all contained)\n" seed
         (List.length failed) (List.length experiment_ids))
     seeds;
-  (* every in-sweep probe point must have fired somewhere in the campaign *)
-  List.iter
-    (fun point ->
-      if point <> "sink.jsonl" then
-        let count = Option.value ~default:0 (Hashtbl.find_opt fired point) in
-        if count = 0 then fail "probe point %s never fired" point)
-    Fault.standard_points;
   (* clean control sweep: no plan installed — with the same recorder
      armed, the supervisor must take no crash dump, and a heartbeat
      observed ambiently by every engine documents the run (the CI
@@ -265,6 +265,175 @@ let sink_campaign () =
   (!contained, !uncontained, !parseable)
 
 (* ------------------------------------------------------------------ *)
+(* the service probe points                                            *)
+(* ------------------------------------------------------------------ *)
+
+module Server = Rrs_service.Server
+module Transport = Rrs_service.Transport
+
+type client = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
+
+let connect sock =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (* a server that stops answering fails the case, not the campaign *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  let rec go n =
+    match Unix.connect fd (Unix.ADDR_UNIX sock) with
+    | () -> ()
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _)
+      when n > 0 ->
+        Unix.sleepf 0.02;
+        go (n - 1)
+  in
+  go 250;
+  { fd; ic = Unix.in_channel_of_descr fd; oc = Unix.out_channel_of_descr fd }
+
+let recv c = try In_channel.input_line c.ic with Sys_error _ -> None
+
+let request c line =
+  output_string c.oc line;
+  output_char c.oc '\n';
+  flush c.oc;
+  recv c
+
+let hang_up c = try Unix.close c.fd with Unix.Unix_error _ -> ()
+
+(* Serve one case: [Transport.run] under [rules] in its own domain,
+   [script] as the client, then a stop.  Returns the plan and whether
+   the loop came back with [Ok] (nothing escaped it). *)
+let serve_config =
+  { Server.default_config with n = 4; delta = 2; delay = Array.make 4 6 }
+
+let serve_case ~dir rules script =
+  let sock = Filename.concat dir "robust.sock" in
+  let state = Filename.concat dir "state" in
+  rm_rf dir;
+  Unix.mkdir dir 0o755;
+  Unix.mkdir state 0o755;
+  let config = { serve_config with checkpoint_dir = Some state } in
+  let plan = Fault.plan rules in
+  let stop = Atomic.make false in
+  let ready = Atomic.make false in
+  let server =
+    Domain.spawn (fun () ->
+        Fault.with_plan plan (fun () ->
+            Transport.run
+              ~stop:(fun () -> Atomic.get stop)
+              ~on_ready:(fun _ -> Atomic.set ready true)
+              config (Transport.Unix_socket sock)))
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (Atomic.get ready)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  (try script sock
+   with e -> fail "serve: client raised %s" (Printexc.to_string e));
+  Atomic.set stop true;
+  let survived =
+    match Domain.join server with
+    | Ok _ -> true
+    | Error e ->
+        fail "serve: transport refused to start: %s" e;
+        false
+    | exception e ->
+        fail "serve: the loop died: %s" (Printexc.to_string e);
+        false
+  in
+  rm_rf dir;
+  (plan, survived)
+
+let expect what prefix = function
+  | Some line when String.starts_with ~prefix line -> ()
+  | Some line -> fail "serve: %s: got %S, want %S..." what line prefix
+  | None -> fail "serve: %s: connection closed, want %S..." what prefix
+
+let expect_hangup what = function
+  | None -> ()
+  | Some line -> fail "serve: %s: got %S, want a dropped connection" what line
+
+(* The state line of a session that ran only the one acked op. *)
+let acked_state () =
+  let h = Server.host serve_config in
+  let s = Server.open_session h Server.default_session in
+  ignore
+    (Server.exec h s
+       (Rrs_service.Protocol.Submit { round = Some 0; color = 1; count = 2 }));
+  Rrs_service.Snapshot.to_line (Server.session_snapshot s)
+
+(* accept, command and journal faults on one server: the first
+   connection is dropped at accept; on the second, the second command
+   faults before it runs and the third after its apply, in the journal
+   append — that op is un-acked, so the wedged session comes back from
+   its journal without it *)
+let command_script sock =
+  let dropped = connect sock in
+  expect_hangup "accept fault" (recv dropped);
+  hang_up dropped;
+  let c = connect sock in
+  expect "greeting" "ok session" (recv c);
+  expect "first submit" "ok submitted 2 jobs" (request c "submit 0 1 2");
+  expect "command fault" "err transient fault injected at serve.command"
+    (request c "submit 0 2 2");
+  expect "journal fault" "err transient fault injected at serve.journal"
+    (request c "submit 0 2 1");
+  expect "restored state" (acked_state ()) (request c "state");
+  expect "step after restore" "ok stepped 1 round" (request c "step 1");
+  expect "bye" "ok bye" (request c "quit");
+  hang_up c
+
+(* a write fault drops the connection it hits (here the greeting's);
+   the next client is served as usual *)
+let write_script sock =
+  let dropped = connect sock in
+  expect_hangup "write fault" (recv dropped);
+  hang_up dropped;
+  let c = connect sock in
+  expect "greeting" "ok session" (recv c);
+  expect "bye" "ok bye" (request c "quit");
+  hang_up c
+
+let serve_campaign () =
+  print_endline
+    "================================================================";
+  print_endline " Service probe points (in-process socket transport)";
+  print_endline
+    "================================================================";
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "rrs_robust_serve_%d" (Unix.getpid ()))
+  in
+  let cases =
+    [
+      ( [
+          Fault.fail_on "serve.accept" (Fault.Nth 1);
+          Fault.fail_on ~transient:true "serve.command" (Fault.Nth 2);
+          Fault.fail_on ~transient:true "serve.journal" (Fault.Nth 2);
+        ],
+        command_script );
+      ([ Fault.fail_on "serve.write" (Fault.Nth 1) ], write_script);
+    ]
+  in
+  let contained = ref 0 in
+  let uncontained = ref 0 in
+  List.iter
+    (fun (rules, script) ->
+      let failed_before = List.length !failures in
+      let plan, survived = serve_case ~dir rules script in
+      record_fired plan;
+      let injected =
+        List.fold_left (fun acc (_, n) -> acc + n) 0 (Fault.injected plan)
+      in
+      (* contained: the loop lived and every reply was the documented one *)
+      if survived && List.length !failures = failed_before then
+        contained := !contained + injected
+      else uncontained := !uncontained + injected)
+    cases;
+  Printf.printf "%d serve.* injections, %d contained\n"
+    (!contained + !uncontained) !contained;
+  (!contained, !uncontained)
+
+(* ------------------------------------------------------------------ *)
 (* overhead                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -326,6 +495,13 @@ let () =
     experiment_campaign ()
   in
   let sink_contained, sink_uncontained, sink_parseable = sink_campaign () in
+  let serve_contained, serve_uncontained = serve_campaign () in
+  (* every standard probe point must have fired somewhere *)
+  List.iter
+    (fun point ->
+      if Option.value ~default:0 (Hashtbl.find_opt fired point) = 0 then
+        fail "probe point %s never fired" point)
+    Fault.standard_points;
   let no_plan, empty_plan, watchdog_seconds, wd_events = overhead () in
   let fired_analysis =
     List.map
@@ -366,6 +542,19 @@ let () =
              ]
            ());
       write
+        (Rrs_obs.Run_summary.make ~id:"serve-campaign" ~kind:"bench"
+           ~config:
+             [
+               ( "points",
+                 "serve.accept,serve.command,serve.journal,serve.write" );
+             ]
+           ~analysis:
+             [
+               ("contained", float_of_int serve_contained);
+               ("uncontained", float_of_int serve_uncontained);
+             ]
+           ());
+      write
         (Rrs_obs.Run_summary.make ~id:"robust-overhead" ~kind:"bench"
            ~config:[ ("family", "router"); ("policy", "dlru-edf"); ("n", "8") ]
            ~analysis:
@@ -390,9 +579,9 @@ let () =
              ]
            ()));
   (match Rrs_obs.Run_summary.load "BENCH_robust.json" with
-  | Ok summaries when List.length summaries = 3 -> ()
+  | Ok summaries when List.length summaries = 4 -> ()
   | Ok summaries ->
-      fail "BENCH_robust.json holds %d summaries, expected 3"
+      fail "BENCH_robust.json holds %d summaries, expected 4"
         (List.length summaries)
   | Error msg -> fail "BENCH_robust.json unreadable: %s" msg);
   Printf.printf "campaign finished in %.1f s\n" (Unix.gettimeofday () -. t0);

@@ -45,7 +45,10 @@ type telemetry = {
 let telemetry_start = function
   | None -> None
   | Some reg ->
-      let minor0, promoted0, major0 = Gc.counters () in
+      let { Gc.promoted_words = promoted0; major_words = major0; _ } =
+        Gc.quick_stat ()
+      in
+      let minor0 = Gc.minor_words () in
       Some
         {
           latency =
@@ -61,7 +64,10 @@ let telemetry_finish t ~rounds =
   match t with
   | None -> ()
   | Some t ->
-      let minor1, promoted1, major1 = Gc.counters () in
+      let minor1 = Gc.minor_words () in
+      let { Gc.promoted_words = promoted1; major_words = major1; _ } =
+        Gc.quick_stat ()
+      in
       let per_round v0 v1 = (v1 -. v0) /. float_of_int (max rounds 1) in
       let gauge name v =
         Rrs_obs.Metrics.set (Rrs_obs.Metrics.gauge t.reg name) v

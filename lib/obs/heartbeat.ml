@@ -42,7 +42,8 @@ type t = {
 let create ?(every_rounds = 64) ?every_seconds ?(clock = Unix.gettimeofday)
     ?path ?status_path ?expose_path ?registry ?extra () =
   if every_rounds < 1 then invalid_arg "Heartbeat.create: every_rounds < 1";
-  let minor0, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
   {
     lock = Mutex.create ();
     every_rounds;
@@ -78,7 +79,9 @@ let replace_file path contents =
 (* Called with the lock held. *)
 let beat_locked t ~final =
   let now = t.clock () in
-  let minor1, _, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () in
+  let gc = Gc.quick_stat () in
+  let major1 = gc.Gc.major_words in
   let per_round v0 v1 =
     (v1 -. v0) /. float_of_int (max t.rounds_since 1)
   in
@@ -103,7 +106,6 @@ let beat_locked t ~final =
         ]
     end
   in
-  let gc = Gc.quick_stat () in
   t.beats <- t.beats + 1;
   let line =
     Json.to_string

@@ -9,7 +9,7 @@ type ev = {
   ph : char; (* 'B' begin, 'E' end, 'i' instant *)
   name : string;
   ts : float; (* microseconds from the profile epoch *)
-  minor : float; (* Gc.counters at the event *)
+  minor : float; (* allocation counters at the event *)
   promoted : float;
   major : float;
 }
@@ -93,7 +93,10 @@ let stamp t track =
 
 let record t ph name =
   let track = track_for t in
-  let minor, promoted, major = Gc.counters () in
+  let minor = Gc.minor_words () in
+  let { Gc.promoted_words = promoted; major_words = major; _ } =
+    Gc.quick_stat ()
+  in
   let ts = stamp t track in
   push t track { ph; name; ts; minor; promoted; major };
   track

@@ -5,8 +5,12 @@
     {e where inside one run} the time and the allocation go.  A profile
     is a set of per-domain {e tracks}; each track is a balanced sequence
     of span begin/end events with wall-clock timestamps and the GC
-    allocation counters ([Gc.counters]) sampled at both boundaries, so
-    every span knows its duration {e and} the words it allocated.
+    allocation counters sampled at both boundaries, so every span knows
+    its duration {e and} the words it allocated.  Minor words come from
+    [Gc.minor_words] (the calling domain's); promoted and major words
+    from [Gc.quick_stat], which OCaml 5 sums over all domains.
+    [Gc.counters] is avoided: under OCaml 5.1 it can leave its result
+    floats dangling, and a profile keeps those floats.
 
     {b Scoping.}  Like the fault plane ([Rrs_fault]) and the telemetry
     scope ([Harness.with_telemetry]), the active profiler is dynamically

@@ -172,11 +172,36 @@ let header_of_config config =
 
 (* ---- the session table -------------------------------------------- *)
 
+(* The [serve_*] counters the host updates, resolved once per host so
+   no command pays a registry lookup. *)
+type counters = {
+  ops : Metrics.counter;
+  wedged : Metrics.counter;
+  restores : Metrics.counter;
+  session_restarts : Metrics.counter;
+  torn_tail : Metrics.counter;
+  quarantined : Metrics.counter;
+  refused : Metrics.counter;
+}
+
+let counters m =
+  let c = Metrics.counter m in
+  {
+    ops = c "serve_ops";
+    wedged = c "serve_wedged";
+    restores = c "serve_restores";
+    session_restarts = c "serve_session_restarts";
+    torn_tail = c "serve_recovery_torn_tail";
+    quarantined = c "serve_recovery_checkpoint_quarantined";
+    refused = c "serve_recovery_refused";
+  }
+
 type session = {
   name : string;
+  seq : int;  (** insertion order in the table *)
   policy_id : string;
   session : Session.t;
-  reg : Metrics.t;
+  wedged_counter : Metrics.counter;
   mutable writer : Journal.writer option;
   dir : string option;
   restored : bool;
@@ -196,7 +221,7 @@ let session_snapshot s = Snapshot.of_session ~ops:s.ops s.session
 let wedge s reason =
   if s.wedged = None then begin
     s.wedged <- Some reason;
-    Metrics.inc (Metrics.counter s.reg "serve_wedged") 1;
+    Metrics.inc s.wedged_counter 1;
     (* an abandoned command attempt may still be running against this
        session's in-memory state; make sure it can never reach the
        journal behind the server's back *)
@@ -207,7 +232,9 @@ let wedge s reason =
 type host = {
   config : config;
   metrics : Metrics.t;
-  mutable table : (string * session) list;  (** insertion order *)
+  counters : counters;
+  table : (string, session) Hashtbl.t;
+  mutable next_seq : int;
   mutable fresh_ops : int;
       (** ops applied by THIS process (replayed ops excluded): the
           deterministic kill point counts real work *)
@@ -218,13 +245,28 @@ let host (config : config) =
   let metrics =
     match config.metrics with Some m -> m | None -> Metrics.create ()
   in
-  { config; metrics; table = []; fresh_ops = 0; crash_flush = ignore }
+  {
+    config;
+    metrics;
+    counters = counters metrics;
+    table = Hashtbl.create 64;
+    next_seq = 0;
+    fresh_ops = 0;
+    crash_flush = ignore;
+  }
 
 let host_config h = h.config
 let metrics h = h.metrics
-let sessions h = List.map snd h.table
-let find_session h name = List.assoc_opt name h.table
-let count h name by = Metrics.inc (Metrics.counter h.metrics name) by
+
+let sessions h =
+  Hashtbl.fold (fun _ s acc -> s :: acc) h.table []
+  |> List.sort (fun a b -> Int.compare a.seq b.seq)
+
+let find_session h name = Hashtbl.find_opt h.table name
+
+let new_seq h =
+  h.next_seq <- h.next_seq + 1;
+  h.next_seq
 
 let session_dir h name =
   match h.config.checkpoint_dir with
@@ -236,8 +278,8 @@ let session_dir h name =
 (* Recovery instrumentation: every tier bumps its exact counter and,
    when a flight recorder with a dump directory is ambient, commits a
    black-box dump so the event window around the recovery survives. *)
-let recovery_event h ~counter ~name ~reason =
-  count h counter 1;
+let recovery_event ~counter ~name ~reason =
+  Metrics.inc counter 1;
   match Rrs_obs.Flight_recorder.crash_scope () with
   | None -> ()
   | Some (recorder, dir) -> (
@@ -245,8 +287,7 @@ let recovery_event h ~counter ~name ~reason =
       with _ -> ())
 
 let refuse h ~name reason =
-  recovery_event h ~counter:"serve_recovery_refused" ~name:("refuse-" ^ name)
-    ~reason;
+  recovery_event ~counter:h.counters.refused ~name:("refuse-" ^ name) ~reason;
   raise (Corrupt reason)
 
 (* Rebuild the session by replaying the journal; when the replay passes
@@ -281,9 +322,10 @@ let replay name header ops ~anchors =
 let fresh_session h name ~dir ~writer =
   {
     name;
+    seq = new_seq h;
     policy_id = h.config.policy;
     session = session_of_header name (header_of_config h.config);
-    reg = h.metrics;
+    wedged_counter = h.counters.wedged;
     writer;
     dir;
     restored = false;
@@ -322,7 +364,7 @@ let restore h name ~dir jpath =
              append would glue its line onto the torn fragment and turn
              a benign tail into mid-body corruption *)
           let msg = Journal.describe_tear ~path:jpath t in
-          recovery_event h ~counter:"serve_recovery_torn_tail"
+          recovery_event ~counter:h.counters.torn_tail
             ~name:("torn-tail-" ^ name) ~reason:msg;
           (try Unix.truncate jpath t.Journal.offset
            with Unix.Unix_error _ -> ());
@@ -340,7 +382,7 @@ let restore h name ~dir jpath =
               Printf.sprintf "quarantined unreadable %s (%s)%s" which e
                 (match target with Some t -> " to " ^ t | None -> "")
             in
-            recovery_event h ~counter:"serve_recovery_checkpoint_quarantined"
+            recovery_event ~counter:h.counters.quarantined
               ~name:("checkpoint-" ^ name) ~reason:msg;
             notice "%s" msg;
             None
@@ -379,7 +421,7 @@ let restore h name ~dir jpath =
                 ckpt.Snapshot.ops
                 (match target with Some t -> " to " ^ t | None -> "")
             in
-            recovery_event h ~counter:"serve_recovery_checkpoint_quarantined"
+            recovery_event ~counter:h.counters.quarantined
               ~name:("checkpoint-" ^ name) ~reason:msg;
             notice "%s" msg
           end
@@ -402,17 +444,17 @@ let restore h name ~dir jpath =
                   ckpt.Snapshot.ops
                   (match target with Some t -> " to " ^ t | None -> "")
               in
-              recovery_event h
-                ~counter:"serve_recovery_checkpoint_quarantined"
+              recovery_event ~counter:h.counters.quarantined
                 ~name:("checkpoint-" ^ name) ~reason:msg;
               notice "%s" msg
           | None -> ()));
-      count h "serve_restores" 1;
+      Metrics.inc h.counters.restores 1;
       {
         name;
+        seq = new_seq h;
         policy_id = header.Journal.policy;
         session;
-        reg = h.metrics;
+        wedged_counter = h.counters.wedged;
         writer = Some (Journal.append_to jpath);
         dir = Some dir;
         restored = true;
@@ -433,8 +475,8 @@ let open_session h name =
          discard it and restore from the journal *)
       Option.iter Journal.close s.writer;
       s.writer <- None;
-      h.table <- List.remove_assoc name h.table;
-      count h "serve_session_restarts" 1
+      Hashtbl.remove h.table name;
+      Metrics.inc h.counters.session_restarts 1
   | None -> ());
   let s =
     match session_dir h name with
@@ -448,8 +490,15 @@ let open_session h name =
             ~writer:(Some (Journal.create jpath (header_of_config h.config)))
   in
   Session.set_heartbeat s.session h.config.heartbeat;
-  h.table <- h.table @ [ (name, s) ];
+  Hashtbl.replace h.table name s;
   s
+
+let try_open h name =
+  match open_session h name with
+  | s -> Ok s
+  | exception (Corrupt d | Invalid_argument d | Sys_error d) -> Error d
+  | exception Unix.Unix_error (e, fn, arg) ->
+      Error (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e))
 
 (* ---- checkpoints and commits -------------------------------------- *)
 
@@ -472,7 +521,7 @@ let commit h s op =
   Option.iter (fun w -> Journal.append w op) s.writer;
   s.ops <- s.ops + 1;
   h.fresh_ops <- h.fresh_ops + 1;
-  count h "serve_ops" 1;
+  Metrics.inc h.counters.ops 1;
   if
     h.config.checkpoint_every > 0
     && s.ops - s.ckpt_ops >= h.config.checkpoint_every
@@ -488,13 +537,13 @@ let commit h s op =
 let abandon_session h s =
   Option.iter Journal.close s.writer;
   s.writer <- None;
-  h.table <- List.remove_assoc s.name h.table
+  Hashtbl.remove h.table s.name
 
 let close_session h s =
   ignore (checkpoint_session h s);
   Option.iter Journal.close s.writer;
   s.writer <- None;
-  h.table <- List.remove_assoc s.name h.table;
+  Hashtbl.remove h.table s.name;
   Session.finish s.session
 
 (* ---- command execution -------------------------------------------- *)
@@ -582,10 +631,9 @@ let exec ?(apply = apply_op) h (current : session) (cmd : Protocol.command) :
             Reply [ Printf.sprintf "ok attached %s (already current)" name ]
           else Switch (s, [ Printf.sprintf "ok attached %s (already open)" name ])
       | _ -> (
-          match open_session h name with
-          | s -> Switch (s, greeting s)
-          | exception Corrupt diag -> Reply [ "err open: " ^ diag ]
-          | exception Invalid_argument msg -> Reply [ "err open: " ^ msg ]))
+          match try_open h name with
+          | Ok s -> Switch (s, greeting s)
+          | Error diag -> Reply [ "err open: " ^ diag ]))
   | Protocol.Attach name -> (
       match find_session h name with
       | Some s -> Switch (s, [ "ok attached " ^ name ])
@@ -597,8 +645,8 @@ let exec ?(apply = apply_op) h (current : session) (cmd : Protocol.command) :
             ])
   | Protocol.Sessions ->
       Reply
-        (Printf.sprintf "ok sessions %d" (List.length h.table)
-        :: List.map (fun (_, s) -> session_line s) h.table)
+        (Printf.sprintf "ok sessions %d" (Hashtbl.length h.table)
+        :: List.map session_line (sessions h))
   | Protocol.Shutdown -> Stop [ "ok shutting down" ]
   | Protocol.Quit -> Bye []
 
@@ -672,7 +720,7 @@ let serve config ic oc =
                   Option.iter Journal.close s.writer;
                   s.writer <- None)
                 (sessions h);
-              h.table <- [];
+              Hashtbl.reset h.table;
               let first = open_session h default_session in
               List.iter respond (greeting first);
               let current = ref first in

@@ -125,9 +125,12 @@ val host : config -> host
 val host_config : host -> config
 val metrics : host -> Rrs_obs.Metrics.t
 val sessions : host -> session list
-(** Open sessions, oldest first. *)
+(** Open sessions, oldest first (a reopened wedged session counts as
+    new).  Sessions stay open until {!close_session},
+    {!abandon_session} or the end of the driver. *)
 
 val find_session : host -> string -> session option
+(** Constant time: the table is hashed by name. *)
 
 val open_session : host -> string -> session
 (** Create — or, when durable state exists, restore through the tiered
@@ -137,6 +140,13 @@ val open_session : host -> string -> session
     @raise Corrupt when recovery refuses (tier 3)
     @raise Invalid_argument on an invalid name or a name already open
     (and not wedged) — callers guard with {!find_session}. *)
+
+val try_open : host -> string -> (session, string) result
+(** {!open_session} with its failures as [Error]: a refused restore, an
+    invalid or already-open name, and a filesystem error creating the
+    session's directory or journal.  The table is unchanged by a
+    failure, except that a wedged session being reopened stays
+    dropped. *)
 
 val checkpoint_session : host -> session -> Snapshot.t option
 (** Commit a checkpoint now (rotating the previous one to

@@ -40,23 +40,74 @@ type stats = {
   wedges : int;
 }
 
-(* One client connection.  Outbound bytes accumulate in [out] and are
-   written from [out_pos] whenever select says the peer can take them;
-   the buffer is the backpressure boundary the slow-client policy
-   measures. *)
+(* One client connection.  Outbound bytes accumulate in
+   [out.[0 .. out_len)] and are written from [out_pos] whenever select
+   says the peer can take them; the buffer is the backpressure boundary
+   the slow-client policy measures. *)
 type conn = {
   fd : Unix.file_descr;
-  peer : string;
-  mutable pending : string;  (** unread partial input line *)
+  pending : Buffer.t;  (** unread partial input line *)
   cmds : Protocol.command Queue.t;
-  out : Buffer.t;
+  mutable out : Bytes.t;
+  mutable out_len : int;
   mutable out_pos : int;
   mutable sname : string;  (** current session, resolved by name *)
   mutable closing : bool;  (** close once [out] is drained *)
   mutable last_progress : float;  (** last instant the peer took bytes *)
 }
 
-let out_pending c = Buffer.length c.out - c.out_pos
+let out_pending c = c.out_len - c.out_pos
+
+let append c line =
+  let len = String.length line in
+  let need = c.out_len + len + 1 in
+  if need > Bytes.length c.out then begin
+    let grown = Bytes.create (max need (2 * Bytes.length c.out)) in
+    Bytes.blit c.out 0 grown 0 c.out_len;
+    c.out <- grown
+  end;
+  Bytes.blit_string line 0 c.out c.out_len len;
+  Bytes.set c.out (c.out_len + len) '\n';
+  c.out_len <- need
+
+(* Unix.select takes only descriptors below FD_SETSIZE; anything above
+   makes the whole call fail with EINVAL. *)
+let selectable fd =
+  match Unix.select [] [ fd ] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+  | exception Unix.Unix_error _ -> true
+
+(* The [serve_*] counters the loop updates, resolved once per run. *)
+type counters = {
+  commands : Metrics.counter;
+  busy : Metrics.counter;
+  shed : Metrics.counter;
+  conns_accepted : Metrics.counter;
+  conns_dropped : Metrics.counter;
+  slow_drops : Metrics.counter;
+  deadline_wedges : Metrics.counter;
+  command_faults : Metrics.counter;
+  write_faults : Metrics.counter;
+  accept_faults : Metrics.counter;
+  wedged : Metrics.counter;
+}
+
+let counters m =
+  let c = Metrics.counter m in
+  {
+    commands = c "serve_commands";
+    busy = c "serve_busy";
+    shed = c "serve_shed";
+    conns_accepted = c "serve_conns_accepted";
+    conns_dropped = c "serve_conns_dropped";
+    slow_drops = c "serve_slow_client_drops";
+    deadline_wedges = c "serve_deadline_wedges";
+    command_faults = c "serve_command_faults";
+    write_faults = c "serve_write_faults";
+    accept_faults = c "serve_accept_faults";
+    wedged = c "serve_wedged";
+  }
 
 let validate (config : Server.config) =
   match Server.factory_of_id config.policy with
@@ -133,48 +184,35 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
           in
           Fun.protect ~finally:restore_sigpipe @@ fun () ->
           let h = Server.host config in
-          let m = Server.metrics h in
-          let count name by = Metrics.inc (Metrics.counter m name) by in
-          let counter_value name = Metrics.value (Metrics.counter m name) in
+          let ctr = counters (Server.metrics h) in
+          let inc c = Metrics.inc c 1 in
           Option.iter (fun f -> f bound) on_ready;
           let conns = ref [] in
+          let queued = ref 0 in  (* commands queued over all connections *)
           let shutting = ref false in
           let now () = Unix.gettimeofday () in
-          let append c line =
-            Buffer.add_string c.out line;
-            Buffer.add_char c.out '\n'
-          in
           let drop ?(slow = false) c =
             (try Unix.close c.fd with Unix.Unix_error _ -> ());
             conns := List.filter (fun c' -> c' != c) !conns;
-            count "serve_conns_dropped" 1;
-            if slow then count "serve_slow_client_drops" 1
+            queued := !queued - Queue.length c.cmds;
+            Queue.clear c.cmds;
+            inc ctr.conns_dropped;
+            if slow then inc ctr.slow_drops
           in
           (* ---- session routing ------------------------------------ *)
           let resolve c =
             match Server.find_session h c.sname with
             | Some s when Server.session_wedged s = None -> Ok s
-            | Some _ -> (
-                (* wedged by an earlier deadline or fault: the next
-                   command restores it from its journal *)
-                match Server.open_session h c.sname with
-                | s -> Ok s
-                | exception Server.Corrupt d -> Error d
-                | exception Invalid_argument d -> Error d)
-            | None -> (
-                match Server.open_session h c.sname with
-                | s -> Ok s
-                | exception Server.Corrupt d -> Error d
-                | exception Invalid_argument d -> Error d)
+            | _ ->
+                (* not open yet, or wedged by an earlier deadline or
+                   fault: the next command restores it from its journal *)
+                Server.try_open h c.sname
           in
           let session_depth sname =
             List.fold_left
               (fun acc c ->
                 if c.sname = sname then acc + Queue.length c.cmds else acc)
               0 !conns
-          in
-          let total_queued () =
-            List.fold_left (fun acc c -> acc + Queue.length c.cmds) 0 !conns
           in
           (* ---- per-command deadline ------------------------------- *)
           let deadline_apply s op =
@@ -198,44 +236,45 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                       Format.asprintf "%a" Supervisor.pp_failure f
                     in
                     Server.wedge s reason;
-                    count "serve_deadline_wedges" 1;
+                    inc ctr.deadline_wedges;
                     Error
                       (Printf.sprintf
                          "deadline: %s; session %s wedged, reopen restores \
                           it from its journal"
                          reason (Server.session_name s)))
           in
-          let shed_guard kind =
-            let depth = total_queued () in
-            if depth > limits.shed_threshold then begin
-              count "serve_shed" 1;
+          let shed_guard cmd =
+            if !queued > limits.shed_threshold then begin
+              inc ctr.shed;
               Some
-                (Printf.sprintf
-                   "busy shed %s queued=%d retry-after=%g" kind depth
-                   limits.retry_after)
+                (Printf.sprintf "busy shed %s queued=%d retry-after=%g"
+                   (Protocol.command_to_string cmd)
+                   !queued limits.retry_after)
             end
             else None
           in
+          let wedge_current c reason =
+            Option.iter
+              (fun s -> Server.wedge s reason)
+              (Server.find_session h c.sname)
+          in
           let execute c cmd =
-            count "serve_commands" 1;
+            inc ctr.commands;
+            let run () =
+              match resolve c with
+              | Error d -> Server.Reply [ "err " ^ d ]
+              | Ok s ->
+                  Rrs_fault.probe "serve.command";
+                  Server.exec ~apply:deadline_apply h s cmd
+            in
             match
-              (match cmd with
+              match cmd with
               | Protocol.State | Protocol.Sessions | Protocol.Help -> (
                   (* shed read-only work before it starves mutations *)
-                  match shed_guard (Protocol.command_to_string cmd) with
+                  match shed_guard cmd with
                   | Some busy -> Server.Reply [ busy ]
-                  | None -> (
-                      match resolve c with
-                      | Error d -> Server.Reply [ "err " ^ d ]
-                      | Ok s ->
-                          Rrs_fault.probe "serve.command";
-                          Server.exec ~apply:deadline_apply h s cmd))
-              | _ -> (
-                  match resolve c with
-                  | Error d -> Server.Reply [ "err " ^ d ]
-                  | Ok s ->
-                      Rrs_fault.probe "serve.command";
-                      Server.exec ~apply:deadline_apply h s cmd))
+                  | None -> run ())
+              | _ -> run ()
             with
             | Server.Reply lines -> List.iter (append c) lines
             | Server.Switch (s, lines) ->
@@ -249,22 +288,30 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                 append c "ok bye";
                 c.closing <- true
             | exception Rrs_fault.Injected { point; hit; transient } ->
-                (* the probe fires before any mutation: contained to an
-                   error reply, the loop and the session live on *)
-                count "serve_command_faults" 1;
+                (* [serve.command] fires before any mutation: contained
+                   to an error reply, the loop and the session live on.
+                   A fault from inside the command ([serve.journal])
+                   struck after the apply: the session no longer
+                   matches its journal, so it is wedged and the next
+                   command restores it *)
+                inc ctr.command_faults;
+                if point <> "serve.command" then
+                  wedge_current c ("fault injected at " ^ point);
                 append c
                   (Printf.sprintf
                      "err transient fault injected at %s (hit %d, %s)" point
                      hit
                      (if transient then "transient" else "fatal"))
-            | exception e -> (
+            | exception e ->
                 (* unknown failure mid-command: the session may be
                    half-mutated, treat it like a deadline expiry *)
-                count "serve_command_faults" 1;
+                inc ctr.command_faults;
                 append c ("err " ^ Printexc.to_string e);
-                match Server.find_session h c.sname with
-                | Some s -> Server.wedge s (Printexc.to_string e)
-                | None -> ())
+                wedge_current c (Printexc.to_string e)
+          in
+          let execute_next c =
+            decr queued;
+            execute c (Queue.pop c.cmds)
           in
           (* ---- input parsing -------------------------------------- *)
           let process_line c line =
@@ -276,42 +323,60 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                 if depth >= limits.queue_limit then begin
                   (* refuse at admission: nothing enqueued, nothing
                      acked, the client owns the retry *)
-                  count "serve_busy" 1;
+                  inc ctr.busy;
                   append c
                     (Printf.sprintf
                        "busy queue session=%s depth=%d retry-after=%g"
                        c.sname depth limits.retry_after)
                 end
-                else Queue.push cmd c.cmds
+                else begin
+                  Queue.push cmd c.cmds;
+                  incr queued
+                end
           in
-          let feed c chunk =
-            c.pending <- c.pending ^ chunk;
-            let continue = ref true in
-            while !continue do
-              match String.index_opt c.pending '\n' with
-              | None ->
-                  if String.length c.pending > limits.max_line then begin
-                    append c
-                      (Printf.sprintf "err line longer than %d bytes"
-                         limits.max_line);
-                    c.closing <- true;
-                    c.pending <- ""
-                  end;
-                  continue := false
-              | Some i ->
-                  let line = String.sub c.pending 0 i in
-                  c.pending <-
-                    String.sub c.pending (i + 1)
-                      (String.length c.pending - i - 1);
-                  if not c.closing then process_line c line
-            done
+          (* one read buffer for the whole loop; a read's complete lines
+             are cut straight out of it, only a partial last line is
+             carried over in the connection's [pending] *)
+          let rbuf = Bytes.create 4096 in
+          let rec newline_in i stop =
+            if i >= stop then -1
+            else if Bytes.unsafe_get rbuf i = '\n' then i
+            else newline_in (i + 1) stop
+          in
+          let feed c len =
+            let rec lines start =
+              let i = newline_in start len in
+              if i < 0 then start
+              else begin
+                let line =
+                  if Buffer.length c.pending = 0 then
+                    Bytes.sub_string rbuf start (i - start)
+                  else begin
+                    Buffer.add_subbytes c.pending rbuf start (i - start);
+                    let line = Buffer.contents c.pending in
+                    Buffer.clear c.pending;
+                    line
+                  end
+                in
+                if not c.closing then process_line c line;
+                lines (i + 1)
+              end
+            in
+            let rest = lines 0 in
+            Buffer.add_subbytes c.pending rbuf rest (len - rest);
+            if Buffer.length c.pending > limits.max_line then begin
+              append c
+                (Printf.sprintf "err line longer than %d bytes"
+                   limits.max_line);
+              c.closing <- true;
+              Buffer.reset c.pending
+            end
           in
           (* ---- socket IO ------------------------------------------ *)
           let read_conn c =
-            let buf = Bytes.create 4096 in
-            match Unix.read c.fd buf 0 4096 with
+            match Unix.read c.fd rbuf 0 (Bytes.length rbuf) with
             | 0 -> drop c (* orderly EOF: abrupt from our side of acks *)
-            | n -> feed c (Bytes.sub_string buf 0 n)
+            | len -> feed c len
             | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
               ->
                 ()
@@ -320,20 +385,17 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
           let write_conn c =
             match Rrs_fault.probe "serve.write" with
             | exception Rrs_fault.Injected _ ->
-                count "serve_write_faults" 1;
+                inc ctr.write_faults;
                 drop c
             | () -> (
-                let data = Buffer.contents c.out in
-                let len = String.length data - c.out_pos in
-                let chunk = min len 16384 in
                 match
-                  Unix.write_substring c.fd data c.out_pos chunk
+                  Unix.write c.fd c.out c.out_pos (min (out_pending c) 16384)
                 with
-                | n ->
-                    c.out_pos <- c.out_pos + n;
-                    if n > 0 then c.last_progress <- now ();
-                    if c.out_pos >= String.length data then begin
-                      Buffer.clear c.out;
+                | written ->
+                    c.out_pos <- c.out_pos + written;
+                    if written > 0 then c.last_progress <- now ();
+                    if c.out_pos >= c.out_len then begin
+                      c.out_len <- 0;
                       c.out_pos <- 0;
                       if c.closing then drop c
                     end
@@ -345,7 +407,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
           let accept_conn () =
             match Rrs_fault.probe "serve.accept" with
             | exception Rrs_fault.Injected _ -> (
-                count "serve_accept_faults" 1;
+                inc ctr.accept_faults;
                 (* still drain the pending connection so the backlog
                    cannot fill with a poisoned accept *)
                 match Unix.accept listener with
@@ -357,48 +419,72 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                     Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
                     ()
                 | exception Unix.Unix_error _ -> ()
-                | fd, peer ->
-                    Unix.set_nonblock fd;
-                    let peer =
-                      match peer with
-                      | Unix.ADDR_UNIX _ -> "unix"
-                      | Unix.ADDR_INET (a, p) ->
-                          Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
+                | fd, _ when not (selectable fd) ->
+                    (* every open durable session holds its journal fd,
+                       so a busy server can hand out descriptors select
+                       cannot watch: refuse right here, with one
+                       best-effort write, instead of queueing the
+                       connection *)
+                    inc ctr.conns_accepted;
+                    inc ctr.busy;
+                    let line =
+                      Printf.sprintf
+                        "busy connections fd-limit retry-after=%g\n"
+                        limits.retry_after
                     in
+                    (try
+                       Unix.set_nonblock fd;
+                       ignore
+                         (Unix.write_substring fd line 0 (String.length line))
+                     with Unix.Unix_error _ -> ());
+                    (try Unix.close fd with Unix.Unix_error _ -> ());
+                    inc ctr.conns_dropped
+                | fd, _ ->
+                    Unix.set_nonblock fd;
                     let c =
                       {
                         fd;
-                        peer;
-                        pending = "";
+                        pending = Buffer.create 64;
                         cmds = Queue.create ();
-                        out = Buffer.create 256;
+                        out = Bytes.create 256;
+                        out_len = 0;
                         out_pos = 0;
                         sname = Server.default_session;
                         closing = false;
                         last_progress = now ();
                       }
                     in
+                    inc ctr.conns_accepted;
                     if List.length !conns >= limits.max_conns then begin
-                      count "serve_busy" 1;
+                      inc ctr.busy;
                       append c
                         (Printf.sprintf
                            "busy connections limit=%d retry-after=%g"
                            limits.max_conns limits.retry_after);
-                      c.closing <- true;
-                      conns := !conns @ [ c ];
-                      count "serve_conns_accepted" 1
+                      c.closing <- true
                     end
                     else begin
-                      count "serve_conns_accepted" 1;
-                      (match resolve c with
+                      match resolve c with
                       | Ok s -> List.iter (append c) (Server.greeting s)
                       | Error d ->
                           append c ("err " ^ d);
-                          c.closing <- true);
-                      conns := !conns @ [ c ]
-                    end)
+                          c.closing <- true
+                    end;
+                    conns := !conns @ [ c ])
           in
           (* ---- the loop ------------------------------------------- *)
+          let select readers writers timeout =
+            match Unix.select readers writers [] timeout with
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
+            | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
+                (* a descriptor select cannot watch got in: drop its
+                   connection rather than let the loop die *)
+                List.iter
+                  (fun c -> if not (selectable c.fd) then drop c)
+                  !conns;
+                ([], [])
+            | r, w, _ -> (r, w)
+          in
           let select_round () =
             let readers =
               (if !shutting then [] else [ listener ])
@@ -411,10 +497,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                 (fun c -> if out_pending c > 0 then Some c.fd else None)
                 !conns
             in
-            let timeout = if total_queued () > 0 then 0.0 else 0.05 in
-            match Unix.select readers writers [] timeout with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
-            | r, w, _ -> (r, w)
+            select readers writers (if !queued > 0 then 0.0 else 0.05)
           in
           let stall_check () =
             let t = now () in
@@ -424,7 +507,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                   out_pending c > 0
                   && t -. c.last_progress > limits.write_stall_timeout
                 then drop ~slow:true c
-                else if Buffer.length c.out > limits.write_buffer_limit then
+                else if c.out_len > limits.write_buffer_limit then
                   drop ~slow:true c)
               !conns
           in
@@ -441,7 +524,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
               List.iter
                 (fun c ->
                   if (not c.closing) && not (Queue.is_empty c.cmds) then
-                    execute c (Queue.pop c.cmds))
+                    execute_next c)
                 !conns;
               List.iter
                 (fun c ->
@@ -459,7 +542,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
           List.iter
             (fun c ->
               while not (Queue.is_empty c.cmds) do
-                execute c (Queue.pop c.cmds)
+                execute_next c
               done)
             !conns;
           List.iter
@@ -475,14 +558,12 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                 !conns
             in
             if pending <> [] && now () < grace_end then begin
-              (match Unix.select [] pending [] 0.05 with
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-              | _, writable, _ ->
-                  List.iter
-                    (fun c ->
-                      if List.memq c.fd writable && out_pending c > 0 then
-                        write_conn c)
-                    !conns);
+              let _, writable = select [] pending 0.05 in
+              List.iter
+                (fun c ->
+                  if List.memq c.fd writable && out_pending c > 0 then
+                    write_conn c)
+                !conns;
               (* write_conn drops drained closing conns itself *)
               flush_all ()
             end
@@ -498,11 +579,11 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
           | Tcp _ -> ());
           Ok
             {
-              conns_accepted = counter_value "serve_conns_accepted";
-              conns_dropped = counter_value "serve_conns_dropped";
-              commands = counter_value "serve_commands";
-              busy = counter_value "serve_busy";
-              shed = counter_value "serve_shed";
-              slow_drops = counter_value "serve_slow_client_drops";
-              wedges = counter_value "serve_wedged";
+              conns_accepted = Metrics.value ctr.conns_accepted;
+              conns_dropped = Metrics.value ctr.conns_dropped;
+              commands = Metrics.value ctr.commands;
+              busy = Metrics.value ctr.busy;
+              shed = Metrics.value ctr.shed;
+              slow_drops = Metrics.value ctr.slow_drops;
+              wedges = Metrics.value ctr.wedged;
             })

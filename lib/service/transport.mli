@@ -21,6 +21,11 @@
       [help]) are answered with [busy shed ...] at execution time
       (preserving reply pairing) so the cycles go to [submit]/[step];
       counted as [serve_shed];
+    - {e descriptor limit}: a connection accepted on a descriptor
+      [select] cannot watch (at or above [FD_SETSIZE]; every open
+      durable session holds its journal descriptor) is answered
+      [busy connections fd-limit retry-after=SECONDS], closed at once
+      and counted as [serve_busy];
     - {e slow clients}: a connection whose outbound buffer exceeds
       [write_buffer_limit] bytes, or that has not accepted a byte for
       [write_stall_timeout] seconds while output is pending, is dropped
@@ -36,7 +41,15 @@
 
     Faults injected at the [serve.accept] and [serve.write] probes are
     contained to the connection they hit (counted, connection dropped);
-    the loop itself never dies from a client.
+    one at [serve.command] answers [err ...]; one at [serve.journal]
+    (after the apply) also wedges the session, so the next command
+    restores it from its journal without the un-acked op.  The loop
+    itself never dies from a client.
+
+    Cost per command: the session is found by a hash lookup, the
+    [serve_*] counters are resolved once per run, input lines are cut
+    out of one shared read buffer, and replies are written straight
+    from each connection's output buffer.
 
     Shutdown: [shutdown] from any client, or the [stop] callback
     returning [true] (the CLI wires SIGTERM/SIGINT to it), stops

@@ -148,6 +148,29 @@ let test_end_events_carry_alloc_args () =
     events;
   Alcotest.(check bool) "some E events checked" true (!checked > 0)
 
+(* A profile keeps the allocation counters of every span boundary.  A
+   long run of samples under a tiny minor heap, so that minor
+   collections land between and inside the samples, must neither abort
+   the process nor lose or corrupt a sample.  ([Gc.counters] fails this
+   under OCaml 5.1: its result floats can be left dangling.) *)
+let test_long_sampling_run () =
+  let spans = 20_000 in
+  let prof = Prof.create () in
+  let old = Gc.get () in
+  Gc.set { old with minor_heap_size = 4096 };
+  Fun.protect ~finally:(fun () -> Gc.set old) (fun () ->
+      Prof.with_profiler prof (fun () ->
+          for i = 1 to spans do
+            Prof.enter "sample";
+            ignore (Sys.opaque_identity (List.init (i land 15) Fun.id));
+            Prof.leave "sample"
+          done));
+  Alcotest.(check int) "every boundary kept" (2 * spans) (Prof.events prof);
+  let ends =
+    List.filter (fun e -> e.ph = "E") (parse_events (Prof.to_chrome_string prof))
+  in
+  Alcotest.(check int) "every span closed" spans (List.length ends)
+
 let test_unbalanced_and_inactive_sites () =
   (* leave with nothing open is ignored; a mislabelled leave still
      closes the innermost span under its real name *)
@@ -358,6 +381,7 @@ let () =
             test_exception_closes_open_spans;
           Alcotest.test_case "raising query stays balanced" `Quick
             test_raising_query_leaves_stack_balanced;
+          Alcotest.test_case "long sampling run" `Quick test_long_sampling_run;
         ] );
       ( "domains",
         [

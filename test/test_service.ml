@@ -885,6 +885,172 @@ let test_torture_smoke () =
   check "prefix-torn"
     (Torture.prefix_campaign ~torn:true torture_config ~ops ~dir)
 
+(* ---- the session table (QCheck against a list model) ------------- *)
+
+(* The table is a hash keyed by name plus an insertion sequence; the
+   model is the plain insertion-ordered association list it replaced.
+   Random open / attach / step / wedge(+reopen) / abandon / close
+   sequences must agree on lookups, on the order of [sessions] and on
+   the [sessions] reply, byte for byte. *)
+
+type table_op =
+  | T_open of int
+  | T_attach of int
+  | T_step of int
+  | T_wedge of int
+  | T_abandon of int
+  | T_close of int
+
+let table_name i = Printf.sprintf "s%d" i
+let table_names = List.init 5 table_name
+
+let table_op_gen =
+  let open QCheck.Gen in
+  let name = 0 -- 4 in
+  frequency
+    [
+      (4, map (fun i -> T_open i) name);
+      (2, map (fun i -> T_attach i) name);
+      (4, map (fun k -> T_step k) (1 -- 3));
+      (2, map (fun i -> T_wedge i) name);
+      (1, map (fun i -> T_abandon i) name);
+      (1, map (fun i -> T_close i) name);
+    ]
+
+let print_table_op = function
+  | T_open i -> "open " ^ table_name i
+  | T_attach i -> "attach " ^ table_name i
+  | T_step k -> Printf.sprintf "step %d" k
+  | T_wedge i -> "wedge " ^ table_name i
+  | T_abandon i -> "abandon " ^ table_name i
+  | T_close i -> "close " ^ table_name i
+
+(* model entry: name, (round, ops, wedged) *)
+let model_line (name, (round, ops, wedged)) =
+  Printf.sprintf "ok %s round=%d ops=%d pending=0%s" name round ops
+    (if wedged then " wedged" else "")
+
+let run_table_ops ops =
+  let h = Server.host Server.default_config in
+  let model = ref [] in
+  let cur = ref None in
+  let replace name entry =
+    model := List.remove_assoc name !model @ [ (name, entry) ]
+  in
+  (* with no current session, address the table through one that
+     never joins it *)
+  let outsider =
+    lazy (Server.open_session (Server.host Server.default_config) "x")
+  in
+  let exec cmd =
+    let current =
+      match !cur with Some s -> s | None -> Lazy.force outsider
+    in
+    Server.exec h current cmd
+  in
+  let check op =
+    let where = print_table_op op in
+    List.iter
+      (fun name ->
+        Alcotest.(check (option string))
+          (where ^ ": find " ^ name)
+          (Option.map (fun _ -> name) (List.assoc_opt name !model))
+          (Option.map Server.session_name (Server.find_session h name)))
+      table_names;
+    Alcotest.(check (list string))
+      (where ^ ": sessions order")
+      (List.map fst !model)
+      (List.map Server.session_name (Server.sessions h));
+    match exec Rrs_service.Protocol.Sessions with
+    | Server.Reply lines ->
+        Alcotest.(check (list string))
+          (where ^ ": sessions reply")
+          (Printf.sprintf "ok sessions %d" (List.length !model)
+          :: List.map model_line !model)
+          lines
+    | _ -> Alcotest.fail "sessions: not a reply"
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | T_open i -> (
+          let name = table_name i in
+          match exec (Rrs_service.Protocol.Open name) with
+          | Server.Switch (s, _) ->
+              (match List.assoc_opt name !model with
+              | Some (_, _, false) -> ()
+              | _ -> replace name (0, 0, false));
+              cur := Some s
+          | Server.Reply lines -> (
+              (* already current *)
+              match List.assoc_opt name !model with
+              | Some (_, _, false) -> ()
+              | _ ->
+                  Alcotest.failf "open %s refused: %s" name
+                    (String.concat " / " lines))
+          | _ -> Alcotest.fail "open: unexpected outcome")
+      | T_attach i -> (
+          let name = table_name i in
+          match exec (Rrs_service.Protocol.Attach name) with
+          | Server.Switch (s, _) ->
+              if not (List.mem_assoc name !model) then
+                Alcotest.failf "attach %s: not in the model" name;
+              cur := Some s
+          | _ ->
+              if List.mem_assoc name !model then
+                Alcotest.failf "attach %s refused" name)
+      | T_step k -> (
+          match !cur with
+          | Some s when List.mem_assoc (Server.session_name s) !model -> (
+              let name = Server.session_name s in
+              let round, ops, wedged = List.assoc name !model in
+              match exec (Rrs_service.Protocol.Step k) with
+              | Server.Reply [ line ] ->
+                  if wedged then
+                    Alcotest.(check bool) "wedged refuses" true (line.[0] = 'e')
+                  else begin
+                    Alcotest.(check bool) "step acked" true (line.[0] = 'o');
+                    model :=
+                      List.map
+                        (fun (n, e) ->
+                          if n = name then (n, (round + k, ops + 1, false))
+                          else (n, e))
+                        !model
+                  end
+              | _ -> Alcotest.fail "step: unexpected outcome")
+          | _ -> ())
+      | T_wedge i -> (
+          let name = table_name i in
+          match Server.find_session h name with
+          | Some s ->
+              Server.wedge s "model";
+              model :=
+                List.map
+                  (fun (n, (r, o, w)) -> (n, (r, o, w || n = name)))
+                  !model
+          | None -> ())
+      | T_abandon i | T_close i -> (
+          let name = table_name i in
+          match Server.find_session h name with
+          | Some s ->
+              (match op with
+              | T_close _ -> ignore (Server.close_session h s)
+              | _ -> Server.abandon_session h s);
+              model := List.remove_assoc name !model;
+              if Option.map Server.session_name !cur = Some name then
+                cur := None
+          | None -> ()));
+      check op)
+    ops;
+  true
+
+let prop_session_table_model =
+  QCheck.Test.make ~count:300 ~name:"session table matches the list model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_table_op ops))
+       QCheck.Gen.(list_size (0 -- 40) table_op_gen))
+    run_table_ops
+
 let () =
   Alcotest.run "service"
     [
@@ -935,4 +1101,6 @@ let () =
           Alcotest.test_case "torture campaigns (sampled)" `Quick
             test_torture_smoke;
         ] );
+      ( "session table",
+        [ QCheck_alcotest.to_alcotest prop_session_table_model ] );
     ]

@@ -312,6 +312,94 @@ let test_shutdown_drains () =
   let lines = In_channel.with_open_text journal In_channel.input_lines in
   Alcotest.(check int) "all ops journaled" 9 (List.length lines)
 
+(* A [open NAME] that fails on the filesystem (a regular file where the
+   session directory should be) answers [err open: ...] and leaves the
+   client's current session alone: not wedged, not replayed. *)
+let test_failed_open () =
+  let dir = temp_dir "failed_open" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let ckpt = Filename.concat dir "state" in
+  Unix.mkdir ckpt 0o755;
+  Unix.mkdir (Filename.concat ckpt "sessions") 0o755;
+  Out_channel.with_open_text
+    (Filename.concat (Filename.concat ckpt "sessions") "bad")
+    (fun oc -> output_string oc "not a directory\n");
+  let server = start (config ~checkpoint_dir:ckpt ()) dir in
+  let c = connect server.sock in
+  ignore (recv c);
+  send c "submit 0 1 2";
+  ignore (recv c);
+  send c "open bad";
+  let reply = recv c in
+  Alcotest.(check bool) ("open refused: " ^ reply) true
+    (starts_with "err open: " reply);
+  send c "step 1";
+  Alcotest.(check string) "current session still serves"
+    "ok stepped 1 round to round 1" (recv c);
+  send c "sessions";
+  Alcotest.(check string) "one session" "ok sessions 1" (recv c);
+  Alcotest.(check string) "default not wedged"
+    "ok default round=1 ops=2 pending=0" (recv c);
+  close_client c;
+  let stats = finish server in
+  Alcotest.(check int) "serve_wedged stays 0" 0 stats.Transport.wedges
+
+(* The soft RLIMIT_NOFILE, from /proc/self/limits; [None] when it
+   cannot be read or is unlimited. *)
+let nofile_limit () =
+  let path = "/proc/self/limits" in
+  match In_channel.with_open_text path In_channel.input_lines with
+  | exception Sys_error _ -> None
+  | lines ->
+      List.find_map
+        (fun l ->
+          if starts_with "Max open files" l then
+            match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+            | _ :: _ :: _ :: soft :: _ -> int_of_string_opt soft
+            | _ -> None
+          else None)
+        lines
+
+(* Every open durable session keeps its journal fd, so after about a
+   thousand sessions the next accepted connection gets a descriptor
+   past select's FD_SETSIZE.  That connection is refused with a busy
+   line; the server and its sessions live on. *)
+let test_fd_limit () =
+  match nofile_limit () with
+  | Some limit when limit <= 1024 ->
+      Printf.printf
+        "skipped: RLIMIT_NOFILE is %d, so the process cannot open a \
+         descriptor past select's limit of 1024\n"
+        limit;
+      Alcotest.skip ()
+  | _ ->
+      let dir = temp_dir "fd_limit" in
+      Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+      let ckpt = Filename.concat dir "state" in
+      Unix.mkdir ckpt 0o755;
+      let server = start (config ~checkpoint_dir:ckpt ()) dir in
+      let c = connect server.sock in
+      ignore (recv c);
+      let sessions = 1100 in
+      for i = 1 to sessions do
+        send c (Printf.sprintf "open s%d" i);
+        ignore (recv c)
+      done;
+      let late = connect server.sock in
+      let reply = recv late in
+      Alcotest.(check bool) ("late client refused: " ^ reply) true
+        (starts_with "busy connections" reply);
+      Alcotest.(check (option string)) "then closed" None
+        (In_channel.input_line late.ic);
+      close_client late;
+      send c "sessions";
+      Alcotest.(check string) "server alive, sessions kept"
+        (Printf.sprintf "ok sessions %d" (sessions + 1))
+        (recv c);
+      close_client c;
+      let stats = finish server in
+      Alcotest.(check int) "refusal counted busy" 1 stats.Transport.busy
+
 let () =
   Alcotest.run "transport"
     [
@@ -320,6 +408,10 @@ let () =
           Alcotest.test_case "round-trip + durable acks" `Quick test_roundtrip;
           Alcotest.test_case "multiplexed sessions" `Quick test_multiplex;
           Alcotest.test_case "abrupt disconnect" `Quick test_abrupt_disconnect;
+          Alcotest.test_case "failed open wedges nothing" `Quick
+            test_failed_open;
+          Alcotest.test_case "accept past select's fd limit" `Quick
+            test_fd_limit;
         ] );
       ( "overload",
         [
