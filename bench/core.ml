@@ -288,20 +288,25 @@ let run_differential oc =
      non-perturbation standard as the Watchdog). *)
   let recorder = Rrs_obs.Flight_recorder.create ~capacity:256 () in
   let heartbeat = Rrs_obs.Heartbeat.create ~every_rounds:128 () in
+  (* the result plus the schedule recorded off the engine's events *)
+  let run ?(attach = Fun.id) ?heartbeat instance (factory : Policy.factory) =
+    let events = Rrs_obs.Sink.memory () in
+    let r =
+      Engine.run_policy
+        (Engine.config ~n:!n ~sink:(attach events) ?heartbeat ())
+        instance (factory instance ~n:!n)
+    in
+    (r, Schedule.of_events ~n:!n ~mini_rounds:1 (Rrs_obs.Sink.events events))
+  in
   List.iter
     (fun (iname, instance) ->
       List.iter
         (fun (pname, production, reference) ->
           incr cases;
-          let telemetered =
-            Engine.config ~n:!n ~record_schedule:true
-              ~sink:(Rrs_obs.Flight_recorder.sink recorder)
-              ~heartbeat ()
-          in
-          let bare = Engine.config ~n:!n ~record_schedule:true () in
           if
-            Engine.run_policy telemetered instance (production instance ~n:!n)
-            <> Engine.run_policy bare instance (reference instance ~n:!n)
+            run ~attach:(Rrs_obs.Flight_recorder.attach recorder) ~heartbeat
+              instance production
+            <> run instance reference
           then begin
             incr divergences;
             Printf.printf "DIVERGED: %s on %s\n" pname iname

@@ -146,12 +146,11 @@ let engine_tests =
 let reduction_tests =
   (* constructive transformations need a recorded input schedule *)
   let offline_input =
-    let cfg = Engine.config ~n:2 ~record_schedule:true () in
-    let r =
-      Engine.run cfg uniform_instance
-        (Offline_heuristics.interval_plan uniform_instance ~m:2 ~window:16)
-    in
-    Option.get r.schedule
+    let sink = Rrs_obs.Sink.memory () in
+    ignore
+      (Engine.run (Engine.config ~n:2 ~sink ()) uniform_instance
+         (Offline_heuristics.interval_plan uniform_instance ~m:2 ~window:16));
+    Schedule.of_events ~n:2 ~mini_rounds:1 (Rrs_obs.Sink.events sink)
   in
   let aggregate_mapping = Distribute.transform uniform_instance in
   Test.make_grouped ~name:"reductions"

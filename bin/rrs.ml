@@ -101,8 +101,7 @@ let metrics_arg =
   let doc =
     "Write per-round metrics (backlog, cache, cumulative costs) to this \
      file as JSONL (one $(b,metrics_sample) object per round plus a final \
-     $(b,metrics_registry) line; see doc/TELEMETRY.md).  Not available \
-     with the pipeline policy."
+     $(b,metrics_registry) line; see doc/TELEMETRY.md)."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
@@ -292,65 +291,80 @@ let simulate family seed n policy validate metrics_file trace_file
       in
       let simulate_with sink_opt =
         let sink = Option.value ~default:Rrs_obs.Sink.null sink_opt in
-        let run_plain make_policy =
-          let cfg =
-            Engine.config ~n ~record_schedule:validate ~sink ?registry ()
-          in
-          let collector, policy =
-            let policy = make_policy sink registry in
-            match (registry, metrics_file) with
-            | Some registry, Some _ ->
-                let m, p = Rrs_trace.Metrics.instrument ~registry policy in
-                (Some m, p)
-            | _ -> (None, policy)
-          in
-          let t0 = Unix.gettimeofday () in
-          let r = Engine.run_policy cfg instance policy in
-          let seconds = Unix.gettimeofday () -. t0 in
-          (match (collector, metrics_file) with
-          | Some m, Some path ->
-              Out_channel.with_open_text path (fun oc ->
-                  output_string oc (Rrs_trace.Metrics.to_jsonl m));
-              Format.printf "metrics written to %s@." path
-          | _ -> ());
-          ( (r, seconds),
-            registry,
-            if validate then Some (Validator.check_result instance r) else None
-          )
+        (* the per-round sampler and the schedule recorder consume the
+           engine's events; the policy keeps the plain sink *)
+        let collector =
+          Option.map
+            (fun path -> (path, Rrs_trace.Metrics.create ?registry ()))
+            metrics_file
         in
-        let outcome =
+        let recorder = if validate then Some (Rrs_obs.Sink.memory ()) else None in
+        let engine_sink =
+          let recorded =
+            match recorder with
+            | None -> sink
+            | Some rec_sink ->
+                Rrs_obs.Sink.callback (fun e ->
+                    Rrs_obs.Sink.emit rec_sink e;
+                    Rrs_obs.Sink.emit sink e)
+          in
+          match collector with
+          | None -> recorded
+          | Some (_, m) -> Rrs_trace.Metrics.attach m recorded
+        in
+        let timed run =
+          let t0 = Unix.gettimeofday () in
+          let r = run () in
+          (r, Unix.gettimeofday () -. t0)
+        in
+        let run_plain policy =
+          timed (fun () ->
+              Engine.run_policy
+                (Engine.config ~n ~sink:engine_sink ?registry ())
+                instance policy)
+        in
+        let r, seconds =
           match policy with
           | `Lru_edf ->
-              run_plain (fun sink registry ->
-                  with_analysis sink ~n
-                    (Lru_edf.make ~sink ?registry instance ~n))
+              run_plain
+                (with_analysis sink ~n
+                   (Lru_edf.make ~sink ?registry instance ~n))
           | `Dlru ->
-              run_plain (fun sink registry ->
-                  let { Delta_lru.policy; eligibility } =
-                    Delta_lru.make ~sink ?registry instance ~n
-                  in
-                  with_analysis sink ~n { Lru_edf.policy; eligibility })
-          | `Edf ->
-              run_plain (fun sink registry ->
-                  (Edf_policy.make ~sink ?registry instance ~n).policy)
+              let { Delta_lru.policy; eligibility } =
+                Delta_lru.make ~sink ?registry instance ~n
+              in
+              run_plain (with_analysis sink ~n { Lru_edf.policy; eligibility })
+          | `Edf -> run_plain (Edf_policy.make ~sink ?registry instance ~n).policy
           | `Seq_edf ->
-              run_plain (fun sink registry ->
-                  (Edf_policy.make_seq ~sink ?registry instance ~n).policy)
-          | `Black -> run_plain (fun _ _ -> Static_policy.black instance ~n)
-          | `Greedy ->
-              run_plain (fun _ _ -> Naive_policies.greedy_backlog instance ~n)
+              run_plain (Edf_policy.make_seq ~sink ?registry instance ~n).policy
+          | `Black -> run_plain (Static_policy.black instance ~n)
+          | `Greedy -> run_plain (Naive_policies.greedy_backlog instance ~n)
           | `Greedy_hysteresis ->
-              run_plain (fun _ _ ->
-                  Naive_policies.greedy_backlog_hysteresis
-                    ~threshold:instance.delta instance ~n)
-          | `Round_robin ->
-              run_plain (fun _ _ -> Naive_policies.round_robin instance ~n)
-          | `Pipeline ->
-              let t0 = Unix.gettimeofday () in
-              let r = Var_batch.run instance ~n ~sink in
-              ((r, Unix.gettimeofday () -. t0), None, None)
+              run_plain
+                (Naive_policies.greedy_backlog_hysteresis
+                   ~threshold:instance.delta instance ~n)
+          | `Round_robin -> run_plain (Naive_policies.round_robin instance ~n)
+          | `Pipeline -> timed (fun () -> Var_batch.run instance ~n ~sink:engine_sink)
         in
-        let (r, seconds), registry, _ = outcome in
+        Option.iter
+          (fun (path, m) ->
+            Out_channel.with_open_text path (fun oc ->
+                output_string oc (Rrs_trace.Metrics.to_jsonl m));
+            Format.printf "metrics written to %s@." path)
+          collector;
+        (* the pipeline delays arrivals, so its schedule is checked for
+           feasibility against the original instance, not drop timing *)
+        let report =
+          Option.map
+            (fun rec_sink ->
+              Validator.check_result
+                ~strict_drops:(policy <> `Pipeline)
+                instance
+                (Schedule.of_events ~n ~mini_rounds:1
+                   (Rrs_obs.Sink.events rec_sink))
+                r)
+            recorder
+        in
         Option.iter
           (fun sink ->
             Rrs_obs.Sink.write_line sink
@@ -378,9 +392,9 @@ let simulate family seed n policy validate metrics_file trace_file
                    ]
                  ())))
           sink_opt;
-        outcome
+        (r, report)
       in
-      let outcome =
+      let r, report =
         with_profile profile_file @@ fun () ->
         with_heartbeat heartbeat_file ~every:heartbeat_every ?registry
         @@ fun () ->
@@ -394,22 +408,20 @@ let simulate family seed n policy validate metrics_file trace_file
             Format.printf "trace written to %s@." path;
             result
       in
-      match outcome with
-      | (r, _), _, report ->
-          Format.printf "cost: %a@." Cost.pp r.cost;
-          Format.printf "executed %d, dropped %d, %d recolorings over %d rounds@."
-            r.executed r.dropped r.reconfigurations r.rounds_simulated;
-          let lb = Offline_bounds.lower_bound instance ~m:(max 1 (n / 8)) in
-          Format.printf "OPT(m=%d) lower bound: %d (ratio upper estimate %.2f)@."
-            (max 1 (n / 8))
-            lb
-            (Cost.ratio r.cost (Cost.make ~reconfig:lb ~drop:0));
-          (match report with
-          | Some report ->
-              Format.printf "validator: %a@." Validator.pp_report report;
-              if not report.ok then exit 2
-          | None -> ());
-          0)
+      Format.printf "cost: %a@." Cost.pp r.cost;
+      Format.printf "executed %d, dropped %d, %d recolorings over %d rounds@."
+        r.executed r.dropped r.reconfigurations r.rounds_simulated;
+      let lb = Offline_bounds.lower_bound instance ~m:(max 1 (n / 8)) in
+      Format.printf "OPT(m=%d) lower bound: %d (ratio upper estimate %.2f)@."
+        (max 1 (n / 8))
+        lb
+        (Cost.ratio r.cost (Cost.make ~reconfig:lb ~drop:0));
+      (match report with
+      | Some report ->
+          Format.printf "validator: %a@." Validator.pp_report report;
+          if not report.ok then exit 2
+      | None -> ());
+      0)
 
 let simulate_cmd =
   Cmd.v
@@ -1281,12 +1293,14 @@ let replay_cmd =
           r.executed r.dropped;
         if gantt then begin
           (* re-run recording the schedule (Solve does not record) *)
-          let cfg = Engine.config ~n ~record_schedule:true () in
           match Solve.classify instance with
           | Solve.Direct ->
-              let r = Engine.run cfg instance Lru_edf.policy in
+              let sink = Rrs_obs.Sink.memory () in
+              ignore (Engine.run (Engine.config ~n ~sink ()) instance Lru_edf.policy);
               print_string
-                (Rrs_trace.Schedule_io.render_gantt (Option.get r.schedule))
+                (Rrs_trace.Schedule_io.render_gantt
+                   (Schedule.of_events ~n ~mini_rounds:1
+                      (Rrs_obs.Sink.events sink)))
           | Solve.Distributed | Solve.Pipelined ->
               Format.printf
                 "(gantt view is only available for rate-limited instances)@."

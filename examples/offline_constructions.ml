@@ -27,11 +27,14 @@ let () =
   Format.printf "instance: %a@.@." Instance.pp instance;
 
   (* a clairvoyant 2-resource schedule from the interval planner *)
-  let cfg = Engine.config ~n:2 ~record_schedule:true () in
+  let events = Rrs_obs.Sink.memory () in
   let result =
-    Engine.run cfg instance (Offline_heuristics.interval_plan instance ~m:2 ~window:4)
+    Engine.run
+      (Engine.config ~n:2 ~sink:events ())
+      instance
+      (Offline_heuristics.interval_plan instance ~m:2 ~window:4)
   in
-  let t = Option.get result.schedule in
+  let t = Schedule.of_events ~n:2 ~mini_rounds:1 (Rrs_obs.Sink.events events) in
   Format.printf "input schedule T (m=2): %a, %d executions@.%s@." Cost.pp
     result.cost result.executed
     (Schedule_io.render_gantt t);

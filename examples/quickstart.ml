@@ -25,15 +25,21 @@ let () =
   Format.printf "instance: %a@." Instance.pp instance;
 
   (* Run ΔLRU-EDF with n = 8 resources (the paper's algorithm needs a
-     multiple of 4: n/4 LRU slots, n/4 EDF slots, x2 replication). *)
-  let config = Engine.config ~n:8 ~record_schedule:true () in
+     multiple of 4: n/4 LRU slots, n/4 EDF slots, x2 replication).
+     The engine reports every drop, reconfiguration and execution to its
+     event sink; a memory sink keeps them as the recorded schedule. *)
+  let events = Rrs_obs.Sink.memory () in
+  let config = Engine.config ~n:8 ~sink:events () in
   let result = Engine.run config instance Lru_edf.policy in
   Format.printf "dLRU-EDF: %a — executed %d, dropped %d@." Cost.pp result.cost
     result.executed result.dropped;
 
   (* The validator replays the recorded schedule against the model rules
      and recomputes the cost independently. *)
-  let report = Validator.check_result instance result in
+  let schedule =
+    Schedule.of_events ~n:8 ~mini_rounds:1 (Rrs_obs.Sink.events events)
+  in
+  let report = Validator.check_result instance schedule result in
   Format.printf "validator: %a@." Validator.pp_report report;
 
   (* Compare with a certified lower bound on the optimal offline cost

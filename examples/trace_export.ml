@@ -1,4 +1,4 @@
-(* Observability walkthrough: instrument a run with per-round metrics,
+(* Observability walkthrough: sample a run's per-round metrics,
    export the time series and the instance itself as CSV, and print a
    backlog distribution summary — the workflow for taking the simulator's
    output into external analysis tooling.
@@ -18,10 +18,11 @@ let () =
   in
   Format.printf "workload: %a@." Instance.pp instance;
 
-  (* instrument the paper's policy: the wrapper observes every
-     reconfiguration phase without touching the engine *)
-  let metrics, policy = Metrics.instrument (Lru_edf.policy instance ~n:8) in
-  let result = Engine.run_policy (Engine.config ~n:8 ()) instance policy in
+  (* the sampler consumes the engine's event sink: every drop, arrival,
+     reconfiguration and execution of the run passes through it *)
+  let metrics = Metrics.create () in
+  let sink = Metrics.attach metrics Rrs_obs.Sink.null in
+  let result = Engine.run (Engine.config ~n:8 ~sink ()) instance Lru_edf.policy in
   Format.printf "run: %a@." Cost.pp result.cost;
 
   (* the backlog distribution over rounds *)

@@ -1,18 +1,17 @@
 type config = {
   n : int;
   mini_rounds : int;
-  record_schedule : bool;
   cost_projection : (Types.color -> Types.color) option;
   sink : Rrs_obs.Sink.t;
   registry : Rrs_obs.Metrics.t option;
   heartbeat : Rrs_obs.Heartbeat.t option;
 }
 
-let config ?(mini_rounds = 1) ?(record_schedule = false) ?cost_projection
-    ?(sink = Rrs_obs.Sink.null) ?registry ?heartbeat ~n () =
+let config ?(mini_rounds = 1) ?cost_projection ?(sink = Rrs_obs.Sink.null)
+    ?registry ?heartbeat ~n () =
   if n < 1 then invalid_arg "Engine.config: n < 1";
   if mini_rounds < 1 then invalid_arg "Engine.config: mini_rounds < 1";
-  { n; mini_rounds; record_schedule; cost_projection; sink; registry; heartbeat }
+  { n; mini_rounds; cost_projection; sink; registry; heartbeat }
 
 type result = {
   cost : Cost.t;
@@ -22,7 +21,6 @@ type result = {
   drops_by_color : int array;
   executions_by_color : int array;
   rounds_simulated : int;
-  schedule : Schedule.t option;
   final_cache : Types.color array;
 }
 
@@ -116,7 +114,6 @@ module Session = struct
     mutable dropped : int;
     drops_by_color : int array;
     executions_by_color : int array;
-    events : (int * Schedule.event) list ref option;
     (* telemetry *)
     telemetry : telemetry option;
     mutable heartbeat : Rrs_obs.Heartbeat.t option;
@@ -164,7 +161,6 @@ module Session = struct
       dropped = 0;
       drops_by_color = Array.make num_colors 0;
       executions_by_color = Array.make num_colors 0;
-      events = (if cfg.record_schedule then Some (ref []) else None);
       telemetry;
       heartbeat;
       need_clock = Option.is_some telemetry || Option.is_some heartbeat;
@@ -417,10 +413,6 @@ module Session = struct
       (fun (color, count) ->
         t.dropped <- t.dropped + count;
         t.drops_by_color.(color) <- t.drops_by_color.(color) + count;
-        (match t.events with
-        | Some evs ->
-            evs := (round, Schedule.Drop { color = t.project color; count }) :: !evs
-        | None -> ());
         if t.tracing then
           Rrs_obs.Sink.emit t.sink
             (Rrs_obs.Event.Drop { round; color = t.project color; count }))
@@ -435,7 +427,8 @@ module Session = struct
           ~deadline:(round + t.delay.(color))
           ~count;
         if t.tracing then
-          Rrs_obs.Sink.emit t.sink (Rrs_obs.Event.Arrival { round; color; count }))
+          Rrs_obs.Sink.emit t.sink
+            (Rrs_obs.Event.Arrival { round; color = t.project color; count }))
       batch;
     Rrs_prof.leave "engine.arrival";
     (* reconfiguration + execution, [mini_rounds] times *)
@@ -462,19 +455,6 @@ module Session = struct
           if t.project old_color <> t.project new_color then begin
             t.reconfig_charges <- t.reconfig_charges + 1;
             t.reconfig_cost <- t.reconfig_cost + t.delta;
-            (match t.events with
-            | Some evs ->
-                evs :=
-                  ( round,
-                    Schedule.Reconfigure
-                      {
-                        resource;
-                        mini_round;
-                        from_color = t.project old_color;
-                        to_color = t.project new_color;
-                      } )
-                  :: !evs
-            | None -> ());
             if t.tracing then
               Rrs_obs.Sink.emit t.sink
                 (Rrs_obs.Event.Reconfigure
@@ -497,14 +477,6 @@ module Session = struct
         if color <> Types.black && Pending.execute t.pending color then begin
           t.executed <- t.executed + 1;
           t.executions_by_color.(color) <- t.executions_by_color.(color) + 1;
-          (match t.events with
-          | Some evs ->
-              evs :=
-                ( round,
-                  Schedule.Execute
-                    { resource; mini_round; color = t.project color } )
-                :: !evs
-          | None -> ());
           if t.tracing then
             Rrs_obs.Sink.emit t.sink
               (Rrs_obs.Event.Execute
@@ -541,17 +513,6 @@ module Session = struct
     t.finished <- true;
     if expect_drained then assert (Pending.grand_total t.pending = 0);
     telemetry_finish t.telemetry ~rounds:t.round;
-    let schedule =
-      match t.events with
-      | None -> None
-      | Some evs ->
-          Some
-            {
-              Schedule.n = t.n;
-              mini_rounds = t.mini_rounds;
-              events = Array.of_list (List.rev !evs);
-            }
-    in
     Rrs_prof.leave "engine.run";
     {
       cost = Cost.make ~reconfig:t.reconfig_cost ~drop:t.dropped;
@@ -561,7 +522,6 @@ module Session = struct
       drops_by_color = t.drops_by_color;
       executions_by_color = t.executions_by_color;
       rounds_simulated = t.round;
-      schedule;
       final_cache = Array.copy t.cache;
     }
 end

@@ -18,10 +18,14 @@
 
     [sink] receives a typed {!Rrs_obs.Event.t} for every round-phase
     action (drop, arrival, mini-round start, charged reconfiguration,
-    execution).  Reconfigure/Drop/Execute events carry post-projection
-    colors, so the event stream always reproduces the cost accounting.
-    With the default {!Rrs_obs.Sink.null} the engine allocates nothing
-    for tracing and pays one predictable branch per potential event.
+    execution), and it is the only record of a run: every engine phase
+    event carries post-projection colors, so the event stream always
+    reproduces the cost accounting, {!Schedule.of_events} turns a
+    {!Rrs_obs.Sink.memory} buffer into the recorded schedule, and the
+    per-round sampler ([Rrs_trace.Metrics.attach]) reads the same
+    stream.  With the default {!Rrs_obs.Sink.null} the engine allocates
+    nothing for tracing and pays one predictable branch per potential
+    event.
 
     Fault probes ({!Rrs_fault.probe}): ["engine.run"] once per run,
     ["engine.round"] at the top of every round — free without an
@@ -52,7 +56,6 @@
 type config = {
   n : int;  (** resources given to the policy *)
   mini_rounds : int;  (** 1 = uni-speed, 2 = double-speed *)
-  record_schedule : bool;
   cost_projection : (Types.color -> Types.color) option;
   sink : Rrs_obs.Sink.t;  (** round-phase event sink *)
   registry : Rrs_obs.Metrics.t option;
@@ -67,7 +70,6 @@ val round_latency_max_us : int
 
 val config :
   ?mini_rounds:int ->
-  ?record_schedule:bool ->
   ?cost_projection:(Types.color -> Types.color) ->
   ?sink:Rrs_obs.Sink.t ->
   ?registry:Rrs_obs.Metrics.t ->
@@ -85,7 +87,6 @@ type result = {
   drops_by_color : int array;
   executions_by_color : int array;
   rounds_simulated : int;
-  schedule : Schedule.t option;
   final_cache : Types.color array;
 }
 

@@ -14,6 +14,21 @@ type t = {
   events : (Types.round * event) array;
 }
 
+let of_events ~n ~mini_rounds trace =
+  let events =
+    List.filter_map
+      (function
+        | Rrs_obs.Event.Drop { round; color; count } ->
+            Some (round, Drop { color; count })
+        | Reconfigure { round; mini_round; resource; from_color; to_color } ->
+            Some (round, Reconfigure { resource; mini_round; from_color; to_color })
+        | Execute { round; mini_round; resource; color } ->
+            Some (round, Execute { resource; mini_round; color })
+        | _ -> None)
+      trace
+  in
+  { n; mini_rounds; events = Array.of_list events }
+
 let events_of_round t round =
   Array.fold_right
     (fun (r, e) acc -> if r = round then e :: acc else acc)

@@ -1,8 +1,10 @@
 (** A recorded schedule: everything an algorithm did, phase by phase.
 
-    Recording is optional in the engine (it costs memory proportional to
-    the event count); when present, {!Validator} can re-check the schedule
-    against the instance and recompute its cost independently. *)
+    The engine records nothing itself: a run's schedule is read off its
+    event sink with {!of_events}, so recording costs memory only when a
+    caller buffers the events ({!Rrs_obs.Sink.memory}).  {!Validator}
+    re-checks a schedule against the instance and recomputes its cost
+    independently. *)
 
 type event =
   | Drop of { color : Types.color; count : int }
@@ -20,6 +22,17 @@ type t = {
   mini_rounds : int;  (** reconfig+execution repetitions per round *)
   events : (Types.round * event) array;  (** chronological *)
 }
+
+val of_events : n:int -> mini_rounds:int -> Rrs_obs.Event.t list -> t
+(** The schedule an engine run emitted, from its chronological events:
+    keeps [Drop], [Reconfigure] and [Execute] and ignores every other
+    event, so policies and analysis layers may share the sink.
+
+    {[
+      let sink = Rrs_obs.Sink.memory () in
+      let result = Engine.run (Engine.config ~n ~sink ()) instance factory in
+      Schedule.of_events ~n ~mini_rounds:1 (Rrs_obs.Sink.events sink)
+    ]} *)
 
 val events_of_round : t -> Types.round -> event list
 val reconfig_count : t -> int

@@ -130,29 +130,25 @@ let check ?(strict_drops = true) (instance : Instance.t) (sched : Schedule.t) =
     dropped = !dropped;
   }
 
-let check_result ?strict_drops instance (result : Engine.result) =
-  match result.schedule with
-  | None -> invalid_arg "Validator.check_result: result has no schedule"
-  | Some sched ->
-      let report = check ?strict_drops instance sched in
-      if not (Cost.equal report.recomputed_cost result.cost) then
-        {
-          report with
-          ok = false;
-          violations =
-            report.violations
-            @ [
-                {
-                  round = -1;
-                  message =
-                    Format.asprintf
-                      "cost mismatch: engine reported %a, validator recomputed \
-                       %a"
-                      Cost.pp result.cost Cost.pp report.recomputed_cost;
-                };
-              ];
-        }
-      else report
+let check_result ?strict_drops instance schedule (result : Engine.result) =
+  let report = check ?strict_drops instance schedule in
+  if Cost.equal report.recomputed_cost result.cost then report
+  else
+    {
+      report with
+      ok = false;
+      violations =
+        report.violations
+        @ [
+            {
+              round = -1;
+              message =
+                Format.asprintf
+                  "cost mismatch: engine reported %a, validator recomputed %a"
+                  Cost.pp result.cost Cost.pp report.recomputed_cost;
+            };
+          ];
+    }
 
 let pp_report fmt r =
   if r.ok then

@@ -29,9 +29,9 @@ type report = {
 val check : ?strict_drops:bool -> Instance.t -> Schedule.t -> report
 (** [strict_drops] defaults to [true]. *)
 
-val check_result : ?strict_drops:bool -> Instance.t -> Engine.result -> report
-(** Convenience: validates [result.schedule] and additionally compares
-    the recomputed cost with [result.cost].
-    @raise Invalid_argument if the result carries no schedule. *)
+val check_result :
+  ?strict_drops:bool -> Instance.t -> Schedule.t -> Engine.result -> report
+(** Validates the schedule a run recorded ({!Schedule.of_events}) and
+    additionally compares the recomputed cost with [result.cost]. *)
 
 val pp_report : Format.formatter -> report -> unit

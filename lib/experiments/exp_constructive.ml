@@ -3,9 +3,9 @@ module Families = Rrs_workload.Families
 module Table = Rrs_report.Table
 
 let record ~n instance factory =
-  let cfg = Engine.config ~n ~record_schedule:true () in
-  let r = Engine.run cfg instance factory in
-  (r, Option.get r.schedule)
+  let sink = Rrs_obs.Sink.memory () in
+  let r = Engine.run (Engine.config ~n ~sink ()) instance factory in
+  (r, Schedule.of_events ~n ~mini_rounds:1 (Rrs_obs.Sink.events sink))
 
 let exp_12 () =
   let m = 2 in

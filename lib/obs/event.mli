@@ -7,7 +7,7 @@
     mini-round marker for double-speed runs.  [Reconfigure] is emitted
     only for {e charged} recolorings — after the engine's
     [cost_projection] — so summing them always reproduces the engine's
-    cost accounting.
+    cost accounting; they are the engine's only record of a run.
 
     {b Analysis events} are the quantities the paper's proofs charge
     against (Sections 3.2–3.4): epoch opens/closes and counter wrapping
@@ -23,6 +23,7 @@ type t =
   | Drop of { round : int; color : int; count : int }
       (** drop phase; [color] is post-projection, matching the cost. *)
   | Arrival of { round : int; color : int; count : int }
+      (** arrival phase; [color] is post-projection, like every phase event. *)
   | Reconfigure of {
       round : int;
       mini_round : int;

@@ -15,11 +15,12 @@ type t = {
   drops : Rrs_obs.Metrics.counter;
   recolorings : Rrs_obs.Metrics.counter;
   backlog_hist : Rrs_obs.Metrics.histogram;
-  project : Types.color -> Types.color;
-  mutable previous : Types.color array option;
+  mutable pending_total : int; (* Σ arrivals − Σ drops − Σ executions *)
+  pending : (Types.color, int) Hashtbl.t; (* nonzero pending count per color *)
+  holders : (Types.color, int) Hashtbl.t; (* resources configured per color *)
 }
 
-let create ?registry ?(projection = Fun.id) () =
+let create ?registry () =
   let registry =
     match registry with Some r -> r | None -> Rrs_obs.Metrics.create ()
   in
@@ -30,73 +31,68 @@ let create ?registry ?(projection = Fun.id) () =
     recolorings = Rrs_obs.Metrics.counter registry "recolorings";
     backlog_hist =
       Rrs_obs.Metrics.histogram registry "backlog" ~max_value:4096;
-    project = projection;
-    previous = None;
+    pending_total = 0;
+    pending = Hashtbl.create 64;
+    holders = Hashtbl.create 16;
   }
 
-let distinct_cached assignment =
-  let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun c -> if c <> Types.black then Hashtbl.replace seen c ())
-    assignment;
-  Hashtbl.length seen
+(* Nonzero counts only, so [Hashtbl.length] is the number of colors in
+   use (nonidle, cached). *)
+let bump tbl color delta =
+  if color <> Types.black then
+    match Hashtbl.find_opt tbl color with
+    | Some v when v + delta = 0 -> Hashtbl.remove tbl color
+    | Some v -> Hashtbl.replace tbl color (v + delta)
+    | None -> Hashtbl.replace tbl color delta
 
-(* A recoloring is counted exactly when the engine charges one: the
-   previous and new colors differ *after* the cost projection.  In the
-   no-previous case the engine's baseline is the all-black initial
-   cache, so a slot is charged iff its projected color differs from the
-   projected black — not simply iff it is non-black, which over-charged
-   under [cost_projection] (the old disagreement with [Engine]). *)
-let count_recolorings ~project previous assignment =
-  let changes = ref 0 in
-  (match previous with
-  | None ->
-      Array.iter
-        (fun c -> if project Types.black <> project c then incr changes)
-        assignment
-  | Some prev ->
-      Array.iteri
-        (fun i c -> if project prev.(i) <> project c then incr changes)
-        assignment);
-  !changes
+let sample t round =
+  {
+    round;
+    backlog = t.pending_total;
+    nonidle_colors = Hashtbl.length t.pending;
+    cached_colors = Hashtbl.length t.holders;
+    cumulative_drops = Rrs_obs.Metrics.value t.drops;
+    cumulative_recolorings = Rrs_obs.Metrics.value t.recolorings;
+  }
 
-let observe t (view : Policy.view) assignment =
-  if view.mini_round = 0 then
-    Rrs_obs.Metrics.inc t.drops
-      (List.fold_left (fun acc (_, c) -> acc + c) 0 view.dropped);
-  Rrs_obs.Metrics.inc t.recolorings
-    (count_recolorings ~project:t.project t.previous assignment);
-  t.previous <- Some (Array.copy assignment);
-  let backlog = Pending.grand_total view.pending in
-  let sample =
-    {
-      round = view.round;
-      backlog;
-      nonidle_colors = Pending.nonidle_count view.pending;
-      cached_colors = distinct_cached assignment;
-      cumulative_drops = Rrs_obs.Metrics.value t.drops;
-      cumulative_recolorings = Rrs_obs.Metrics.value t.recolorings;
-    }
-  in
-  match t.series with
-  | head :: rest when head.round = view.round ->
-      (* later mini-round of the same round: replace *)
-      t.series <- sample :: rest
-  | _ ->
-      Rrs_obs.Metrics.observe t.backlog_hist backlog;
-      t.series <- sample :: t.series
+(* A round's sample is taken at its [Mini_round] event, where the
+   backlog and nonidle colors stand as the policy sees them, and retaken
+   after each recoloring of that mini-round; a later mini-round of the
+   same round replaces it. *)
+let record t round =
+  t.series <-
+    sample t round
+    :: (match t.series with s :: rest when s.round = round -> rest | l -> l)
 
-let instrument ?registry ?projection (policy : Policy.t) =
-  let t = create ?registry ?projection () in
-  let reconfigure view =
-    let assignment = policy.Policy.reconfigure view in
-    observe t view assignment;
-    assignment
-  in
-  (t, { Policy.name = policy.name ^ "+metrics"; reconfigure })
+let observe t (event : Rrs_obs.Event.t) =
+  match event with
+  | Arrival { color; count; _ } ->
+      t.pending_total <- t.pending_total + count;
+      bump t.pending color count
+  | Drop { color; count; _ } ->
+      t.pending_total <- t.pending_total - count;
+      bump t.pending color (-count);
+      Rrs_obs.Metrics.inc t.drops count
+  | Execute { color; _ } ->
+      t.pending_total <- t.pending_total - 1;
+      bump t.pending color (-1)
+  | Reconfigure { round; from_color; to_color; _ } ->
+      Rrs_obs.Metrics.inc t.recolorings 1;
+      bump t.holders from_color (-1);
+      bump t.holders to_color 1;
+      record t round
+  | Mini_round { round; mini_round } ->
+      if mini_round = 0 then
+        Rrs_obs.Metrics.observe t.backlog_hist t.pending_total;
+      record t round
+  | _ -> ()
+
+let attach t inner =
+  Rrs_obs.Sink.callback (fun event ->
+      observe t event;
+      Rrs_obs.Sink.emit inner event)
 
 let samples t = List.rev t.series
-let registry t = t.registry
 
 let to_csv t =
   let header =

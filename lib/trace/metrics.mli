@@ -1,19 +1,22 @@
 (** Per-round time series collected from a live run.
 
-    [instrument] wraps any policy so that, without touching the engine,
-    every round's reconfiguration phase records: the pending backlog, the
-    number of nonidle colors, the distinct cached colors, and the
-    cumulative drop and recoloring counts.  The counts are kept in an
-    {!Rrs_obs.Metrics} registry (counters ["drops"]/["recolorings"], a
-    ["backlog"] histogram), so they export alongside the rest of the
-    telemetry; the series drive the queue-dynamics views of the examples
-    and can be exported as JSONL (canonical) or CSV (legacy).
-
-    Recolorings are counted with the engine's own accounting rule: a
-    slot is charged iff its color differs {e after the cost projection}
-    (pass [projection] when the run uses [Engine.config
-    ~cost_projection]; the default is the identity).  The cumulative
-    count therefore always matches [Engine.result.reconfigurations]. *)
+    The sampler is a consumer of the engine's event sink: {!attach} it
+    in front of the sink given to [Engine.config ~sink], and every
+    round records the pending backlog, the number of nonidle colors,
+    the distinct cached colors, and the cumulative drop and recoloring
+    counts — all derived from the engine's own Drop, Arrival,
+    Reconfigure, Execute and Mini_round events.  Those events carry
+    post-projection colors and a Reconfigure event is exactly a charged
+    recoloring, so the counts equal [Engine.result]'s under any
+    [cost_projection] by construction; every other event (a policy's
+    analysis events on a shared sink) is ignored.  The counts are kept
+    in an {!Rrs_obs.Metrics} registry (counters ["drops"] /
+    ["recolorings"], a ["backlog"] histogram), so they export alongside
+    the rest of the telemetry; the series drive the queue-dynamics views
+    of the examples and can be exported as JSONL (canonical) or CSV
+    (legacy).  Colors count post-projection, and the cache is tracked
+    from Reconfigure events, so a run whose resource count changes
+    mid-stream ([Engine.Session.reconfigure ~n]) is outside its model. *)
 
 type sample = {
   round : Rrs_core.Types.round;
@@ -26,26 +29,21 @@ type sample = {
 
 type t
 
-val instrument :
-  ?registry:Rrs_obs.Metrics.t ->
-  ?projection:(Rrs_core.Types.color -> Rrs_core.Types.color) ->
-  Rrs_core.Policy.t ->
-  t * Rrs_core.Policy.t
-(** The returned policy must be run exactly once (policies are
-    stateful); afterwards the series are available from [t].
-    [registry], when given, hosts the instruments instead of a private
-    registry — pass the one the policy itself writes to (e.g. its
+val create : ?registry:Rrs_obs.Metrics.t -> unit -> t
+(** [registry], when given, hosts the instruments (counters ["drops"]
+    and ["recolorings"], histogram ["backlog"] observed at each round's
+    first mini-round) instead of a private registry — pass the one the
+    policy and engine already write to (e.g. the policy's
     ["ranking_update"] counter) so one [metrics_registry] line carries
-    everything.  [projection] must equal the engine's [cost_projection]
-    for the recoloring count to reproduce the engine's charge. *)
+    everything. *)
+
+val attach : t -> Rrs_obs.Sink.t -> Rrs_obs.Sink.t
+(** A sink that feeds every event to the sampler and then forwards it
+    to the inner sink (as {!Rrs_obs.Flight_recorder.attach} does).
+    Give it to the engine only: one run per sampler. *)
 
 val samples : t -> sample list
 (** Chronological (one per round; mini-rounds are merged). *)
-
-val registry : t -> Rrs_obs.Metrics.t
-(** The backing instruments: counters ["drops"] and ["recolorings"],
-    histogram ["backlog"] (observed at the first reconfiguration of each
-    round). *)
 
 val to_jsonl : t -> string
 (** One [{"type":"metrics_sample",...}] line per round followed by one

@@ -80,7 +80,7 @@ let test_flat_layout_caches_distinct () =
   let instr =
     Lru_edf.make_tuned ~lru_slots:2 ~distinct_slots:4 ~replicated:false i ~n:4
   in
-  let r = Engine.run_policy (Engine.config ~n:4 ~record_schedule:true ()) i instr.policy in
+  let r = Engine.run_policy (Engine.config ~n:4 ()) i instr.policy in
   let distinct = List.sort_uniq compare (Array.to_list r.final_cache) in
   Alcotest.(check int) "four distinct colors" 4 (List.length distinct);
   Alcotest.(check int) "no drops" 0 r.dropped

@@ -11,15 +11,16 @@ module Rng = Rrs_prng.Rng
 let arr round color count = { Types.round; color; count }
 
 let record ~n instance factory =
-  let cfg = Engine.config ~n ~record_schedule:true () in
-  Engine.run cfg instance factory
+  let events = Rrs_obs.Sink.memory () in
+  let r = Engine.run (Engine.config ~n ~sink:events ()) instance factory in
+  (r, Schedule.of_events ~n ~mini_rounds:1 (Rrs_obs.Sink.events events))
 
 let test_single_mono_resource () =
   (* one color, batch within D: one static resource is monochromatic;
      the transform must produce the same executions on triple head 0 *)
   let i = Instance.create ~delta:1 ~delay:[| 4 |] ~arrivals:[ arr 0 0 3 ] () in
   let mapping = Distribute.transform i in
-  let t = Option.get (record ~n:1 i (Static_policy.static [ 0 ])).schedule in
+  let t = snd (record ~n:1 i (Static_policy.static [ 0 ])) in
   match Aggregate.verify i ~mapping t with
   | Error msg -> Alcotest.fail msg
   | Ok (t', report) ->
@@ -34,7 +35,7 @@ let test_oversized_batch_uses_two_subcolors () =
      static resources executes all 6, so T' must use both subcolors *)
   let i = Instance.create ~delta:1 ~delay:[| 4 |] ~arrivals:[ arr 0 0 6 ] () in
   let mapping = Distribute.transform i in
-  let t = Option.get (record ~n:2 i (Static_policy.static [ 0; 0 ])).schedule in
+  let t = snd (record ~n:2 i (Static_policy.static [ 0; 0 ])) in
   Alcotest.(check int) "T executes 6" 6 (Schedule.execute_count t);
   match Aggregate.verify i ~mapping t with
   | Error msg -> Alcotest.fail msg
@@ -59,7 +60,7 @@ let test_label_persistence_avoids_reconfigs () =
       ()
   in
   let mapping = Distribute.transform i in
-  let t = Option.get (record ~n:1 i (Static_policy.static [ 0 ])).schedule in
+  let t = snd (record ~n:1 i (Static_policy.static [ 0 ])) in
   match Aggregate.verify i ~mapping t with
   | Error msg -> Alcotest.fail msg
   | Ok (t', _) ->
@@ -74,7 +75,7 @@ let test_rejects_bad_inputs () =
     Instance.create ~delta:1 ~delay:[| 4 |] ~arrivals:[ arr 0 0 1 ] ()
   in
   let mapping = Distribute.transform batched in
-  let t = Option.get (record ~n:1 batched (Static_policy.static [ 0 ])).schedule in
+  let t = snd (record ~n:1 batched (Static_policy.static [ 0 ])) in
   (match Aggregate.transform unbatched ~mapping t with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "unbatched accepted");
@@ -109,8 +110,7 @@ let test_online_schedule_as_input () =
     let mapping = Distribute.transform instance in
     List.iter
       (fun (name, policy) ->
-        let result = record ~n:4 instance policy in
-        let t = Option.get result.schedule in
+        let result, t = record ~n:4 instance policy in
         match Aggregate.verify instance ~mapping t with
         | Error msg -> Alcotest.failf "%s input: %s" name msg
         | Ok (_, report) ->
@@ -142,8 +142,7 @@ let test_lemma_4_1_shape () =
     List.iter
       (fun (name, policy) ->
         incr checked;
-        let result = record ~n:m instance policy in
-        let t = Option.get result.schedule in
+        let result, t = record ~n:m instance policy in
         match Aggregate.verify instance ~mapping t with
         | Error msg -> Alcotest.failf "%s: %s" name msg
         | Ok (t', report) ->
@@ -172,7 +171,7 @@ let test_transform_of_rate_limited_is_cheap () =
       ()
   in
   let mapping = Distribute.transform i in
-  let t = Option.get (record ~n:2 i (Static_policy.static [ 0; 1 ])).schedule in
+  let t = snd (record ~n:2 i (Static_policy.static [ 0; 1 ])) in
   match Aggregate.verify i ~mapping t with
   | Error msg -> Alcotest.fail msg
   | Ok (_, report) ->

@@ -116,7 +116,7 @@ let test_classic_lru_recency () =
       ()
   in
   let r =
-    Engine.run (Engine.config ~n:1 ~record_schedule:true ()) i
+    Engine.run (Engine.config ~n:1 ()) i
       Naive_policies.classic_lru
   in
   Alcotest.(check int) "both executed" 2 r.executed;

@@ -19,19 +19,32 @@ let policies : (string * Policy.factory * Policy.factory) list =
     ("dlru-edf", Lru_edf.policy, Rrs_oracle.dlru_edf);
   ]
 
+(* A run's result paired with the schedule recorded off its engine
+   events.  [engine_sink] wraps the recording sink (a watchdog or flight
+   recorder in front of it); [policy] is instantiated with the sink it
+   may emit to. *)
+let recorded ?(mini_rounds = 1) ?(engine_sink = Fun.id) ?heartbeat ~n instance
+    policy =
+  let events = Rrs_obs.Sink.memory () in
+  let r =
+    Engine.run_policy
+      (Engine.config ~n ~mini_rounds ~sink:(engine_sink events) ?heartbeat ())
+      instance policy
+  in
+  (r, Schedule.of_events ~n ~mini_rounds (Rrs_obs.Sink.events events))
+
 let run_both ?(n = 8) instance production reference =
   let run (factory : Policy.factory) =
-    Engine.run_policy
-      (Engine.config ~n ~record_schedule:true ())
-      instance (factory instance ~n)
+    recorded ~n instance (factory instance ~n)
   in
   (run production, run reference)
 
 let par_identical instance =
   Par_edf.run instance ~m:2 = Rrs_oracle.par_edf instance ~m:2
 
-(* Structural equality covers every field: cost, counters, the per-color
-   arrays, final_cache and the recorded schedule. *)
+(* Structural equality covers every field of the result (cost,
+   counters, the per-color arrays, final_cache) and the recorded
+   schedule. *)
 let check_identical label instance =
   List.iter
     (fun (pname, production, reference) ->
@@ -104,9 +117,7 @@ let test_double_speed () =
   let f = Option.get (Families.find "bursty") in
   let instance = f.build ~seed:4 in
   let run (factory : Policy.factory) =
-    Engine.run_policy
-      (Engine.config ~n:8 ~mini_rounds:2 ~record_schedule:true ())
-      instance (factory instance ~n:8)
+    recorded ~mini_rounds:2 ~n:8 instance (factory instance ~n:8)
   in
   Alcotest.(check bool)
     "ds-seq-edf identical" true
@@ -115,9 +126,11 @@ let test_double_speed () =
 (* The watchdog's non-perturbation guarantee: attaching a Record-mode
    watchdog to a fully instrumented run must leave Engine.result
    structurally identical to the uninstrumented run — same cost, same
-   counters, same recorded schedule.  Doubles as an empirical check that
-   the live Lemma 3.3 / 3.4 prefix bounds hold on every family and both
-   appendix constructions. *)
+   counters, same recorded schedule.  Both sides record the schedule
+   off the engine's sink; on the plain side the policy keeps
+   [Sink.null], so the comparison still covers policy instrumentation.
+   Doubles as an empirical check that the live Lemma 3.3 / 3.4 prefix
+   bounds hold on every family and both appendix constructions. *)
 module Watchdog = Rrs_robust.Watchdog
 module Sink = Rrs_obs.Sink
 
@@ -149,18 +162,15 @@ let check_watchdog_inert ?(rate_limited = true) label instance =
     (fun (pname, budgeted, make) ->
       let lemma_bounds = budgeted && rate_limited in
       let n = 8 in
-      let run sink =
-        Engine.run_policy
-          (Engine.config ~n ~record_schedule:true ~sink ())
-          instance
-          (make ~sink instance ~n)
-      in
-      let plain = run Sink.null in
+      let plain = recorded ~n instance (make ~sink:Sink.null instance ~n) in
       let wd =
         Watchdog.create ~policy:Watchdog.Record ~lemma_bounds
           ~delta:instance.Instance.delta ()
       in
-      let watched = run (Watchdog.attach wd Sink.null) in
+      let watched =
+        recorded ~n ~engine_sink:(Watchdog.attach wd) instance
+          (make ~sink:(Watchdog.attach wd Sink.null) instance ~n)
+      in
       Watchdog.finish wd;
       Alcotest.(check bool)
         (Printf.sprintf "%s/%s watchdog-inert" pname label)
@@ -206,16 +216,15 @@ let check_telemetry_inert label instance =
   List.iter
     (fun (pname, _, make) ->
       let n = 8 in
-      let run sink heartbeat =
-        Engine.run_policy
-          (Engine.config ~n ~record_schedule:true ~sink ?heartbeat ())
-          instance
-          (make ~sink instance ~n)
-      in
-      let plain = run Sink.null None in
+      let plain = recorded ~n instance (make ~sink:Sink.null instance ~n) in
       let recorder = Flight_recorder.create ~capacity:128 () in
       let hb = Heartbeat.create ~every_rounds:32 () in
-      let telemetered = run (Flight_recorder.sink recorder) (Some hb) in
+      let telemetered =
+        recorded ~n
+          ~engine_sink:(Flight_recorder.attach recorder)
+          ~heartbeat:hb instance
+          (make ~sink:(Flight_recorder.sink recorder) instance ~n)
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s/%s telemetry-inert" pname label)
         true

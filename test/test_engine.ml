@@ -8,9 +8,8 @@ let arr round color count = { Types.round; color; count }
 
 let mk ?(delta = 2) ~delay arrivals = Instance.create ~delta ~delay ~arrivals ()
 
-let run ?(n = 1) ?(mini_rounds = 1) ?(record = true) instance policy =
-  let cfg = Engine.config ~n ~mini_rounds ~record_schedule:record () in
-  Engine.run cfg instance policy
+let run ?(n = 1) ?(mini_rounds = 1) instance policy =
+  Engine.run (Engine.config ~n ~mini_rounds ()) instance policy
 
 let check_cost name (result : Engine.result) ~reconfig ~drop =
   Alcotest.(check bool)
@@ -175,8 +174,12 @@ let prop_engine_schedule_validates =
     (fun i ->
       List.for_all
         (fun policy ->
-          let r = run ~n:4 i policy in
-          (Validator.check_result i r).ok)
+          let events = Rrs_obs.Sink.memory () in
+          let r = Engine.run (Engine.config ~n:4 ~sink:events ()) i policy in
+          let schedule =
+            Schedule.of_events ~n:4 ~mini_rounds:1 (Rrs_obs.Sink.events events)
+          in
+          (Validator.check_result i schedule r).ok)
         [
           Static_policy.static [ 0 ];
           Lru_edf.policy;
@@ -195,7 +198,7 @@ let prop_replication_invariant =
     (fun i ->
       List.for_all
         (fun policy ->
-          let r = run ~n:4 ~record:false i policy in
+          let r = run ~n:4 i policy in
           let counts = Hashtbl.create 8 in
           Array.iter
             (fun c ->

@@ -50,9 +50,17 @@ let test_upper_bound_is_above_opt () =
 
 let test_plan_schedule_validates () =
   let i = (Option.get (Families.find "uniform")).build ~seed:2 in
-  let cfg = Engine.config ~n:2 ~record_schedule:true () in
-  let r = Engine.run cfg i (Offline_heuristics.interval_plan i ~m:2 ~window:8) in
-  let report = Validator.check_result i r in
+  let events = Rrs_obs.Sink.memory () in
+  let r =
+    Engine.run
+      (Engine.config ~n:2 ~sink:events ())
+      i
+      (Offline_heuristics.interval_plan i ~m:2 ~window:8)
+  in
+  let schedule =
+    Schedule.of_events ~n:2 ~mini_rounds:1 (Rrs_obs.Sink.events events)
+  in
+  let report = Validator.check_result i schedule r in
   if not report.ok then
     Alcotest.failf "interval plan produced an invalid schedule: %a"
       Validator.pp_report report

@@ -539,36 +539,48 @@ let test_run_summary_load_rejects_garbage () =
       | Ok _ -> Alcotest.fail "malformed line accepted")
 
 (* ------------------------------------------------------------------ *)
-(* recoloring accounting under projection (the Metrics fix)            *)
+(* the per-round sampler reproduces the engine's accounting           *)
 (* ------------------------------------------------------------------ *)
+
+(* The sampler reads the engine's events, so its cumulative counts are
+   the engine's under any projection, and its last sample (taken before
+   the horizon round's executions) sees the backlog drain. *)
+let check_sampler_matches label run =
+  let m = Rrs_trace.Metrics.create () in
+  let (r : Engine.result) = run (Rrs_trace.Metrics.attach m Sink.null) in
+  let samples = Rrs_trace.Metrics.samples m in
+  Alcotest.(check int) (label ^ ": one sample per round") r.rounds_simulated
+    (List.length samples);
+  match List.rev samples with
+  | last :: _ ->
+      Alcotest.(check int) (label ^ ": recolorings match engine")
+        r.reconfigurations last.cumulative_recolorings;
+      Alcotest.(check int) (label ^ ": drops match engine") r.dropped
+        last.cumulative_drops;
+      Alcotest.(check int) (label ^ ": drained at the horizon") 0 last.backlog
+  | [] -> Alcotest.fail "no samples"
 
 let test_metrics_recolorings_match_engine_identity () =
   let instance = (Option.get (Families.find "router")).build ~seed:4 in
-  let m, policy = Rrs_trace.Metrics.instrument (Lru_edf.policy instance ~n:8) in
-  let r = Engine.run_policy (Engine.config ~n:8 ()) instance policy in
-  match List.rev (Rrs_trace.Metrics.samples m) with
-  | last :: _ ->
-      Alcotest.(check int) "identity projection matches engine"
-        r.reconfigurations last.cumulative_recolorings
-  | [] -> Alcotest.fail "no samples"
+  check_sampler_matches "identity" (fun sink ->
+      Engine.run (Engine.config ~n:8 ~sink ()) instance Lru_edf.policy)
 
 let test_metrics_recolorings_match_engine_projected () =
   (* the Distribute reduction: subcolors collapse, so the engine charges
-     post-projection — the sampler must agree from round 0 on *)
+     post-projection — the sampler agrees with no projection handed to
+     it *)
   let instance = (Option.get (Families.find "oversized")).build ~seed:1 in
   let mapping = Distribute.transform instance in
-  let project = Distribute.project mapping in
-  let m, policy =
-    Rrs_trace.Metrics.instrument ~projection:project
-      (Lru_edf.policy mapping.sub_instance ~n:8)
+  let cfg sink =
+    Engine.config ~n:8 ~sink ~cost_projection:(Distribute.project mapping) ()
   in
-  let cfg = Engine.config ~n:8 ~cost_projection:project () in
-  let r = Engine.run_policy cfg mapping.sub_instance policy in
-  match List.rev (Rrs_trace.Metrics.samples m) with
-  | last :: _ ->
-      Alcotest.(check int) "projected recolorings match engine"
-        r.reconfigurations last.cumulative_recolorings
-  | [] -> Alcotest.fail "no samples"
+  check_sampler_matches "projected" (fun sink ->
+      Engine.run (cfg sink) mapping.sub_instance Lru_edf.policy)
+
+let test_metrics_match_pipeline () =
+  let instance = (Option.get (Families.find "unbatched")).build ~seed:1 in
+  check_sampler_matches "pipeline" (fun sink ->
+      Var_batch.run ~sink instance ~n:8)
 
 (* ------------------------------------------------------------------ *)
 (* flight recorder                                                     *)
@@ -838,6 +850,8 @@ let () =
             test_metrics_recolorings_match_engine_identity;
           Alcotest.test_case "recolorings: projected" `Quick
             test_metrics_recolorings_match_engine_projected;
+          Alcotest.test_case "sampler: pipeline" `Quick
+            test_metrics_match_pipeline;
         ] );
       ( "domain safety",
         [

@@ -8,7 +8,7 @@ let arr round color count = { Types.round; color; count }
 let mk ?(delta = 2) ~delay arrivals = Instance.create ~delta ~delay ~arrivals ()
 
 let run ?(n = 4) instance policy =
-  Engine.run (Engine.config ~n ~record_schedule:true ()) instance policy
+  Engine.run (Engine.config ~n ()) instance policy
 
 (* count occurrences of each color in a cache assignment *)
 let occurrences cache =

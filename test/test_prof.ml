@@ -18,10 +18,7 @@ let small_instance () =
     ()
 
 let run_instrumented instance =
-  Engine.run_policy
-    (Engine.config ~n:8 ~record_schedule:true ())
-    instance
-    (Lru_edf.policy instance ~n:8)
+  Engine.run (Engine.config ~n:8 ()) instance Lru_edf.policy
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace structure                                              *)
@@ -352,9 +349,11 @@ let test_profiler_does_not_perturb_decisions () =
       List.iter
         (fun (pname, factory) ->
           let run () =
-            Engine.run_policy
-              (Engine.config ~n:8 ~record_schedule:true ())
-              instance (factory instance ~n:8)
+            let events = Rrs_obs.Sink.memory () in
+            let r =
+              Engine.run (Engine.config ~n:8 ~sink:events ()) instance factory
+            in
+            (r, Schedule.of_events ~n:8 ~mini_rounds:1 (Rrs_obs.Sink.events events))
           in
           let plain = run () in
           let profiled =

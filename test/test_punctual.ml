@@ -7,9 +7,9 @@ module Rng = Rrs_prng.Rng
 let arr round color count = { Types.round; color; count }
 
 let record ~n instance factory =
-  let cfg = Engine.config ~n ~record_schedule:true () in
-  let r = Engine.run cfg instance factory in
-  (r, Option.get r.schedule)
+  let events = Rrs_obs.Sink.memory () in
+  let r = Engine.run (Engine.config ~n ~sink:events ()) instance factory in
+  (r, Schedule.of_events ~n ~mini_rounds:1 (Rrs_obs.Sink.events events))
 
 let test_classify () =
   (* delay 8, half-block 4: arrival 5 sits in half-block 1 (rounds 4-7) *)

@@ -81,6 +81,14 @@ let test_distribute_run_drop_costs_match () =
       (projected.cost.reconfig <= raw.cost.reconfig)
   done
 
+(* Distribute's projected run, recorded off its engine events (in
+   original colors); the trace comes back too. *)
+let run_distributed ~n instance =
+  let events = Rrs_obs.Sink.memory () in
+  let r = Distribute.run ~sink:events instance ~n in
+  let trace = Rrs_obs.Sink.events events in
+  (r, Schedule.of_events ~n ~mini_rounds:1 trace, trace)
+
 let test_distribute_schedule_validates_against_original () =
   (* sub-instance deadlines coincide with the original's, so the projected
      schedule passes strict validation against the original instance *)
@@ -89,20 +97,40 @@ let test_distribute_schedule_validates_against_original () =
     Synthetic.batched_oversized (Rng.split rng)
       { Synthetic.default_batched with load = 1.8; horizon = 64 }
   in
-  let mapping = Distribute.transform i in
-  let cfg =
-    Engine.config ~n:8 ~record_schedule:true
-      ~cost_projection:(Distribute.project mapping) ()
-  in
-  let r = Engine.run cfg mapping.sub_instance Lru_edf.policy in
-  let report =
-    Validator.check ~strict_drops:true i (Option.get r.schedule)
-  in
+  let r, schedule, _ = run_distributed ~n:8 i in
+  let report = Validator.check ~strict_drops:true i schedule in
   if not report.ok then
     Alcotest.failf "projected schedule invalid: %s"
       (Format.asprintf "%a" Validator.pp_report report);
   Alcotest.(check bool) "cost matches too" true
     (Cost.equal report.recomputed_cost r.cost)
+
+let test_distribute_events_balance_per_color () =
+  (* every engine phase event is in original colors, arrivals included,
+     so per color the trace's arrivals equal its drops plus executions *)
+  let rng = Rng.create ~seed:13 in
+  let i =
+    Synthetic.batched_oversized (Rng.split rng)
+      { Synthetic.default_batched with load = 1.8; horizon = 64 }
+  in
+  let _, _, trace = run_distributed ~n:8 i in
+  let balance = Array.make i.num_colors 0 in
+  let add color k =
+    if color < 0 || color >= i.num_colors then
+      Alcotest.failf "event color %d is not an original color" color;
+    balance.(color) <- balance.(color) + k
+  in
+  List.iter
+    (function
+      | Rrs_obs.Event.Arrival { color; count; _ } -> add color count
+      | Drop { color; count; _ } -> add color (-count)
+      | Execute { color; _ } -> add color (-1)
+      | _ -> ())
+    trace;
+  Array.iteri
+    (fun color b ->
+      Alcotest.(check int) (Printf.sprintf "color %d balance" color) 0 b)
+    balance
 
 (* ------------------------------------------------------------------ *)
 (* VarBatch                                                            *)
@@ -166,16 +194,8 @@ let test_pipeline_executions_feasible () =
      instance (lenient validation: drop timing differs by construction) *)
   let rng = Rng.create ~seed:21 in
   let i = Synthetic.unbatched (Rng.split rng) Synthetic.default_unbatched in
-  let batched = Var_batch.transform i in
-  let mapping = Distribute.transform batched in
-  let cfg =
-    Engine.config ~n:8 ~record_schedule:true
-      ~cost_projection:(Distribute.project mapping) ()
-  in
-  let r = Engine.run cfg mapping.sub_instance Lru_edf.policy in
-  let report =
-    Validator.check ~strict_drops:false i (Option.get r.schedule)
-  in
+  let r, schedule, _ = run_distributed ~n:8 (Var_batch.transform i) in
+  let report = Validator.check ~strict_drops:false i schedule in
   if not report.ok then
     Alcotest.failf "pipeline schedule infeasible: %s"
       (Format.asprintf "%a" Validator.pp_report report);
@@ -219,6 +239,8 @@ let () =
           Alcotest.test_case "subcolor ranges" `Quick test_subcolor_ranges;
           Alcotest.test_case "drop costs match (Lemma 4.2)" `Slow
             test_distribute_run_drop_costs_match;
+          Alcotest.test_case "events balance per original color" `Quick
+            test_distribute_events_balance_per_color;
           Alcotest.test_case "projected schedule validates" `Slow
             test_distribute_schedule_validates_against_original;
         ] );

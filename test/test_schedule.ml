@@ -10,9 +10,14 @@ let sample_schedule () =
       ~arrivals:[ arr 0 0 6; arr 0 1 2 ]
       ()
   in
-  let cfg = Engine.config ~n:2 ~record_schedule:true () in
-  let r = Engine.run cfg instance (Static_policy.static [ 0; 1 ]) in
-  (instance, r, Option.get r.schedule)
+  let events = Rrs_obs.Sink.memory () in
+  let r =
+    Engine.run
+      (Engine.config ~n:2 ~sink:events ())
+      instance
+      (Static_policy.static [ 0; 1 ])
+  in
+  (instance, r, Schedule.of_events ~n:2 ~mini_rounds:1 (Rrs_obs.Sink.events events))
 
 let test_counts () =
   let _, r, sched = sample_schedule () in

@@ -6,15 +6,18 @@ module Csv = Rrs_trace.Csv
 
 let arr round color count = { Types.round; color; count }
 
+let record ~n instance factory =
+  let events = Rrs_obs.Sink.memory () in
+  let r = Engine.run (Engine.config ~n ~sink:events ()) instance factory in
+  (r, Schedule.of_events ~n ~mini_rounds:1 (Rrs_obs.Sink.events events))
+
 let sample () =
   let instance =
     Instance.create ~delta:2 ~delay:[| 4; 4 |]
       ~arrivals:[ arr 0 0 6; arr 0 1 2 ]
       ()
   in
-  let cfg = Engine.config ~n:2 ~record_schedule:true () in
-  let r = Engine.run cfg instance (Static_policy.static [ 0; 1 ]) in
-  (r, Option.get r.schedule)
+  record ~n:2 instance (Static_policy.static [ 0; 1 ])
 
 let test_csv_shape () =
   let r, sched = sample () in
@@ -39,9 +42,7 @@ let test_gantt_contents () =
       ~arrivals:[ arr 0 0 6; arr 0 1 2 ]
       ()
   in
-  let cfg = Engine.config ~n:3 ~record_schedule:true () in
-  let r = Engine.run cfg instance (Static_policy.static [ 0; 1 ]) in
-  let sched = Option.get r.schedule in
+  let _, sched = record ~n:3 instance (Static_policy.static [ 0; 1 ]) in
   let g = Schedule_io.render_gantt sched in
   (* resource rows and execution markers are present *)
   Alcotest.(check bool) "row r0" true

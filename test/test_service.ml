@@ -85,9 +85,17 @@ let test_protocol_roundtrip () =
 
 (* ---- streamed session == batch engine ----------------------------- *)
 
-let drive_stream ?(cfg_of = fun ~n -> Engine.config ~n ~record_schedule:true ())
-    instance factory ~n =
-  let cfg = cfg_of ~n in
+(* Both sides record their schedule off the engine's events and return
+   it with the result, so the comparisons cover the full schedule. *)
+let plain_cfg ~n ~sink = Engine.config ~n ~sink ()
+
+let recording cfg_of ~n run =
+  let events = Rrs_obs.Sink.memory () in
+  let r = run (cfg_of ~n ~sink:events) in
+  (r, Schedule.of_events ~n ~mini_rounds:1 (Rrs_obs.Sink.events events))
+
+let drive_stream ?(cfg_of = plain_cfg) instance factory ~n =
+  recording cfg_of ~n @@ fun cfg ->
   let session =
     Session.create cfg ~delta:instance.Instance.delta
       ~delay:instance.Instance.delay factory
@@ -100,9 +108,8 @@ let drive_stream ?(cfg_of = fun ~n -> Engine.config ~n ~record_schedule:true ())
   done;
   Session.finish ~expect_drained:true session
 
-let batch ?(cfg_of = fun ~n -> Engine.config ~n ~record_schedule:true ())
-    instance factory ~n =
-  Engine.run (cfg_of ~n) instance factory
+let batch ?(cfg_of = plain_cfg) instance factory ~n =
+  recording cfg_of ~n (fun cfg -> Engine.run cfg instance factory)
 
 let check_stream_matches_batch label instance =
   let n = 8 in
@@ -126,7 +133,7 @@ let test_stream_feed_order () =
   let instance = f.build ~seed:3 in
   let n = 8 in
   let eager =
-    let cfg = Engine.config ~n ~record_schedule:true () in
+    recording plain_cfg ~n @@ fun cfg ->
     let session =
       Session.create cfg ~delta:instance.Instance.delta
         ~delay:instance.Instance.delay Lru_edf.policy
@@ -148,9 +155,8 @@ let test_stream_reductions () =
   (* Distribute: oversized batches -> subcolors + cost projection *)
   let oversized = (Option.get (Families.find "oversized")).build ~seed:1 in
   let mapping = Distribute.transform oversized in
-  let cfg_of ~n =
-    Engine.config ~n ~record_schedule:true
-      ~cost_projection:(Distribute.project mapping) ()
+  let cfg_of ~n ~sink =
+    Engine.config ~n ~sink ~cost_projection:(Distribute.project mapping) ()
   in
   Alcotest.(check bool) "distribute streamed == batch" true
     (drive_stream ~cfg_of mapping.Distribute.sub_instance Lru_edf.policy ~n
@@ -161,9 +167,8 @@ let test_stream_reductions () =
   check_stream_matches_batch "varbatch" vb;
   (* and the composition the pipeline actually runs *)
   let mapping2 = Distribute.transform vb in
-  let cfg_of2 ~n =
-    Engine.config ~n ~record_schedule:true
-      ~cost_projection:(Distribute.project mapping2) ()
+  let cfg_of2 ~n ~sink =
+    Engine.config ~n ~sink ~cost_projection:(Distribute.project mapping2) ()
   in
   Alcotest.(check bool) "varbatch+distribute streamed == batch" true
     (drive_stream ~cfg_of:cfg_of2 mapping2.Distribute.sub_instance

@@ -133,14 +133,17 @@ let test_instance_file_io () =
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* a run with the sampler attached to the engine's sink *)
+let sampled ?mini_rounds instance factory ~n =
+  let metrics = Metrics.create () in
+  let sink = Metrics.attach metrics Rrs_obs.Sink.null in
+  (metrics, Engine.run (Engine.config ~n ?mini_rounds ~sink ()) instance factory)
+
 let test_metrics_series () =
   let instance =
     Instance.create ~delta:1 ~delay:[| 4 |] ~arrivals:[ arr 0 0 6; arr 4 0 2 ] ()
   in
-  let metrics, policy =
-    Metrics.instrument (Static_policy.static [ 0 ] instance ~n:1)
-  in
-  let r = Engine.run_policy (Engine.config ~n:1 ()) instance policy in
+  let metrics, r = sampled instance (Static_policy.static [ 0 ]) ~n:1 in
   let samples = Metrics.samples metrics in
   Alcotest.(check int) "one sample per round" r.rounds_simulated
     (List.length samples);
@@ -158,10 +161,7 @@ let test_metrics_csv () =
   let instance =
     Instance.create ~delta:1 ~delay:[| 2 |] ~arrivals:[ arr 0 0 2 ] ()
   in
-  let metrics, policy =
-    Metrics.instrument (Static_policy.static [ 0 ] instance ~n:1)
-  in
-  ignore (Engine.run_policy (Engine.config ~n:1 ()) instance policy);
+  let metrics, _ = sampled instance (Static_policy.static [ 0 ]) ~n:1 in
   let rows = Csv.parse_exn (Metrics.to_csv metrics) in
   Alcotest.(check int) "header + rounds" (1 + 3) (List.length rows);
   Alcotest.(check int) "six columns" 6 (List.length (List.hd rows))
@@ -170,10 +170,9 @@ let test_metrics_double_speed_merged () =
   let instance =
     Instance.create ~delta:1 ~delay:[| 2 |] ~arrivals:[ arr 0 0 4 ] ()
   in
-  let metrics, policy =
-    Metrics.instrument (Edf_policy.seq_policy instance ~n:1)
+  let metrics, r =
+    sampled ~mini_rounds:2 instance Edf_policy.seq_policy ~n:1
   in
-  let r = Engine.run_policy (Engine.config ~n:1 ~mini_rounds:2 ()) instance policy in
   let samples = Metrics.samples metrics in
   Alcotest.(check int) "mini-rounds merged" r.rounds_simulated
     (List.length samples)
@@ -182,8 +181,7 @@ let test_metrics_backlog_summary () =
   let instance =
     Instance.create ~delta:1 ~delay:[| 4 |] ~arrivals:[ arr 0 0 4 ] ()
   in
-  let metrics, policy = Metrics.instrument (Static_policy.black instance ~n:1) in
-  ignore (Engine.run_policy (Engine.config ~n:1 ()) instance policy);
+  let metrics, _ = sampled instance Static_policy.black ~n:1 in
   let s = Metrics.backlog_summary metrics in
   (* black policy never executes: backlog stays 4 until the drop at 4 *)
   Alcotest.(check bool) "max backlog 4" true (s.max = 4.0);

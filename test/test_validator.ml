@@ -10,10 +10,12 @@ let instance =
     ~arrivals:[ arr 0 0 6; arr 0 1 2; arr 4 0 1 ]
     ()
 
-let good_schedule () =
-  let cfg = Engine.config ~n:2 ~record_schedule:true () in
-  let r = Engine.run cfg instance (Static_policy.static [ 0; 1 ]) in
-  (r, Option.get r.schedule)
+let record ~n instance factory =
+  let events = Rrs_obs.Sink.memory () in
+  let r = Engine.run (Engine.config ~n ~sink:events ()) instance factory in
+  (r, Schedule.of_events ~n ~mini_rounds:1 (Rrs_obs.Sink.events events))
+
+let good_schedule () = record ~n:2 instance (Static_policy.static [ 0; 1 ])
 
 let test_accepts_engine_schedule () =
   let r, sched = good_schedule () in
@@ -206,17 +208,10 @@ let test_pp_report_invalid () =
     (contains rendered "[round ")
 
 let test_check_result_detects_cost_mismatch () =
-  let r, _ = good_schedule () in
+  let r, sched = good_schedule () in
   let lied = { r with Engine.cost = Cost.make ~reconfig:0 ~drop:0 } in
-  let report = Validator.check_result instance lied in
+  let report = Validator.check_result instance sched lied in
   expect_rejected "cost lie" report
-
-let test_check_result_requires_schedule () =
-  let cfg = Engine.config ~n:2 () in
-  let r = Engine.run cfg instance (Static_policy.static [ 0; 1 ]) in
-  match Validator.check_result instance r with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "missing schedule accepted"
 
 let () =
   Alcotest.run "validator"
@@ -256,7 +251,5 @@ let () =
         [
           Alcotest.test_case "cost mismatch" `Quick
             test_check_result_detects_cost_mismatch;
-          Alcotest.test_case "requires schedule" `Quick
-            test_check_result_requires_schedule;
         ] );
     ]
