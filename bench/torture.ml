@@ -31,7 +31,6 @@
 module Torture = Rrs_service.Torture
 module Server = Rrs_service.Server
 module Transport = Rrs_service.Transport
-module Protocol = Rrs_service.Protocol
 module Journal = Rrs_service.Journal
 module Snapshot = Rrs_service.Snapshot
 
@@ -74,12 +73,10 @@ let fresh_dir name =
   mk dir;
   dir
 
-let command_of_op = function
-  | Journal.Submit { round; color; count } ->
-      Printf.sprintf "submit %d %d %d" round color count
-  | Journal.Step k -> Printf.sprintf "step %d" k
-  | Journal.Reconfigure { delta; n; delay } ->
-      Protocol.command_to_string (Protocol.Reconfigure { delta; n; delay })
+(* How many ops a journal holds (a torn tail dropped). *)
+let journaled_ops path =
+  Journal.fold path ~init:(fun _ -> 0) ~f:(fun n _ -> n + 1)
+  |> Result.map fst
 
 let is_mutation_ack line =
   let prefixes = [ "ok submitted"; "ok stepped"; "ok reconfigured" ] in
@@ -182,7 +179,7 @@ let kill_drill ops k =
         (try
            List.iter
              (fun op ->
-               output_string oc (command_of_op op);
+               output_string oc (Journal.op_to_line op);
                output_char oc '\n';
                flush oc;
                match In_channel.input_line ic with
@@ -203,14 +200,14 @@ let kill_drill ops k =
             config state
         in
         (* ack-after-log: every acked op must have survived the kill *)
-        (match Journal.load (Filename.concat state "journal.jsonl") with
-        | Ok (_, journaled, _) ->
-            if List.length journaled < !acked then
+        (match journaled_ops (Filename.concat state "journal.jsonl") with
+        | Ok journaled ->
+            if journaled < !acked then
               fail "socket-kill@%d: %d acked but only %d journaled" k !acked
-                (List.length journaled)
-            else if List.length journaled <> k then
+                journaled
+            else if journaled <> k then
               fail "socket-kill@%d: journal holds %d ops, want exactly %d" k
-                (List.length journaled) k
+                journaled k
         | Error e ->
             fail "socket-kill@%d: journal unreadable: %s" k
               (Journal.describe_load_error ~path:"journal.jsonl" e));
@@ -356,8 +353,8 @@ let overload_drill () =
         }
   in
   let journaled =
-    match Journal.load (Filename.concat state "journal.jsonl") with
-    | Ok (_, ops, _) -> List.length ops
+    match journaled_ops (Filename.concat state "journal.jsonl") with
+    | Ok n -> n
     | Error e ->
         incr uncontained;
         fail "overload journal: %s"
@@ -413,7 +410,7 @@ let recovery_timing () =
     let oc =
       Out_channel.open_gen [ Open_append; Open_text ] 0o644 jpath
     in
-    output_string oc "{\"type\":\"serve_op\",\"op\":\"subm";
+    output_string oc "submit 19";
     Out_channel.close oc
   in
   let torn =

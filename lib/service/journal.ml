@@ -18,7 +18,7 @@ type header = {
   mini_rounds : int;
 }
 
-let header_version = 1
+let header_version = 2
 
 let int_array arr =
   Json.List (Array.to_list arr |> List.map (fun v -> Json.Int v))
@@ -36,33 +36,30 @@ let header_to_line h =
          ("mini_rounds", Json.Int h.mini_rounds);
        ])
 
-let op_to_line op =
-  let fields =
-    match op with
-    | Submit { round; color; count } ->
-        [
-          ("op", Json.String "submit");
-          ("round", Json.Int round);
-          ("color", Json.Int color);
-          ("count", Json.Int count);
-        ]
-    | Step k -> [ ("op", Json.String "step"); ("rounds", Json.Int k) ]
-    | Reconfigure { delta; n; delay } ->
-        [ ("op", Json.String "reconfigure") ]
-        @ (match delta with Some d -> [ ("delta", Json.Int d) ] | None -> [])
-        @ (match n with Some v -> [ ("n", Json.Int v) ] | None -> [])
-        @
-        if delay = [] then []
-        else
-          [
-            ( "delay",
-              Json.List
-                (List.map
-                   (fun (c, b) -> Json.List [ Json.Int c; Json.Int b ])
-                   delay) );
-          ]
-  in
-  Json.to_string (Json.Assoc (("type", Json.String "serve_op") :: fields))
+let to_command = function
+  | Submit { round; color; count } ->
+      Protocol.Submit { round = Some round; color; count }
+  | Step k -> Protocol.Step k
+  | Reconfigure { delta; n; delay } -> Protocol.Reconfigure { delta; n; delay }
+
+let op_to_line op = Protocol.command_to_string (to_command op)
+
+(* The version-2 decoder: the protocol parser, restricted to the three
+   canonical state-changing forms (a submit carries its round). *)
+let op_of_line line =
+  match Protocol.parse line with
+  | Ok (Some (Protocol.Submit { round = Some round; color; count })) ->
+      Ok (Submit { round; color; count })
+  | Ok (Some (Protocol.Step k)) -> Ok (Step k)
+  | Ok (Some (Protocol.Reconfigure { delta; n; delay })) ->
+      Ok (Reconfigure { delta; n; delay })
+  | Ok (Some _ | None) ->
+      Error
+        (Printf.sprintf
+           "journal op: want submit ROUND COLOR COUNT, step or reconfigure, \
+            got %S"
+           line)
+  | Error e -> Error ("journal op: " ^ e)
 
 let ( let* ) = Result.bind
 
@@ -116,9 +113,9 @@ let header_of_line line =
     Error (Printf.sprintf "journal header: type %S (want serve_open)" ty)
   else
     let* version = int_field "version" json in
-    if version <> header_version then
+    if version < 1 || version > header_version then
       Error
-        (Printf.sprintf "journal header: version %d (want %d)" version
+        (Printf.sprintf "journal header: version %d (want 1 to %d)" version
            header_version)
     else
       let* policy = string_field "policy" json in
@@ -128,7 +125,8 @@ let header_of_line line =
       let* mini_rounds = int_field "mini_rounds" json in
       Ok { version; policy; n; delta; delay; mini_rounds }
 
-let op_of_line line =
+(* The version-1 op decoder: one JSON object per op. *)
+let op_of_json line =
   let* json = Json.parse line in
   let* ty = string_field "type" json in
   if ty <> "serve_op" then
@@ -164,6 +162,12 @@ let op_of_line line =
         Ok (Reconfigure { delta; n; delay })
     | op -> Error (Printf.sprintf "journal op: unknown op %S" op)
 
+(* A version-1 journal that a newer server restored goes on with
+   version-2 lines, so its body may hold both; no protocol line starts
+   with a brace. *)
+let op_of_v1_line line =
+  if line.[0] = '{' then op_of_json line else op_of_line line
+
 type tear = { line : int; offset : int; reason : string }
 
 let describe_tear ~path t =
@@ -190,51 +194,56 @@ let describe_load_error ~path = function
          tail, refusing to load"
         path line offset reason
 
-(* Split the raw contents into (line, 1-based line number, byte offset
-   of the line start), keeping offsets exact so diagnostics can point
-   at the byte an operator would truncate at.  Blank lines are skipped
-   but still advance line numbers and offsets. *)
-let numbered_lines contents =
-  let len = String.length contents in
-  let rec go start line acc =
-    if start >= len then List.rev acc
-    else
-      let stop =
-        match String.index_from_opt contents start '\n' with
-        | Some i -> i
-        | None -> len
-      in
-      let text = String.sub contents start (stop - start) in
-      let acc =
-        if String.trim text = "" then acc else (text, line, start) :: acc
-      in
-      go (stop + 1) (line + 1) acc
-  in
-  go 0 1 []
+let is_blank line =
+  String.for_all
+    (function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false)
+    line
 
-let load path =
+let fold path ~init ~f =
   if not (Sys.file_exists path) then Error Missing
   else
-    let contents = In_channel.with_open_text path In_channel.input_all in
-    match numbered_lines contents with
-    | [] -> Error Empty
-    | (header_line, _, header_offset) :: op_lines -> (
-        match header_of_line header_line with
-        | Error reason -> Error (Bad_header { offset = header_offset; reason })
+    In_channel.with_open_bin path @@ fun ic ->
+    let number = ref 0 in
+    (* The next non-blank line: its text, 1-based number, the byte
+       offset where it starts, and whether a newline ended it.  Blank
+       lines are skipped but still advance numbers and offsets. *)
+    let rec next () =
+      let offset = pos_in ic in
+      match In_channel.input_line ic with
+      | None -> None
+      | Some text ->
+          incr number;
+          if is_blank text then next ()
+          else
+            Some (text, !number, offset, pos_in ic > offset + String.length text)
+    in
+    match next () with
+    | None -> Error Empty
+    | Some (text, _, offset, _) -> (
+        match header_of_line text with
+        | Error reason -> Error (Bad_header { offset; reason })
         | Ok header ->
-            let rec parse acc = function
-              | [] -> Ok (header, List.rev acc, None)
-              | (text, line, offset) :: rest -> (
-                  match op_of_line text with
-                  | Ok op -> parse (op :: acc) rest
-                  | Error reason when rest = [] ->
-                      (* torn tail: the crash interrupted the final
-                         write; the op was never acked, drop it *)
-                      Ok (header, List.rev acc, Some { line; offset; reason })
-                  | Error reason ->
-                      Error (Corrupt_body { line; offset; reason }))
+            let decode = if header.version = 1 then op_of_v1_line else op_of_line in
+            let rec go acc =
+              match next () with
+              | None -> Ok (acc, None)
+              | Some (text, line, offset, ended) -> (
+                  match decode text with
+                  | Ok op when ended -> go (f acc op)
+                  | decoded -> (
+                      let reason =
+                        match decoded with
+                        | Error reason -> reason
+                        | Ok _ -> "no trailing newline: the append was cut short"
+                      in
+                      match next () with
+                      | None ->
+                          (* torn tail: the crash interrupted the final
+                             append; the op was never acked, drop it *)
+                          Ok (acc, Some { line; offset; reason })
+                      | Some _ -> Error (Corrupt_body { line; offset; reason })))
             in
-            parse [] op_lines)
+            go (init header))
 
 type writer = { oc : out_channel }
 

@@ -1,21 +1,32 @@
 (** The write-ahead journal of a service session.
 
-    One JSONL file: a header line naming the session's creation
-    parameters (policy id, n, Δ, delay bounds, mini-rounds), then one
-    line per state-changing command {e after} it was applied
-    successfully (log-after-apply: a command that crashes the server
-    never reaches the journal, so replay cannot re-crash on it; the
-    client's un-acked command is the at-most-once loss window —
+    One file ([journal.jsonl]): a JSON header line naming the session's
+    creation parameters (format version, policy id, n, Δ, delay bounds,
+    mini-rounds), then one line per state-changing command {e after} it
+    was applied successfully (log-after-apply: a command that crashes
+    the server never reaches the journal, so replay cannot re-crash on
+    it; the client's un-acked command is the at-most-once loss window —
     doc/SERVICE.md, "Restart semantics").
+
+    {b Version 2} (written today): every op line is the canonical
+    {!Protocol} line of the op — [submit ROUND COLOR COUNT] with the
+    resolved absolute round, [step [K]], or [reconfigure KEY=VALUE ...]
+    — so a journal body is itself an [rrs serve] script.  A protocol
+    line is not self-delimiting the way a JSON object is, so every op
+    line must end in a newline: a final line without one is a torn
+    tail even when it parses.  {b Version 1} journals (one JSON object
+    per op) still restore; their body may continue with version-2
+    lines once a newer server has appended to them.
 
     Replaying the header + ops through a fresh {!Rrs_core.Engine.Session}
     reproduces the live session byte-identically — sessions are
-    deterministic functions of this sequence.  {!load} tolerates a torn
-    final line (the crash left a partial write): it is dropped with a
-    {!tear} report carrying the exact byte offset of the torn line, so
-    an operator can [truncate -s OFFSET] the file to silence the
-    warning; a torn line {e earlier} than the tail is corruption and
-    refuses to load with an equally precise {!load_error}. *)
+    deterministic functions of this sequence.  {!fold} streams the ops
+    one at a time.  It tolerates a torn final line (the crash left a
+    partial write): it is dropped with a {!tear} report carrying the
+    exact byte offset of the torn line, so an operator can
+    [truncate -s OFFSET] the file to silence the warning; a bad line
+    {e earlier} than the tail is corruption and refuses to load with an
+    equally precise {!load_error}. *)
 
 type op =
   | Submit of { round : int; color : int; count : int }
@@ -29,7 +40,7 @@ type op =
     }
 
 type header = {
-  version : int;
+  version : int;  (** 1 or 2; the body's line format *)
   policy : string;
   n : int;
   delta : int;
@@ -38,17 +49,23 @@ type header = {
 }
 
 val header_version : int
+(** The version {!create} writes: 2. *)
 
 val header_to_line : header -> string
+
 val op_to_line : op -> string
+(** The canonical protocol line, {!Protocol.command_to_string}. *)
+
 val op_of_line : string -> (op, string) result
+(** The version-2 decoder: {!Protocol.parse}, accepting only a submit
+    with a round, a step or a reconfigure. *)
 
 type tear = {
   line : int;  (** 1-based line number of the dropped torn tail *)
   offset : int;  (** byte offset where the torn line starts *)
-  reason : string;  (** why its parse failed *)
+  reason : string;  (** why it was torn: a parse error or no newline *)
 }
-(** A torn trailing line {!load} dropped: the crash interrupted the
+(** A torn trailing line {!fold} dropped: the crash interrupted the
     final append, the op was never acked, dropping it is today's
     documented at-most-once behavior.  [offset] is where the torn
     bytes begin — truncating the file to exactly [offset] bytes
@@ -71,9 +88,16 @@ type load_error =
 
 val describe_load_error : path:string -> load_error -> string
 
-val load : string -> (header * op list * tear option, load_error) result
-(** Parse a journal file.  The third component reports a dropped torn
-    trailing line, when there was one. *)
+val fold :
+  string ->
+  init:(header -> 'a) ->
+  f:('a -> op -> 'a) ->
+  ('a * tear option, load_error) result
+(** Read a journal one line at a time: [init] gets the header, [f] each
+    op in order.  The second component reports a dropped torn trailing
+    line, when there was one.  On [Corrupt_body], [f] has already seen
+    the ops before the bad line.  Exceptions from [init] and [f]
+    propagate (the file is closed). *)
 
 (** An append handle: one line per {!append}, flushed through to the OS
     so a crash loses at most the in-flight line. *)

@@ -44,139 +44,142 @@ let valid_session_name name =
          | _ -> false)
        name
 
-let session_name_of_token tok =
-  if valid_session_name tok then Ok tok
+(* A parse error, raised wherever a token is rejected and turned into
+   [Error] by {!parse}: the success path builds no [result] per token. *)
+exception Syntax of string
+
+let syntax fmt = Printf.ksprintf (fun msg -> raise (Syntax msg)) fmt
+
+let session_name_token tok =
+  if valid_session_name tok then tok
   else
-    Error
-      (Printf.sprintf
-         "session name %S: want [A-Za-z0-9_.-]+ not starting with a dot" tok)
+    syntax "session name %S: want [A-Za-z0-9_.-]+ not starting with a dot" tok
 
-let int_of_token name tok =
-  match int_of_string_opt tok with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "%s: not an integer: %S" name tok)
+let int_token name tok =
+  match int_of_string tok with
+  | v -> v
+  | exception Failure _ -> syntax "%s: not an integer: %S" name tok
 
-let ( let* ) = Result.bind
-
+(* COLOR:BOUND[,COLOR:BOUND...] *)
 let parse_delay_spec spec =
-  (* COLOR:BOUND[,COLOR:BOUND...] *)
-  let entries = String.split_on_char ',' spec in
-  List.fold_left
-    (fun acc entry ->
-      let* acc = acc in
+  List.map
+    (fun entry ->
       match String.split_on_char ':' entry with
       | [ color; bound ] ->
-          let* color = int_of_token "delay color" color in
-          let* bound = int_of_token "delay bound" bound in
-          Ok ((color, bound) :: acc)
-      | _ -> Error (Printf.sprintf "delay: want COLOR:BOUND, got %S" entry))
-    (Ok []) entries
-  |> Result.map List.rev
+          let color = int_token "delay color" color in
+          (color, int_token "delay bound" bound)
+      | _ -> syntax "delay: want COLOR:BOUND, got %S" entry)
+    (String.split_on_char ',' spec)
+
+let nothing_to_change =
+  "reconfigure: nothing to change (want delta=, n= and/or delay=)"
 
 let parse_reconfigure tokens =
-  let* delta, n, delay =
+  let delta, n, delay =
     List.fold_left
-      (fun acc tok ->
-        let* delta, n, delay = acc in
+      (fun (delta, n, delay) tok ->
         match String.index_opt tok '=' with
-        | None ->
-            Error
-              (Printf.sprintf "reconfigure: want KEY=VALUE, got %S" tok)
+        | None -> syntax "reconfigure: want KEY=VALUE, got %S" tok
         | Some i -> (
             let key = String.sub tok 0 i in
             let value = String.sub tok (i + 1) (String.length tok - i - 1) in
             match key with
-            | "delta" ->
-                let* v = int_of_token "delta" value in
-                Ok (Some v, n, delay)
-            | "n" ->
-                let* v = int_of_token "n" value in
-                Ok (delta, Some v, delay)
-            | "delay" ->
-                let* d = parse_delay_spec value in
-                Ok (delta, n, delay @ d)
+            | "delta" -> (Some (int_token "delta" value), n, delay)
+            | "n" -> (delta, Some (int_token "n" value), delay)
+            | "delay" -> (delta, n, delay @ parse_delay_spec value)
             | _ ->
-                Error
-                  (Printf.sprintf
-                     "reconfigure: unknown key %S (want delta, n or delay)" key)
-            ))
-      (Ok (None, None, []))
-      tokens
+                syntax "reconfigure: unknown key %S (want delta, n or delay)"
+                  key))
+      (None, None, []) tokens
   in
-  if delta = None && n = None && delay = [] then
-    Error "reconfigure: nothing to change (want delta=, n= and/or delay=)"
-  else Ok (Reconfigure { delta; n; delay })
+  if delta = None && n = None && delay = [] then raise (Syntax nothing_to_change)
+  else Reconfigure { delta; n; delay }
+
+(* The bytes [String.trim] strips from both ends of a line. *)
+let is_trim_space = function
+  | ' ' | '\012' | '\n' | '\r' | '\t' -> true
+  | _ -> false
+
+let rec comment_start line i =
+  if i = String.length line || line.[i] = '#' then i
+  else comment_start line (i + 1)
+
+let cut line i stop acc =
+  if stop > i then String.sub line i (stop - i) :: acc else acc
+
+(* Right to left over [lo, i], so consing yields the tokens in order;
+   [stop] ends the token being scanned. *)
+let rec scan line lo i stop acc =
+  if i < lo then cut line lo stop acc
+  else
+    match line.[i] with
+    | ' ' | '\t' -> scan line lo (i - 1) i (cut line (i + 1) stop acc)
+    | _ -> scan line lo (i - 1) stop acc
+
+(* The tokens of [line] in one scan: cut at the first [#], trim the
+   ends as [String.trim] does, split on spaces and tabs, drop empty
+   tokens. *)
+let tokens line =
+  let lo = ref 0 and hi = ref (comment_start line 0) in
+  while !lo < !hi && is_trim_space line.[!lo] do
+    incr lo
+  done;
+  while !hi > !lo && is_trim_space line.[!hi - 1] do
+    decr hi
+  done;
+  scan line !lo (!hi - 1) !hi []
+
+let command = function
+  | [] -> None
+  | verb :: args ->
+      Some
+        (match (verb, args) with
+        | "submit", [ color; count ] ->
+            let color = int_token "color" color in
+            Submit { round = None; color; count = int_token "count" count }
+        | "submit", [ round; color; count ] ->
+            let round = int_token "round" round in
+            let color = int_token "color" color in
+            Submit { round = Some round; color; count = int_token "count" count }
+        | "submit", _ -> raise (Syntax "submit: want [ROUND] COLOR COUNT")
+        | "step", [] -> Step 1
+        | "step", [ k ] ->
+            let k = int_token "step count" k in
+            if k < 1 then raise (Syntax "step: count must be at least 1")
+            else Step k
+        | "step", _ -> raise (Syntax "step: want at most one count")
+        | "state", [] -> State
+        | "state", _ -> raise (Syntax "state: takes no arguments")
+        | "reconfigure", [] -> raise (Syntax nothing_to_change)
+        | "reconfigure", args -> parse_reconfigure args
+        | "checkpoint", [] -> Checkpoint
+        | "checkpoint", _ -> raise (Syntax "checkpoint: takes no arguments")
+        | "open", [ name ] -> Open (session_name_token name)
+        | "open", _ -> raise (Syntax "open: want exactly one session NAME")
+        | "attach", [ name ] -> Attach (session_name_token name)
+        | "attach", _ -> raise (Syntax "attach: want exactly one session NAME")
+        | "sessions", [] -> Sessions
+        | "sessions", _ -> raise (Syntax "sessions: takes no arguments")
+        | "shutdown", [] -> Shutdown
+        | "shutdown", _ -> raise (Syntax "shutdown: takes no arguments")
+        | "quit", [] -> Quit
+        | "quit", _ -> raise (Syntax "quit: takes no arguments")
+        | "help", _ -> Help
+        | verb, _ -> syntax "unknown command %S (try: help)" verb)
 
 let parse line =
-  let line =
-    match String.index_opt line '#' with
-    | Some i -> String.sub line 0 i
-    | None -> line
-  in
-  let tokens =
-    String.split_on_char ' ' (String.trim line)
-    |> List.concat_map (String.split_on_char '\t')
-    |> List.filter (fun t -> t <> "")
-  in
-  match tokens with
-  | [] -> Ok None
-  | verb :: args -> (
-      let some c = Result.map (fun c -> Some c) c in
-      match (verb, args) with
-      | "submit", [ color; count ] ->
-          some
-            (let* color = int_of_token "color" color in
-             let* count = int_of_token "count" count in
-             Ok (Submit { round = None; color; count }))
-      | "submit", [ round; color; count ] ->
-          some
-            (let* round = int_of_token "round" round in
-             let* color = int_of_token "color" color in
-             let* count = int_of_token "count" count in
-             Ok (Submit { round = Some round; color; count }))
-      | "submit", _ -> Error "submit: want [ROUND] COLOR COUNT"
-      | "step", [] -> Ok (Some (Step 1))
-      | "step", [ k ] ->
-          some
-            (let* k = int_of_token "step count" k in
-             if k < 1 then Error "step: count must be at least 1"
-             else Ok (Step k))
-      | "step", _ -> Error "step: want at most one count"
-      | "state", [] -> Ok (Some State)
-      | "state", _ -> Error "state: takes no arguments"
-      | "reconfigure", [] ->
-          Error "reconfigure: nothing to change (want delta=, n= and/or delay=)"
-      | "reconfigure", args -> some (parse_reconfigure args)
-      | "checkpoint", [] -> Ok (Some Checkpoint)
-      | "checkpoint", _ -> Error "checkpoint: takes no arguments"
-      | "open", [ name ] ->
-          some
-            (let* name = session_name_of_token name in
-             Ok (Open name))
-      | "open", _ -> Error "open: want exactly one session NAME"
-      | "attach", [ name ] ->
-          some
-            (let* name = session_name_of_token name in
-             Ok (Attach name))
-      | "attach", _ -> Error "attach: want exactly one session NAME"
-      | "sessions", [] -> Ok (Some Sessions)
-      | "sessions", _ -> Error "sessions: takes no arguments"
-      | "shutdown", [] -> Ok (Some Shutdown)
-      | "shutdown", _ -> Error "shutdown: takes no arguments"
-      | "quit", [] -> Ok (Some Quit)
-      | "quit", _ -> Error "quit: takes no arguments"
-      | "help", _ -> Ok (Some Help)
-      | verb, _ ->
-          Error
-            (Printf.sprintf "unknown command %S (try: help)" verb))
+  match command (tokens line) with
+  | cmd -> Ok cmd
+  | exception Syntax msg -> Error msg
 
 let command_to_string = function
   | Submit { round = None; color; count } ->
-      Printf.sprintf "submit %d %d" color count
+      String.concat " " [ "submit"; string_of_int color; string_of_int count ]
   | Submit { round = Some round; color; count } ->
-      Printf.sprintf "submit %d %d %d" round color count
+      String.concat " "
+        [ "submit"; string_of_int round; string_of_int color; string_of_int count ]
   | Step 1 -> "step"
-  | Step k -> Printf.sprintf "step %d" k
+  | Step k -> "step " ^ string_of_int k
   | State -> "state"
   | Reconfigure { delta; n; delay } ->
       let parts =

@@ -65,31 +65,37 @@ let default_session = "default"
 
 (* ---- applying ops to the session --------------------------------- *)
 
-let apply_to session (op : Journal.op) : (string, string) result =
+(* Reply-free: restore replays through this, and only {!exec} builds
+   the ack text ({!ack}). *)
+let apply_to session (op : Journal.op) : (unit, string) result =
   match op with
-  | Journal.Submit { round; color; count } -> (
-      match Session.feed session ~round ~color ~count with
-      | Ok () ->
-          Ok
-            (Printf.sprintf "submitted %d job%s of color %d at round %d" count
-               (if count = 1 then "" else "s")
-               color round)
-      | Error e -> Error ("submit: " ^ Session.string_of_feed_error e))
+  | Journal.Submit { round; color; count } ->
+      Session.feed session ~round ~color ~count
+      |> Result.map_error (fun e -> "submit: " ^ Session.string_of_feed_error e)
   | Journal.Step k ->
       for _ = 1 to k do
         Session.step session
       done;
-      Ok
-        (Printf.sprintf "stepped %d round%s to round %d" k
-           (if k = 1 then "" else "s")
-           (Session.round session))
-  | Journal.Reconfigure { delta; n; delay } -> (
-      match Session.reconfigure session ?delta ?n ~delay () with
-      | Ok () ->
-          Ok
-            (Printf.sprintf "reconfigured: n=%d delta=%d" (Session.n session)
-               (Session.delta session))
-      | Error e -> Error ("reconfigure: " ^ Session.string_of_reconfigure_error e))
+      Ok ()
+  | Journal.Reconfigure { delta; n; delay } ->
+      Session.reconfigure session ?delta ?n ~delay ()
+      |> Result.map_error (fun e ->
+             "reconfigure: " ^ Session.string_of_reconfigure_error e)
+
+(* The ack line of an applied op, read off the session after it. *)
+let ack session (op : Journal.op) =
+  match op with
+  | Journal.Submit { round; color; count } ->
+      Printf.sprintf "ok submitted %d job%s of color %d at round %d" count
+        (if count = 1 then "" else "s")
+        color round
+  | Journal.Step k ->
+      Printf.sprintf "ok stepped %d round%s to round %d" k
+        (if k = 1 then "" else "s")
+        (Session.round session)
+  | Journal.Reconfigure _ ->
+      Printf.sprintf "ok reconfigured: n=%d delta=%d" (Session.n session)
+        (Session.delta session)
 
 (* ---- durable state ------------------------------------------------ *)
 
@@ -290,34 +296,35 @@ let refuse h ~name reason =
   recovery_event ~counter:h.counters.refused ~name:("refuse-" ^ name) ~reason;
   raise (Corrupt reason)
 
-(* Rebuild the session by replaying the journal; when the replay passes
-   an anchor's journal position, the states must agree — a mismatch
-   means the journal and that checkpoint tell different stories.  Each
-   verdict carries the replay-side snapshot taken at the anchor's op
-   count, so divergence diagnostics can show both witnesses. *)
-let replay name header ops ~anchors =
-  let session = session_of_header name header in
-  let applied = ref 0 in
-  let verdicts = ref [] in
+(* Replay state, threaded through {!Journal.fold} one op at a time.
+   When the replay passes an anchor's journal position, the states must
+   agree — a mismatch means the journal and that checkpoint tell
+   different stories.  Each verdict carries the replay-side snapshot
+   taken at the anchor's op count, so divergence diagnostics can show
+   both witnesses. *)
+type replay = {
+  header : Journal.header;
+  replayed : Session.t;
+  mutable applied : int;
+  mutable verdicts : (string * Snapshot.t * Snapshot.t * bool) list;
+}
+
+let replay_op anchors r op =
+  (match apply_to r.replayed op with
+  | Ok () -> ()
+  | Error e ->
+      raise
+        (Corrupt
+           (Printf.sprintf "journal replay: op %d refused: %s" (r.applied + 1) e)));
+  r.applied <- r.applied + 1;
   List.iter
-    (fun op ->
-      (match apply_to session op with
-      | Ok _ -> ()
-      | Error e ->
-          raise
-            (Corrupt
-               (Printf.sprintf "journal replay: op %d refused: %s"
-                  (!applied + 1) e)));
-      incr applied;
-      List.iter
-        (fun (which, (ckpt : Snapshot.t)) ->
-          if ckpt.ops = !applied then begin
-            let now = Snapshot.of_session ~ops:!applied session in
-            verdicts := (which, ckpt, now, Snapshot.equal now ckpt) :: !verdicts
-          end)
-        anchors)
-    ops;
-  (session, !applied, List.rev !verdicts)
+    (fun (which, (ckpt : Snapshot.t)) ->
+      if ckpt.ops = r.applied then begin
+        let now = Snapshot.of_session ~ops:r.applied r.replayed in
+        r.verdicts <- (which, ckpt, now, Snapshot.equal now ckpt) :: r.verdicts
+      end)
+    anchors;
+  r
 
 let fresh_session h name ~dir ~writer =
   {
@@ -337,7 +344,27 @@ let fresh_session h name ~dir ~writer =
 
 (* The tiered restore ladder (doc/SERVICE.md, "Failure matrix"). *)
 let restore h name ~dir jpath =
-  match Journal.load jpath with
+  let cpath = checkpoint_path dir in
+  let ppath = checkpoint_prev_path dir in
+  (* both anchors are read before the replay, which checks them as it
+     passes their op counts; an unreadable one is set aside only once
+     the journal has loaded *)
+  let cur = ("checkpoint", cpath, load_checkpoint cpath) in
+  let prev = ("previous checkpoint", ppath, load_checkpoint ppath) in
+  let anchors =
+    List.filter_map
+      (function which, _, Ok (Some c) -> Some (which, c) | _ -> None)
+      [ cur; prev ]
+  in
+  let init header =
+    {
+      header;
+      replayed = session_of_header name header;
+      applied = 0;
+      verdicts = [];
+    }
+  in
+  match Journal.fold jpath ~init ~f:(replay_op anchors) with
   | Error Journal.Missing ->
       fresh_session h name ~dir:(Some dir)
         ~writer:(Some (Journal.create jpath (header_of_config h.config)))
@@ -352,7 +379,7 @@ let restore h name ~dir jpath =
         | None -> diag
       in
       refuse h ~name diag
-  | Ok (header, ops, tear) ->
+  | Ok (r, tear) ->
       let notices = ref [] in
       let notice fmt = Printf.ksprintf (fun m -> notices := m :: !notices) fmt in
       (match tear with
@@ -369,39 +396,33 @@ let restore h name ~dir jpath =
           (try Unix.truncate jpath t.Journal.offset
            with Unix.Unix_error _ -> ());
           notice "%s" msg);
-      let cpath = checkpoint_path dir in
-      let ppath = checkpoint_prev_path dir in
       (* tier 2: checkpoints are derived state — an unreadable one is
          quarantined out of the restore path and replay carries on *)
-      let load_anchor which path =
-        match load_checkpoint path with
-        | Ok c -> Option.map (fun c -> (which, c)) c
-        | Error e ->
-            let target = quarantine `Rename path in
-            let msg =
-              Printf.sprintf "quarantined unreadable %s (%s)%s" which e
-                (match target with Some t -> " to " ^ t | None -> "")
-            in
-            recovery_event ~counter:h.counters.quarantined
-              ~name:("checkpoint-" ^ name) ~reason:msg;
-            notice "%s" msg;
-            None
-      in
-      let cur = load_anchor "checkpoint" cpath in
-      let prev = load_anchor "previous checkpoint" ppath in
-      let anchors = List.filter_map Fun.id [ cur; prev ] in
+      List.iter
+        (function
+          | which, path, Error e ->
+              let target = quarantine `Rename path in
+              let msg =
+                Printf.sprintf "quarantined unreadable %s (%s)%s" which e
+                  (match target with Some t -> " to " ^ t | None -> "")
+              in
+              recovery_event ~counter:h.counters.quarantined
+                ~name:("checkpoint-" ^ name) ~reason:msg;
+              notice "%s" msg
+          | _ -> ())
+        [ cur; prev ];
       List.iter
         (fun (which, (c : Snapshot.t)) ->
-          if c.ops > List.length ops then
+          if c.ops > r.applied then
             refuse h ~name
               (Printf.sprintf
                  "journal %s holds %d op%s but the %s was committed at op %d: \
                   acked ops are missing from the journal"
-                 jpath (List.length ops)
-                 (if List.length ops = 1 then "" else "s")
+                 jpath r.applied
+                 (if r.applied = 1 then "" else "s")
                  which c.ops))
         anchors;
-      let session, applied, verdicts = replay name header ops ~anchors in
+      let verdicts = List.rev r.verdicts in
       let agreed which =
         List.exists (fun (w, _, _, ok) -> w = which && ok) verdicts
       in
@@ -452,15 +473,16 @@ let restore h name ~dir jpath =
       {
         name;
         seq = new_seq h;
-        policy_id = header.Journal.policy;
-        session;
+        policy_id = r.header.Journal.policy;
+        session = r.replayed;
         wedged_counter = h.counters.wedged;
         writer = Some (Journal.append_to jpath);
         dir = Some dir;
         restored = true;
         notices = List.rev !notices;
-        ops = applied;
-        ckpt_ops = (match cur with Some (_, c) -> c.Snapshot.ops | None -> 0);
+        ops = r.applied;
+        ckpt_ops =
+          (match cur with _, _, Ok (Some c) -> c.Snapshot.ops | _ -> 0);
         wedged = None;
       }
 
@@ -596,9 +618,9 @@ let exec ?(apply = apply_op) h (current : session) (cmd : Protocol.command) :
           ]
     | None -> (
         match apply current op with
-        | Ok msg ->
+        | Ok () ->
             commit h current op;
-            Reply [ "ok " ^ msg ]
+            Reply [ ack current.session op ]
         | Error e -> Reply [ "err " ^ e ])
   in
   match cmd with

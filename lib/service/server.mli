@@ -162,9 +162,10 @@ val abandon_session : host -> session -> unit
     as a kill would — the torture drills use this to build fixtures
     whose journal extends past the last checkpoint. *)
 
-val apply_op : session -> Journal.op -> (string, string) result
-(** Apply one state-changing op to the live engine session; [Ok] is
-    the human ack line body, [Error] the refusal. *)
+val apply_op : session -> Journal.op -> (unit, string) result
+(** Apply one state-changing op to the live engine session, or refuse
+    it with the reason.  Builds no reply text: {!exec} writes the ack,
+    and restore replays the journal through the same apply. *)
 
 val commit : host -> session -> Journal.op -> unit
 (** Journal the (already applied) op, advance the op counters, commit
@@ -183,7 +184,7 @@ type outcome =
   | Stop of string list  (** [shutdown]: drain and stop the server *)
 
 val exec :
-  ?apply:(session -> Journal.op -> (string, string) result) ->
+  ?apply:(session -> Journal.op -> (unit, string) result) ->
   host ->
   session ->
   Protocol.command ->

@@ -583,6 +583,33 @@ let prop_parse_arbitrary_bytes =
     (QCheck.make ~print:(Printf.sprintf "%S") gen)
     parse_never_raises
 
+(* The tokenizer [Protocol.parse] had before its single scan: cut at
+   the first [#], [String.trim], split on spaces then on tabs, drop
+   empty tokens.  Every line must parse as its re-joined tokens do. *)
+let reference_tokens line =
+  let line =
+    match String.index_opt line '#' with
+    | Some i -> String.sub line 0 i
+    | None -> line
+  in
+  String.split_on_char ' ' (String.trim line)
+  |> List.concat_map (String.split_on_char '\t')
+  |> List.filter (fun t -> t <> "")
+
+let prop_tokenizer_reference =
+  let pieces =
+    [ "submit"; "step"; "state"; "reconfigure"; "delta=2"; "delay=1:3";
+      "open"; "x"; "1"; "22"; " "; " "; "\t"; "\r"; "\n"; "\012"; "#" ]
+  in
+  let gen =
+    QCheck.Gen.(map (String.concat "") (list_size (0 -- 12) (oneofl pieces)))
+  in
+  QCheck.Test.make ~count:2000 ~name:"tokens match the split/trim reference"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun line ->
+      Protocol.parse line
+      = Protocol.parse (String.concat " " (reference_tokens line)))
+
 (* near misses: start from a valid command and damage it a little —
    the parser must degrade to a clean error or another valid parse,
    never an exception or a raise from int_of_string and friends *)
@@ -647,22 +674,21 @@ let torture_config =
     checkpoint_every = 6;
   }
 
+(* A version-1 journal (one JSON object per line), written literally:
+   today's writer emits version 2, and version-1 files must still
+   restore, torn JSON tail included. *)
 let write_torn_journal dir =
   let path = Filename.concat dir "journal.jsonl" in
-  let header =
-    {
-      Journal.version = Journal.header_version;
-      policy = torture_config.Server.policy;
-      n = torture_config.Server.n;
-      delta = torture_config.Server.delta;
-      delay = torture_config.Server.delay;
-      mini_rounds = torture_config.Server.mini_rounds;
-    }
-  in
-  let w = Journal.create path header in
-  Journal.append w (Journal.Submit { round = 0; color = 1; count = 2 });
-  Journal.append w (Journal.Step 1);
-  Journal.close w;
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter
+        (fun line ->
+          output_string oc line;
+          output_char oc '\n')
+        [
+          {|{"type":"serve_open","version":1,"policy":"dlru-edf","n":4,"delta":2,"delay":[6,6,6,6],"mini_rounds":1}|};
+          {|{"type":"serve_op","op":"submit","round":0,"color":1,"count":2}|};
+          {|{"type":"serve_op","op":"step","rounds":1}|};
+        ]);
   let intact = (Unix.stat path).Unix.st_size in
   let oc = Out_channel.open_gen [ Open_append; Open_binary ] 0o644 path in
   output_string oc "{\"type\":\"serve_op\",\"op\":\"su";
@@ -673,8 +699,10 @@ let test_torn_tail_offset () =
   let dir = temp_dir "torn" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let path, intact = write_torn_journal dir in
-  (match Journal.load path with
-  | Ok (_, ops, Some tear) ->
+  (match
+     Journal.fold path ~init:(fun _ -> []) ~f:(fun ops op -> op :: ops)
+   with
+  | Ok (ops, Some tear) ->
       Alcotest.(check int) "ops before the tear" 2 (List.length ops);
       Alcotest.(check int) "tear offset" intact tear.Journal.offset;
       let msg = Journal.describe_tear ~path tear in
@@ -687,7 +715,7 @@ let test_torn_tail_offset () =
            i + n <= m && (String.sub msg i n = needle || find (i + 1))
          in
          find 0)
-  | Ok (_, _, None) -> Alcotest.fail "tear not detected"
+  | Ok (_, None) -> Alcotest.fail "tear not detected"
   | Error e ->
       Alcotest.failf "load failed: %s"
         (Journal.describe_load_error ~path e));
@@ -769,6 +797,199 @@ let test_journal_body_refuses () =
     (read_file jpath);
   (* the original stays put, so a blind restart refuses again *)
   refuses "journal-body-again"
+
+(* ---- journal version 2: framing, strictness, version 1 ------------ *)
+
+let journal_header =
+  Journal.header_to_line
+    {
+      Journal.version = Journal.header_version;
+      policy = torture_config.Server.policy;
+      n = torture_config.Server.n;
+      delta = torture_config.Server.delta;
+      delay = torture_config.Server.delay;
+      mini_rounds = torture_config.Server.mini_rounds;
+    }
+  ^ "\n"
+
+let journal_ops path =
+  Journal.fold path ~init:(fun _ -> []) ~f:(fun ops op -> op :: ops)
+  |> Result.map (fun (ops, tear) -> (List.rev ops, tear))
+
+let with_temp_dir name f =
+  let dir = temp_dir name in
+  Fun.protect ~finally:(fun () -> rm_rf_deep dir) @@ fun () -> f dir
+
+let test_op_lines_roundtrip () =
+  let ops =
+    Journal.Reconfigure { delta = Some 3; n = Some 9; delay = [ (0, 4); (2, 7) ] }
+    :: Journal.Reconfigure { delta = None; n = Some 2; delay = [] }
+    :: List.concat_map
+         (fun seed -> Torture.ops_of_seed ~count:30 ~colors:9 seed)
+         (List.init 20 Fun.id)
+  in
+  List.iter
+    (fun op ->
+      let line = Journal.op_to_line op in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S decodes to its op" line)
+        true
+        (Journal.op_of_line line = Ok op);
+      (* the journal line is the protocol line *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%S is canonical protocol" line)
+        true
+        (match Protocol.parse line with
+        | Ok (Some cmd) -> Protocol.command_to_string cmd = line
+        | _ -> false))
+    ops
+
+(* A protocol line is not self-delimiting: the append cut one byte
+   short of [submit 12345 517 32] still parses, as a different op, so
+   only the missing newline marks it torn. *)
+let test_unterminated_tail_torn () =
+  with_temp_dir "v2torn" @@ fun dir ->
+  let path = Filename.concat dir "journal.jsonl" in
+  let body = journal_header ^ "submit 0 1 2\nstep\n" in
+  write_file path (body ^ "submit 12345 517 3");
+  (match journal_ops path with
+  | Ok (ops, Some tear) ->
+      Alcotest.(check bool) "only the terminated ops" true
+        (ops
+        = [ Journal.Submit { round = 0; color = 1; count = 2 }; Journal.Step 1 ]);
+      Alcotest.(check int) "tear line" 4 tear.Journal.line;
+      Alcotest.(check int) "tear offset" (String.length body) tear.Journal.offset
+  | Ok (_, None) -> Alcotest.fail "the unterminated final line was replayed"
+  | Error e -> Alcotest.failf "load failed: %s" (Journal.describe_load_error ~path e));
+  (* the same line with its newline is an op like any other *)
+  write_file path (body ^ "submit 12345 517 3\n");
+  (match journal_ops path with
+  | Ok (ops, None) -> Alcotest.(check int) "terminated, replayed" 3 (List.length ops)
+  | _ -> Alcotest.fail "a terminated final line must load");
+  (* the server drops the unterminated op (tier 1) and cuts the file *)
+  write_file path (body ^ "submit 1 2 3");
+  let h = Server.host { torture_config with checkpoint_dir = Some dir } in
+  let s = Server.open_session h Server.default_session in
+  Alcotest.(check int) "restored ops" 2 (Server.session_ops s);
+  Alcotest.(check int) "one notice" 1 (List.length (Server.session_notices s));
+  Alcotest.(check int) "journal cut at the tear" (String.length body)
+    (Unix.stat path).Unix.st_size;
+  Server.abandon_session h s
+
+let test_only_canonical_ops () =
+  with_temp_dir "v2strict" @@ fun dir ->
+  let path = Filename.concat dir "journal.jsonl" in
+  let before = journal_header ^ "submit 0 1 2\n" in
+  List.iter
+    (fun bad ->
+      write_file path (before ^ bad ^ "\nstep\n");
+      match journal_ops path with
+      | Error (Journal.Corrupt_body { line; offset; _ }) ->
+          Alcotest.(check int) (bad ^ ": line") 3 line;
+          Alcotest.(check int) (bad ^ ": offset") (String.length before) offset
+      | Error e ->
+          Alcotest.failf "%S: wrong refusal: %s" bad
+            (Journal.describe_load_error ~path e)
+      | Ok _ -> Alcotest.failf "%S: accepted as a journal op" bad)
+    [ "state"; "open x"; "submit 1 2"; "# a comment"; "quit" ]
+
+(* A corrupt journal body refuses before any checkpoint is judged: an
+   unreadable checkpoint stays where it is. *)
+let test_corrupt_body_keeps_checkpoint () =
+  with_fixture_dir "bodyckpt" @@ fun dir ->
+  let jpath = Filename.concat dir "journal.jsonl" in
+  let cpath = Filename.concat dir "checkpoint.json" in
+  let lines = String.split_on_char '\n' (read_file jpath) in
+  write_file jpath
+    (String.concat "\n" (List.mapi (fun i l -> if i = 3 then "state" else l) lines));
+  write_file cpath "this is not a snapshot\n";
+  let v = Torture.restore_case ~case:"body-and-checkpoint" torture_config dir in
+  Alcotest.(check int) "tier 3" 3 v.Torture.tier;
+  Alcotest.(check string) "checkpoint left in place" "this is not a snapshot\n"
+    (read_file cpath);
+  Alcotest.(check bool) "no checkpoint quarantined" false
+    (Sys.file_exists (cpath ^ ".corrupt-1"))
+
+(* A version-1 journal as the previous writer left it: one JSON object
+   per op.  It restores to its straight line, and once the restored
+   session appends (version-2 lines) the mixed body restores too. *)
+let v1_journal =
+  {|{"type":"serve_open","version":1,"policy":"dlru-edf","n":4,"delta":2,"delay":[6,6,6,6],"mini_rounds":1}
+{"type":"serve_op","op":"submit","round":0,"color":1,"count":2}
+{"type":"serve_op","op":"submit","round":1,"color":3,"count":4}
+{"type":"serve_op","op":"step","rounds":2}
+{"type":"serve_op","op":"reconfigure","delta":3,"delay":[[2,9]]}
+{"type":"serve_op","op":"submit","round":2,"color":2,"count":1}
+{"type":"serve_op","op":"submit","round":4,"color":0,"count":3}
+{"type":"serve_op","op":"step","rounds":3}
+|}
+
+let v1_ops =
+  [
+    Journal.Submit { round = 0; color = 1; count = 2 };
+    Journal.Submit { round = 1; color = 3; count = 4 };
+    Journal.Step 2;
+    Journal.Reconfigure { delta = Some 3; n = None; delay = [ (2, 9) ] };
+    Journal.Submit { round = 2; color = 2; count = 1 };
+    Journal.Submit { round = 4; color = 0; count = 3 };
+    Journal.Step 3;
+  ]
+
+let test_v1_journal_restores () =
+  with_temp_dir "v1" @@ fun dir ->
+  let path = Filename.concat dir "journal.jsonl" in
+  write_file path v1_journal;
+  Alcotest.(check bool) "v1 ops decode" true
+    (journal_ops path = Ok (v1_ops, None));
+  let config = { torture_config with checkpoint_dir = Some dir } in
+  let restore () =
+    let h = Server.host config in
+    (h, Server.open_session h Server.default_session)
+  in
+  let h, s = restore () in
+  Alcotest.(check bool) "restored = straight line" true
+    (Snapshot.equal
+       (Server.session_snapshot s)
+       (Torture.straight_line torture_config v1_ops));
+  let more =
+    [ Journal.Submit { round = 6; color = 1; count = 1 }; Journal.Step 2 ]
+  in
+  List.iter
+    (fun op ->
+      match Server.apply_op s op with
+      | Ok () -> Server.commit h s op
+      | Error e -> Alcotest.failf "op refused: %s" e)
+    more;
+  Server.abandon_session h s;
+  Alcotest.(check bool) "appended as protocol lines" true
+    (String.ends_with ~suffix:"submit 6 1 1\nstep 2\n" (read_file path));
+  let h, s = restore () in
+  Alcotest.(check bool) "mixed body restores to the straight line" true
+    (Snapshot.equal
+       (Server.session_snapshot s)
+       (Torture.straight_line torture_config (v1_ops @ more)));
+  Server.abandon_session h s
+
+(* The journal body is an [rrs serve] script: piped into a fresh
+   ephemeral server, it rebuilds the journaled state. *)
+let test_body_is_serve_script () =
+  with_fixture_dir "script" @@ fun dir ->
+  let lines =
+    In_channel.with_open_bin (Filename.concat dir "journal.jsonl")
+      In_channel.input_lines
+  in
+  let code, output =
+    run_server torture_config (String.concat "\n" (List.tl lines @ [ "state" ]) ^ "\n")
+  in
+  Alcotest.(check int) "exit" 0 code;
+  let expected = Torture.straight_line torture_config torture_ops in
+  Alcotest.(check bool) "state line = straight line" true
+    (List.exists
+       (fun l ->
+         match Snapshot.of_line l with
+         | Ok s -> Snapshot.equal s expected
+         | Error _ -> false)
+       output)
 
 let tamper_checkpoint cpath =
   match Snapshot.of_line (String.trim (read_file cpath)) with
@@ -1066,6 +1287,7 @@ let () =
             test_protocol_roundtrip;
           QCheck_alcotest.to_alcotest prop_parse_arbitrary_bytes;
           QCheck_alcotest.to_alcotest prop_parse_near_miss;
+          QCheck_alcotest.to_alcotest prop_tokenizer_reference;
         ] );
       ( "streamed session",
         [
@@ -1105,6 +1327,20 @@ let () =
             test_lone_divergence_refuses;
           Alcotest.test_case "torture campaigns (sampled)" `Quick
             test_torture_smoke;
+        ] );
+      ( "journal v2",
+        [
+          Alcotest.test_case "op lines are protocol lines" `Quick
+            test_op_lines_roundtrip;
+          Alcotest.test_case "unterminated final line is torn" `Quick
+            test_unterminated_tail_torn;
+          Alcotest.test_case "only canonical ops" `Quick test_only_canonical_ops;
+          Alcotest.test_case "corrupt body keeps the checkpoint" `Quick
+            test_corrupt_body_keeps_checkpoint;
+          Alcotest.test_case "version-1 journal restores" `Quick
+            test_v1_journal_restores;
+          Alcotest.test_case "body is a serve script" `Quick
+            test_body_is_serve_script;
         ] );
       ( "session table",
         [ QCheck_alcotest.to_alcotest prop_session_table_model ] );
