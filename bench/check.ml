@@ -6,10 +6,10 @@
                --pair bench/baselines/BENCH_robust.json:BENCH_robust.json \
                --report benchdiff.txt
 
-   The comparison semantics live in Rrs_obs.Benchdiff (also exposed as
-   `rrs benchdiff BASELINE CURRENT`): deterministic metrics compare
-   exactly, machine-relative ratios tightly, absolute rates loosely,
-   wall clock never.  See doc/PERFORMANCE.md, "The regression gate". *)
+   This is the one front end of Rrs_obs.Benchdiff, which holds the
+   comparison semantics: deterministic metrics compare exactly,
+   machine-relative ratios tightly, absolute rates loosely, wall clock
+   never.  See doc/PERFORMANCE.md, "The regression gate". *)
 
 let pairs = ref []
 let report = ref None

@@ -332,7 +332,7 @@ let serve_case ~dir rules script =
   let survived =
     match Domain.join server with
     | Ok _ -> true
-    | Error e ->
+    | Error (`Config e | `Fatal e) ->
         fail "serve: transport refused to start: %s" e;
         false
     | exception e ->

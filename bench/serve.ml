@@ -18,10 +18,11 @@
 
    Part 3 — kill/restore drill: for every workload family, write the
    journal a server killed at round k would leave behind (header + ops,
-   no checkpoint, no goodbye), restart a real Server.serve on it, finish
-   the stream, and diff the final checkpoint against the uninterrupted
-   batch Engine.run.  Any differing counter (round, executed, dropped,
-   recolorings, reconfig cost, final cache) counts as a divergence;
+   no checkpoint, no goodbye), restart a server on it over the stdio
+   transport, finish the stream, and diff the final checkpoint against
+   the uninterrupted batch Engine.run.  Any differing counter (round,
+   executed, dropped, recolorings, reconfig cost, final cache) counts
+   as a divergence;
    "divergences" is Exact-gated by benchdiff and the bench exits
    nonzero if it is not 0. *)
 
@@ -31,6 +32,7 @@ module Stream = Rrs_workload.Arrival_stream
 module Journal = Rrs_service.Journal
 module Snapshot = Rrs_service.Snapshot
 module Server = Rrs_service.Server
+module Transport = Rrs_service.Transport
 module Session = Engine.Session
 module Sink = Rrs_obs.Sink
 
@@ -207,11 +209,16 @@ let run_server config script =
   let in_path = Filename.temp_file "serve_in" ".txt" in
   let out_path = Filename.temp_file "serve_out" ".txt" in
   Out_channel.with_open_text in_path (fun oc -> output_string oc script);
-  let ic = In_channel.open_text in_path in
-  let oc = Out_channel.open_text out_path in
-  let code = Server.serve config ic oc in
-  In_channel.close ic;
-  Out_channel.close oc;
+  let fd_in = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+  let fd_out = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let code =
+    match Transport.run config (Transport.Stdio (fd_in, fd_out)) with
+    | Ok _ -> 0
+    | Error (`Fatal _) -> 1
+    | Error (`Config _) -> 2
+  in
+  Unix.close fd_in;
+  Unix.close fd_out;
   let output = In_channel.with_open_text out_path In_channel.input_lines in
   Sys.remove in_path;
   Sys.remove out_path;

@@ -1,6 +1,6 @@
 (* The crash-consistency torture campaign.
 
-   Part 1 mutates durable state offline through Rrs_service.Torture:
+   Part 1 mutates durable state offline through Rrs_torture.Torture:
    journal truncation at every byte boundary, a byte flip at every
    offset, every op line duplicated, and the same for checkpoint.json
    — every case must be contained (recovered on the documented tier or
@@ -28,7 +28,7 @@
    divergences counts.  Exit status is nonzero if any acceptance check
    fails. *)
 
-module Torture = Rrs_service.Torture
+module Torture = Rrs_torture.Torture
 module Server = Rrs_service.Server
 module Transport = Rrs_service.Transport
 module Journal = Rrs_service.Journal
@@ -131,7 +131,7 @@ let child_serve sock dir crash_after =
   in
   match Transport.run config (Transport.Unix_socket sock) with
   | Ok _ -> exit 0
-  | Error e ->
+  | Error (`Config e | `Fatal e) ->
       prerr_endline ("child-serve: " ^ e);
       exit 1
 
@@ -339,7 +339,7 @@ let overload_drill () =
   let stats =
     match Domain.join server with
     | Ok stats -> stats
-    | Error e ->
+    | Error (`Config e | `Fatal e) ->
         incr uncontained;
         fail "overload server: %s" e;
         {

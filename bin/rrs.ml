@@ -751,8 +751,8 @@ let status_cmd =
               "alloc: %.0f minor words/round, %d major collections@." minor
               majors
         | _ -> ());
-        (* service beats (rrs serve --socket/--tcp) carry the overload
-           and recovery counters; render them when present *)
+        (* service beats (rrs serve) carry the overload and recovery
+           counters; render them when present *)
         (match int "serve_ops" with
         | None -> ()
         | Some ops ->
@@ -835,6 +835,7 @@ let status_cmd =
 
 let serve_cmd =
   let module Server = Rrs_service.Server in
+  let module Transport = Rrs_service.Transport in
   let module Stream = Rrs_workload.Arrival_stream in
   let policy_arg =
     let doc =
@@ -904,13 +905,6 @@ let serve_cmd =
     in
     Arg.(value & opt int 256 & info [ "checkpoint-every" ] ~docv:"OPS" ~doc)
   in
-  let retries_arg =
-    let doc =
-      "In-process restarts granted to transient faults (the supervisor \
-       replays the journal and resumes reading)."
-    in
-    Arg.(value & opt int 2 & info [ "retries" ] ~docv:"N" ~doc)
-  in
   let crash_after_arg =
     let doc =
       "Testing hook: abandon the process (exit 70, no checkpoint, no \
@@ -946,8 +940,7 @@ let serve_cmd =
   let queue_limit_arg =
     let doc =
       "Commands queued per session before admission control answers \
-       $(b,busy queue ... retry-after=...) instead of enqueueing (socket \
-       modes)."
+       $(b,busy queue ... retry-after=...) instead of enqueueing."
     in
     Arg.(value & opt int 64 & info [ "queue-limit" ] ~docv:"N" ~doc)
   in
@@ -955,15 +948,15 @@ let serve_cmd =
     let doc =
       "Total queued commands above which read-only commands \
        ($(b,state)/$(b,sessions)/$(b,help)) are shed with $(b,busy shed \
-       ...) so the cycles go to $(b,submit)/$(b,step) (socket modes)."
+       ...) so the cycles go to $(b,submit)/$(b,step)."
     in
     Arg.(value & opt int 256 & info [ "shed-threshold" ] ~docv:"N" ~doc)
   in
   let deadline_arg =
     let doc =
-      "Per-command apply budget in seconds (socket modes); a command that \
-       overruns wedges its session (the next command restores it from its \
-       journal) and the client gets $(b,err deadline ...)."
+      "Per-command apply budget in seconds; a command that overruns wedges \
+       its session (the next command restores it from its journal) and the \
+       client gets $(b,err deadline ...)."
     in
     Arg.(
       value & opt (some float) None & info [ "deadline" ] ~docv:"SECS" ~doc)
@@ -988,7 +981,7 @@ let serve_cmd =
            ("serve_" ^ field, Rrs_obs.Json.Int (count counter)))
   in
   let run policy n delta colors delay_bound mini_rounds family seed emit_script
-      step_chunk checkpoint_dir checkpoint_every retries crash_after
+      step_chunk checkpoint_dir checkpoint_every crash_after
       heartbeat_file heartbeat_every socket tcp max_conns queue_limit
       shed_threshold deadline =
     let params =
@@ -1032,8 +1025,7 @@ let serve_cmd =
           let address =
             match (socket, tcp) with
             | Some _, Some _ -> Error "--socket and --tcp are exclusive"
-            | Some path, None ->
-                Ok (Some (Rrs_service.Transport.Unix_socket path))
+            | Some path, None -> Ok (Transport.Unix_socket path)
             | None, Some hostport -> (
                 match String.rindex_opt hostport ':' with
                 | None -> Error "--tcp wants HOST:PORT"
@@ -1045,38 +1037,28 @@ let serve_cmd =
                     in
                     match int_of_string_opt port with
                     | Some port when port >= 0 && port < 65536 ->
-                        Ok (Some (Rrs_service.Transport.Tcp (host, port)))
+                        Ok (Transport.Tcp (host, port))
                     | _ -> Error ("--tcp: bad port " ^ port)))
-            | None, None -> Ok None
+            | None, None -> Ok (Transport.Stdio (Unix.stdin, Unix.stdout))
           in
           match address with
           | Error msg ->
               prerr_endline msg;
               2
           | Ok address ->
-              (* socket modes count overload/recovery in a registry the
+              (* overload/recovery counts live in a registry the
                  heartbeat also reports from, so `rrs status` shows them *)
-              let metrics =
-                match address with
-                | None -> None
-                | Some _ -> Some (Rrs_obs.Metrics.create ())
-              in
+              let metrics = Rrs_obs.Metrics.create () in
               let heartbeat =
-                match heartbeat_file with
-                | None -> None
-                | Some path ->
-                    let extra =
-                      Option.map (fun m () -> serve_counters m) metrics
-                    in
-                    (* exposition needs the registry: only in socket modes *)
-                    let expose_path =
-                      Option.map (fun _ -> path ^ ".prom") metrics
-                    in
-                    Some
-                      (Rrs_obs.Heartbeat.create ~every_rounds:heartbeat_every
-                         ~path
-                         ~status_path:(path ^ ".status")
-                         ?registry:metrics ?expose_path ?extra ())
+                Option.map
+                  (fun path ->
+                    Rrs_obs.Heartbeat.create ~every_rounds:heartbeat_every
+                      ~path
+                      ~status_path:(path ^ ".status")
+                      ~registry:metrics ~expose_path:(path ^ ".prom")
+                      ~extra:(fun () -> serve_counters metrics)
+                      ())
+                  heartbeat_file
               in
               let config =
                 {
@@ -1088,62 +1070,56 @@ let serve_cmd =
                   checkpoint_dir;
                   checkpoint_every;
                   crash_after;
-                  retries;
                   heartbeat;
-                  metrics;
+                  metrics = Some metrics;
                 }
               in
+              let stop = Atomic.make false in
+              let previous =
+                List.map
+                  (fun s ->
+                    ( s,
+                      Sys.signal s
+                        (Sys.Signal_handle (fun _ -> Atomic.set stop true)) ))
+                  [ Sys.sigterm; Sys.sigint ]
+              in
+              let restore () =
+                List.iter
+                  (fun (s, d) -> try Sys.set_signal s d with _ -> ())
+                  previous
+              in
+              let limits =
+                {
+                  Transport.default_limits with
+                  max_conns;
+                  queue_limit;
+                  shed_threshold;
+                  command_deadline = deadline;
+                }
+              in
+              let result =
+                Fun.protect ~finally:restore (fun () ->
+                    Transport.run ~limits
+                      ~stop:(fun () -> Atomic.get stop)
+                      ~on_ready:(fun bound ->
+                        Format.eprintf "serving on %a@." Transport.pp_address
+                          bound)
+                      config address)
+              in
               let code =
-                match address with
-                | None -> Server.serve config stdin stdout
-                | Some address -> (
-                    let module Transport = Rrs_service.Transport in
-                    let stop = Atomic.make false in
-                    let previous =
-                      List.map
-                        (fun s ->
-                          ( s,
-                            Sys.signal s
-                              (Sys.Signal_handle
-                                 (fun _ -> Atomic.set stop true)) ))
-                        [ Sys.sigterm; Sys.sigint ]
-                    in
-                    let restore () =
-                      List.iter
-                        (fun (s, d) -> try Sys.set_signal s d with _ -> ())
-                        previous
-                    in
-                    let limits =
-                      {
-                        Transport.default_limits with
-                        max_conns;
-                        queue_limit;
-                        shed_threshold;
-                        command_deadline = deadline;
-                      }
-                    in
-                    let result =
-                      Fun.protect ~finally:restore (fun () ->
-                          Transport.run ~limits
-                            ~stop:(fun () -> Atomic.get stop)
-                            ~on_ready:(fun bound ->
-                              Format.eprintf "serving on %a@."
-                                Transport.pp_address bound)
-                            config address)
-                    in
-                    match result with
-                    | Ok stats ->
-                        Format.eprintf
-                          "served %d connections, %d commands (busy %d, \
-                           shed %d, slow drops %d, wedges %d)@."
-                          stats.Transport.conns_accepted
-                          stats.Transport.commands stats.Transport.busy
-                          stats.Transport.shed stats.Transport.slow_drops
-                          stats.Transport.wedges;
-                        0
-                    | Error msg ->
-                        prerr_endline ("serve: " ^ msg);
-                        2)
+                match result with
+                | Ok stats ->
+                    Format.eprintf
+                      "served %d connections, %d commands (busy %d, shed %d, \
+                       slow drops %d, wedges %d)@."
+                      stats.Transport.conns_accepted stats.Transport.commands
+                      stats.Transport.busy stats.Transport.shed
+                      stats.Transport.slow_drops stats.Transport.wedges;
+                    0
+                | Error (`Config msg) ->
+                    prerr_endline ("serve: " ^ msg);
+                    2
+                | Error (`Fatal _) -> 1
               in
               Option.iter Rrs_obs.Heartbeat.finish heartbeat;
               code
@@ -1159,48 +1135,9 @@ let serve_cmd =
       const run $ policy_arg $ resources_arg $ delta_arg $ colors_arg
       $ delay_bound_arg $ mini_rounds_arg $ family_arg $ seed_arg
       $ emit_script_arg $ step_chunk_arg $ checkpoint_dir_arg
-      $ checkpoint_every_arg $ retries_arg $ crash_after_arg $ heartbeat_arg
+      $ checkpoint_every_arg $ crash_after_arg $ heartbeat_arg
       $ heartbeat_every_arg $ socket_arg $ tcp_arg $ max_conns_arg
       $ queue_limit_arg $ shed_threshold_arg $ deadline_arg)
-
-(* ------------------------------------------------------------------ *)
-(* rrs benchdiff                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let benchdiff_cmd =
-  let baseline_arg =
-    let doc = "Baseline run-summary JSONL artifact (the committed one)." in
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"BASELINE" ~doc)
-  in
-  let current_arg =
-    let doc = "Current run-summary JSONL artifact (the freshly measured one)." in
-    Arg.(required & pos 1 (some file) None & info [] ~docv:"CURRENT" ~doc)
-  in
-  let report_arg =
-    let doc = "Also write the rendered delta report to this file." in
-    Arg.(value & opt (some string) None & info [ "report" ] ~docv:"FILE" ~doc)
-  in
-  let run baseline current report_file =
-    match Rrs_obs.Benchdiff.compare_files ~baseline ~current () with
-    | Error msg ->
-        Printf.eprintf "benchdiff: %s\n" msg;
-        2
-    | Ok report ->
-        let text = Rrs_obs.Benchdiff.render report in
-        print_string text;
-        Option.iter
-          (fun path ->
-            Out_channel.with_open_text path (fun oc -> output_string oc text))
-          report_file;
-        if Rrs_obs.Benchdiff.ok report then 0 else 1
-  in
-  Cmd.v
-    (Cmd.info "benchdiff"
-       ~doc:
-         "Compare two run-summary artifacts metric by metric \
-          (deterministic metrics exactly, performance metrics with \
-          per-metric noise tolerances) and fail on regression")
-    Term.(const run $ baseline_arg $ current_arg $ report_arg)
 
 (* ------------------------------------------------------------------ *)
 (* rrs opt                                                             *)
@@ -1324,7 +1261,6 @@ let main =
       experiment_cmd;
       serve_cmd;
       status_cmd;
-      benchdiff_cmd;
       opt_cmd;
       replay_cmd;
       describe_cmd;

@@ -1,8 +1,7 @@
 (** Bench-artifact regression gate: compare a freshly produced
     run-summary artifact ([BENCH_core.json], [BENCH_robust.json], …)
     against a committed baseline, metric by metric, with per-metric
-    noise tolerances — the comparison engine behind [bench/check.exe]
-    and [rrs benchdiff].
+    noise tolerances — the comparison engine behind [bench/check.exe].
 
     Records pair up by [id].  Within a pair, the compared metric space
     is the cost breakdown ([cost.reconfig]/[cost.drop]/[cost.total])

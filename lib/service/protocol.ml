@@ -29,7 +29,9 @@ let grammar =
       "attach NAME                    switch to an already-open session";
       "sessions                       list the open sessions, one line each";
       "shutdown                       drain every session and stop the server";
-      "quit                           checkpoint, finish, exit";
+      "quit                           report the session's accounting and";
+      "                               close this connection (on stdin:";
+      "                               stop the server)";
       "help                           print this grammar";
     ]
 

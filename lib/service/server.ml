@@ -1,7 +1,6 @@
 module Engine = Rrs_core.Engine
 module Session = Engine.Session
 module Instance = Rrs_core.Instance
-module Supervisor = Rrs_robust.Supervisor
 module Metrics = Rrs_obs.Metrics
 
 let policies : (string * Rrs_core.Policy.factory) list =
@@ -36,7 +35,6 @@ type config = {
   checkpoint_dir : string option;
   checkpoint_every : int;
   crash_after : int option;
-  retries : int;
   heartbeat : Rrs_obs.Heartbeat.t option;
   metrics : Metrics.t option;
 }
@@ -51,14 +49,13 @@ let default_config =
     checkpoint_dir = None;
     checkpoint_every = 256;
     crash_after = None;
-    retries = 2;
     heartbeat = None;
     metrics = None;
   }
 
 (* Durable-state corruption: the journal or checkpoint cannot be
    trusted, so a restart must not silently continue.  Fatal under
-   {!Supervisor.classify_default}. *)
+   {!Rrs_robust.Supervisor.classify_default}. *)
 exception Corrupt of string
 
 let default_session = "default"
@@ -244,7 +241,6 @@ type host = {
   mutable fresh_ops : int;
       (** ops applied by THIS process (replayed ops excluded): the
           deterministic kill point counts real work *)
-  mutable crash_flush : unit -> unit;
 }
 
 let host (config : config) =
@@ -258,7 +254,6 @@ let host (config : config) =
     table = Hashtbl.create 64;
     next_seq = 0;
     fresh_ops = 0;
-    crash_flush = ignore;
   }
 
 let host_config h = h.config
@@ -552,7 +547,6 @@ let commit h s op =
   | Some k when h.fresh_ops >= k ->
       (* simulate a hard kill: no checkpoint, no finish, no ack — only
          the journal survives *)
-      h.crash_flush ();
       Stdlib.exit 70
   | _ -> ()
 
@@ -670,148 +664,13 @@ let exec ?(apply = apply_op) h (current : session) (cmd : Protocol.command) :
         (Printf.sprintf "ok sessions %d" (Hashtbl.length h.table)
         :: List.map session_line (sessions h))
   | Protocol.Shutdown -> Stop [ "ok shutting down" ]
-  | Protocol.Quit -> Bye []
-
-(* ---- the pipe driver ---------------------------------------------- *)
-
-exception Shutdown_signal of int
-
-let signal_name s =
-  if s = Sys.sigterm then "TERM"
-  else if s = Sys.sigint then "INT"
-  else string_of_int s
-
-let serve config ic oc =
-  let respond line =
-    output_string oc line;
-    output_char oc '\n';
-    flush oc
-  in
-  let config_error msg =
-    respond ("err " ^ msg);
-    2
-  in
-  match factory_of_id config.policy with
-  | Error e -> config_error e
-  | Ok _ -> (
-      match
-        (* surface bad geometry as a config error, not a raise *)
-        if Array.length config.delay > Rrs_core.Packed.max_colors then
-          invalid_arg
-            (Printf.sprintf "%d colors exceed the packed color field (max %d)"
-               (Array.length config.delay) Rrs_core.Packed.max_colors)
-        else
-          ignore
-            (Instance.create ~delta:config.delta
-               ~delay:(Array.copy config.delay) ~arrivals:[] ())
-      with
-      | exception Invalid_argument msg -> config_error msg
-      | () ->
-          if config.checkpoint_every < 0 then
-            config_error "checkpoint-every must be non-negative"
-          else if config.n < 1 then config_error "n must be at least 1"
-          else begin
-            let h = host config in
-            h.crash_flush <- (fun () -> Out_channel.flush oc);
-            (* graceful signal handling: a signal that lands while a
-               command is in flight is deferred until the command's
-               apply + journal + ack sequence finishes (a SIGTERM
-               mid-batch must not widen the at-most-once window into a
-               silent replay gap); a signal that lands while blocked on
-               input raises out of the read so the drain runs now *)
-            let in_command = ref false in
-            let pending_signal = ref (-1) in
-            let handle s =
-              if !in_command then pending_signal := s
-              else raise (Shutdown_signal s)
-            in
-            let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle handle) in
-            let old_int = Sys.signal Sys.sigint (Sys.Signal_handle handle) in
-            let restore_signals () =
-              Sys.set_signal Sys.sigterm old_term;
-              Sys.set_signal Sys.sigint old_int
-            in
-            Fun.protect ~finally:restore_signals @@ fun () ->
-            let attempt () =
-              (* on a supervised restart the previous attempt's
-                 sessions are untrusted (they crashed mid-command):
-                 drop them without checkpointing so every one is
-                 restored from its journal *)
-              List.iter
-                (fun s ->
-                  Option.iter Journal.close s.writer;
-                  s.writer <- None)
-                (sessions h);
-              Hashtbl.reset h.table;
-              let first = open_session h default_session in
-              List.iter respond (greeting first);
-              let current = ref first in
-              let graceful ?signal () =
-                (match signal with
-                | Some s ->
-                    respond
-                      (Printf.sprintf "ok draining signal=%s" (signal_name s))
-                | None -> ());
-                let result = ref None in
-                List.iter
-                  (fun s ->
-                    let r = close_session h s in
-                    if s.name = !current.name then result := Some r)
-                  (sessions h);
-                (match !result with
-                | Some result ->
-                    respond
-                      (Printf.sprintf
-                         "ok bye round=%d executed=%d dropped=%d \
-                          recolorings=%d cost=%d"
-                         result.Engine.rounds_simulated result.Engine.executed
-                         result.Engine.dropped result.Engine.reconfigurations
-                         (Rrs_core.Cost.total result.Engine.cost))
-                | None -> respond "ok bye");
-                0
-              in
-              let rec loop () =
-                if !pending_signal >= 0 then begin
-                  let s = !pending_signal in
-                  pending_signal := -1;
-                  graceful ~signal:s ()
-                end
-                else
-                  match In_channel.input_line ic with
-                  | None -> graceful ()
-                  | Some line -> (
-                      match Protocol.parse line with
-                      | Ok None -> loop ()
-                      | Error e ->
-                          respond ("err " ^ e);
-                          loop ()
-                      | Ok (Some cmd) -> (
-                          Rrs_fault.probe "serve.command";
-                          in_command := true;
-                          let outcome =
-                            Fun.protect
-                              ~finally:(fun () -> in_command := false)
-                              (fun () -> exec h !current cmd)
-                          in
-                          match outcome with
-                          | Reply lines ->
-                              List.iter respond lines;
-                              loop ()
-                          | Switch (s, lines) ->
-                              current := s;
-                              List.iter respond lines;
-                              loop ()
-                          | Stop lines ->
-                              List.iter respond lines;
-                              graceful ()
-                          | Bye _ -> graceful ()))
-              in
-              try loop () with Shutdown_signal s -> graceful ~signal:s ()
-            in
-            let policy = { Supervisor.default with retries = config.retries } in
-            match Supervisor.run ~policy ~name:"serve" attempt with
-            | Ok code -> code
-            | Error f ->
-                respond (Format.asprintf "err fatal: %a" Supervisor.pp_failure f);
-                1
-          end)
+  | Protocol.Quit ->
+      let s = current.session in
+      Bye
+        [
+          Printf.sprintf
+            "ok bye round=%d executed=%d dropped=%d recolorings=%d cost=%d"
+            (Session.round s) (Session.executed s) (Session.dropped s)
+            (Session.reconfigurations s)
+            (Rrs_core.Cost.total (Session.cost s));
+        ]

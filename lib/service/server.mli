@@ -1,15 +1,16 @@
 (** The long-lived scheduler service: streaming
     {!Rrs_core.Engine.Session}s driven by the line protocol
-    ({!Protocol}), journaled ({!Journal}), periodically checkpointed
-    ({!Snapshot} through the atomic temp+rename commit), and supervised
-    ({!Rrs_robust.Supervisor}) so contained faults restart a session
-    from its journal instead of killing the process.
+    ({!Protocol}), journaled ({!Journal}) and periodically checkpointed
+    ({!Snapshot} through the atomic temp+rename commit).
 
     A server is a {!host}: a table of named sessions multiplexed over
-    one engine process.  The pipe driver ({!serve}, [rrs serve]) opens
-    the {!default_session} on stdin/stdout; the socket driver
-    ({!Transport}) serves many concurrent clients, each addressing the
-    table through [open NAME] / [attach NAME].
+    one engine process, with no command loop of its own; the loop is
+    {!Transport}.  Every connection — a socket client, or the
+    stdin/stdout pair of [rrs serve] without [--socket]/[--tcp] —
+    starts on the {!default_session}, addresses the table through
+    [open NAME] / [attach NAME], and has each command run by {!exec}.
+    A session whose command faults is {!wedge}d and restored from its
+    journal on next use; the other sessions never notice.
 
     Memory-boundedness contract: the server retains no per-round
     history — no recorded schedule, no response log; its resident state
@@ -68,7 +69,6 @@ type config = {
       (** abandon the process (exit 70, no checkpoint, no finish) after
           that many applied ops — the deterministic kill the CI
           restart test and the torture drills use *)
-  retries : int;  (** supervisor restarts granted to transient faults *)
   heartbeat : Rrs_obs.Heartbeat.t option;
       (** attached {e after} restore: journal replay never beats *)
   metrics : Rrs_obs.Metrics.t option;
@@ -78,8 +78,7 @@ type config = {
 
 val default_config : config
 (** dlru-edf, n = 8, Δ = 4, 8 colors with delay bounds 8, uni-speed,
-    ephemeral, checkpoint every 256 ops, no crash, 2 retries, private
-    metrics. *)
+    ephemeral, checkpoint every 256 ops, no crash, private metrics. *)
 
 exception Corrupt of string
 (** Durable-state corruption that refuses restore (recovery tier 3):
@@ -89,8 +88,8 @@ exception Corrupt of string
 (** {2 The session table} *)
 
 val default_session : string
-(** ["default"] — the session the pipe driver opens, and the one
-    socket clients address before any [open]/[attach]. *)
+(** ["default"] — the session every connection addresses before any
+    [open]/[attach]. *)
 
 type session
 
@@ -118,16 +117,15 @@ val session_snapshot : session -> Snapshot.t
 type host
 
 val host : config -> host
-(** A fresh host with an empty session table.  Raises nothing: config
-    validation happens per driver ({!serve} returns exit code 2, the
-    transport refuses to start). *)
+(** A fresh host with an empty session table.  Raises nothing: the
+    transport validates the config and refuses to start on a bad one. *)
 
 val host_config : host -> config
 val metrics : host -> Rrs_obs.Metrics.t
 val sessions : host -> session list
 (** Open sessions, oldest first (a reopened wedged session counts as
     new).  Sessions stay open until {!close_session},
-    {!abandon_session} or the end of the driver. *)
+    {!abandon_session} or the end of the transport. *)
 
 val find_session : host -> string -> session option
 (** Constant time: the table is hashed by name. *)
@@ -171,8 +169,7 @@ val commit : host -> session -> Journal.op -> unit
 (** Journal the (already applied) op, advance the op counters, commit
     a periodic checkpoint when due, and honor [crash_after].
     @raise Rrs_fault.Injected when the [serve.journal] probe fires —
-    the caller must contain it ({!wedge} + reopen, or the pipe
-    driver's supervised restart). *)
+    the caller must contain it ({!wedge}, then reopen). *)
 
 (** What executing one command means for the connection that sent it. *)
 type outcome =
@@ -180,7 +177,11 @@ type outcome =
   | Switch of session * string list
       (** [open]/[attach] succeeded: the client's current session
           changed *)
-  | Bye of string list  (** [quit]: close this client *)
+  | Bye of string list
+      (** [quit]: close this client after
+          [ok bye round=R executed=E dropped=D recolorings=X cost=C],
+          the current session's accounting so far (it is not
+          finished) *)
   | Stop of string list  (** [shutdown]: drain and stop the server *)
 
 val exec :
@@ -190,7 +191,7 @@ val exec :
   Protocol.command ->
   outcome
 (** Execute one parsed command against the client's current session.
-    [apply] (default {!apply_op}) lets the socket driver run the
+    [apply] (default {!apply_op}) lets the transport run the
     session mutation under a per-command deadline; journaling
     ({!commit}) always happens on the caller's side of that boundary,
     {e after} a successful apply, so an abandoned attempt can never
@@ -200,19 +201,3 @@ val greeting : session -> string list
 (** The lines a client sees when a session becomes current: one
     ["ok warning: ..."] per recovery notice, then the
     ["ok session ..."] / ["ok restored ..."] line. *)
-
-(** {2 The pipe driver} *)
-
-val serve : config -> in_channel -> out_channel -> int
-(** Run the service over the channels until [quit], [shutdown] or EOF;
-    returns the process exit code (0 = clean shutdown, 1 = fatal
-    failure or unreadable durable state, 2 = bad configuration).
-    Every response is one line: [ok ...], [err ...], [busy ...] or a
-    state JSON object; responses are flushed per command so the
-    channel can be a pipe.
-
-    SIGTERM/SIGINT drain gracefully: an in-flight command finishes
-    (apply + journal + ack are never interrupted mid-sequence), then
-    every session is checkpointed and finished and the process exits 0
-    — no silent replay gap.  The previous signal dispositions are
-    restored on return. *)

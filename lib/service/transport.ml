@@ -1,11 +1,15 @@
 module Supervisor = Rrs_robust.Supervisor
 module Metrics = Rrs_obs.Metrics
 
-type address = Unix_socket of string | Tcp of string * int
+type address =
+  | Unix_socket of string
+  | Tcp of string * int
+  | Stdio of Unix.file_descr * Unix.file_descr
 
 let pp_address ppf = function
   | Unix_socket path -> Format.fprintf ppf "unix:%s" path
   | Tcp (host, port) -> Format.fprintf ppf "tcp:%s:%d" host port
+  | Stdio _ -> Format.pp_print_string ppf "stdio"
 
 type limits = {
   max_conns : int;
@@ -43,9 +47,14 @@ type stats = {
 (* One client connection.  Outbound bytes accumulate in
    [out.[0 .. out_len)] and are written from [out_pos] whenever select
    says the peer can take them; the buffer is the backpressure boundary
-   the slow-client policy measures. *)
+   the slow-client policy measures.  A socket reads and writes one
+   [fd]; the stdio connection reads [fd] and writes [wfd], and is
+   [paced]: it takes its next command only once the last one ran and
+   its reply was written. *)
 type conn = {
   fd : Unix.file_descr;
+  wfd : Unix.file_descr;
+  paced : bool;
   pending : Buffer.t;  (** unread partial input line *)
   cmds : Protocol.command Queue.t;
   mutable out : Bytes.t;
@@ -57,6 +66,9 @@ type conn = {
 }
 
 let out_pending c = c.out_len - c.out_pos
+
+(* a paced connection may take its next command *)
+let settled c = Queue.is_empty c.cmds && out_pending c = 0
 
 let append c line =
   let len = String.length line in
@@ -130,13 +142,14 @@ let validate (config : Server.config) =
 
 let bind_listener address =
   match address with
+  | Stdio _ -> (None, address)
   | Unix_socket path ->
       if Sys.file_exists path then Sys.remove path;
       let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       Unix.bind fd (Unix.ADDR_UNIX path);
       Unix.listen fd 64;
       Unix.set_nonblock fd;
-      (fd, Unix_socket path)
+      (Some fd, Unix_socket path)
   | Tcp (host, port) ->
       let inet =
         try Unix.inet_addr_of_string host
@@ -152,24 +165,26 @@ let bind_listener address =
         | Unix.ADDR_INET (_, p) -> Tcp (host, p)
         | _ -> Tcp (host, port)
       in
-      (fd, bound)
+      (Some fd, bound)
 
 let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
     (config : Server.config) address =
   match validate config with
-  | Error e -> Error e
+  | Error e -> Error (`Config e)
   | Ok () -> (
       match bind_listener address with
       | exception Unix.Unix_error (err, fn, arg) ->
           Error
-            (Printf.sprintf "bind %s: %s(%s): %s"
-               (Format.asprintf "%a" pp_address address)
-               fn arg (Unix.error_message err))
+            (`Config
+              (Printf.sprintf "bind %s: %s(%s): %s"
+                 (Format.asprintf "%a" pp_address address)
+                 fn arg (Unix.error_message err)))
       | exception e ->
           Error
-            (Printf.sprintf "bind %s: %s"
-               (Format.asprintf "%a" pp_address address)
-               (Printexc.to_string e))
+            (`Config
+              (Printf.sprintf "bind %s: %s"
+                 (Format.asprintf "%a" pp_address address)
+                 (Printexc.to_string e)))
       | listener, bound ->
           (* a peer that closed mid-reply must be an EPIPE we contain,
              not a process-killing SIGPIPE *)
@@ -192,7 +207,10 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
           let shutting = ref false in
           let now () = Unix.gettimeofday () in
           let drop ?(slow = false) c =
-            (try Unix.close c.fd with Unix.Unix_error _ -> ());
+            (* ending the stdio connection stops the server; its
+               descriptors belong to the caller *)
+            if c.paced then shutting := true
+            else (try Unix.close c.fd with Unix.Unix_error _ -> ());
             conns := List.filter (fun c' -> c' != c) !conns;
             queued := !queued - Queue.length c.cmds;
             Queue.clear c.cmds;
@@ -285,7 +303,6 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                 shutting := true
             | Server.Bye lines ->
                 List.iter (append c) lines;
-                append c "ok bye";
                 c.closing <- true
             | exception Rrs_fault.Injected { point; hit; transient } ->
                 (* [serve.command] fires before any mutation: contained
@@ -336,17 +353,35 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
           in
           (* one read buffer for the whole loop; a read's complete lines
              are cut straight out of it, only a partial last line is
-             carried over in the connection's [pending] *)
+             carried over in the connection's [pending].  The stdio
+             connection is the loop's only one, so the lines of its
+             read it has not taken yet can wait in [rbuf.[!held ..
+             !held_end)] *)
           let rbuf = Bytes.create 4096 in
+          let held = ref 0 and held_end = ref 0 in
           let rec newline_in i stop =
             if i >= stop then -1
             else if Bytes.unsafe_get rbuf i = '\n' then i
             else newline_in (i + 1) stop
           in
-          let feed c len =
-            let rec lines start =
-              let i = newline_in start len in
-              if i < 0 then start
+          (* cut [rbuf.[start .. stop)] into commands; returns where it
+             stopped, which is before [stop] only for a paced
+             connection that is not [settled] *)
+          let rec cut c start stop =
+            if c.paced && not (settled c) then start
+            else
+              let i = newline_in start stop in
+              if i < 0 then begin
+                Buffer.add_subbytes c.pending rbuf start (stop - start);
+                if Buffer.length c.pending > limits.max_line then begin
+                  append c
+                    (Printf.sprintf "err line longer than %d bytes"
+                       limits.max_line);
+                  c.closing <- true;
+                  Buffer.reset c.pending
+                end;
+                stop
+              end
               else begin
                 let line =
                   if Buffer.length c.pending = 0 then
@@ -359,24 +394,29 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                   end
                 in
                 if not c.closing then process_line c line;
-                lines (i + 1)
+                cut c (i + 1) stop
               end
-            in
-            let rest = lines 0 in
-            Buffer.add_subbytes c.pending rbuf rest (len - rest);
-            if Buffer.length c.pending > limits.max_line then begin
-              append c
-                (Printf.sprintf "err line longer than %d bytes"
-                   limits.max_line);
-              c.closing <- true;
-              Buffer.reset c.pending
-            end
           in
-          (* ---- socket IO ------------------------------------------ *)
+          (* ---- connection IO -------------------------------------- *)
           let read_conn c =
             match Unix.read c.fd rbuf 0 (Bytes.length rbuf) with
+            | 0 when c.paced ->
+                (* stdin EOF: a final unterminated line still counts;
+                   then stop like [shutdown], whose drain runs what is
+                   queued *)
+                if Buffer.length c.pending > 0 then begin
+                  let line = Buffer.contents c.pending in
+                  Buffer.clear c.pending;
+                  process_line c line
+                end;
+                shutting := true
             | 0 -> drop c (* orderly EOF: abrupt from our side of acks *)
-            | len -> feed c len
+            | len ->
+                let stop = cut c 0 len in
+                if stop < len then begin
+                  held := stop;
+                  held_end := len
+                end
             | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
               ->
                 ()
@@ -388,8 +428,14 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                 inc ctr.write_faults;
                 drop c
             | () -> (
+                (* the stdio descriptors stay blocking (they share their
+                   open file description with the parent shell): once
+                   select says writable, a pipe takes PIPE_BUF bytes
+                   without blocking *)
+                let chunk = if c.paced then 4096 else 16384 in
                 match
-                  Unix.write c.fd c.out c.out_pos (min (out_pending c) 16384)
+                  Unix.single_write c.wfd c.out c.out_pos
+                    (min (out_pending c) chunk)
                 with
                 | written ->
                     c.out_pos <- c.out_pos + written;
@@ -404,7 +450,34 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                     ()
                 | exception Unix.Unix_error _ -> drop c)
           in
-          let accept_conn () =
+          let new_conn ?(paced = false) fd wfd =
+            inc ctr.conns_accepted;
+            {
+              fd;
+              wfd;
+              paced;
+              pending = Buffer.create 64;
+              cmds = Queue.create ();
+              out = Bytes.create 256;
+              out_len = 0;
+              out_pos = 0;
+              sname = Server.default_session;
+              closing = false;
+              last_progress = now ();
+            }
+          in
+          (* greet a new connection with its first session; [Some diag]
+             when that session cannot be opened *)
+          let greet c =
+            match resolve c with
+            | Ok s ->
+                List.iter (append c) (Server.greeting s);
+                None
+            | Error d ->
+                c.closing <- true;
+                Some d
+          in
+          let accept_conn listener =
             match Rrs_fault.probe "serve.accept" with
             | exception Rrs_fault.Injected _ -> (
                 inc ctr.accept_faults;
@@ -441,20 +514,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                     inc ctr.conns_dropped
                 | fd, _ ->
                     Unix.set_nonblock fd;
-                    let c =
-                      {
-                        fd;
-                        pending = Buffer.create 64;
-                        cmds = Queue.create ();
-                        out = Bytes.create 256;
-                        out_len = 0;
-                        out_pos = 0;
-                        sname = Server.default_session;
-                        closing = false;
-                        last_progress = now ();
-                      }
-                    in
-                    inc ctr.conns_accepted;
+                    let c = new_conn fd fd in
                     if List.length !conns >= limits.max_conns then begin
                       inc ctr.busy;
                       append c
@@ -463,14 +523,21 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                            limits.max_conns limits.retry_after);
                       c.closing <- true
                     end
-                    else begin
-                      match resolve c with
-                      | Ok s -> List.iter (append c) (Server.greeting s)
-                      | Error d ->
-                          append c ("err " ^ d);
-                          c.closing <- true
-                    end;
+                    else
+                      Option.iter (fun d -> append c ("err " ^ d)) (greet c);
                     conns := !conns @ [ c ])
+          in
+          (* the stdio connection exists from the start; when its
+             session cannot be opened the server has nothing to serve *)
+          let stdio, fatal =
+            match address with
+            | Stdio (fd, wfd) ->
+                let c = new_conn ~paced:true fd wfd in
+                let fatal = greet c in
+                Option.iter (fun d -> append c ("err fatal: " ^ d)) fatal;
+                conns := [ c ];
+                (Some c, fatal)
+            | Unix_socket _ | Tcp _ -> (None, None)
           in
           (* ---- the loop ------------------------------------------- *)
           let select readers writers timeout =
@@ -485,16 +552,25 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                 ([], [])
             | r, w, _ -> (r, w)
           in
+          (* a paced connection reads only once it has run and
+             answered every command it read, so a script is never
+             answered [busy] and its output buffer holds one reply *)
+          let reading c =
+            (not c.closing)
+            && not (c.paced && (!held < !held_end || not (settled c)))
+          in
           let select_round () =
             let readers =
-              (if !shutting then [] else [ listener ])
+              (match listener with
+              | Some l when not !shutting -> [ l ]
+              | _ -> [])
               @ List.filter_map
-                  (fun c -> if c.closing then None else Some c.fd)
+                  (fun c -> if reading c then Some c.fd else None)
                   !conns
             in
             let writers =
               List.filter_map
-                (fun c -> if out_pending c > 0 then Some c.fd else None)
+                (fun c -> if out_pending c > 0 then Some c.wfd else None)
                 !conns
             in
             select readers writers (if !queued > 0 then 0.0 else 0.05)
@@ -503,7 +579,11 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
             let t = now () in
             List.iter
               (fun c ->
-                if
+                (* the stdio connection is the only client: nobody to
+                   protect from it, and pacing bounds its buffer, so a
+                   stalled reader of stdout just pauses the server *)
+                if c.paced then ()
+                else if
                   out_pending c > 0
                   && t -. c.last_progress > limits.write_stall_timeout
                 then drop ~slow:true c
@@ -514,8 +594,13 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
           let rec loop () =
             if !shutting || stop () then ()
             else begin
+              (match stdio with
+              | Some c when !held < !held_end -> held := cut c !held !held_end
+              | _ -> ());
               let readable, writable = select_round () in
-              if List.memq listener readable then accept_conn ();
+              (match listener with
+              | Some l when List.memq l readable -> accept_conn l
+              | _ -> ());
               List.iter
                 (fun c -> if List.memq c.fd readable then read_conn c)
                 !conns;
@@ -528,7 +613,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                 !conns;
               List.iter
                 (fun c ->
-                  if List.memq c.fd writable && out_pending c > 0 then
+                  if List.memq c.wfd writable && out_pending c > 0 then
                     write_conn c)
                 !conns;
               stall_check ();
@@ -554,14 +639,14 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
           let rec flush_all () =
             let pending =
               List.filter_map
-                (fun c -> if out_pending c > 0 then Some c.fd else None)
+                (fun c -> if out_pending c > 0 then Some c.wfd else None)
                 !conns
             in
             if pending <> [] && now () < grace_end then begin
               let _, writable = select [] pending 0.05 in
               List.iter
                 (fun c ->
-                  if List.memq c.fd writable && out_pending c > 0 then
+                  if List.memq c.wfd writable && out_pending c > 0 then
                     write_conn c)
                 !conns;
               (* write_conn drops drained closing conns itself *)
@@ -573,17 +658,22 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
           List.iter
             (fun s -> ignore (Server.close_session h s))
             (Server.sessions h);
-          (try Unix.close listener with Unix.Unix_error _ -> ());
+          Option.iter
+            (fun l -> try Unix.close l with Unix.Unix_error _ -> ())
+            listener;
           (match bound with
           | Unix_socket path -> ( try Sys.remove path with Sys_error _ -> ())
-          | Tcp _ -> ());
-          Ok
-            {
-              conns_accepted = Metrics.value ctr.conns_accepted;
-              conns_dropped = Metrics.value ctr.conns_dropped;
-              commands = Metrics.value ctr.commands;
-              busy = Metrics.value ctr.busy;
-              shed = Metrics.value ctr.shed;
-              slow_drops = Metrics.value ctr.slow_drops;
-              wedges = Metrics.value ctr.wedged;
-            })
+          | Tcp _ | Stdio _ -> ());
+          match fatal with
+          | Some d -> Error (`Fatal d)
+          | None ->
+              Ok
+                {
+                  conns_accepted = Metrics.value ctr.conns_accepted;
+                  conns_dropped = Metrics.value ctr.conns_dropped;
+                  commands = Metrics.value ctr.commands;
+                  busy = Metrics.value ctr.busy;
+                  shed = Metrics.value ctr.shed;
+                  slow_drops = Metrics.value ctr.slow_drops;
+                  wedges = Metrics.value ctr.wedged;
+                })

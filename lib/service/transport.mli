@@ -1,13 +1,34 @@
-(** The socket transport: many concurrent clients multiplexed over one
-    {!Server.host} — a single-threaded [select] event loop speaking the
-    {!Protocol} line protocol over a Unix-domain or TCP listener.
+(** The service's one command loop: a single-threaded [select] event
+    loop that multiplexes connections speaking the {!Protocol} line
+    protocol over one {!Server.host}.  A connection is a client of a
+    Unix-domain or TCP listener, or the pre-connected stdin/stdout
+    pair ([Stdio]) that [rrs serve] runs on without
+    [--socket]/[--tcp].
 
     Each connection addresses the shared session table by name
-    ([open NAME] / [attach NAME]); on accept it is attached to
-    {!Server.default_session} and greeted exactly like a pipe client.
-    All session mutations are serialized by the loop, so two clients
-    attached to the same session never race; per-connection reply order
-    always matches command order.
+    ([open NAME] / [attach NAME]); it starts attached to
+    {!Server.default_session} and is greeted with that session's
+    {!Server.greeting}.  All session mutations are serialized by the
+    loop, so two clients attached to the same session never race;
+    per-connection reply order always matches command order.  [quit]
+    answers [ok bye round=R executed=E dropped=D recolorings=X cost=C]
+    for the connection's current session and closes the connection.
+
+    {b The stdio connection} follows three rules:
+
+    - {e paced reads}: it reads stdin only once every command it has
+      read has run and its reply was written, and takes one command at
+      a time out of what it read, so a piped script is answered line
+      for line and never [busy], and a stalled reader of stdout pauses
+      the server instead of growing its buffer (the slow-client policy
+      does not apply); the descriptors stay blocking (they share their open
+      file description with the parent shell) and are read and written
+      only after [select] reports them ready;
+    - {e EOF drains}: end of input stops reading, and the server stops
+      the way [shutdown] does — every queued command runs first;
+    - {e its end is the server's end}: [quit], EOF or a write error
+      on it stops the server.  The caller keeps ownership of both
+      descriptors.
 
     {b Overload control} ({!limits}):
 
@@ -26,11 +47,12 @@
       durable session holds its journal descriptor) is answered
       [busy connections fd-limit retry-after=SECONDS], closed at once
       and counted as [serve_busy];
-    - {e slow clients}: a connection whose outbound buffer exceeds
-      [write_buffer_limit] bytes, or that has not accepted a byte for
-      [write_stall_timeout] seconds while output is pending, is dropped
-      and counted as [serve_slow_client_drops] — one reader that stops
-      reading cannot wedge the loop or grow memory unboundedly;
+    - {e slow clients}: a socket connection whose outbound buffer
+      exceeds [write_buffer_limit] bytes, or that has not accepted a
+      byte for [write_stall_timeout] seconds while output is pending,
+      is dropped and counted as [serve_slow_client_drops] — one reader
+      that stops reading cannot wedge the loop or grow memory
+      unboundedly;
     - {e deadlines}: with [command_deadline = Some t], each mutating
       command's apply runs under a {!Rrs_robust.Supervisor} timeout.
       On expiry the session is {!Server.wedge}d (the abandoned domain
@@ -39,28 +61,35 @@
       command addressed to the session restores it from its journal
       ([serve_session_restarts]).
 
-    Faults injected at the [serve.accept] and [serve.write] probes are
-    contained to the connection they hit (counted, connection dropped);
-    one at [serve.command] answers [err ...]; one at [serve.journal]
-    (after the apply) also wedges the session, so the next command
-    restores it from its journal without the un-acked op.  The loop
-    itself never dies from a client.
+    {b One failure model.}  Faults injected at the [serve.accept] and
+    [serve.write] probes are contained to the connection they hit
+    (counted, connection dropped); one at [serve.command] answers
+    [err ...]; one at [serve.journal] (after the apply), or any
+    exception out of a command, also wedges the session, so the next
+    command restores it from its journal without the un-acked op.  No
+    other session is touched, and the loop itself never dies from a
+    client.
 
     Cost per command: the session is found by a hash lookup, the
     [serve_*] counters are resolved once per run, input lines are cut
     out of one shared read buffer, and replies are written straight
     from each connection's output buffer.
 
-    Shutdown: [shutdown] from any client, or the [stop] callback
-    returning [true] (the CLI wires SIGTERM/SIGINT to it), stops
-    accepting, executes every already-queued command, flushes replies
-    on a bounded grace budget, closes every connection and then every
-    session (final checkpoint each).  Unix-domain socket files are
-    unlinked on exit. *)
+    Shutdown: [shutdown] from any client, the end of the stdio
+    connection, or the [stop] callback returning [true] (the CLI wires
+    SIGTERM/SIGINT to it) stops accepting, executes every
+    already-queued command, answers [ok bye shutdown] on every
+    connection that has not said goodbye, flushes replies on a bounded
+    grace budget, closes every connection and then every session
+    (final checkpoint each).  Unix-domain socket files are unlinked on
+    exit. *)
 
 type address =
   | Unix_socket of string  (** path of the socket file (created fresh) *)
   | Tcp of string * int  (** bind host, port; port 0 picks a free port *)
+  | Stdio of Unix.file_descr * Unix.file_descr
+      (** one pre-connected connection reading the first descriptor and
+          writing the second, and no listener *)
 
 val pp_address : Format.formatter -> address -> unit
 
@@ -103,10 +132,13 @@ val run :
   ?on_ready:(address -> unit) ->
   Server.config ->
   address ->
-  (stats, string) result
+  (stats, [ `Config of string | `Fatal of string ]) result
 (** Listen, serve until shutdown, tear down.  [on_ready] fires once
     with the bound address (the actual port for [Tcp (_, 0)]) before
     the first [accept] — tests use it to learn where to connect.
     [stop] is polled between select rounds (at most ~50 ms apart).
-    [Error] is a configuration or bind failure; client misbehavior is
+    [`Config] is a configuration or bind failure: nothing was served.
+    [`Fatal] means the [Stdio] connection's first session could not
+    be opened (its durable state refuses to restore); the connection
+    was answered [err fatal: DIAGNOSTIC] first.  Client misbehavior is
     never an [Error]. *)

@@ -8,8 +8,9 @@
    - a session killed at round k (journal left behind, no graceful
      shutdown) and restored by a fresh server produces the batch run's
      exact accounting — the load-bearing kill/restore differential;
-   - an injected transient fault mid-session restarts under the
-     supervisor from the journal and converges to the same state. *)
+   - an injected command fault is contained by the transport to one
+     [err] reply, and the session converges to the fault-free run's
+     state. *)
 
 open Rrs_core
 module Families = Rrs_workload.Families
@@ -18,6 +19,7 @@ module Protocol = Rrs_service.Protocol
 module Snapshot = Rrs_service.Snapshot
 module Journal = Rrs_service.Journal
 module Server = Rrs_service.Server
+module Transport = Rrs_service.Transport
 module Session = Engine.Session
 
 (* ---- protocol ----------------------------------------------------- *)
@@ -354,16 +356,23 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-(* Run Server.serve over string input, capturing output lines. *)
+(* Serve [script] over the stdio transport, as `rrs serve < script`
+   does, capturing output lines and the CLI's exit code (0 served,
+   1 refused restore, 2 bad configuration). *)
 let run_server config script =
   let in_path = Filename.temp_file "serve_in" ".txt" in
   let out_path = Filename.temp_file "serve_out" ".txt" in
   Out_channel.with_open_text in_path (fun oc -> output_string oc script);
-  let ic = In_channel.open_text in_path in
-  let oc = Out_channel.open_text out_path in
-  let code = Server.serve config ic oc in
-  In_channel.close ic;
-  Out_channel.close oc;
+  let fd_in = Unix.openfile in_path [ Unix.O_RDONLY ] 0 in
+  let fd_out = Unix.openfile out_path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let code =
+    match Transport.run config (Transport.Stdio (fd_in, fd_out)) with
+    | Ok _ -> 0
+    | Error (`Fatal _) -> 1
+    | Error (`Config _) -> 2
+  in
+  Unix.close fd_in;
+  Unix.close fd_out;
   let output = In_channel.with_open_text out_path In_channel.input_lines in
   Sys.remove in_path;
   Sys.remove out_path;
@@ -463,11 +472,13 @@ let test_kill_restore_families () =
       check_kill_restore id (f.build ~seed:1))
     (Families.ids ())
 
-(* ---- supervised crash-restart ------------------------------------- *)
+(* ---- contained command faults ------------------------------------ *)
 
-(* The 6th command below is a [state] — no journal op, so losing it to
-   the injected crash must not change the final accounting. *)
-let test_fault_restart () =
+(* The 6th command below is a [state] — no journal op.  The fault
+   injected there is contained by the transport to that command's
+   reply: the session is not wedged, the following commands run, and
+   the final checkpoint equals the fault-free run's. *)
+let test_command_fault () =
   let dir = temp_dir "fault" in
   let dir2 = temp_dir "clean" in
   Fun.protect
@@ -497,7 +508,6 @@ let test_fault_restart () =
       delay = Array.make 4 6;
       checkpoint_dir = Some dir;
       checkpoint_every = 2;
-      retries = 2;
     }
   in
   let plan =
@@ -508,11 +518,14 @@ let test_fault_restart () =
     Rrs_fault.with_plan plan (fun () -> run_server (config dir) script)
   in
   Alcotest.(check int) "faulted exit" 0 code;
-  Alcotest.(check bool) "supervisor restarted the session" true
-    (List.exists
-       (fun l ->
-         String.length l >= 11 && String.sub l 0 11 = "ok restored")
-       output);
+  let prefix = "err transient fault injected at serve.command" in
+  (* output line 0 is the greeting, so the 6th command's reply is line 6 *)
+  Alcotest.(check bool) "the 6th command answers the fault" true
+    (match List.nth_opt output 6 with
+    | Some l ->
+        String.length l >= String.length prefix
+        && String.sub l 0 (String.length prefix) = prefix
+    | None -> false);
   let clean_code, _ = run_server (config dir2) script in
   Alcotest.(check int) "clean exit" 0 clean_code;
   let load dir =
@@ -560,7 +573,7 @@ let test_bounded_state () =
 
 (* ---- protocol fuzz (QCheck) --------------------------------------- *)
 
-module Torture = Rrs_service.Torture
+module Torture = Rrs_torture.Torture
 
 (* the parser's totality contract: any byte string gets Ok/Error, never
    an exception, and anything it does accept re-parses from its
@@ -1308,8 +1321,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
           Alcotest.test_case "kill at round k, restore, finish" `Quick
             test_kill_restore_families;
-          Alcotest.test_case "supervised crash-restart" `Quick
-            test_fault_restart;
+          Alcotest.test_case "command fault contained" `Quick
+            test_command_fault;
           Alcotest.test_case "prefix checkpoint + suffix replay" `Quick
             test_prefix_replay;
         ] );

@@ -11,10 +11,15 @@
      session other clients share;
    - a command deadline wedges the session (no journal append from the
      abandoned attempt) and the next command restores it;
-   - shutdown executes every queued command before closing. *)
+   - shutdown executes every queued command before closing;
+   - the stdio connection answers a piped script line for line and in
+     order, never [busy]; stdin EOF runs every buffered command before
+     the goodbye; a refused restore prints [err fatal ...] and the CLI
+     exits 1; a socket server whose stdin is at EOF keeps serving. *)
 
 module Transport = Rrs_service.Transport
 module Server = Rrs_service.Server
+module Journal = Rrs_service.Journal
 module Metrics = Rrs_obs.Metrics
 
 let temp_dir =
@@ -73,7 +78,9 @@ let close_client c = try Unix.close c.fd with Unix.Unix_error _ -> ()
 type server = {
   sock : string;
   stop : bool Atomic.t;
-  handle : (Transport.stats, string) result Domain.t;
+  handle :
+    (Transport.stats, [ `Config of string | `Fatal of string ]) result
+    Domain.t;
 }
 
 let start ?(limits = Transport.default_limits) ?plan config dir =
@@ -98,11 +105,39 @@ let start ?(limits = Transport.default_limits) ?plan config dir =
   done;
   { sock; stop; handle }
 
+let stats_of = function
+  | Ok stats -> stats
+  | Error (`Config e | `Fatal e) -> Alcotest.failf "transport: %s" e
+
 let finish server =
   Atomic.set server.stop true;
-  match Domain.join server.handle with
-  | Ok stats -> stats
-  | Error e -> Alcotest.failf "transport: %s" e
+  stats_of (Domain.join server.handle)
+
+(* Serve [script] over the stdio transport on real pipes, as
+   `producer | rrs serve | consumer` does: one domain writes the
+   script and closes, another reads the replies until EOF. *)
+let serve_piped config script =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let writer =
+    Domain.spawn (fun () ->
+        let oc = Unix.out_channel_of_descr in_w in
+        (* a server that stopped reading early fails this write (EPIPE,
+           SIGPIPE is ignored), and the test its assertions *)
+        (try output_string oc script with Sys_error _ -> ());
+        try close_out oc with Sys_error _ -> ())
+  in
+  let reader =
+    Domain.spawn (fun () ->
+        In_channel.input_lines (Unix.in_channel_of_descr out_r))
+  in
+  let result = Transport.run config (Transport.Stdio (in_r, out_w)) in
+  Unix.close out_w;
+  Unix.close in_r;
+  Domain.join writer;
+  let lines = Domain.join reader in
+  Unix.close out_r;
+  (result, lines)
 
 let config ?checkpoint_dir () =
   {
@@ -143,25 +178,11 @@ let test_roundtrip () =
   let stats = finish server in
   Alcotest.(check int) "one client" 1 stats.Transport.conns_accepted;
   Alcotest.(check int) "four commands" 4 stats.Transport.commands;
-  (* acked ops reached the journal: a pipe-mode restart sees them *)
-  let code, output =
-    let in_path = Filename.temp_file "transport_in" ".txt" in
-    let out_path = Filename.temp_file "transport_out" ".txt" in
-    Out_channel.with_open_text in_path (fun oc ->
-        output_string oc "state\nquit\n");
-    let ic = In_channel.open_text in_path in
-    let oc = Out_channel.open_text out_path in
-    let code =
-      Server.serve { (config ~checkpoint_dir:ckpt ()) with retries = 0 } ic oc
-    in
-    In_channel.close ic;
-    Out_channel.close oc;
-    let out = In_channel.with_open_text out_path In_channel.input_lines in
-    Sys.remove in_path;
-    Sys.remove out_path;
-    (code, out)
+  (* acked ops reached the journal: a stdio restart sees them *)
+  let result, output =
+    serve_piped (config ~checkpoint_dir:ckpt ()) "state\nquit\n"
   in
-  Alcotest.(check int) "restart exit" 0 code;
+  ignore (stats_of result);
   Alcotest.(check bool)
     "restored both acked ops" true
     (List.exists (fun l -> starts_with "ok restored round=3 ops=2" l) output)
@@ -301,11 +322,7 @@ let test_shutdown_drains () =
   done;
   Unix.sleepf 0.2;
   Atomic.set server.stop true;
-  let stats =
-    match Domain.join server.handle with
-    | Ok stats -> stats
-    | Error e -> Alcotest.failf "transport: %s" e
-  in
+  let stats = stats_of (Domain.join server.handle) in
   close_client c;
   Alcotest.(check int) "all queued commands executed" 8 stats.Transport.commands;
   let journal = Filename.concat ckpt "journal.jsonl" in
@@ -400,7 +417,165 @@ let test_fd_limit () =
       let stats = finish server in
       Alcotest.(check int) "refusal counted busy" 1 stats.Transport.busy
 
+(* ---- the stdio connection ----------------------------------------- *)
+
+(* 1200 commands, ~11 KB: far past one 4096-byte read and past the
+   default queue limit of 64.  A script is answered line for line, in
+   order, and never [busy]. *)
+let test_stdio_script () =
+  let commands = 1200 in
+  let line i =
+    if i mod 4 = 3 then "step" else Printf.sprintf "submit %d 1" (i mod 4)
+  in
+  let expected i =
+    let round = i / 4 in
+    if i mod 4 = 3 then
+      Printf.sprintf "ok stepped 1 round to round %d" (round + 1)
+    else
+      Printf.sprintf "ok submitted 1 job of color %d at round %d" (i mod 4)
+        round
+  in
+  let script =
+    String.concat "\n" (List.init commands line @ [ "quit"; "" ])
+  in
+  let result, output = serve_piped (config ()) script in
+  let stats = stats_of result in
+  Alcotest.(check int) "one connection" 1 stats.Transport.conns_accepted;
+  Alcotest.(check int) "every command ran" (commands + 1)
+    stats.Transport.commands;
+  Alcotest.(check int) "nothing busy" 0 stats.Transport.busy;
+  match output with
+  | greeting :: rest ->
+      Alcotest.(check bool) "greeting" true (starts_with "ok session" greeting);
+      Alcotest.(check int) "one reply per command" (commands + 1)
+        (List.length rest);
+      List.iteri
+        (fun i reply ->
+          if i < commands then
+            Alcotest.(check string) (Printf.sprintf "reply %d" i) (expected i)
+              reply
+          else
+            Alcotest.(check bool) ("bye: " ^ reply) true
+              (starts_with
+                 (Printf.sprintf "ok bye round=%d executed=" (commands / 4))
+                 reply))
+        rest
+  | [] -> Alcotest.fail "no output"
+
+(* EOF with commands still unread: every one runs (the unterminated
+   last line too) before the drain's goodbye. *)
+let test_stdio_eof_drains () =
+  let submits = 300 in
+  let script =
+    String.concat ""
+      (List.init submits (fun i -> Printf.sprintf "submit %d 1\n" (i mod 4)))
+    ^ "state"
+  in
+  let result, output = serve_piped (config ()) script in
+  let stats = stats_of result in
+  Alcotest.(check int) "every command ran" (submits + 1)
+    stats.Transport.commands;
+  Alcotest.(check int) "greeting + replies + bye" (submits + 3)
+    (List.length output);
+  List.iteri
+    (fun i l ->
+      if i >= 1 && i <= submits then
+        Alcotest.(check bool) ("acked: " ^ l) true
+          (starts_with "ok submitted" l))
+    output;
+  Alcotest.(check bool) "the state line ran" true
+    (starts_with "{" (List.nth output (submits + 1)));
+  Alcotest.(check string) "then the goodbye" "ok bye shutdown"
+    (List.nth output (submits + 2))
+
+(* the CLI built next to this test *)
+let rrs_exe =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "rrs.exe" ]
+
+(* Run [rrs ARGS] with stdin already at EOF, stdout into [out]. *)
+let spawn_rrs args ~out =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  Unix.close in_w;
+  let out_fd =
+    Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let err = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process rrs_exe
+      (Array.of_list (rrs_exe :: args))
+      in_r out_fd err
+  in
+  List.iter Unix.close [ in_r; out_fd; err ];
+  pid
+
+let exit_code pid =
+  match snd (Unix.waitpid [] pid) with
+  | Unix.WEXITED code -> code
+  | Unix.WSIGNALED s | Unix.WSTOPPED s ->
+      Alcotest.failf "rrs killed by signal %d" s
+
+(* A corrupt journal body refuses to restore (tier 3): the stdio
+   connection prints [err fatal ...] and the CLI exits 1. *)
+let test_stdio_refused () =
+  let dir = temp_dir "refused" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let journal = Filename.concat dir "journal.jsonl" in
+  let w =
+    Journal.create journal
+      {
+        Journal.version = Journal.header_version;
+        policy = "dlru-edf";
+        n = 4;
+        delta = 2;
+        delay = Array.make 4 6;
+        mini_rounds = 1;
+      }
+  in
+  Journal.append w (Journal.Submit { round = 0; color = 1; count = 2 });
+  Journal.close w;
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 journal
+    (fun oc -> output_string oc "not an op\nstep 1\n");
+  let out = Filename.concat dir "out.txt" in
+  let pid =
+    spawn_rrs ~out
+      [
+        "serve"; "-n"; "4"; "--delta"; "2"; "--colors"; "4";
+        "--delay-bound"; "6"; "--checkpoint-dir"; dir;
+      ]
+  in
+  Alcotest.(check int) "exit 1" 1 (exit_code pid);
+  match In_channel.with_open_text out In_channel.input_lines with
+  | [ line ] ->
+      Alcotest.(check bool) ("refused: " ^ line) true
+        (starts_with "err fatal: " line)
+  | lines ->
+      Alcotest.failf "want one err fatal line, got %d lines" (List.length lines)
+
+(* perfbench starts its socket servers with stdin at EOF: a socket
+   server never reads stdin, so it keeps serving. *)
+let test_socket_stdin_eof () =
+  let dir = temp_dir "stdin_eof" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let sock = Filename.concat dir "rrs.sock" in
+  let pid =
+    spawn_rrs ~out:(Filename.concat dir "out.txt")
+      [ "serve"; "--socket"; sock; "-n"; "4"; "--delta"; "2"; "--colors"; "4" ]
+  in
+  let c = connect sock in
+  Alcotest.(check bool) "greeting" true (starts_with "ok session" (recv c));
+  Unix.sleepf 0.2;
+  send c "submit 0 1 3";
+  Alcotest.(check bool) "still serving" true
+    (starts_with "ok submitted 3 jobs" (recv c));
+  send c "shutdown";
+  Alcotest.(check string) "shutdown" "ok shutting down" (recv c);
+  close_client c;
+  Alcotest.(check int) "clean exit" 0 (exit_code pid)
+
 let () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "transport"
     [
       ( "socket",
@@ -421,5 +596,15 @@ let () =
             test_deadline_wedge;
           Alcotest.test_case "shutdown drains the queue" `Quick
             test_shutdown_drains;
+        ] );
+      ( "stdio",
+        [
+          Alcotest.test_case "a script is never busy" `Quick test_stdio_script;
+          Alcotest.test_case "EOF drains buffered commands" `Quick
+            test_stdio_eof_drains;
+          Alcotest.test_case "refused restore exits 1" `Quick
+            test_stdio_refused;
+          Alcotest.test_case "socket server ignores stdin EOF" `Quick
+            test_socket_stdin_eof;
         ] );
     ]
