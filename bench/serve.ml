@@ -11,20 +11,32 @@
    the bench if residency grows; the per-round metrics are also gated by
    benchdiff (analysis.alloc_* / analysis.*_rounds_per_sec rules).
 
-   Part 2 — durability overhead: what a journal append and an atomic
-   checkpoint commit cost, measured against the same streamed session.
-   Wall-clock only (Info under the gate), recorded so drifts show up in
-   review even though they never fail CI on machine noise.
+   Part 2 — durability overhead: what a journal append and a server
+   checkpoint (snapshot line, full machine state, atomic temp+rename
+   commit) cost, measured against the same steady load.  Wall-clock
+   only (Info under the gate), recorded so drifts show up in review
+   even though they never fail CI on machine noise.
 
-   Part 3 — kill/restore drill: for every workload family, write the
-   journal a server killed at round k would leave behind (header + ops,
-   no checkpoint, no goodbye), restart a server on it over the stdio
-   transport, finish the stream, and diff the final checkpoint against
-   the uninterrupted batch Engine.run.  Any differing counter (round,
-   executed, dropped, recolorings, reconfig cost, final cache) counts
-   as a divergence;
+   Part 3 — kill/restore drill: for every workload family, two kills
+   at round k — one that leaves only the journal (header + ops, no
+   checkpoint, no goodbye), one just after a full-state checkpoint —
+   then restart a server on each over the stdio transport, finish the
+   stream, and diff the final checkpoint against the uninterrupted
+   batch Engine.run.  Any differing counter (round, executed, dropped,
+   recolorings, reconfig cost, final cache) counts as a divergence;
    "divergences" is Exact-gated by benchdiff and the bench exits
-   nonzero if it is not 0. *)
+   nonzero if it is not 0.  The checkpointed restores must take the
+   fast path and replay no op ("checkpointed_replayed_ops", Exact).
+
+   Part 4 — restore scaling: one session under the steady load,
+   restored at 10k and at ~100k ops of history (both 16 ops past a
+   checkpoint).  The ops each restore replayed are Exact-gated, and
+   the bench fails if one exceeds --checkpoint-every: that is the
+   bound on restart work.  "restore_growth", the ratio of the two
+   restore times within this process, is reported as information: a
+   replay of the whole history makes it ~10, and what remains of it
+   here is the read and hash of the journal prefix, which grows with
+   the history (sub-millisecond samples, so it is noisy). *)
 
 open Rrs_core
 module Families = Rrs_workload.Families
@@ -34,7 +46,6 @@ module Snapshot = Rrs_service.Snapshot
 module Server = Rrs_service.Server
 module Transport = Rrs_service.Transport
 module Session = Engine.Session
-module Sink = Rrs_obs.Sink
 
 let rounds = ref 20_000
 let warmup = ref 2_000
@@ -146,11 +157,45 @@ let temp_dir name =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   dir
 
-let rm_rf dir =
-  if Sys.file_exists dir then begin
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-    Unix.rmdir dir
-  end
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+
+let steady_config dir =
+  {
+    Server.default_config with
+    n = !n;
+    delta = 4;
+    delay = Array.make !colors 16;
+    checkpoint_dir = Some dir;
+  }
+
+(* The steady load of [feed_round] as journal ops, one at a time. *)
+let steady_ops () =
+  let queue = Queue.create () and round = ref 0 in
+  fun () ->
+    if Queue.is_empty queue then begin
+      let r = !round in
+      let c1 = r mod !colors and c2 = ((3 * r) + 1) mod !colors in
+      Queue.add (Journal.Submit { round = r; color = c1; count = 3 }) queue;
+      if c2 <> c1 then
+        Queue.add (Journal.Submit { round = r; color = c2; count = 2 }) queue;
+      Queue.add (Journal.Step 1) queue;
+      incr round
+    end;
+    Queue.pop queue
+
+let run_to h s next ~ops =
+  while Server.session_ops s < ops do
+    let op = next () in
+    match Server.apply_op s op with
+    | Ok () -> Server.commit h s op
+    | Error e -> failwith ("steady load refused: " ^ e)
+  done
 
 let durability () =
   print_endline
@@ -183,23 +228,29 @@ let durability () =
   done;
   let append_seconds = (Unix.gettimeofday () -. t0) /. float_of_int appends in
   Journal.close w;
-  let ckpt_path = Filename.concat dir "checkpoint.json" in
+  ignore (Session.finish session);
+  (* the server's checkpoint of the same load: snapshot line and machine
+     state into one buffer, a temp sibling, a rename *)
+  let cdir = Filename.concat dir "server" in
+  let h = Server.host { (steady_config cdir) with checkpoint_every = 0 } in
+  let s = Server.open_session h Server.default_session in
+  run_to h s (steady_ops ()) ~ops:appends;
   let checkpoints = 200 in
   let t0 = Unix.gettimeofday () in
-  for i = 1 to checkpoints do
-    (* the server's commit: serialize, write to a temp sibling, rename *)
-    Sink.with_jsonl ckpt_path (fun sink ->
-        Sink.write_line sink
-          (Snapshot.to_line (Snapshot.of_session ~ops:i session)))
+  for _ = 1 to checkpoints do
+    ignore (Server.checkpoint_session h s)
   done;
   let checkpoint_seconds =
     (Unix.gettimeofday () -. t0) /. float_of_int checkpoints
   in
-  ignore (Session.finish session);
+  let checkpoint_bytes =
+    (Unix.stat (Filename.concat cdir "checkpoint.json")).Unix.st_size
+  in
+  Server.abandon_session h s;
   Printf.printf "journal append:    %.2f us/op\n" (append_seconds *. 1e6);
-  Printf.printf "checkpoint commit: %.2f us (%d-color state)\n"
-    (checkpoint_seconds *. 1e6) !colors;
-  (append_seconds, checkpoint_seconds)
+  Printf.printf "checkpoint commit: %.2f us (%d-color state, %d bytes)\n"
+    (checkpoint_seconds *. 1e6) !colors checkpoint_bytes;
+  (append_seconds, checkpoint_seconds, checkpoint_bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Part 3: kill/restore drill                                          *)
@@ -239,37 +290,41 @@ let submit_ops instance =
   in
   collect []
 
-let drill_family id =
+let drill_config (instance : Instance.t) dir =
+  {
+    Server.default_config with
+    n = !n;
+    delta = instance.delta;
+    delay = Array.copy instance.delay;
+    checkpoint_dir = Some dir;
+    checkpoint_every = 0;
+  }
+
+(* The durable state of a server killed right after it stepped to round
+   [k]: the journal alone, or the journal and a full-state checkpoint
+   of that very moment. *)
+let kill_at ~checkpoint (instance : Instance.t) ~k dir =
+  let h = Server.host (drill_config instance dir) in
+  let s = Server.open_session h Server.default_session in
+  List.iter
+    (fun op ->
+      match Server.apply_op s op with
+      | Ok () -> Server.commit h s op
+      | Error e -> failwith ("drill op refused: " ^ e))
+    (submit_ops instance @ [ Journal.Step k ]);
+  if checkpoint then ignore (Server.checkpoint_session h s);
+  Server.abandon_session h s
+
+let drill_family ~checkpoint id =
   let f = Option.get (Families.find id) in
   let instance = f.build ~seed:1 in
   let horizon = instance.Instance.horizon in
   let k = max 1 ((horizon + 1) / 2) in
   let dir = temp_dir ("drill_" ^ id) in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  let header =
-    {
-      Journal.version = Journal.header_version;
-      policy = "dlru-edf";
-      n = !n;
-      delta = instance.Instance.delta;
-      delay = Array.copy instance.Instance.delay;
-      mini_rounds = 1;
-    }
-  in
-  let w = Journal.create (Filename.concat dir "journal.jsonl") header in
-  List.iter (fun op -> Journal.append w op) (submit_ops instance);
-  Journal.append w (Journal.Step k);
-  Journal.close w;
-  let config =
-    {
-      Server.default_config with
-      n = !n;
-      delta = instance.Instance.delta;
-      delay = Array.copy instance.Instance.delay;
-      checkpoint_dir = Some dir;
-      checkpoint_every = 0;
-    }
-  in
+  kill_at ~checkpoint instance ~k dir;
+  let metrics = Rrs_obs.Metrics.create () in
+  let config = { (drill_config instance dir) with metrics = Some metrics } in
   let t0 = Unix.gettimeofday () in
   let code, output =
     run_server config (Printf.sprintf "step %d\nquit\n" (horizon + 1 - k))
@@ -316,7 +371,11 @@ let drill_family id =
           check "pending" 0 snapshot.Snapshot.pending_jobs;
           if snapshot.Snapshot.cache <> batch.Engine.final_cache then
             diverge "final cache differs"));
-  (!divergences, seconds, horizon + 1)
+  let replayed =
+    Rrs_obs.Metrics.value
+      (Rrs_obs.Metrics.counter metrics "serve_restore_replayed_ops")
+  in
+  (!divergences, seconds, horizon + 1, replayed)
 
 let restore_drill () =
   print_endline
@@ -328,26 +387,97 @@ let restore_drill () =
   let divergences = ref 0 in
   let restore_seconds = ref 0.0 in
   let rounds_replayed = ref 0 in
+  let checkpointed_replayed = ref 0 in
   List.iter
     (fun id ->
-      let d, seconds, rounds = drill_family id in
-      divergences := !divergences + d;
+      let d, seconds, rounds, _ = drill_family ~checkpoint:false id in
+      let dc, cseconds, _, replayed = drill_family ~checkpoint:true id in
+      divergences := !divergences + d + dc;
       restore_seconds := !restore_seconds +. seconds;
       rounds_replayed := !rounds_replayed + rounds;
-      Printf.printf "%-16s %s (%.1f ms, %d rounds)\n" id
-        (if d = 0 then "identical" else Printf.sprintf "%d DIVERGENCES" d)
-        (seconds *. 1e3) rounds)
+      checkpointed_replayed := !checkpointed_replayed + replayed;
+      if replayed <> 0 then
+        fail "%s: restore from a checkpoint replayed %d ops" id replayed;
+      Printf.printf "%-16s %s (%.1f ms journal only, %.1f ms from a checkpoint, %d rounds)\n"
+        id
+        (if d + dc = 0 then "identical"
+         else Printf.sprintf "%d DIVERGENCES" (d + dc))
+        (seconds *. 1e3) (cseconds *. 1e3) rounds)
     ids;
-  (!divergences, !restore_seconds, List.length ids, !rounds_replayed)
+  ( !divergences,
+    !restore_seconds,
+    List.length ids,
+    !rounds_replayed,
+    !checkpointed_replayed )
+
+(* ------------------------------------------------------------------ *)
+(* Part 4: restore time against the length of the history              *)
+(* ------------------------------------------------------------------ *)
+
+let restore_scaling () =
+  print_endline
+    "================================================================";
+  print_endline " Restore scaling (one session at 10k and ~100k ops of history)";
+  print_endline
+    "================================================================";
+  let dir = temp_dir "scaling" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let config = steady_config dir in
+  let next = steady_ops () in
+  (* the best of five restores, and the ops the restore replayed *)
+  let restore () =
+    let best = ref infinity and replayed = ref 0 in
+    for _ = 1 to 5 do
+      let metrics = Rrs_obs.Metrics.create () in
+      let h = Server.host { config with metrics = Some metrics } in
+      let t0 = Unix.gettimeofday () in
+      let s = Server.open_session h Server.default_session in
+      best := min !best (Unix.gettimeofday () -. t0);
+      replayed :=
+        Rrs_obs.Metrics.value
+          (Rrs_obs.Metrics.counter metrics "serve_restore_replayed_ops");
+      Server.abandon_session h s
+    done;
+    (!best, !replayed)
+  in
+  (* both points lie 16 ops past a checkpoint (every 256 ops), so only
+     the history's length differs between them *)
+  let grow ~ops =
+    let h = Server.host config in
+    let s = Server.open_session h Server.default_session in
+    run_to h s next ~ops;
+    Server.abandon_session h s;
+    restore ()
+  in
+  let small_ops = 10_000 and large_ops = 99_856 in
+  let t_small, r_small = grow ~ops:small_ops in
+  let t_large, r_large = grow ~ops:large_ops in
+  let growth = t_large /. t_small in
+  Printf.printf "restore at %d ops: %.2f ms (%d replayed)\n" small_ops
+    (t_small *. 1e3) r_small;
+  Printf.printf "restore at %d ops: %.2f ms (%d replayed)\n" large_ops
+    (t_large *. 1e3) r_large;
+  Printf.printf "growth: %.2fx for %.1fx the history\n" growth
+    (float_of_int large_ops /. float_of_int small_ops);
+  List.iter
+    (fun r ->
+      if r > config.checkpoint_every then
+        fail "a restore replayed %d ops, more than --checkpoint-every %d" r
+          config.checkpoint_every)
+    [ r_small; r_large ];
+  (t_small, t_large, growth, r_small, r_large, small_ops, large_ops)
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   let t0 = Unix.gettimeofday () in
   let rps, live_growth_per_round, minor_per_round = throughput () in
-  let append_seconds, checkpoint_seconds = durability () in
-  let divergences, restore_seconds, families, rounds_replayed =
+  let append_seconds, checkpoint_seconds, checkpoint_bytes = durability () in
+  let divergences, restore_seconds, families, rounds_replayed, ckpt_replayed =
     restore_drill ()
+  in
+  let t_small, t_large, growth, r_small, r_large, small_ops, large_ops =
+    restore_scaling ()
   in
   Out_channel.with_open_text !out (fun oc ->
       let write = Rrs_obs.Run_summary.write oc in
@@ -383,6 +513,7 @@ let () =
              [
                ("journal_append_seconds", append_seconds);
                ("checkpoint_seconds", checkpoint_seconds);
+               ("checkpoint_bytes", float_of_int checkpoint_bytes);
              ]
            ());
       write
@@ -395,12 +526,31 @@ let () =
                ("families", float_of_int families);
                ("rounds_replayed", float_of_int rounds_replayed);
                ("restore_seconds", restore_seconds);
+               ("checkpointed_replayed_ops", float_of_int ckpt_replayed);
+             ]
+           ());
+      write
+        (Rrs_obs.Run_summary.make ~id:"serve-restore-scaling" ~kind:"bench"
+           ~config:
+             [
+               ("policy", "dlru-edf");
+               ("colors", string_of_int !colors);
+               ("checkpoint_every", "256");
+               ("ops", Printf.sprintf "%d,%d" small_ops large_ops);
+             ]
+           ~analysis:
+             [
+               ("restore_small_seconds", t_small);
+               ("restore_large_seconds", t_large);
+               ("restore_growth", growth);
+               ("restore_small_replayed_ops", float_of_int r_small);
+               ("restore_large_replayed_ops", float_of_int r_large);
              ]
            ()));
   (match Rrs_obs.Run_summary.load !out with
-  | Ok summaries when List.length summaries = 3 -> ()
+  | Ok summaries when List.length summaries = 4 -> ()
   | Ok summaries ->
-      fail "%s holds %d summaries, expected 3" !out (List.length summaries)
+      fail "%s holds %d summaries, expected 4" !out (List.length summaries)
   | Error msg -> fail "%s unreadable: %s" !out msg);
   Printf.printf "bench finished in %.1f s\n" (Unix.gettimeofday () -. t0);
   Printf.printf "run summaries written to %s\n" !out;

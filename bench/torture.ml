@@ -2,7 +2,9 @@
 
    Part 1 mutates durable state offline through Rrs_torture.Torture:
    journal truncation at every byte boundary, a byte flip at every
-   offset, every op line duplicated, and the same for checkpoint.json
+   offset, every op line duplicated, every submit rewritten with
+   another job count (still a valid op, below the full-state
+   checkpoint), and the same for checkpoint.json
    — every case must be contained (recovered on the documented tier or
    refused with a diagnostic) and divergence-free (a successful restore
    equals the straight line of the ops the mutated journal holds).
@@ -76,7 +78,7 @@ let fresh_dir name =
 (* How many ops a journal holds (a torn tail dropped). *)
 let journaled_ops path =
   Journal.fold path ~init:(fun _ -> 0) ~f:(fun n _ -> n + 1)
-  |> Result.map fst
+  |> Result.map (fun (n, _tear, _end) -> n)
 
 let is_mutation_ack line =
   let prefixes = [ "ok submitted"; "ok stepped"; "ok reconfigured" ] in
@@ -112,10 +114,11 @@ let offline_campaigns () =
   let truncate = run "journal-truncate" (Torture.journal_truncate_campaign ?stride:None) in
   let flip = run "journal-flip" (Torture.journal_flip_campaign ?stride:None) in
   let dup = run "journal-dup" Torture.journal_dup_campaign in
+  let edit = run "journal-edit" Torture.journal_edit_campaign in
   let ckpt = run "checkpoint" (Torture.checkpoint_campaign ?stride:None) in
   let prefixes = run "kill-prefix" (Torture.prefix_campaign ~torn:false) in
   let torn = run "kill-prefix-torn" (Torture.prefix_campaign ~torn:true) in
-  (truncate, flip, dup, ckpt, prefixes, torn)
+  (truncate, flip, dup, edit, ckpt, prefixes, torn)
 
 (* ------------------------------------------------------------------ *)
 (* part 2: kill-at-every-op over the socket                            *)
@@ -448,7 +451,7 @@ let () =
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let t0 = Unix.gettimeofday () in
   rm_rf scratch;
-  let truncate, flip, dup, ckpt, prefixes, torn = offline_campaigns () in
+  let truncate, flip, dup, edit, ckpt, prefixes, torn = offline_campaigns () in
   let kills = socket_kill_campaign () in
   let stats, acked, journaled, overload_uncontained, overload_restore =
     overload_drill ()
@@ -470,6 +473,7 @@ let () =
       campaign "journal-truncate" truncate;
       campaign "journal-flip" flip;
       campaign "journal-dup" dup;
+      campaign "journal-edit" edit;
       campaign "checkpoint-torture" ckpt;
       campaign "kill-prefix" prefixes;
       campaign "kill-prefix-torn" torn;
@@ -518,9 +522,9 @@ let () =
              ]
            ()));
   (match Rrs_obs.Run_summary.load "BENCH_torture.json" with
-  | Ok summaries when List.length summaries = 9 -> ()
+  | Ok summaries when List.length summaries = 10 -> ()
   | Ok summaries ->
-      fail "BENCH_torture.json holds %d summaries, expected 9"
+      fail "BENCH_torture.json holds %d summaries, expected 10"
         (List.length summaries)
   | Error msg -> fail "BENCH_torture.json unreadable: %s" msg);
   Printf.printf "torture campaign finished in %.1f s\n"

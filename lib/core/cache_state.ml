@@ -99,3 +99,34 @@ let to_assignment t ~replicated =
 
 let distinct t = Array.copy t.slots
 let live_slots t = t.slots
+
+(* The membership flags are a function of the slots. *)
+let save t w = Wire.add_ints w t.slots
+
+let load t r =
+  let slots = Wire.ints r in
+  if Array.length slots <> Array.length t.slots then
+    raise (Wire.Malformed "cache state: slot count differs");
+  Array.fill t.flags 0 (Array.length t.flags) false;
+  Array.iteri
+    (fun i c ->
+      if c <> Types.black && (c < 0 || c >= Array.length t.flags) then
+        raise (Wire.Malformed "cache state: color out of range");
+      t.slots.(i) <- c;
+      if c >= 0 then t.flags.(c) <- true)
+    slots
+
+let codec ?eligibility t =
+  match eligibility with
+  | None -> { Policy.save = save t; load = load t }
+  | Some e ->
+      {
+        Policy.save =
+          (fun w ->
+            Eligibility.save e w;
+            save t w);
+        load =
+          (fun r ->
+            Eligibility.load e r;
+            load t r);
+      }

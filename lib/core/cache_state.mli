@@ -32,3 +32,18 @@ val to_assignment : t -> replicated:bool -> Types.color array
 
 val distinct : t -> Types.color array
 (** The raw distinct slots (copy). *)
+
+(** {2 Checkpointing} *)
+
+val save : t -> Wire.writer -> unit
+(** The distinct slots.  A policy must save them rather than derive
+    them from the engine's cache: after a reconfiguration the fresh
+    policy's slots and the cache differ. *)
+
+val load : t -> Wire.reader -> unit
+(** @raise Wire.Malformed on a slot count or color {!save} cannot have
+    written. *)
+
+val codec : ?eligibility:Eligibility.t -> t -> Policy.codec
+(** The codec of a policy whose state is these slots, after the
+    eligibility state it reads, when it has one. *)

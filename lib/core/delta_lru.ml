@@ -28,6 +28,14 @@ let make ?sink ?registry (instance : Instance.t) ~n =
     Cache_state.assign_array cache buf len;
     Cache_state.to_assignment cache ~replicated:true
   in
-  { policy = { Policy.name = "dlru"; reconfigure }; eligibility }
+  {
+    policy =
+      {
+        Policy.name = "dlru";
+        reconfigure;
+        codec = Some (Cache_state.codec ~eligibility cache);
+      };
+    eligibility;
+  }
 
 let policy instance ~n = (make instance ~n).policy

@@ -60,7 +60,15 @@ let make_scheme ?sink ?registry ~name ~replicated ~distinct_slots
     Cache_state.assign_array cache desired keep;
     Cache_state.to_assignment cache ~replicated
   in
-  { policy = { Policy.name; reconfigure }; eligibility }
+  {
+    policy =
+      {
+        Policy.name;
+        reconfigure;
+        codec = Some (Cache_state.codec ~eligibility cache);
+      };
+    eligibility;
+  }
 
 let make ?sink ?registry instance ~n =
   if n < 2 || n mod 2 <> 0 then

@@ -249,3 +249,64 @@ let wrap_events_total t =
 
 let eligible_drops t = t.eligible_drops
 let ineligible_drops t = t.ineligible_drops
+
+(* One flat int array: the four totals, then seven columns of one int
+   per color (the two flags share one) — a single {!Wire.add_ints}
+   call.  Column order keeps neighbouring ints alike, which the
+   variable-length code writes fastest. *)
+let save t w =
+  let c = Array.length t.info in
+  let len = 4 + (7 * c) in
+  let a = Wire.scratch w len in
+  a.(0) <- t.last_round;
+  a.(1) <- t.total_epochs_ended;
+  a.(2) <- t.eligible_drops;
+  a.(3) <- t.ineligible_drops;
+  Array.iteri
+    (fun color ci ->
+      let k = 4 + color in
+      a.(k) <- ci.cnt;
+      a.(k + c) <- ci.dd;
+      a.(k + (2 * c)) <-
+        (if ci.eligible then 1 else 0) lor if ci.active_epoch then 2 else 0;
+      a.(k + (3 * c)) <- ci.last_wrap;
+      a.(k + (4 * c)) <- ci.timestamp;
+      a.(k + (5 * c)) <- ci.epochs_ended;
+      a.(k + (6 * c)) <- ci.wrap_events)
+    t.info;
+  Wire.add_ints_prefix w a len
+
+let load t r =
+  let a = Wire.ints r in
+  let c = Array.length t.info in
+  if Array.length a <> 4 + (7 * c) then
+    raise (Wire.Malformed "eligibility: color count differs");
+  t.last_round <- a.(0);
+  t.total_epochs_ended <- a.(1);
+  t.eligible_drops <- a.(2);
+  t.ineligible_drops <- a.(3);
+  Array.iteri
+    (fun color ci ->
+      let k = 4 + color in
+      let flags = a.(k + (2 * c)) in
+      if flags land lnot 3 <> 0 then
+        raise (Wire.Malformed "eligibility: bad flags");
+      ci.cnt <- a.(k);
+      ci.dd <- a.(k + c);
+      ci.eligible <- flags land 1 <> 0;
+      ci.active_epoch <- flags land 2 <> 0;
+      ci.last_wrap <- a.(k + (3 * c));
+      ci.timestamp <- a.(k + (4 * c));
+      ci.epochs_ended <- a.(k + (5 * c));
+      ci.wrap_events <- a.(k + (6 * c)))
+    t.info;
+  (* The boundary heap holds exactly one entry per color, at the
+     color's deadline: [create] seeds (0, c) with [dd = 0], and
+     [process_boundary] pops a color's entry and pushes its new [dd].
+     So it is rebuilt from the loaded deadlines, not saved. *)
+  Rrs_dstruct.Int_heap.clear t.boundary;
+  Array.iteri
+    (fun color ci ->
+      Rrs_dstruct.Int_heap.add t.boundary
+        (Packed.pack_pair ~value:ci.dd ~color))
+    t.info

@@ -96,3 +96,17 @@ val eligible_drops : t -> int
 
 val ineligible_drops : t -> int
 (** Jobs dropped while their color was ineligible. *)
+
+(** {2 Checkpointing} *)
+
+val save : t -> Wire.writer -> unit
+(** Every per-color field (counter, color deadline, eligibility, last
+    wrap, timestamp, epochs, wraps), [last_round], the epoch total and
+    the eligible/ineligible drop split.  The boundary heap is
+    a function of the color deadlines and is not written. *)
+
+val load : t -> Wire.reader -> unit
+(** Overwrite the state of a fresh [t], built from the same instance
+    parameters, with what {!save} wrote.  Fires no listener.
+    @raise Wire.Malformed or [Invalid_argument] on input {!save} cannot
+    have written. *)

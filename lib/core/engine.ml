@@ -504,6 +504,145 @@ module Session = struct
     Rrs_prof.leave "engine.round";
     t.round <- round + 1
 
+  (* ---- checkpointing ---------------------------------------------- *)
+
+  let state_version = 1
+
+  let checkpointable t =
+    (match t.source with Stream _ -> true | Preloaded _ -> false)
+    && Option.is_some t.policy.Policy.codec
+    && not t.finished
+
+  let save t w =
+    match (t.source, t.policy.Policy.codec) with
+    | Stream buckets, Some codec when not t.finished ->
+        let int = Wire.add_int w in
+        int state_version;
+        int t.round;
+        int t.n;
+        int t.delta;
+        Wire.add_ints w t.delay;
+        int t.reconfig_charges;
+        int t.reconfig_cost;
+        int t.executed;
+        int t.dropped;
+        Wire.add_ints w t.drops_by_color;
+        Wire.add_ints w t.executions_by_color;
+        Wire.add_ints w t.cache;
+        Pending.save t.pending w;
+        (* future arrivals as one flat int array of four columns: the
+           rounds (ascending), their batch lengths, then the colors and
+           the counts of all batches, round by round in feed order.
+           The bucket table's own order depends on its history, and
+           equal states must save equal bytes. *)
+        let rounds =
+          Array.of_list (Hashtbl.fold (fun r _ acc -> r :: acc) buckets [])
+        in
+        Array.sort Int.compare rounds;
+        let nr = Array.length rounds in
+        let np = Hashtbl.fold (fun _ batch n -> n + List.length batch) buckets 0 in
+        let size = (2 * nr) + (2 * np) in
+        let a = Wire.scratch w size in
+        let colors = 2 * nr and counts = (2 * nr) + np in
+        (* a bucket holds its batch newest first: fill from the back *)
+        let rec fill i = function
+          | [] -> ()
+          | (color, count) :: rest ->
+              a.(colors + i) <- color;
+              a.(counts + i) <- count;
+              fill (i - 1) rest
+        in
+        let k = ref 0 in
+        Array.iteri
+          (fun j round ->
+            let batch = Hashtbl.find buckets round in
+            let len = List.length batch in
+            a.(j) <- round;
+            a.(nr + j) <- len;
+            fill (!k + len - 1) batch;
+            k := !k + len)
+          rounds;
+        int nr;
+        Wire.add_ints_prefix w a size;
+        codec.Policy.save w
+    | _ -> invalid_arg "Engine.Session.save: session is not checkpointable"
+
+  let load ?(name = "session") (cfg : config) factory r =
+    let malformed what = raise (Wire.Malformed ("session state: " ^ what)) in
+    match
+      let int () = Wire.int r in
+      if int () <> state_version then malformed "unknown version";
+      let round = int () in
+      let n = int () in
+      let delta = int () in
+      let delay = Wire.ints r in
+      let num_colors = Array.length delay in
+      if round < 0 || n < 1 then malformed "round or n out of range";
+      if num_colors > Packed.max_colors then malformed "too many colors";
+      let params =
+        Instance.create ~name ~delta ~delay:(Array.copy delay) ~arrivals:[] ()
+      in
+      let policy = factory params ~n in
+      let charges = int () in
+      let reconfig_cost = int () in
+      let executed = int () in
+      let dropped = int () in
+      let drops_by_color = Wire.ints r in
+      let executions_by_color = Wire.ints r in
+      let cache = Wire.ints r in
+      if
+        Array.length drops_by_color <> num_colors
+        || Array.length executions_by_color <> num_colors
+        || Array.length cache <> n
+        || Array.exists (fun c -> c <> Types.black && (c < 0 || c >= num_colors)) cache
+      then malformed "accounting or cache shape";
+      let pending = Pending.create ~num_colors in
+      Pending.load pending r;
+      let buckets = Hashtbl.create 64 in
+      let nr = int () in
+      let a = Wire.ints r in
+      let np = (Array.length a - (2 * nr)) / 2 in
+      if nr < 0 || np < 0 || Array.length a <> (2 * nr) + (2 * np) then
+        malformed "arrivals length";
+      let k = ref 0 in
+      for j = 0 to nr - 1 do
+        let at = a.(j) and len = a.(nr + j) in
+        if at < round || Hashtbl.mem buckets at then malformed "arrival round";
+        if len < 0 || !k + len > np then malformed "arrival batch length";
+        let batch = ref [] in
+        for i = !k to !k + len - 1 do
+          let color = a.((2 * nr) + i) and count = a.((2 * nr) + np + i) in
+          if color < 0 || color >= num_colors || count <= 0 then
+            malformed "arrival batch";
+          batch := (color, count) :: !batch
+        done;
+        k := !k + len;
+        Hashtbl.replace buckets at !batch
+      done;
+      if !k <> np then malformed "arrival batch lengths";
+      (match policy.Policy.codec with
+      | Some codec -> codec.Policy.load r
+      | None -> malformed "the policy is not checkpointable");
+      if not (Wire.at_end r) then malformed "trailing bytes";
+      Rrs_fault.probe "engine.run";
+      Rrs_prof.enter "engine.run";
+      let t =
+        make { cfg with n } ~name ~delta:params.delta ~delay:params.delay
+          ~num_colors ~factory:(Some factory) ~source:(Stream buckets) ~policy
+          ~pending ~cache
+      in
+      t.round <- round;
+      t.reconfig_charges <- charges;
+      t.reconfig_cost <- reconfig_cost;
+      t.executed <- executed;
+      t.dropped <- dropped;
+      Array.blit drops_by_color 0 t.drops_by_color 0 num_colors;
+      Array.blit executions_by_color 0 t.executions_by_color 0 num_colors;
+      t
+    with
+    | t -> Ok t
+    | exception (Wire.Malformed msg | Invalid_argument msg) -> Error msg
+
   let set_heartbeat t heartbeat =
     t.heartbeat <- heartbeat;
     t.need_clock <- Option.is_some t.telemetry || Option.is_some heartbeat

@@ -228,6 +228,35 @@ module Session : sig
 
   val finished : t -> bool
 
+  (** {2 Checkpointing} *)
+
+  val checkpointable : t -> bool
+  (** A streamed, unfinished session whose policy has a
+      {!Policy.codec}. *)
+
+  val save : t -> Wire.writer -> unit
+  (** Append the session's complete live state: round, n, Δ, delay
+      bounds, the cost, charge, execution and drop counters (totals and
+      per color), the cache, the pending buckets, the fed future
+      arrivals (by round, each batch in feed order) and the policy's
+      own state.  Equal states save equal bytes.
+      @raise Invalid_argument unless {!checkpointable}. *)
+
+  val load :
+    ?name:string ->
+    config ->
+    Policy.factory ->
+    Wire.reader ->
+    (t, string) Stdlib.result
+  (** Rebuild a session from what {!save} wrote: the factory
+      re-instantiates the policy at the saved (Δ, n, delay) and the
+      policy's state is loaded into it.  [config.n] is overridden by
+      the saved n; the factory and [config.mini_rounds] must be the
+      ones the saved session ran with.  Stepping the result with the
+      same calls as the saved session decides identically — the
+      restore fast path of the service layer (doc/SERVICE.md).
+      [Error] names what was malformed. *)
+
   val set_heartbeat : t -> Rrs_obs.Heartbeat.t option -> unit
   (** Replace the session's heartbeat.  The service layer restores a
       session with no heartbeat (journal replay must not beat), then

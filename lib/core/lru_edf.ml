@@ -99,7 +99,15 @@ let make_tuned ?sink ?registry ~lru_slots:quota ~distinct_slots ~replicated
     else Printf.sprintf "dlru-edf[lru=%d/%d%s]" quota distinct_slots
            (if replicated then "" else ",norepl")
   in
-  { policy = { Policy.name; reconfigure }; eligibility }
+  {
+    policy =
+      {
+        Policy.name;
+        reconfigure;
+        codec = Some (Cache_state.codec ~eligibility cache);
+      };
+    eligibility;
+  }
 
 let make ?sink ?registry (instance : Instance.t) ~n =
   if n < 4 || n mod 4 <> 0 then

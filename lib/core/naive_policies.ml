@@ -24,7 +24,19 @@ let round_robin (instance : Instance.t) ~n =
     Cache_state.assign cache ~desired:(List.rev !desired);
     Cache_state.to_assignment cache ~replicated:false
   in
-  { Policy.name = "round-robin"; reconfigure }
+  let codec =
+    {
+      Policy.save =
+        (fun w ->
+          Cache_state.save cache w;
+          Wire.add_int w !cursor);
+      load =
+        (fun r ->
+          Cache_state.load cache r;
+          cursor := Wire.int r);
+    }
+  in
+  { Policy.name = "round-robin"; reconfigure; codec = Some codec }
 
 let greedy_with_hysteresis ~name ~threshold (instance : Instance.t) ~n =
   if threshold < 0 then invalid_arg "Naive_policies: negative threshold";
@@ -66,7 +78,7 @@ let greedy_with_hysteresis ~name ~threshold (instance : Instance.t) ~n =
     Cache_state.assign cache ~desired:!desired;
     Cache_state.to_assignment cache ~replicated:false
   in
-  { Policy.name; reconfigure }
+  { Policy.name; reconfigure; codec = Some (Cache_state.codec cache) }
 
 let classic_lru (instance : Instance.t) ~n =
   let cache = Cache_state.create ~num_colors:instance.num_colors ~distinct_slots:n in
@@ -90,7 +102,7 @@ let classic_lru (instance : Instance.t) ~n =
     Cache_state.assign cache ~desired:(take n by_recency);
     Cache_state.to_assignment cache ~replicated:false
   in
-  { Policy.name = "classic-lru"; reconfigure }
+  { Policy.name = "classic-lru"; reconfigure; codec = None }
 
 let greedy_backlog instance ~n =
   greedy_with_hysteresis ~name:"greedy-backlog" ~threshold:0 instance ~n

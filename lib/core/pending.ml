@@ -176,3 +176,52 @@ let snapshot t =
     (fun cq ->
       List.rev (Queue.fold (fun acc b -> (b.deadline, b.count) :: acc) [] cq.q))
     t.queues
+
+(* Every live bucket as one flat int array of three columns: the
+   bucket count of every color, then the deadlines and the job counts
+   of all buckets, color by color in queue order.  The due heap is not
+   saved: [load] re-adds one entry per bucket, and the heap's stale
+   entries (consumed buckets) were never observable. *)
+let save t w =
+  let c = Array.length t.queues in
+  let buckets = ref 0 in
+  Array.iteri
+    (fun color cq -> if t.totals.(color) > 0 then buckets := !buckets + Queue.length cq.q)
+    t.queues;
+  let b = !buckets in
+  let len = c + (2 * b) in
+  let a = Wire.scratch w len in
+  let k = ref c in
+  let put bucket =
+    a.(!k) <- bucket.deadline;
+    a.(!k + b) <- bucket.count;
+    incr k
+  in
+  Array.iteri
+    (fun color cq ->
+      if t.totals.(color) = 0 then a.(color) <- 0
+      else begin
+        a.(color) <- Queue.length cq.q;
+        Queue.iter put cq.q
+      end)
+    t.queues;
+  Wire.add_ints_prefix w a len
+
+let load t r =
+  let a = Wire.ints r in
+  let c = num_colors t in
+  let b = (Array.length a - c) / 2 in
+  if Array.length a < c || Array.length a <> c + (2 * b) then
+    raise (Wire.Malformed "pending: bad length");
+  let k = ref c in
+  for color = 0 to c - 1 do
+    for _ = 1 to a.(color) do
+      if !k >= c + b then raise (Wire.Malformed "pending: bucket counts");
+      let deadline = a.(!k) and count = a.(!k + b) in
+      if deadline < 0 || count <= 0 then
+        raise (Wire.Malformed "pending: bad bucket");
+      add t color ~deadline ~count;
+      incr k
+    done
+  done;
+  if !k <> c + b then raise (Wire.Malformed "pending: bucket counts")

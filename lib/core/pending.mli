@@ -75,3 +75,12 @@ val on_front_change : t -> (Types.color -> unit) -> unit
     incremental ranking ({!Ranking.Index}) and incremental Par-EDF are
     driven by; listeners run in registration order and must not mutate
     the [Pending.t] they observe. *)
+
+val save : t -> Wire.writer -> unit
+(** The pending buckets of every color, front first. *)
+
+val load : t -> Wire.reader -> unit
+(** Enqueue what {!save} wrote into a fresh, empty store, notifying the
+    front listeners as {!add} does.
+    @raise Wire.Malformed or [Invalid_argument] on input {!save} cannot
+    have written. *)

@@ -7,10 +7,15 @@ type view = {
   pending : Pending.t;
 }
 
+type codec = { save : Wire.writer -> unit; load : Wire.reader -> unit }
+
 type t = {
   name : string;
   reconfigure : view -> Types.color array;
+  codec : codec option;
 }
+
+let stateless = { save = ignore; load = ignore }
 
 type factory = Instance.t -> n:int -> t
 

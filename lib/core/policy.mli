@@ -23,12 +23,26 @@ type view = {
   pending : Pending.t;  (** read-only by convention *)
 }
 
+(** A policy's own state as a {!Wire} stream — what a full-state
+    checkpoint holds besides the engine's ({!Engine.Session.save}).
+    [save] appends the state; [load] overwrites the state of a policy
+    the same factory just built at the same (Δ, n, delay) with it.
+    Derived structures (a ranking index, scratch buffers) are not part
+    of it: they are rebuilt from the live state on first use. *)
+type codec = { save : Wire.writer -> unit; load : Wire.reader -> unit }
+
 type t = {
   name : string;
   reconfigure : view -> Types.color array;
       (** must return an array of length [n]; entries are colors or
           {!Types.black} *)
+  codec : codec option;
+      (** [None]: not checkpointable — a session running the policy
+          can only be rebuilt by replaying its whole history *)
 }
+
+val stateless : codec
+(** The codec of a policy with no state of its own: saves nothing. *)
 
 type factory = Instance.t -> n:int -> t
 (** Policies are instantiated per run with the instance's static

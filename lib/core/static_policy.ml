@@ -2,6 +2,7 @@ let black _instance ~n =
   {
     Policy.name = "black";
     reconfigure = (fun _view -> Array.make n Types.black);
+    codec = Some Policy.stateless;
   }
 
 let has_duplicates colors =
@@ -29,7 +30,7 @@ let static colors _instance ~n =
       invalid_arg "Static_policy.static: more colors than resources";
     place ~current:view.cache ~desired:colors
   in
-  { Policy.name = "static"; reconfigure }
+  { Policy.name = "static"; reconfigure; codec = None }
 
 let piecewise segments _instance ~n =
   (match segments with
@@ -58,4 +59,4 @@ let piecewise segments _instance ~n =
     | _ -> ());
     place ~current:view.cache ~desired:!current_colors
   in
-  { Policy.name = "piecewise"; reconfigure }
+  { Policy.name = "piecewise"; reconfigure; codec = None }

@@ -1,3 +1,4 @@
+module Wire = Rrs_core.Wire
 module Json = Rrs_obs.Json
 
 type op =
@@ -199,11 +200,74 @@ let is_blank line =
     (function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false)
     line
 
-let fold path ~init ~f =
+(* ---- positions ---------------------------------------------------- *)
+
+type anchor = { offset : int; lines : int; digest : string }
+
+(* The hash has seen exactly the bytes before the position, so its
+   length is the offset. *)
+type position = { lines : int; hash : Wire.Hash.t }
+
+let hash_line hash text =
+  Wire.Hash.feed hash text ~pos:0 ~len:(String.length text);
+  Wire.Hash.feed hash "\n" ~pos:0 ~len:1
+
+let resume path (a : anchor) =
+  let chunk = 65536 in
+  let read ic =
+    if In_channel.length ic < Int64.of_int a.offset then None
+    else
+      (* the writer starts every journal with its header line *)
+      match In_channel.input_line ic with
+      | None -> None
+      | Some first when String.length first >= a.offset -> None
+      | Some first -> (
+          match header_of_line first with
+          | Error _ -> None
+          | Ok header ->
+              let hash = Wire.Hash.create () in
+              hash_line hash first;
+              let buf = Bytes.create chunk in
+              let rec go left =
+                if left = 0 then true
+                else
+                  let n = In_channel.input ic buf 0 (min chunk left) in
+                  n > 0
+                  && begin
+                       Wire.Hash.feed_bytes hash buf ~pos:0 ~len:n;
+                       go (left - n)
+                     end
+              in
+              if go (a.offset - Wire.Hash.length hash)
+                 && Wire.Hash.digest hash = a.digest
+              then Some (header, { lines = a.lines; hash })
+              else None)
+  in
+  if a.offset < 0 || a.lines < 1 then None
+  else try In_channel.with_open_bin path read with Sys_error _ -> None
+
+let fold ?from path ~init ~f =
   if not (Sys.file_exists path) then Error Missing
   else
     In_channel.with_open_bin path @@ fun ic ->
     let number = ref 0 in
+    let hash =
+      match from with
+      | Some (_, (p : position)) -> Wire.Hash.copy p.hash
+      | None -> Wire.Hash.create ()
+    in
+    (* blank lines read since the last line the hash took: they are
+       hashed with the next line taken, or at the end of the file *)
+    let blanks = Buffer.create 16 in
+    let take_blanks len =
+      Wire.Hash.feed hash (Buffer.contents blanks) ~pos:0 ~len;
+      Buffer.clear blanks
+    in
+    let take text =
+      take_blanks (Buffer.length blanks);
+      hash_line hash text
+    in
+    let position () = { lines = !number; hash } in
     (* The next non-blank line: its text, 1-based number, the byte
        offset where it starts, and whether a newline ended it.  Blank
        lines are skipped but still advance numbers and offsets. *)
@@ -213,57 +277,91 @@ let fold path ~init ~f =
       | None -> None
       | Some text ->
           incr number;
-          if is_blank text then next ()
-          else
-            Some (text, !number, offset, pos_in ic > offset + String.length text)
+          let ended = pos_in ic > offset + String.length text in
+          if is_blank text then begin
+            Buffer.add_string blanks text;
+            if ended then Buffer.add_char blanks '\n';
+            next ()
+          end
+          else Some (text, !number, offset, ended)
     in
-    match next () with
-    | None -> Error Empty
-    | Some (text, _, offset, _) -> (
-        match header_of_line text with
-        | Error reason -> Error (Bad_header { offset; reason })
-        | Ok header ->
-            let decode = if header.version = 1 then op_of_v1_line else op_of_line in
-            let rec go acc =
+    let rec go decode acc =
+      match next () with
+      | None ->
+          take_blanks (Buffer.length blanks);
+          Ok (acc, None, position ())
+      | Some (text, line, offset, ended) -> (
+          match decode text with
+          | Ok op when ended ->
+              take text;
+              go decode (f acc op)
+          | decoded -> (
+              let reason =
+                match decoded with
+                | Error reason -> reason
+                | Ok _ -> "no trailing newline: the append was cut short"
+              in
+              let before = Buffer.length blanks in
               match next () with
-              | None -> Ok (acc, None)
-              | Some (text, line, offset, ended) -> (
-                  match decode text with
-                  | Ok op when ended -> go (f acc op)
-                  | decoded -> (
-                      let reason =
-                        match decoded with
-                        | Error reason -> reason
-                        | Ok _ -> "no trailing newline: the append was cut short"
-                      in
-                      match next () with
-                      | None ->
-                          (* torn tail: the crash interrupted the final
-                             append; the op was never acked, drop it *)
-                          Ok (acc, Some { line; offset; reason })
-                      | Some _ -> Error (Corrupt_body { line; offset; reason })))
-            in
-            go (init header))
+              | None ->
+                  (* torn tail: the crash interrupted the final append;
+                     the op was never acked, drop it.  The position is
+                     where the torn line starts. *)
+                  take_blanks before;
+                  number := line - 1;
+                  Ok (acc, Some { line; offset; reason }, position ())
+              | Some _ -> Error (Corrupt_body { line; offset; reason })))
+    in
+    let decoder (header : header) =
+      if header.version = 1 then op_of_v1_line else op_of_line
+    in
+    match from with
+    | Some (header, (p : position)) ->
+        seek_in ic (Wire.Hash.length p.hash);
+        number := p.lines;
+        go (decoder header) (init header)
+    | None -> (
+        match next () with
+        | None -> Error Empty
+        | Some (text, _, offset, _) -> (
+            match header_of_line text with
+            | Error reason -> Error (Bad_header { offset; reason })
+            | Ok header ->
+                take text;
+                go (decoder header) (init header)))
 
-type writer = { oc : out_channel }
+type writer = { oc : out_channel; hash : Wire.Hash.t; mutable lines : int }
 
 let create path header =
   let oc = Out_channel.open_text path in
-  output_string oc (header_to_line header);
+  let line = header_to_line header in
+  output_string oc line;
   output_char oc '\n';
   flush oc;
-  { oc }
+  let hash = Wire.Hash.create () in
+  hash_line hash line;
+  { oc; hash; lines = 1 }
 
-let append_to path =
+let append_to path (p : position) =
   let oc =
     Out_channel.open_gen [ Open_append; Open_creat; Open_text ] 0o644 path
   in
-  { oc }
+  { oc; hash = Wire.Hash.copy p.hash; lines = p.lines }
+
+let anchor w =
+  {
+    offset = Wire.Hash.length w.hash;
+    lines = w.lines;
+    digest = Wire.Hash.digest w.hash;
+  }
 
 let append w op =
   Rrs_fault.probe "serve.journal";
-  output_string w.oc (op_to_line op);
+  let line = op_to_line op in
+  output_string w.oc line;
   output_char w.oc '\n';
-  flush w.oc
+  flush w.oc;
+  hash_line w.hash line;
+  w.lines <- w.lines + 1
 
 let close w = Out_channel.close_noerr w.oc

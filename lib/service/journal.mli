@@ -88,14 +88,43 @@ type load_error =
 
 val describe_load_error : path:string -> load_error -> string
 
+(** {2 Positions}
+
+    A journal prefix is named by its length, the lines it holds and a
+    {!Rrs_core.Wire.Hash} digest of its bytes.  The writer keeps that
+    running hash as it appends, so a checkpoint can record where in the
+    journal its state was taken, and a restore can check that the
+    journal still starts with exactly those bytes before it trusts the
+    checkpoint. *)
+
+type anchor = { offset : int; lines : int; digest : string }
+(** A prefix: [offset] bytes holding [lines] lines (the header
+    included) that hash to [digest]. *)
+
+type position
+(** Where a {!fold} stopped: an {!anchor} together with the running
+    hash, from which a reader or a writer carries on. *)
+
+val resume : string -> anchor -> (header * position) option
+(** Read the first [anchor.offset] bytes of the journal at the path.
+    [Some] when the file is at least that long, starts with a valid
+    header line and the prefix hashes to [anchor.digest]; [None]
+    otherwise, or when the file cannot be read.  Costs one sequential
+    read and hash of the prefix; decodes no op. *)
+
 val fold :
+  ?from:header * position ->
   string ->
   init:(header -> 'a) ->
   f:('a -> op -> 'a) ->
-  ('a * tear option, load_error) result
+  ('a * tear option * position, load_error) result
 (** Read a journal one line at a time: [init] gets the header, [f] each
     op in order.  The second component reports a dropped torn trailing
-    line, when there was one.  On [Corrupt_body], [f] has already seen
+    line, when there was one; the third is where the journal's intact
+    part ends (at the torn line, when there is one), the position to
+    reopen its writer at.  With [from] (what {!resume} returned), the
+    fold starts at that position instead of the top: only the suffix is
+    read, decoded and hashed.  On [Corrupt_body], [f] has already seen
     the ops before the bad line.  Exceptions from [init] and [f]
     propagate (the file is closed). *)
 
@@ -106,8 +135,12 @@ type writer
 val create : string -> header -> writer
 (** Truncate [path] and write the header — a fresh session. *)
 
-val append_to : string -> writer
-(** Open an existing journal for appending — a restored session. *)
+val append_to : string -> position -> writer
+(** Open an existing journal for appending at the position a {!fold}
+    of it ended at — a restored session. *)
+
+val anchor : writer -> anchor
+(** The prefix written so far (everything up to the last append). *)
 
 val append : writer -> op -> unit
 val close : writer -> unit

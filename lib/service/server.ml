@@ -2,6 +2,7 @@ module Engine = Rrs_core.Engine
 module Session = Engine.Session
 module Instance = Rrs_core.Instance
 module Metrics = Rrs_obs.Metrics
+module Wire = Rrs_core.Wire
 
 let policies : (string * Rrs_core.Policy.factory) list =
   [
@@ -132,36 +133,175 @@ let quarantine how path =
     Some target
   end
 
-let write_checkpoint path snapshot =
-  Rrs_obs.Sink.with_jsonl path (fun sink ->
-      Rrs_obs.Sink.write_line sink (Snapshot.to_line snapshot))
+(* A checkpoint file (doc/SERVICE.md, "Checkpoint format"):
 
+     line 1: the snapshot line, byte for byte the [state] reply;
+     line 2: serve_machine 1 ops=N offset=B lines=L journal=H state=S digest=D
+
+   Line 2 holds the session's machine state [S] ({!Session.save} in the
+   {!Wire} code), taken after op N, when the journal was B bytes and L
+   lines long with prefix hash H.  D hashes every byte before
+   " digest=", line 1 included.  A session that cannot save its state
+   (no journal writer, or a policy without a codec) writes line 1
+   only: an anchor, as every checkpoint was before line 2 existed. *)
+type machine = { ops : int; anchor : Journal.anchor; state : string }
+
+let encode_checkpoint w (snapshot : Snapshot.t) ~machine =
+  Wire.clear w;
+  Snapshot.add_line w snapshot;
+  Wire.add_char w '\n';
+  match machine with
+  | None -> ()
+  | Some ((anchor : Journal.anchor), session) ->
+      let field name v =
+        Wire.add_string w name;
+        Wire.add_decimal w v
+      in
+      field "serve_machine 1 ops=" snapshot.ops;
+      field " offset=" anchor.offset;
+      field " lines=" anchor.lines;
+      Wire.add_string w " journal=";
+      Wire.add_string w anchor.digest;
+      Wire.add_string w " state=";
+      Session.save session w;
+      let digest = Wire.Hash.create () in
+      Wire.Hash.feed_writer digest w ~pos:0 ~len:(Wire.length w);
+      Wire.add_string w " digest=";
+      Wire.add_string w (Wire.Hash.digest digest);
+      Wire.add_char w '\n'
+
+(* Commit whole files only: an exception before the rename removes the
+   temp file instead of committing it. *)
+let temp_prefix = "checkpoint.json.tmp."
+
+let write_checkpoint dir w =
+  let temp = Filename.concat dir (temp_prefix ^ string_of_int (Unix.getpid ())) in
+  match
+    Out_channel.with_open_bin temp (fun oc -> Wire.output oc w);
+    Sys.rename temp (checkpoint_path dir)
+  with
+  | () -> ()
+  | exception e ->
+      (try Sys.remove temp with Sys_error _ -> ());
+      raise e
+
+(* Temp files a kill between open and rename left behind; each process
+   names its own, so they would pile up across restarts. *)
+let remove_stale_temps dir =
+  Array.iter
+    (fun f ->
+      if String.starts_with ~prefix:temp_prefix f then
+        try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    (try Sys.readdir dir with Sys_error _ -> [||])
+
+let parse_machine path contents ~start =
+  let stop =
+    match String.index_from_opt contents start '\n' with
+    | Some i when i = String.length contents - 1 -> i
+    | None -> String.length contents
+    | Some _ -> -1
+  in
+  let bad what = Error (Printf.sprintf "checkpoint %s: line 2: %s" path what) in
+  if stop < 0 then bad "trailing bytes after it"
+  else
+    let value key tok =
+      let prefix = key ^ "=" in
+      if String.starts_with ~prefix tok then
+        Some (String.sub tok (String.length prefix) (String.length tok - String.length prefix))
+      else None
+    in
+    let int key tok = Option.bind (value key tok) int_of_string_opt in
+    match String.split_on_char ' ' (String.sub contents start (stop - start)) with
+    | [ "serve_machine"; "1"; ops; offset; lines; journal; state; last ] -> (
+        match
+          ( int "ops" ops,
+            int "offset" offset,
+            int "lines" lines,
+            value "journal" journal,
+            value "state" state,
+            value "digest" last )
+        with
+        | Some ops, Some offset, Some lines, Some journal, Some state, Some digest ->
+            (* everything before " digest=" *)
+            let hash = Wire.Hash.create () in
+            Wire.Hash.feed hash contents ~pos:0 ~len:(stop - String.length last - 1);
+            if Wire.Hash.digest hash <> digest then bad "digest mismatch"
+            else Ok { ops; anchor = { Journal.offset; lines; digest = journal }; state }
+        | _ -> bad "malformed field")
+    | _ -> bad "not a serve_machine line"
+
+(* A checkpoint as the full replay's anchor: its snapshot line, once
+   the whole file is known to be readable. *)
 let load_checkpoint path =
   if not (Sys.file_exists path) then Ok None
   else
-    let line = In_channel.with_open_text path In_channel.input_line in
-    match line with
-    | None -> Error (Printf.sprintf "checkpoint %s: empty" path)
-    | Some line -> (
-        match Snapshot.of_line line with
-        | Ok s -> Ok (Some s)
-        | Error e -> Error (Printf.sprintf "checkpoint %s: %s" path e))
+    let contents = In_channel.with_open_bin path In_channel.input_all in
+    if contents = "" then Error (Printf.sprintf "checkpoint %s: empty" path)
+    else
+      match Snapshot.of_line contents with
+      | Error e -> Error (Printf.sprintf "checkpoint %s: %s" path e)
+      | Ok s -> (
+          match String.index_opt contents '\n' with
+          | Some i when i < String.length contents - 1 ->
+              Result.map (fun _ -> Some s) (parse_machine path contents ~start:(i + 1))
+          | _ -> Ok (Some s))
+
+let session_label name (header : Journal.header) =
+  let suffix = if name = default_session then "" else "-" ^ name in
+  "serve" ^ suffix ^ "-" ^ header.policy
 
 let session_of_header name (header : Journal.header) =
   match factory_of_id header.policy with
   | Error e -> raise (Corrupt e)
   | Ok factory ->
       let cfg = Engine.config ~n:header.n ~mini_rounds:header.mini_rounds () in
-      let suffix = if name = default_session then "" else "-" ^ name in
       let session =
-        Session.create
-          ~name:("serve" ^ suffix ^ "-" ^ header.policy)
-          cfg ~delta:header.delta ~delay:header.delay factory
+        Session.create ~name:(session_label name header) cfg
+          ~delta:header.delta ~delay:header.delay factory
       in
       (* replay must be silent: no ambient heartbeat picked up at
          create may observe replayed rounds *)
       Session.set_heartbeat session None;
       session
+
+(* The restore fast path's start, from the current checkpoint's bytes:
+   its machine state, taken only when line 2 passes its digest, the
+   journal still begins with the prefix the state was taken at, and the
+   loaded state's snapshot line is line 1, byte for byte.  The digest
+   covers line 1, so line 1 is exactly what the writer wrote and is not
+   parsed here. *)
+let load_machine name jpath cpath contents =
+  match String.index_opt contents '\n' with
+  | None -> None
+  | Some eol -> (
+      match parse_machine cpath contents ~start:(eol + 1) with
+      | Error _ -> None
+      | Ok m -> (
+          match Journal.resume jpath m.anchor with
+          | None -> None
+          | Some (header, position) -> (
+              match factory_of_id header.policy with
+              | Error _ -> None
+              | Ok factory -> (
+                  let cfg =
+                    Engine.config ~n:header.n ~mini_rounds:header.mini_rounds ()
+                  in
+                  let reader =
+                    Wire.reader m.state ~pos:0 ~stop:(String.length m.state)
+                  in
+                  match
+                    Session.load ~name:(session_label name header) cfg factory
+                      reader
+                  with
+                  | Error _ -> None
+                  | Ok session ->
+                      Session.set_heartbeat session None;
+                      let line =
+                        Snapshot.to_line (Snapshot.of_session ~ops:m.ops session)
+                      in
+                      if String.equal line (String.sub contents 0 eol) then
+                        Some (m.ops, header, position, session)
+                      else None))))
 
 let header_of_config config =
   {
@@ -181,6 +321,7 @@ type counters = {
   ops : Metrics.counter;
   wedged : Metrics.counter;
   restores : Metrics.counter;
+  replayed : Metrics.counter;
   session_restarts : Metrics.counter;
   torn_tail : Metrics.counter;
   quarantined : Metrics.counter;
@@ -193,6 +334,7 @@ let counters m =
     ops = c "serve_ops";
     wedged = c "serve_wedged";
     restores = c "serve_restores";
+    replayed = c "serve_restore_replayed_ops";
     session_restarts = c "serve_session_restarts";
     torn_tail = c "serve_recovery_torn_tail";
     quarantined = c "serve_recovery_checkpoint_quarantined";
@@ -236,6 +378,7 @@ type host = {
   config : config;
   metrics : Metrics.t;
   counters : counters;
+  checkpoint_buffer : Wire.writer;  (** reused by every checkpoint *)
   table : (string, session) Hashtbl.t;
   mutable next_seq : int;
   mutable fresh_ops : int;
@@ -251,6 +394,7 @@ let host (config : config) =
     config;
     metrics;
     counters = counters metrics;
+    checkpoint_buffer = Wire.writer ~capacity:4096 ();
     table = Hashtbl.create 64;
     next_seq = 0;
     fresh_ops = 0;
@@ -337,29 +481,54 @@ let fresh_session h name ~dir ~writer =
     wedged = None;
   }
 
-(* The tiered restore ladder (doc/SERVICE.md, "Failure matrix"). *)
+(* The tiered restore ladder (doc/SERVICE.md, "Failure matrix").  Its
+   fast path starts from the current checkpoint's machine state and
+   replays only the journal suffix; anything that keeps it from
+   starting there runs the full replay from op 0. *)
 let restore h name ~dir jpath =
+  remove_stale_temps dir;
   let cpath = checkpoint_path dir in
   let ppath = checkpoint_prev_path dir in
-  (* both anchors are read before the replay, which checks them as it
-     passes their op counts; an unreadable one is set aside only once
-     the journal has loaded *)
-  let cur = ("checkpoint", cpath, load_checkpoint cpath) in
-  let prev = ("previous checkpoint", ppath, load_checkpoint ppath) in
-  let anchors =
-    List.filter_map
-      (function which, _, Ok (Some c) -> Some (which, c) | _ -> None)
-      [ cur; prev ]
+  let fast =
+    match In_channel.with_open_bin cpath In_channel.input_all with
+    | contents -> load_machine name jpath cpath contents
+    | exception Sys_error _ -> None
   in
-  let init header =
-    {
-      header;
-      replayed = session_of_header name header;
-      applied = 0;
-      verdicts = [];
-    }
+  let checkpoints, from, init, anchors, start_ops, ckpt_ops =
+    match fast with
+    | Some (ops, header, position, session) ->
+        (* the current checkpoint is verified and every other anchor
+           lies below it: the suffix has nothing to be checked against,
+           and the previous checkpoint, the full replay's arbitration
+           witness, is not read *)
+        ( [],
+          Some (header, position),
+          (fun header -> { header; replayed = session; applied = ops; verdicts = [] }),
+          [],
+          ops,
+          ops )
+    | None ->
+        (* both anchors are read before the replay, which checks them as
+           it passes their op counts; an unreadable one is set aside
+           only once the journal has loaded *)
+        let cur = ("checkpoint", cpath, load_checkpoint cpath) in
+        let prev = ("previous checkpoint", ppath, load_checkpoint ppath) in
+        ( [ cur; prev ],
+          None,
+          (fun header ->
+            {
+              header;
+              replayed = session_of_header name header;
+              applied = 0;
+              verdicts = [];
+            }),
+          List.filter_map
+            (function which, _, Ok (Some c) -> Some (which, c) | _ -> None)
+            [ cur; prev ],
+          0,
+          match cur with _, _, Ok (Some c) -> c.Snapshot.ops | _ -> 0 )
   in
-  match Journal.fold jpath ~init ~f:(replay_op anchors) with
+  match Journal.fold ?from jpath ~init ~f:(replay_op anchors) with
   | Error Journal.Missing ->
       fresh_session h name ~dir:(Some dir)
         ~writer:(Some (Journal.create jpath (header_of_config h.config)))
@@ -374,7 +543,7 @@ let restore h name ~dir jpath =
         | None -> diag
       in
       refuse h ~name diag
-  | Ok (r, tear) ->
+  | Ok (r, tear, position) ->
       let notices = ref [] in
       let notice fmt = Printf.ksprintf (fun m -> notices := m :: !notices) fmt in
       (match tear with
@@ -405,7 +574,7 @@ let restore h name ~dir jpath =
                 ~name:("checkpoint-" ^ name) ~reason:msg;
               notice "%s" msg
           | _ -> ())
-        [ cur; prev ];
+        checkpoints;
       List.iter
         (fun (which, (c : Snapshot.t)) ->
           if c.ops > r.applied then
@@ -465,19 +634,19 @@ let restore h name ~dir jpath =
               notice "%s" msg
           | None -> ()));
       Metrics.inc h.counters.restores 1;
+      Metrics.inc h.counters.replayed (r.applied - start_ops);
       {
         name;
         seq = new_seq h;
         policy_id = r.header.Journal.policy;
         session = r.replayed;
         wedged_counter = h.counters.wedged;
-        writer = Some (Journal.append_to jpath);
+        writer = Some (Journal.append_to jpath position);
         dir = Some dir;
         restored = true;
         notices = List.rev !notices;
         ops = r.applied;
-        ckpt_ops =
-          (match cur with _, _, Ok (Some c) -> c.Snapshot.ops | _ -> 0);
+        ckpt_ops;
         wedged = None;
       }
 
@@ -519,7 +688,7 @@ let try_open h name =
 
 (* ---- checkpoints and commits -------------------------------------- *)
 
-let checkpoint_session _h s =
+let checkpoint_session h s =
   match s.dir with
   | None -> None
   | Some dir ->
@@ -528,7 +697,14 @@ let checkpoint_session _h s =
          the divergence tier *)
       if Sys.file_exists path then Sys.rename path (checkpoint_prev_path dir);
       let snapshot = Snapshot.of_session ~ops:s.ops s.session in
-      write_checkpoint path snapshot;
+      let machine =
+        match s.writer with
+        | Some w when Session.checkpointable s.session ->
+            Some (Journal.anchor w, s.session)
+        | _ -> None
+      in
+      encode_checkpoint h.checkpoint_buffer snapshot ~machine;
+      write_checkpoint dir h.checkpoint_buffer;
       s.ckpt_ops <- s.ops;
       Some snapshot
 

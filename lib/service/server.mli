@@ -1,7 +1,9 @@
 (** The long-lived scheduler service: streaming
     {!Rrs_core.Engine.Session}s driven by the line protocol
     ({!Protocol}), journaled ({!Journal}) and periodically checkpointed
-    ({!Snapshot} through the atomic temp+rename commit).
+    (the {!Snapshot} line and the session's machine state, through an
+    atomic temp+rename commit; doc/SERVICE.md, "The checkpoint
+    format").
 
     A server is a {!host}: a table of named sessions multiplexed over
     one engine process, with no command loop of its own; the loop is
@@ -21,6 +23,13 @@
     {b Tiered recovery} (doc/SERVICE.md, "Failure matrix").  Restoring
     a durable session classifies what it finds:
 
+    - {e fast path} — the current checkpoint's machine state passes its
+      digest, the journal still starts with the prefix it was taken at
+      (same length and hash), and the loaded state reproduces the
+      checkpoint's snapshot line: restore loads it and replays only
+      the journal suffix, at most [checkpoint_every] ops (counted in
+      [serve_restore_replayed_ops]).  Anything else replays the whole
+      journal from op 0 and classifies as below;
     - {e torn journal tail} — the crash interrupted the final append;
       the un-acked op is dropped with a warning naming its exact byte
       offset (tier 1, today's at-most-once contract);
@@ -148,7 +157,12 @@ val try_open : host -> string -> (session, string) result
 
 val checkpoint_session : host -> session -> Snapshot.t option
 (** Commit a checkpoint now (rotating the previous one to
-    [checkpoint.json.prev]); [None] for ephemeral sessions. *)
+    [checkpoint.json.prev]); [None] for ephemeral sessions.  The file
+    holds the snapshot line and, when the session can save it (its
+    journal writer is open and its policy has a codec), the machine
+    state anchored to the journal prefix written so far.  Both lines
+    go through one buffer the host reuses; a failed write removes its
+    temp file. *)
 
 val close_session : host -> session -> Rrs_core.Engine.result
 (** Final checkpoint, close the journal, finish the engine session and

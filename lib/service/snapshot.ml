@@ -1,5 +1,6 @@
 module Session = Rrs_core.Engine.Session
 module Json = Rrs_obs.Json
+module Wire = Rrs_core.Wire
 
 type t = {
   version : int;
@@ -37,26 +38,37 @@ let of_session ~ops session =
     cache = Session.cache session;
   }
 
-let int_array arr = Json.List (Array.to_list arr |> List.map (fun v -> Json.Int v))
-
-let to_json t =
-  Json.Assoc
-    [
-      ("type", Json.String "serve_state");
-      ("version", Json.Int t.version);
-      ("ops", Json.Int t.ops);
-      ("round", Json.Int t.round);
-      ("n", Json.Int t.n);
-      ("delta", Json.Int t.delta);
-      ("delay", int_array t.delay);
-      ("reconfigurations", Json.Int t.reconfigurations);
-      ("reconfig_cost", Json.Int t.reconfig_cost);
-      ("executed", Json.Int t.executed);
-      ("dropped", Json.Int t.dropped);
-      ("pending_jobs", Json.Int t.pending_jobs);
-      ("future_arrivals", Json.Int t.future_arrivals);
-      ("cache", int_array t.cache);
-    ]
+(* The canonical JSON object, written field by field: no Json tree and
+   no [string_of_int] *)
+let add_line w t =
+  let field name v =
+    Wire.add_string w name;
+    Wire.add_decimal w v
+  in
+  let array name a =
+    Wire.add_string w name;
+    Wire.add_char w '[';
+    Array.iteri
+      (fun i v ->
+        if i > 0 then Wire.add_char w ',';
+        Wire.add_decimal w v)
+      a;
+    Wire.add_char w ']'
+  in
+  field {|{"type":"serve_state","version":|} t.version;
+  field {|,"ops":|} t.ops;
+  field {|,"round":|} t.round;
+  field {|,"n":|} t.n;
+  field {|,"delta":|} t.delta;
+  array {|,"delay":|} t.delay;
+  field {|,"reconfigurations":|} t.reconfigurations;
+  field {|,"reconfig_cost":|} t.reconfig_cost;
+  field {|,"executed":|} t.executed;
+  field {|,"dropped":|} t.dropped;
+  field {|,"pending_jobs":|} t.pending_jobs;
+  field {|,"future_arrivals":|} t.future_arrivals;
+  array {|,"cache":|} t.cache;
+  Wire.add_char w '}'
 
 let ( let* ) = Result.bind
 
@@ -126,9 +138,15 @@ let of_json json =
         cache;
       }
 
-let to_line t = Json.to_string (to_json t)
+let to_line t =
+  let w = Wire.writer ~capacity:(256 + (8 * (Array.length t.delay + Array.length t.cache))) () in
+  add_line w t;
+  Wire.contents w
 
-let of_line line =
+let of_line s =
+  let line =
+    match String.index_opt s '\n' with Some i -> String.sub s 0 i | None -> s
+  in
   let* json = Json.parse line in
   of_json json
 

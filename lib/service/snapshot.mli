@@ -1,17 +1,18 @@
-(** Serializable images of a streaming session.
+(** The observable state of a streaming session.
 
-    A snapshot is the session's externally observable state — round,
+    A snapshot is what a client can see of a session — round,
     parameters, cost accounting, pending population, the cache coloring
-    — plus the journal position it was taken at.  It is {e not} a full
-    machine image: policies are stateful closures, so restore works by
-    replaying the journal (see {!Journal} and doc/SERVICE.md, "Restart
-    semantics"); the checkpointed snapshot is the integrity anchor a
-    restore verifies itself against when its replay passes the
-    checkpoint's journal position.
+    — plus the journal op count it was taken at.  It is the [state]
+    reply and the first line of every checkpoint file.  It is not the
+    machine state: that is {!Rrs_core.Engine.Session.save}'s stream,
+    the checkpoint's second line (doc/SERVICE.md, "Checkpoint
+    format").  A restore checks a loaded machine state against the
+    snapshot next to it, and a full journal replay checks itself
+    against every snapshot it passes.
 
-    Serialization round-trips byte-exactly through the canonical
-    {!Rrs_obs.Json} encoding: [of_json (to_json s) = Ok s'] with
-    [equal s s'] — the QCheck property in [test/test_service.ml]. *)
+    {!to_line} writes the bytes the canonical {!Rrs_obs.Json} printer
+    would, and [of_line (to_line s) = Ok s'] with [equal s s'] — both
+    QCheck properties in [test/test_service.ml]. *)
 
 type t = {
   version : int;
@@ -33,10 +34,16 @@ val version : int
 
 val of_session : ops:int -> Rrs_core.Engine.Session.t -> t
 
-val to_json : t -> Rrs_obs.Json.t
-val of_json : Rrs_obs.Json.t -> (t, string) result
 val to_line : t -> string
+(** The [serve_state] line: one canonical JSON object (the
+    {!Rrs_obs.Json} printer's bytes), written straight into a buffer. *)
+
+val add_line : Rrs_core.Wire.writer -> t -> unit
+(** {!to_line} appended to a writer, without the newline. *)
+
 val of_line : string -> (t, string) result
+(** Parse the first line of the string: a checkpoint file's second
+    line, when there is one, is not looked at. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

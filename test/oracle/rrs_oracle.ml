@@ -48,7 +48,7 @@ let dlru (instance : Instance.t) ~n =
         (take (n / 2) (timestamp_order elig (Eligibility.eligible_colors elig)));
     Cache_state.to_assignment cache ~replicated:true
   in
-  { Policy.name = "dlru"; reconfigure }
+  { Policy.name = "dlru"; reconfigure; codec = None }
 
 (* The EDF scheme with a ΔLRU component of [lru] slots ([lru = 0] is
    plain EDF): the [lru] freshest eligible colors stay cached; every
@@ -94,7 +94,7 @@ let scheme ~name ~lru ~distinct_slots ~replicated (instance : Instance.t) =
     Cache_state.assign cache ~desired:(lru_set @ kept);
     Cache_state.to_assignment cache ~replicated
   in
-  { Policy.name; reconfigure }
+  { Policy.name; reconfigure; codec = None }
 
 let edf instance ~n =
   if n < 2 || n mod 2 <> 0 then

@@ -15,6 +15,7 @@ let run_with_spy ?(cached = fun _ -> false) ~delta ~delay arrivals observe =
     elig := Some e;
     {
       Policy.name = "spy";
+      codec = None;
       reconfigure =
         (fun view ->
           Eligibility.begin_round e ~view ~in_cache:cached;
@@ -51,6 +52,7 @@ let test_change_feed () =
         | _ -> ());
     {
       Policy.name = "spy";
+      codec = None;
       reconfigure =
         (fun view ->
           Eligibility.begin_round e ~view ~in_cache:(fun _ -> false);
@@ -218,6 +220,7 @@ let test_idempotent_within_round () =
     elig := Some e;
     {
       Policy.name = "spy";
+      codec = None;
       reconfigure =
         (fun view ->
           Eligibility.begin_round e ~view ~in_cache:(fun _ -> false);
@@ -252,6 +255,7 @@ let test_listener_registration_order () =
       [ "first"; "second"; "third" ];
     {
       Policy.name = "spy";
+      codec = None;
       reconfigure =
         (fun view ->
           Eligibility.begin_round e ~view ~in_cache:(fun _ -> false);

@@ -102,13 +102,13 @@ let test_final_cache () =
 let test_policy_misbehavior_rejected () =
   let i = mk ~delay:[| 2 |] [ arr 0 0 1 ] in
   let bad_length _instance ~n:_ =
-    { Policy.name = "bad"; reconfigure = (fun _ -> [| 0; 0 |]) }
+    { Policy.name = "bad"; reconfigure = (fun _ -> [| 0; 0 |]); codec = None }
   in
   (match run i bad_length with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "wrong-length assignment accepted");
   let bad_color _instance ~n =
-    { Policy.name = "bad"; reconfigure = (fun _ -> Array.make n 7) }
+    { Policy.name = "bad"; reconfigure = (fun _ -> Array.make n 7); codec = None }
   in
   match run i bad_color with
   | exception Invalid_argument _ -> ()
@@ -122,6 +122,7 @@ let test_view_contents () =
   let spy _instance ~n =
     {
       Policy.name = "spy";
+      codec = None;
       reconfigure =
         (fun view ->
           if view.arrivals <> [] then

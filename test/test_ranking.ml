@@ -217,7 +217,7 @@ let index_check_policy (instance : Instance.t) ~n =
     Cache_state.assign cache ~desired:(Rrs_oracle.take (n / 2) oracle_recency);
     Cache_state.to_assignment cache ~replicated:true
   in
-  (mismatches, { Policy.name = "index-check"; reconfigure })
+  (mismatches, { Policy.name = "index-check"; reconfigure; codec = None })
 
 let drive_index_check instance =
   let mismatches, policy = index_check_policy instance ~n:8 in

@@ -334,6 +334,42 @@ let prop_snapshot_roundtrip =
       | Ok snapshot' -> Snapshot.equal snapshot snapshot'
       | Error e -> QCheck.Test.fail_reportf "did not parse back: %s" e)
 
+(* The reference encoding [Snapshot.to_line] replaced: the canonical
+   Json printer over the object tree. *)
+let snapshot_to_json (t : Snapshot.t) =
+  let module Json = Rrs_obs.Json in
+  let int_array a = Json.List (Array.to_list a |> List.map (fun v -> Json.Int v)) in
+  Json.Assoc
+    [
+      ("type", Json.String "serve_state");
+      ("version", Json.Int t.version);
+      ("ops", Json.Int t.ops);
+      ("round", Json.Int t.round);
+      ("n", Json.Int t.n);
+      ("delta", Json.Int t.delta);
+      ("delay", int_array t.delay);
+      ("reconfigurations", Json.Int t.reconfigurations);
+      ("reconfig_cost", Json.Int t.reconfig_cost);
+      ("executed", Json.Int t.executed);
+      ("dropped", Json.Int t.dropped);
+      ("pending_jobs", Json.Int t.pending_jobs);
+      ("future_arrivals", Json.Int t.future_arrivals);
+      ("cache", int_array t.cache);
+    ]
+
+let prop_snapshot_line_is_json =
+  QCheck.Test.make ~count:200
+    ~name:"snapshot line = the canonical Json printer's bytes"
+    (QCheck.make session_ops_gen)
+    (fun setup ->
+      let s = apply_ops setup in
+      (* extreme values too: negative fields and empty arrays *)
+      let odd = { s with Snapshot.ops = min_int; dropped = -1; cache = [||] } in
+      List.for_all
+        (fun s ->
+          Snapshot.to_line s = Rrs_obs.Json.to_string (snapshot_to_json s))
+        [ s; odd ])
+
 (* ---- kill at round k / restore ------------------------------------ *)
 
 let temp_dir =
@@ -715,7 +751,7 @@ let test_torn_tail_offset () =
   (match
      Journal.fold path ~init:(fun _ -> []) ~f:(fun ops op -> op :: ops)
    with
-  | Ok (ops, Some tear) ->
+  | Ok (ops, Some tear, _) ->
       Alcotest.(check int) "ops before the tear" 2 (List.length ops);
       Alcotest.(check int) "tear offset" intact tear.Journal.offset;
       let msg = Journal.describe_tear ~path tear in
@@ -728,7 +764,7 @@ let test_torn_tail_offset () =
            i + n <= m && (String.sub msg i n = needle || find (i + 1))
          in
          find 0)
-  | Ok (_, None) -> Alcotest.fail "tear not detected"
+  | Ok (_, None, _) -> Alcotest.fail "tear not detected"
   | Error e ->
       Alcotest.failf "load failed: %s"
         (Journal.describe_load_error ~path e));
@@ -827,7 +863,7 @@ let journal_header =
 
 let journal_ops path =
   Journal.fold path ~init:(fun _ -> []) ~f:(fun ops op -> op :: ops)
-  |> Result.map (fun (ops, tear) -> (List.rev ops, tear))
+  |> Result.map (fun (ops, tear, _) -> (List.rev ops, tear))
 
 let with_temp_dir name f =
   let dir = temp_dir name in
@@ -905,6 +941,42 @@ let test_only_canonical_ops () =
             (Journal.describe_load_error ~path e)
       | Ok _ -> Alcotest.failf "%S: accepted as a journal op" bad)
     [ "state"; "open x"; "submit 1 2"; "# a comment"; "quit" ]
+
+(* A fold ends at the position a reopened writer carries on from: blank
+   lines included, a torn tail excluded.  The writer's anchor is then
+   the length, line count and hash of the file's bytes, and [resume]
+   accepts it. *)
+let test_journal_positions () =
+  with_temp_dir "positions" @@ fun dir ->
+  let path = Filename.concat dir "journal.jsonl" in
+  let intact = journal_header ^ "submit 0 1 2\n\n  \nstep\n\n" in
+  write_file path (intact ^ "submit 5 1");
+  match Journal.fold path ~init:(fun _ -> ()) ~f:(fun () _ -> ()) with
+  | Ok ((), Some tear, position) ->
+      Alcotest.(check int) "tear at the end of the intact part"
+        (String.length intact) tear.Journal.offset;
+      Unix.truncate path tear.Journal.offset;
+      let w = Journal.append_to path position in
+      Journal.append w (Journal.Step 2);
+      Journal.close w;
+      let bytes = read_file path in
+      let hash = Rrs_core.Wire.Hash.create () in
+      Rrs_core.Wire.Hash.feed hash bytes ~pos:0 ~len:(String.length bytes);
+      let anchor = Journal.anchor w in
+      Alcotest.(check int) "offset" (String.length bytes) anchor.Journal.offset;
+      Alcotest.(check int) "lines" 7 anchor.Journal.lines;
+      Alcotest.(check string) "digest" (Rrs_core.Wire.Hash.digest hash)
+        anchor.Journal.digest;
+      Alcotest.(check bool) "resume accepts it" true
+        (Option.is_some (Journal.resume path anchor));
+      Alcotest.(check bool) "resume refuses another digest" true
+        (Option.is_none
+           (Journal.resume path { anchor with Journal.digest = String.make 16 '0' }));
+      Alcotest.(check bool) "resume refuses a longer prefix" true
+        (Option.is_none
+           (Journal.resume path { anchor with Journal.offset = anchor.Journal.offset + 1 }))
+  | Ok (_, None, _) -> Alcotest.fail "tear not detected"
+  | Error e -> Alcotest.failf "load failed: %s" (Journal.describe_load_error ~path e)
 
 (* A corrupt journal body refuses before any checkpoint is judged: an
    unreadable checkpoint stays where it is. *)
@@ -1096,6 +1168,125 @@ let test_prefix_replay () =
         (List.init (List.length ops + 1) (fun _ -> ())))
     [ 1; 2; 3 ]
 
+(* ---- full-state checkpoints: the restore fast path ---------------- *)
+
+let checkpoint_lines path =
+  String.split_on_char '\n' (read_file path) |> List.filter (( <> ) "")
+
+let has_machine_state path =
+  match checkpoint_lines path with
+  | [ _; machine ] -> String.starts_with ~prefix:"serve_machine 1 " machine
+  | _ -> false
+
+let restore_counting dir =
+  let metrics = Rrs_obs.Metrics.create () in
+  let h =
+    Server.host
+      { torture_config with checkpoint_dir = Some dir; metrics = Some metrics }
+  in
+  let s = Server.open_session h Server.default_session in
+  ( h,
+    s,
+    Rrs_obs.Metrics.value
+      (Rrs_obs.Metrics.counter metrics "serve_restore_replayed_ops") )
+
+(* ops generated from round 0, moved to start at [round] *)
+let ops_from round seed =
+  List.map
+    (function
+      | Journal.Submit r -> Journal.Submit { r with round = r.round + round }
+      | op -> op)
+    (Torture.ops_of_seed ~count:30 ~colors:4 seed)
+
+let test_fast_path_equals_full_replay () =
+  with_fixture_dir "fast" @@ fun dir ->
+  with_temp_dir "full" @@ fun full ->
+  List.iter
+    (fun f -> write_file (Filename.concat full f) (read_file (Filename.concat dir f)))
+    [ "journal.jsonl"; "checkpoint.json"; "checkpoint.json.prev" ];
+  let cpath = Filename.concat full "checkpoint.json" in
+  Alcotest.(check bool) "the fixture checkpoint holds machine state" true
+    (has_machine_state cpath);
+  (* line 1 only: an anchor, so this restore replays the whole journal *)
+  write_file cpath (List.hd (checkpoint_lines cpath) ^ "\n");
+  let h1, fast, fast_replayed = restore_counting dir in
+  let h2, slow, slow_replayed = restore_counting full in
+  let ops = Server.session_ops fast in
+  let every = torture_config.Server.checkpoint_every in
+  Alcotest.(check int) "same op count" ops (Server.session_ops slow);
+  Alcotest.(check int) "the fast path replays the suffix only" (ops mod every)
+    fast_replayed;
+  Alcotest.(check bool) "at most checkpoint_every ops replayed" true
+    (fast_replayed <= every);
+  Alcotest.(check int) "the full replay replays every op" ops slow_replayed;
+  (* equal machine states: checkpoints taken now are byte-identical *)
+  ignore (Server.checkpoint_session h1 fast);
+  ignore (Server.checkpoint_session h2 slow);
+  Alcotest.(check string) "checkpoint after the fast path = after a full replay"
+    (read_file (Filename.concat dir "checkpoint.json"))
+    (read_file cpath);
+  let more = ops_from (Server.session_snapshot fast).Snapshot.round 9 in
+  apply_all h1 fast more;
+  apply_all h2 slow more;
+  Alcotest.(check bool) "and their futures agree" true
+    (Snapshot.equal (Server.session_snapshot fast) (Server.session_snapshot slow));
+  Server.abandon_session h1 fast;
+  Server.abandon_session h2 slow
+
+(* An op below a valid full-state checkpoint changed into another valid
+   op: the journal still parses, so only the prefix hash keeps the fast
+   path from loading the checkpoint over it, and the full replay then
+   refuses as before. *)
+let test_flip_below_checkpoint_refuses () =
+  with_fixture_dir "flipbelow" @@ fun dir ->
+  let jpath = Filename.concat dir "journal.jsonl" in
+  Alcotest.(check bool) "the fixture checkpoint holds machine state" true
+    (has_machine_state (Filename.concat dir "checkpoint.json"));
+  let lines = String.split_on_char '\n' (read_file jpath) in
+  let first_submit =
+    let rec find i = function
+      | l :: rest -> if String.starts_with ~prefix:"submit " l then i else find (i + 1) rest
+      | [] -> Alcotest.fail "no submit in the fixture"
+    in
+    find 0 lines
+  in
+  let recount l =
+    let last = String.length l - 1 in
+    String.mapi (fun i c -> if i = last then (if c = '1' then '2' else '1') else c) l
+  in
+  write_file jpath
+    (String.concat "\n" (List.mapi (fun i l -> if i = first_submit then recount l else l) lines));
+  Alcotest.(check bool) "the journal still decodes" true
+    (Result.is_ok (journal_ops jpath));
+  let v = Torture.restore_case ~case:"flip-below-checkpoint" torture_config dir in
+  Alcotest.(check int) "tier 3" 3 v.Torture.tier;
+  Alcotest.(check bool) "contained" true v.Torture.contained
+
+(* Line 2 is checked by its digest: one changed byte of the machine
+   state makes the whole checkpoint unreadable (tier 2), and the
+   restore falls back to the full replay. *)
+let test_corrupt_machine_state_quarantined () =
+  with_fixture_dir "badstate" @@ fun dir ->
+  let cpath = Filename.concat dir "checkpoint.json" in
+  let contents = read_file cpath in
+  let at = String.length contents - 40 in
+  write_file cpath
+    (String.mapi (fun i c -> if i = at then (if c = '0' then '1' else '0') else c) contents);
+  let v = Torture.restore_case ~case:"machine-state" torture_config dir in
+  Alcotest.(check int) "tier 2" 2 v.Torture.tier;
+  Alcotest.(check bool) "contained" true v.Torture.contained;
+  Alcotest.(check bool) "quarantined" true (Sys.file_exists (cpath ^ ".corrupt-1"))
+
+(* A kill between a checkpoint's open and its rename leaves a temp file
+   named after the dead process; restore removes it. *)
+let test_stale_temp_removed () =
+  with_fixture_dir "staletmp" @@ fun dir ->
+  let stale = Filename.concat dir "checkpoint.json.tmp.99999" in
+  write_file stale "serve_state, half writ";
+  let v = Torture.restore_case ~case:"stale-temp" torture_config dir in
+  Alcotest.(check int) "tier 0" 0 v.Torture.tier;
+  Alcotest.(check bool) "stale temp removed" false (Sys.file_exists stale)
+
 (* ---- torture campaign smoke (full campaigns run in bench/torture) - *)
 
 let test_torture_smoke () =
@@ -1118,6 +1309,7 @@ let test_torture_smoke () =
   check "flip"
     (Torture.journal_flip_campaign ~stride:23 torture_config ~ops ~dir);
   check "dup" (Torture.journal_dup_campaign torture_config ~ops ~dir);
+  check "edit" (Torture.journal_edit_campaign torture_config ~ops ~dir);
   check "checkpoint"
     (Torture.checkpoint_campaign ~stride:11 torture_config ~ops ~dir);
   check "prefix" (Torture.prefix_campaign ~torn:false torture_config ~ops ~dir);
@@ -1319,6 +1511,7 @@ let () =
       ( "checkpoint/restore",
         [
           QCheck_alcotest.to_alcotest prop_snapshot_roundtrip;
+          QCheck_alcotest.to_alcotest prop_snapshot_line_is_json;
           Alcotest.test_case "kill at round k, restore, finish" `Quick
             test_kill_restore_families;
           Alcotest.test_case "command fault contained" `Quick
@@ -1336,6 +1529,16 @@ let () =
             test_journal_body_refuses;
           Alcotest.test_case "previous checkpoint arbitrates" `Quick
             test_prev_checkpoint_arbitration;
+          Alcotest.test_case "journal positions hash the bytes" `Quick
+            test_journal_positions;
+          Alcotest.test_case "fast path = full replay" `Quick
+            test_fast_path_equals_full_replay;
+          Alcotest.test_case "journal flip below a checkpoint refuses" `Quick
+            test_flip_below_checkpoint_refuses;
+          Alcotest.test_case "corrupt machine state quarantined" `Quick
+            test_corrupt_machine_state_quarantined;
+          Alcotest.test_case "stale checkpoint temp removed" `Quick
+            test_stale_temp_removed;
           Alcotest.test_case "lone divergence refuses" `Quick
             test_lone_divergence_refuses;
           Alcotest.test_case "torture campaigns (sampled)" `Quick

@@ -164,7 +164,7 @@ let journal_ops path =
   Journal.fold path
     ~init:(fun header -> (header, []))
     ~f:(fun (header, ops) op -> (header, op :: ops))
-  |> Result.map (fun ((header, ops), _tear) -> (header, List.rev ops))
+  |> Result.map (fun ((header, ops), _tear, _end) -> (header, List.rev ops))
 
 let restore_case ~case (config : Server.config) dir =
   let metrics = Metrics.create () in
@@ -298,6 +298,53 @@ let journal_dup_campaign config ~ops ~dir =
         (Printf.sprintf "journal-dup@%d" line)
         (fun cdir -> duplicate_line (journal_file cdir) line))
     lines
+
+let journal_edit_campaign config ~ops ~dir =
+  with_fixture config ~ops ~dir @@ fun ~fdir ~case ->
+  let prev_ops =
+    match
+      Snapshot.of_line (read_file (Filename.concat fdir "checkpoint.json.prev"))
+    with
+    | Ok s -> s.Snapshot.ops
+    | Error _ -> 0
+  in
+  let lines = String.split_on_char '\n' (read_file (journal_file fdir)) in
+  (* line i holds op i: line 0 is the header, and the fixture's writer
+     leaves no blank line *)
+  List.concat
+    (List.mapi
+       (fun i line ->
+         match String.split_on_char ' ' line with
+         | [ "submit"; round; color; count ] ->
+             let count = int_of_string count in
+             let count = if count > 1 then count - 1 else count + 1 in
+             let edited =
+               List.mapi
+                 (fun j l ->
+                   if j = i then Printf.sprintf "submit %s %s %d" round color count
+                   else l)
+                 lines
+             in
+             let v =
+               case
+                 (Printf.sprintf "journal-edit@%d" i)
+                 (fun cdir ->
+                   write_file (journal_file cdir) (String.concat "\n" edited))
+             in
+             let expected = if i <= prev_ops then 3 else 2 in
+             if v.tier <> expected && v.contained then
+               [
+                 {
+                   v with
+                   contained = false;
+                   detail =
+                     Printf.sprintf "expected tier %d, classified tier %d"
+                       expected v.tier;
+                 };
+               ]
+             else [ v ]
+         | _ -> [])
+       lines)
 
 let checkpoint_campaign ?(stride = 1) config ~ops ~dir =
   with_fixture config ~ops ~dir @@ fun ~fdir ~case ->

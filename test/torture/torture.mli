@@ -94,6 +94,16 @@ val journal_dup_campaign :
   Server.config -> ops:Journal.op list -> dir:string -> verdict list
 (** Duplicate every op line of the journal, one case per line. *)
 
+val journal_edit_campaign :
+  Server.config -> ops:Journal.op list -> dir:string -> verdict list
+(** Rewrite every [submit] line of the journal with another job count,
+    one case per line: the journal still decodes, so only the prefix
+    hash of the full-state checkpoint keeps restore from loading it
+    over the edit.  The full replay then judges the edit as before: below
+    the previous checkpoint it diverges from both anchors and must be
+    refused (tier 3); between the two checkpoints the previous one
+    outvotes the current one (tier 2).  Any other tier is uncontained. *)
+
 val checkpoint_campaign :
   ?stride:int -> Server.config -> ops:Journal.op list -> dir:string ->
   verdict list
