@@ -353,6 +353,7 @@ let overload_drill () =
           shed = 0;
           slow_drops = 0;
           wedges = 0;
+          select_rounds = 0;
         }
   in
   let journaled =

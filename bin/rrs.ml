@@ -756,11 +756,19 @@ let status_cmd =
         (match int "serve_ops" with
         | None -> ()
         | Some ops ->
+            let select_rate =
+              match (int "serve_commands", int "serve_select_rounds") with
+              | Some cmds, Some rounds when cmds > 0 ->
+                  Printf.sprintf ", %d commands, %.2f select rounds/command"
+                    cmds
+                    (float_of_int rounds /. float_of_int cmds)
+              | _ -> ""
+            in
             Format.printf
-              "service: %d ops; overload busy %d, shed %d, slow drops %d, \
+              "service: %d ops%s; overload busy %d, shed %d, slow drops %d, \
                wedged %d@."
-              ops (i0 "serve_busy") (i0 "serve_shed") (i0 "serve_slow_drops")
-              (i0 "serve_wedged");
+              ops select_rate (i0 "serve_busy") (i0 "serve_shed")
+              (i0 "serve_slow_drops") (i0 "serve_wedged");
             Format.printf
               "recovery: %d restores (%d session restarts) — torn tail %d, \
                quarantined %d, refused %d@."
@@ -967,6 +975,8 @@ let serve_cmd =
     in
     [
       ("serve_ops", "ops");
+      ("serve_commands", "commands");
+      ("serve_select_rounds", "select_rounds");
       ("serve_busy", "busy");
       ("serve_shed", "shed");
       ("serve_slow_client_drops", "slow_drops");

@@ -42,12 +42,15 @@ type stats = {
   shed : int;
   slow_drops : int;
   wedges : int;
+  select_rounds : int;
 }
 
 (* One client connection.  Outbound bytes accumulate in
-   [out.[0 .. out_len)] and are written from [out_pos] whenever select
-   says the peer can take them; the buffer is the backpressure boundary
-   the slow-client policy measures.  A socket reads and writes one
+   [out.[0 .. out_len)] and are written from [out_pos]: at once when a
+   socket connection has run its last queued command, otherwise
+   whenever select says the peer can take them.  The pending bytes
+   [out.[out_pos .. out_len)] are the backpressure boundary the
+   slow-client policy measures.  A socket reads and writes one
    [fd]; the stdio connection reads [fd] and writes [wfd], and is
    [paced]: it takes its next command only once the last one ran and
    its reply was written. *)
@@ -72,6 +75,14 @@ let settled c = Queue.is_empty c.cmds && out_pending c = 0
 
 let append c line =
   let len = String.length line in
+  if c.out_len + len + 1 > Bytes.length c.out && c.out_pos > 0 then begin
+    (* drop the sent prefix before growing: the buffer holds only what
+       the peer has not taken yet *)
+    let pending = out_pending c in
+    Bytes.blit c.out c.out_pos c.out 0 pending;
+    c.out_len <- pending;
+    c.out_pos <- 0
+  end;
   let need = c.out_len + len + 1 in
   if need > Bytes.length c.out then begin
     let grown = Bytes.create (max need (2 * Bytes.length c.out)) in
@@ -103,6 +114,7 @@ type counters = {
   write_faults : Metrics.counter;
   accept_faults : Metrics.counter;
   wedged : Metrics.counter;
+  select_rounds : Metrics.counter;
 }
 
 let counters m =
@@ -119,6 +131,7 @@ let counters m =
     write_faults = c "serve_write_faults";
     accept_faults = c "serve_accept_faults";
     wedged = c "serve_wedged";
+    select_rounds = c "serve_select_rounds";
   }
 
 let validate (config : Server.config) =
@@ -541,6 +554,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
           in
           (* ---- the loop ------------------------------------------- *)
           let select readers writers timeout =
+            inc ctr.select_rounds;
             match Unix.select readers writers [] timeout with
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
             | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
@@ -587,7 +601,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                   out_pending c > 0
                   && t -. c.last_progress > limits.write_stall_timeout
                 then drop ~slow:true c
-                else if c.out_len > limits.write_buffer_limit then
+                else if out_pending c > limits.write_buffer_limit then
                   drop ~slow:true c)
               !conns
           in
@@ -605,11 +619,19 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                 (fun c -> if List.memq c.fd readable then read_conn c)
                 !conns;
               (* one command per connection per round: fair service,
-                 and reply order per connection matches command order *)
+                 and reply order per connection matches command order.
+                 A socket connection whose queue just ran dry (the
+                 lockstep case) writes at once instead of waiting a
+                 select round to learn that it may; a pipelined one
+                 batches its replies into the write pass *)
               List.iter
                 (fun c ->
-                  if (not c.closing) && not (Queue.is_empty c.cmds) then
-                    execute_next c)
+                  if (not c.closing) && not (Queue.is_empty c.cmds) then begin
+                    execute_next c;
+                    if (not c.paced) && Queue.is_empty c.cmds
+                       && out_pending c > 0
+                    then write_conn c
+                  end)
                 !conns;
               List.iter
                 (fun c ->
@@ -676,4 +698,5 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                   shed = Metrics.value ctr.shed;
                   slow_drops = Metrics.value ctr.slow_drops;
                   wedges = Metrics.value ctr.wedged;
+                  select_rounds = Metrics.value ctr.select_rounds;
                 })

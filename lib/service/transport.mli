@@ -47,9 +47,10 @@
       durable session holds its journal descriptor) is answered
       [busy connections fd-limit retry-after=SECONDS], closed at once
       and counted as [serve_busy];
-    - {e slow clients}: a socket connection whose outbound buffer
-      exceeds [write_buffer_limit] bytes, or that has not accepted a
-      byte for [write_stall_timeout] seconds while output is pending,
+    - {e slow clients}: a socket connection with more than
+      [write_buffer_limit] pending bytes (output the peer has not taken
+      yet; bytes already sent do not count), or that has not accepted
+      a byte for [write_stall_timeout] seconds while output is pending,
       is dropped and counted as [serve_slow_client_drops] — one reader
       that stops reading cannot wedge the loop or grow memory
       unboundedly;
@@ -73,7 +74,12 @@
     Cost per command: the session is found by a hash lookup, the
     [serve_*] counters are resolved once per run, input lines are cut
     out of one shared read buffer, and replies are written straight
-    from each connection's output buffer.
+    from each connection's output buffer.  A socket connection writes
+    its replies at once when the command it just ran was the last one
+    it had queued, so a lockstep client costs one [select] per command
+    ([serve_select_rounds]); a connection with further commands queued
+    has its replies written in the next round, batched.  The stdio
+    connection writes only after [select] reports stdout writable.
 
     Shutdown: [shutdown] from any client, the end of the stdio
     connection, or the [stop] callback returning [true] (the CLI wires
@@ -102,7 +108,9 @@ type limits = {
       (** total queued commands above which read-only commands shed *)
   command_deadline : float option;
       (** per-command apply budget, seconds; [None] = no deadline *)
-  write_buffer_limit : int;  (** outbound bytes per connection *)
+  write_buffer_limit : int;
+      (** pending outbound bytes per connection (not yet taken by the
+          peer) *)
   write_stall_timeout : float;
       (** seconds a connection may refuse bytes while output is pending *)
   max_line : int;  (** longest accepted command line, bytes *)
@@ -111,8 +119,8 @@ type limits = {
 
 val default_limits : limits
 (** 64 connections, 64 queued commands per session, shed above 256
-    queued total, no deadline, 1 MiB write buffer, 5 s write stall,
-    64 KiB lines, retry-after 0.05 s. *)
+    queued total, no deadline, 1 MiB of pending output, 5 s write
+    stall, 64 KiB lines, retry-after 0.05 s. *)
 
 type stats = {
   conns_accepted : int;
@@ -122,6 +130,7 @@ type stats = {
   shed : int;
   slow_drops : int;
   wedges : int;
+  select_rounds : int;  (** [select] calls: ~1 per lockstep command *)
 }
 (** Mirror of the [serve_*] counters, returned from {!run} so drivers
     without a metrics registry still see what happened. *)

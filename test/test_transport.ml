@@ -12,6 +12,10 @@
    - a command deadline wedges the session (no journal append from the
      abandoned attempt) and the next command restores it;
    - shutdown executes every queued command before closing;
+   - a lockstep client costs one select round per command, and a
+     pipelined burst is answered in order, byte for byte;
+   - the slow-client limit counts pending bytes only: a client that
+     keeps reading is never dropped however much it has been sent;
    - the stdio connection answers a piped script line for line and in
      order, never [busy]; stdin EOF runs every buffered command before
      the goodbye; a refused restore prints [err fatal ...] and the CLI
@@ -329,6 +333,179 @@ let test_shutdown_drains () =
   let lines = In_channel.with_open_text journal In_channel.input_lines in
   Alcotest.(check int) "all ops journaled" 9 (List.length lines)
 
+(* ---- write points ------------------------------------------------ *)
+
+(* A lockstep client (send one command, wait for its reply) costs one
+   select round per command: the reply is written as soon as the
+   command ran, not after another select reports the socket writable. *)
+let test_lockstep_select_rounds () =
+  let dir = temp_dir "lockstep" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let metrics = Metrics.create () in
+  let rounds = Metrics.counter metrics "serve_select_rounds" in
+  let server = start { (config ()) with metrics = Some metrics } dir in
+  let c = connect server.sock in
+  ignore (recv c);
+  let commands = 200 in
+  let before = Metrics.value rounds in
+  for i = 1 to commands do
+    send c (if i mod 2 = 0 then "step" else "submit 1 1");
+    ignore (recv c)
+  done;
+  let spent = Metrics.value rounds - before in
+  close_client c;
+  let stats = finish server in
+  (* every command needs the select that reports it readable (the
+     first one's may have been counted already); a few idle 50 ms
+     timeouts may land inside the loop on a busy machine.  Two rounds
+     per command would be ~2N *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d select rounds for %d commands" spent commands)
+    true
+    (spent >= commands - 1 && spent <= commands + 20);
+  Alcotest.(check bool) "stats mirror the counter" true
+    (stats.Transport.select_rounds >= spent)
+
+(* 32 commands in one write, [quit] last: 32 replies in command order,
+   then EOF.  Queued commands' replies are batched into the next
+   round's write, the last one (queue drained) goes out at once. *)
+let test_pipelined_burst () =
+  let dir = temp_dir "burst" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let server = start (config ()) dir in
+  let c = connect server.sock in
+  ignore (recv c);
+  let commands =
+    List.init 31 (fun i ->
+        match i mod 4 with
+        | 0 -> Printf.sprintf "submit %d 2" (i mod 3)
+        | 1 -> Printf.sprintf "submit %d 1" (3 - (i mod 3))
+        | 2 -> "step"
+        | _ -> if i mod 8 = 3 then "step 2" else "submit 0 0 1")
+    @ [ "quit" ]
+  in
+  let script = String.concat "" (List.map (fun l -> l ^ "\n") commands) in
+  ignore (Unix.write_substring c.fd script 0 (String.length script));
+  let replies = In_channel.input_lines c.ic in
+  close_client c;
+  ignore (finish server);
+  Alcotest.(check (list string)) "replies in order, then EOF"
+    [
+      "ok submitted 2 jobs of color 0 at round 0";
+      "ok submitted 1 job of color 2 at round 0";
+      "ok stepped 1 round to round 1";
+      "ok stepped 2 rounds to round 3";
+      "ok submitted 2 jobs of color 1 at round 3";
+      "ok submitted 1 job of color 1 at round 3";
+      "ok stepped 1 round to round 4";
+      "err submit: round 0 already executed (current round is 4)";
+      "ok submitted 2 jobs of color 2 at round 4";
+      "ok submitted 1 job of color 3 at round 4";
+      "ok stepped 1 round to round 5";
+      "ok stepped 2 rounds to round 7";
+      "ok submitted 2 jobs of color 0 at round 7";
+      "ok submitted 1 job of color 2 at round 7";
+      "ok stepped 1 round to round 8";
+      "err submit: round 0 already executed (current round is 8)";
+      "ok submitted 2 jobs of color 1 at round 8";
+      "ok submitted 1 job of color 1 at round 8";
+      "ok stepped 1 round to round 9";
+      "ok stepped 2 rounds to round 11";
+      "ok submitted 2 jobs of color 2 at round 11";
+      "ok submitted 1 job of color 3 at round 11";
+      "ok stepped 1 round to round 12";
+      "err submit: round 0 already executed (current round is 12)";
+      "ok submitted 2 jobs of color 0 at round 12";
+      "ok submitted 1 job of color 2 at round 12";
+      "ok stepped 1 round to round 13";
+      "ok stepped 2 rounds to round 15";
+      "ok submitted 2 jobs of color 1 at round 15";
+      "ok submitted 1 job of color 1 at round 15";
+      "ok stepped 1 round to round 16";
+      "ok bye round=16 executed=21 dropped=2 recolorings=16 cost=34";
+    ]
+    replies
+
+(* read exactly [len] bytes from a raw descriptor *)
+let read_exactly fd len =
+  let buf = Bytes.create len in
+  let rec go off =
+    if off < len then
+      match Unix.read fd buf off (len - off) with
+      | 0 -> Alcotest.fail "connection closed early"
+      | n -> go (off + n)
+  in
+  go 0;
+  Bytes.to_string buf
+
+(* one line, byte by byte, so nothing past it leaves the kernel *)
+let read_line_raw fd =
+  let b = Buffer.create 256 in
+  let rec go () =
+    match read_exactly fd 1 with
+    | "\n" -> Buffer.contents b
+    | ch ->
+        Buffer.add_string b ch;
+        go ()
+  in
+  go ()
+
+(* The slow-client limit is on pending bytes.  A client lets the
+   server run [window] commands whose ~2 KB replies, ~400 KB, are more
+   than a default socket buffer (208 KiB) holds, then reads one reply
+   per command it sends.  The server's writes are partial and its
+   output buffer never drains, while its pending bytes stay below
+   [window] replies, under the limit.  Four times the limit in total
+   output must not get it dropped as slow. *)
+let test_steady_reader_not_slow () =
+  let dir = temp_dir "steady" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let window = 180 in
+  let limit = 512 * 1024 in
+  let limits =
+    {
+      Transport.default_limits with
+      write_buffer_limit = limit;
+      queue_limit = 2 * window;
+      shed_threshold = 2 * window;
+    }
+  in
+  let metrics = Metrics.create () in
+  let commands = Metrics.counter metrics "serve_commands" in
+  let cfg =
+    { (config ()) with delay = Array.make 1000 6; metrics = Some metrics }
+  in
+  let server = start ~limits cfg dir in
+  let c = connect server.sock in
+  ignore (read_line_raw c.fd);
+  let state = String.concat "" (List.init window (fun _ -> "state\n")) in
+  ignore (Unix.write_substring c.fd state 0 (String.length state));
+  (* the whole window ran: its replies fill the socket and the rest
+     waits in the server's buffer *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Metrics.value commands < window && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  let reply = read_line_raw c.fd ^ "\n" in
+  let len = String.length reply in
+  Alcotest.(check bool) "a state line" true (starts_with "{" reply);
+  Alcotest.(check bool) "window under the limit" true (window * len < limit);
+  let rounds = 4 * limit / len in
+  for i = 1 to rounds do
+    send c "state";
+    let r = read_exactly c.fd len in
+    if r <> reply then Alcotest.failf "reply %d differs" i
+  done;
+  for _ = 2 to window do
+    ignore (read_exactly c.fd len)
+  done;
+  send c "quit";
+  Alcotest.(check bool) "still connected" true
+    (starts_with "ok bye" (read_line_raw c.fd));
+  close_client c;
+  let stats = finish server in
+  Alcotest.(check int) "no slow drop" 0 stats.Transport.slow_drops
+
 (* A [open NAME] that fails on the filesystem (a regular file where the
    session directory should be) answers [err open: ...] and leaves the
    client's current session alone: not wedged, not replayed. *)
@@ -587,6 +764,15 @@ let () =
             test_failed_open;
           Alcotest.test_case "accept past select's fd limit" `Quick
             test_fd_limit;
+        ] );
+      ( "write points",
+        [
+          Alcotest.test_case "one select round per lockstep command" `Quick
+            test_lockstep_select_rounds;
+          Alcotest.test_case "pipelined burst answered in order" `Quick
+            test_pipelined_burst;
+          Alcotest.test_case "a steady reader is not slow" `Quick
+            test_steady_reader_not_slow;
         ] );
       ( "overload",
         [
