@@ -353,7 +353,7 @@ let drill_family ~checkpoint id =
   | exception Sys_error msg -> diverge "no final checkpoint: %s" msg
   | None -> diverge "empty final checkpoint"
   | Some line -> (
-      match Snapshot.of_line line with
+      match Rrs_torture.Torture.snapshot_of_line line with
       | Error e -> diverge "unreadable final checkpoint: %s" e
       | Ok snapshot ->
           let batch = Engine.run (Engine.config ~n:!n ()) instance Lru_edf.policy in

@@ -133,7 +133,7 @@ let quarantine how path =
     Some target
   end
 
-(* A checkpoint file (doc/SERVICE.md, "Checkpoint format"):
+(* A checkpoint file (doc/SERVICE.md, "The checkpoint format"):
 
      line 1: the snapshot line, byte for byte the [state] reply;
      line 2: serve_machine 1 ops=N offset=B lines=L journal=H state=S digest=D
@@ -141,34 +141,29 @@ let quarantine how path =
    Line 2 holds the session's machine state [S] ({!Session.save} in the
    {!Wire} code), taken after op N, when the journal was B bytes and L
    lines long with prefix hash H.  D hashes every byte before
-   " digest=", line 1 included.  A session that cannot save its state
-   (no journal writer, or a policy without a codec) writes line 1
-   only: an anchor, as every checkpoint was before line 2 existed. *)
+   " digest=", line 1 included. *)
 type machine = { ops : int; anchor : Journal.anchor; state : string }
 
-let encode_checkpoint w (snapshot : Snapshot.t) ~machine =
+let encode_checkpoint w (snapshot : Snapshot.t) (anchor : Journal.anchor) session =
   Wire.clear w;
   Snapshot.add_line w snapshot;
   Wire.add_char w '\n';
-  match machine with
-  | None -> ()
-  | Some ((anchor : Journal.anchor), session) ->
-      let field name v =
-        Wire.add_string w name;
-        Wire.add_decimal w v
-      in
-      field "serve_machine 1 ops=" snapshot.ops;
-      field " offset=" anchor.offset;
-      field " lines=" anchor.lines;
-      Wire.add_string w " journal=";
-      Wire.add_string w anchor.digest;
-      Wire.add_string w " state=";
-      Session.save session w;
-      let digest = Wire.Hash.create () in
-      Wire.Hash.feed_writer digest w ~pos:0 ~len:(Wire.length w);
-      Wire.add_string w " digest=";
-      Wire.add_string w (Wire.Hash.digest digest);
-      Wire.add_char w '\n'
+  let field name v =
+    Wire.add_string w name;
+    Wire.add_decimal w v
+  in
+  field "serve_machine 1 ops=" snapshot.ops;
+  field " offset=" anchor.offset;
+  field " lines=" anchor.lines;
+  Wire.add_string w " journal=";
+  Wire.add_string w anchor.digest;
+  Wire.add_string w " state=";
+  Session.save session w;
+  let digest = Wire.Hash.create () in
+  Wire.Hash.feed_writer digest w ~pos:0 ~len:(Wire.length w);
+  Wire.add_string w " digest=";
+  Wire.add_string w (Wire.Hash.digest digest);
+  Wire.add_char w '\n'
 
 (* Commit whole files only: an exception before the rename removes the
    temp file instead of committing it. *)
@@ -230,22 +225,6 @@ let parse_machine path contents ~start =
         | _ -> bad "malformed field")
     | _ -> bad "not a serve_machine line"
 
-(* A checkpoint as the full replay's anchor: its snapshot line, once
-   the whole file is known to be readable. *)
-let load_checkpoint path =
-  if not (Sys.file_exists path) then Ok None
-  else
-    let contents = In_channel.with_open_bin path In_channel.input_all in
-    if contents = "" then Error (Printf.sprintf "checkpoint %s: empty" path)
-    else
-      match Snapshot.of_line contents with
-      | Error e -> Error (Printf.sprintf "checkpoint %s: %s" path e)
-      | Ok s -> (
-          match String.index_opt contents '\n' with
-          | Some i when i < String.length contents - 1 ->
-              Result.map (fun _ -> Some s) (parse_machine path contents ~start:(i + 1))
-          | _ -> Ok (Some s))
-
 let session_label name (header : Journal.header) =
   let suffix = if name = default_session then "" else "-" ^ name in
   "serve" ^ suffix ^ "-" ^ header.policy
@@ -264,44 +243,48 @@ let session_of_header name (header : Journal.header) =
       Session.set_heartbeat session None;
       session
 
-(* The restore fast path's start, from the current checkpoint's bytes:
-   its machine state, taken only when line 2 passes its digest, the
-   journal still begins with the prefix the state was taken at, and the
-   loaded state's snapshot line is line 1, byte for byte.  The digest
-   covers line 1, so line 1 is exactly what the writer wrote and is not
-   parsed here. *)
-let load_machine name jpath cpath contents =
-  match String.index_opt contents '\n' with
-  | None -> None
-  | Some eol -> (
-      match parse_machine cpath contents ~start:(eol + 1) with
-      | Error _ -> None
-      | Ok m -> (
-          match Journal.resume jpath m.anchor with
-          | None -> None
-          | Some (header, position) -> (
-              match factory_of_id header.policy with
-              | Error _ -> None
-              | Ok factory -> (
-                  let cfg =
-                    Engine.config ~n:header.n ~mini_rounds:header.mini_rounds ()
-                  in
-                  let reader =
-                    Wire.reader m.state ~pos:0 ~stop:(String.length m.state)
-                  in
+(* What restore finds in a checkpoint file.  [Verified]: line 2 passes
+   its digest, the journal still starts with the prefix it names, and
+   the state it holds loads and reproduces line 1, byte for byte; the
+   session at its op count and the journal position to replay from.
+   The digest covers line 1, so line 1 is exactly what the writer wrote
+   and is not parsed.  [Unanchored]: an intact checkpoint, at the op
+   count given, whose journal prefix changed.  [Unreadable]: anything
+   else, a file with line 1 only included. *)
+type checkpoint =
+  | Absent
+  | Verified of int * (Journal.header * Journal.position) * Session.t
+  | Unanchored of int
+  | Unreadable of string
+
+let classify name jpath path =
+  let unreadable what = Unreadable (Printf.sprintf "checkpoint %s: %s" path what) in
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error _ when not (Sys.file_exists path) -> Absent
+  | exception Sys_error e -> Unreadable e
+  | contents -> (
+      match String.index_opt contents '\n' with
+      | Some eol when eol < String.length contents - 1 -> (
+          match parse_machine path contents ~start:(eol + 1) with
+          | Error e -> Unreadable e
+          | Ok m -> (
+              match Journal.resume jpath m.anchor with
+              | None -> Unanchored m.ops
+              | Some ((header, _) as from) -> (
+                  let cfg = Engine.config ~n:header.n ~mini_rounds:header.mini_rounds () in
+                  let reader = Wire.reader m.state ~pos:0 ~stop:(String.length m.state) in
                   match
-                    Session.load ~name:(session_label name header) cfg factory
-                      reader
+                    Result.bind (factory_of_id header.policy) (fun factory ->
+                        Session.load ~name:(session_label name header) cfg factory reader)
                   with
-                  | Error _ -> None
+                  | Error e -> unreadable ("machine state: " ^ e)
                   | Ok session ->
                       Session.set_heartbeat session None;
-                      let line =
-                        Snapshot.to_line (Snapshot.of_session ~ops:m.ops session)
-                      in
+                      let line = Snapshot.to_line (Snapshot.of_session ~ops:m.ops session) in
                       if String.equal line (String.sub contents 0 eol) then
-                        Some (m.ops, header, position, session)
-                      else None))))
+                        Verified (m.ops, from, session)
+                      else unreadable "the machine state does not reproduce line 1")))
+      | _ -> unreadable "no machine state line")
 
 let header_of_config config =
   {
@@ -435,20 +418,14 @@ let refuse h ~name reason =
   recovery_event ~counter:h.counters.refused ~name:("refuse-" ^ name) ~reason;
   raise (Corrupt reason)
 
-(* Replay state, threaded through {!Journal.fold} one op at a time.
-   When the replay passes an anchor's journal position, the states must
-   agree — a mismatch means the journal and that checkpoint tell
-   different stories.  Each verdict carries the replay-side snapshot
-   taken at the anchor's op count, so divergence diagnostics can show
-   both witnesses. *)
+(* Replay state, threaded through {!Journal.fold} one op at a time. *)
 type replay = {
   header : Journal.header;
   replayed : Session.t;
   mutable applied : int;
-  mutable verdicts : (string * Snapshot.t * Snapshot.t * bool) list;
 }
 
-let replay_op anchors r op =
+let replay_op r op =
   (match apply_to r.replayed op with
   | Ok () -> ()
   | Error e ->
@@ -456,13 +433,6 @@ let replay_op anchors r op =
         (Corrupt
            (Printf.sprintf "journal replay: op %d refused: %s" (r.applied + 1) e)));
   r.applied <- r.applied + 1;
-  List.iter
-    (fun (which, (ckpt : Snapshot.t)) ->
-      if ckpt.ops = r.applied then begin
-        let now = Snapshot.of_session ~ops:r.applied r.replayed in
-        r.verdicts <- (which, ckpt, now, Snapshot.equal now ckpt) :: r.verdicts
-      end)
-    anchors;
   r
 
 let fresh_session h name ~dir ~writer =
@@ -481,54 +451,31 @@ let fresh_session h name ~dir ~writer =
     wedged = None;
   }
 
-(* The tiered restore ladder (doc/SERVICE.md, "Failure matrix").  Its
-   fast path starts from the current checkpoint's machine state and
-   replays only the journal suffix; anything that keeps it from
-   starting there runs the full replay from op 0. *)
+(* The tiered restore ladder (doc/SERVICE.md, "Failure matrix").  It
+   starts from the newest checkpoint that verifies — the current one,
+   else [.prev], which is read only then — or from a fresh session at
+   the journal header, and replays the journal from there.  The
+   checkpoints that did not verify are judged once the journal has
+   loaded. *)
 let restore h name ~dir jpath =
   remove_stale_temps dir;
   let cpath = checkpoint_path dir in
   let ppath = checkpoint_prev_path dir in
-  let fast =
-    match In_channel.with_open_bin cpath In_channel.input_all with
-    | contents -> load_machine name jpath cpath contents
-    | exception Sys_error _ -> None
+  let current = classify name jpath cpath in
+  let prev =
+    match current with Verified _ -> Absent | _ -> classify name jpath ppath
   in
-  let checkpoints, from, init, anchors, start_ops, ckpt_ops =
-    match fast with
-    | Some (ops, header, position, session) ->
-        (* the current checkpoint is verified and every other anchor
-           lies below it: the suffix has nothing to be checked against,
-           and the previous checkpoint, the full replay's arbitration
-           witness, is not read *)
-        ( [],
-          Some (header, position),
-          (fun header -> { header; replayed = session; applied = ops; verdicts = [] }),
-          [],
-          ops,
-          ops )
-    | None ->
-        (* both anchors are read before the replay, which checks them as
-           it passes their op counts; an unreadable one is set aside
-           only once the journal has loaded *)
-        let cur = ("checkpoint", cpath, load_checkpoint cpath) in
-        let prev = ("previous checkpoint", ppath, load_checkpoint ppath) in
-        ( [ cur; prev ],
-          None,
+  let from, init, start_ops =
+    match (current, prev) with
+    | Verified (ops, from, session), _ | _, Verified (ops, from, session) ->
+        (Some from, (fun header -> { header; replayed = session; applied = ops }), ops)
+    | _ ->
+        ( None,
           (fun header ->
-            {
-              header;
-              replayed = session_of_header name header;
-              applied = 0;
-              verdicts = [];
-            }),
-          List.filter_map
-            (function which, _, Ok (Some c) -> Some (which, c) | _ -> None)
-            [ cur; prev ],
-          0,
-          match cur with _, _, Ok (Some c) -> c.Snapshot.ops | _ -> 0 )
+            { header; replayed = session_of_header name header; applied = 0 }),
+          0 )
   in
-  match Journal.fold ?from jpath ~init ~f:(replay_op anchors) with
+  match Journal.fold ?from jpath ~init ~f:replay_op with
   | Error Journal.Missing ->
       fresh_session h name ~dir:(Some dir)
         ~writer:(Some (Journal.create jpath (header_of_config h.config)))
@@ -560,79 +507,65 @@ let restore h name ~dir jpath =
           (try Unix.truncate jpath t.Journal.offset
            with Unix.Unix_error _ -> ());
           notice "%s" msg);
-      (* tier 2: checkpoints are derived state — an unreadable one is
-         quarantined out of the restore path and replay carries on *)
+      (* tier 2: checkpoints are derived state — one that cannot be a
+         start is quarantined out of the restore path *)
+      let set_aside path what =
+        let target = quarantine `Rename path in
+        let msg =
+          Printf.sprintf "quarantined %s%s" what
+            (match target with Some t -> " to " ^ t | None -> "")
+        in
+        recovery_event ~counter:h.counters.quarantined
+          ~name:("checkpoint-" ^ name) ~reason:msg;
+        notice "%s" msg
+      in
+      let checkpoints =
+        [ ("checkpoint", cpath, current); ("previous checkpoint", ppath, prev) ]
+      in
       List.iter
         (function
-          | which, path, Error e ->
-              let target = quarantine `Rename path in
-              let msg =
-                Printf.sprintf "quarantined unreadable %s (%s)%s" which e
-                  (match target with Some t -> " to " ^ t | None -> "")
-              in
-              recovery_event ~counter:h.counters.quarantined
-                ~name:("checkpoint-" ^ name) ~reason:msg;
-              notice "%s" msg
+          | which, path, Unreadable e ->
+              set_aside path (Printf.sprintf "unreadable %s (%s)" which e)
           | _ -> ())
         checkpoints;
+      (* the start is the newest verified checkpoint, so only an
+         unanchored one can be ahead of the journal *)
       List.iter
-        (fun (which, (c : Snapshot.t)) ->
-          if c.ops > r.applied then
-            refuse h ~name
-              (Printf.sprintf
-                 "journal %s holds %d op%s but the %s was committed at op %d: \
-                  acked ops are missing from the journal"
-                 jpath r.applied
-                 (if r.applied = 1 then "" else "s")
-                 which c.ops))
-        anchors;
-      let verdicts = List.rev r.verdicts in
-      let agreed which =
-        List.exists (fun (w, _, _, ok) -> w = which && ok) verdicts
-      in
-      let diverged which =
-        List.find_opt (fun (w, _, _, ok) -> w = which && not ok) verdicts
-      in
-      (match diverged "checkpoint" with
-      | Some (_, ckpt, now, _) ->
-          if agreed "previous checkpoint" then begin
-            (* two witnesses: the replay and the previous checkpoint
-               agree, so the current checkpoint is the corrupt artifact *)
-            let target = quarantine `Rename cpath in
-            let msg =
-              Printf.sprintf
-                "quarantined checkpoint diverging from journal replay at op \
-                 %d%s (previous checkpoint agrees with the replay)"
-                ckpt.Snapshot.ops
-                (match target with Some t -> " to " ^ t | None -> "")
-            in
-            recovery_event ~counter:h.counters.quarantined
-              ~name:("checkpoint-" ^ name) ~reason:msg;
-            notice "%s" msg
-          end
-          else
-            refuse h ~name
-              (Format.asprintf
-                 "checkpoint diverges from journal replay at op %d:@ \
-                  checkpoint %a@ replay %a"
-                 ckpt.Snapshot.ops Snapshot.pp ckpt Snapshot.pp now)
-      | None -> (
-          match diverged "previous checkpoint" with
-          | Some (_, ckpt, _, _) ->
-              (* the dispensable anchor lies but the current one agrees
-                 (or is absent): drop the stale witness, keep serving *)
-              let target = quarantine `Rename ppath in
-              let msg =
-                Printf.sprintf
-                  "quarantined previous checkpoint diverging from journal \
-                   replay at op %d%s"
-                  ckpt.Snapshot.ops
-                  (match target with Some t -> " to " ^ t | None -> "")
-              in
-              recovery_event ~counter:h.counters.quarantined
-                ~name:("checkpoint-" ^ name) ~reason:msg;
-              notice "%s" msg
-          | None -> ()));
+        (function
+          | which, _, Unanchored ops when ops > r.applied ->
+              refuse h ~name
+                (Printf.sprintf
+                   "journal %s holds %d op%s but the %s was committed at op %d: \
+                    acked ops are missing from the journal"
+                   jpath r.applied
+                   (if r.applied = 1 then "" else "s")
+                   which ops)
+          | _ -> ())
+        checkpoints;
+      (* an intact checkpoint over a journal prefix that changed: the
+         journal is the source of truth, but only a verified previous
+         checkpoint can vouch for it below the current one *)
+      (match (current, prev) with
+      | Unanchored ops, Verified _ ->
+          set_aside cpath
+            (Printf.sprintf
+               "checkpoint at op %d whose journal prefix changed (the previous \
+                checkpoint verifies)"
+               ops)
+      | Unanchored ops, _ ->
+          refuse h ~name
+            (Printf.sprintf
+               "journal %s no longer starts with the prefix the checkpoint at \
+                op %d was taken at, and no previous checkpoint verifies: the \
+                journal changed below acked state"
+               jpath ops)
+      | _ -> ());
+      (match prev with
+      | Unanchored ops ->
+          set_aside ppath
+            (Printf.sprintf
+               "previous checkpoint at op %d whose journal prefix changed" ops)
+      | _ -> ());
       Metrics.inc h.counters.restores 1;
       Metrics.inc h.counters.replayed (r.applied - start_ops);
       {
@@ -646,7 +579,7 @@ let restore h name ~dir jpath =
         restored = true;
         notices = List.rev !notices;
         ops = r.applied;
-        ckpt_ops;
+        ckpt_ops = start_ops;
         wedged = None;
       }
 
@@ -689,24 +622,20 @@ let try_open h name =
 (* ---- checkpoints and commits -------------------------------------- *)
 
 let checkpoint_session h s =
-  match s.dir with
-  | None -> None
-  | Some dir ->
+  match (s.dir, s.writer) with
+  | Some dir, Some w ->
       let path = checkpoint_path dir in
-      (* rotate: the previous checkpoint is the arbitration witness of
-         the divergence tier *)
+      (* rotate: the previous checkpoint is the restore's fallback
+         start *)
       if Sys.file_exists path then Sys.rename path (checkpoint_prev_path dir);
       let snapshot = Snapshot.of_session ~ops:s.ops s.session in
-      let machine =
-        match s.writer with
-        | Some w when Session.checkpointable s.session ->
-            Some (Journal.anchor w, s.session)
-        | _ -> None
-      in
-      encode_checkpoint h.checkpoint_buffer snapshot ~machine;
+      encode_checkpoint h.checkpoint_buffer snapshot (Journal.anchor w) s.session;
       write_checkpoint dir h.checkpoint_buffer;
       s.ckpt_ops <- s.ops;
       Some snapshot
+  | _ ->
+      (* ephemeral, or wedged: an untrusted state is never checkpointed *)
+      None
 
 let apply_op s op = apply_to s.session op
 
@@ -776,7 +705,7 @@ let session_line s =
 
 let exec ?(apply = apply_op) h (current : session) (cmd : Protocol.command) :
     outcome =
-  let mutate op =
+  let unless_wedged k =
     match current.wedged with
     | Some reason ->
         Reply
@@ -786,12 +715,15 @@ let exec ?(apply = apply_op) h (current : session) (cmd : Protocol.command) :
                journal"
               current.name reason current.name;
           ]
-    | None -> (
-        match apply current op with
-        | Ok () ->
-            commit h current op;
-            Reply [ ack current.session op ]
-        | Error e -> Reply [ "err " ^ e ])
+    | None -> k ()
+  in
+  let mutate op =
+    unless_wedged @@ fun () ->
+    match apply current op with
+    | Ok () ->
+        commit h current op;
+        Reply [ ack current.session op ]
+    | Error e -> Reply [ "err " ^ e ]
   in
   match cmd with
   | Protocol.Help ->
@@ -800,6 +732,7 @@ let exec ?(apply = apply_op) h (current : session) (cmd : Protocol.command) :
         |> List.map (fun l -> "ok " ^ l))
   | Protocol.State -> Reply [ Snapshot.to_line (session_snapshot current) ]
   | Protocol.Checkpoint -> (
+      unless_wedged @@ fun () ->
       match checkpoint_session h current with
       | None ->
           Reply

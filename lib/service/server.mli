@@ -21,32 +21,37 @@
     grows only in the journal files (doc/SERVICE.md).
 
     {b Tiered recovery} (doc/SERVICE.md, "Failure matrix").  Restoring
-    a durable session classifies what it finds:
+    a durable session starts from the newest checkpoint that verifies:
+    [checkpoint.json], else [checkpoint.json.prev] (read only then),
+    else a fresh session at the journal header.  A checkpoint
+    {e verifies} when its machine-state line passes its digest, the
+    journal still starts with the prefix it was taken at (same length
+    and hash), and the loaded state reproduces its snapshot line.
+    Restore loads that state and replays the journal after it: with
+    the current checkpoint at most [checkpoint_every] ops, from [.prev]
+    at most twice that (counted in [serve_restore_replayed_ops]).  Then
+    it classifies what it found:
 
-    - {e fast path} — the current checkpoint's machine state passes its
-      digest, the journal still starts with the prefix it was taken at
-      (same length and hash), and the loaded state reproduces the
-      checkpoint's snapshot line: restore loads it and replays only
-      the journal suffix, at most [checkpoint_every] ops (counted in
-      [serve_restore_replayed_ops]).  Anything else replays the whole
-      journal from op 0 and classifies as below;
     - {e torn journal tail} — the crash interrupted the final append;
       the un-acked op is dropped with a warning naming its exact byte
       offset (tier 1, today's at-most-once contract);
-    - {e unreadable checkpoint} — the checkpoint is derived state, so
-      it is quarantined to [checkpoint.json.corrupt-<n>] and the
-      session falls back to journal replay, anchored on the previous
-      checkpoint ([checkpoint.json.prev]) when one survives (tier 2);
+    - {e unreadable checkpoint} — one that fails to verify for any
+      reason but a changed journal prefix (a failing digest, a file
+      with line 1 only, a state that does not load or does not
+      reproduce line 1): derived state, quarantined to
+      [checkpoint.json.corrupt-<n>] (tier 2);
+    - {e unanchored checkpoint} — intact, but the journal no longer
+      starts with its prefix.  A current one is quarantined when
+      [.prev] verifies (tier 2) and refuses otherwise (tier 3); an
+      unanchored [.prev] is quarantined (tier 2);
+    - {e missing acked ops} — an intact checkpoint was taken at more
+      ops than the journal holds: the restore refuses (tier 3);
     - {e corrupt journal body} — the source of truth cannot be
       trusted; a forensic copy is quarantined to
       [journal.jsonl.corrupt-<n>] (the original stays in place so
       restarts keep refusing) and the restore refuses with a
-      diagnostic naming the line and byte offset (tier 3);
-    - {e checkpoint/replay divergence} — journal and checkpoint tell
-      different stories; with a surviving previous checkpoint that
-      agrees with the replay, the current checkpoint is the corrupt
-      artifact and tier 2 applies; otherwise the ambiguity refuses
-      (tier 3).
+      diagnostic naming the line and byte offset (tier 3).  No
+      checkpoint is judged then.
 
     Every recovery action increments a [serve_recovery_*] counter in
     the host metrics and, when a flight recorder with a dump directory
@@ -157,16 +162,15 @@ val try_open : host -> string -> (session, string) result
 
 val checkpoint_session : host -> session -> Snapshot.t option
 (** Commit a checkpoint now (rotating the previous one to
-    [checkpoint.json.prev]); [None] for ephemeral sessions.  The file
-    holds the snapshot line and, when the session can save it (its
-    journal writer is open and its policy has a codec), the machine
-    state anchored to the journal prefix written so far.  Both lines
-    go through one buffer the host reuses; a failed write removes its
-    temp file. *)
+    [checkpoint.json.prev]): the snapshot line and the machine state,
+    anchored to the journal prefix written so far.  Both lines go
+    through one buffer the host reuses; a failed write removes its temp
+    file.  [None], and nothing written, for an ephemeral session and
+    for a {!wedge}d one, whose state is untrusted. *)
 
 val close_session : host -> session -> Rrs_core.Engine.result
-(** Final checkpoint, close the journal, finish the engine session and
-    remove it from the table. *)
+(** Final checkpoint (none for a wedged session), close the journal,
+    finish the engine session and remove it from the table. *)
 
 val abandon_session : host -> session -> unit
 (** Drop the session {e without} a final checkpoint: close the journal

@@ -1,5 +1,4 @@
 module Session = Rrs_core.Engine.Session
-module Json = Rrs_obs.Json
 module Wire = Rrs_core.Wire
 
 type t = {
@@ -70,85 +69,10 @@ let add_line w t =
   array {|,"cache":|} t.cache;
   Wire.add_char w '}'
 
-let ( let* ) = Result.bind
-
-let field name json =
-  match Json.member name json with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "checkpoint: missing field %S" name)
-
-let int_field name json =
-  let* v = field name json in
-  Result.map_error
-    (fun e -> Printf.sprintf "checkpoint: field %S: %s" name e)
-    (Json.to_int v)
-
-let int_array_field name json =
-  let* v = field name json in
-  let* items =
-    Result.map_error
-      (fun e -> Printf.sprintf "checkpoint: field %S: %s" name e)
-      (Json.to_list v)
-  in
-  let* ints =
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* v =
-          Result.map_error
-            (fun e -> Printf.sprintf "checkpoint: field %S: %s" name e)
-            (Json.to_int item)
-        in
-        Ok (v :: acc))
-      (Ok []) items
-  in
-  Ok (Array.of_list (List.rev ints))
-
-let of_json json =
-  let* v = int_field "version" json in
-  if v <> version then
-    Error (Printf.sprintf "checkpoint: version %d (want %d)" v version)
-  else
-    let* ops = int_field "ops" json in
-    let* round = int_field "round" json in
-    let* n = int_field "n" json in
-    let* delta = int_field "delta" json in
-    let* delay = int_array_field "delay" json in
-    let* reconfigurations = int_field "reconfigurations" json in
-    let* reconfig_cost = int_field "reconfig_cost" json in
-    let* executed = int_field "executed" json in
-    let* dropped = int_field "dropped" json in
-    let* pending_jobs = int_field "pending_jobs" json in
-    let* future_arrivals = int_field "future_arrivals" json in
-    let* cache = int_array_field "cache" json in
-    Ok
-      {
-        version = v;
-        ops;
-        round;
-        n;
-        delta;
-        delay;
-        reconfigurations;
-        reconfig_cost;
-        executed;
-        dropped;
-        pending_jobs;
-        future_arrivals;
-        cache;
-      }
-
 let to_line t =
   let w = Wire.writer ~capacity:(256 + (8 * (Array.length t.delay + Array.length t.cache))) () in
   add_line w t;
   Wire.contents w
-
-let of_line s =
-  let line =
-    match String.index_opt s '\n' with Some i -> String.sub s 0 i | None -> s
-  in
-  let* json = Json.parse line in
-  of_json json
 
 let equal a b =
   a.version = b.version && a.ops = b.ops && a.round = b.round && a.n = b.n
@@ -159,10 +83,3 @@ let equal a b =
   && a.pending_jobs = b.pending_jobs
   && a.future_arrivals = b.future_arrivals
   && a.cache = b.cache
-
-let pp fmt t =
-  Format.fprintf fmt
-    "round %d: n=%d delta=%d colors=%d pending=%d executed=%d dropped=%d \
-     recolorings=%d (ops %d)"
-    t.round t.n t.delta (Array.length t.delay) t.pending_jobs t.executed
-    t.dropped t.reconfigurations t.ops

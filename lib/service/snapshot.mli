@@ -5,14 +5,16 @@
     — plus the journal op count it was taken at.  It is the [state]
     reply and the first line of every checkpoint file.  It is not the
     machine state: that is {!Rrs_core.Engine.Session.save}'s stream,
-    the checkpoint's second line (doc/SERVICE.md, "Checkpoint
-    format").  A restore checks a loaded machine state against the
-    snapshot next to it, and a full journal replay checks itself
-    against every snapshot it passes.
+    the checkpoint's second line (doc/SERVICE.md, "The checkpoint
+    format").  A restore verifies a loaded machine state by writing
+    its snapshot line and comparing it, byte for byte, with the line
+    next to it; it never parses one.
 
     {!to_line} writes the bytes the canonical {!Rrs_obs.Json} printer
-    would, and [of_line (to_line s) = Ok s'] with [equal s s'] — both
-    QCheck properties in [test/test_service.ml]. *)
+    would.  The reader of that line and a printer for diagnostics live
+    with the tests ([Rrs_torture.Torture.snapshot_of_line],
+    [Torture.pp_snapshot]); the round trip is a QCheck property in
+    [test/test_service.ml]. *)
 
 type t = {
   version : int;
@@ -41,9 +43,5 @@ val to_line : t -> string
 val add_line : Rrs_core.Wire.writer -> t -> unit
 (** {!to_line} appended to a writer, without the newline. *)
 
-val of_line : string -> (t, string) result
-(** Parse the first line of the string: a checkpoint file's second
-    line, when there is one, is not looked at. *)
-
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
+(** Field by field. *)

@@ -53,13 +53,23 @@ type stats = {
    slow-client policy measures.  A socket reads and writes one
    [fd]; the stdio connection reads [fd] and writes [wfd], and is
    [paced]: it takes its next command only once the last one ran and
-   its reply was written. *)
+   its reply was written.
+
+   A line answered at read time ([err] for a bad line, [busy queue] at
+   admission) while commands are still queued waits in the queue behind
+   them, so replies keep the order of the lines. *)
+type queued = Command of Protocol.command | Answered of string
+
 type conn = {
   fd : Unix.file_descr;
   wfd : Unix.file_descr;
   paced : bool;
   pending : Buffer.t;  (** unread partial input line *)
-  cmds : Protocol.command Queue.t;
+  cmds : queued Queue.t;
+  mutable depth : int;  (** the [Command]s in [cmds] *)
+  mutable held : int;
+      (** bytes of the [Answered] replies in [cmds]: output not yet in
+          [out], counted against [write_buffer_limit] like pending bytes *)
   mutable out : Bytes.t;
   mutable out_len : int;
   mutable out_pos : int;
@@ -225,8 +235,10 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
             if c.paced then shutting := true
             else (try Unix.close c.fd with Unix.Unix_error _ -> ());
             conns := List.filter (fun c' -> c' != c) !conns;
-            queued := !queued - Queue.length c.cmds;
+            queued := !queued - c.depth;
             Queue.clear c.cmds;
+            c.depth <- 0;
+            c.held <- 0;
             inc ctr.conns_dropped;
             if slow then inc ctr.slow_drops
           in
@@ -242,7 +254,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
           let session_depth sname =
             List.fold_left
               (fun acc c ->
-                if c.sname = sname then acc + Queue.length c.cmds else acc)
+                if c.sname = sname then acc + c.depth else acc)
               0 !conns
           in
           (* ---- per-command deadline ------------------------------- *)
@@ -339,28 +351,52 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                 append c ("err " ^ Printexc.to_string e);
                 wedge_current c (Printexc.to_string e)
           in
+          (* the next queued command, then the replies of the lines
+             answered behind it *)
           let execute_next c =
-            decr queued;
-            execute c (Queue.pop c.cmds)
+            let rec pass_answers () =
+              match Queue.peek_opt c.cmds with
+              | Some (Answered line) ->
+                  ignore (Queue.pop c.cmds);
+                  c.held <- c.held - String.length line - 1;
+                  append c line;
+                  pass_answers ()
+              | Some (Command _) | None -> ()
+            in
+            (match Queue.pop c.cmds with
+            | Command cmd ->
+                decr queued;
+                c.depth <- c.depth - 1;
+                execute c cmd
+            | Answered line -> append c line);
+            pass_answers ()
+          in
+          let answer c line =
+            if Queue.is_empty c.cmds then append c line
+            else begin
+              Queue.push (Answered line) c.cmds;
+              c.held <- c.held + String.length line + 1
+            end
           in
           (* ---- input parsing -------------------------------------- *)
           let process_line c line =
             match Protocol.parse line with
             | Ok None -> ()
-            | Error e -> append c ("err " ^ e)
+            | Error e -> answer c ("err " ^ e)
             | Ok (Some cmd) ->
                 let depth = session_depth c.sname in
                 if depth >= limits.queue_limit then begin
                   (* refuse at admission: nothing enqueued, nothing
                      acked, the client owns the retry *)
                   inc ctr.busy;
-                  append c
+                  answer c
                     (Printf.sprintf
                        "busy queue session=%s depth=%d retry-after=%g"
                        c.sname depth limits.retry_after)
                 end
                 else begin
-                  Queue.push cmd c.cmds;
+                  Queue.push (Command cmd) c.cmds;
+                  c.depth <- c.depth + 1;
                   incr queued
                 end
           in
@@ -471,6 +507,8 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
               paced;
               pending = Buffer.create 64;
               cmds = Queue.create ();
+              depth = 0;
+              held = 0;
               out = Bytes.create 256;
               out_len = 0;
               out_pos = 0;
@@ -601,8 +639,8 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                   out_pending c > 0
                   && t -. c.last_progress > limits.write_stall_timeout
                 then drop ~slow:true c
-                else if out_pending c > limits.write_buffer_limit then
-                  drop ~slow:true c)
+                else if out_pending c + c.held > limits.write_buffer_limit
+                then drop ~slow:true c)
               !conns
           in
           let rec loop () =

@@ -21,6 +21,7 @@ module Journal = Rrs_service.Journal
 module Server = Rrs_service.Server
 module Transport = Rrs_service.Transport
 module Session = Engine.Session
+module Torture = Rrs_torture.Torture
 
 (* ---- protocol ----------------------------------------------------- *)
 
@@ -330,7 +331,7 @@ let prop_snapshot_roundtrip =
     (QCheck.make session_ops_gen)
     (fun setup ->
       let snapshot = apply_ops setup in
-      match Snapshot.of_line (Snapshot.to_line snapshot) with
+      match Torture.snapshot_of_line (Snapshot.to_line snapshot) with
       | Ok snapshot' -> Snapshot.equal snapshot snapshot'
       | Error e -> QCheck.Test.fail_reportf "did not parse back: %s" e)
 
@@ -479,7 +480,7 @@ let check_kill_restore label instance =
       In_channel.input_line
   in
   let snapshot =
-    match Option.map Snapshot.of_line ckpt with
+    match Option.map Torture.snapshot_of_line ckpt with
     | Some (Ok s) -> s
     | _ -> Alcotest.failf "%s: unreadable final checkpoint" label
   in
@@ -571,7 +572,7 @@ let test_command_fault () =
         In_channel.input_line
     with
     | Some line -> (
-        match Snapshot.of_line line with
+        match Torture.snapshot_of_line line with
         | Ok s -> s
         | Error e -> Alcotest.failf "checkpoint: %s" e)
     | None -> Alcotest.fail "no checkpoint"
@@ -608,8 +609,6 @@ let test_bounded_state () =
     (long - short < 10_000)
 
 (* ---- protocol fuzz (QCheck) --------------------------------------- *)
-
-module Torture = Rrs_torture.Torture
 
 (* the parser's totality contract: any byte string gets Ok/Error, never
    an exception, and anything it does accept re-parses from its
@@ -1071,18 +1070,23 @@ let test_body_is_serve_script () =
   Alcotest.(check bool) "state line = straight line" true
     (List.exists
        (fun l ->
-         match Snapshot.of_line l with
+         match Torture.snapshot_of_line l with
          | Ok s -> Snapshot.equal s expected
          | Error _ -> false)
        output)
 
+(* Line 1 of a full-state checkpoint rewritten with another executed
+   count, line 2 kept: the digest covers line 1, so the file no longer
+   verifies. *)
 let tamper_checkpoint cpath =
-  match Snapshot.of_line (String.trim (read_file cpath)) with
+  let contents = read_file cpath in
+  let eol = String.index contents '\n' in
+  match Torture.snapshot_of_line contents with
   | Error e -> Alcotest.failf "fixture checkpoint unreadable: %s" e
   | Ok s ->
       write_file cpath
         (Snapshot.to_line { s with Snapshot.executed = s.Snapshot.executed + 7 }
-        ^ "\n")
+        ^ String.sub contents eol (String.length contents - eol))
 
 let test_prev_checkpoint_arbitration () =
   with_fixture_dir "arbit" @@ fun dir ->
@@ -1090,24 +1094,53 @@ let test_prev_checkpoint_arbitration () =
   Alcotest.(check bool) "fixture rotated a previous checkpoint" true
     (Sys.file_exists (cpath ^ ".prev"));
   tamper_checkpoint cpath;
-  (* replay and the surviving previous checkpoint agree: the tampered
-     current one is the corrupt artifact — quarantine, don't refuse *)
+  (* the tampered current checkpoint fails its digest and the previous
+     one verifies: quarantine the current one and start from [.prev] *)
   let v = Torture.restore_case ~case:"arbitration" torture_config dir in
   Alcotest.(check int) "tier 2" 2 v.Torture.tier;
   Alcotest.(check bool) "contained" true v.Torture.contained;
   Alcotest.(check bool) "lying checkpoint quarantined" true
     (Sys.file_exists (cpath ^ ".corrupt-1"))
 
+let checkpoint_ops path =
+  match Torture.snapshot_of_line (read_file path) with
+  | Ok s -> s.Snapshot.ops
+  | Error e -> Alcotest.failf "%s: %s" path e
+
 let test_lone_divergence_refuses () =
   with_fixture_dir "lonediv" @@ fun dir ->
   let cpath = Filename.concat dir "checkpoint.json" in
+  let jpath = Filename.concat dir "journal.jsonl" in
   Sys.remove (cpath ^ ".prev");
-  tamper_checkpoint cpath;
-  (* no second witness: journal and checkpoint tell different stories
-     and neither can be arbitrated — the restore must refuse *)
+  (* the last submit at or below the checkpoint (line i holds op i)
+     gets another job count: the journal still decodes *)
+  let ops = checkpoint_ops cpath in
+  let lines = String.split_on_char '\n' (read_file jpath) in
+  let edited = ref (-1) in
+  List.iteri
+    (fun i l -> if i <= ops && String.starts_with ~prefix:"submit " l then edited := i)
+    lines;
+  if !edited < 0 then Alcotest.fail "no submit below the checkpoint";
+  write_file jpath
+    (String.concat "\n"
+       (List.mapi
+          (fun i l ->
+            if i <> !edited then l
+            else
+              match String.split_on_char ' ' l with
+              | [ "submit"; round; color; count ] ->
+                  Printf.sprintf "submit %s %s %d" round color (int_of_string count + 1)
+              | _ -> l)
+          lines));
+  Alcotest.(check bool) "the journal still decodes" true
+    (Result.is_ok (journal_ops jpath));
+  (* no second witness: the checkpoint's journal prefix changed and no
+     previous checkpoint verifies — the restore must refuse *)
   let v = Torture.restore_case ~case:"lone-divergence" torture_config dir in
   Alcotest.(check int) "tier 3" 3 v.Torture.tier;
-  Alcotest.(check bool) "contained" true v.Torture.contained
+  Alcotest.(check bool) "contained" true v.Torture.contained;
+  Alcotest.(check bool) "checkpoint left in place" false
+    (Sys.file_exists (cpath ^ ".corrupt-1"))
 
 (* ---- prefix-replay property (satellite: checkpoint at prefix +
    replay of suffix == straight line, for every prefix) -------------- *)
@@ -1201,14 +1234,12 @@ let ops_from round seed =
 let test_fast_path_equals_full_replay () =
   with_fixture_dir "fast" @@ fun dir ->
   with_temp_dir "full" @@ fun full ->
-  List.iter
-    (fun f -> write_file (Filename.concat full f) (read_file (Filename.concat dir f)))
-    [ "journal.jsonl"; "checkpoint.json"; "checkpoint.json.prev" ];
-  let cpath = Filename.concat full "checkpoint.json" in
+  let jpath = Filename.concat dir "journal.jsonl" in
+  write_file (Filename.concat full "journal.jsonl") (read_file jpath);
   Alcotest.(check bool) "the fixture checkpoint holds machine state" true
-    (has_machine_state cpath);
-  (* line 1 only: an anchor, so this restore replays the whole journal *)
-  write_file cpath (List.hd (checkpoint_lines cpath) ^ "\n");
+    (has_machine_state (Filename.concat dir "checkpoint.json"));
+  (* no checkpoint at all: this restore replays the journal from its
+     header *)
   let h1, fast, fast_replayed = restore_counting dir in
   let h2, slow, slow_replayed = restore_counting full in
   let ops = Server.session_ops fast in
@@ -1218,13 +1249,14 @@ let test_fast_path_equals_full_replay () =
     fast_replayed;
   Alcotest.(check bool) "at most checkpoint_every ops replayed" true
     (fast_replayed <= every);
-  Alcotest.(check int) "the full replay replays every op" ops slow_replayed;
+  Alcotest.(check int) "the replay from the header replays every op" ops
+    slow_replayed;
   (* equal machine states: checkpoints taken now are byte-identical *)
   ignore (Server.checkpoint_session h1 fast);
   ignore (Server.checkpoint_session h2 slow);
   Alcotest.(check string) "checkpoint after the fast path = after a full replay"
     (read_file (Filename.concat dir "checkpoint.json"))
-    (read_file cpath);
+    (read_file (Filename.concat full "checkpoint.json"));
   let more = ops_from (Server.session_snapshot fast).Snapshot.round 9 in
   apply_all h1 fast more;
   apply_all h2 slow more;
@@ -1232,6 +1264,45 @@ let test_fast_path_equals_full_replay () =
     (Snapshot.equal (Server.session_snapshot fast) (Server.session_snapshot slow));
   Server.abandon_session h1 fast;
   Server.abandon_session h2 slow
+
+(* A long history whose current checkpoint is corrupt: the restore
+   starts from [.prev], not from the header, so it replays at most two
+   checkpoint intervals, and lands on the straight line. *)
+let test_corrupt_current_starts_from_prev () =
+  with_temp_dir "fromprev" @@ fun dir ->
+  let every = torture_config.Server.checkpoint_every in
+  let ops = Torture.ops_of_seed ~count:(12 * every) ~colors:4 3 in
+  Torture.build_fixture torture_config ops dir;
+  let cpath = Filename.concat dir "checkpoint.json" in
+  let expected = Torture.straight_line torture_config ops in
+  let history = expected.Snapshot.ops in
+  Alcotest.(check bool) "a history of at least 10 intervals" true
+    (history >= 10 * every);
+  Torture.flip_byte cpath 2;
+  let h, s, replayed = restore_counting dir in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d ops replayed, at most %d" replayed (2 * every))
+    true
+    (replayed <= 2 * every);
+  Alcotest.(check int) "every op restored" history (Server.session_ops s);
+  Alcotest.(check bool) "restored = straight line" true
+    (Snapshot.equal (Server.session_snapshot s) expected);
+  Alcotest.(check bool) "the corrupt checkpoint quarantined" true
+    (Sys.file_exists (cpath ^ ".corrupt-1"));
+  Server.abandon_session h s
+
+(* A checkpoint cut to exactly its first line cannot be a start: it is
+   quarantined like any other unreadable checkpoint. *)
+let test_line_one_only_quarantined () =
+  with_fixture_dir "lineone" @@ fun dir ->
+  let cpath = Filename.concat dir "checkpoint.json" in
+  let line = List.hd (checkpoint_lines cpath) ^ "\n" in
+  write_file cpath line;
+  let v = Torture.restore_case ~case:"line-1-only" torture_config dir in
+  Alcotest.(check int) "tier 2" 2 v.Torture.tier;
+  Alcotest.(check bool) "contained" true v.Torture.contained;
+  Alcotest.(check string) "quarantined as it was" line
+    (read_file (cpath ^ ".corrupt-1"))
 
 (* An op below a valid full-state checkpoint changed into another valid
    op: the journal still parses, so only the prefix hash keeps the fast
@@ -1286,6 +1357,82 @@ let test_stale_temp_removed () =
   let v = Torture.restore_case ~case:"stale-temp" torture_config dir in
   Alcotest.(check int) "tier 0" 0 v.Torture.tier;
   Alcotest.(check bool) "stale temp removed" false (Sys.file_exists stale)
+
+(* A fault inside a command wedges its session, and the shutdown drain
+   then closes every session, the wedged one included.  Its in-memory
+   state is untrusted (the faulted op was applied, never journaled), so
+   it must not be checkpointed: the restart restores the acked op from
+   the journal with nothing quarantined and nothing refused. *)
+let test_wedged_session_not_checkpointed () =
+  with_temp_dir "wedged" @@ fun dir ->
+  let config =
+    { torture_config with checkpoint_dir = Some dir; checkpoint_every = 0 }
+  in
+  let plan =
+    Rrs_fault.plan ~sleep:ignore
+      [ Rrs_fault.fail_on ~transient:true "serve.journal" (Rrs_fault.Nth 2) ]
+  in
+  let code, output =
+    Rrs_fault.with_plan plan (fun () ->
+        run_server config "submit 0 1 2\nsubmit 0 2 1\n")
+  in
+  Alcotest.(check int) "exit" 0 code;
+  Alcotest.(check bool) "the second submit faulted" true
+    (List.exists (String.starts_with ~prefix:"err transient fault injected at serve.journal") output);
+  let metrics = Rrs_obs.Metrics.create () in
+  let h = Server.host { config with metrics = Some metrics } in
+  let s =
+    match Server.open_session h Server.default_session with
+    | s -> s
+    | exception Server.Corrupt d -> Alcotest.failf "restart refused: %s" d
+  in
+  let count name = Rrs_obs.Metrics.value (Rrs_obs.Metrics.counter metrics name) in
+  Alcotest.(check int) "nothing quarantined" 0
+    (count "serve_recovery_checkpoint_quarantined");
+  Alcotest.(check int) "nothing refused" 0 (count "serve_recovery_refused");
+  Alcotest.(check bool) "restored = the acked op" true
+    (Snapshot.equal (Server.session_snapshot s)
+       (Torture.straight_line torture_config
+          [ Journal.Submit { round = 0; color = 1; count = 2 } ]));
+  let cpath = Filename.concat dir "checkpoint.json" in
+  Alcotest.(check bool) "no checkpoint of the wedged state" false
+    (Sys.file_exists cpath);
+  (* an explicit checkpoint of a wedged session is refused like a
+     mutation, and writes nothing *)
+  Server.wedge s "probe";
+  (match Server.exec h s Protocol.Checkpoint with
+  | Server.Reply [ line ] ->
+      Alcotest.(check bool) line true
+        (String.starts_with ~prefix:"err session default wedged (probe)" line)
+  | _ -> Alcotest.fail "checkpoint: not a one-line reply");
+  Alcotest.(check bool) "still no checkpoint" false (Sys.file_exists cpath);
+  Server.abandon_session h s
+
+(* The diagnostic printer shows every field [Snapshot.equal] compares:
+   two snapshots that differ in any one of them print differently. *)
+let test_pp_snapshot_every_field () =
+  let s = Torture.straight_line torture_config torture_ops in
+  let show s = Format.asprintf "%a" Torture.pp_snapshot s in
+  let bump a = Array.append a [| 1 |] in
+  List.iter
+    (fun (field, (s' : Snapshot.t)) ->
+      Alcotest.(check bool) (field ^ " differs") false (Snapshot.equal s s');
+      Alcotest.(check bool) (field ^ " prints differently") true (show s <> show s'))
+    [
+      ("version", { s with version = s.version + 1 });
+      ("ops", { s with ops = s.ops + 1 });
+      ("round", { s with round = s.round + 1 });
+      ("n", { s with n = s.n + 1 });
+      ("delta", { s with delta = s.delta + 1 });
+      ("delay", { s with delay = bump s.delay });
+      ("reconfigurations", { s with reconfigurations = s.reconfigurations + 1 });
+      ("reconfig_cost", { s with reconfig_cost = s.reconfig_cost + 1 });
+      ("executed", { s with executed = s.executed + 1 });
+      ("dropped", { s with dropped = s.dropped + 1 });
+      ("pending_jobs", { s with pending_jobs = s.pending_jobs + 1 });
+      ("future_arrivals", { s with future_arrivals = s.future_arrivals + 1 });
+      ("cache", { s with cache = bump s.cache });
+    ]
 
 (* ---- torture campaign smoke (full campaigns run in bench/torture) - *)
 
@@ -1518,6 +1665,8 @@ let () =
             test_command_fault;
           Alcotest.test_case "prefix checkpoint + suffix replay" `Quick
             test_prefix_replay;
+          Alcotest.test_case "snapshot printer shows every field" `Quick
+            test_pp_snapshot_every_field;
         ] );
       ( "tiered recovery",
         [
@@ -1541,6 +1690,12 @@ let () =
             test_stale_temp_removed;
           Alcotest.test_case "lone divergence refuses" `Quick
             test_lone_divergence_refuses;
+          Alcotest.test_case "corrupt current checkpoint starts from .prev"
+            `Quick test_corrupt_current_starts_from_prev;
+          Alcotest.test_case "a line-1-only checkpoint is quarantined" `Quick
+            test_line_one_only_quarantined;
+          Alcotest.test_case "a wedged session is never checkpointed" `Quick
+            test_wedged_session_not_checkpointed;
           Alcotest.test_case "torture campaigns (sampled)" `Quick
             test_torture_smoke;
         ] );

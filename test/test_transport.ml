@@ -426,6 +426,34 @@ let test_pipelined_burst () =
     ]
     replies
 
+(* Lines answered at read time — a bad line, a command refused at
+   admission — are answered after the commands queued before them:
+   replies keep the order of the lines. *)
+let test_answers_keep_line_order () =
+  let dir = temp_dir "order" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let limits = { Transport.default_limits with queue_limit = 3 } in
+  let server = start ~limits (config ()) dir in
+  let c = connect server.sock in
+  ignore (recv c);
+  (* three commands fill the queue; the last two lines are refused *)
+  let burst = "submit 0 1\nstep\nbogus\nsubmit 1 1\nstate\nstep\n" in
+  ignore (Unix.write_substring c.fd burst 0 (String.length burst));
+  let replies = List.init 6 (fun _ -> recv c) in
+  close_client c;
+  ignore (finish server);
+  let busy = "busy queue session=default depth=3 retry-after=0.05" in
+  Alcotest.(check (list string)) "one reply per line, in line order"
+    [
+      "ok submitted 1 job of color 0 at round 0";
+      "ok stepped 1 round to round 1";
+      "err unknown command \"bogus\" (try: help)";
+      "ok submitted 1 job of color 1 at round 1";
+      busy;
+      busy;
+    ]
+    replies
+
 (* read exactly [len] bytes from a raw descriptor *)
 let read_exactly fd len =
   let buf = Bytes.create len in
@@ -769,6 +797,8 @@ let () =
         [
           Alcotest.test_case "one select round per lockstep command" `Quick
             test_lockstep_select_rounds;
+          Alcotest.test_case "answers keep the order of the lines" `Quick
+            test_answers_keep_line_order;
           Alcotest.test_case "pipelined burst answered in order" `Quick
             test_pipelined_burst;
           Alcotest.test_case "a steady reader is not slow" `Quick

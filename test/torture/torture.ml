@@ -64,6 +64,77 @@ let ops_of_seed ?(count = 48) ~colors seed =
             delay = [ (Rng.int rng colors, 2 + Rng.int rng 10) ];
           })
 
+(* ---- the snapshot line, read back --------------------------------- *)
+
+module Json = Rrs_obs.Json
+
+let ( let* ) = Result.bind
+
+let snapshot_of_line s =
+  let line =
+    match String.index_opt s '\n' with Some i -> String.sub s 0 i | None -> s
+  in
+  let* json = Json.parse line in
+  let field name conv =
+    match Json.member name json with
+    | None -> Error (Printf.sprintf "snapshot: missing field %S" name)
+    | Some v ->
+        Result.map_error (Printf.sprintf "snapshot: field %S: %s" name) (conv v)
+  in
+  let int name = field name Json.to_int in
+  let ints name =
+    field name (fun v ->
+        let* items = Json.to_list v in
+        List.fold_right
+          (fun item acc ->
+            let* acc = acc in
+            let* i = Json.to_int item in
+            Ok (i :: acc))
+          items (Ok [])
+        |> Result.map Array.of_list)
+  in
+  let* version = int "version" in
+  if version <> Snapshot.version then
+    Error (Printf.sprintf "snapshot: version %d (want %d)" version Snapshot.version)
+  else
+    let* ops = int "ops" in
+    let* round = int "round" in
+    let* n = int "n" in
+    let* delta = int "delta" in
+    let* delay = ints "delay" in
+    let* reconfigurations = int "reconfigurations" in
+    let* reconfig_cost = int "reconfig_cost" in
+    let* executed = int "executed" in
+    let* dropped = int "dropped" in
+    let* pending_jobs = int "pending_jobs" in
+    let* future_arrivals = int "future_arrivals" in
+    let* cache = ints "cache" in
+    Ok
+      {
+        Snapshot.version;
+        ops;
+        round;
+        n;
+        delta;
+        delay;
+        reconfigurations;
+        reconfig_cost;
+        executed;
+        dropped;
+        pending_jobs;
+        future_arrivals;
+        cache;
+      }
+
+let pp_snapshot fmt (t : Snapshot.t) =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Format.fprintf fmt
+    "round %d: n=%d delta=%d delay=[%s] pending=%d future=%d executed=%d \
+     dropped=%d recolorings=%d reconfig_cost=%d cache=[%s] (ops %d, version %d)"
+    t.round t.n t.delta (ints t.delay) t.pending_jobs t.future_arrivals
+    t.executed t.dropped t.reconfigurations t.reconfig_cost (ints t.cache) t.ops
+    t.version
+
 (* ---- ground truth ------------------------------------------------- *)
 
 let ephemeral (config : Server.config) =
@@ -211,8 +282,8 @@ let restore_case ~case (config : Server.config) dir =
                 if Snapshot.equal restored expected then (false, "")
                 else
                   ( true,
-                    Format.asprintf "restored %a@ expected %a" Snapshot.pp
-                      restored Snapshot.pp expected )
+                    Format.asprintf "restored %a@ expected %a" pp_snapshot
+                      restored pp_snapshot expected )
             | exception e ->
                 (true, "straight line refused: " ^ Printexc.to_string e))
       in
@@ -303,7 +374,7 @@ let journal_edit_campaign config ~ops ~dir =
   with_fixture config ~ops ~dir @@ fun ~fdir ~case ->
   let prev_ops =
     match
-      Snapshot.of_line (read_file (Filename.concat fdir "checkpoint.json.prev"))
+      snapshot_of_line (read_file (Filename.concat fdir "checkpoint.json.prev"))
     with
     | Ok s -> s.Snapshot.ops
     | Error _ -> 0

@@ -46,6 +46,16 @@ type summary = {
 
 val summarize : verdict list -> summary
 
+val snapshot_of_line : string -> (Snapshot.t, string) result
+(** Parse the first line of the string as a {!Snapshot.to_line} line:
+    the [state] reply, or a checkpoint file (its second line is not
+    looked at).  [snapshot_of_line (Snapshot.to_line s) = Ok s'] with
+    [Snapshot.equal s s']. *)
+
+val pp_snapshot : Format.formatter -> Snapshot.t -> unit
+(** Every field {!Snapshot.equal} compares, so two snapshots that
+    differ print differently. *)
+
 val ops_of_seed : ?count:int -> colors:int -> int -> Journal.op list
 (** A deterministic mixed op sequence (submits, small steps, delay
     reconfigurations) — the default [count] is 48. *)
@@ -99,10 +109,11 @@ val journal_edit_campaign :
 (** Rewrite every [submit] line of the journal with another job count,
     one case per line: the journal still decodes, so only the prefix
     hash of the full-state checkpoint keeps restore from loading it
-    over the edit.  The full replay then judges the edit as before: below
-    the previous checkpoint it diverges from both anchors and must be
-    refused (tier 3); between the two checkpoints the previous one
-    outvotes the current one (tier 2).  Any other tier is uncontained. *)
+    over the edit.  Below the previous checkpoint neither checkpoint
+    verifies and the restore must refuse (tier 3); between the two the
+    previous one verifies, so the current one is quarantined and the
+    restore starts from the previous one (tier 2).  Any other tier is
+    uncontained. *)
 
 val checkpoint_campaign :
   ?stride:int -> Server.config -> ops:Journal.op list -> dir:string ->
