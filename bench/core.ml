@@ -144,23 +144,46 @@ let run_scaling oc =
           Some (best_of (run (fun () -> Rrs_oracle.dlru_edf instance ~n:!n)))
         else None
       in
-      (* one extra instrumented run: the engine's own registry measures
-         per-round latency and allocations (doc/PERFORMANCE.md); kept
-         out of the [best_of] runs so rounds/sec stays unperturbed *)
-      let engine_reg = Rrs_obs.Metrics.create () in
-      ignore
-        (Engine.run_policy
-           (Engine.config ~n:!n ~registry:engine_reg ())
-           instance
-           (Lru_edf.policy instance ~n:!n));
-      let latency =
-        Rrs_obs.Metrics.histogram_stats
-          (Rrs_obs.Metrics.histogram engine_reg "engine_round_latency_us"
-             ~max_value:Engine.round_latency_max_us)
+      (* two extra runs, kept out of the [best_of] runs so rounds/sec
+         stays unperturbed (doc/PERFORMANCE.md): the GC counters read
+         around the steps of a Sink.null session give allocations per
+         round with nothing but engine rounds in the window, and a
+         separately timed pass gives the round-latency percentiles *)
+      let rounds = instance.horizon + 1 in
+      let session () =
+        Engine.Session.of_instance (Engine.config ~n:!n ()) instance
+          (Lru_edf.policy instance ~n:!n)
       in
-      let q p = float_of_int (Rrs_stats.Histogram.quantile latency p) /. 1e6 in
-      let gauge name =
-        Rrs_obs.Metrics.gauge_value (Rrs_obs.Metrics.gauge engine_reg name)
+      let gc_words () =
+        let { Gc.promoted_words; major_words; _ } = Gc.quick_stat () in
+        [| Gc.minor_words (); promoted_words; major_words |]
+      in
+      let alloc =
+        let s = session () in
+        let gc0 = gc_words () in
+        for _ = 1 to rounds do
+          Engine.Session.step s
+        done;
+        let gc1 = gc_words () in
+        ignore (Engine.Session.finish ~expect_drained:true s);
+        fun i -> (gc1.(i) -. gc0.(i)) /. float_of_int rounds
+      in
+      let latency_us =
+        let s = session () in
+        let lat =
+          Array.init rounds (fun _ ->
+              let t0 = Unix.gettimeofday () in
+              Engine.Session.step s;
+              int_of_float ((Unix.gettimeofday () -. t0) *. 1e6))
+        in
+        ignore (Engine.Session.finish ~expect_drained:true s);
+        Array.sort Int.compare lat;
+        lat
+      in
+      (* the rank convention of Rrs_stats.Histogram.quantile *)
+      let q p =
+        let rank = max 1 (int_of_float (ceil (p *. float_of_int rounds))) in
+        float_of_int latency_us.(rank - 1) /. 1e6
       in
       let identical =
         match rebuild with
@@ -168,7 +191,6 @@ let run_scaling oc =
         | None -> true
       in
       if not identical then all_identical := false;
-      let rounds = incr_result.rounds_simulated in
       let per_sec seconds = float_of_int rounds /. seconds in
       (match rebuild with
       | Some (_, rebuild_seconds) ->
@@ -204,12 +226,9 @@ let run_scaling oc =
                 ("round_latency_p50_seconds", q 0.5);
                 ("round_latency_p95_seconds", q 0.95);
                 ("round_latency_p99_seconds", q 0.99);
-                ( "alloc_minor_words_per_round",
-                  gauge "alloc_minor_words_per_round" );
-                ( "alloc_promoted_words_per_round",
-                  gauge "alloc_promoted_words_per_round" );
-                ( "alloc_major_words_per_round",
-                  gauge "alloc_major_words_per_round" );
+                ("alloc_minor_words_per_round", alloc 0);
+                ("alloc_promoted_words_per_round", alloc 1);
+                ("alloc_major_words_per_round", alloc 2);
               ]
              @
              match rebuild with
@@ -281,19 +300,20 @@ let run_differential oc =
   let divergences = ref 0 in
   let instances = diff_instances () in
   (* the live-telemetry plane rides along on the production runs only:
-     their engine events stream into a flight recorder and a heartbeat
-     observes every round, while the reference runs stay bare.  The
+     their engine events stream into a heartbeat and a flight recorder
+     attached in front of the recording sink, while the reference runs
+     stay bare.  The
      full-result equality below therefore proves decision identity AND
      that recorder + heartbeat perturb nothing (the same
      non-perturbation standard as the Watchdog). *)
   let recorder = Rrs_obs.Flight_recorder.create ~capacity:256 () in
   let heartbeat = Rrs_obs.Heartbeat.create ~every_rounds:128 () in
   (* the result plus the schedule recorded off the engine's events *)
-  let run ?(attach = Fun.id) ?heartbeat instance (factory : Policy.factory) =
+  let run ?(attach = Fun.id) instance (factory : Policy.factory) =
     let events = Rrs_obs.Sink.memory () in
     let r =
       Engine.run_policy
-        (Engine.config ~n:!n ~sink:(attach events) ?heartbeat ())
+        (Engine.config ~n:!n ~sink:(attach events) ())
         instance (factory instance ~n:!n)
     in
     (r, Schedule.of_events ~n:!n ~mini_rounds:1 (Rrs_obs.Sink.events events))
@@ -304,7 +324,10 @@ let run_differential oc =
         (fun (pname, production, reference) ->
           incr cases;
           if
-            run ~attach:(Rrs_obs.Flight_recorder.attach recorder) ~heartbeat
+            run
+              ~attach:(fun events ->
+                Rrs_obs.Heartbeat.attach heartbeat
+                  (Rrs_obs.Flight_recorder.attach recorder events))
               instance production
             <> run instance reference
           then begin

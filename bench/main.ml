@@ -360,8 +360,10 @@ let live_telemetry_overhead oc ~null_seconds =
         ignore
           (Engine.run
              (Engine.config ~n:8
-                ~sink:(Rrs_obs.Flight_recorder.sink r)
-                ~heartbeat:hb ())
+                ~sink:
+                  (Rrs_obs.Heartbeat.attach hb
+                     (Rrs_obs.Flight_recorder.sink r))
+                ())
              router_instance Lru_edf.policy);
         beats := Rrs_obs.Heartbeat.beats hb)
   in

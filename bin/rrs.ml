@@ -139,14 +139,12 @@ let heartbeat_every_arg =
   Arg.(
     value & opt int 64 & info [ "heartbeat-every" ] ~docv:"ROUNDS" ~doc)
 
-(* Run [f] with an ambient heartbeat committed on the way out — shared
-   by simulate and experiment.  The engine(s) under [f] pick the
-   heartbeat up through Heartbeat.ambient, so this also covers runs
-   the CLI never configures directly (the pipeline policy's inner
-   engines, every experiment of a sweep). *)
+(* Run [f] with a heartbeat committed on the way out — shared by
+   simulate, which attaches it to its engine sink, and experiment,
+   whose harness runs attach it as the ambient one. *)
 let with_heartbeat heartbeat_file ~every ?registry f =
   match heartbeat_file with
-  | None -> f ()
+  | None -> f None
   | Some path ->
       if every < 1 then begin
         prerr_endline "--heartbeat-every must be at least 1";
@@ -165,7 +163,8 @@ let with_heartbeat heartbeat_file ~every ?registry f =
           (Rrs_obs.Heartbeat.beats hb)
           (Rrs_obs.Heartbeat.rounds_observed hb)
       in
-      Fun.protect ~finally (fun () -> Rrs_obs.Heartbeat.with_heartbeat hb f)
+      Fun.protect ~finally (fun () ->
+          Rrs_obs.Heartbeat.with_heartbeat hb (fun () -> f (Some hb)))
 
 (* Run [f] under a fresh profiler scope and commit the Chrome trace —
    shared by simulate and experiment. *)
@@ -181,43 +180,22 @@ let with_profile profile_file f =
       in
       Fun.protect ~finally (fun () -> Rrs_prof.with_profiler prof f)
 
-(* The engine's self-measurement registry, folded into a run summary:
-   round-latency percentiles (in seconds, so strip_timings covers them)
-   and the allocations-per-round gauges. *)
-let registry_analysis = function
+(* Round-latency percentiles of a sampled run, in seconds (so
+   strip_timings covers them). *)
+let latency_analysis = function
   | None -> []
-  | Some reg ->
-      let h =
-        Rrs_obs.Metrics.histogram_stats
-          (Rrs_obs.Metrics.histogram reg "engine_round_latency_us"
-             ~max_value:Engine.round_latency_max_us)
-      in
-      let latency =
-        if Rrs_stats.Histogram.count h = 0 then []
-        else
-          List.map
-            (fun (name, q) ->
-              (name, float_of_int (Rrs_stats.Histogram.quantile h q) /. 1e6))
-            [
-              ("round_latency_p50_seconds", 0.5);
-              ("round_latency_p95_seconds", 0.95);
-              ("round_latency_p99_seconds", 0.99);
-            ]
-      in
-      let gauges =
-        List.filter_map
-          (fun name ->
-            let v =
-              Rrs_obs.Metrics.gauge_value (Rrs_obs.Metrics.gauge reg name)
-            in
-            if Float.is_nan v then None else Some (name, v))
+  | Some m ->
+      let h = Rrs_trace.Metrics.round_latency m in
+      if Rrs_stats.Histogram.count h = 0 then []
+      else
+        List.map
+          (fun (name, q) ->
+            (name, float_of_int (Rrs_stats.Histogram.quantile h q) /. 1e6))
           [
-            "alloc_minor_words_per_round";
-            "alloc_promoted_words_per_round";
-            "alloc_major_words_per_round";
+            ("round_latency_p50_seconds", 0.5);
+            ("round_latency_p95_seconds", 0.95);
+            ("round_latency_p99_seconds", 0.99);
           ]
-      in
-      latency @ gauges
 
 let save_instance_arg =
   let doc = "Also save the generated instance to this CSV file." in
@@ -276,11 +254,12 @@ let simulate family seed n policy validate metrics_file trace_file
           Format.printf "instance saved to %s@." path)
         save_instance;
       (* one registry shared by the policy (ranking_update), the
-         per-round collector (drops/recolorings/backlog), the engine's
-         own round-latency/allocation telemetry, and the heartbeat's
-         Prometheus exposition, so a single metrics_registry line (and
-         .prom file) carries everything.  A trace run gets the registry
-         too: its run_summary line then carries latency percentiles and
+         per-round sampler (drops/recolorings/backlog, and the engine's
+         rounds and round latency from its Round_end events), the
+         run's allocation gauges, and the heartbeat's Prometheus
+         exposition, so a single metrics_registry line (and .prom file)
+         carries everything.  A trace run gets the registry too: its
+         run_summary line then carries latency percentiles and
          allocation gauges. *)
       let registry =
         if
@@ -289,14 +268,15 @@ let simulate family seed n policy validate metrics_file trace_file
         then Some (Rrs_obs.Metrics.create ())
         else None
       in
-      let simulate_with sink_opt =
+      let simulate_with heartbeat sink_opt =
         let sink = Option.value ~default:Rrs_obs.Sink.null sink_opt in
-        (* the per-round sampler and the schedule recorder consume the
-           engine's events; the policy keeps the plain sink *)
+        (* the per-round sampler, the schedule recorder and the
+           heartbeat consume the engine's events; the policy keeps the
+           plain sink *)
         let collector =
           Option.map
-            (fun path -> (path, Rrs_trace.Metrics.create ?registry ()))
-            metrics_file
+            (fun registry -> Rrs_trace.Metrics.create ~registry ())
+            registry
         in
         let recorder = if validate then Some (Rrs_obs.Sink.memory ()) else None in
         let engine_sink =
@@ -308,22 +288,41 @@ let simulate family seed n policy validate metrics_file trace_file
                     Rrs_obs.Sink.emit rec_sink e;
                     Rrs_obs.Sink.emit sink e)
           in
-          match collector with
-          | None -> recorded
-          | Some (_, m) -> Rrs_trace.Metrics.attach m recorded
+          let sampled =
+            match collector with
+            | None -> recorded
+            | Some m -> Rrs_trace.Metrics.attach m recorded
+          in
+          match heartbeat with
+          | None -> sampled
+          | Some hb -> Rrs_obs.Heartbeat.attach hb sampled
         in
+        let gc_words () =
+          let { Gc.promoted_words; major_words; _ } = Gc.quick_stat () in
+          [
+            ("alloc_minor_words_per_round", Gc.minor_words ());
+            ("alloc_promoted_words_per_round", promoted_words);
+            ("alloc_major_words_per_round", major_words);
+          ]
+        in
+        (* wall time and GC counter deltas per round over the run *)
         let timed run =
+          let gc0 = gc_words () in
           let t0 = Unix.gettimeofday () in
-          let r = run () in
-          (r, Unix.gettimeofday () -. t0)
+          let (r : Engine.result) = run () in
+          let seconds = Unix.gettimeofday () -. t0 in
+          let per_round (name, v0) (_, v1) =
+            (name, (v1 -. v0) /. float_of_int (max r.rounds_simulated 1))
+          in
+          (r, seconds, List.map2 per_round gc0 (gc_words ()))
         in
         let run_plain policy =
           timed (fun () ->
               Engine.run_policy
-                (Engine.config ~n ~sink:engine_sink ?registry ())
+                (Engine.config ~n ~sink:engine_sink ())
                 instance policy)
         in
-        let r, seconds =
+        let r, seconds, alloc =
           match policy with
           | `Lru_edf ->
               run_plain
@@ -347,11 +346,18 @@ let simulate family seed n policy validate metrics_file trace_file
           | `Pipeline -> timed (fun () -> Var_batch.run instance ~n ~sink:engine_sink)
         in
         Option.iter
-          (fun (path, m) ->
+          (fun reg ->
+            List.iter
+              (fun (name, v) ->
+                Rrs_obs.Metrics.set (Rrs_obs.Metrics.gauge reg name) v)
+              alloc)
+          registry;
+        (match (metrics_file, collector) with
+        | Some path, Some m ->
             Out_channel.with_open_text path (fun oc ->
                 output_string oc (Rrs_trace.Metrics.to_jsonl m));
-            Format.printf "metrics written to %s@." path)
-          collector;
+            Format.printf "metrics written to %s@." path
+        | _ -> ());
         (* the pipeline delays arrivals, so its schedule is checked for
            feasibility against the original instance, not drop timing *)
         let report =
@@ -385,7 +391,7 @@ let simulate family seed n policy validate metrics_file trace_file
                       ("executed", float_of_int r.executed);
                       ("rounds", float_of_int r.rounds_simulated);
                     ]
-                   @ registry_analysis registry)
+                   @ latency_analysis collector @ alloc)
                  ~timings:
                    [
                      { Rrs_obs.Run_summary.phase = "engine"; seconds; count = 1 };
@@ -397,13 +403,13 @@ let simulate family seed n policy validate metrics_file trace_file
       let r, report =
         with_profile profile_file @@ fun () ->
         with_heartbeat heartbeat_file ~every:heartbeat_every ?registry
-        @@ fun () ->
+        @@ fun heartbeat ->
         match trace_file with
-        | None -> simulate_with None
+        | None -> simulate_with heartbeat None
         | Some path ->
             let result =
               Rrs_obs.Sink.with_jsonl path (fun sink ->
-                  simulate_with (Some sink))
+                  simulate_with heartbeat (Some sink))
             in
             Format.printf "trace written to %s@." path;
             result
@@ -582,7 +588,7 @@ let experiment_cmd =
                   Rrs_obs.Flight_recorder.with_recorder ~dump_dir recorder
                     (fun () ->
                       with_heartbeat heartbeat_file ~every:heartbeat_every
-                        ~registry:Rrs_experiments.Harness.telemetry (fun () ->
+                        ~registry:Rrs_experiments.Harness.telemetry (fun _ ->
                           Registry.run_many ~jobs ~policy ~keep_going todo)))
             in
             List.iter

@@ -3,15 +3,13 @@ type config = {
   mini_rounds : int;
   cost_projection : (Types.color -> Types.color) option;
   sink : Rrs_obs.Sink.t;
-  registry : Rrs_obs.Metrics.t option;
-  heartbeat : Rrs_obs.Heartbeat.t option;
 }
 
-let config ?(mini_rounds = 1) ?cost_projection ?(sink = Rrs_obs.Sink.null)
-    ?registry ?heartbeat ~n () =
+let config ?(mini_rounds = 1) ?cost_projection ?(sink = Rrs_obs.Sink.null) ~n
+    () =
   if n < 1 then invalid_arg "Engine.config: n < 1";
   if mini_rounds < 1 then invalid_arg "Engine.config: mini_rounds < 1";
-  { n; mini_rounds; cost_projection; sink; registry; heartbeat }
+  { n; mini_rounds; cost_projection; sink }
 
 type result = {
   cost : Cost.t;
@@ -23,59 +21,6 @@ type result = {
   rounds_simulated : int;
   final_cache : Types.color array;
 }
-
-(* Round-latency and allocation telemetry, active only when the config
-   carries a registry: the latency of every round lands in an exact
-   µs histogram (clamped at ~65 ms — far beyond any simulated round),
-   and the run's GC counter deltas become allocations-per-round gauges.
-   Without a registry the engine pays one branch per round and
-   allocates nothing for this. *)
-let round_latency_max_us = 65535
-
-type telemetry = {
-  latency : Rrs_obs.Metrics.histogram;
-  reg : Rrs_obs.Metrics.t;
-  minor0 : float;
-  promoted0 : float;
-  major0 : float;
-}
-
-let telemetry_start = function
-  | None -> None
-  | Some reg ->
-      let { Gc.promoted_words = promoted0; major_words = major0; _ } =
-        Gc.quick_stat ()
-      in
-      let minor0 = Gc.minor_words () in
-      Some
-        {
-          latency =
-            Rrs_obs.Metrics.histogram reg "engine_round_latency_us"
-              ~max_value:round_latency_max_us;
-          reg;
-          minor0;
-          promoted0;
-          major0;
-        }
-
-let telemetry_finish t ~rounds =
-  match t with
-  | None -> ()
-  | Some t ->
-      let minor1 = Gc.minor_words () in
-      let { Gc.promoted_words = promoted1; major_words = major1; _ } =
-        Gc.quick_stat ()
-      in
-      let per_round v0 v1 = (v1 -. v0) /. float_of_int (max rounds 1) in
-      let gauge name v =
-        Rrs_obs.Metrics.set (Rrs_obs.Metrics.gauge t.reg name) v
-      in
-      gauge "alloc_minor_words_per_round" (per_round t.minor0 minor1);
-      gauge "alloc_promoted_words_per_round" (per_round t.promoted0 promoted1);
-      gauge "alloc_major_words_per_round" (per_round t.major0 major1);
-      Rrs_obs.Metrics.inc
-        (Rrs_obs.Metrics.counter t.reg "engine_rounds")
-        rounds
 
 module Session = struct
   (* Where the next round's arrival batch comes from.  A batch run
@@ -94,8 +39,8 @@ module Session = struct
     mini_rounds : int;
     num_colors : int;
     name : string;
-    sink : Rrs_obs.Sink.t;
-    tracing : bool;
+    mutable sink : Rrs_obs.Sink.t;
+    mutable tracing : bool;
     project : Types.color -> Types.color;
     factory : Policy.factory option;
     (* parameters a live [reconfigure] may change between rounds *)
@@ -114,30 +59,14 @@ module Session = struct
     mutable dropped : int;
     drops_by_color : int array;
     executions_by_color : int array;
-    (* telemetry *)
-    telemetry : telemetry option;
-    mutable heartbeat : Rrs_obs.Heartbeat.t option;
-    mutable need_clock : bool;
     mutable finished : bool;
   }
 
-  (* Shared tail of both constructors.  Call order matters for exact
-     batch parity: the caller creates pending/cache/arrival storage
-     {e before} this function samples the GC baseline
-     ([telemetry_start]), mirroring the original monolithic loop. *)
+  (* Shared tail of both constructors. *)
   let make (cfg : config) ~name ~delta ~delay ~num_colors ~factory ~source
       ~policy ~pending ~cache =
     let project =
       match cfg.cost_projection with Some f -> f | None -> Fun.id
-    in
-    let telemetry = telemetry_start cfg.registry in
-    (* An explicit config heartbeat wins; otherwise pick up the ambient
-       one (Heartbeat.with_heartbeat), so a sweep installs one heartbeat
-       and every engine under it reports without config plumbing. *)
-    let heartbeat =
-      match cfg.heartbeat with
-      | Some _ as h -> h
-      | None -> Rrs_obs.Heartbeat.ambient ()
     in
     {
       mini_rounds = cfg.mini_rounds;
@@ -161,9 +90,6 @@ module Session = struct
       dropped = 0;
       drops_by_color = Array.make num_colors 0;
       executions_by_color = Array.make num_colors 0;
-      telemetry;
-      heartbeat;
-      need_clock = Option.is_some telemetry || Option.is_some heartbeat;
       finished = false;
     }
 
@@ -399,12 +325,7 @@ module Session = struct
     Rrs_fault.probe "engine.round";
     Rrs_prof.enter "engine.round";
     let round = t.round in
-    let round_t0 = if t.need_clock then Unix.gettimeofday () else 0. in
-    (* this round's increments for the heartbeat: plain int reads, no
-       allocation on the hot path whether or not one is attached *)
-    let hb_charges0 = t.reconfig_charges in
-    let hb_executed0 = t.executed in
-    let hb_dropped0 = t.dropped in
+    let round_t0 = if t.tracing then Unix.gettimeofday () else 0. in
     let cache = t.cache in
     (* drop phase *)
     Rrs_prof.enter "engine.drop";
@@ -485,24 +406,19 @@ module Session = struct
       done;
       Rrs_prof.leave "engine.execute"
     done;
-    if t.need_clock then begin
-      let latency_us =
-        int_of_float ((Unix.gettimeofday () -. round_t0) *. 1e6)
-      in
-      (match t.telemetry with
-      | None -> ()
-      | Some tl -> Rrs_obs.Metrics.observe tl.latency latency_us);
-      match t.heartbeat with
-      | None -> ()
-      | Some hb ->
-          Rrs_obs.Heartbeat.observe_round hb ~round ~delta:t.delta
-            ~recolorings:(t.reconfig_charges - hb_charges0)
-            ~executed:(t.executed - hb_executed0)
-            ~dropped:(t.dropped - hb_dropped0)
-            ~latency_us
-    end;
     Rrs_prof.leave "engine.round";
-    t.round <- round + 1
+    t.round <- round + 1;
+    (* emitted once the round is committed, so a consumer that raises
+       here cannot make the round execute twice *)
+    if t.tracing then
+      Rrs_obs.Sink.emit t.sink
+        (Rrs_obs.Event.Round_end
+           {
+             round;
+             delta = t.delta;
+             latency_us =
+               int_of_float ((Unix.gettimeofday () -. round_t0) *. 1e6);
+           })
 
   (* ---- checkpointing ---------------------------------------------- *)
 
@@ -643,15 +559,14 @@ module Session = struct
     | t -> Ok t
     | exception (Wire.Malformed msg | Invalid_argument msg) -> Error msg
 
-  let set_heartbeat t heartbeat =
-    t.heartbeat <- heartbeat;
-    t.need_clock <- Option.is_some t.telemetry || Option.is_some heartbeat
+  let set_sink t sink =
+    t.sink <- sink;
+    t.tracing <- Rrs_obs.Sink.enabled sink
 
   let finish ?(expect_drained = false) t =
     if t.finished then invalid_arg "Engine.Session.finish: already finished";
     t.finished <- true;
     if expect_drained then assert (Pending.grand_total t.pending = 0);
-    telemetry_finish t.telemetry ~rounds:t.round;
     Rrs_prof.leave "engine.run";
     {
       cost = Cost.make ~reconfig:t.reconfig_cost ~drop:t.dropped;

@@ -16,16 +16,20 @@
     final schedule, in which all subcolors [(ℓ, j)] of a color collapse
     back to [ℓ] (paper, Lemma 4.2).
 
-    [sink] receives a typed {!Rrs_obs.Event.t} for every round-phase
-    action (drop, arrival, mini-round start, charged reconfiguration,
-    execution), and it is the only record of a run: every engine phase
-    event carries post-projection colors, so the event stream always
-    reproduces the cost accounting, {!Schedule.of_events} turns a
-    {!Rrs_obs.Sink.memory} buffer into the recorded schedule, and the
-    per-round sampler ([Rrs_trace.Metrics.attach]) reads the same
-    stream.  With the default {!Rrs_obs.Sink.null} the engine allocates
-    nothing for tracing and pays one predictable branch per potential
-    event.
+    [sink] is the engine's only observation input.  It receives a
+    typed {!Rrs_obs.Event.t} for every round-phase action (drop,
+    arrival, mini-round start, charged reconfiguration, execution) and,
+    once the round is committed, a [Round_end] carrying the Δ its
+    recolorings were charged at and its wall-clock latency.  The stream
+    is the only record of a run: every phase event carries
+    post-projection colors, so it always reproduces the cost accounting
+    (across a live Δ change too), {!Schedule.of_events} turns a
+    {!Rrs_obs.Sink.memory} buffer into the recorded schedule, and every
+    live consumer — the per-round sampler, the heartbeat, the flight
+    recorder, the watchdog — attaches in front of it (doc/TELEMETRY.md,
+    "Live telemetry").  With the default {!Rrs_obs.Sink.null} the
+    engine reads no clock, allocates nothing for tracing and pays one
+    predictable branch per potential event.
 
     Fault probes ({!Rrs_fault.probe}): ["engine.run"] once per run,
     ["engine.round"] at the top of every round — free without an
@@ -36,44 +40,19 @@
     ["engine.round"] with child spans ["engine.drop"],
     ["engine.arrival"], ["engine.reconfigure"] and ["engine.execute"]
     per mini-round.  With no profiler attached each span site is one
-    atomic load and a branch (see doc/TELEMETRY.md, "Profiling").
-
-    [registry], when given, receives the engine's self-measurement:
-    the ["engine_round_latency_us"] histogram (exact per-round wall
-    latency in microseconds, clamped at 65535), the
-    ["alloc_minor_words_per_round"] / ["alloc_promoted_words_per_round"]
-    / ["alloc_major_words_per_round"] gauges (GC counter deltas over
-    the run divided by rounds), and the ["engine_rounds"] counter.
-    Without it the engine takes no clock readings and no GC samples.
-
-    [heartbeat] receives one {!Rrs_obs.Heartbeat.observe_round} per
-    round (this round's recolorings/executions/drops plus its wall
-    latency); when the config carries none, the ambient heartbeat
-    ({!Rrs_obs.Heartbeat.with_heartbeat}) is observed instead.  A
-    heartbeat only reads the engine's counters — it cannot perturb a
-    decision (doc/TELEMETRY.md, "Live telemetry"). *)
+    atomic load and a branch (see doc/TELEMETRY.md, "Profiling"). *)
 
 type config = {
   n : int;  (** resources given to the policy *)
   mini_rounds : int;  (** 1 = uni-speed, 2 = double-speed *)
   cost_projection : (Types.color -> Types.color) option;
   sink : Rrs_obs.Sink.t;  (** round-phase event sink *)
-  registry : Rrs_obs.Metrics.t option;
-      (** round-latency / allocation self-measurement target *)
-  heartbeat : Rrs_obs.Heartbeat.t option;
-      (** per-round health reporting; [None] = observe the ambient one *)
 }
-
-val round_latency_max_us : int
-(** Top bucket of the ["engine_round_latency_us"] histogram (65535 µs);
-    slower rounds clamp into it. *)
 
 val config :
   ?mini_rounds:int ->
   ?cost_projection:(Types.color -> Types.color) ->
   ?sink:Rrs_obs.Sink.t ->
-  ?registry:Rrs_obs.Metrics.t ->
-  ?heartbeat:Rrs_obs.Heartbeat.t ->
   n:int ->
   unit ->
   config
@@ -151,8 +130,8 @@ module Session : sig
 
   val step : t -> unit
   (** Execute the next round: drop → arrival → [mini_rounds] ×
-      (reconfigure → execute), with the same event emission, fault
-      probes, profiling spans and heartbeat observation as {!run}.
+      (reconfigure → execute), then [Round_end], with the same event
+      emission, fault probes and profiling spans as {!run}.
       @raise Invalid_argument if the session is finished, or if the
       policy returns a malformed assignment. *)
 
@@ -257,10 +236,10 @@ module Session : sig
       restore fast path of the service layer (doc/SERVICE.md).
       [Error] names what was malformed. *)
 
-  val set_heartbeat : t -> Rrs_obs.Heartbeat.t option -> unit
-  (** Replace the session's heartbeat.  The service layer restores a
-      session with no heartbeat (journal replay must not beat), then
-      attaches the live one. *)
+  val set_sink : t -> Rrs_obs.Sink.t -> unit
+  (** Replace the session's event sink from the next round on.  The
+      service layer restores a session with {!Rrs_obs.Sink.null}
+      (journal replay is not observed), then attaches its live one. *)
 end
 
 val run : config -> Instance.t -> Policy.factory -> result

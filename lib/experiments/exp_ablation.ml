@@ -3,6 +3,12 @@ module Adv = Rrs_workload.Adversarial
 module Families = Rrs_workload.Families
 module Table = Rrs_report.Table
 
+(* an instantiated policy's run, on the harness's telemetry plane *)
+let run instance ~n policy =
+  Engine.run_policy
+    (Engine.config ~n ~sink:(Harness.engine_sink ()) ())
+    instance policy
+
 let exp_9 () =
   let n = 16 in
   let distinct = n / 2 in
@@ -34,7 +40,7 @@ let exp_9 () =
             Lru_edf.make_tuned ~lru_slots ~distinct_slots:distinct
               ~replicated:true instance ~n
           in
-          let r = Engine.run_policy (Engine.config ~n ()) instance instr.policy in
+          let r = run instance ~n instr.policy in
           let lb = Offline_bounds.lower_bound instance ~m:2 in
           let ratio = Harness.ratio (Cost.total r.cost) lb in
           worst := max !worst ratio;
@@ -95,14 +101,14 @@ let exp_10 () =
         let instance = f.build ~seed:1 in
         let repl =
           let i = Lru_edf.make instance ~n in
-          Engine.run_policy (Engine.config ~n ()) instance i.policy
+          run instance ~n i.policy
         in
         let flat =
           let i =
             Lru_edf.make_tuned ~lru_slots:(n / 2) ~distinct_slots:n
               ~replicated:false instance ~n
           in
-          Engine.run_policy (Engine.config ~n ()) instance i.policy
+          run instance ~n i.policy
         in
         if Cost.total repl.cost <= Cost.total flat.cost then incr repl_wins
         else incr flat_wins;

@@ -18,7 +18,9 @@ let rate_limited_runs () =
       let instance = f.build ~seed in
       let instr = Lru_edf.make instance ~n in
       let result =
-        Engine.run_policy (Engine.config ~n ()) instance instr.policy
+        Engine.run_policy
+          (Engine.config ~n ~sink:(Harness.engine_sink ()) ())
+          instance instr.policy
       in
       (f.id, seed, instance, result, instr.eligibility))
     tasks

@@ -59,24 +59,29 @@ let record_result (result : Rrs_core.Engine.result) =
   Metrics.inc (Metrics.counter reg "reconfig_cost") result.reconfigurations;
   Metrics.inc (Metrics.counter reg "drop_cost") result.dropped
 
+(* An ambient flight recorder black-boxes every harness run (a later
+   crash dump shows its last round events) and an ambient heartbeat
+   counts its rounds; with neither, the sink stays null and the engine
+   allocates nothing for tracing. *)
+let engine_sink () =
+  let recorded =
+    match Rrs_obs.Flight_recorder.ambient () with
+    | Some r -> Rrs_obs.Flight_recorder.sink r
+    | None -> Rrs_obs.Sink.null
+  in
+  match Rrs_obs.Heartbeat.ambient () with
+  | Some hb -> Rrs_obs.Heartbeat.attach hb recorded
+  | None -> recorded
+
 let run_policy instance ~n factory =
   Rrs_fault.probe "harness.run_policy";
   let result =
     Metrics.time
       (Metrics.timer (current ()) "engine_run")
       (fun () ->
-        (* an ambient flight recorder black-boxes every harness run:
-           the engine streams its round events into the recorder's
-           bounded ring, so a later crash dump shows what the run was
-           doing — with none ambient the sink stays null and the
-           engine allocates nothing for tracing *)
-        let sink =
-          match Rrs_obs.Flight_recorder.ambient () with
-          | Some r -> Rrs_obs.Flight_recorder.sink r
-          | None -> Rrs_obs.Sink.null
-        in
-        Rrs_core.Engine.run (Rrs_core.Engine.config ~n ~sink ()) instance
-          factory)
+        Rrs_core.Engine.run
+          (Rrs_core.Engine.config ~n ~sink:(engine_sink ()) ())
+          instance factory)
   in
   record_result result;
   result

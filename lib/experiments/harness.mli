@@ -69,12 +69,18 @@ val record_result : Rrs_core.Engine.result -> unit
 
 (** {2 Shared helpers} *)
 
+val engine_sink : unit -> Rrs_obs.Sink.t
+(** The sink for one engine run: the ambient flight recorder and
+    heartbeat when installed, else {!Rrs_obs.Sink.null}.  One call per
+    run: a heartbeat attach counts one engine's rounds. *)
+
 val run_policy :
   Rrs_core.Instance.t ->
   n:int ->
   Rrs_core.Policy.factory ->
   Rrs_core.Engine.result
-(** Uni-speed engine run without schedule recording. *)
+(** Uni-speed engine run on {!engine_sink}, without schedule
+    recording. *)
 
 val ratio_cell : int -> int -> string
 (** [ratio_cell cost denom] formats [cost/denom] with 2 decimals ("inf"

@@ -10,6 +10,7 @@ type t =
     }
   | Execute of { round : int; mini_round : int; resource : int; color : int }
   | Mini_round of { round : int; mini_round : int }
+  | Round_end of { round : int; delta : int; latency_us : int }
   | Epoch_open of { round : int; color : int }
   | Epoch_close of { round : int; color : int; epochs_ended : int }
   | Counter_wrap of { round : int; color : int; wraps : int }
@@ -28,6 +29,7 @@ let kind = function
   | Reconfigure _ -> "reconfigure"
   | Execute _ -> "execute"
   | Mini_round _ -> "mini_round"
+  | Round_end _ -> "round_end"
   | Epoch_open _ -> "epoch_open"
   | Epoch_close _ -> "epoch_close"
   | Counter_wrap _ -> "counter_wrap"
@@ -41,6 +43,7 @@ let round = function
   | Reconfigure { round; _ }
   | Execute { round; _ }
   | Mini_round { round; _ }
+  | Round_end { round; _ }
   | Epoch_open { round; _ }
   | Epoch_close { round; _ }
   | Counter_wrap { round; _ }
@@ -73,6 +76,8 @@ let to_json event =
         ]
     | Mini_round { round; mini_round } ->
         [ ("round", round); ("mini_round", mini_round) ]
+    | Round_end { round; delta; latency_us } ->
+        [ ("round", round); ("delta", delta); ("latency_us", latency_us) ]
     | Epoch_open { round; color } -> [ ("round", round); ("color", color) ]
     | Epoch_close { round; color; epochs_ended } ->
         [ ("round", round); ("color", color); ("epochs_ended", epochs_ended) ]
@@ -135,6 +140,11 @@ let of_json json =
       let* round = field "round" in
       let* mini_round = field "mini_round" in
       Ok (Mini_round { round; mini_round })
+  | "round_end" ->
+      let* round = field "round" in
+      let* delta = field "delta" in
+      let* latency_us = field "latency_us" in
+      Ok (Round_end { round; delta; latency_us })
   | "epoch_open" ->
       let* round = field "round" in
       let* color = field "color" in

@@ -4,7 +4,8 @@
 
     {b Round-phase events} mirror the engine's four phases
     (drop → arrival → reconfigure → execute, {!Rrs_core.Engine}) plus a
-    mini-round marker for double-speed runs.  [Reconfigure] is emitted
+    mini-round marker for double-speed runs and a round-end marker
+    once the round is committed.  [Reconfigure] is emitted
     only for {e charged} recolorings — after the engine's
     [cost_projection] — so summing them always reproduces the engine's
     cost accounting; they are the engine's only record of a run.
@@ -34,6 +35,14 @@ type t =
   | Execute of { round : int; mini_round : int; resource : int; color : int }
   | Mini_round of { round : int; mini_round : int }
       (** start of a reconfigure+execute repetition. *)
+  | Round_end of { round : int; delta : int; latency_us : int }
+      (** the round is committed (the session's next round is
+          [round + 1]).  [delta] is the Δ its recolorings were charged
+          at, so Σ over rounds of (its [Reconfigure] events × [delta])
+          is the reconfiguration cost even across a live Δ change;
+          [latency_us] is the round's wall-clock time — the only
+          non-deterministic field of the stream.  Per-round consumers
+          (heartbeat, sampler) close their round here. *)
   | Epoch_open of { round : int; color : int }
       (** first arrival of the color since its last epoch end. *)
   | Epoch_close of { round : int; color : int; epochs_ended : int }
@@ -57,7 +66,8 @@ type t =
 
 val kind : t -> string
 (** The ["type"] tag: ["drop"], ["arrival"], ["reconfigure"],
-    ["execute"], ["mini_round"], ["epoch_open"], ["epoch_close"],
+    ["execute"], ["mini_round"], ["round_end"], ["epoch_open"],
+    ["epoch_close"],
     ["counter_wrap"], ["timestamp_update"], ["super_epoch"],
     ["credit"]. *)
 

@@ -2,7 +2,9 @@
    adds per round (an engine round is tens of microseconds, the lock is
    uncontended except in multi-engine sweeps), and beats — file writes
    included — happen under the same lock so lines, the status file and
-   the totals they describe can never disagree. *)
+   the totals they describe can never disagree.  A failed write is
+   counted, never raised: the beat runs inside the engine's round-end
+   emission, and telemetry must not fail a run. *)
 
 let round_latency_max_us = 65535
 
@@ -36,6 +38,7 @@ type t = {
   mutable minor0 : float;
   mutable major0 : float;
   mutable last_line : string option;
+  mutable write_errors : int;
   mutable closed : bool;
 }
 
@@ -68,13 +71,23 @@ let create ?(every_rounds = 64) ?every_seconds ?(clock = Unix.gettimeofday)
     minor0;
     major0;
     last_line = None;
+    write_errors = 0;
     closed = false;
   }
 
 let replace_file path contents =
   let temp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  Out_channel.with_open_text temp (fun oc -> output_string oc contents);
-  Sys.rename temp path
+  try
+    Out_channel.with_open_text temp (fun oc -> output_string oc contents);
+    Sys.rename temp path
+  with e ->
+    (try Sys.remove temp with Sys_error _ -> ());
+    raise e
+
+(* One artifact write of a beat; a failure (a vanished directory, a
+   full disk) is counted and the beat goes on. *)
+let write t f =
+  try f () with Sys_error _ -> t.write_errors <- t.write_errors + 1
 
 (* Called with the lock held. *)
 let beat_locked t ~final =
@@ -131,19 +144,24 @@ let beat_locked t ~final =
                Json.Float (per_round t.major0 major1) );
              ("major_collections", Json.Int gc.Gc.major_collections);
            ]
+         @ (if t.write_errors > 0 then
+              [ ("write_errors", Json.Int t.write_errors) ]
+            else [])
          @ (match t.extra with Some f -> f () | None -> [])
          @ if final then [ ("final", Json.Bool true) ] else []))
   in
   (match t.stream with
   | Some oc ->
-      output_string oc (line ^ "\n");
-      flush oc
+      write t (fun () ->
+          output_string oc (line ^ "\n");
+          flush oc)
   | None -> ());
   (match t.status_path with
-  | Some path -> replace_file path (line ^ "\n")
+  | Some path -> write t (fun () -> replace_file path (line ^ "\n"))
   | None -> ());
   (match (t.expose_path, t.registry) with
-  | Some path, Some reg -> replace_file path (Metrics.expose reg)
+  | Some path, Some reg ->
+      write t (fun () -> replace_file path (Metrics.expose reg))
   | _ -> ());
   (match Flight_recorder.ambient () with
   | Some r -> Flight_recorder.record_snapshot r (Json.parse_exn line)
@@ -156,9 +174,9 @@ let beat_locked t ~final =
   t.minor0 <- minor1;
   t.major0 <- major1
 
-(* The engine calls this once per round: lock/unlock inline (no
-   Mutex.protect closure — a per-round allocation would show up in the
-   BENCH_core alloc gate) and only integer stores on the fast path. *)
+(* Once per engine round, from an attached sink's [Round_end]:
+   lock/unlock inline (no Mutex.protect closure) and only integer
+   stores on the fast path. *)
 let observe_round t ~round ~delta ~recolorings ~executed ~dropped ~latency_us =
   Mutex.lock t.lock;
   (match
@@ -194,6 +212,24 @@ let observe_round t ~round ~delta ~recolorings ~executed ~dropped ~latency_us =
       Mutex.unlock t.lock;
       raise e)
 
+(* The per-round increments live in the attach, not in [t]: several
+   engines may share one heartbeat, each through its own attach. *)
+let attach t inner =
+  let recolorings = ref 0 and executed = ref 0 and dropped = ref 0 in
+  Sink.callback (fun (e : Event.t) ->
+      (match e with
+      | Reconfigure _ -> incr recolorings
+      | Execute _ -> incr executed
+      | Drop { count; _ } -> dropped := !dropped + count
+      | Round_end { round; delta; latency_us } ->
+          observe_round t ~round ~delta ~recolorings:!recolorings
+            ~executed:!executed ~dropped:!dropped ~latency_us;
+          recolorings := 0;
+          executed := 0;
+          dropped := 0
+      | _ -> ());
+      Sink.emit inner e)
+
 let beat t =
   Mutex.protect t.lock (fun () ->
       if (not t.closed) && (t.rounds_since > 0 || t.beats = 0) then
@@ -204,11 +240,12 @@ let finish t =
       if not t.closed then begin
         beat_locked t ~final:true;
         t.closed <- true;
-        match t.stream with Some oc -> close_out oc | None -> ()
+        match t.stream with Some oc -> close_out_noerr oc | None -> ()
       end)
 
 let beats t = Mutex.protect t.lock (fun () -> t.beats)
 let rounds_observed t = Mutex.protect t.lock (fun () -> t.rounds)
+let write_errors t = Mutex.protect t.lock (fun () -> t.write_errors)
 let last_line t = Mutex.protect t.lock (fun () -> t.last_line)
 
 let scope : t option Domain.DLS.key =

@@ -151,7 +151,7 @@ let observe t event =
           (Printf.sprintf "color %d credited %d, expected delta = %d" color
              amount t.delta)
   | Event.Timestamp_update _ -> t.instrumented <- true
-  | Event.Mini_round _ | Event.Super_epoch _ -> ()
+  | Event.Mini_round _ | Event.Round_end _ | Event.Super_epoch _ -> ()
 
 let attach t inner =
   match t.policy with

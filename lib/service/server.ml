@@ -234,14 +234,8 @@ let session_of_header name (header : Journal.header) =
   | Error e -> raise (Corrupt e)
   | Ok factory ->
       let cfg = Engine.config ~n:header.n ~mini_rounds:header.mini_rounds () in
-      let session =
-        Session.create ~name:(session_label name header) cfg
-          ~delta:header.delta ~delay:header.delay factory
-      in
-      (* replay must be silent: no ambient heartbeat picked up at
-         create may observe replayed rounds *)
-      Session.set_heartbeat session None;
-      session
+      Session.create ~name:(session_label name header) cfg
+        ~delta:header.delta ~delay:header.delay factory
 
 (* What restore finds in a checkpoint file.  [Verified]: line 2 passes
    its digest, the journal still starts with the prefix it names, and
@@ -279,7 +273,6 @@ let classify name jpath path =
                   with
                   | Error e -> unreadable ("machine state: " ^ e)
                   | Ok session ->
-                      Session.set_heartbeat session None;
                       let line = Snapshot.to_line (Snapshot.of_session ~ops:m.ops session) in
                       if String.equal line (String.sub contents 0 eol) then
                         Verified (m.ops, from, session)
@@ -608,7 +601,12 @@ let open_session h name =
           fresh_session h name ~dir:(Some dir)
             ~writer:(Some (Journal.create jpath (header_of_config h.config)))
   in
-  Session.set_heartbeat s.session h.config.heartbeat;
+  (* restore replayed on Sink.null: only live rounds beat *)
+  Option.iter
+    (fun hb ->
+      Session.set_sink s.session
+        (Rrs_obs.Heartbeat.attach hb Rrs_obs.Sink.null))
+    h.config.heartbeat;
   Hashtbl.replace h.table name s;
   s
 

@@ -15,6 +15,8 @@ type t = {
   drops : Rrs_obs.Metrics.counter;
   recolorings : Rrs_obs.Metrics.counter;
   backlog_hist : Rrs_obs.Metrics.histogram;
+  rounds : Rrs_obs.Metrics.counter;
+  latency : Rrs_obs.Metrics.histogram;
   mutable pending_total : int; (* Σ arrivals − Σ drops − Σ executions *)
   pending : (Types.color, int) Hashtbl.t; (* nonzero pending count per color *)
   holders : (Types.color, int) Hashtbl.t; (* resources configured per color *)
@@ -31,6 +33,10 @@ let create ?registry () =
     recolorings = Rrs_obs.Metrics.counter registry "recolorings";
     backlog_hist =
       Rrs_obs.Metrics.histogram registry "backlog" ~max_value:4096;
+    rounds = Rrs_obs.Metrics.counter registry "engine_rounds";
+    latency =
+      Rrs_obs.Metrics.histogram registry "engine_round_latency_us"
+        ~max_value:Rrs_obs.Heartbeat.round_latency_max_us;
     pending_total = 0;
     pending = Hashtbl.create 64;
     holders = Hashtbl.create 16;
@@ -85,6 +91,9 @@ let observe t (event : Rrs_obs.Event.t) =
       if mini_round = 0 then
         Rrs_obs.Metrics.observe t.backlog_hist t.pending_total;
       record t round
+  | Round_end { latency_us; _ } ->
+      Rrs_obs.Metrics.inc t.rounds 1;
+      Rrs_obs.Metrics.observe t.latency latency_us
   | _ -> ()
 
 let attach t inner =
@@ -93,6 +102,7 @@ let attach t inner =
       Rrs_obs.Sink.emit inner event)
 
 let samples t = List.rev t.series
+let round_latency t = Rrs_obs.Metrics.histogram_stats t.latency
 
 let to_csv t =
   let header =

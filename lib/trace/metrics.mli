@@ -5,7 +5,10 @@
     round records the pending backlog, the number of nonidle colors,
     the distinct cached colors, and the cumulative drop and recoloring
     counts — all derived from the engine's own Drop, Arrival,
-    Reconfigure, Execute and Mini_round events.  Those events carry
+    Reconfigure, Execute and Mini_round events — and each [Round_end]
+    counts a round (["engine_rounds"]) and its wall latency
+    (["engine_round_latency_us"], µs, clamped at
+    {!Rrs_obs.Heartbeat.round_latency_max_us}).  Those events carry
     post-projection colors and a Reconfigure event is exactly a charged
     recoloring, so the counts equal [Engine.result]'s under any
     [cost_projection] by construction; every other event (a policy's
@@ -30,12 +33,12 @@ type sample = {
 type t
 
 val create : ?registry:Rrs_obs.Metrics.t -> unit -> t
-(** [registry], when given, hosts the instruments (counters ["drops"]
-    and ["recolorings"], histogram ["backlog"] observed at each round's
-    first mini-round) instead of a private registry — pass the one the
-    policy and engine already write to (e.g. the policy's
-    ["ranking_update"] counter) so one [metrics_registry] line carries
-    everything. *)
+(** [registry], when given, hosts the instruments (counters ["drops"],
+    ["recolorings"] and ["engine_rounds"], histograms ["backlog"]
+    observed at each round's first mini-round and
+    ["engine_round_latency_us"]) instead of a private registry — pass
+    the one the policy already writes to (e.g. its ["ranking_update"]
+    counter) so one [metrics_registry] line carries everything. *)
 
 val attach : t -> Rrs_obs.Sink.t -> Rrs_obs.Sink.t
 (** A sink that feeds every event to the sampler and then forwards it
@@ -44,6 +47,9 @@ val attach : t -> Rrs_obs.Sink.t -> Rrs_obs.Sink.t
 
 val samples : t -> sample list
 (** Chronological (one per round; mini-rounds are merged). *)
+
+val round_latency : t -> Rrs_stats.Histogram.t
+(** A copy of the round-latency histogram (µs) so far. *)
 
 val to_jsonl : t -> string
 (** One [{"type":"metrics_sample",...}] line per round followed by one

@@ -20,15 +20,14 @@ let policies : (string * Policy.factory * Policy.factory) list =
   ]
 
 (* A run's result paired with the schedule recorded off its engine
-   events.  [engine_sink] wraps the recording sink (a watchdog or flight
-   recorder in front of it); [policy] is instantiated with the sink it
-   may emit to. *)
-let recorded ?(mini_rounds = 1) ?(engine_sink = Fun.id) ?heartbeat ~n instance
-    policy =
+   events.  [engine_sink] wraps the recording sink (a watchdog, a
+   heartbeat or a flight recorder in front of it); [policy] is
+   instantiated with the sink it may emit to. *)
+let recorded ?(mini_rounds = 1) ?(engine_sink = Fun.id) ~n instance policy =
   let events = Rrs_obs.Sink.memory () in
   let r =
     Engine.run_policy
-      (Engine.config ~n ~mini_rounds ~sink:(engine_sink events) ?heartbeat ())
+      (Engine.config ~n ~mini_rounds ~sink:(engine_sink events) ())
       instance policy
   in
   (r, Schedule.of_events ~n ~mini_rounds (Rrs_obs.Sink.events events))
@@ -221,8 +220,9 @@ let check_telemetry_inert label instance =
       let hb = Heartbeat.create ~every_rounds:32 () in
       let telemetered =
         recorded ~n
-          ~engine_sink:(Flight_recorder.attach recorder)
-          ~heartbeat:hb instance
+          ~engine_sink:(fun events ->
+            Heartbeat.attach hb (Flight_recorder.attach recorder events))
+          instance
           (make ~sink:(Flight_recorder.sink recorder) instance ~n)
       in
       Alcotest.(check bool)

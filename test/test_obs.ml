@@ -68,6 +68,7 @@ let all_event_variants =
       { round = 4; mini_round = 1; resource = 2; from_color = -1; to_color = 5 };
     Event.Execute { round = 4; mini_round = 0; resource = 7; color = 5 };
     Event.Mini_round { round = 4; mini_round = 1 };
+    Event.Round_end { round = 4; delta = 3; latency_us = 17 };
     Event.Epoch_open { round = 0; color = 3 };
     Event.Epoch_close { round = 8; color = 3; epochs_ended = 2 };
     Event.Counter_wrap { round = 5; color = 1; wraps = 4 };
@@ -680,9 +681,20 @@ let test_recorder_dump_format () =
 (* heartbeat                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* One round through an attach: a charged recoloring, three executions
+   and a drop, then the round end at Δ = 2. *)
 let observe hb ~round =
-  Heartbeat.observe_round hb ~round ~delta:2 ~recolorings:1 ~executed:3
-    ~dropped:1 ~latency_us:5
+  let sink = Heartbeat.attach hb Sink.null in
+  List.iter (Sink.emit sink)
+    [
+      Event.Drop { round; color = 0; count = 1 };
+      Event.Reconfigure
+        { round; mini_round = 0; resource = 0; from_color = -1; to_color = 0 };
+      Event.Execute { round; mini_round = 0; resource = 0; color = 0 };
+      Event.Execute { round; mini_round = 0; resource = 1; color = 0 };
+      Event.Execute { round; mini_round = 0; resource = 2; color = 0 };
+      Event.Round_end { round; delta = 2; latency_us = 5 };
+    ]
 
 let test_heartbeat_round_cadence () =
   let hb = Heartbeat.create ~every_rounds:4 () in

@@ -608,6 +608,89 @@ let test_bounded_state () =
     true
     (long - short < 10_000)
 
+(* The event stream prices a live Δ change: Σ over rounds of that
+   round's charged recolorings × the Δ its Round_end carries is the
+   session's reconfiguration cost. *)
+let test_trace_prices_delta_changes () =
+  let instance = (Option.get (Families.find "bursty")).build ~seed:1 in
+  let events = Rrs_obs.Sink.memory () in
+  let session =
+    Session.create
+      (Engine.config ~n:8 ~sink:events ())
+      ~delta:instance.Instance.delta ~delay:instance.Instance.delay
+      Lru_edf.policy
+  in
+  let stream = Stream.of_instance instance in
+  for round = 0 to instance.Instance.horizon do
+    if round mod 32 = 16 then
+      Result.get_ok
+        (Session.reconfigure session ~delta:(1 + (round / 32 mod 7)) ());
+    Stream.feed_session stream session ~upto:round;
+    Session.step session
+  done;
+  let charges = Hashtbl.create 64 and priced_at = Hashtbl.create 8 in
+  let priced =
+    List.fold_left
+      (fun cost (e : Rrs_obs.Event.t) ->
+        match e with
+        | Reconfigure { round; _ } ->
+            Hashtbl.replace charges round
+              (1 + Option.value ~default:0 (Hashtbl.find_opt charges round));
+            cost
+        | Round_end { round; delta; _ } -> (
+            match Hashtbl.find_opt charges round with
+            | Some k ->
+                Hashtbl.replace priced_at delta ();
+                cost + (k * delta)
+            | None -> cost)
+        | _ -> cost)
+      0 (Rrs_obs.Sink.events events)
+  in
+  Alcotest.(check bool) "recolorings charged at several Δ" true
+    (Hashtbl.length priced_at >= 3);
+  Alcotest.(check int) "Σ recolorings × Round_end.delta = reconfig cost"
+    (Session.cost session).Cost.reconfig priced
+
+(* A heartbeat whose files vanish mid-run counts the failed writes and
+   keeps going: every step still commits exactly one round. *)
+let test_heartbeat_write_failure () =
+  let module Heartbeat = Rrs_obs.Heartbeat in
+  let dir = temp_dir "hb_gone" in
+  let path = Filename.concat dir "hb.jsonl" in
+  let hb =
+    Heartbeat.create ~every_rounds:4 ~path ~status_path:(path ^ ".status") ()
+  in
+  let session =
+    Session.create
+      (Engine.config ~n:4 ~sink:(Heartbeat.attach hb Rrs_obs.Sink.null) ())
+      ~delta:2 ~delay:[| 4; 4; 4 |] Edf_policy.seq_policy
+  in
+  let step () =
+    let round = Session.round session in
+    ignore (Session.feed session ~round ~color:0 ~count:1);
+    Session.step session
+  in
+  for _ = 1 to 5 do
+    step ()
+  done;
+  Alcotest.(check int) "no failure yet" 0 (Heartbeat.write_errors hb);
+  rm_rf dir;
+  for k = 1 to 8 do
+    let round = Session.round session and executed = Session.executed session in
+    step ();
+    Alcotest.(check int) (Printf.sprintf "step %d: one round" k) (round + 1)
+      (Session.round session);
+    Alcotest.(check int) (Printf.sprintf "step %d: one execution" k)
+      (executed + 1) (Session.executed session)
+  done;
+  Alcotest.(check int) "rounds observed" 13 (Heartbeat.rounds_observed hb);
+  Alcotest.(check bool) "write errors counted" true
+    (Heartbeat.write_errors hb >= 2);
+  let line = Rrs_obs.Json.parse_exn (Option.get (Heartbeat.last_line hb)) in
+  Alcotest.(check bool) "the beat line reports them" true
+    (Option.is_some (Rrs_obs.Json.member "write_errors" line));
+  Heartbeat.finish hb
+
 (* ---- protocol fuzz (QCheck) --------------------------------------- *)
 
 (* the parser's totality contract: any byte string gets Ok/Error, never
@@ -1408,6 +1491,29 @@ let test_wedged_session_not_checkpointed () =
   Alcotest.(check bool) "still no checkpoint" false (Sys.file_exists cpath);
   Server.abandon_session h s
 
+(* A served heartbeat counts only the rounds stepped after a restart:
+   restore replays the journal on Sink.null, and the session gets the
+   heartbeat's attach only once it is open. *)
+let test_heartbeat_skips_replay () =
+  with_temp_dir "hb_replay" @@ fun dir ->
+  let config = { torture_config with checkpoint_every = 0 } in
+  Torture.build_fixture config torture_ops dir;
+  let hb = Rrs_obs.Heartbeat.create ~every_rounds:1 () in
+  let h =
+    Server.host { config with checkpoint_dir = Some dir; heartbeat = Some hb }
+  in
+  let s = Server.open_session h Server.default_session in
+  Alcotest.(check bool) "the restore replayed rounds" true
+    ((Server.session_snapshot s).Snapshot.round > 0);
+  Alcotest.(check int) "no replayed round observed" 0
+    (Rrs_obs.Heartbeat.rounds_observed hb);
+  (match Server.exec h s (Protocol.Step 3) with
+  | Server.Reply [ line ] when String.starts_with ~prefix:"ok" line -> ()
+  | _ -> Alcotest.fail "step 3 refused");
+  Alcotest.(check int) "the live rounds observed" 3
+    (Rrs_obs.Heartbeat.rounds_observed hb);
+  Server.abandon_session h s
+
 (* The diagnostic printer shows every field [Snapshot.equal] compares:
    two snapshots that differ in any one of them print differently. *)
 let test_pp_snapshot_every_field () =
@@ -1654,6 +1760,10 @@ let () =
             test_reconfigure_guards;
           Alcotest.test_case "scale guard" `Quick test_scale_guard;
           Alcotest.test_case "bounded state" `Quick test_bounded_state;
+          Alcotest.test_case "a trace prices a Δ change" `Quick
+            test_trace_prices_delta_changes;
+          Alcotest.test_case "heartbeat write failure keeps stepping" `Quick
+            test_heartbeat_write_failure;
         ] );
       ( "checkpoint/restore",
         [
@@ -1696,6 +1806,8 @@ let () =
             test_line_one_only_quarantined;
           Alcotest.test_case "a wedged session is never checkpointed" `Quick
             test_wedged_session_not_checkpointed;
+          Alcotest.test_case "a served heartbeat skips replayed rounds" `Quick
+            test_heartbeat_skips_replay;
           Alcotest.test_case "torture campaigns (sampled)" `Quick
             test_torture_smoke;
         ] );
