@@ -12,10 +12,11 @@
    benchdiff (analysis.alloc_* / analysis.*_rounds_per_sec rules).
 
    Part 2 — durability overhead: what a journal append and a server
-   checkpoint (snapshot line, full machine state, atomic temp+rename
-   commit) cost, measured against the same steady load.  Wall-clock
-   only (Info under the gate), recorded so drifts show up in review
-   even though they never fail CI on machine noise.
+   checkpoint (snapshot line, full machine state, and the commit that
+   overwrites checkpoint.json.prev in place and rotates it to
+   checkpoint.json) cost, measured against the same steady load.
+   Wall-clock only (Info under the gate), recorded so drifts show up
+   in review even though they never fail CI on machine noise.
 
    Part 3 — kill/restore drill: for every workload family, two kills
    at round k — one that leaves only the journal (header + ops, no

@@ -13,7 +13,7 @@ let writer ?(capacity = 256) () =
 let clear w = w.len <- 0
 let length w = w.len
 let contents w = Bytes.sub_string w.buf 0 w.len
-let output oc w = Out_channel.output oc w.buf 0 w.len
+let write_fd fd w = ignore (Unix.write fd w.buf 0 w.len)
 
 let grow w need =
   let bigger = Bytes.create (max need (2 * Bytes.length w.buf)) in

@@ -26,7 +26,10 @@ val writer : ?capacity:int -> unit -> writer
 val clear : writer -> unit
 val length : writer -> int
 val contents : writer -> string
-val output : out_channel -> writer -> unit
+val write_fd : Unix.file_descr -> writer -> unit
+(** Every written byte, from the writer's buffer straight to the file
+    descriptor, without an intermediate string; raises
+    [Unix.Unix_error] when the write fails. *)
 
 val add_char : writer -> char -> unit
 val add_string : writer -> string -> unit

@@ -87,7 +87,8 @@ let replace_file path contents =
 (* One artifact write of a beat; a failure (a vanished directory, a
    full disk) is counted and the beat goes on. *)
 let write t f =
-  try f () with Sys_error _ -> t.write_errors <- t.write_errors + 1
+  try f ()
+  with Sys_error _ | Unix.Unix_error _ -> t.write_errors <- t.write_errors + 1
 
 (* Called with the lock held. *)
 let beat_locked t ~final =
@@ -154,7 +155,10 @@ let beat_locked t ~final =
   | Some oc ->
       write t (fun () ->
           output_string oc (line ^ "\n");
-          flush oc)
+          flush oc;
+          (* a removed file still takes writes, and loses them *)
+          if (Unix.fstat (Unix.descr_of_out_channel oc)).Unix.st_nlink = 0
+          then raise (Sys_error "heartbeat stream: file removed"))
   | None -> ());
   (match t.status_path with
   | Some path -> write t (fun () -> replace_file path (line ^ "\n"))

@@ -80,7 +80,9 @@ val beats : t -> int
 val rounds_observed : t -> int
 
 val write_errors : t -> int
-(** Stream, status and exposition writes that failed so far. *)
+(** Stream, status and exposition writes that failed so far.  A
+    stream line written after the stream's file was removed counts as
+    failed: it went into an unlinked file. *)
 
 val last_line : t -> string option
 (** The latest beat line emitted, if any — what the status file

@@ -165,23 +165,50 @@ let encode_checkpoint w (snapshot : Snapshot.t) (anchor : Journal.anchor) sessio
   Wire.add_string w (Wire.Hash.digest digest);
   Wire.add_char w '\n'
 
-(* Commit whole files only: an exception before the rename removes the
-   temp file instead of committing it. *)
+(* The commit (doc/SERVICE.md, "The checkpoint commit") reuses the two
+   files it rotates:
+
+   1. [.prev], the checkpoint before last, becomes the temp file;
+   2. the new bytes overwrite it in place, then [ftruncate] cuts it to
+      their length;
+   3. [checkpoint.json] becomes [.prev];
+   4. the temp file becomes [checkpoint.json].
+
+   Only the first two checkpoints of a session create a file, and no
+   rename replaces one: on ext4 a rename that replaces a file, like a
+   truncate to zero, starts writing back delayed data inside the call
+   (doc/PERFORMANCE.md, "What a checkpoint costs").
+   A complete checkpoint exists at every instant: [checkpoint.json] up
+   to step 3, [.prev] after it.  From step 1 to step 3 there is no
+   [.prev] to fall back on, so restore starts from the header only if
+   [checkpoint.json] is corrupt as well.  An exception before step 4
+   removes the temp file instead of committing it. *)
 let temp_prefix = "checkpoint.json.tmp."
 
+let rename_if_present src dst =
+  try Unix.rename src dst with Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
 let write_checkpoint dir w =
+  let path = checkpoint_path dir and prev = checkpoint_prev_path dir in
   let temp = Filename.concat dir (temp_prefix ^ string_of_int (Unix.getpid ())) in
+  rename_if_present prev temp;
   match
-    Out_channel.with_open_bin temp (fun oc -> Wire.output oc w);
-    Sys.rename temp (checkpoint_path dir)
+    let fd = Unix.openfile temp [ O_WRONLY; O_CREAT; O_CLOEXEC ] 0o666 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        Wire.write_fd fd w;
+        Unix.ftruncate fd (Wire.length w));
+    rename_if_present path prev;
+    Unix.rename temp path
   with
   | () -> ()
   | exception e ->
       (try Sys.remove temp with Sys_error _ -> ());
       raise e
 
-(* Temp files a kill between open and rename left behind; each process
-   names its own, so they would pile up across restarts. *)
+(* Temp files a kill before step 4 left behind; each process names its
+   own, so they would pile up across restarts. *)
 let remove_stale_temps dir =
   Array.iter
     (fun f ->
@@ -622,10 +649,6 @@ let try_open h name =
 let checkpoint_session h s =
   match (s.dir, s.writer) with
   | Some dir, Some w ->
-      let path = checkpoint_path dir in
-      (* rotate: the previous checkpoint is the restore's fallback
-         start *)
-      if Sys.file_exists path then Sys.rename path (checkpoint_prev_path dir);
       let snapshot = Snapshot.of_session ~ops:s.ops s.session in
       encode_checkpoint h.checkpoint_buffer snapshot (Journal.anchor w) s.session;
       write_checkpoint dir h.checkpoint_buffer;

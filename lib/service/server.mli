@@ -1,9 +1,14 @@
 (** The long-lived scheduler service: streaming
     {!Rrs_core.Engine.Session}s driven by the line protocol
     ({!Protocol}), journaled ({!Journal}) and periodically checkpointed
-    (the {!Snapshot} line and the session's machine state, through an
-    atomic temp+rename commit; doc/SERVICE.md, "The checkpoint
-    format").
+    (the {!Snapshot} line and the session's machine state;
+    doc/SERVICE.md, "The checkpoint format").  A commit reuses the two
+    checkpoint files: the new bytes overwrite [checkpoint.json.prev]
+    in place under a temp name, [checkpoint.json] becomes [.prev] and
+    the temp becomes [checkpoint.json], so no commit after a session's
+    second creates a file or renames over one, and a complete
+    checkpoint exists at every instant (doc/SERVICE.md, "The
+    checkpoint commit").
 
     A server is a {!host}: a table of named sessions multiplexed over
     one engine process, with no command loop of its own; the loop is

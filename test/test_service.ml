@@ -674,6 +674,7 @@ let test_heartbeat_write_failure () =
     step ()
   done;
   Alcotest.(check int) "no failure yet" 0 (Heartbeat.write_errors hb);
+  let beats_before = Heartbeat.beats hb in
   rm_rf dir;
   for k = 1 to 8 do
     let round = Session.round session and executed = Session.executed session in
@@ -684,8 +685,10 @@ let test_heartbeat_write_failure () =
       (executed + 1) (Session.executed session)
   done;
   Alcotest.(check int) "rounds observed" 13 (Heartbeat.rounds_observed hb);
-  Alcotest.(check bool) "write errors counted" true
-    (Heartbeat.write_errors hb >= 2);
+  let beats_after = Heartbeat.beats hb - beats_before in
+  Alcotest.(check int) "two beats after the removal" 2 beats_after;
+  Alcotest.(check int) "write errors: the stream and the status, per beat"
+    (2 * beats_after) (Heartbeat.write_errors hb);
   let line = Rrs_obs.Json.parse_exn (Option.get (Heartbeat.last_line hb)) in
   Alcotest.(check bool) "the beat line reports them" true
     (Option.is_some (Rrs_obs.Json.member "write_errors" line));
@@ -1441,6 +1444,140 @@ let test_stale_temp_removed () =
   Alcotest.(check int) "tier 0" 0 v.Torture.tier;
   Alcotest.(check bool) "stale temp removed" false (Sys.file_exists stale)
 
+(* The commit reuses the two files it rotates: once a session has two
+   checkpoints, later ones create no file, so [checkpoint.json] and
+   [.prev] keep the same two inodes.  Descriptors held open on both pin
+   them, so a commit that creates a file cannot get one of their inode
+   numbers back.  The checkpoints shrink as the fed-ahead arrivals
+   drain, so a commit that skipped its truncate would leave the tail
+   of the longer file it overwrote. *)
+let test_commit_reuses_files () =
+  with_temp_dir "reuse" @@ fun dir ->
+  let h =
+    Server.host
+      { torture_config with checkpoint_dir = Some dir; checkpoint_every = 0 }
+  in
+  let s = Server.open_session h Server.default_session in
+  let cpath = Filename.concat dir "checkpoint.json" in
+  let ppath = cpath ^ ".prev" in
+  let checkpoint () =
+    ignore (Server.checkpoint_session h s);
+    String.length (read_file cpath)
+  in
+  (* 24 rounds of arrivals fed ahead, then drained 10 rounds a time *)
+  apply_all h s
+    (List.init 24 (fun i ->
+         Journal.Submit { round = 4 + i; color = i mod 4; count = 1 + (i mod 3) }));
+  let first = checkpoint () in
+  apply_all h s [ Journal.Step 1 ];
+  let second = checkpoint () in
+  let id (st : Unix.stats) = (st.Unix.st_dev, st.Unix.st_ino) in
+  let pinned = List.map (fun p -> Unix.openfile p [ Unix.O_RDONLY ] 0) [ cpath; ppath ] in
+  Fun.protect ~finally:(fun () -> List.iter Unix.close pinned) @@ fun () ->
+  let pair = List.sort compare (List.map (fun fd -> id (Unix.fstat fd)) pinned) in
+  let sizes = ref [ second; first ] and shrunk = ref false in
+  for k = 1 to 5 do
+    apply_all h s [ Journal.Step 10 ];
+    let size = checkpoint () in
+    (* this commit overwrote the checkpoint before last *)
+    if size < List.nth !sizes 1 then shrunk := true;
+    sizes := size :: !sizes;
+    let label what = Printf.sprintf "checkpoint %d: %s" (k + 2) what in
+    Alcotest.(check bool) (label "same two inodes") true
+      (pair = List.sort compare (List.map (fun p -> id (Unix.stat p)) [ cpath; ppath ]));
+    Alcotest.(check (list string)) (label "no temp file left") []
+      (List.filter
+         (String.starts_with ~prefix:"checkpoint.json.tmp.")
+         (Array.to_list (Sys.readdir dir)));
+    Alcotest.(check int) (label "two lines, nothing after them") 2
+      (String.fold_left (fun n c -> if c = '\n' then n + 1 else n) 0 (read_file cpath));
+    Alcotest.(check bool) (label "ends with its newline") true
+      (String.ends_with ~suffix:"\n" (read_file cpath))
+  done;
+  Alcotest.(check bool) "a commit overwrote a longer checkpoint" true !shrunk;
+  Server.abandon_session h s;
+  let h2, s2, replayed = restore_counting dir in
+  Alcotest.(check int) "the last checkpoint verifies" 0 replayed;
+  Alcotest.(check bool) "and restores the session" true
+    (Snapshot.equal (Server.session_snapshot s2) (Server.session_snapshot s));
+  Server.abandon_session h2 s2
+
+(* Every directory layout a commit passes through, built by hand from
+   three checkpoints of one history ([a] before [b] before [c], each
+   [checkpoint_every] ops apart) and a journal at [c], as a kill at
+   that point leaves it.  Restore starts from the newest checkpoint
+   among [checkpoint.json] and [.prev], replays at most two intervals,
+   lands on the straight line, and removes the temp file. *)
+let test_commit_crash_windows () =
+  let every = torture_config.Server.checkpoint_every in
+  let ops = Torture.ops_of_seed ~count:(8 * every) ~colors:4 11 in
+  let a, b, c, journal, fed =
+    with_temp_dir "windows_src" @@ fun dir ->
+    let h =
+      Server.host
+        { torture_config with checkpoint_dir = Some dir; checkpoint_every = 0 }
+    in
+    let s = Server.open_session h Server.default_session in
+    let rest = ref ops and fed = ref [] in
+    let checkpoint_at target =
+      while Server.session_ops s < target do
+        match !rest with
+        | op :: tl ->
+            rest := tl;
+            fed := op :: !fed;
+            apply_all h s [ op ]
+        | [] -> Alcotest.fail "the history ran out of ops"
+      done;
+      ignore (Server.checkpoint_session h s);
+      (Server.session_ops s, read_file (Filename.concat dir "checkpoint.json"))
+    in
+    let a = checkpoint_at (2 * every) in
+    let b = checkpoint_at (3 * every) in
+    let c = checkpoint_at (4 * every) in
+    Server.abandon_session h s;
+    (a, b, c, read_file (Filename.concat dir "journal.jsonl"), List.rev !fed)
+  in
+  let expected = Torture.straight_line torture_config fed in
+  let half_written =
+    (* [c]'s first half over [a]'s bytes, as an in-place write leaves it *)
+    let c = snd c and a = snd a in
+    let k = String.length c / 2 in
+    String.sub c 0 k ^ if String.length a > k then String.sub a k (String.length a - k) else ""
+  in
+  let temp = "checkpoint.json.tmp.99999" in
+  List.iter
+    (fun (layout, files, (start, _)) ->
+      with_temp_dir "window" @@ fun dir ->
+      write_file (Filename.concat dir "journal.jsonl") journal;
+      List.iter (fun (name, bytes) -> write_file (Filename.concat dir name) bytes) files;
+      let h, s, replayed = restore_counting dir in
+      let label what = Printf.sprintf "%s: %s" layout what in
+      Alcotest.(check int) (label "starts from the newest checkpoint present")
+        (expected.Snapshot.ops - start) replayed;
+      Alcotest.(check bool)
+        (label (Printf.sprintf "%d ops replayed, at most %d" replayed (2 * every)))
+        true
+        (replayed <= 2 * every);
+      Alcotest.(check bool) (label "restored = straight line") true
+        (Snapshot.equal (Server.session_snapshot s) expected);
+      Alcotest.(check bool) (label "temp file removed") false
+        (Sys.file_exists (Filename.concat dir temp));
+      Server.abandon_session h s)
+    [
+      ( "after step 1 (.prev is the temp)",
+        [ ("checkpoint.json", snd b); (temp, snd a) ],
+        b );
+      ( "during step 2 (half-written temp)",
+        [ ("checkpoint.json", snd b); (temp, half_written) ],
+        b );
+      ( "after step 3 (complete temp, no checkpoint.json)",
+        [ ("checkpoint.json.prev", snd b); (temp, snd c) ],
+        b );
+      ( "after step 4 (committed)",
+        [ ("checkpoint.json", snd c); ("checkpoint.json.prev", snd b) ],
+        c );
+    ]
+
 (* A fault inside a command wedges its session, and the shutdown drain
    then closes every session, the wedged one included.  Its in-memory
    state is untrusted (the faulted op was applied, never journaled), so
@@ -1798,6 +1935,10 @@ let () =
             test_corrupt_machine_state_quarantined;
           Alcotest.test_case "stale checkpoint temp removed" `Quick
             test_stale_temp_removed;
+          Alcotest.test_case "the commit reuses its two files" `Quick
+            test_commit_reuses_files;
+          Alcotest.test_case "every commit crash window restores" `Quick
+            test_commit_crash_windows;
           Alcotest.test_case "lone divergence refuses" `Quick
             test_lone_divergence_refuses;
           Alcotest.test_case "corrupt current checkpoint starts from .prev"
