@@ -15,8 +15,11 @@
    checkpoint (snapshot line, full machine state, and the commit that
    overwrites checkpoint.json.prev in place and rotates it to
    checkpoint.json) cost, measured against the same steady load.
-   Wall-clock only (Info under the gate), recorded so drifts show up
-   in review even though they never fail CI on machine noise.
+   The times are Info under the gate, recorded so drifts show up in
+   review even though they never fail CI on machine noise.  The minor
+   words one journaled op's commit allocates (journal line, counters,
+   ack) are deterministic and gated ("alloc_commit_words_per_op",
+   analysis.alloc_* rule).
 
    Part 3 — kill/restore drill: for every workload family, two kills
    at round k — one that leaves only the journal (header + ops, no
@@ -45,6 +48,7 @@ module Stream = Rrs_workload.Arrival_stream
 module Journal = Rrs_service.Journal
 module Snapshot = Rrs_service.Snapshot
 module Server = Rrs_service.Server
+module Protocol = Rrs_service.Protocol
 module Transport = Rrs_service.Transport
 module Session = Engine.Session
 
@@ -198,6 +202,43 @@ let run_to h s next ~ops =
     | Error e -> failwith ("steady load refused: " ^ e)
   done
 
+(* Minor words one journaled op's commit allocates: a [Server.exec] of
+   a [submit] or a [step] on a durable session (journal append, counters
+   and ack), less what the engine's apply allocates inside it.  No
+   checkpoint falls inside the measured ops.  Deterministic, so the
+   gate can hold it to a narrow band. *)
+type words = { mutable apply : float }
+
+let commit_words dir =
+  let h = Server.host { (steady_config dir) with checkpoint_every = 0 } in
+  let s = Server.open_session h Server.default_session in
+  let spent = { apply = 0. } in
+  let apply s op =
+    let w0 = Gc.minor_words () in
+    let r = Server.apply_op s op in
+    spent.apply <- spent.apply +. (Gc.minor_words () -. w0);
+    r
+  in
+  let cmds =
+    Array.init 4_000 (fun i ->
+        if i mod 2 = 0 then
+          Protocol.Submit { round = None; color = i mod !colors; count = 2 }
+        else Protocol.Step 1)
+  in
+  let exec cmd =
+    match Server.exec ~apply h s cmd with
+    | Server.Reply [ l ] when String.starts_with ~prefix:"ok " l -> ()
+    | _ -> failwith "commit words: a command was refused"
+  in
+  (* the first ops grow the reused buffers to their working size *)
+  Array.iter exec (Array.sub cmds 0 64);
+  spent.apply <- 0.;
+  let w0 = Gc.minor_words () in
+  Array.iter exec cmds;
+  let words = Gc.minor_words () -. w0 -. spent.apply in
+  Server.abandon_session h s;
+  words /. float_of_int (Array.length cmds)
+
 let durability () =
   print_endline
     "================================================================";
@@ -248,10 +289,12 @@ let durability () =
     (Unix.stat (Filename.concat cdir "checkpoint.json")).Unix.st_size
   in
   Server.abandon_session h s;
+  let commit_words = commit_words (Filename.concat dir "commit") in
   Printf.printf "journal append:    %.2f us/op\n" (append_seconds *. 1e6);
   Printf.printf "checkpoint commit: %.2f us (%d-color state, %d bytes)\n"
     (checkpoint_seconds *. 1e6) !colors checkpoint_bytes;
-  (append_seconds, checkpoint_seconds, checkpoint_bytes)
+  Printf.printf "commit allocation: %.1f minor words/op\n" commit_words;
+  (append_seconds, checkpoint_seconds, checkpoint_bytes, commit_words)
 
 (* ------------------------------------------------------------------ *)
 (* Part 3: kill/restore drill                                          *)
@@ -473,7 +516,9 @@ let restore_scaling () =
 let () =
   let t0 = Unix.gettimeofday () in
   let rps, live_growth_per_round, minor_per_round = throughput () in
-  let append_seconds, checkpoint_seconds, checkpoint_bytes = durability () in
+  let append_seconds, checkpoint_seconds, checkpoint_bytes, commit_words =
+    durability ()
+  in
   let divergences, restore_seconds, families, rounds_replayed, ckpt_replayed =
     restore_drill ()
   in
@@ -515,6 +560,7 @@ let () =
                ("journal_append_seconds", append_seconds);
                ("checkpoint_seconds", checkpoint_seconds);
                ("checkpoint_bytes", float_of_int checkpoint_bytes);
+               ("alloc_commit_words_per_op", commit_words);
              ]
            ());
       write

@@ -52,6 +52,9 @@ module Session = struct
     pending : Pending.t;
     mutable cache : Types.color array;
     source : arrivals_source;
+    mutable future : int;
+        (** jobs in [source] for [round] or later, kept by [feed] and
+            the arrival phase: reading it costs no walk of the source *)
     mutable round : int;  (** next round to execute *)
     mutable reconfig_charges : int;
     mutable reconfig_cost : int;  (** Δ accumulated at charge time *)
@@ -61,6 +64,8 @@ module Session = struct
     executions_by_color : int array;
     mutable finished : bool;
   }
+
+  let jobs batch = List.fold_left (fun acc (_, count) -> acc + count) 0 batch
 
   (* Shared tail of both constructors. *)
   let make (cfg : config) ~name ~delta ~delay ~num_colors ~factory ~source
@@ -83,6 +88,10 @@ module Session = struct
       pending;
       cache;
       source;
+      future =
+        (match source with
+        | Preloaded arr -> Array.fold_left (fun acc b -> acc + jobs b) 0 arr
+        | Stream tbl -> Hashtbl.fold (fun _ b acc -> acc + jobs b) tbl 0);
       round = 0;
       reconfig_charges = 0;
       reconfig_cost = 0;
@@ -140,19 +149,7 @@ module Session = struct
   let cost t = Cost.make ~reconfig:t.reconfig_cost ~drop:t.dropped
   let finished t = t.finished
 
-  let future_arrivals t =
-    match t.source with
-    | Preloaded arr ->
-        let total = ref 0 in
-        for r = t.round to Array.length arr - 1 do
-          List.iter (fun (_, count) -> total := !total + count) arr.(r)
-        done;
-        !total
-    | Stream tbl ->
-        Hashtbl.fold
-          (fun _ batch acc ->
-            List.fold_left (fun acc (_, count) -> acc + count) acc batch)
-          tbl 0
+  let future_arrivals t = t.future
 
   (* ---- feeding the stream ---------------------------------------- *)
 
@@ -192,6 +189,7 @@ module Session = struct
               | None -> []
             in
             Hashtbl.replace buckets round ((color, count) :: prev);
+            t.future <- t.future + count;
             Ok ()
           end
 
@@ -344,6 +342,7 @@ module Session = struct
     let batch = take_batch t round in
     List.iter
       (fun (color, count) ->
+        t.future <- t.future - count;
         Pending.add t.pending color
           ~deadline:(round + t.delay.(color))
           ~count;

@@ -330,23 +330,45 @@ let fold ?from path ~init ~f =
                 take text;
                 go (decoder header) (init header)))
 
-type writer = { oc : out_channel; hash : Wire.Hash.t; mutable lines : int }
+(* The writer formats each op once, into [line], a buffer it reuses:
+   the one write(2) of the append and the running hash both take those
+   bytes.  No stdio channel sits in between. *)
+type writer = {
+  fd : Unix.file_descr;
+  line : Wire.writer;
+  hash : Wire.Hash.t;
+  mutable lines : int;
+}
+
+(* [line] holds one line without its newline.  A failed write raises
+   before the hash or the line count move, so the anchor still names
+   only what was written whole. *)
+let write_line w =
+  Wire.add_char w.line '\n';
+  Wire.write_fd w.fd w.line;
+  Wire.Hash.feed_writer w.hash w.line ~pos:0 ~len:(Wire.length w.line);
+  w.lines <- w.lines + 1
+
+let open_writer path flags perm hash lines =
+  let fd =
+    Unix.openfile path (Unix.O_WRONLY :: Unix.O_CREAT :: Unix.O_CLOEXEC :: flags)
+      perm
+  in
+  { fd; line = Wire.writer ~capacity:128 (); hash; lines }
 
 let create path header =
-  let oc = Out_channel.open_text path in
-  let line = header_to_line header in
-  output_string oc line;
-  output_char oc '\n';
-  flush oc;
-  let hash = Wire.Hash.create () in
-  hash_line hash line;
-  { oc; hash; lines = 1 }
+  let w = open_writer path [ Unix.O_TRUNC ] 0o666 (Wire.Hash.create ()) 0 in
+  match
+    Wire.add_string w.line (header_to_line header);
+    write_line w
+  with
+  | () -> w
+  | exception e ->
+      Unix.close w.fd;
+      raise e
 
 let append_to path (p : position) =
-  let oc =
-    Out_channel.open_gen [ Open_append; Open_creat; Open_text ] 0o644 path
-  in
-  { oc; hash = Wire.Hash.copy p.hash; lines = p.lines }
+  open_writer path [ Unix.O_APPEND ] 0o644 (Wire.Hash.copy p.hash) p.lines
 
 let anchor w =
   {
@@ -357,11 +379,8 @@ let anchor w =
 
 let append w op =
   Rrs_fault.probe "serve.journal";
-  let line = op_to_line op in
-  output_string w.oc line;
-  output_char w.oc '\n';
-  flush w.oc;
-  hash_line w.hash line;
-  w.lines <- w.lines + 1
+  Wire.clear w.line;
+  Protocol.add_command w.line (to_command op);
+  write_line w
 
-let close w = Out_channel.close_noerr w.oc
+let close w = try Unix.close w.fd with Unix.Unix_error _ -> ()

@@ -128,8 +128,11 @@ val fold :
     the ops before the bad line.  Exceptions from [init] and [f]
     propagate (the file is closed). *)
 
-(** An append handle: one line per {!append}, flushed through to the OS
-    so a crash loses at most the in-flight line. *)
+(** An append handle: the journal's file descriptor and one reused line
+    buffer.  Each {!append} formats its op once into that buffer and
+    hands it to the OS in one [write(2)] — no stdio buffer sits in
+    between — so a process crash loses at most the in-flight line.
+    Nothing is [fsync]ed. *)
 type writer
 
 val create : string -> header -> writer
@@ -143,4 +146,11 @@ val anchor : writer -> anchor
 (** The prefix written so far (everything up to the last append). *)
 
 val append : writer -> op -> unit
+(** Write the op's line ({!op_to_line} and a newline), then feed the
+    running hash from the same bytes.  A failed write raises
+    [Unix.Unix_error] before the hash or the line count advance, so
+    {!anchor} still names only whole lines; the caller must treat the
+    session as ahead of its journal (the transport wedges it, as for
+    the [serve.journal] fault probe, which fires first). *)
+
 val close : writer -> unit

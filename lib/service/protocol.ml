@@ -1,3 +1,5 @@
+module Wire = Rrs_core.Wire
+
 type command =
   | Submit of { round : int option; color : int; count : int }
   | Step of int
@@ -174,34 +176,57 @@ let parse line =
   | cmd -> Ok cmd
   | exception Syntax msg -> Error msg
 
-let command_to_string = function
-  | Submit { round = None; color; count } ->
-      String.concat " " [ "submit"; string_of_int color; string_of_int count ]
-  | Submit { round = Some round; color; count } ->
-      String.concat " "
-        [ "submit"; string_of_int round; string_of_int color; string_of_int count ]
-  | Step 1 -> "step"
-  | Step k -> "step " ^ string_of_int k
-  | State -> "state"
+(* The one formatter of command text: the journal's op lines, the
+   shed reply and {!command_to_string} are all these bytes.  No
+   partial application, so formatting a submit or a step allocates
+   nothing. *)
+let add_command w cmd =
+  match cmd with
+  | Submit { round; color; count } ->
+      Wire.add_string w "submit ";
+      (match round with
+      | Some round ->
+          Wire.add_decimal w round;
+          Wire.add_char w ' '
+      | None -> ());
+      Wire.add_decimal w color;
+      Wire.add_char w ' ';
+      Wire.add_decimal w count
+  | Step 1 -> Wire.add_string w "step"
+  | Step k ->
+      Wire.add_string w "step ";
+      Wire.add_decimal w k
+  | State -> Wire.add_string w "state"
   | Reconfigure { delta; n; delay } ->
-      let parts =
-        (match delta with Some d -> [ Printf.sprintf "delta=%d" d ] | None -> [])
-        @ (match n with Some v -> [ Printf.sprintf "n=%d" v ] | None -> [])
-        @
-        match delay with
-        | [] -> []
-        | d ->
-            [
-              "delay="
-              ^ String.concat ","
-                  (List.map (fun (c, b) -> Printf.sprintf "%d:%d" c b) d);
-            ]
+      Wire.add_string w "reconfigure";
+      let field key = function
+        | Some v ->
+            Wire.add_string w key;
+            Wire.add_decimal w v
+        | None -> ()
       in
-      String.concat " " ("reconfigure" :: parts)
-  | Checkpoint -> "checkpoint"
-  | Open name -> "open " ^ name
-  | Attach name -> "attach " ^ name
-  | Sessions -> "sessions"
-  | Shutdown -> "shutdown"
-  | Quit -> "quit"
-  | Help -> "help"
+      field " delta=" delta;
+      field " n=" n;
+      List.iteri
+        (fun i (color, bound) ->
+          Wire.add_string w (if i = 0 then " delay=" else ",");
+          Wire.add_decimal w color;
+          Wire.add_char w ':';
+          Wire.add_decimal w bound)
+        delay
+  | Checkpoint -> Wire.add_string w "checkpoint"
+  | Open name ->
+      Wire.add_string w "open ";
+      Wire.add_string w name
+  | Attach name ->
+      Wire.add_string w "attach ";
+      Wire.add_string w name
+  | Sessions -> Wire.add_string w "sessions"
+  | Shutdown -> Wire.add_string w "shutdown"
+  | Quit -> Wire.add_string w "quit"
+  | Help -> Wire.add_string w "help"
+
+let command_to_string cmd =
+  let w = Wire.writer ~capacity:32 () in
+  add_command w cmd;
+  Wire.contents w

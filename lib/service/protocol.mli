@@ -44,8 +44,13 @@ type command =
 val parse : string -> (command option, string) result
 (** [Ok None] for blank lines and comments. *)
 
+val add_command : Rrs_core.Wire.writer -> command -> unit
+(** Append the canonical form of the command — what {!parse} accepts
+    and the journal records — to the writer, without a newline and
+    without building an intermediate string. *)
+
 val command_to_string : command -> string
-(** Canonical form: what {!parse} accepts and the journal records. *)
+(** The bytes {!add_command} writes, as a string. *)
 
 val valid_session_name : string -> bool
 (** Session names become directory components of the durable state

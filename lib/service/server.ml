@@ -80,20 +80,31 @@ let apply_to session (op : Journal.op) : (unit, string) result =
       |> Result.map_error (fun e ->
              "reconfigure: " ^ Session.string_of_reconfigure_error e)
 
-(* The ack line of an applied op, read off the session after it. *)
-let ack session (op : Journal.op) =
-  match op with
+(* The ack line of an applied op, read off the session after it and
+   built in [w], the host's reused buffer. *)
+let ack w session (op : Journal.op) =
+  Wire.clear w;
+  (match op with
   | Journal.Submit { round; color; count } ->
-      Printf.sprintf "ok submitted %d job%s of color %d at round %d" count
-        (if count = 1 then "" else "s")
-        color round
+      Wire.add_string w "ok submitted ";
+      Wire.add_decimal w count;
+      Wire.add_string w
+        (if count = 1 then " job of color " else " jobs of color ");
+      Wire.add_decimal w color;
+      Wire.add_string w " at round ";
+      Wire.add_decimal w round
   | Journal.Step k ->
-      Printf.sprintf "ok stepped %d round%s to round %d" k
-        (if k = 1 then "" else "s")
-        (Session.round session)
+      Wire.add_string w "ok stepped ";
+      Wire.add_decimal w k;
+      Wire.add_string w
+        (if k = 1 then " round to round " else " rounds to round ");
+      Wire.add_decimal w (Session.round session)
   | Journal.Reconfigure _ ->
-      Printf.sprintf "ok reconfigured: n=%d delta=%d" (Session.n session)
-        (Session.delta session)
+      Wire.add_string w "ok reconfigured: n=";
+      Wire.add_decimal w (Session.n session);
+      Wire.add_string w " delta=";
+      Wire.add_decimal w (Session.delta session));
+  Wire.contents w
 
 (* ---- durable state ------------------------------------------------ *)
 
@@ -382,6 +393,7 @@ type host = {
   metrics : Metrics.t;
   counters : counters;
   checkpoint_buffer : Wire.writer;  (** reused by every checkpoint *)
+  ack_buffer : Wire.writer;  (** reused by every ack *)
   table : (string, session) Hashtbl.t;
   mutable next_seq : int;
   mutable fresh_ops : int;
@@ -398,6 +410,7 @@ let host (config : config) =
     metrics;
     counters = counters metrics;
     checkpoint_buffer = Wire.writer ~capacity:4096 ();
+    ack_buffer = Wire.writer ~capacity:64 ();
     table = Hashtbl.create 64;
     next_seq = 0;
     fresh_ops = 0;
@@ -661,7 +674,7 @@ let checkpoint_session h s =
 let apply_op s op = apply_to s.session op
 
 let commit h s op =
-  Option.iter (fun w -> Journal.append w op) s.writer;
+  (match s.writer with Some w -> Journal.append w op | None -> ());
   s.ops <- s.ops + 1;
   h.fresh_ops <- h.fresh_ops + 1;
   Metrics.inc h.counters.ops 1;
@@ -724,28 +737,28 @@ let session_line s =
     (Session.pending_jobs s.session)
     (match s.wedged with None -> "" | Some _ -> " wedged")
 
+let wedged_reply s reason =
+  Reply
+    [
+      Printf.sprintf
+        "err session %s wedged (%s); `open %s` to recover it from its journal"
+        s.name reason s.name;
+    ]
+
+(* A state-changing command: apply, journal, ack.  A top-level function,
+   so serving one builds no closure. *)
+let mutate apply h current op =
+  match current.wedged with
+  | Some reason -> wedged_reply current reason
+  | None -> (
+      match apply current op with
+      | Ok () ->
+          commit h current op;
+          Reply [ ack h.ack_buffer current.session op ]
+      | Error e -> Reply [ "err " ^ e ])
+
 let exec ?(apply = apply_op) h (current : session) (cmd : Protocol.command) :
     outcome =
-  let unless_wedged k =
-    match current.wedged with
-    | Some reason ->
-        Reply
-          [
-            Printf.sprintf
-              "err session %s wedged (%s); `open %s` to recover it from its \
-               journal"
-              current.name reason current.name;
-          ]
-    | None -> k ()
-  in
-  let mutate op =
-    unless_wedged @@ fun () ->
-    match apply current op with
-    | Ok () ->
-        commit h current op;
-        Reply [ ack current.session op ]
-    | Error e -> Reply [ "err " ^ e ]
-  in
   match cmd with
   | Protocol.Help ->
       Reply
@@ -753,23 +766,28 @@ let exec ?(apply = apply_op) h (current : session) (cmd : Protocol.command) :
         |> List.map (fun l -> "ok " ^ l))
   | Protocol.State -> Reply [ Snapshot.to_line (session_snapshot current) ]
   | Protocol.Checkpoint -> (
-      unless_wedged @@ fun () ->
-      match checkpoint_session h current with
-      | None ->
-          Reply
-            [ "err checkpoint: ephemeral session (start with --checkpoint-dir)" ]
-      | Some snapshot ->
-          Reply
-            [
-              Printf.sprintf "ok checkpoint round=%d ops=%d"
-                snapshot.Snapshot.round snapshot.Snapshot.ops;
-            ])
+      match current.wedged with
+      | Some reason -> wedged_reply current reason
+      | None -> (
+          match checkpoint_session h current with
+          | None ->
+              Reply
+                [
+                  "err checkpoint: ephemeral session (start with \
+                   --checkpoint-dir)";
+                ]
+          | Some snapshot ->
+              Reply
+                [
+                  Printf.sprintf "ok checkpoint round=%d ops=%d"
+                    snapshot.Snapshot.round snapshot.Snapshot.ops;
+                ]))
   | Protocol.Submit { round; color; count } ->
       let round = Option.value ~default:(Session.round current.session) round in
-      mutate (Journal.Submit { round; color; count })
-  | Protocol.Step k -> mutate (Journal.Step k)
+      mutate apply h current (Journal.Submit { round; color; count })
+  | Protocol.Step k -> mutate apply h current (Journal.Step k)
   | Protocol.Reconfigure { delta; n; delay } ->
-      mutate (Journal.Reconfigure { delta; n; delay })
+      mutate apply h current (Journal.Reconfigure { delta; n; delay })
   | Protocol.Open name -> (
       match find_session h name with
       | Some s when s.wedged = None ->

@@ -47,8 +47,8 @@ type stats = {
 
 (* One client connection.  Outbound bytes accumulate in
    [out.[0 .. out_len)] and are written from [out_pos]: at once when a
-   socket connection has run its last queued command, otherwise
-   whenever select says the peer can take them.  The pending bytes
+   socket connection's command queue is empty, otherwise whenever
+   select says the peer can take them.  The pending bytes
    [out.[out_pos .. out_len)] are the backpressure boundary the
    slow-client policy measures.  A socket reads and writes one
    [fd]; the stdio connection reads [fd] and writes [wfd], and is
@@ -658,18 +658,19 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                 !conns;
               (* one command per connection per round: fair service,
                  and reply order per connection matches command order.
-                 A socket connection whose queue just ran dry (the
-                 lockstep case) writes at once instead of waiting a
-                 select round to learn that it may; a pipelined one
-                 batches its replies into the write pass *)
+                 A socket connection whose queue is empty — it just ran
+                 its last command (the lockstep case), or a line was
+                 answered at read time ([err], [busy queue]) — writes
+                 at once instead of waiting a select round to learn
+                 that it may; a pipelined one batches its replies into
+                 the write pass *)
               List.iter
                 (fun c ->
-                  if (not c.closing) && not (Queue.is_empty c.cmds) then begin
+                  if (not c.closing) && not (Queue.is_empty c.cmds) then
                     execute_next c;
-                    if (not c.paced) && Queue.is_empty c.cmds
-                       && out_pending c > 0
-                    then write_conn c
-                  end)
+                  if (not c.paced) && Queue.is_empty c.cmds
+                     && out_pending c > 0
+                  then write_conn c)
                 !conns;
               List.iter
                 (fun c ->

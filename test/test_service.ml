@@ -86,6 +86,83 @@ let test_protocol_roundtrip () =
       Protocol.Help;
     ]
 
+(* The formatter [Protocol.add_command] replaced, kept as the oracle of
+   its bytes: one [String.concat]/[Printf] string per command. *)
+let oracle_command_to_string = function
+  | Protocol.Submit { round = None; color; count } ->
+      String.concat " " [ "submit"; string_of_int color; string_of_int count ]
+  | Protocol.Submit { round = Some round; color; count } ->
+      String.concat " "
+        [
+          "submit"; string_of_int round; string_of_int color;
+          string_of_int count;
+        ]
+  | Protocol.Step 1 -> "step"
+  | Protocol.Step k -> "step " ^ string_of_int k
+  | Protocol.State -> "state"
+  | Protocol.Reconfigure { delta; n; delay } ->
+      let parts =
+        (match delta with
+        | Some d -> [ Printf.sprintf "delta=%d" d ]
+        | None -> [])
+        @ (match n with Some v -> [ Printf.sprintf "n=%d" v ] | None -> [])
+        @
+        match delay with
+        | [] -> []
+        | d ->
+            [
+              "delay="
+              ^ String.concat ","
+                  (List.map (fun (c, b) -> Printf.sprintf "%d:%d" c b) d);
+            ]
+      in
+      String.concat " " ("reconfigure" :: parts)
+  | Protocol.Checkpoint -> "checkpoint"
+  | Protocol.Open name -> "open " ^ name
+  | Protocol.Attach name -> "attach " ^ name
+  | Protocol.Sessions -> "sessions"
+  | Protocol.Shutdown -> "shutdown"
+  | Protocol.Quit -> "quit"
+  | Protocol.Help -> "help"
+
+(* every command kind, with ints over the whole range (negatives and
+   the extremes included: the formatter does not judge them) *)
+let command_gen =
+  QCheck.Gen.(
+    let num =
+      oneof [ small_signed_int; int; oneofl [ min_int; max_int; 0; 1; -1 ] ]
+    in
+    let name =
+      string_size ~gen:(oneofl [ 'a'; 'Z'; '0'; '_'; '-'; '.' ]) (1 -- 12)
+    in
+    oneof
+      [
+        map3
+          (fun round color count -> Protocol.Submit { round; color; count })
+          (opt num) num num;
+        map (fun k -> Protocol.Step k) (oneof [ return 1; num ]);
+        map3
+          (fun delta n delay -> Protocol.Reconfigure { delta; n; delay })
+          (opt num) (opt num)
+          (list_size (0 -- 5) (pair num num));
+        map (fun n -> Protocol.Open n) name;
+        map (fun n -> Protocol.Attach n) name;
+        oneofl
+          Protocol.
+            [ State; Checkpoint; Sessions; Shutdown; Quit; Help ];
+      ])
+
+let prop_add_command_oracle =
+  QCheck.Test.make ~count:2000 ~name:"add_command writes the oracle's bytes"
+    (QCheck.make ~print:oracle_command_to_string command_gen)
+    (fun cmd ->
+      let want = oracle_command_to_string cmd in
+      (* appended after what the writer holds, growing it from 16 bytes *)
+      let w = Wire.writer ~capacity:1 () in
+      Wire.add_string w "> ";
+      Protocol.add_command w cmd;
+      Wire.contents w = "> " ^ want && Protocol.command_to_string cmd = want)
+
 (* ---- streamed session == batch engine ----------------------------- *)
 
 (* Both sides record their schedule off the engine's events and return
@@ -934,17 +1011,17 @@ let test_journal_body_refuses () =
 
 (* ---- journal version 2: framing, strictness, version 1 ------------ *)
 
-let journal_header =
-  Journal.header_to_line
-    {
-      Journal.version = Journal.header_version;
-      policy = torture_config.Server.policy;
-      n = torture_config.Server.n;
-      delta = torture_config.Server.delta;
-      delay = torture_config.Server.delay;
-      mini_rounds = torture_config.Server.mini_rounds;
-    }
-  ^ "\n"
+let journal_header_fields =
+  {
+    Journal.version = Journal.header_version;
+    policy = torture_config.Server.policy;
+    n = torture_config.Server.n;
+    delta = torture_config.Server.delta;
+    delay = torture_config.Server.delay;
+    mini_rounds = torture_config.Server.mini_rounds;
+  }
+
+let journal_header = Journal.header_to_line journal_header_fields ^ "\n"
 
 let journal_ops path =
   Journal.fold path ~init:(fun _ -> []) ~f:(fun ops op -> op :: ops)
@@ -953,6 +1030,76 @@ let journal_ops path =
 let with_temp_dir name f =
   let dir = temp_dir name in
   Fun.protect ~finally:(fun () -> rm_rf_deep dir) @@ fun () -> f dir
+
+(* The writer's bytes are the header line and one [op_to_line] line per
+   append, and its anchor is their length, line count and hash — for a
+   fresh journal and for one reopened at the end of a fold. *)
+let test_writer_bytes () =
+  with_temp_dir "writer" @@ fun dir ->
+  let path = Filename.concat dir "journal.jsonl" in
+  let ops =
+    Journal.Reconfigure { delta = Some 3; n = Some 9; delay = [ (0, 4); (2, 7) ] }
+    :: Journal.Reconfigure { delta = None; n = None; delay = [ (1, 2) ] }
+    :: List.concat_map
+         (fun seed -> Torture.ops_of_seed ~count:40 ~colors:9 seed)
+         (List.init 10 Fun.id)
+  in
+  let first = List.filteri (fun i _ -> i < 150) ops
+  and rest = List.filteri (fun i _ -> i >= 150) ops in
+  let expect ops =
+    journal_header
+    ^ String.concat "" (List.map (fun op -> Journal.op_to_line op ^ "\n") ops)
+  in
+  let check_anchor label w ops =
+    let bytes = read_file path in
+    Alcotest.(check string) (label ^ ": bytes") (expect ops) bytes;
+    let a = Journal.anchor w in
+    let hash = Wire.Hash.create () in
+    Wire.Hash.feed hash bytes ~pos:0 ~len:(String.length bytes);
+    Alcotest.(check int) (label ^ ": offset") (String.length bytes)
+      a.Journal.offset;
+    Alcotest.(check int) (label ^ ": lines") (1 + List.length ops)
+      a.Journal.lines;
+    Alcotest.(check string) (label ^ ": digest") (Wire.Hash.digest hash)
+      a.Journal.digest
+  in
+  let w = Journal.create path journal_header_fields in
+  List.iter (Journal.append w) first;
+  check_anchor "created" w first;
+  Journal.close w;
+  match Journal.fold path ~init:(fun _ -> ()) ~f:(fun () _ -> ()) with
+  | Ok ((), None, position) ->
+      let w = Journal.append_to path position in
+      List.iter (Journal.append w) rest;
+      check_anchor "reopened" w ops;
+      Journal.close w
+  | _ -> Alcotest.fail "the written journal does not fold cleanly"
+
+(* An append whose write fails (here: on a closed descriptor) raises
+   and moves neither the anchor nor the file. *)
+let test_failed_append_keeps_anchor () =
+  with_temp_dir "failedappend" @@ fun dir ->
+  let path = Filename.concat dir "journal.jsonl" in
+  write_file path (journal_header ^ "submit 0 1 2\n");
+  match Journal.fold path ~init:(fun _ -> ()) ~f:(fun () _ -> ()) with
+  | Ok ((), None, position) -> (
+      let w = Journal.append_to path position in
+      Journal.append w (Journal.Step 3);
+      let before = Journal.anchor w and bytes = read_file path in
+      Journal.close w;
+      match
+        Journal.append w (Journal.Submit { round = 3; color = 1; count = 1 })
+      with
+      | () -> Alcotest.fail "an append on a closed descriptor succeeded"
+      | exception Unix.Unix_error _ ->
+          let after = Journal.anchor w in
+          Alcotest.(check int) "offset" before.Journal.offset
+            after.Journal.offset;
+          Alcotest.(check int) "lines" before.Journal.lines after.Journal.lines;
+          Alcotest.(check string) "digest" before.Journal.digest
+            after.Journal.digest;
+          Alcotest.(check string) "file" bytes (read_file path))
+  | _ -> Alcotest.fail "the fixture does not fold cleanly"
 
 let test_op_lines_roundtrip () =
   let ops =
@@ -1880,6 +2027,7 @@ let () =
           Alcotest.test_case "parse" `Quick test_protocol_parse;
           Alcotest.test_case "canonical round-trip" `Quick
             test_protocol_roundtrip;
+          QCheck_alcotest.to_alcotest prop_add_command_oracle;
           QCheck_alcotest.to_alcotest prop_parse_arbitrary_bytes;
           QCheck_alcotest.to_alcotest prop_parse_near_miss;
           QCheck_alcotest.to_alcotest prop_tokenizer_reference;
@@ -1965,6 +2113,10 @@ let () =
             test_v1_journal_restores;
           Alcotest.test_case "body is a serve script" `Quick
             test_body_is_serve_script;
+          Alcotest.test_case "writer bytes = header + op lines" `Quick
+            test_writer_bytes;
+          Alcotest.test_case "a failed append keeps the anchor" `Quick
+            test_failed_append_keeps_anchor;
         ] );
       ( "session table",
         [ QCheck_alcotest.to_alcotest prop_session_table_model ] );

@@ -122,6 +122,108 @@ let prop_save_load_suffix =
       Session.cost loaded = Session.cost straight
       && Session.cache loaded = Session.cache straight)
 
+(* ---- the running future-arrival count ----------------------------- *)
+
+(* The oracle: the walk [future_arrivals] used to make, over what was
+   fed (or preloaded) for the current round or later. *)
+let fold_future arrivals ~round =
+  List.fold_left
+    (fun acc (r, count) -> if r >= round then acc + count else acc)
+    0 arrivals
+
+type future_op =
+  | Feed_ahead of int * int * int  (** rounds ahead, color, count *)
+  | Step_once
+  | Reconfigure_once of int * int * int  (** n, Δ, delay growth *)
+  | Save_load
+
+let print_future_op = function
+  | Feed_ahead (ahead, color, count) ->
+      Printf.sprintf "feed +%d %d %d" ahead color count
+  | Step_once -> "step"
+  | Reconfigure_once (n, delta, grow) ->
+      Printf.sprintf "reconfigure n=%d delta=%d delay+%d" n delta grow
+  | Save_load -> "save/load"
+
+let future_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 5,
+          map3
+            (fun a c k -> Feed_ahead (a, c, k))
+            (int_range 0 9) (int_bound 1000) (int_range 1 5) );
+        (4, return Step_once);
+        ( 1,
+          map3
+            (fun n d g -> Reconfigure_once (n, d, g))
+            (oneofl [ 4; 8 ]) (int_range 1 6) (int_range 0 3) );
+        (1, return Save_load);
+      ])
+
+let prop_future_arrivals =
+  QCheck.Test.make ~count:200
+    ~name:"future_arrivals = the fold over arrivals still to come"
+    QCheck.(
+      make
+        ~print:(fun (p, ops) ->
+          fst policies.(p) ^ ": "
+          ^ String.concat "; " (List.map print_future_op ops))
+        Gen.(
+          pair
+            (int_bound (Array.length policies - 1))
+            (list_size (0 -- 120) future_op_gen)))
+    (fun (p, ops) ->
+      let instance = instance_of 0 in
+      let factory = snd policies.(p) in
+      let s =
+        ref
+          (Session.create (Engine.config ~n:8 ()) ~delta:instance.delta
+             ~delay:instance.delay factory)
+      in
+      let fed = ref [] in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Feed_ahead (ahead, color, count) ->
+              let round = Session.round !s + ahead in
+              apply !s (Feed (round, color mod instance.num_colors, count));
+              fed := (round, count) :: !fed
+          | Step_once -> Session.step !s
+          | Reconfigure_once (n, delta, grow) ->
+              apply !s (Reconfigure (n, delta, (0, instance.delay.(0) + grow)))
+          | Save_load ->
+              s := load_string ~mini_rounds:1 factory (save_string !s));
+          Session.future_arrivals !s
+          = fold_future !fed ~round:(Session.round !s))
+        ops)
+
+(* a preloaded session counts down its instance's arrivals *)
+let test_preloaded_future_arrivals () =
+  Array.iteri
+    (fun i _ ->
+      let instance = instance_of i in
+      let arrivals =
+        List.concat
+          (List.mapi
+             (fun r batch -> List.map (fun (_, count) -> (r, count)) batch)
+             (Array.to_list (Instance.arrivals_by_round instance)))
+      in
+      let s =
+        Session.of_instance (Engine.config ~n:8 ()) instance
+          (Lru_edf.policy instance ~n:8)
+      in
+      for _ = 0 to instance.horizon do
+        Alcotest.(check int)
+          (Printf.sprintf "%s, round %d" families.(i).Families.id
+             (Session.round s))
+          (fold_future arrivals ~round:(Session.round s))
+          (Session.future_arrivals s);
+        Session.step s
+      done;
+      Alcotest.(check int) "none left" 0 (Session.future_arrivals s))
+    families
+
 (* ---- the int code and the hash ------------------------------------ *)
 
 let prop_wire_roundtrip =
@@ -208,6 +310,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_save_load_suffix;
           Alcotest.test_case "not checkpointable" `Quick test_not_checkpointable;
+        ] );
+      ( "arrivals",
+        [
+          QCheck_alcotest.to_alcotest prop_future_arrivals;
+          Alcotest.test_case "preloaded" `Quick test_preloaded_future_arrivals;
         ] );
       ( "wire",
         [

@@ -12,8 +12,9 @@
    - a command deadline wedges the session (no journal append from the
      abandoned attempt) and the next command restores it;
    - shutdown executes every queued command before closing;
-   - a lockstep client costs one select round per command, and a
-     pipelined burst is answered in order, byte for byte;
+   - a lockstep client costs one select round per command, or per
+     malformed line, and a pipelined burst is answered in order, byte
+     for byte;
    - the slow-client limit counts pending bytes only: a client that
      keeps reading is never dropped however much it has been sent;
    - the stdio connection answers a piped script line for line and in
@@ -365,6 +366,33 @@ let test_lockstep_select_rounds () =
     (spent >= commands - 1 && spent <= commands + 20);
   Alcotest.(check bool) "stats mirror the counter" true
     (stats.Transport.select_rounds >= spent)
+
+(* The same for a line answered at read time: an [err] for a malformed
+   line is written in the round that read it, not after another select
+   reports the socket writable. *)
+let test_lockstep_error_select_rounds () =
+  let dir = temp_dir "lockstep_err" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let metrics = Metrics.create () in
+  let rounds = Metrics.counter metrics "serve_select_rounds" in
+  let server = start { (config ()) with metrics = Some metrics } dir in
+  let c = connect server.sock in
+  ignore (recv c);
+  let lines = 200 in
+  let before = Metrics.value rounds in
+  for i = 1 to lines do
+    send c (if i mod 2 = 0 then "frobnicate" else "submit x 1");
+    let reply = recv c in
+    if not (String.starts_with ~prefix:"err " reply) then
+      Alcotest.failf "line %d answered %S" i reply
+  done;
+  let spent = Metrics.value rounds - before in
+  close_client c;
+  ignore (finish server);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d select rounds for %d malformed lines" spent lines)
+    true
+    (spent >= lines - 1 && spent <= lines + 20)
 
 (* 32 commands in one write, [quit] last: 32 replies in command order,
    then EOF.  Queued commands' replies are batched into the next
@@ -797,6 +825,8 @@ let () =
         [
           Alcotest.test_case "one select round per lockstep command" `Quick
             test_lockstep_select_rounds;
+          Alcotest.test_case "one select round per lockstep error" `Quick
+            test_lockstep_error_select_rounds;
           Alcotest.test_case "answers keep the order of the lines" `Quick
             test_answers_keep_line_order;
           Alcotest.test_case "pipelined burst answered in order" `Quick
