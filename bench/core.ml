@@ -8,6 +8,12 @@
    delay bounds equal to the window length) so the reference's O(C)
    per-round scan is the only thing that grows with C.
 
+   Part 1b — loaded: the same policy under perfbench's [zipf] load
+   (1024 colors, n = 64, ~200 jobs and ~160 drops per round), driven
+   as `rrs serve` drives it: a streamed session fed 64 rounds ahead,
+   then stepped 64 rounds.  Reports minor words per round, per job and
+   per feed, and rounds/sec of the steps.
+
    Part 2 — differential: every ranking policy and Par-EDF against its
    Rrs_oracle reference on every workload family plus the Appendix A/B
    adversarial constructions; any field of Engine.result differing
@@ -262,6 +268,124 @@ let run_scaling oc =
   !all_identical
 
 (* ------------------------------------------------------------------ *)
+(* Part 1b: loaded                                                     *)
+(* ------------------------------------------------------------------ *)
+
+let loaded_colors = 1024
+let loaded_n = 64
+let loaded_chunk = 64
+
+let run_loaded oc =
+  let family = Option.get (Families.find "zipf") in
+  let instance =
+    match Families.scale_to family ~num_colors:loaded_colors ~seed:1 with
+    | Ok i -> i
+    | Error e -> failwith (Families.string_of_scale_error e)
+  in
+  let rounds = instance.horizon + 1 in
+  let by_round = Instance.arrivals_by_round instance in
+  let jobs = Instance.total_jobs instance in
+  let feeds = Array.length instance.arrivals in
+  (* one drive: feed the next [loaded_chunk] rounds, step them, repeat;
+     the GC counters and the clock are read around the steps and the
+     feeds separately *)
+  let drive () =
+    let registry = Rrs_obs.Metrics.create () in
+    let factory i ~n = (Lru_edf.make ~registry i ~n).policy in
+    let s =
+      Engine.Session.create ~name:"loaded"
+        (Engine.config ~n:loaded_n ())
+        ~delta:instance.delta ~delay:instance.delay factory
+    in
+    let step_words = ref 0. and feed_words = ref 0. and step_seconds = ref 0. in
+    let r = ref 0 in
+    while !r < rounds do
+      let upto = min rounds (!r + loaded_chunk) in
+      let w0 = Gc.minor_words () in
+      for round = !r to upto - 1 do
+        List.iter
+          (fun (color, count) ->
+            match Engine.Session.feed s ~round ~color ~count with
+            | Ok () -> ()
+            | Error e -> failwith (Engine.Session.string_of_feed_error e))
+          by_round.(round)
+      done;
+      let w1 = Gc.minor_words () in
+      let t0 = Unix.gettimeofday () in
+      for _ = !r to upto - 1 do
+        Engine.Session.step s
+      done;
+      let t1 = Unix.gettimeofday () in
+      let w2 = Gc.minor_words () in
+      feed_words := !feed_words +. (w1 -. w0);
+      step_words := !step_words +. (w2 -. w1);
+      step_seconds := !step_seconds +. (t1 -. t0);
+      r := upto
+    done;
+    let result = Engine.Session.finish ~expect_drained:true s in
+    let updates =
+      Rrs_obs.Metrics.value (Rrs_obs.Metrics.counter registry "ranking_update")
+    in
+    (result, updates, !step_words, !feed_words, !step_seconds)
+  in
+  (* the first drive warms the heap; words and counts are the same in
+     every drive, the time is the best of [repeats] *)
+  let result, updates, step_words, feed_words, _ = drive () in
+  let seconds = ref infinity in
+  for _ = 1 to max 1 !repeats do
+    let _, _, _, _, t = drive () in
+    if t < !seconds then seconds := t
+  done;
+  let words_per_round = step_words /. float_of_int rounds in
+  let words_per_job = step_words /. float_of_int jobs in
+  let words_per_feed = feed_words /. float_of_int (max 1 feeds) in
+  let rounds_per_sec = float_of_int rounds /. !seconds in
+  print_endline
+    "================================================================";
+  Printf.printf " Loaded: dlru-edf on zipf, %d colors, n=%d, fed %d rounds ahead\n"
+    loaded_colors loaded_n loaded_chunk;
+  print_endline
+    "================================================================";
+  Printf.printf
+    "%d rounds, %d jobs: %.0f rounds/s, %.1f minor words/round, %.2f/job, \
+     %.2f/feed, %d ranking updates, cost %d\n"
+    rounds jobs rounds_per_sec words_per_round words_per_job words_per_feed
+    updates (Cost.total result.cost);
+  Rrs_obs.Run_summary.write oc
+    (Rrs_obs.Run_summary.make
+       ~id:(Printf.sprintf "core-loaded-zipf-c%d" loaded_colors)
+       ~kind:"bench" ~seed:1
+       ~config:
+         [
+           ("family", "zipf");
+           ("policy", "dlru-edf");
+           ("n", string_of_int loaded_n);
+           ("colors", string_of_int loaded_colors);
+           ("feed_ahead", string_of_int loaded_chunk);
+         ]
+       ~reconfig_cost:result.cost.reconfig ~drop_cost:result.cost.drop
+       ~analysis:
+         [
+           ("rounds", float_of_int rounds);
+           ("jobs", float_of_int jobs);
+           ("ranking_updates", float_of_int updates);
+           ("loaded_seconds", !seconds);
+           ("loaded_rounds_per_sec", rounds_per_sec);
+           ("alloc_minor_words_per_round", words_per_round);
+           ("alloc_minor_words_per_job", words_per_job);
+           ("alloc_minor_words_per_feed", words_per_feed);
+         ]
+       ~timings:
+         [
+           {
+             Rrs_obs.Run_summary.phase = "loaded";
+             seconds = !seconds;
+             count = max 1 !repeats;
+           };
+         ]
+       ())
+
+(* ------------------------------------------------------------------ *)
 (* Part 2: differential                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -378,6 +502,7 @@ let () =
   let ok =
     Out_channel.with_open_text !out (fun oc ->
         let scaling_ok = run_scaling oc in
+        run_loaded oc;
         let diff_ok = run_differential oc in
         scaling_ok && diff_ok)
   in

@@ -1,6 +1,9 @@
 type color_info = {
   mutable cnt : int;
   mutable dd : int;
+      (* the color deadline while eligible; while ineligible, a past or
+         current boundary of the color's window grid ([color_deadline]
+         derives the live value from it) *)
   mutable eligible : bool;
   mutable last_wrap : int; (* round of the latest wrap event; -1 = none *)
   mutable timestamp : int; (* snapshot of last_wrap at the latest multiple *)
@@ -10,17 +13,18 @@ type color_info = {
 }
 
 type change =
-  | Became_eligible of Types.color
-  | Became_ineligible of Types.color
-  | Deadline_moved of Types.color
-  | Timestamp_bumped of Types.color
-  | Wrapped of Types.color
+  | Became_eligible
+  | Became_ineligible
+  | Deadline_moved
+  | Timestamp_bumped
+  | Wrapped
 
 type t = {
   delta : int;
   delay : int array;
   info : color_info array;
-  boundary : Rrs_dstruct.Int_heap.t; (* packed (next multiple, color) *)
+  boundary : Rrs_dstruct.Int_heap.t;
+      (* packed (dd, color), one entry per eligible color *)
   mutable last_round : int;
   mutable total_epochs_ended : int;
   mutable eligible_drops : int;
@@ -30,7 +34,7 @@ type t = {
      registration) *)
   mutable timestamp_listeners : (int -> int -> unit) array;
   mutable timestamp_listener_count : int;
-  mutable change_listeners : (change -> unit) array;
+  mutable change_listeners : (change -> Types.color -> unit) array;
   mutable change_listener_count : int;
   sink : Rrs_obs.Sink.t;
   tracing : bool;
@@ -52,15 +56,12 @@ let create ?(sink = Rrs_obs.Sink.null) (instance : Instance.t) =
           wrap_events = 0;
         })
   in
+  (* round 0 is a multiple of every delay bound: every [dd] starts at
+     0, and the heap starts empty because no color is eligible yet *)
   let boundary =
     Rrs_dstruct.Int_heap.create
       ~initial_capacity:(Stdlib.max 16 instance.num_colors) ()
   in
-  (* round 0 is a multiple of every delay bound *)
-  Array.iteri
-    (fun color _ ->
-      Rrs_dstruct.Int_heap.add boundary (Packed.pack_pair ~value:0 ~color))
-    instance.delay;
   {
     delta = instance.delta;
     delay = instance.delay;
@@ -101,10 +102,21 @@ let on_timestamp_update t f =
   t.timestamp_listeners <- a;
   t.timestamp_listener_count <- t.timestamp_listener_count + 1
 
-let notify t change =
+let notify t change color =
   for i = 0 to t.change_listener_count - 1 do
-    (Array.unsafe_get t.change_listeners i) change
+    (Array.unsafe_get t.change_listeners i) change color
   done
+
+(* An ineligible color has [timestamp = last_wrap]: it lost eligibility
+   at a boundary, which synced the timestamp first, and the wrap that
+   would move [last_wrap] makes it eligible again.  So its boundaries
+   only move [dd] by its delay bound, and [dd] is the first grid point
+   after [last_round]: derived on demand instead of kept in the heap. *)
+let next_boundary t color dd =
+  if dd > t.last_round then dd
+  else
+    let d = t.delay.(color) in
+    dd + (d * (((t.last_round - dd) / d) + 1))
 
 let classify_drop t color count =
   if t.info.(color).eligible then t.eligible_drops <- t.eligible_drops + count
@@ -124,7 +136,7 @@ let process_boundary t ~round ~in_cache color =
     for i = 0 to t.timestamp_listener_count - 1 do
       (Array.unsafe_get t.timestamp_listeners i) color round
     done;
-    notify t (Timestamp_bumped color)
+    notify t Timestamp_bumped color
   end;
   if ci.eligible && not (in_cache color) then begin
     ci.eligible <- false;
@@ -136,12 +148,12 @@ let process_boundary t ~round ~in_cache color =
       Rrs_obs.Sink.emit t.sink
         (Rrs_obs.Event.Epoch_close
            { round; color; epochs_ended = ci.epochs_ended });
-    notify t (Became_ineligible color)
+    notify t Became_ineligible color
   end;
   ci.dd <- round + t.delay.(color);
-  Rrs_dstruct.Int_heap.add t.boundary
-    (Packed.pack_pair ~value:(round + t.delay.(color)) ~color);
-  notify t (Deadline_moved color)
+  if ci.eligible then
+    Rrs_dstruct.Int_heap.add t.boundary (Packed.pack_pair ~value:ci.dd ~color);
+  notify t Deadline_moved color
 
 let process_arrival t ~round color count =
   if count > 0 then begin
@@ -165,42 +177,50 @@ let process_arrival t ~round color count =
         Rrs_obs.Sink.emit t.sink
           (Rrs_obs.Event.Credit { round; color; amount = t.delta })
       end;
-      notify t (Wrapped color);
+      notify t Wrapped color;
       if not ci.eligible then begin
+        (* this round's boundaries are done, so the derived deadline is
+           the one the color's window grid gives after [round] *)
+        ci.dd <- next_boundary t color ci.dd;
         ci.eligible <- true;
-        notify t (Became_eligible color)
+        Rrs_dstruct.Int_heap.add t.boundary
+          (Packed.pack_pair ~value:ci.dd ~color);
+        notify t Became_eligible color
       end
     end
   end
 
-(* Plain recursion instead of List.iter closures: begin_round runs once
-   per round on the hot path and must not allocate. *)
-let rec classify_drops t = function
-  | [] -> ()
-  | (color, count) :: rest ->
-      classify_drop t color count;
-      classify_drops t rest
-
-let rec process_arrivals t ~round = function
-  | [] -> ()
-  | (color, count) :: rest ->
-      process_arrival t ~round color count;
-      process_arrivals t ~round rest
+(* A call that skips rounds processes every boundary it passed over at
+   the round it is called for, which moves the window to start there:
+   an ineligible color whose next boundary is at most [round] gets
+   [dd = round + D].  O(C), once per skip (a policy built mid-session
+   starts at round R > 0). *)
+let reset_skipped_windows t ~round =
+  Array.iteri
+    (fun color ci ->
+      if (not ci.eligible) && next_boundary t color ci.dd <= round then
+        ci.dd <- round + t.delay.(color))
+    t.info
 
 let begin_round_body t ~(view : Policy.view) ~in_cache =
+  if view.round > t.last_round + 1 then
+    reset_skipped_windows t ~round:view.round;
   t.last_round <- view.round;
   (* 1. drop-phase classification uses the pre-transition eligibility,
      so classify before any boundary processing *)
-  classify_drops t view.dropped;
-  (* 2. boundary (drop-phase) transitions for every color whose batch
-     window ends this round *)
+  let dropped = view.dropped in
+  for i = 0 to Batch.length dropped - 1 do
+    classify_drop t (Batch.color dropped i) (Batch.count dropped i)
+  done;
+  (* 2. boundary (drop-phase) transitions for every eligible color
+     whose batch window ends this round *)
   let continue = ref true in
   while !continue do
     if Rrs_dstruct.Int_heap.is_empty t.boundary then continue := false
     else begin
       let packed = Rrs_dstruct.Int_heap.min t.boundary in
-      (* a boundary < view.round can only belong to colors added late;
-         process them at the first opportunity *)
+      (* a boundary < view.round was passed over by a skipped round;
+         process it now *)
       if Packed.pair_value packed <= view.round then begin
         ignore (Rrs_dstruct.Int_heap.pop_min t.boundary);
         process_boundary t ~round:view.round ~in_cache
@@ -210,7 +230,11 @@ let begin_round_body t ~(view : Policy.view) ~in_cache =
     end
   done;
   (* 3. arrival-phase counter updates *)
-  process_arrivals t ~round:view.round view.arrivals
+  let arrivals = view.arrivals in
+  for i = 0 to Batch.length arrivals - 1 do
+    process_arrival t ~round:view.round (Batch.color arrivals i)
+      (Batch.count arrivals i)
+  done
 
 let begin_round t ~(view : Policy.view) ~in_cache =
   if view.round > t.last_round then begin
@@ -228,7 +252,9 @@ let begin_round t ~(view : Policy.view) ~in_cache =
 
 let is_eligible t color = t.info.(color).eligible
 let timestamp t color = t.info.(color).timestamp
-let color_deadline t color = t.info.(color).dd
+let color_deadline t color =
+  let ci = t.info.(color) in
+  if ci.eligible then ci.dd else next_boundary t color ci.dd
 let counter t color = t.info.(color).cnt
 
 let eligible_colors t =
@@ -266,7 +292,7 @@ let save t w =
     (fun color ci ->
       let k = 4 + color in
       a.(k) <- ci.cnt;
-      a.(k + c) <- ci.dd;
+      a.(k + c) <- color_deadline t color;
       a.(k + (2 * c)) <-
         (if ci.eligible then 1 else 0) lor if ci.active_epoch then 2 else 0;
       a.(k + (3 * c)) <- ci.last_wrap;
@@ -298,15 +324,17 @@ let load t r =
       ci.last_wrap <- a.(k + (3 * c));
       ci.timestamp <- a.(k + (4 * c));
       ci.epochs_ended <- a.(k + (5 * c));
-      ci.wrap_events <- a.(k + (6 * c)))
+      ci.wrap_events <- a.(k + (6 * c));
+      (* the derived deadline of an ineligible color rests on this *)
+      if (not ci.eligible) && ci.timestamp <> ci.last_wrap then
+        raise (Wire.Malformed "eligibility: ineligible color off its wrap"))
     t.info;
-  (* The boundary heap holds exactly one entry per color, at the
-     color's deadline: [create] seeds (0, c) with [dd = 0], and
-     [process_boundary] pops a color's entry and pushes its new [dd].
-     So it is rebuilt from the loaded deadlines, not saved. *)
+  (* The boundary heap holds exactly one entry per eligible color, at
+     its deadline, so it is rebuilt from the loaded state, not saved. *)
   Rrs_dstruct.Int_heap.clear t.boundary;
   Array.iteri
     (fun color ci ->
-      Rrs_dstruct.Int_heap.add t.boundary
-        (Packed.pack_pair ~value:ci.dd ~color))
+      if ci.eligible then
+        Rrs_dstruct.Int_heap.add t.boundary
+          (Packed.pack_pair ~value:ci.dd ~color))
     t.info

@@ -7,6 +7,10 @@
     of every [reconfigure] call.  The call is idempotent within a round,
     so double-speed policies (two mini-rounds) stay correct.
 
+    Only eligible colors are visited at their window boundaries (a
+    heap of their deadlines); see {!change} for why an ineligible
+    color needs no visit.
+
     Life of a color [ℓ] (delay bound [D], reconfiguration cost [Δ]):
     - at every multiple of [D] (drop phase): the timestamp becomes the
       round of the latest wrap event before this multiple; if [ℓ] is
@@ -36,7 +40,10 @@ val begin_round :
     [in_cache] must reflect the cache as of the drop phase, i.e. before
     this round's reconfiguration — pass a membership test on
     [view.cache].  Safe to call once per mini-round (subsequent calls in
-    the same round are no-ops). *)
+    the same round are no-ops).  A call that skips rounds (the first
+    call of a policy built at round R > 0) processes every boundary it
+    passed over at [view.round], so those colors' windows restart
+    there: [ℓ.dd = view.round + D]. *)
 
 val is_eligible : t -> Types.color -> bool
 val timestamp : t -> Types.color -> int
@@ -54,26 +61,31 @@ val eligible_colors : t -> Types.color list
 (** The typed per-color state transitions, published as they happen so
     consumers (the incremental ranking {!Ranking.Index}, telemetry) can
     pay only for state that changed instead of re-deriving color lists
-    every round.  Each constructor names the input of the EDF/ΔLRU rank
-    keys that just changed:
+    every round.  Each kind names the input of the EDF/ΔLRU rank keys
+    that just changed for the color passed with it:
     - [Became_eligible]/[Became_ineligible]: the eligibility flag
       flipped (arrival-phase wrap / drop-phase epoch end);
     - [Deadline_moved]: the color deadline [ℓ.dd] advanced to the end
-      of a new batch window (fires at every window boundary);
+      of a new batch window.  It fires at the window boundaries of the
+      colors that are eligible when the boundary comes (including one
+      that turns ineligible there, after its [Became_ineligible]).  An
+      ineligible color's boundaries only move [ℓ.dd] and publish
+      nothing: its deadline is derived when read ({!color_deadline});
     - [Timestamp_bumped]: the ΔLRU timestamp took a new value;
     - [Wrapped]: a counter wrapping event (no rank-key change by
       itself; exposed for completeness and telemetry). *)
 type change =
-  | Became_eligible of Types.color
-  | Became_ineligible of Types.color
-  | Deadline_moved of Types.color
-  | Timestamp_bumped of Types.color
-  | Wrapped of Types.color
+  | Became_eligible
+  | Became_ineligible
+  | Deadline_moved
+  | Timestamp_bumped
+  | Wrapped
 
-val on_change : t -> (change -> unit) -> unit
-(** Register a listener called synchronously at every {!change}, after
-    the state mutation it describes (reading the [Eligibility.t] from
-    the listener sees the new state).  Listeners run in registration
+val on_change : t -> (change -> Types.color -> unit) -> unit
+(** Register a listener called synchronously at every {!change}, with
+    the color it concerns, after the state mutation it describes
+    (reading the [Eligibility.t] from the listener sees the new state).
+    A notification allocates nothing.  Listeners run in registration
     order and must not call {!begin_round}. *)
 
 (** {2 Analysis instrumentation} *)
@@ -103,10 +115,12 @@ val save : t -> Wire.writer -> unit
 (** Every per-color field (counter, color deadline, eligibility, last
     wrap, timestamp, epochs, wraps), [last_round], the epoch total and
     the eligible/ineligible drop split.  The boundary heap is
-    a function of the color deadlines and is not written. *)
+    a function of the eligible colors' deadlines and is not written. *)
 
 val load : t -> Wire.reader -> unit
 (** Overwrite the state of a fresh [t], built from the same instance
-    parameters, with what {!save} wrote.  Fires no listener.
+    parameters, with what {!save} wrote.  Fires no listener.  An
+    ineligible color whose timestamp is not its last wrap is refused
+    as malformed: {!save} cannot write one.
     @raise Wire.Malformed or [Invalid_argument] on input {!save} cannot
     have written. *)

@@ -24,15 +24,14 @@ type result = {
 
 module Session = struct
   (* Where the next round's arrival batch comes from.  A batch run
-     ([Engine.run]) preloads the instance's dense per-round lists and
-     pays exactly what the monolithic loop used to pay; a streamed
-     session buckets fed arrivals per future round and discards each
-     bucket as its round executes, so memory is bounded by the feed
-     lookahead, never by the history. *)
+     ([Engine.run]) preloads the instance's arrivals as flat per-round
+     slices; a streamed session stores fed arrivals per future round
+     and discards each batch as its round executes, so memory is
+     bounded by the feed lookahead, never by the history. *)
   type arrivals_source =
-    | Preloaded of (Types.color * int) list array
-    | Stream of (int, (Types.color * int) list) Hashtbl.t
-        (* per-round buckets, reverse feed order *)
+    | Preloaded of { first : int array; colors : int array; counts : int array }
+        (* round r's batch is entries [first.(r), first.(r + 1)) *)
+    | Stream of Future_batches.t
 
   type t = {
     (* geometry and wiring fixed at creation *)
@@ -47,11 +46,19 @@ module Session = struct
     mutable n : int;
     mutable delta : int;
     mutable delay : int array;
+    mutable round_limit : int;
+        (** rounds below it keep every deadline packable *)
     mutable policy : Policy.t;
     (* live state *)
     pending : Pending.t;
     mutable cache : Types.color array;
     source : arrivals_source;
+    (* the round's arrival batch and drop list, refilled every round
+       and handed to the policy; [no_events] stays empty (the views of
+       mini-rounds after the first) *)
+    arrivals : Batch.t;
+    drops : Batch.t;
+    no_events : Batch.t;
     mutable future : int;
         (** jobs in [source] for [round] or later, kept by [feed] and
             the arrival phase: reading it costs no walk of the source *)
@@ -65,7 +72,9 @@ module Session = struct
     mutable finished : bool;
   }
 
-  let jobs batch = List.fold_left (fun acc (_, count) -> acc + count) 0 batch
+  (* A deadline of a round below the limit, [round + delay], stays
+     below [Packed.max_deadline], the rank key's deadline field. *)
+  let round_limit delay = Packed.max_deadline - Array.fold_left max 1 delay
 
   (* Shared tail of both constructors. *)
   let make (cfg : config) ~name ~delta ~delay ~num_colors ~factory ~source
@@ -84,14 +93,18 @@ module Session = struct
       n = cfg.n;
       delta;
       delay;
+      round_limit = round_limit delay;
       policy;
       pending;
       cache;
       source;
+      arrivals = Batch.create ();
+      drops = Batch.create ();
+      no_events = Batch.create ();
       future =
         (match source with
-        | Preloaded arr -> Array.fold_left (fun acc b -> acc + jobs b) 0 arr
-        | Stream tbl -> Hashtbl.fold (fun _ b acc -> acc + jobs b) tbl 0);
+        | Preloaded { counts; _ } -> Array.fold_left ( + ) 0 counts
+        | Stream future -> Future_batches.jobs future);
       round = 0;
       reconfig_charges = 0;
       reconfig_cost = 0;
@@ -107,7 +120,24 @@ module Session = struct
     Rrs_prof.enter "engine.run";
     let pending = Pending.create ~num_colors:instance.num_colors in
     let cache = Array.make cfg.n Types.black in
-    let source = Preloaded (Instance.arrivals_by_round instance) in
+    (* instance arrivals are sorted by round, then color: the order of
+       [Instance.arrivals_by_round] *)
+    let arrivals = instance.arrivals in
+    let first = Array.make (instance.horizon + 2) 0 in
+    Array.iter
+      (fun (a : Types.arrival) -> first.(a.round + 1) <- first.(a.round + 1) + 1)
+      arrivals;
+    for r = 1 to instance.horizon + 1 do
+      first.(r) <- first.(r) + first.(r - 1)
+    done;
+    let source =
+      Preloaded
+        {
+          first;
+          colors = Array.map (fun (a : Types.arrival) -> a.color) arrivals;
+          counts = Array.map (fun (a : Types.arrival) -> a.count) arrivals;
+        }
+    in
     make cfg ~name:instance.name ~delta:instance.delta ~delay:instance.delay
       ~num_colors:instance.num_colors ~factory:None ~source ~policy ~pending
       ~cache
@@ -127,7 +157,7 @@ module Session = struct
     Rrs_prof.enter "engine.run";
     let pending = Pending.create ~num_colors:params.num_colors in
     let cache = Array.make cfg.n Types.black in
-    let source = Stream (Hashtbl.create 64) in
+    let source = Stream (Future_batches.create ()) in
     make cfg ~name ~delta:params.delta ~delay:params.delay
       ~num_colors:params.num_colors ~factory:(Some factory) ~source ~policy
       ~pending ~cache
@@ -140,7 +170,6 @@ module Session = struct
   let delay t = Array.copy t.delay
   let num_colors t = t.num_colors
   let pending_jobs t = Pending.grand_total t.pending
-  let pending_of t color = Pending.total t.pending color
   let nonidle_colors t = Pending.nonidle_count t.pending
   let cache t = Array.copy t.cache
   let executed t = t.executed
@@ -157,6 +186,7 @@ module Session = struct
     [ `Color_out_of_range of int * int  (** color, num_colors *)
     | `Count_not_positive of int
     | `Round_in_past of int * int  (** requested, current *)
+    | `Deadline_beyond_limit of int * int * int  (** round, color, deadline *)
     | `Preloaded
     | `Finished ]
 
@@ -169,6 +199,11 @@ module Session = struct
     | `Round_in_past (requested, current) ->
         Printf.sprintf "round %d already executed (current round is %d)"
           requested current
+    | `Deadline_beyond_limit (round, color, deadline) ->
+        Printf.sprintf
+          "round %d: the deadline %d of color %d would reach the deadline \
+           limit %d"
+          round deadline color Packed.max_deadline
     | `Preloaded -> "session runs a preloaded instance; it takes no feed"
     | `Finished -> "session is finished"
 
@@ -177,18 +212,16 @@ module Session = struct
     else
       match t.source with
       | Preloaded _ -> Error `Preloaded
-      | Stream buckets ->
+      | Stream future ->
           if color < 0 || color >= t.num_colors then
             Error (`Color_out_of_range (color, t.num_colors))
           else if count <= 0 then Error (`Count_not_positive count)
           else if round < t.round then Error (`Round_in_past (round, t.round))
+          else if round + t.delay.(color) >= Packed.max_deadline then
+            Error
+              (`Deadline_beyond_limit (round, color, round + t.delay.(color)))
           else begin
-            let prev =
-              match Hashtbl.find_opt buckets round with
-              | Some batch -> batch
-              | None -> []
-            in
-            Hashtbl.replace buckets round ((color, count) :: prev);
+            Future_batches.add future ~round ~color ~count;
             t.future <- t.future + count;
             Ok ()
           end
@@ -288,6 +321,7 @@ module Session = struct
                 | policy ->
                     t.delta <- new_delta;
                     t.delay <- new_delay;
+                    t.round_limit <- round_limit new_delay;
                     if new_n <> t.n then begin
                       let fresh = Array.make new_n Types.black in
                       Array.blit t.cache 0 fresh 0 (min t.n new_n);
@@ -308,18 +342,38 @@ module Session = struct
         invalid_arg "Engine: policy returned an out-of-range color"
     done
 
+  (* Refill [t.arrivals] with the round's batch. *)
   let take_batch t round =
     match t.source with
-    | Preloaded arr -> if round < Array.length arr then arr.(round) else []
-    | Stream buckets -> (
-        match Hashtbl.find_opt buckets round with
-        | None -> []
-        | Some rev ->
-            Hashtbl.remove buckets round;
-            List.rev rev)
+    | Preloaded { first; colors; counts } ->
+        Batch.clear t.arrivals;
+        if round + 1 < Array.length first then
+          for i = first.(round) to first.(round + 1) - 1 do
+            Batch.push t.arrivals colors.(i) counts.(i)
+          done
+    | Stream future -> Future_batches.take future ~round t.arrivals
+
+  type step_error = [ `Round_limit of int * int | `Finished ]
+
+  let string_of_step_error : step_error -> string = function
+    | `Round_limit (round, last) ->
+        Printf.sprintf
+          "round %d is past the last round a session can execute, %d (a \
+           round plus the largest delay bound must stay below the deadline \
+           limit %d)"
+          round last Packed.max_deadline
+    | `Finished -> "session is finished"
+
+  let check_step t ~rounds =
+    if t.finished then Error `Finished
+    else if rounds > 0 && rounds > t.round_limit - t.round then
+      Error (`Round_limit (max t.round t.round_limit, t.round_limit - 1))
+    else Ok ()
 
   let step t =
-    if t.finished then invalid_arg "Engine.Session.step: session is finished";
+    (match check_step t ~rounds:1 with
+    | Ok () -> ()
+    | Error e -> invalid_arg ("Engine.Session.step: " ^ string_of_step_error e));
     Rrs_fault.probe "engine.round";
     Rrs_prof.enter "engine.round";
     let round = t.round in
@@ -327,29 +381,29 @@ module Session = struct
     let cache = t.cache in
     (* drop phase *)
     Rrs_prof.enter "engine.drop";
-    let expired = Pending.expire t.pending ~now:round in
-    List.iter
-      (fun (color, count) ->
-        t.dropped <- t.dropped + count;
-        t.drops_by_color.(color) <- t.drops_by_color.(color) + count;
-        if t.tracing then
-          Rrs_obs.Sink.emit t.sink
-            (Rrs_obs.Event.Drop { round; color = t.project color; count }))
-      expired;
+    let expired = t.drops in
+    Pending.expire t.pending ~now:round expired;
+    for i = 0 to Batch.length expired - 1 do
+      let color = Batch.color expired i and count = Batch.count expired i in
+      t.dropped <- t.dropped + count;
+      t.drops_by_color.(color) <- t.drops_by_color.(color) + count;
+      if t.tracing then
+        Rrs_obs.Sink.emit t.sink
+          (Rrs_obs.Event.Drop { round; color = t.project color; count })
+    done;
     Rrs_prof.leave "engine.drop";
     (* arrival phase *)
     Rrs_prof.enter "engine.arrival";
-    let batch = take_batch t round in
-    List.iter
-      (fun (color, count) ->
-        t.future <- t.future - count;
-        Pending.add t.pending color
-          ~deadline:(round + t.delay.(color))
-          ~count;
-        if t.tracing then
-          Rrs_obs.Sink.emit t.sink
-            (Rrs_obs.Event.Arrival { round; color = t.project color; count }))
-      batch;
+    take_batch t round;
+    let batch = t.arrivals in
+    for i = 0 to Batch.length batch - 1 do
+      let color = Batch.color batch i and count = Batch.count batch i in
+      t.future <- t.future - count;
+      Pending.add t.pending color ~deadline:(round + t.delay.(color)) ~count;
+      if t.tracing then
+        Rrs_obs.Sink.emit t.sink
+          (Rrs_obs.Event.Arrival { round; color = t.project color; count })
+    done;
     Rrs_prof.leave "engine.arrival";
     (* reconfiguration + execution, [mini_rounds] times *)
     for mini_round = 0 to t.mini_rounds - 1 do
@@ -360,8 +414,8 @@ module Session = struct
         {
           Policy.round;
           mini_round;
-          arrivals = (if mini_round = 0 then batch else []);
-          dropped = (if mini_round = 0 then expired else []);
+          arrivals = (if mini_round = 0 then batch else t.no_events);
+          dropped = (if mini_round = 0 then expired else t.no_events);
           cache;
           pending = t.pending;
         }
@@ -430,7 +484,7 @@ module Session = struct
 
   let save t w =
     match (t.source, t.policy.Policy.codec) with
-    | Stream buckets, Some codec when not t.finished ->
+    | Stream future, Some codec when not t.finished ->
         let int = Wire.add_int w in
         int state_version;
         int t.round;
@@ -445,40 +499,7 @@ module Session = struct
         Wire.add_ints w t.executions_by_color;
         Wire.add_ints w t.cache;
         Pending.save t.pending w;
-        (* future arrivals as one flat int array of four columns: the
-           rounds (ascending), their batch lengths, then the colors and
-           the counts of all batches, round by round in feed order.
-           The bucket table's own order depends on its history, and
-           equal states must save equal bytes. *)
-        let rounds =
-          Array.of_list (Hashtbl.fold (fun r _ acc -> r :: acc) buckets [])
-        in
-        Array.sort Int.compare rounds;
-        let nr = Array.length rounds in
-        let np = Hashtbl.fold (fun _ batch n -> n + List.length batch) buckets 0 in
-        let size = (2 * nr) + (2 * np) in
-        let a = Wire.scratch w size in
-        let colors = 2 * nr and counts = (2 * nr) + np in
-        (* a bucket holds its batch newest first: fill from the back *)
-        let rec fill i = function
-          | [] -> ()
-          | (color, count) :: rest ->
-              a.(colors + i) <- color;
-              a.(counts + i) <- count;
-              fill (i - 1) rest
-        in
-        let k = ref 0 in
-        Array.iteri
-          (fun j round ->
-            let batch = Hashtbl.find buckets round in
-            let len = List.length batch in
-            a.(j) <- round;
-            a.(nr + j) <- len;
-            fill (!k + len - 1) batch;
-            k := !k + len)
-          rounds;
-        int nr;
-        Wire.add_ints_prefix w a size;
+        Future_batches.save future w;
         codec.Policy.save w
     | _ -> invalid_arg "Engine.Session.save: session is not checkpointable"
 
@@ -513,7 +534,7 @@ module Session = struct
       then malformed "accounting or cache shape";
       let pending = Pending.create ~num_colors in
       Pending.load pending r;
-      let buckets = Hashtbl.create 64 in
+      let future = Future_batches.create () in
       let nr = int () in
       let a = Wire.ints r in
       let np = (Array.length a - (2 * nr)) / 2 in
@@ -522,17 +543,16 @@ module Session = struct
       let k = ref 0 in
       for j = 0 to nr - 1 do
         let at = a.(j) and len = a.(nr + j) in
-        if at < round || Hashtbl.mem buckets at then malformed "arrival round";
-        if len < 0 || !k + len > np then malformed "arrival batch length";
-        let batch = ref [] in
+        if at < round || Future_batches.mem future at then
+          malformed "arrival round";
+        if len < 1 || !k + len > np then malformed "arrival batch length";
         for i = !k to !k + len - 1 do
           let color = a.((2 * nr) + i) and count = a.((2 * nr) + np + i) in
           if color < 0 || color >= num_colors || count <= 0 then
             malformed "arrival batch";
-          batch := (color, count) :: !batch
+          Future_batches.add future ~round:at ~color ~count
         done;
-        k := !k + len;
-        Hashtbl.replace buckets at !batch
+        k := !k + len
       done;
       if !k <> np then malformed "arrival batch lengths";
       (match policy.Policy.codec with
@@ -543,7 +563,7 @@ module Session = struct
       Rrs_prof.enter "engine.run";
       let t =
         make { cfg with n } ~name ~delta:params.delta ~delay:params.delay
-          ~num_colors ~factory:(Some factory) ~source:(Stream buckets) ~policy
+          ~num_colors ~factory:(Some factory) ~source:(Stream future) ~policy
           ~pending ~cache
       in
       t.round <- round;

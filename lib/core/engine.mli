@@ -117,6 +117,9 @@ module Session : sig
     [ `Color_out_of_range of int * int  (** color, universe size *)
     | `Count_not_positive of int
     | `Round_in_past of int * int  (** requested round, current round *)
+    | `Deadline_beyond_limit of int * int * int
+      (** round, color, deadline: [round + delay] would reach
+          {!Packed.max_deadline}, the rank key's deadline field *)
     | `Preloaded  (** session was built by {!of_instance} *)
     | `Finished ]
 
@@ -126,14 +129,32 @@ module Session : sig
     t -> round:int -> color:int -> count:int -> (unit, feed_error) Stdlib.result
   (** Inject [count] jobs of [color] arriving at [round] (current round
       or later).  Feeds for one round accumulate; order within a round
-      follows feed order. *)
+      follows feed order.  Allocates nothing once the session's feed
+      storage has grown to its lookahead. *)
+
+  type step_error =
+    [ `Round_limit of int * int
+      (** first round refused, last round the session can execute: up
+          to it, [round + delay] stays below {!Packed.max_deadline} for
+          every color *)
+    | `Finished ]
+
+  val string_of_step_error : step_error -> string
+
+  val check_step : t -> rounds:int -> (unit, step_error) Stdlib.result
+  (** Whether the next [rounds] steps may run: the session is not
+      finished and none of them executes a round at or past the round
+      limit ({!Packed.max_deadline} minus the largest delay bound).  A
+      caller that steps [k] rounds checks first, so a refused request
+      mutates nothing. *)
 
   val step : t -> unit
   (** Execute the next round: drop → arrival → [mini_rounds] ×
       (reconfigure → execute), then [Round_end], with the same event
       emission, fault probes and profiling spans as {!run}.
-      @raise Invalid_argument if the session is finished, or if the
-      policy returns a malformed assignment. *)
+      @raise Invalid_argument, before any mutation, where
+      {!check_step} refuses one round; or if the policy returns a
+      malformed assignment. *)
 
   type reconfigure_error =
     [ `Bad_delta of int
@@ -184,8 +205,6 @@ module Session : sig
   val num_colors : t -> int
 
   val pending_jobs : t -> int
-
-  val pending_of : t -> Types.color -> int
 
   val nonidle_colors : t -> int
 

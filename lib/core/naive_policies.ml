@@ -84,10 +84,10 @@ let classic_lru (instance : Instance.t) ~n =
   let cache = Cache_state.create ~num_colors:instance.num_colors ~distinct_slots:n in
   let last_request = Array.make instance.num_colors (-1) in
   let reconfigure (view : Policy.view) =
-    List.iter
-      (fun (color, count) ->
-        if count > 0 then last_request.(color) <- view.round)
-      view.arrivals;
+    for i = 0 to Batch.length view.arrivals - 1 do
+      if Batch.count view.arrivals i > 0 then
+        last_request.(Batch.color view.arrivals i) <- view.round
+    done;
     let requested = ref [] in
     Array.iteri
       (fun color round ->

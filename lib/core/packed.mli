@@ -14,7 +14,6 @@
     delay(20) | color(17)]; recency = [2^44 - timestamp (45) |
     color(17)]; pair = [value(45) | color(17)]. *)
 
-val color_bits : int
 val max_colors : int
 (** [2^17]: exclusive upper bound on color ids in any packed value. *)
 

@@ -47,12 +47,14 @@ let run (instance : Instance.t) ~m =
       end
     done
   in
+  let expired = Batch.create () in
   for round = 0 to instance.horizon do
-    List.iter
-      (fun (color, count) ->
-        dropped := !dropped + count;
-        drops_by_color.(color) <- drops_by_color.(color) + count)
-      (Pending.expire pending ~now:round);
+    Pending.expire pending ~now:round expired;
+    for i = 0 to Batch.length expired - 1 do
+      let color = Batch.color expired i and count = Batch.count expired i in
+      dropped := !dropped + count;
+      drops_by_color.(color) <- drops_by_color.(color) + count
+    done;
     let batch = if round < Array.length arrivals then arrivals.(round) else [] in
     List.iter
       (fun (color, count) ->

@@ -1,8 +1,12 @@
-type bucket = { deadline : int; mutable count : int }
-type color_queue = { q : bucket Queue.t; mutable back : bucket option }
-
+(* Each color's buckets live in one flat int ring: bucket [i] (front
+   first) sits at physical slot [p = (head + i) land (capacity - 1)],
+   its deadline at [ring.(2p)] and its job count at [ring.(2p + 1)].
+   Capacities are powers of two; a color that never had jobs holds the
+   shared empty array. *)
 type t = {
-  queues : color_queue array; (* per color, deadline-ascending *)
+  rings : int array array;
+  heads : int array; (* physical slot of the front bucket *)
+  lens : int array; (* live buckets *)
   totals : int array;
   due : Rrs_dstruct.Int_heap.t; (* packed (deadline, color), lazy *)
   mutable grand_total : int;
@@ -16,8 +20,9 @@ let create ~num_colors =
   if num_colors > Packed.max_colors then
     invalid_arg "Pending.create: num_colors exceeds the packed color field";
   {
-    queues =
-      Array.init num_colors (fun _ -> { q = Queue.create (); back = None });
+    rings = Array.make num_colors [||];
+    heads = Array.make num_colors 0;
+    lens = Array.make num_colors 0;
     totals = Array.make num_colors 0;
     due = Rrs_dstruct.Int_heap.create ();
     grand_total = 0;
@@ -41,7 +46,7 @@ let notify_front t color =
     (Array.unsafe_get t.front_listeners i) color
   done
 
-let num_colors t = Array.length t.queues
+let num_colors t = Array.length t.rings
 
 let bump t color delta =
   let before = t.totals.(color) in
@@ -51,31 +56,46 @@ let bump t color delta =
   if before = 0 && after > 0 then t.nonidle <- t.nonidle + 1
   else if before > 0 && after = 0 then t.nonidle <- t.nonidle - 1
 
-let sync_back cq = if Queue.is_empty cq.q then cq.back <- None
+(* Physical slot of the color's [i]-th bucket. *)
+let slot t color i =
+  (t.heads.(color) + i) land ((Array.length t.rings.(color) / 2) - 1)
+
+(* Double the color's ring, unwrapping its buckets to start at slot 0. *)
+let grow t color =
+  let ring = t.rings.(color) in
+  let cap = Array.length ring / 2 in
+  let bigger = Array.make (2 * Stdlib.max 4 (2 * cap)) 0 in
+  for i = 0 to t.lens.(color) - 1 do
+    let p = slot t color i in
+    bigger.(2 * i) <- ring.(2 * p);
+    bigger.((2 * i) + 1) <- ring.((2 * p) + 1)
+  done;
+  t.rings.(color) <- bigger;
+  t.heads.(color) <- 0
 
 let add t color ~deadline ~count =
   if count < 0 then invalid_arg "Pending.add: negative count";
   if count > 0 then begin
-    let cq = t.queues.(color) in
-    (match cq.back with
-    | Some back when deadline < back.deadline ->
-        invalid_arg "Pending.add: deadline out of order"
-    | _ -> ());
-    let was_idle = Queue.is_empty cq.q in
-    (match cq.back with
-    | Some back when back.deadline = deadline ->
-        back.count <- back.count + count
-    | _ ->
-        let bucket = { deadline; count } in
-        Queue.add bucket cq.q;
-        cq.back <- Some bucket;
-        Rrs_dstruct.Int_heap.add t.due
-          (Packed.pack_pair ~value:deadline ~color));
+    let len = t.lens.(color) in
+    let back = if len = 0 then -1 else 2 * slot t color (len - 1) in
+    if back >= 0 && deadline < t.rings.(color).(back) then
+      invalid_arg "Pending.add: deadline out of order";
+    if back >= 0 && t.rings.(color).(back) = deadline then
+      t.rings.(color).(back + 1) <- t.rings.(color).(back + 1) + count
+    else begin
+      if 2 * len = Array.length t.rings.(color) then grow t color;
+      let p = 2 * slot t color len in
+      let ring = t.rings.(color) in
+      ring.(p) <- deadline;
+      ring.(p + 1) <- count;
+      t.lens.(color) <- len + 1;
+      Rrs_dstruct.Int_heap.add t.due (Packed.pack_pair ~value:deadline ~color)
+    end;
     bump t color count;
     (* the front (earliest deadline / idleness) only changes when the
-       queue was empty; appends behind an existing front are invisible
+       ring was empty; appends behind an existing front are invisible
        to deadline-keyed consumers *)
-    if was_idle then notify_front t color
+    if len = 0 then notify_front t color
   end
 
 let total t color = t.totals.(color)
@@ -85,27 +105,28 @@ let is_idle t color = t.totals.(color) = 0
 (* Zero-alloc front accessor for the hot path; [-1] encodes idleness
    (deadlines are non-negative by construction). *)
 let front_deadline t color =
-  let q = t.queues.(color).q in
-  if Queue.is_empty q then -1 else (Queue.peek q).deadline
+  if t.lens.(color) = 0 then -1 else t.rings.(color).(2 * t.heads.(color))
 
 let earliest_deadline t color =
   let d = front_deadline t color in
   if d < 0 then None else Some d
 
+(* Remove the color's front bucket. *)
+let pop_front t color =
+  t.heads.(color) <- slot t color 1;
+  t.lens.(color) <- t.lens.(color) - 1
+
 (* Consume the earliest-deadline pending job; [true] if one existed.
    The option-returning wrapper below allocates and is kept off the
    engine's per-resource execution loop. *)
 let execute t color =
-  let cq = t.queues.(color) in
-  if Queue.is_empty cq.q then false
+  if t.lens.(color) = 0 then false
   else begin
-    let b = Queue.peek cq.q in
-    b.count <- b.count - 1;
-    let exhausted = b.count = 0 in
-    if exhausted then begin
-      ignore (Queue.pop cq.q);
-      sync_back cq
-    end;
+    let ring = t.rings.(color) in
+    let c = (2 * t.heads.(color)) + 1 in
+    ring.(c) <- ring.(c) - 1;
+    let exhausted = ring.(c) = 0 in
+    if exhausted then pop_front t color;
     bump t color (-1);
     if exhausted then notify_front t color;
     true
@@ -118,25 +139,24 @@ let execute_one t color =
 (* Drain this color's expired front buckets; the heap entry that led us
    here may be stale (bucket already consumed), which is fine. *)
 let expire_color t color ~now =
-  let cq = t.queues.(color) in
+  let ring = t.rings.(color) in
   let dropped = ref 0 in
-  let continue = ref true in
-  while !continue do
-    match Queue.peek_opt cq.q with
-    | Some b when b.deadline <= now ->
-        dropped := !dropped + b.count;
-        ignore (Queue.pop cq.q)
-    | _ -> continue := false
+  while t.lens.(color) > 0 && ring.(2 * t.heads.(color)) <= now do
+    dropped := !dropped + ring.((2 * t.heads.(color)) + 1);
+    pop_front t color
   done;
-  sync_back cq;
   if !dropped > 0 then begin
     bump t color (- !dropped);
     notify_front t color
   end;
   !dropped
 
-let expire t ~now =
-  let affected = ref [] in
+(* The first visit of a color drains all of its due buckets, so each
+   color lands in [out] at most once; the due heap pops by deadline
+   first, hence the final sort (linear when, as in a round-by-round
+   run, every due entry has the same deadline). *)
+let expire t ~now out =
+  Batch.clear out;
   let continue = ref true in
   while !continue do
     if Rrs_dstruct.Int_heap.is_empty t.due then continue := false
@@ -146,65 +166,41 @@ let expire t ~now =
         ignore (Rrs_dstruct.Int_heap.pop_min t.due);
         let color = Packed.pair_color packed in
         let dropped = expire_color t color ~now in
-        if dropped > 0 then affected := (color, dropped) :: !affected
+        if dropped > 0 then Batch.push out color dropped
       end
       else
         (* first entry not due yet: stop without touching it *)
         continue := false
     end
   done;
-  List.sort compare !affected
-
-let drop_all t color =
-  let cq = t.queues.(color) in
-  let dropped = t.totals.(color) in
-  Queue.clear cq.q;
-  cq.back <- None;
-  if dropped > 0 then begin
-    bump t color (-dropped);
-    notify_front t color
-  end;
-  dropped
+  Batch.sort_by_color out
 
 let nonidle_count t = t.nonidle
 
 let iter_nonidle t f =
   Array.iteri (fun color n -> if n > 0 then f color n) t.totals
 
-let snapshot t =
-  Array.map
-    (fun cq ->
-      List.rev (Queue.fold (fun acc b -> (b.deadline, b.count) :: acc) [] cq.q))
-    t.queues
-
 (* Every live bucket as one flat int array of three columns: the
    bucket count of every color, then the deadlines and the job counts
-   of all buckets, color by color in queue order.  The due heap is not
+   of all buckets, color by color front first.  The due heap is not
    saved: [load] re-adds one entry per bucket, and the heap's stale
    entries (consumed buckets) were never observable. *)
 let save t w =
-  let c = Array.length t.queues in
-  let buckets = ref 0 in
-  Array.iteri
-    (fun color cq -> if t.totals.(color) > 0 then buckets := !buckets + Queue.length cq.q)
-    t.queues;
-  let b = !buckets in
+  let c = num_colors t in
+  let b = Array.fold_left ( + ) 0 t.lens in
   let len = c + (2 * b) in
   let a = Wire.scratch w len in
   let k = ref c in
-  let put bucket =
-    a.(!k) <- bucket.deadline;
-    a.(!k + b) <- bucket.count;
-    incr k
-  in
-  Array.iteri
-    (fun color cq ->
-      if t.totals.(color) = 0 then a.(color) <- 0
-      else begin
-        a.(color) <- Queue.length cq.q;
-        Queue.iter put cq.q
-      end)
-    t.queues;
+  for color = 0 to c - 1 do
+    let ring = t.rings.(color) in
+    a.(color) <- t.lens.(color);
+    for i = 0 to t.lens.(color) - 1 do
+      let p = 2 * slot t color i in
+      a.(!k) <- ring.(p);
+      a.(!k + b) <- ring.(p + 1);
+      incr k
+    done
+  done;
   Wire.add_ints_prefix w a len
 
 let load t r =

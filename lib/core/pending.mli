@@ -2,9 +2,11 @@
 
     Jobs of one color all share one delay bound, so arrival order equals
     deadline order and a per-color FIFO of [(deadline, count)] buckets is
-    simultaneously FIFO and earliest-deadline-first.  A global heap of
-    due dates makes the engine's drop phase event-driven: only colors
-    with a bucket expiring this round are touched. *)
+    simultaneously FIFO and earliest-deadline-first.  Each color's FIFO
+    is a flat int ring that doubles when full, so adding, executing and
+    expiring jobs allocate nothing amortized.  A global heap of due
+    dates makes the engine's drop phase event-driven: only colors with
+    a bucket expiring this round are touched. *)
 
 type t
 
@@ -46,14 +48,11 @@ val execute_one : t -> Types.color -> int option
 (** {!execute}, additionally returning the consumed job's deadline
     (allocates the option). *)
 
-val expire : t -> now:int -> (Types.color * int) list
-(** Drop every pending job whose deadline is [<= now]; returns the drop
-    counts per affected color (ascending color order).  Amortised O(log n)
-    per expired bucket. *)
-
-val drop_all : t -> Types.color -> int
-(** Drop every pending job of one color (the batched-algorithms' drop
-    phase); returns the count. *)
+val expire : t -> now:int -> Batch.t -> unit
+(** Drop every pending job whose deadline is [<= now], and refill the
+    buffer with the drop count of every affected color, in ascending
+    color order.  Amortised O(log n) per expired bucket; allocates
+    nothing once the buffer has grown. *)
 
 val nonidle_count : t -> int
 (** Number of colors with at least one pending job; O(1). *)
@@ -62,14 +61,10 @@ val iter_nonidle : t -> (Types.color -> int -> unit) -> unit
 (** [iter_nonidle t f] calls [f color pending_count] for each nonidle
     color in ascending color order; O(num_colors). *)
 
-val snapshot : t -> (int * int) list array
-(** Per-color bucket lists [(deadline, count)], front first — for tests
-    and the offline search. *)
-
 val on_front_change : t -> (Types.color -> unit) -> unit
 (** Register a listener called whenever a color's {e front} changes:
     its earliest pending deadline moved or its idleness flipped (first
-    bucket created, front bucket consumed or expired, [drop_all]).
+    bucket created, front bucket consumed or expired).
     Appends behind an existing front do {e not} fire — they are
     invisible to deadline-keyed consumers.  This is the delta feed the
     incremental ranking ({!Ranking.Index}) and incremental Par-EDF are

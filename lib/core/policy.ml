@@ -1,8 +1,8 @@
 type view = {
   round : Types.round;
   mini_round : int;
-  arrivals : (Types.color * int) list;
-  dropped : (Types.color * int) list;
+  arrivals : Batch.t;
+  dropped : Batch.t;
   cache : Types.color array;
   pending : Pending.t;
 }

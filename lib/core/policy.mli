@@ -13,11 +13,13 @@
 type view = {
   round : Types.round;
   mini_round : int;  (** 0 for uni-speed; 0 and 1 for double-speed *)
-  arrivals : (Types.color * int) list;
-      (** this round's arrival batches (empty in mini-round > 0 views and
-          rounds with no request) *)
-  dropped : (Types.color * int) list;
-      (** jobs expired in this round's drop phase *)
+  arrivals : Batch.t;
+      (** this round's arrival batches, in feed order (empty in
+          mini-round > 0 views and rounds with no request); an
+          engine-owned buffer, read-only and valid during the call *)
+  dropped : Batch.t;
+      (** jobs expired in this round's drop phase, by ascending color
+          (empty in mini-round > 0 views); the same terms *)
   cache : Types.color array;
       (** current coloring (before this reconfiguration); read-only *)
   pending : Pending.t;  (** read-only by convention *)

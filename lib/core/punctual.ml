@@ -39,8 +39,9 @@ let bind_executions (instance : Instance.t) (t : Schedule.t) =
     t.events;
   Array.iteri (fun r evs -> by_round.(r) <- List.rev evs) by_round;
   let out = ref [] in
+  let expired = Batch.create () in
   for round = 0 to instance.horizon do
-    ignore (Pending.expire pending ~now:round);
+    Pending.expire pending ~now:round expired;
     List.iter
       (fun (color, count) ->
         Pending.add pending color

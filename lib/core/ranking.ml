@@ -112,14 +112,15 @@ module Index = struct
             refresh_rank t color;
             refresh_recency t color)
           (Eligibility.eligible_colors elig));
-    Eligibility.on_change elig (function
-      | Eligibility.Became_eligible color ->
-          refresh_rank t color;
-          refresh_recency t color
-      | Eligibility.Became_ineligible color -> drop t color
-      | Eligibility.Deadline_moved color -> refresh_rank t color
-      | Eligibility.Timestamp_bumped color -> refresh_recency t color
-      | Eligibility.Wrapped _ -> ());
+    Eligibility.on_change elig (fun change color ->
+        match change with
+        | Eligibility.Became_eligible ->
+            refresh_rank t color;
+            refresh_recency t color
+        | Eligibility.Became_ineligible -> drop t color
+        | Eligibility.Deadline_moved -> refresh_rank t color
+        | Eligibility.Timestamp_bumped -> refresh_recency t color
+        | Eligibility.Wrapped -> ());
     Pending.on_front_change pending (fun color -> refresh_rank t color);
     t
 

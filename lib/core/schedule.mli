@@ -44,6 +44,5 @@ val cost : delta:int -> t -> Cost.t
 val final_cache : t -> Types.color array
 (** Resource colors after the last event (all-[black] start). *)
 
-val pp_event : Format.formatter -> Types.round * event -> unit
 val pp : Format.formatter -> t -> unit
 (** Full chronological dump — for small schedules. *)

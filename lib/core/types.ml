@@ -15,12 +15,6 @@ let pp_arrival fmt a =
 
 type phase = Drop_phase | Arrival_phase | Reconfig_phase | Execution_phase
 
-let pp_phase fmt = function
-  | Drop_phase -> Format.pp_print_string fmt "drop"
-  | Arrival_phase -> Format.pp_print_string fmt "arrival"
-  | Reconfig_phase -> Format.pp_print_string fmt "reconfig"
-  | Execution_phase -> Format.pp_print_string fmt "execution"
-
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 let floor_pow2 n =

@@ -28,8 +28,6 @@ val pp_arrival : Format.formatter -> arrival -> unit
 type phase = Drop_phase | Arrival_phase | Reconfig_phase | Execution_phase
 (** The four phases of every round, in execution order. *)
 
-val pp_phase : Format.formatter -> phase -> unit
-
 val is_power_of_two : int -> bool
 (** [true] for 1, 2, 4, 8, ...; [false] for non-positive inputs. *)
 

@@ -18,6 +18,7 @@ let check ?(strict_drops = true) (instance : Instance.t) (sched : Schedule.t) =
   let pending = Pending.create ~num_colors:instance.num_colors in
   let cache = Array.make sched.n Types.black in
   let arrivals = Instance.arrivals_by_round instance in
+  let expired_buf = Batch.create () in
   let executed = ref 0 in
   let dropped = ref 0 in
   let reconfigs = ref 0 in
@@ -32,7 +33,8 @@ let check ?(strict_drops = true) (instance : Instance.t) (sched : Schedule.t) =
   Array.iteri (fun r evs -> by_round.(r) <- List.rev evs) by_round;
   for round = 0 to instance.horizon do
     (* drop phase: expire under the instance's own deadlines *)
-    let expired = Pending.expire pending ~now:round in
+    Pending.expire pending ~now:round expired_buf;
+    let expired = Batch.to_list expired_buf in
     List.iter (fun (_, count) -> dropped := !dropped + count) expired;
     if strict_drops then begin
       let declared = Hashtbl.create 8 in

@@ -70,11 +70,15 @@ let apply_to session (op : Journal.op) : (unit, string) result =
   | Journal.Submit { round; color; count } ->
       Session.feed session ~round ~color ~count
       |> Result.map_error (fun e -> "submit: " ^ Session.string_of_feed_error e)
-  | Journal.Step k ->
-      for _ = 1 to k do
-        Session.step session
-      done;
-      Ok ()
+  | Journal.Step k -> (
+      (* refused whole, before the first round runs *)
+      match Session.check_step session ~rounds:k with
+      | Error e -> Error ("step: " ^ Session.string_of_step_error e)
+      | Ok () ->
+          for _ = 1 to k do
+            Session.step session
+          done;
+          Ok ())
   | Journal.Reconfigure { delta; n; delay } ->
       Session.reconfigure session ?delta ?n ~delay ()
       |> Result.map_error (fun e ->

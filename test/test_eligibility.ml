@@ -41,13 +41,13 @@ let test_change_feed () =
   let consistent = ref true in
   let factory (i : Instance.t) ~n =
     let e = Eligibility.create i in
-    Eligibility.on_change e (fun change ->
-        log := change :: !log;
+    Eligibility.on_change e (fun change c ->
+        log := (change, c) :: !log;
         (* listeners run after the mutation *)
         match change with
-        | Eligibility.Became_eligible c ->
+        | Eligibility.Became_eligible ->
             consistent := !consistent && Eligibility.is_eligible e c
-        | Eligibility.Became_ineligible c ->
+        | Eligibility.Became_ineligible ->
             consistent := !consistent && not (Eligibility.is_eligible e c)
         | _ -> ());
     {
@@ -71,16 +71,16 @@ let test_change_feed () =
   in
   Alcotest.(check bool) "post-mutation state" true !consistent;
   Alcotest.(check bool) "wrap precedes eligibility" true
-    (index_of (Eligibility.Wrapped 0)
-    < index_of (Eligibility.Became_eligible 0));
+    (index_of (Eligibility.Wrapped, 0)
+    < index_of (Eligibility.Became_eligible, 0));
   Alcotest.(check bool) "eligible precedes epoch close" true
-    (index_of (Eligibility.Became_eligible 0)
-    < index_of (Eligibility.Became_ineligible 0));
+    (index_of (Eligibility.Became_eligible, 0)
+    < index_of (Eligibility.Became_ineligible, 0));
   Alcotest.(check bool) "timestamp bumped at the boundary" true
-    (index_of (Eligibility.Timestamp_bumped 0)
-    < index_of (Eligibility.Became_ineligible 0));
+    (index_of (Eligibility.Timestamp_bumped, 0)
+    < index_of (Eligibility.Became_ineligible, 0));
   Alcotest.(check bool) "boundary moves the color deadline" true
-    (List.mem (Eligibility.Deadline_moved 0) changes)
+    (List.mem (Eligibility.Deadline_moved, 0) changes)
 
 let test_counter_accumulates () =
   (* delta=5, batches of 2 at rounds 0,4,8: wrap at round 8 (2+2+2=6>=5) *)
@@ -251,7 +251,8 @@ let test_listener_registration_order () =
       (fun tag ->
         Eligibility.on_timestamp_update e (fun color ts ->
             calls := (tag, color, ts) :: !calls);
-        Eligibility.on_change e (fun _ -> calls := (tag, -1, -1) :: !calls))
+        Eligibility.on_change e (fun _ color ->
+            calls := (tag, color, -1) :: !calls))
       [ "first"; "second"; "third" ];
     {
       Policy.name = "spy";
@@ -280,6 +281,155 @@ let test_listener_registration_order () =
     | _ -> Alcotest.fail "listeners out of registration order"
   in
   check events
+
+(* ---- the lazy boundaries against the eager reference -------------- *)
+
+module Eager = Rrs_oracle.Eager
+
+type step = {
+  gap : int;  (** rounds skipped before this one *)
+  arrivals : (int * int) list;
+  drops : (int * int) list;  (** distinct colors *)
+  cached : bool list;
+  cut : bool;  (** save, compare and reload here *)
+}
+
+let step_gen ~num_colors =
+  let open QCheck.Gen in
+  let color = int_bound (num_colors - 1) in
+  let* gap = frequency [ (9, return 0); (1, int_range 1 9) ] in
+  let* arrivals = list_size (int_bound 4) (pair color (int_range 1 4)) in
+  let* drops = list_size (int_bound 3) (pair color (int_range 1 5)) in
+  let drops =
+    List.sort_uniq (fun (a, _) (b, _) -> compare a b) drops
+  in
+  let* cached = list_repeat num_colors bool in
+  let* cut = frequency [ (4, return false); (1, return true) ] in
+  return { gap; arrivals; drops; cached; cut }
+
+let scenario_gen =
+  let open QCheck.Gen in
+  let* num_colors = int_range 1 6 in
+  let* delta = int_range 1 4 in
+  let* delay = array_repeat num_colors (int_range 1 8) in
+  let* start = frequency [ (2, return 0); (1, int_range 1 30) ] in
+  let* steps = list_size (int_range 1 60) (step_gen ~num_colors) in
+  return (delta, delay, start, steps)
+
+let print_scenario (delta, delay, start, steps) =
+  Printf.sprintf "delta=%d delay=[%s] start=%d rounds=%d" delta
+    (String.concat ";" (Array.to_list (Array.map string_of_int delay)))
+    start (List.length steps)
+
+let wire_of save x =
+  let w = Wire.writer () in
+  save x w;
+  Wire.contents w
+
+(* Every round, for every color, the production Eligibility (heap of
+   eligible colors, derived deadlines for the rest) must agree with the
+   eager reference on every accessor; its change events must be the
+   reference's minus the [Deadline_moved] of colors that were
+   ineligible when the round began; and at random cut points both must
+   save the same bytes, and [save (load (save e)) = save e] — the run
+   then continues on the reloaded copy. *)
+let prop_lazy_matches_eager =
+  QCheck.Test.make ~count:400 ~name:"lazy boundaries = eager reference"
+    (QCheck.make ~print:print_scenario scenario_gen)
+    (fun (delta, delay, start, steps) ->
+      let num_colors = Array.length delay in
+      let instance = Instance.create ~delta ~delay ~arrivals:[] () in
+      let log = ref [] in
+      let listen e = Eligibility.on_change e (fun k c -> log := (k, c) :: !log) in
+      let e = ref (Eligibility.create instance) in
+      listen !e;
+      let r = Eager.create instance in
+      let pending = Pending.create ~num_colors in
+      let ok = ref true in
+      let fail () = ok := false in
+      let round = ref (start - 1) in
+      List.iter
+        (fun st ->
+          round := !round + 1 + st.gap;
+          let cached = Array.of_list st.cached in
+          let in_cache c = cached.(c) in
+          let was_eligible = Array.init num_colors (Eager.is_eligible r) in
+          let view =
+            {
+              Policy.round = !round;
+              mini_round = 0;
+              arrivals = Batch.of_list st.arrivals;
+              dropped = Batch.of_list st.drops;
+              cache = [||];
+              pending;
+            }
+          in
+          log := [];
+          Eligibility.begin_round !e ~view ~in_cache;
+          Eager.begin_round r ~round:!round ~arrivals:st.arrivals
+            ~dropped:st.drops ~in_cache;
+          let expected =
+            List.filter
+              (fun (k, c) ->
+                not (k = Eligibility.Deadline_moved && not was_eligible.(c)))
+              (Eager.changes r)
+          in
+          if List.rev !log <> expected then fail ();
+          for c = 0 to num_colors - 1 do
+            if
+              Eligibility.is_eligible !e c <> Eager.is_eligible r c
+              || Eligibility.color_deadline !e c <> Eager.color_deadline r c
+              || Eligibility.timestamp !e c <> Eager.timestamp r c
+              || Eligibility.counter !e c <> Eager.counter r c
+              || Eligibility.epochs_ended !e c <> Eager.epochs_ended r c
+            then fail ()
+          done;
+          if
+            Eligibility.epochs_total !e <> Eager.epochs_total r
+            || Eligibility.wrap_events_total !e
+               <> List.fold_left
+                    (fun acc c -> acc + Eager.wrap_events r c)
+                    0
+                    (List.init num_colors Fun.id)
+            || Eligibility.eligible_drops !e <> Eager.eligible_drops r
+            || Eligibility.ineligible_drops !e <> Eager.ineligible_drops r
+            || Eligibility.eligible_colors !e <> Eager.eligible_colors r
+          then fail ();
+          if st.cut then begin
+            let bytes = wire_of Eligibility.save !e in
+            if bytes <> wire_of Eager.save r then fail ();
+            let copy = Eligibility.create instance in
+            Eligibility.load copy
+              (Wire.reader bytes ~pos:0 ~stop:(String.length bytes));
+            if wire_of Eligibility.save copy <> bytes then fail ();
+            listen copy;
+            e := copy
+          end)
+        steps;
+      !ok)
+
+(* [load] refuses a state [save] cannot write: an ineligible color whose
+   timestamp is not its last wrap, the invariant the derived deadlines
+   rest on. *)
+let test_load_refuses_off_wrap () =
+  let instance = Instance.create ~delta:2 ~delay:[| 4 |] ~arrivals:[] () in
+  (* last_round, epochs ended, eligible and ineligible drops, then one
+     color: cnt, dd, flags (ineligible), last_wrap, timestamp, epochs
+     ended, wraps *)
+  let state ~timestamp =
+    let w = Wire.writer () in
+    Wire.add_ints w [| 5; 1; 0; 0; 0; 8; 0; 3; timestamp; 1; 1 |];
+    Wire.contents w
+  in
+  let load bytes =
+    Eligibility.load
+      (Eligibility.create instance)
+      (Wire.reader bytes ~pos:0 ~stop:(String.length bytes))
+  in
+  load (state ~timestamp:3);
+  match load (state ~timestamp:(-1)) with
+  | () -> Alcotest.fail "an ineligible color off its last wrap loaded"
+  | exception Wire.Malformed _ -> ()
 
 let () =
   Alcotest.run "eligibility"
@@ -315,5 +465,11 @@ let () =
             test_idempotent_within_round;
           Alcotest.test_case "listener registration order" `Quick
             test_listener_registration_order;
+        ] );
+      ( "lazy boundaries",
+        [
+          QCheck_alcotest.to_alcotest prop_lazy_matches_eager;
+          Alcotest.test_case "load refuses a color off its wrap" `Quick
+            test_load_refuses_off_wrap;
         ] );
     ]

@@ -125,10 +125,12 @@ let test_view_contents () =
       codec = None;
       reconfigure =
         (fun view ->
-          if view.arrivals <> [] then
-            seen_arrivals := (view.round, view.arrivals) :: !seen_arrivals;
-          if view.dropped <> [] then
-            seen_drops := (view.round, view.dropped) :: !seen_drops;
+          let arrivals = Batch.to_list view.arrivals
+          and dropped = Batch.to_list view.dropped in
+          if arrivals <> [] then
+            seen_arrivals := (view.round, arrivals) :: !seen_arrivals;
+          if dropped <> [] then
+            seen_drops := (view.round, dropped) :: !seen_drops;
           Array.make n Types.black);
     }
   in

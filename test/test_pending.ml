@@ -3,6 +3,17 @@
 
 open Rrs_core
 
+(* [Pending.expire] into a fresh buffer, as a list *)
+let expire p ~now =
+  let out = Batch.create () in
+  Pending.expire p ~now out;
+  Batch.to_list out
+
+let save_bytes p =
+  let w = Wire.writer () in
+  Pending.save p w;
+  Wire.contents w
+
 let test_basics () =
   let p = Pending.create ~num_colors:3 in
   Alcotest.(check int) "num_colors" 3 (Pending.num_colors p);
@@ -48,7 +59,7 @@ let test_flat_accessors_agree () =
   Alcotest.(check bool) "execute drains bucket" true (Pending.execute p 0);
   agree "front bucket gone";
   Alcotest.(check int) "front moved to 7" 7 (Pending.front_deadline p 0);
-  ignore (Pending.expire p ~now:7);
+  ignore (expire p ~now:7);
   agree "after expire";
   Alcotest.(check int) "idle is -1" (-1) (Pending.front_deadline p 0);
   Alcotest.(check bool) "execute on idle is false" false (Pending.execute p 0)
@@ -58,10 +69,9 @@ let test_merge_same_deadline () =
   Pending.add p 0 ~deadline:5 ~count:2;
   Pending.add p 0 ~deadline:5 ~count:3;
   Alcotest.(check int) "merged total" 5 (Pending.total p 0);
-  Alcotest.(check (list (list (pair int int))))
-    "single bucket"
-    [ [ (5, 5) ] ]
-    (Array.to_list (Pending.snapshot p))
+  let single = Pending.create ~num_colors:1 in
+  Pending.add single 0 ~deadline:5 ~count:5;
+  Alcotest.(check string) "single bucket" (save_bytes single) (save_bytes p)
 
 let test_add_validation () =
   let p = Pending.create ~num_colors:1 in
@@ -83,20 +93,20 @@ let test_expire () =
   Alcotest.(check (list (pair int int)))
     "expire at 3"
     [ (0, 2); (1, 4) ]
-    (Pending.expire p ~now:3);
+    (expire p ~now:3);
   Alcotest.(check int) "remaining" 1 (Pending.grand_total p);
-  Alcotest.(check (list (pair int int))) "nothing due" [] (Pending.expire p ~now:4);
+  Alcotest.(check (list (pair int int))) "nothing due" [] (expire p ~now:4);
   Alcotest.(check (list (pair int int)))
     "expire rest"
     [ (0, 1) ]
-    (Pending.expire p ~now:5)
+    (expire p ~now:5)
 
 let test_expire_after_execute () =
   (* the due-heap entry becomes stale when a bucket is fully executed *)
   let p = Pending.create ~num_colors:1 in
   Pending.add p 0 ~deadline:3 ~count:1;
   ignore (Pending.execute_one p 0);
-  Alcotest.(check (list (pair int int))) "no phantom drop" [] (Pending.expire p ~now:3)
+  Alcotest.(check (list (pair int int))) "no phantom drop" [] (expire p ~now:3)
 
 let test_expire_keeps_future_entries () =
   (* the peek-based drain must stop at the first not-yet-due heap entry
@@ -106,11 +116,11 @@ let test_expire_keeps_future_entries () =
   Pending.add p 0 ~deadline:2 ~count:1;
   Pending.add p 1 ~deadline:9 ~count:2;
   Alcotest.(check (list (pair int int)))
-    "only due" [ (0, 1) ] (Pending.expire p ~now:2);
+    "only due" [ (0, 1) ] (expire p ~now:2);
   Alcotest.(check (list (pair int int)))
-    "nothing between" [] (Pending.expire p ~now:8);
+    "nothing between" [] (expire p ~now:8);
   Alcotest.(check (list (pair int int)))
-    "future entry still fires" [ (1, 2) ] (Pending.expire p ~now:9)
+    "future entry still fires" [ (1, 2) ] (expire p ~now:9)
 
 let test_stale_entry_then_live_bucket () =
   (* a stale heap entry (its bucket was fully executed) must neither
@@ -120,9 +130,9 @@ let test_stale_entry_then_live_bucket () =
   Pending.add p 0 ~deadline:8 ~count:1;
   ignore (Pending.execute_one p 0);
   Alcotest.(check (list (pair int int)))
-    "stale entry, no drop" [] (Pending.expire p ~now:3);
+    "stale entry, no drop" [] (expire p ~now:3);
   Alcotest.(check (list (pair int int)))
-    "live bucket drops at its own deadline" [ (0, 1) ] (Pending.expire p ~now:8)
+    "live bucket drops at its own deadline" [ (0, 1) ] (expire p ~now:8)
 
 let test_front_change_notifications () =
   let p = Pending.create ~num_colors:2 in
@@ -143,27 +153,12 @@ let test_front_change_notifications () =
   Alcotest.(check (list int)) "front bucket exhausted: fires" [ 0 ] (take_log ());
   Pending.add p 1 ~deadline:6 ~count:1;
   ignore (take_log ());
-  ignore (Pending.expire p ~now:7);
+  ignore (expire p ~now:7);
   Alcotest.(check (list int))
     "expiry fires per affected color" [ 0; 1 ]
     (List.sort compare (take_log ()));
-  Pending.add p 0 ~deadline:9 ~count:3;
-  ignore (take_log ());
-  Alcotest.(check int) "drop_all count" 3 (Pending.drop_all p 0);
-  Alcotest.(check (list int)) "drop_all fires" [ 0 ] (take_log ());
-  Alcotest.(check int) "drop_all on idle is silent" 0 (Pending.drop_all p 1);
-  Alcotest.(check (list int)) "no event" [] (take_log ())
-
-let test_drop_all () =
-  let p = Pending.create ~num_colors:2 in
-  Pending.add p 0 ~deadline:3 ~count:2;
-  Pending.add p 0 ~deadline:6 ~count:3;
-  Alcotest.(check int) "drop_all" 5 (Pending.drop_all p 0);
-  Alcotest.(check int) "drop_all idle" 0 (Pending.drop_all p 1);
-  Alcotest.(check int) "empty after" 0 (Pending.grand_total p);
-  (* after drop_all, earlier deadlines may be enqueued again *)
-  Pending.add p 0 ~deadline:2 ~count:1;
-  Alcotest.(check int) "reusable" 1 (Pending.total p 0)
+  ignore (expire p ~now:8);
+  Alcotest.(check (list int)) "expiring nothing is silent" [] (take_log ())
 
 let test_iter_nonidle () =
   let p = Pending.create ~num_colors:4 in
@@ -174,9 +169,14 @@ let test_iter_nonidle () =
   Alcotest.(check (list (pair int int))) "ascending colors" [ (0, 2); (2, 1) ]
     (List.rev !seen)
 
-(* Model-based property: interleave adds / executes / expires and compare
-   against a naive per-color list-of-jobs model.  Deadlines within a color
-   are generated nondecreasing by construction (monotone clock). *)
+(* Model-based property: interleave adds / executes / expiries /
+   save-load round trips and compare against a naive per-color
+   list-of-jobs model.  Deadlines are [now + delay] with a monotone
+   clock, so they are nondecreasing per color; delays up to 24 keep up
+   to 24 live buckets per color, which grows the rings past their
+   first capacities, while executions and expiries move their fronts
+   around the ring.  Ticks of up to 3 rounds expire several deadlines
+   at once, so the due heap pops colors out of color order. *)
 let prop_model =
   let open QCheck in
   let op =
@@ -184,23 +184,49 @@ let prop_model =
       [
         map (fun (c, n) -> `Add (c, n)) (pair (int_bound 2) (int_range 1 4));
         map (fun c -> `Execute c) (int_bound 2);
-        always `Tick;
-        map (fun c -> `Drop_all c) (int_bound 2);
+        map (fun k -> `Tick k) (int_range 1 3);
+        always `Save_load;
       ]
   in
-  Test.make ~count:300 ~name:"pending matches a naive model" (list op)
-    (fun ops ->
-      let p = Pending.create ~num_colors:3 in
+  let delays = triple (int_range 1 24) (int_range 1 24) (int_range 1 24) in
+  Test.make ~count:300 ~name:"pending matches a naive model"
+    (pair delays (list_of_size Gen.(0 -- 300) op))
+    (fun ((d0, d1, d2), ops) ->
+      let delay = [| d0; d1; d2 |] in
+      let p = ref (Pending.create ~num_colors:3) in
       let model = Array.make 3 [] in
       (* model.(c) is a deadline-ascending list of unit jobs *)
       let now = ref 0 in
       let ok = ref true in
+      (* the save layout, from the model: buckets are runs of equal
+         deadlines *)
+      let model_bytes () =
+        let buckets =
+          Array.map
+            (fun jobs ->
+              List.rev
+                (List.fold_left
+                   (fun acc d ->
+                     match acc with
+                     | (d', k) :: rest when d' = d -> (d, k + 1) :: rest
+                     | _ -> (d, 1) :: acc)
+                   [] jobs))
+            model
+        in
+        let all = List.concat (Array.to_list buckets) in
+        let w = Wire.writer () in
+        Wire.add_ints w
+          (Array.of_list
+             (Array.to_list (Array.map List.length buckets)
+             @ List.map fst all @ List.map snd all));
+        Wire.contents w
+      in
       List.iter
         (fun op ->
           match op with
           | `Add (c, n) ->
-              let deadline = !now + 3 in
-              Pending.add p c ~deadline ~count:n;
+              let deadline = !now + delay.(c) in
+              Pending.add !p c ~deadline ~count:n;
               model.(c) <- model.(c) @ List.init n (fun _ -> deadline)
           | `Execute c -> (
               let expected =
@@ -210,13 +236,13 @@ let prop_model =
                     model.(c) <- rest;
                     Some d
               in
-              match (Pending.execute_one p c, expected) with
+              match (Pending.execute_one !p c, expected) with
               | Some d, Some d' when d = d' -> ()
               | None, None -> ()
               | _ -> ok := false)
-          | `Tick ->
-              incr now;
-              let dropped = Pending.expire p ~now:!now in
+          | `Tick k ->
+              now := !now + k;
+              let dropped = expire !p ~now:!now in
               let expected = ref [] in
               Array.iteri
                 (fun c jobs ->
@@ -224,17 +250,24 @@ let prop_model =
                   model.(c) <- List.filter (fun d -> d > !now) jobs;
                   if gone <> [] then expected := (c, List.length gone) :: !expected)
                 model;
-              if dropped <> List.sort compare !expected then ok := false
-          | `Drop_all c ->
-              let n = Pending.drop_all p c in
-              if n <> List.length model.(c) then ok := false;
-              model.(c) <- [])
+              (* color-ascending, straight from the buffer *)
+              if dropped <> List.rev !expected then ok := false
+          | `Save_load ->
+              let bytes = save_bytes !p in
+              if bytes <> model_bytes () then ok := false;
+              let fresh = Pending.create ~num_colors:3 in
+              Pending.load fresh
+                (Wire.reader bytes ~pos:0 ~stop:(String.length bytes));
+              if save_bytes fresh <> bytes then ok := false;
+              p := fresh)
         ops;
       List.iter
         (fun c ->
-          if Pending.total p c <> List.length model.(c) then ok := false)
+          if Pending.total !p c <> List.length model.(c) then ok := false;
+          let front = match model.(c) with [] -> -1 | d :: _ -> d in
+          if Pending.front_deadline !p c <> front then ok := false)
         [ 0; 1; 2 ];
-      !ok)
+      !ok && save_bytes !p = model_bytes ())
 
 let () =
   Alcotest.run "pending"
@@ -248,7 +281,6 @@ let () =
           Alcotest.test_case "expire" `Quick test_expire;
           Alcotest.test_case "stale heap entries" `Quick
             test_expire_after_execute;
-          Alcotest.test_case "drop_all" `Quick test_drop_all;
           Alcotest.test_case "iter_nonidle" `Quick test_iter_nonidle;
           Alcotest.test_case "expire keeps future entries" `Quick
             test_expire_keeps_future_entries;

@@ -218,8 +218,8 @@ let test_raising_query_leaves_stack_balanced () =
         {
           Policy.round = 0;
           mini_round = 0;
-          arrivals = [ (0, 2); (1, 1) ];
-          dropped = [];
+          arrivals = Batch.of_list [ (0, 2); (1, 1) ];
+          dropped = Batch.create ();
           cache = [||];
           pending;
         }

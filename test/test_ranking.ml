@@ -18,8 +18,8 @@ let begin_round elig pending ~round ~arrivals ~cached =
     {
       Policy.round;
       mini_round = 0;
-      arrivals;
-      dropped = [];
+      arrivals = Batch.of_list arrivals;
+      dropped = Batch.create ();
       cache = [||];
       pending;
     }

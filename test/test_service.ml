@@ -277,6 +277,13 @@ let test_feed_guards () =
   Session.step s;
   expect "past round" (`Round_in_past (1, 2))
     (Session.feed s ~round:1 ~color:0 ~count:1);
+  (* round + delay must stay a packable rank-key deadline *)
+  let last = Packed.max_deadline - 5 in
+  expect "deadline limit"
+    (`Deadline_beyond_limit (last + 1, 0, Packed.max_deadline))
+    (Session.feed s ~round:(last + 1) ~color:0 ~count:1);
+  Alcotest.(check bool) "last feedable round" true
+    (Session.feed s ~round:last ~color:0 ~count:1 = Ok ());
   (* a preloaded session takes no feed *)
   let instance =
     Instance.create ~delta:2 ~delay:[| 4 |]
@@ -292,6 +299,66 @@ let test_feed_guards () =
   (match Session.reconfigure p ~n:4 () with
   | Error `No_factory -> ()
   | _ -> Alcotest.fail "of_instance reconfigure should need a factory")
+
+(* A session whose round is [round]: a fresh session's saved state with
+   the round field (the second int of Session.save) replaced. *)
+let session_at_round ~round =
+  let cfg = Engine.config ~n:4 () in
+  let fresh = Session.create cfg ~delta:2 ~delay:[| 4; 8 |] Lru_edf.policy in
+  let w = Wire.writer () in
+  Session.save fresh w;
+  let saved = Wire.contents w in
+  let r = Wire.reader saved ~pos:0 ~stop:(String.length saved) in
+  let version = Wire.int r in
+  ignore (Wire.int r);
+  (* the rest starts where the round ended: re-encode the two ints to
+     find that offset *)
+  let head = Wire.writer () in
+  Wire.add_int head version;
+  Wire.add_int head 0;
+  let rest =
+    String.sub saved (Wire.length head) (String.length saved - Wire.length head)
+  in
+  let spliced = Wire.writer () in
+  Wire.add_int spliced version;
+  Wire.add_int spliced round;
+  Wire.add_string spliced rest;
+  let bytes = Wire.contents spliced in
+  match
+    Session.load cfg Lru_edf.policy
+      (Wire.reader bytes ~pos:0 ~stop:(String.length bytes))
+  with
+  | Ok s -> s
+  | Error msg -> Alcotest.failf "load at round %d: %s" round msg
+
+let save_bytes s =
+  let w = Wire.writer () in
+  Session.save s w;
+  Wire.contents w
+
+(* A step that would execute a round whose deadlines pass the packed
+   rank-key field is refused before anything mutates: the session's
+   saved state is unchanged and it can still step up to the limit. *)
+let test_round_limit () =
+  let last = Packed.max_deadline - 8 - 1 in
+  let s = session_at_round ~round:(last - 1) in
+  let before = save_bytes s in
+  (match Session.check_step s ~rounds:3 with
+  | Error (`Round_limit (round, limit)) ->
+      Alcotest.(check (pair int int)) "first refused round, last round"
+        (last + 1, last) (round, limit)
+  | _ -> Alcotest.fail "a step past the limit was accepted");
+  Alcotest.(check string) "check mutates nothing" before (save_bytes s);
+  Alcotest.(check bool) "feed the last round" true
+    (Session.feed s ~round:last ~color:1 ~count:3 = Ok ());
+  Session.step s;
+  Session.step s;
+  Alcotest.(check int) "stepped to the limit" (last + 1) (Session.round s);
+  let at_limit = save_bytes s in
+  (match Session.step s with
+  | () -> Alcotest.fail "step past the limit ran"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check string) "refused step mutates nothing" at_limit (save_bytes s)
 
 let test_reconfigure_guards () =
   let s = fresh_session () in
@@ -491,6 +558,37 @@ let run_server config script =
   Sys.remove in_path;
   Sys.remove out_path;
   (code, output)
+
+(* The same limits over the protocol: the submit is refused with a
+   typed reply, and a step that would cross the limit is refused whole
+   — the session stays at round 0, unwedged, with the one acked op. *)
+let test_deadline_limit_served () =
+  let code, output =
+    run_server Server.default_config
+      "submit 8388606 0 1
+submit 8388599 0 1
+step 8388607
+state
+step 2
+"
+  in
+  Alcotest.(check int) "served" 0 code;
+  let starts prefix line =
+    String.length line >= String.length prefix
+    && String.sub line 0 (String.length prefix) = prefix
+  in
+  let nth i = List.nth output i in
+  Alcotest.(check bool) "submit refused" true (starts "err submit: " (nth 1));
+  Alcotest.(check bool) "in-range submit acked" true (starts "ok submitted" (nth 2));
+  Alcotest.(check bool) "step refused" true (starts "err step: " (nth 3));
+  Alcotest.(check bool) "refusal names the limit" true
+    (List.mem
+       (Printf.sprintf "%d)" Packed.max_deadline)
+       (String.split_on_char ' ' (nth 3)));
+  Alcotest.(check bool) "nothing stepped" true
+    (starts {|{"type":"serve_state","version":1,"ops":1,"round":0,|} (nth 4));
+  Alcotest.(check string) "session still steps" "ok stepped 2 rounds to round 2"
+    (nth 5)
 
 let submit_ops instance =
   let stream = Stream.of_instance instance in
@@ -2041,6 +2139,10 @@ let () =
           Alcotest.test_case "reductions identical to batch" `Quick
             test_stream_reductions;
           Alcotest.test_case "feed guards" `Quick test_feed_guards;
+          Alcotest.test_case "round limit refuses whole" `Quick
+            test_round_limit;
+          Alcotest.test_case "deadline limit over the protocol" `Quick
+            test_deadline_limit_served;
           Alcotest.test_case "reconfigure guards" `Quick
             test_reconfigure_guards;
           Alcotest.test_case "scale guard" `Quick test_scale_guard;

@@ -303,6 +303,78 @@ let test_not_checkpointable () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "saved a session that is not checkpointable"
 
+(* The future-batch table against a per-round list model.  Rounds fed
+   ahead by multiples of the initial table size collide in one probe
+   run, so taking a round in the middle of a run exercises the
+   backward-shift deletion; [Save] compares the bytes with the layout
+   written from the model (rounds ascending, batches in feed order). *)
+let prop_future_batches =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          ( 6,
+            map3
+              (fun ahead color count -> `Add (ahead, color, count))
+              (oneof
+                 [
+                   int_range 0 9;
+                   map (fun k -> 64 * k) (int_range 1 4);
+                   int_range 0 300;
+                 ])
+              (int_bound 7) (int_range 1 5) );
+          (3, return `Take);
+          (1, return `Save);
+        ])
+  in
+  Test.make ~count:300 ~name:"future batches match a per-round list model"
+    (make (Gen.list_size Gen.(0 -- 400) op))
+    (fun ops ->
+      let t = Future_batches.create () in
+      let model = Hashtbl.create 16 in
+      let round = ref 0 in
+      let out = Batch.create () in
+      let batch r = Option.value ~default:[] (Hashtbl.find_opt model r) in
+      let model_bytes () =
+        let rounds =
+          List.sort compare (Hashtbl.fold (fun r _ acc -> r :: acc) model [])
+        in
+        let batches = List.map (fun r -> List.rev (batch r)) rounds in
+        let all = List.concat batches in
+        let w = Wire.writer () in
+        Wire.add_int w (List.length rounds);
+        Wire.add_ints w
+          (Array.of_list
+             (rounds @ List.map List.length batches @ List.map fst all
+             @ List.map snd all));
+        Wire.contents w
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | `Add (ahead, color, count) ->
+              let r = !round + ahead in
+              Future_batches.add t ~round:r ~color ~count;
+              Hashtbl.replace model r ((color, count) :: batch r);
+              Future_batches.mem t r
+          | `Take ->
+              Future_batches.take t ~round:!round out;
+              let expected = List.rev (batch !round) in
+              Hashtbl.remove model !round;
+              incr round;
+              Batch.to_list out = expected
+              && Future_batches.jobs t
+                 = Hashtbl.fold
+                     (fun _ b acc ->
+                       List.fold_left (fun acc (_, k) -> acc + k) acc b)
+                     model 0
+          | `Save ->
+              let w = Wire.writer () in
+              Future_batches.save t w;
+              Wire.contents w = model_bytes ())
+        ops)
+
 let () =
   Alcotest.run "session_state"
     [
@@ -314,6 +386,7 @@ let () =
       ( "arrivals",
         [
           QCheck_alcotest.to_alcotest prop_future_arrivals;
+          QCheck_alcotest.to_alcotest prop_future_batches;
           Alcotest.test_case "preloaded" `Quick test_preloaded_future_arrivals;
         ] );
       ( "wire",
