@@ -6,7 +6,7 @@
                --pair bench/baselines/BENCH_robust.json:BENCH_robust.json \
                --report benchdiff.txt
 
-   This is the one front end of Rrs_obs.Benchdiff, which holds the
+   This is the one front end of Rrs_benchdiff, which holds the
    comparison semantics: deterministic metrics compare exactly,
    machine-relative ratios tightly, absolute rates loosely, wall clock
    never.  See doc/PERFORMANCE.md, "The regression gate". *)
@@ -44,13 +44,13 @@ let () =
     (fun (baseline, current) ->
       Buffer.add_string buf
         (Printf.sprintf "=== %s vs %s ===\n" baseline current);
-      match Rrs_obs.Benchdiff.compare_files ~baseline ~current () with
+      match Rrs_benchdiff.compare_files ~baseline ~current () with
       | Error msg ->
           failed := true;
           Buffer.add_string buf (Printf.sprintf "ERROR: %s\n" msg)
       | Ok r ->
-          if not (Rrs_obs.Benchdiff.ok r) then failed := true;
-          Buffer.add_string buf (Rrs_obs.Benchdiff.render r))
+          if not (Rrs_benchdiff.ok r) then failed := true;
+          Buffer.add_string buf (Rrs_benchdiff.render r))
     (List.rev !pairs);
   let text = Buffer.contents buf in
   print_string text;

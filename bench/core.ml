@@ -160,7 +160,11 @@ let run_scaling oc =
         Engine.Session.of_instance (Engine.config ~n:!n ()) instance
           (Lru_edf.policy instance ~n:!n)
       in
+      (* the runtime adds a direct major allocation to the counters at
+         the next minor collection, so collecting first keeps each one
+         in the window where it was made *)
       let gc_words () =
+        Gc.minor ();
         let { Gc.promoted_words; major_words; _ } = Gc.quick_stat () in
         [| Gc.minor_words (); promoted_words; major_words |]
       in

@@ -30,7 +30,7 @@
 open Rrs_core
 module Families = Rrs_workload.Families
 module Registry = Rrs_experiments.Registry
-module Fault = Rrs_robust.Fault
+module Fault = Rrs_fault
 module Supervisor = Rrs_robust.Supervisor
 module Watchdog = Rrs_robust.Watchdog
 module Sink = Rrs_obs.Sink

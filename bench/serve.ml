@@ -250,8 +250,7 @@ let durability () =
   let session = steady_session () in
   let header =
     {
-      Journal.version = Journal.header_version;
-      policy = "dlru-edf";
+      Journal.policy = "dlru-edf";
       n = !n;
       delta = 4;
       delay = Array.make !colors 16;

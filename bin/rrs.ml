@@ -224,12 +224,12 @@ let policy_id = function
   | `Round_robin -> "round-robin"
 
 (* The ΔLRU family also streams the analysis layer: eligibility events
-   via [make ~sink] and super-epoch completions (m = n/8, the Theorem 1
-   offline adversary) via an attached observer. *)
-let with_analysis sink ~n ({ policy; eligibility } : Lru_edf.instrumented) =
+   via [make ~sink], and super-epoch completions (m = n/8, the Theorem 1
+   offline adversary) from a consumer of their timestamp updates. *)
+let analysis_sink sink ~n =
   if Rrs_obs.Sink.enabled sink then
-    ignore (Super_epochs.attach ~sink eligibility ~m:(max 1 (n / 8)));
-  policy
+    Super_epochs.attach (Super_epochs.create ~m:(max 1 (n / 8))) sink
+  else sink
 
 let simulate family seed n policy validate metrics_file trace_file
     save_instance colors profile_file heartbeat_file heartbeat_every =
@@ -325,14 +325,11 @@ let simulate family seed n policy validate metrics_file trace_file
         let r, seconds, alloc =
           match policy with
           | `Lru_edf ->
-              run_plain
-                (with_analysis sink ~n
-                   (Lru_edf.make ~sink ?registry instance ~n))
+              let sink = analysis_sink sink ~n in
+              run_plain (Lru_edf.make ~sink ?registry instance ~n).policy
           | `Dlru ->
-              let { Delta_lru.policy; eligibility } =
-                Delta_lru.make ~sink ?registry instance ~n
-              in
-              run_plain (with_analysis sink ~n { Lru_edf.policy; eligibility })
+              let sink = analysis_sink sink ~n in
+              run_plain (Delta_lru.make ~sink ?registry instance ~n).policy
           | `Edf -> run_plain (Edf_policy.make ~sink ?registry instance ~n).policy
           | `Seq_edf ->
               run_plain (Edf_policy.make_seq ~sink ?registry instance ~n).policy

@@ -31,9 +31,10 @@ let make_scheme ?sink ?registry ~name ~replicated ~distinct_slots
     Eligibility.begin_round eligibility ~view ~in_cache;
     let idx = index view.pending in
     let top = Ranking.Index.ranked_prefix_into idx ~k:distinct_slots ~out:top_buf in
-    (* candidates: currently cached colors, plus the top-ranked nonidle
-       eligible colors not yet cached; all priced by their live packed
-       rank key (identical to what key_of_color computes) *)
+    (* candidates: currently cached colors, plus the top-ranked colors
+       (the index ranks only nonidle eligible ones) not yet cached; all
+       priced by their live packed rank key (identical to what
+       key_of_color computes) *)
     let ncand = ref 0 in
     let slots = Cache_state.live_slots cache in
     for s = 0 to Array.length slots - 1 do
@@ -46,9 +47,8 @@ let make_scheme ?sink ?registry ~name ~replicated ~distinct_slots
     done;
     for i = 0 to top - 1 do
       let c = top_buf.(i) in
-      let key = Ranking.Index.rank_key idx c in
-      if Ranking.is_nonidle_eligible key && not (Cache_state.mem cache c) then begin
-        cand.(!ncand) <- (key :> int);
+      if not (Cache_state.mem cache c) then begin
+        cand.(!ncand) <- (Ranking.Index.rank_key idx c :> int);
         incr ncand
       end
     done;

@@ -12,12 +12,7 @@ type color_info = {
   mutable wrap_events : int;
 }
 
-type change =
-  | Became_eligible
-  | Became_ineligible
-  | Deadline_moved
-  | Timestamp_bumped
-  | Wrapped
+type change = Became_eligible | Became_ineligible | Timestamp_bumped
 
 type t = {
   delta : int;
@@ -29,13 +24,7 @@ type t = {
   mutable total_epochs_ended : int;
   mutable eligible_drops : int;
   mutable ineligible_drops : int;
-  (* listeners stored in registration order once, iterated by index
-     without allocating (no List.rev per event, no l @ [f] per
-     registration) *)
-  mutable timestamp_listeners : (int -> int -> unit) array;
-  mutable timestamp_listener_count : int;
-  mutable change_listeners : (change -> Types.color -> unit) array;
-  mutable change_listener_count : int;
+  mutable on_change : change -> Types.color -> unit;
   sink : Rrs_obs.Sink.t;
   tracing : bool;
 }
@@ -71,41 +60,12 @@ let create ?(sink = Rrs_obs.Sink.null) (instance : Instance.t) =
     total_epochs_ended = 0;
     eligible_drops = 0;
     ineligible_drops = 0;
-    timestamp_listeners = [||];
-    timestamp_listener_count = 0;
-    change_listeners = [||];
-    change_listener_count = 0;
+    on_change = (fun _ _ -> ());
     sink;
     tracing = Rrs_obs.Sink.enabled sink;
   }
 
-let append listeners count f =
-  if count = Array.length listeners then begin
-    let bigger = Array.make (Stdlib.max 4 (2 * count)) f in
-    Array.blit listeners 0 bigger 0 count;
-    bigger
-  end
-  else begin
-    listeners.(count) <- f;
-    listeners
-  end
-
-let on_change t f =
-  let a = append t.change_listeners t.change_listener_count f in
-  a.(t.change_listener_count) <- f;
-  t.change_listeners <- a;
-  t.change_listener_count <- t.change_listener_count + 1
-
-let on_timestamp_update t f =
-  let a = append t.timestamp_listeners t.timestamp_listener_count f in
-  a.(t.timestamp_listener_count) <- f;
-  t.timestamp_listeners <- a;
-  t.timestamp_listener_count <- t.timestamp_listener_count + 1
-
-let notify t change color =
-  for i = 0 to t.change_listener_count - 1 do
-    (Array.unsafe_get t.change_listeners i) change color
-  done
+let on_change t f = t.on_change <- f
 
 (* An ineligible color has [timestamp = last_wrap]: it lost eligibility
    at a boundary, which synced the timestamp first, and the wrap that
@@ -133,10 +93,7 @@ let process_boundary t ~round ~in_cache color =
     if t.tracing then
       Rrs_obs.Sink.emit t.sink
         (Rrs_obs.Event.Timestamp_update { round; color });
-    for i = 0 to t.timestamp_listener_count - 1 do
-      (Array.unsafe_get t.timestamp_listeners i) color round
-    done;
-    notify t Timestamp_bumped color
+    t.on_change Timestamp_bumped color
   end;
   if ci.eligible && not (in_cache color) then begin
     ci.eligible <- false;
@@ -148,12 +105,11 @@ let process_boundary t ~round ~in_cache color =
       Rrs_obs.Sink.emit t.sink
         (Rrs_obs.Event.Epoch_close
            { round; color; epochs_ended = ci.epochs_ended });
-    notify t Became_ineligible color
+    t.on_change Became_ineligible color
   end;
   ci.dd <- round + t.delay.(color);
   if ci.eligible then
-    Rrs_dstruct.Int_heap.add t.boundary (Packed.pack_pair ~value:ci.dd ~color);
-  notify t Deadline_moved color
+    Rrs_dstruct.Int_heap.add t.boundary (Packed.pack_pair ~value:ci.dd ~color)
 
 let process_arrival t ~round color count =
   if count > 0 then begin
@@ -177,7 +133,6 @@ let process_arrival t ~round color count =
         Rrs_obs.Sink.emit t.sink
           (Rrs_obs.Event.Credit { round; color; amount = t.delta })
       end;
-      notify t Wrapped color;
       if not ci.eligible then begin
         (* this round's boundaries are done, so the derived deadline is
            the one the color's window grid gives after [round] *)
@@ -185,7 +140,7 @@ let process_arrival t ~round color count =
         ci.eligible <- true;
         Rrs_dstruct.Int_heap.add t.boundary
           (Packed.pack_pair ~value:ci.dd ~color);
-        notify t Became_eligible color
+        t.on_change Became_eligible color
       end
     end
   end

@@ -8,8 +8,9 @@
     so double-speed policies (two mini-rounds) stay correct.
 
     Only eligible colors are visited at their window boundaries (a
-    heap of their deadlines); see {!change} for why an ineligible
-    color needs no visit.
+    heap of their deadlines): an ineligible color's boundaries only
+    move its deadline, which is derived when read ({!color_deadline};
+    doc/ALGORITHMS.md §2).
 
     Life of a color [ℓ] (delay bound [D], reconfiguration cost [Δ]):
     - at every multiple of [D] (drop phase): the timestamp becomes the
@@ -58,44 +59,28 @@ val eligible_colors : t -> Types.color list
 
 (** {2 Change notifications} *)
 
-(** The typed per-color state transitions, published as they happen so
-    consumers (the incremental ranking {!Ranking.Index}, telemetry) can
-    pay only for state that changed instead of re-deriving color lists
-    every round.  Each kind names the input of the EDF/ΔLRU rank keys
-    that just changed for the color passed with it:
+(** The per-color transitions that move a rank key of {!Ranking.Index},
+    published as they happen so the index pays only for state that
+    changed instead of re-deriving color lists every round:
     - [Became_eligible]/[Became_ineligible]: the eligibility flag
       flipped (arrival-phase wrap / drop-phase epoch end);
-    - [Deadline_moved]: the color deadline [ℓ.dd] advanced to the end
-      of a new batch window.  It fires at the window boundaries of the
-      colors that are eligible when the boundary comes (including one
-      that turns ineligible there, after its [Became_ineligible]).  An
-      ineligible color's boundaries only move [ℓ.dd] and publish
-      nothing: its deadline is derived when read ({!color_deadline});
-    - [Timestamp_bumped]: the ΔLRU timestamp took a new value;
-    - [Wrapped]: a counter wrapping event (no rank-key change by
-      itself; exposed for completeness and telemetry). *)
-type change =
-  | Became_eligible
-  | Became_ineligible
-  | Deadline_moved
-  | Timestamp_bumped
-  | Wrapped
+    - [Timestamp_bumped]: the ΔLRU timestamp took a new value (the
+      timestamp update event of Section 3.4, also emitted to the sink
+      as [Timestamp_update], which {!Super_epochs} consumes).
+
+    Window boundaries move the color deadline [ℓ.dd] without a
+    notification: the index ranks only nonidle eligible colors, whose
+    key holds their earliest pending deadline, not [ℓ.dd]. *)
+type change = Became_eligible | Became_ineligible | Timestamp_bumped
 
 val on_change : t -> (change -> Types.color -> unit) -> unit
-(** Register a listener called synchronously at every {!change}, with
-    the color it concerns, after the state mutation it describes
-    (reading the [Eligibility.t] from the listener sees the new state).
-    A notification allocates nothing.  Listeners run in registration
-    order and must not call {!begin_round}. *)
+(** Make [f] the one subscriber called synchronously at every
+    {!change}, with the color it concerns, after the state mutation it
+    describes (reading the [Eligibility.t] from [f] sees the new
+    state).  A later call replaces the subscriber.  A notification
+    allocates nothing; [f] must not call {!begin_round}. *)
 
 (** {2 Analysis instrumentation} *)
-
-val on_timestamp_update : t -> (Types.color -> Types.round -> unit) -> unit
-(** Register a listener called at every {e timestamp update event}
-    (Section 3.4): the drop-phase moment a color's timestamp changes
-    value.  Listeners drive the super-epoch bookkeeping
-    ({!Super_epochs}); multiple listeners are called in registration
-    order. *)
 
 val epochs_total : t -> int
 (** [numEpochs] so far: completed epochs plus, per color, one incomplete
@@ -119,7 +104,7 @@ val save : t -> Wire.writer -> unit
 
 val load : t -> Wire.reader -> unit
 (** Overwrite the state of a fresh [t], built from the same instance
-    parameters, with what {!save} wrote.  Fires no listener.  An
+    parameters, with what {!save} wrote.  Notifies nothing.  An
     ineligible color whose timestamp is not its last wrap is refused
     as malformed: {!save} cannot write one.
     @raise Wire.Malformed or [Invalid_argument] on input {!save} cannot

@@ -49,10 +49,10 @@ let make_tuned ?sink ?registry ~lru_slots:quota ~distinct_slots ~replicated
     for i = 0 to lru_len - 1 do
       is_lru.(lru_buf.(i)) <- true
     done;
-    (* EDF component: rank the eligible non-LRU colors; the nonidle ones
-       in the top [edf_quota] rankings that are not cached come in
-       ([excluded] upper-bounds the LRU colors the rank prefix may
-       contain) *)
+    (* EDF component: the top [edf_quota] nonidle eligible non-LRU
+       colors (the index ranks only nonidle eligible ones) that are not
+       cached come in ([excluded] upper-bounds the LRU colors the rank
+       prefix may contain) *)
     let edf_len =
       Ranking.Index.ranked_prefix_excluding_into idx ~k:edf_quota
         ~excluded:lru_len ~exclude ~out:edf_buf
@@ -71,10 +71,8 @@ let make_tuned ?sink ?registry ~lru_slots:quota ~distinct_slots ~replicated
     done;
     for i = 0 to edf_len - 1 do
       let c = edf_buf.(i) in
-      let key = Ranking.key_of_color eligibility view.pending ~delay c in
-      if Ranking.is_nonidle_eligible key && not (Cache_state.mem cache c)
-      then begin
-        cand.(!ncand) <- (key :> int);
+      if not (Cache_state.mem cache c) then begin
+        cand.(!ncand) <- (Ranking.Index.rank_key idx c :> int);
         incr ncand
       end
     done;

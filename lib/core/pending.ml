@@ -11,9 +11,7 @@ type t = {
   due : Rrs_dstruct.Int_heap.t; (* packed (deadline, color), lazy *)
   mutable grand_total : int;
   mutable nonidle : int;
-  (* listeners in registration order, iterated without allocating *)
-  mutable front_listeners : (int -> unit) array;
-  mutable front_listener_count : int;
+  mutable on_front_change : int -> unit;
 }
 
 let create ~num_colors =
@@ -27,24 +25,10 @@ let create ~num_colors =
     due = Rrs_dstruct.Int_heap.create ();
     grand_total = 0;
     nonidle = 0;
-    front_listeners = [||];
-    front_listener_count = 0;
+    on_front_change = ignore;
   }
 
-let on_front_change t f =
-  let n = t.front_listener_count in
-  if n = Array.length t.front_listeners then begin
-    let bigger = Array.make (Stdlib.max 4 (2 * n)) f in
-    Array.blit t.front_listeners 0 bigger 0 n;
-    t.front_listeners <- bigger
-  end;
-  t.front_listeners.(n) <- f;
-  t.front_listener_count <- n + 1
-
-let notify_front t color =
-  for i = 0 to t.front_listener_count - 1 do
-    (Array.unsafe_get t.front_listeners i) color
-  done
+let on_front_change t f = t.on_front_change <- f
 
 let num_colors t = Array.length t.rings
 
@@ -95,7 +79,7 @@ let add t color ~deadline ~count =
     (* the front (earliest deadline / idleness) only changes when the
        ring was empty; appends behind an existing front are invisible
        to deadline-keyed consumers *)
-    if len = 0 then notify_front t color
+    if len = 0 then t.on_front_change color
   end
 
 let total t color = t.totals.(color)
@@ -128,7 +112,7 @@ let execute t color =
     let exhausted = ring.(c) = 0 in
     if exhausted then pop_front t color;
     bump t color (-1);
-    if exhausted then notify_front t color;
+    if exhausted then t.on_front_change color;
     true
   end
 
@@ -147,7 +131,7 @@ let expire_color t color ~now =
   done;
   if !dropped > 0 then begin
     bump t color (- !dropped);
-    notify_front t color
+    t.on_front_change color
   end;
   !dropped
 

@@ -62,20 +62,21 @@ val iter_nonidle : t -> (Types.color -> int -> unit) -> unit
     color in ascending color order; O(num_colors). *)
 
 val on_front_change : t -> (Types.color -> unit) -> unit
-(** Register a listener called whenever a color's {e front} changes:
-    its earliest pending deadline moved or its idleness flipped (first
-    bucket created, front bucket consumed or expired).
+(** Make [f] the one subscriber called whenever a color's {e front}
+    changes: its earliest pending deadline moved or its idleness
+    flipped (first bucket created, front bucket consumed or expired).
     Appends behind an existing front do {e not} fire — they are
     invisible to deadline-keyed consumers.  This is the delta feed the
-    incremental ranking ({!Ranking.Index}) and incremental Par-EDF are
-    driven by; listeners run in registration order and must not mutate
-    the [Pending.t] they observe. *)
+    incremental ranking ({!Ranking.Index}) and Par-EDF are driven by.
+    A later call replaces the subscriber, so a policy re-instantiated
+    over the same store takes the feed over from the one it replaces.
+    [f] must not mutate the [Pending.t] it observes. *)
 
 val save : t -> Wire.writer -> unit
 (** The pending buckets of every color, front first. *)
 
 val load : t -> Wire.reader -> unit
 (** Enqueue what {!save} wrote into a fresh, empty store, notifying the
-    front listeners as {!add} does.
+    front subscriber as {!add} does.
     @raise Wire.Malformed or [Invalid_argument] on input {!save} cannot
     have written. *)

@@ -31,8 +31,6 @@ let key_of_color elig pending ~delay color =
         ~color
   end
 
-let is_nonidle_eligible k = Packed.key_klass k = 0
-
 module Index = struct
   module Iheap = Rrs_dstruct.Int_indexed_heap
 
@@ -40,7 +38,7 @@ module Index = struct
     elig : Eligibility.t;
     pending : Pending.t;
     delay : int array;
-    rank : Iheap.t; (* eligible colors, by packed EDF rank key *)
+    rank : Iheap.t; (* nonidle eligible colors, by packed EDF rank key *)
     recency : Iheap.t; (* eligible colors, by packed (-ts, id) *)
     counter : Rrs_obs.Metrics.counter option;
     mutable updates : int;
@@ -51,17 +49,27 @@ module Index = struct
     t.updates <- t.updates + 1;
     match t.counter with Some c -> Rrs_obs.Metrics.inc c 1 | None -> ()
 
-  (* Both heaps hold exactly the eligible colors; keys are recomputed
-     from the live Eligibility/Pending state at every refresh, so a heap
-     priority is always the packed form of the tuple [key_of_color]
-     computes.  [Iheap.update] inserts absent keys, which makes refresh
-     idempotent. *)
-  let refresh_rank t color =
-    if Eligibility.is_eligible t.elig color then begin
-      Iheap.update t.rank color
-        (key_of_color t.elig t.pending ~delay:t.delay color);
+  let remove heap t color =
+    if Iheap.mem heap color then begin
+      Iheap.remove heap color;
       tick t
     end
+
+  (* [rank] holds exactly the nonidle eligible colors, [recency] exactly
+     the eligible ones; keys are recomputed from the live
+     Eligibility/Pending state at every refresh, so a rank priority is
+     always the klass-0 key [key_of_color] computes.  [Iheap.update]
+     inserts absent keys, which makes refresh idempotent. *)
+  let refresh_rank t color =
+    let deadline = Pending.front_deadline t.pending color in
+    if deadline >= 0 && Eligibility.is_eligible t.elig color then begin
+      Iheap.update t.rank color
+        (Packed.pack_key ~klass:0 ~deadline
+           ~delay:(Array.unsafe_get t.delay color)
+           ~color);
+      tick t
+    end
+    else remove t.rank t color
 
   let refresh_recency t color =
     if Eligibility.is_eligible t.elig color then begin
@@ -69,16 +77,6 @@ module Index = struct
         (Packed.pack_recency
            ~timestamp:(Eligibility.timestamp t.elig color)
            ~color);
-      tick t
-    end
-
-  let drop t color =
-    if Iheap.mem t.rank color then begin
-      Iheap.remove t.rank color;
-      tick t
-    end;
-    if Iheap.mem t.recency color then begin
-      Iheap.remove t.recency color;
       tick t
     end
 
@@ -117,10 +115,10 @@ module Index = struct
         | Eligibility.Became_eligible ->
             refresh_rank t color;
             refresh_recency t color
-        | Eligibility.Became_ineligible -> drop t color
-        | Eligibility.Deadline_moved -> refresh_rank t color
-        | Eligibility.Timestamp_bumped -> refresh_recency t color
-        | Eligibility.Wrapped -> ());
+        | Eligibility.Became_ineligible ->
+            remove t.rank t color;
+            remove t.recency t color
+        | Eligibility.Timestamp_bumped -> refresh_recency t color);
     Pending.on_front_change pending (fun color -> refresh_rank t color);
     t
 
@@ -137,7 +135,7 @@ module Index = struct
           cell := Some t;
           t
 
-  let eligible_count t = Iheap.length t.rank
+  let eligible_count t = Iheap.length t.recency
   let updates t = t.updates
 
   (* Scratch-buffer queries: the hot path.  Spans use enter/leave with

@@ -31,17 +31,19 @@ val key_of_color :
     color deadline [ℓ.dd] on batched instances); for idle eligible
     colors it is [ℓ.dd]. *)
 
-val is_nonidle_eligible : key -> bool
-
 (** {2 Incremental maintenance}
 
-    {!Index} maintains the EDF rank order and the ΔLRU recency order
-    under the typed change feed ({!Eligibility.on_change},
+    {!Index} maintains the EDF rank order of the nonidle eligible
+    colors and the ΔLRU recency order of the eligible colors under the
+    typed change feeds ({!Eligibility.on_change},
     {!Pending.on_front_change}), paying O(log C) per state change and
     O(k log k) per prefix query instead of re-sorting the eligible set
-    every round.  A list-sort reference of both orders lives with the
-    tests ([test/oracle]); an index query always returns exactly the
-    prefix that reference would. *)
+    every round.  Only nonidle eligible colors are ranked because a
+    policy adds nothing else from a rank prefix (paper Sections 3.1.2
+    and 3.3); a cached idle or ineligible color is priced with
+    {!key_of_color}.  A list-sort reference of both orders lives with
+    the tests ([test/oracle]); an index query always returns exactly
+    the prefix that reference would. *)
 
 module Index : sig
   type t
@@ -53,9 +55,10 @@ module Index : sig
     delay:int array ->
     t
   (** Build the index from the current state (O(E log E) once) and
-      subscribe to both change feeds; from then on every eligibility,
-      deadline, timestamp and pending-front transition updates the
-      affected color's keys in place.  Create it {e after} the state it
+      take over both change feeds (each has one subscriber, so an index
+      built over the same [Pending.t] replaces this one's feed); from
+      then on every eligibility, timestamp and pending-front transition
+      updates the affected color's keys in place.  Create it {e after} the state it
       snapshots is current (policies create it lazily on their first
       [reconfigure]).  [counter] (conventionally the registry's
       ["ranking_update"]) is bumped once per incremental heap
@@ -82,7 +85,7 @@ module Index : sig
       the body (e.g. a caller-supplied [exclude]) raises. *)
 
   val ranked_prefix_into : t -> k:int -> out:int array -> int
-  (** The best-ranked [min k E] eligible colors; O(k log k).
+  (** The best-ranked [min k N] nonidle eligible colors; O(k log k).
       @raise Invalid_argument if [out] is too small. *)
 
   val ranked_prefix_excluding_into :
@@ -97,12 +100,14 @@ module Index : sig
       (ascending id). *)
 
   val rank_key : t -> Types.color -> key
-  (** The indexed rank key of an eligible color — what
+  (** The indexed rank key of a nonidle eligible color — what
       {!key_of_color} would recompute, read straight from the index;
       zero-alloc.
       @raise Not_found if the color is not in the index. *)
 
   val eligible_count : t -> int
+  (** Eligible colors, idle ones included: the size of the recency
+      order. *)
 
   val updates : t -> int
   (** Incremental heap operations performed so far (the quantity the

@@ -13,15 +13,19 @@
 
 type t
 
-val attach : ?sink:Rrs_obs.Sink.t -> Eligibility.t -> m:int -> t
-(** Start observing an eligibility state (register a timestamp-update
-    listener).  [m] is the offline resource count of the analysis.
-    [sink] (default {!Rrs_obs.Sink.null}) receives a
-    [Super_epoch { index; active_colors; updates; _ }] event the moment
-    each super-epoch completes; counting those events reproduces
-    {!completed} and their [active_colors] payloads reproduce
-    {!active_colors_per_super_epoch} exactly.
+val create : m:int -> t
+(** A counter for [m] offline resources, the [m] of the analysis.
     @raise Invalid_argument if [m < 1]. *)
+
+val attach : t -> Rrs_obs.Sink.t -> Rrs_obs.Sink.t
+(** [attach t inner] is a sink that passes every event on to [inner]
+    and counts the [Timestamp_update] events (Section 3.4's timestamp
+    update events) into [t].  Hand it to {!Eligibility.create} (through
+    a policy's [~sink]).  The moment a super-epoch completes it emits
+    [Super_epoch { index; active_colors; updates; _ }] to [inner],
+    right after the update that completed it; counting those events
+    reproduces {!completed} and their [active_colors] payloads
+    reproduce {!active_colors_per_super_epoch} exactly. *)
 
 val completed : t -> int
 (** Super-epochs that have ended so far. *)

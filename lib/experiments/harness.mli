@@ -23,10 +23,9 @@ val print_markdown : outcome -> unit
 
 (** {2 Telemetry}
 
-    Every engine run started through {!run_policy} (or reported with
-    {!record_result}) is accounted in an {!Rrs_obs.Metrics} registry:
-    counters [engine_runs], [reconfig_cost], [drop_cost] and timer
-    [engine_run].  {!Registry.run_summarized} diffs {!snapshot}s around
+    Every engine run started through {!run_policy} is accounted in an
+    {!Rrs_obs.Metrics} registry: counters [engine_runs],
+    [reconfig_cost], [drop_cost] and timer [engine_run].  {!Registry.run_summarized} diffs {!snapshot}s around
     one experiment to produce its {!Rrs_obs.Run_summary.t}.
 
     {b Which registry} is dynamically scoped: runs are accounted to the
@@ -61,11 +60,6 @@ val snapshot : unit -> snapshot
 (** [snapshot_of (current ())]. *)
 
 val snapshot_of : Rrs_obs.Metrics.t -> snapshot
-
-val record_result : Rrs_core.Engine.result -> unit
-(** Fold one engine result into {!telemetry} — for experiments that
-    drive {!Rrs_core.Engine.run} directly rather than via
-    {!run_policy} (the run's wall time is not captured). *)
 
 (** {2 Shared helpers} *)
 

@@ -120,6 +120,3 @@ let failures results =
     (fun (id, r) ->
       match r with Ok _ -> None | Error f -> Some (id, f))
     results
-
-let run_and_print_all () =
-  List.iter (fun (_, run) -> Harness.print (run ())) all

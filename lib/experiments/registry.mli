@@ -57,5 +57,3 @@ val run_many :
 val failures :
   (string * run_result) list -> (string * Rrs_robust.Supervisor.failure) list
 (** The failed entries of a {!run_many} result, in order. *)
-
-val run_and_print_all : unit -> unit

@@ -9,7 +9,6 @@ let add_row t cells =
     invalid_arg "Table.add_row: wrong arity";
   t.rows <- Array.of_list cells :: t.rows
 
-let add_int_row t cells = add_row t (List.map (fun (_, v) -> string_of_int v) cells)
 let row_count t = List.length t.rows
 let cell_int = string_of_int
 

@@ -13,9 +13,6 @@ val create : columns:string list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row width differs from the header. *)
 
-val add_int_row : t -> (string * int) list -> unit
-(** Convenience: ignores the labels, checks arity. *)
-
 val row_count : t -> int
 
 val cell_int : int -> string

@@ -22,9 +22,6 @@
 
 type clock = { now : unit -> float; sleep : float -> unit }
 
-val wall_clock : clock
-(** [Unix.gettimeofday] / [Unix.sleepf]. *)
-
 type error_class = Transient | Fatal
 
 exception Timed_out of { name : string; seconds : float }
@@ -60,7 +57,8 @@ val classify_default : exn -> error_class
 
 val default : policy
 (** No timeout, no retries, [backoff = 0.05 * 2^k] with jitter 0.5,
-    seed 0, {!classify_default}, {!wall_clock}. *)
+    seed 0, {!classify_default}, and the wall clock
+    ([Unix.gettimeofday] / [Unix.sleepf]). *)
 
 val run : ?policy:policy -> name:string -> (unit -> 'a) -> ('a, failure) result
 (** Run the thunk under the policy.  Transient failures are retried up

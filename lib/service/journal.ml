@@ -11,7 +11,6 @@ type op =
     }
 
 type header = {
-  version : int;
   policy : string;
   n : int;
   delta : int;
@@ -29,7 +28,7 @@ let header_to_line h =
     (Json.Assoc
        [
          ("type", Json.String "serve_open");
-         ("version", Json.Int h.version);
+         ("version", Json.Int header_version);
          ("policy", Json.String h.policy);
          ("n", Json.Int h.n);
          ("delta", Json.Int h.delta);
@@ -73,14 +72,6 @@ let int_field name json =
   let* v = field name json in
   Result.map_error (fun e -> Printf.sprintf "field %S: %s" name e) (Json.to_int v)
 
-let opt_int_field name json =
-  match Json.member name json with
-  | None -> Ok None
-  | Some v ->
-      Result.map_error
-        (fun e -> Printf.sprintf "field %S: %s" name e)
-        (Result.map (fun v -> Some v) (Json.to_int v))
-
 let string_field name json =
   let* v = field name json in
   Result.map_error
@@ -114,60 +105,19 @@ let header_of_line line =
     Error (Printf.sprintf "journal header: type %S (want serve_open)" ty)
   else
     let* version = int_field "version" json in
-    if version < 1 || version > header_version then
+    if version <> header_version then
       Error
-        (Printf.sprintf "journal header: version %d (want 1 to %d)" version
-           header_version)
+        (Printf.sprintf
+           "journal header: version %d is not supported (this server \
+            reads version %d only)"
+           version header_version)
     else
       let* policy = string_field "policy" json in
       let* n = int_field "n" json in
       let* delta = int_field "delta" json in
       let* delay = int_array_field "delay" json in
       let* mini_rounds = int_field "mini_rounds" json in
-      Ok { version; policy; n; delta; delay; mini_rounds }
-
-(* The version-1 op decoder: one JSON object per op. *)
-let op_of_json line =
-  let* json = Json.parse line in
-  let* ty = string_field "type" json in
-  if ty <> "serve_op" then
-    Error (Printf.sprintf "journal op: type %S (want serve_op)" ty)
-  else
-    let* op = string_field "op" json in
-    match op with
-    | "submit" ->
-        let* round = int_field "round" json in
-        let* color = int_field "color" json in
-        let* count = int_field "count" json in
-        Ok (Submit { round; color; count })
-    | "step" ->
-        let* rounds = int_field "rounds" json in
-        Ok (Step rounds)
-    | "reconfigure" ->
-        let* delta = opt_int_field "delta" json in
-        let* n = opt_int_field "n" json in
-        let* delay =
-          match Json.member "delay" json with
-          | None -> Ok []
-          | Some v ->
-              let* items = Json.to_list v in
-              List.fold_left
-                (fun acc item ->
-                  let* acc = acc in
-                  match item with
-                  | Json.List [ Json.Int c; Json.Int b ] -> Ok ((c, b) :: acc)
-                  | _ -> Error "field \"delay\": want [COLOR, BOUND] pairs")
-                (Ok []) items
-              |> Result.map List.rev
-        in
-        Ok (Reconfigure { delta; n; delay })
-    | op -> Error (Printf.sprintf "journal op: unknown op %S" op)
-
-(* A version-1 journal that a newer server restored goes on with
-   version-2 lines, so its body may hold both; no protocol line starts
-   with a brace. *)
-let op_of_v1_line line =
-  if line.[0] = '{' then op_of_json line else op_of_line line
+      Ok { policy; n; delta; delay; mini_rounds }
 
 type tear = { line : int; offset : int; reason : string }
 
@@ -285,16 +235,16 @@ let fold ?from path ~init ~f =
           end
           else Some (text, !number, offset, ended)
     in
-    let rec go decode acc =
+    let rec go acc =
       match next () with
       | None ->
           take_blanks (Buffer.length blanks);
           Ok (acc, None, position ())
       | Some (text, line, offset, ended) -> (
-          match decode text with
+          match op_of_line text with
           | Ok op when ended ->
               take text;
-              go decode (f acc op)
+              go (f acc op)
           | decoded -> (
               let reason =
                 match decoded with
@@ -312,14 +262,11 @@ let fold ?from path ~init ~f =
                   Ok (acc, Some { line; offset; reason }, position ())
               | Some _ -> Error (Corrupt_body { line; offset; reason })))
     in
-    let decoder (header : header) =
-      if header.version = 1 then op_of_v1_line else op_of_line
-    in
     match from with
     | Some (header, (p : position)) ->
         seek_in ic (Wire.Hash.length p.hash);
         number := p.lines;
-        go (decoder header) (init header)
+        go (init header)
     | None -> (
         match next () with
         | None -> Error Empty
@@ -328,7 +275,7 @@ let fold ?from path ~init ~f =
             | Error reason -> Error (Bad_header { offset; reason })
             | Ok header ->
                 take text;
-                go (decoder header) (init header)))
+                go (init header)))
 
 (* The writer formats each op once, into [line], a buffer it reuses:
    the one write(2) of the append and the running hash both take those

@@ -8,15 +8,15 @@
     it; the client's un-acked command is the at-most-once loss window —
     doc/SERVICE.md, "Restart semantics").
 
-    {b Version 2} (written today): every op line is the canonical
-    {!Protocol} line of the op — [submit ROUND COLOR COUNT] with the
-    resolved absolute round, [step [K]], or [reconfigure KEY=VALUE ...]
-    — so a journal body is itself an [rrs serve] script.  A protocol
-    line is not self-delimiting the way a JSON object is, so every op
-    line must end in a newline: a final line without one is a torn
-    tail even when it parses.  {b Version 1} journals (one JSON object
-    per op) still restore; their body may continue with version-2
-    lines once a newer server has appended to them.
+    {b Version 2}, the one version read and written: every op line is
+    the canonical {!Protocol} line of the op — [submit ROUND COLOR
+    COUNT] with the resolved absolute round, [step [K]], or
+    [reconfigure KEY=VALUE ...] — so a journal body is itself an
+    [rrs serve] script.  A protocol line is not self-delimiting the way
+    a JSON object is, so every op line must end in a newline: a final
+    line without one is a torn tail even when it parses.  A header of
+    any other version (version 1 wrote one JSON object per op) is a
+    {!Bad_header} naming the version.
 
     Replaying the header + ops through a fresh {!Rrs_core.Engine.Session}
     reproduces the live session byte-identically — sessions are
@@ -40,7 +40,6 @@ type op =
     }
 
 type header = {
-  version : int;  (** 1 or 2; the body's line format *)
   policy : string;
   n : int;
   delta : int;
@@ -48,16 +47,13 @@ type header = {
   mini_rounds : int;
 }
 
-val header_version : int
-(** The version {!create} writes: 2. *)
-
 val header_to_line : header -> string
 
 val op_to_line : op -> string
 (** The canonical protocol line, {!Protocol.command_to_string}. *)
 
 val op_of_line : string -> (op, string) result
-(** The version-2 decoder: {!Protocol.parse}, accepting only a submit
+(** The op-line decoder: {!Protocol.parse}, accepting only a submit
     with a round, a step or a reconfigure. *)
 
 type tear = {

@@ -323,8 +323,7 @@ let classify name jpath path =
 
 let header_of_config config =
   {
-    Journal.version = Journal.header_version;
-    policy = config.policy;
+    Journal.policy = config.policy;
     n = config.n;
     delta = config.delta;
     delay = config.delay;
@@ -376,7 +375,6 @@ type session = {
 
 let session_name s = s.name
 let session_ops s = s.ops
-let session_restored s = s.restored
 let session_notices s = s.notices
 let session_wedged s = s.wedged
 let session_snapshot s = Snapshot.of_session ~ops:s.ops s.session
@@ -420,7 +418,6 @@ let host (config : config) =
     fresh_ops = 0;
   }
 
-let host_config h = h.config
 let metrics h = h.metrics
 
 let sessions h =

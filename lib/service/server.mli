@@ -114,7 +114,6 @@ type session
 
 val session_name : session -> string
 val session_ops : session -> int
-val session_restored : session -> bool
 val session_notices : session -> string list
 (** Recovery notes collected while restoring, oldest first (torn-tail
     drops, checkpoint quarantines). *)
@@ -139,7 +138,6 @@ val host : config -> host
 (** A fresh host with an empty session table.  Raises nothing: the
     transport validates the config and refuses to start on a bad one. *)
 
-val host_config : host -> config
 val metrics : host -> Rrs_obs.Metrics.t
 val sessions : host -> session list
 (** Open sessions, oldest first (a reopened wedged session counts as

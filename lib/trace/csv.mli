@@ -6,9 +6,6 @@
 val escape_field : string -> string
 (** Quote a field iff it contains a comma, quote or newline. *)
 
-val render_row : string list -> string
-(** One record, no trailing newline. *)
-
 val render : string list list -> string
 (** All records, LF-terminated each. *)
 

@@ -34,9 +34,6 @@ val next : t -> (int * (Rrs_core.Types.color * int) list) option
     ascending round order, colors in ascending color order within a
     batch — the order {!Rrs_core.Instance.arrivals_by_round} fixes. *)
 
-val peek_round : t -> int option
-(** Round {!next} would yield, without consuming it. *)
-
 val feed_session : t -> Rrs_core.Engine.Session.t -> upto:int -> unit
 (** Consume stream rounds [<= upto] and feed their batches into the
     session at their true arrival rounds.

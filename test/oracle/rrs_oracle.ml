@@ -49,8 +49,7 @@ let timestamp_order elig colors =
    window boundary of every color, in (boundary, color) order, sync the
    timestamp to the last wrap, end the epoch of an eligible uncached
    color, and move the window.  [changes] logs the change events of the
-   last [begin_round] in production's order, [Deadline_moved] at every
-   boundary included. *)
+   last [begin_round] in production's order. *)
 module Eager = struct
   type color_state = {
     mutable cnt : int;
@@ -113,8 +112,7 @@ module Eager = struct
       t.total_epochs_ended <- t.total_epochs_ended + 1;
       log t Eligibility.Became_ineligible color
     end;
-    c.dd <- round + t.delay.(color);
-    log t Eligibility.Deadline_moved color
+    c.dd <- round + t.delay.(color)
 
   let arrival t ~round (color, count) =
     let c = t.colors.(color) in
@@ -125,7 +123,6 @@ module Eager = struct
         c.cnt <- c.cnt mod t.delta;
         c.last_wrap <- round;
         c.wrap_events <- c.wrap_events + 1;
-        log t Eligibility.Wrapped color;
         if not c.eligible then begin
           c.eligible <- true;
           log t Eligibility.Became_eligible color

@@ -3,7 +3,7 @@
    bench/check.exe), tolerances absorb measurement noise, deterministic
    metrics gate exactly, and the report ranks regressions first. *)
 
-module B = Rrs_obs.Benchdiff
+module B = Rrs_benchdiff
 module Run_summary = Rrs_obs.Run_summary
 
 let summary ?(id = "core-scaling-c256") ?(reconfig = 1536) ?(drop = 0) analysis

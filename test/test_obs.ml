@@ -145,8 +145,8 @@ let test_null_vs_memory_parity () =
 
 let run_traced instance ~n ~m =
   let sink = Sink.memory () in
-  let instr = Lru_edf.make ~sink instance ~n in
-  let se = Super_epochs.attach ~sink instr.eligibility ~m in
+  let se = Super_epochs.create ~m in
+  let instr = Lru_edf.make ~sink:(Super_epochs.attach se sink) instance ~n in
   let r = Engine.run_policy (Engine.config ~n ~sink ()) instance instr.policy in
   (r, instr.eligibility, se, Sink.events sink)
 

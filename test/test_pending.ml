@@ -158,7 +158,13 @@ let test_front_change_notifications () =
     "expiry fires per affected color" [ 0; 1 ]
     (List.sort compare (take_log ()));
   ignore (expire p ~now:8);
-  Alcotest.(check (list int)) "expiring nothing is silent" [] (take_log ())
+  Alcotest.(check (list int)) "expiring nothing is silent" [] (take_log ());
+  (* one subscriber: a later one replaces it *)
+  let replaced = ref [] in
+  Pending.on_front_change p (fun c -> replaced := c :: !replaced);
+  Pending.add p 1 ~deadline:12 ~count:1;
+  Alcotest.(check (list int)) "replaced subscriber is silent" [] (take_log ());
+  Alcotest.(check (list int)) "the new subscriber fires" [ 1 ] !replaced
 
 let test_iter_nonidle () =
   let p = Pending.create ~num_colors:4 in

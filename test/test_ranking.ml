@@ -40,7 +40,7 @@ let test_nonidle_before_idle () =
   Alcotest.(check (list int)) "nonidle first" [ 1; 0 ] (List.map fst ranked);
   let key1 = List.assoc 1 ranked and key0 = List.assoc 0 ranked in
   Alcotest.(check bool) "key classes" true
-    (Ranking.is_nonidle_eligible key1 && not (Ranking.is_nonidle_eligible key0))
+    (Ranking.key_klass key1 = 0 && Ranking.key_klass key0 = 1)
 
 let test_deadline_order () =
   let _, elig, pending =
@@ -189,9 +189,11 @@ let recency_all idx =
   List.init n (fun i -> out.(i))
 
 (* A policy that, every round, compares the delta-maintained index
-   against a from-scratch re-sort of the same state — both orders, over
-   the whole eligible set, not just a prefix — then acts like ΔLRU so
-   the run visits realistic cache configurations. *)
+   against a from-scratch re-sort of the same state — the rank order
+   over all nonidle eligible colors (the oracle's klass-0 prefix) and
+   the recency order over all eligible colors, not just a prefix —
+   then acts like ΔLRU so the run visits realistic cache
+   configurations. *)
 let index_check_policy (instance : Instance.t) ~n =
   let elig = Eligibility.create instance in
   let cache =
@@ -207,7 +209,8 @@ let index_check_policy (instance : Instance.t) ~n =
       Rrs_oracle.ranked_eligible elig view.pending ~delay:instance.delay
         ~exclude:(fun _ -> false)
     in
-    if ranked_all idx <> oracle_rank then incr mismatches;
+    let nonidle = List.filter (fun (_, key) -> Ranking.key_klass key = 0) in
+    if ranked_all idx <> nonidle oracle_rank then incr mismatches;
     let oracle_recency =
       Rrs_oracle.timestamp_order elig (Eligibility.eligible_colors elig)
     in

@@ -5,7 +5,7 @@
    supervised experiment sweep end to end. *)
 
 open Rrs_robust
-module Fault = Rrs_robust.Fault
+module Fault = Rrs_fault
 module Sink = Rrs_obs.Sink
 module Event = Rrs_obs.Event
 module Run_summary = Rrs_obs.Run_summary

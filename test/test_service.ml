@@ -618,8 +618,7 @@ let check_kill_restore label instance =
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let header =
     {
-      Journal.version = Journal.header_version;
-      policy = "dlru-edf";
+      Journal.policy = "dlru-edf";
       n;
       delta = instance.Instance.delta;
       delay = Array.copy instance.Instance.delay;
@@ -983,9 +982,7 @@ let torture_config =
     checkpoint_every = 6;
   }
 
-(* A version-1 journal (one JSON object per line), written literally:
-   today's writer emits version 2, and version-1 files must still
-   restore, torn JSON tail included. *)
+(* A journal written literally, its last op line cut short. *)
 let write_torn_journal dir =
   let path = Filename.concat dir "journal.jsonl" in
   Out_channel.with_open_bin path (fun oc ->
@@ -994,13 +991,13 @@ let write_torn_journal dir =
           output_string oc line;
           output_char oc '\n')
         [
-          {|{"type":"serve_open","version":1,"policy":"dlru-edf","n":4,"delta":2,"delay":[6,6,6,6],"mini_rounds":1}|};
-          {|{"type":"serve_op","op":"submit","round":0,"color":1,"count":2}|};
-          {|{"type":"serve_op","op":"step","rounds":1}|};
+          {|{"type":"serve_open","version":2,"policy":"dlru-edf","n":4,"delta":2,"delay":[6,6,6,6],"mini_rounds":1}|};
+          "submit 0 1 2";
+          "step 1";
         ]);
   let intact = (Unix.stat path).Unix.st_size in
   let oc = Out_channel.open_gen [ Open_append; Open_binary ] 0o644 path in
-  output_string oc "{\"type\":\"serve_op\",\"op\":\"su";
+  output_string oc "submit 1 3";
   Out_channel.close oc;
   (path, intact)
 
@@ -1107,12 +1104,11 @@ let test_journal_body_refuses () =
   (* the original stays put, so a blind restart refuses again *)
   refuses "journal-body-again"
 
-(* ---- journal version 2: framing, strictness, version 1 ------------ *)
+(* ---- journal version 2: framing, strictness, version 1 refused ---- *)
 
 let journal_header_fields =
   {
-    Journal.version = Journal.header_version;
-    policy = torture_config.Server.policy;
+    Journal.policy = torture_config.Server.policy;
     n = torture_config.Server.n;
     delta = torture_config.Server.delta;
     delay = torture_config.Server.delay;
@@ -1325,65 +1321,31 @@ let test_corrupt_body_keeps_checkpoint () =
   Alcotest.(check bool) "no checkpoint quarantined" false
     (Sys.file_exists (cpath ^ ".corrupt-1"))
 
-(* A version-1 journal as the previous writer left it: one JSON object
-   per op.  It restores to its straight line, and once the restored
-   session appends (version-2 lines) the mixed body restores too. *)
-let v1_journal =
-  {|{"type":"serve_open","version":1,"policy":"dlru-edf","n":4,"delta":2,"delay":[6,6,6,6],"mini_rounds":1}
-{"type":"serve_op","op":"submit","round":0,"color":1,"count":2}
-{"type":"serve_op","op":"submit","round":1,"color":3,"count":4}
-{"type":"serve_op","op":"step","rounds":2}
-{"type":"serve_op","op":"reconfigure","delta":3,"delay":[[2,9]]}
-{"type":"serve_op","op":"submit","round":2,"color":2,"count":1}
-{"type":"serve_op","op":"submit","round":4,"color":0,"count":3}
-{"type":"serve_op","op":"step","rounds":3}
-|}
-
-let v1_ops =
-  [
-    Journal.Submit { round = 0; color = 1; count = 2 };
-    Journal.Submit { round = 1; color = 3; count = 4 };
-    Journal.Step 2;
-    Journal.Reconfigure { delta = Some 3; n = None; delay = [ (2, 9) ] };
-    Journal.Submit { round = 2; color = 2; count = 1 };
-    Journal.Submit { round = 4; color = 0; count = 3 };
-    Journal.Step 3;
-  ]
-
-let test_v1_journal_restores () =
+(* A version-1 journal (one JSON object per op, as servers before
+   version 2 wrote it) is no longer read: its header refuses the
+   restore (tier 3) with a message that names the version, and the
+   file is left as it was. *)
+let test_v1_journal_refused () =
   with_temp_dir "v1" @@ fun dir ->
   let path = Filename.concat dir "journal.jsonl" in
+  let v1_journal =
+    {|{"type":"serve_open","version":1,"policy":"dlru-edf","n":4,"delta":2,"delay":[6,6,6,6],"mini_rounds":1}
+{"type":"serve_op","op":"submit","round":0,"color":1,"count":2}
+{"type":"serve_op","op":"step","rounds":2}
+|}
+  in
   write_file path v1_journal;
-  Alcotest.(check bool) "v1 ops decode" true
-    (journal_ops path = Ok (v1_ops, None));
-  let config = { torture_config with checkpoint_dir = Some dir } in
-  let restore () =
-    let h = Server.host config in
-    (h, Server.open_session h Server.default_session)
-  in
-  let h, s = restore () in
-  Alcotest.(check bool) "restored = straight line" true
-    (Snapshot.equal
-       (Server.session_snapshot s)
-       (Torture.straight_line torture_config v1_ops));
-  let more =
-    [ Journal.Submit { round = 6; color = 1; count = 1 }; Journal.Step 2 ]
-  in
-  List.iter
-    (fun op ->
-      match Server.apply_op s op with
-      | Ok () -> Server.commit h s op
-      | Error e -> Alcotest.failf "op refused: %s" e)
-    more;
-  Server.abandon_session h s;
-  Alcotest.(check bool) "appended as protocol lines" true
-    (String.ends_with ~suffix:"submit 6 1 1\nstep 2\n" (read_file path));
-  let h, s = restore () in
-  Alcotest.(check bool) "mixed body restores to the straight line" true
-    (Snapshot.equal
-       (Server.session_snapshot s)
-       (Torture.straight_line torture_config (v1_ops @ more)));
-  Server.abandon_session h s
+  (match journal_ops path with
+  | Error (Journal.Bad_header { offset = 0; reason }) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "the reason names version 1: %s" reason)
+        true
+        (String.starts_with ~prefix:"journal header: version 1 " reason)
+  | _ -> Alcotest.fail "a version-1 header was read");
+  let v = Torture.restore_case ~case:"v1" torture_config dir in
+  Alcotest.(check int) "tier 3" 3 v.Torture.tier;
+  Alcotest.(check bool) "contained" true v.Torture.contained;
+  Alcotest.(check string) "journal untouched" v1_journal (read_file path)
 
 (* The journal body is an [rrs serve] script: piped into a fresh
    ephemeral server, it rebuilds the journaled state. *)
@@ -2211,8 +2173,8 @@ let () =
           Alcotest.test_case "only canonical ops" `Quick test_only_canonical_ops;
           Alcotest.test_case "corrupt body keeps the checkpoint" `Quick
             test_corrupt_body_keeps_checkpoint;
-          Alcotest.test_case "version-1 journal restores" `Quick
-            test_v1_journal_restores;
+          Alcotest.test_case "version-1 journal refused" `Quick
+            test_v1_journal_refused;
           Alcotest.test_case "body is a serve script" `Quick
             test_body_is_serve_script;
           Alcotest.test_case "writer bytes = header + op lines" `Quick

@@ -303,6 +303,61 @@ let test_not_checkpointable () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "saved a session that is not checkpointable"
 
+(* A reconfiguration re-instantiates the policy over the session's
+   [Pending.t]; the new policy's ranking index must take the pending
+   feed over, not join the replaced indexes on it.  After 64
+   reconfigurations, the session and a save/load copy of it (whose one
+   index is built at its first round) must count the same
+   ["ranking_update"] increments round by round.  A stale index left
+   subscribed would still be updated, and counted, at every front
+   change of a color it holds. *)
+let test_reconfigure_leaves_no_stale_index () =
+  let instance = (Option.get (Families.find "bursty")).build ~seed:1 in
+  let by_round = Instance.arrivals_by_round instance in
+  let factory registry i ~n = (Lru_edf.make ~registry i ~n).policy in
+  let updates registry =
+    Rrs_obs.Metrics.value (Rrs_obs.Metrics.counter registry "ranking_update")
+  in
+  let feed_round s =
+    let round = Session.round s in
+    if round < Array.length by_round then
+      List.iter
+        (fun (color, count) -> apply s (Feed (round, color, count)))
+        by_round.(round)
+  in
+  let registry = Rrs_obs.Metrics.create () in
+  let s =
+    Session.create (Engine.config ~n:8 ()) ~delta:instance.delta
+      ~delay:instance.delay (factory registry)
+  in
+  for k = 1 to 64 do
+    (* Δ alternates between 1 and 2, so every replaced policy ranked
+       the colors that arrived in its one round *)
+    (match Session.reconfigure s ~delta:(1 + (k mod 2)) () with
+    | Ok () -> ()
+    | Error e ->
+        Alcotest.failf "reconfigure: %s"
+          (Session.string_of_reconfigure_error e));
+    feed_round s;
+    Session.step s
+  done;
+  let copy_registry = Rrs_obs.Metrics.create () in
+  let copy =
+    load_string ~mini_rounds:1 (factory copy_registry) (save_string s)
+  in
+  for r = 1 to 32 do
+    let before = updates registry and copy_before = updates copy_registry in
+    feed_round s;
+    feed_round copy;
+    Session.step s;
+    Session.step copy;
+    if r > 1 then
+      Alcotest.(check int)
+        (Printf.sprintf "ranking updates of round %d" (Session.round s - 1))
+        (updates copy_registry - copy_before)
+        (updates registry - before)
+  done
+
 (* The future-batch table against a per-round list model.  Rounds fed
    ahead by multiples of the initial table size collide in one probe
    run, so taking a round in the middle of a run exercises the
@@ -382,6 +437,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_save_load_suffix;
           Alcotest.test_case "not checkpointable" `Quick test_not_checkpointable;
+          Alcotest.test_case "reconfigure leaves no stale index" `Quick
+            test_reconfigure_leaves_no_stale_index;
         ] );
       ( "arrivals",
         [

@@ -7,16 +7,19 @@ module Rng = Rrs_prng.Rng
 
 let arr round color count = { Types.round; color; count }
 
+(* a policy whose eligibility events feed a fresh super-epoch counter *)
+let make_counted instance ~n ~m =
+  let se = Super_epochs.create ~m in
+  let sink = Super_epochs.attach se Rrs_obs.Sink.null in
+  (Lru_edf.make ~sink instance ~n, se)
+
 let run_instrumented instance ~n ~m =
-  let instr = Lru_edf.make instance ~n in
-  let se = Super_epochs.attach instr.eligibility ~m in
+  let instr, se = make_counted instance ~n ~m in
   let result = Engine.run_policy (Engine.config ~n ()) instance instr.policy in
   (result, instr.eligibility, se)
 
 let test_attach_validation () =
-  let i = Instance.create ~delta:1 ~delay:[| 2 |] ~arrivals:[] () in
-  let e = Eligibility.create i in
-  match Super_epochs.attach e ~m:0 with
+  match Super_epochs.create ~m:0 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "m = 0 accepted"
 
@@ -29,8 +32,7 @@ let test_hand_computed_super_epoch () =
       ~arrivals:(List.init 5 (fun w -> arr (2 * w) 0 1))
       ()
   in
-  let instr = Lru_edf.make i ~n:4 in
-  let se = Super_epochs.attach instr.eligibility ~m:1 in
+  let instr, se = make_counted i ~n:4 ~m:1 in
   ignore (Engine.run_policy (Engine.config ~n:4 ()) i instr.policy);
   Alcotest.(check int) "no super-epoch ends" 0 (Super_epochs.completed se);
   Alcotest.(check int) "one active color" 1
@@ -46,8 +48,7 @@ let test_two_colors_end_super_epochs () =
         (List.concat (List.init 6 (fun w -> [ arr (2 * w) 0 1; arr (2 * w) 1 1 ])))
       ()
   in
-  let instr = Lru_edf.make i ~n:4 in
-  let se = Super_epochs.attach instr.eligibility ~m:1 in
+  let instr, se = make_counted i ~n:4 ~m:1 in
   ignore (Engine.run_policy (Engine.config ~n:4 ()) i instr.policy);
   Alcotest.(check bool) "several super-epochs" true
     (Super_epochs.completed se >= 2);

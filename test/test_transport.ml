@@ -758,8 +758,7 @@ let test_stdio_refused () =
   let w =
     Journal.create journal
       {
-        Journal.version = Journal.header_version;
-        policy = "dlru-edf";
+        Journal.policy = "dlru-edf";
         n = 4;
         delta = 2;
         delay = Array.make 4 6;

@@ -446,8 +446,7 @@ let checkpoint_campaign ?(stride = 1) config ~ops ~dir =
 let prefix_campaign ?(torn = false) (config : Server.config) ~ops ~dir =
   let header =
     {
-      Journal.version = Journal.header_version;
-      policy = config.policy;
+      Journal.policy = config.policy;
       n = config.n;
       delta = config.delta;
       delay = config.delay;
