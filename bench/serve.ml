@@ -18,7 +18,8 @@
    The times are Info under the gate, recorded so drifts show up in
    review even though they never fail CI on machine noise.  The minor
    words one journaled op's commit allocates (journal line, counters,
-   ack) are deterministic and gated ("alloc_commit_words_per_op",
+   ack) and one checkpoint allocates are deterministic and gated
+   ("alloc_commit_words_per_op", "alloc_checkpoint_words",
    analysis.alloc_* rule).
 
    Part 3 — kill/restore drill: for every workload family, two kills
@@ -32,15 +33,21 @@
    nonzero if it is not 0.  The checkpointed restores must take the
    fast path and replay no op ("checkpointed_replayed_ops", Exact).
 
-   Part 4 — restore scaling: one session under the steady load,
-   restored at 10k and at ~100k ops of history (both 16 ops past a
-   checkpoint).  The ops each restore replayed are Exact-gated, and
-   the bench fails if one exceeds --checkpoint-every: that is the
-   bound on restart work.  "restore_growth", the ratio of the two
-   restore times within this process, is reported as information: a
-   replay of the whole history makes it ~10, and what remains of it
-   here is the read and hash of the journal prefix, which grows with
-   the history (sub-millisecond samples, so it is noisy). *)
+   Part 4 — restore scaling: one session under the steady load, at the
+   server's default checkpoint cadence, restored at ~10k and at ~100k
+   ops of history (both 16 ops past a checkpoint, the points found by
+   reading the checkpoint the run left).  The ops each restore
+   replayed are Exact-gated, and the bench fails if one replayed
+   --checkpoint-every units of replay work or more: that is the bound
+   on restart work.  "restore_growth", the ratio of the two restore
+   times within this process, is reported as information: a replay of
+   the whole history makes it ~10, and what remains of it here is the
+   read and hash of the journal prefix, which grows with the history
+   (sub-millisecond samples, so it is noisy).  A session fed 32 rounds
+   ahead and then stepped through them in one [step 64] is restored
+   too: the step costs more replay work than a checkpoint interval, so
+   it is checkpointed right after it and the restore replays no op
+   ("heavy_step_replayed_ops", Exact). *)
 
 open Rrs_core
 module Families = Rrs_workload.Families
@@ -277,6 +284,9 @@ let durability () =
   let s = Server.open_session h Server.default_session in
   run_to h s (steady_ops ()) ~ops:appends;
   let checkpoints = 200 in
+  (* the first checkpoint grows the reused buffer to its working size *)
+  ignore (Server.checkpoint_session h s);
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to checkpoints do
     ignore (Server.checkpoint_session h s)
@@ -284,6 +294,7 @@ let durability () =
   let checkpoint_seconds =
     (Unix.gettimeofday () -. t0) /. float_of_int checkpoints
   in
+  let checkpoint_words = (Gc.minor_words () -. w0) /. float_of_int checkpoints in
   let checkpoint_bytes =
     (Unix.stat (Filename.concat cdir "checkpoint.json")).Unix.st_size
   in
@@ -293,7 +304,13 @@ let durability () =
   Printf.printf "checkpoint commit: %.2f us (%d-color state, %d bytes)\n"
     (checkpoint_seconds *. 1e6) !colors checkpoint_bytes;
   Printf.printf "commit allocation: %.1f minor words/op\n" commit_words;
-  (append_seconds, checkpoint_seconds, checkpoint_bytes, commit_words)
+  Printf.printf "checkpoint allocation: %.1f minor words/checkpoint\n"
+    checkpoint_words;
+  ( append_seconds,
+    checkpoint_seconds,
+    checkpoint_bytes,
+    commit_words,
+    checkpoint_words )
 
 (* ------------------------------------------------------------------ *)
 (* Part 3: kill/restore drill                                          *)
@@ -457,44 +474,94 @@ let restore_drill () =
 (* Part 4: restore time against the length of the history              *)
 (* ------------------------------------------------------------------ *)
 
+(* The ops of the last checkpoint in [dir]. *)
+let checkpointed_ops dir =
+  match
+    In_channel.with_open_bin (Filename.concat dir "checkpoint.json")
+      In_channel.input_line
+  with
+  | exception Sys_error _ | None -> 0
+  | Some line -> (
+      match Rrs_torture.Torture.snapshot_of_line line with
+      | Ok s -> s.Snapshot.ops
+      | Error e -> failwith ("unreadable checkpoint: " ^ e))
+
+(* The best of five restores of [config]'s directory, and the ops and
+   the units of replay work the restore replayed. *)
+let restore config =
+  let best = ref infinity and replayed = ref 0 and work = ref 0 in
+  for _ = 1 to 5 do
+    let metrics = Rrs_obs.Metrics.create () in
+    let h = Server.host { config with Server.metrics = Some metrics } in
+    let t0 = Unix.gettimeofday () in
+    let s = Server.open_session h Server.default_session in
+    best := min !best (Unix.gettimeofday () -. t0);
+    let counter name =
+      Rrs_obs.Metrics.value (Rrs_obs.Metrics.counter metrics name)
+    in
+    replayed := counter "serve_restore_replayed_ops";
+    work := counter "serve_restore_replayed_work";
+    Server.abandon_session h s
+  done;
+  if !work >= config.checkpoint_every then
+    fail "a restore replayed %d units of work, not less than --checkpoint-every %d"
+      !work config.checkpoint_every;
+  (!best, !replayed)
+
+(* 32 rounds of load fed ahead, 48 jobs of one color each, then one
+   [step 64] that executes or drops all of them: a restore replays no
+   op. *)
+let heavy_step () =
+  let dir = temp_dir "heavy" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let config = steady_config dir in
+  let h = Server.host config in
+  let s = Server.open_session h Server.default_session in
+  let ops =
+    List.init 32 (fun round ->
+        Journal.Submit { round; color = round mod !colors; count = 48 })
+    @ [ Journal.Step 64 ]
+  in
+  List.iter
+    (fun op ->
+      match Server.apply_op s op with
+      | Ok () -> Server.commit h s op
+      | Error e -> failwith ("heavy step refused: " ^ e))
+    ops;
+  Server.abandon_session h s;
+  let _, replayed = restore config in
+  Printf.printf "restore after a loaded step 64: %d ops replayed\n" replayed;
+  if replayed <> 0 then fail "a restore replayed %d ops after a loaded step" replayed;
+  replayed
+
 let restore_scaling () =
   print_endline
     "================================================================";
-  print_endline " Restore scaling (one session at 10k and ~100k ops of history)";
+  print_endline " Restore scaling (one session at ~10k and ~100k ops of history)";
   print_endline
     "================================================================";
   let dir = temp_dir "scaling" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let config = steady_config dir in
   let next = steady_ops () in
-  (* the best of five restores, and the ops the restore replayed *)
-  let restore () =
-    let best = ref infinity and replayed = ref 0 in
-    for _ = 1 to 5 do
-      let metrics = Rrs_obs.Metrics.create () in
-      let h = Server.host { config with metrics = Some metrics } in
-      let t0 = Unix.gettimeofday () in
-      let s = Server.open_session h Server.default_session in
-      best := min !best (Unix.gettimeofday () -. t0);
-      replayed :=
-        Rrs_obs.Metrics.value
-          (Rrs_obs.Metrics.counter metrics "serve_restore_replayed_ops");
-      Server.abandon_session h s
-    done;
-    (!best, !replayed)
-  in
-  (* both points lie 16 ops past a checkpoint (every 256 ops), so only
-     the history's length differs between them *)
+  (* from [ops] on to 16 ops past the next checkpoint, so that only the
+     history's length differs between the two points *)
   let grow ~ops =
     let h = Server.host config in
     let s = Server.open_session h Server.default_session in
     run_to h s next ~ops;
+    let last = checkpointed_ops dir in
+    while checkpointed_ops dir = last do
+      run_to h s next ~ops:(Server.session_ops s + 1)
+    done;
+    run_to h s next ~ops:(checkpointed_ops dir + 16);
+    let ops = Server.session_ops s in
     Server.abandon_session h s;
-    restore ()
+    let seconds, replayed = restore config in
+    (ops, seconds, replayed)
   in
-  let small_ops = 10_000 and large_ops = 99_856 in
-  let t_small, r_small = grow ~ops:small_ops in
-  let t_large, r_large = grow ~ops:large_ops in
+  let small_ops, t_small, r_small = grow ~ops:10_000 in
+  let large_ops, t_large, r_large = grow ~ops:99_856 in
   let growth = t_large /. t_small in
   Printf.printf "restore at %d ops: %.2f ms (%d replayed)\n" small_ops
     (t_small *. 1e3) r_small;
@@ -502,26 +569,25 @@ let restore_scaling () =
     (t_large *. 1e3) r_large;
   Printf.printf "growth: %.2fx for %.1fx the history\n" growth
     (float_of_int large_ops /. float_of_int small_ops);
-  List.iter
-    (fun r ->
-      if r > config.checkpoint_every then
-        fail "a restore replayed %d ops, more than --checkpoint-every %d" r
-          config.checkpoint_every)
-    [ r_small; r_large ];
-  (t_small, t_large, growth, r_small, r_large, small_ops, large_ops)
+  let heavy = heavy_step () in
+  (t_small, t_large, growth, r_small, r_large, small_ops, large_ops, heavy)
 
 (* ------------------------------------------------------------------ *)
 
 let () =
   let t0 = Unix.gettimeofday () in
   let rps, live_growth_per_round, minor_per_round = throughput () in
-  let append_seconds, checkpoint_seconds, checkpoint_bytes, commit_words =
+  let ( append_seconds,
+        checkpoint_seconds,
+        checkpoint_bytes,
+        commit_words,
+        checkpoint_words ) =
     durability ()
   in
   let divergences, restore_seconds, families, rounds_replayed, ckpt_replayed =
     restore_drill ()
   in
-  let t_small, t_large, growth, r_small, r_large, small_ops, large_ops =
+  let t_small, t_large, growth, r_small, r_large, small_ops, large_ops, heavy =
     restore_scaling ()
   in
   Out_channel.with_open_text !out (fun oc ->
@@ -560,6 +626,7 @@ let () =
                ("checkpoint_seconds", checkpoint_seconds);
                ("checkpoint_bytes", float_of_int checkpoint_bytes);
                ("alloc_commit_words_per_op", commit_words);
+               ("alloc_checkpoint_words", checkpoint_words);
              ]
            ());
       write
@@ -581,7 +648,8 @@ let () =
              [
                ("policy", "dlru-edf");
                ("colors", string_of_int !colors);
-               ("checkpoint_every", "256");
+               ( "checkpoint_every",
+                 string_of_int (steady_config "").checkpoint_every );
                ("ops", Printf.sprintf "%d,%d" small_ops large_ops);
              ]
            ~analysis:
@@ -591,6 +659,7 @@ let () =
                ("restore_growth", growth);
                ("restore_small_replayed_ops", float_of_int r_small);
                ("restore_large_replayed_ops", float_of_int r_large);
+               ("heavy_step_replayed_ops", float_of_int heavy);
              ]
            ()));
   (match Rrs_obs.Run_summary.load !out with

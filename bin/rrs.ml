@@ -911,10 +911,17 @@ let serve_cmd =
   in
   let checkpoint_every_arg =
     let doc =
-      "Commit a checkpoint every $(docv) applied commands (0 = only on \
-       explicit $(b,checkpoint) commands and at quit)."
+      "Commit a checkpoint once the replay work since the last one \
+       reaches $(docv) units (0 = only on explicit $(b,checkpoint) \
+       commands and at quit).  Replay work counts one unit per applied \
+       command (a $(b,reconfigure) counts the number of colors), per \
+       round run and per job executed or dropped, so a restore replays \
+       less than $(docv) units after the current checkpoint."
     in
-    Arg.(value & opt int 256 & info [ "checkpoint-every" ] ~docv:"OPS" ~doc)
+    Arg.(
+      value
+      & opt int Server.default_config.checkpoint_every
+      & info [ "checkpoint-every" ] ~docv:"WORK" ~doc)
   in
   let crash_after_arg =
     let doc =

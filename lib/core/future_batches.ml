@@ -12,6 +12,7 @@ type t = {
   mutable next : int array;
   mutable free : int;
   mutable used : int; (* entries ever handed out: the arena's high-water mark *)
+  mutable entries : int; (* entries in some batch *)
   mutable jobs : int;
 }
 
@@ -26,6 +27,7 @@ let create () =
     next = [||];
     free = -1;
     used = 0;
+    entries = 0;
     jobs = 0;
   }
 
@@ -84,6 +86,7 @@ let new_entry t color count =
   t.colors.(e) <- color;
   t.counts.(e) <- count;
   t.next.(e) <- -1;
+  t.entries <- t.entries + 1;
   e
 
 let add t ~round ~color ~count =
@@ -128,6 +131,7 @@ let take t ~round out =
       let entry = !e in
       Batch.push out t.colors.(entry) t.counts.(entry);
       t.jobs <- t.jobs - t.counts.(entry);
+      t.entries <- t.entries - 1;
       e := t.next.(entry);
       t.next.(entry) <- t.free;
       t.free <- entry
@@ -135,36 +139,59 @@ let take t ~round out =
     remove_slot t s
   end
 
-(* Calls [f] on every entry of the round's batch, in feed order. *)
-let iter_batch t round f =
-  let e = ref t.heads.(find t round) in
-  while !e >= 0 do
-    f t.colors.(!e) t.counts.(!e);
-    e := t.next.(!e)
+(* Heapsort of a.(0 .. n-1), ascending, in place: no allocation, and
+   O(n log n) however the table's slot order rotates the rounds. *)
+let rec sift (a : int array) root stop =
+  let child = (2 * root) + 1 in
+  if child < stop then begin
+    let child =
+      if child + 1 < stop && a.(child + 1) > a.(child) then child + 1 else child
+    in
+    if a.(child) > a.(root) then begin
+      let v = a.(root) in
+      a.(root) <- a.(child);
+      a.(child) <- v;
+      sift a child stop
+    end
+  end
+
+let sort_prefix a n =
+  for root = (n / 2) - 1 downto 0 do
+    sift a root n
+  done;
+  for stop = n - 1 downto 1 do
+    let v = a.(0) in
+    a.(0) <- a.(stop);
+    a.(stop) <- v;
+    sift a 0 stop
   done
 
+(* The four columns straight into the writer's scratch array: the
+   rounds (sorted in place), then each round's chain walked once for
+   its length, colors and counts. *)
 let save t w =
-  let rounds =
-    Array.of_list (List.filter (fun r -> r >= 0) (Array.to_list t.keys))
-  in
-  Array.sort Int.compare rounds;
-  let nr = Array.length rounds in
-  let lens = Array.make nr 0 in
-  Array.iteri
-    (fun j r -> iter_batch t r (fun _ _ -> lens.(j) <- lens.(j) + 1))
-    rounds;
-  let np = Array.fold_left ( + ) 0 lens in
+  let nr = t.rounds and np = t.entries in
   let size = (2 * nr) + (2 * np) in
   let a = Wire.scratch w size in
+  let j = ref 0 in
+  for s = 0 to Array.length t.keys - 1 do
+    if t.keys.(s) >= 0 then begin
+      a.(!j) <- t.keys.(s);
+      incr j
+    end
+  done;
+  sort_prefix a nr;
   let k = ref (2 * nr) in
-  Array.iteri
-    (fun j round ->
-      a.(j) <- round;
-      a.(nr + j) <- lens.(j);
-      iter_batch t round (fun color count ->
-          a.(!k) <- color;
-          a.(!k + np) <- count;
-          incr k))
-    rounds;
+  for j = 0 to nr - 1 do
+    let first = !k in
+    let e = ref t.heads.(find t a.(j)) in
+    while !e >= 0 do
+      a.(!k) <- t.colors.(!e);
+      a.(!k + np) <- t.counts.(!e);
+      incr k;
+      e := t.next.(!e)
+    done;
+    a.(nr + j) <- !k - first
+  done;
   Wire.add_int w nr;
   Wire.add_ints_prefix w a size

@@ -48,7 +48,7 @@ let default_config =
     delay = Array.make 8 8;
     mini_rounds = 1;
     checkpoint_dir = None;
-    checkpoint_every = 256;
+    checkpoint_every = 1024;
     crash_after = None;
     heartbeat = None;
     metrics = None;
@@ -83,6 +83,19 @@ let apply_to session (op : Journal.op) : (unit, string) result =
       Session.reconfigure session ?delta ?n ~delay ()
       |> Result.map_error (fun e ->
              "reconfigure: " ^ Session.string_of_reconfigure_error e)
+
+(* Replay work: what replaying ops costs, in counters the session
+   keeps anyway.  A round run and a job executed or dropped count one
+   unit each, and an op its [work_of_op]: one unit, or for a
+   reconfigure the number of colors, since it rebuilds the policy's
+   per-color state.  Only differences of [replay_work] are read, so
+   the sum of [work_of_op] may start from any origin. *)
+let work_of_op session (op : Journal.op) =
+  match op with Journal.Reconfigure _ -> Session.num_colors session | _ -> 1
+
+let replay_work session ~op_work =
+  op_work + Session.round session + Session.executed session
+  + Session.dropped session
 
 (* The ack line of an applied op, read off the session after it and
    built in [w], the host's reused buffer. *)
@@ -339,6 +352,7 @@ type counters = {
   wedged : Metrics.counter;
   restores : Metrics.counter;
   replayed : Metrics.counter;
+  replayed_work : Metrics.counter;
   session_restarts : Metrics.counter;
   torn_tail : Metrics.counter;
   quarantined : Metrics.counter;
@@ -352,6 +366,7 @@ let counters m =
     wedged = c "serve_wedged";
     restores = c "serve_restores";
     replayed = c "serve_restore_replayed_ops";
+    replayed_work = c "serve_restore_replayed_work";
     session_restarts = c "serve_session_restarts";
     torn_tail = c "serve_recovery_torn_tail";
     quarantined = c "serve_recovery_checkpoint_quarantined";
@@ -369,7 +384,10 @@ type session = {
   restored : bool;
   notices : string list;
   mutable ops : int;
-  mutable ckpt_ops : int;  (** ops at the last committed checkpoint *)
+  mutable op_work : int;
+      (** [work_of_op] summed over the ops applied since the session
+          was opened (see {!replay_work}) *)
+  mutable ckpt_work : int;  (** replay work at the last committed checkpoint *)
   mutable wedged : string option;
 }
 
@@ -378,6 +396,7 @@ let session_ops s = s.ops
 let session_notices s = s.notices
 let session_wedged s = s.wedged
 let session_snapshot s = Snapshot.of_session ~ops:s.ops s.session
+let session_work s = replay_work s.session ~op_work:s.op_work
 
 let wedge s reason =
   if s.wedged = None then begin
@@ -457,6 +476,7 @@ type replay = {
   header : Journal.header;
   replayed : Session.t;
   mutable applied : int;
+  mutable op_work : int;
 }
 
 let replay_op r op =
@@ -467,6 +487,7 @@ let replay_op r op =
         (Corrupt
            (Printf.sprintf "journal replay: op %d refused: %s" (r.applied + 1) e)));
   r.applied <- r.applied + 1;
+  r.op_work <- r.op_work + work_of_op r.replayed op;
   r
 
 let fresh_session h name ~dir ~writer =
@@ -481,7 +502,8 @@ let fresh_session h name ~dir ~writer =
     restored = false;
     notices = [];
     ops = 0;
-    ckpt_ops = 0;
+    op_work = 0;
+    ckpt_work = 0;
     wedged = None;
   }
 
@@ -499,14 +521,26 @@ let restore h name ~dir jpath =
   let prev =
     match current with Verified _ -> Absent | _ -> classify name jpath ppath
   in
-  let from, init, start_ops =
+  (* a restored session's baseline is the work at the checkpoint it
+     loaded; a fresh session's is 0 *)
+  let from, init, start_ops, start_work =
     match (current, prev) with
     | Verified (ops, from, session), _ | _, Verified (ops, from, session) ->
-        (Some from, (fun header -> { header; replayed = session; applied = ops }), ops)
+        ( Some from,
+          (fun header ->
+            { header; replayed = session; applied = ops; op_work = 0 }),
+          ops,
+          replay_work session ~op_work:0 )
     | _ ->
         ( None,
           (fun header ->
-            { header; replayed = session_of_header name header; applied = 0 }),
+            {
+              header;
+              replayed = session_of_header name header;
+              applied = 0;
+              op_work = 0;
+            }),
+          0,
           0 )
   in
   match Journal.fold ?from jpath ~init ~f:replay_op with
@@ -602,6 +636,8 @@ let restore h name ~dir jpath =
       | _ -> ());
       Metrics.inc h.counters.restores 1;
       Metrics.inc h.counters.replayed (r.applied - start_ops);
+      Metrics.inc h.counters.replayed_work
+        (replay_work r.replayed ~op_work:r.op_work - start_work);
       {
         name;
         seq = new_seq h;
@@ -613,7 +649,8 @@ let restore h name ~dir jpath =
         restored = true;
         notices = List.rev !notices;
         ops = r.applied;
-        ckpt_ops = start_ops;
+        op_work = r.op_work;
+        ckpt_work = start_work;
         wedged = None;
       }
 
@@ -666,7 +703,7 @@ let checkpoint_session h s =
       let snapshot = Snapshot.of_session ~ops:s.ops s.session in
       encode_checkpoint h.checkpoint_buffer snapshot (Journal.anchor w) s.session;
       write_checkpoint dir h.checkpoint_buffer;
-      s.ckpt_ops <- s.ops;
+      s.ckpt_work <- session_work s;
       Some snapshot
   | _ ->
       (* ephemeral, or wedged: an untrusted state is never checkpointed *)
@@ -677,11 +714,16 @@ let apply_op s op = apply_to s.session op
 let commit h s op =
   (match s.writer with Some w -> Journal.append w op | None -> ());
   s.ops <- s.ops + 1;
+  s.op_work <- s.op_work + work_of_op s.session op;
   h.fresh_ops <- h.fresh_ops + 1;
   Metrics.inc h.counters.ops 1;
+  (* the cadence counts replay work, not ops: a restore from the
+     current checkpoint replays less than [checkpoint_every] units, and
+     an op that alone costs that much (a loaded [step]) is checkpointed
+     right after it *)
   if
     h.config.checkpoint_every > 0
-    && s.ops - s.ckpt_ops >= h.config.checkpoint_every
+    && session_work s - s.ckpt_work >= h.config.checkpoint_every
   then ignore (checkpoint_session h s);
   match h.config.crash_after with
   | Some k when h.fresh_ops >= k ->

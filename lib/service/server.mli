@@ -33,9 +33,10 @@
     journal still starts with the prefix it was taken at (same length
     and hash), and the loaded state reproduces its snapshot line.
     Restore loads that state and replays the journal after it: with
-    the current checkpoint at most [checkpoint_every] ops, from [.prev]
-    at most twice that (counted in [serve_restore_replayed_ops]).  Then
-    it classifies what it found:
+    the current checkpoint less than [checkpoint_every] units of replay
+    work, from [.prev] less than twice that plus the op that triggered
+    the current checkpoint (counted in [serve_restore_replayed_ops] and
+    [serve_restore_replayed_work]).  Then it classifies what it found:
 
     - {e torn journal tail} — the crash interrupted the final append;
       the un-acked op is dropped with a warning naming its exact byte
@@ -82,8 +83,13 @@ type config = {
           with single-session layouts), named sessions live under
           [sessions/NAME/]; [None] = every session is ephemeral *)
   checkpoint_every : int;
-      (** commit a checkpoint every that many applied ops; 0 = only on
-          explicit [checkpoint] commands and at quit *)
+      (** commit a checkpoint once the session's replay work since the
+          last one reaches this many units; 0 = only on explicit
+          [checkpoint] commands and at quit.  Replay work counts one
+          unit per applied op (a [reconfigure] counts the number of
+          colors: it rebuilds the policy's per-color state), per round
+          run and per job executed or dropped.  A restored session's
+          baseline is the work at the checkpoint it loaded. *)
   crash_after : int option;
       (** abandon the process (exit 70, no checkpoint, no finish) after
           that many applied ops — the deterministic kill the CI
@@ -97,7 +103,8 @@ type config = {
 
 val default_config : config
 (** dlru-edf, n = 8, Δ = 4, 8 colors with delay bounds 8, uni-speed,
-    ephemeral, checkpoint every 256 ops, no crash, private metrics. *)
+    ephemeral, a checkpoint every 1024 units of replay work, no crash,
+    private metrics. *)
 
 exception Corrupt of string
 (** Durable-state corruption that refuses restore (recovery tier 3):

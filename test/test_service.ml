@@ -1504,17 +1504,16 @@ let has_machine_state path =
   | [ _; machine ] -> String.starts_with ~prefix:"serve_machine 1 " machine
   | _ -> false
 
-let restore_counting dir =
+(* Restore [dir] on a fresh host: the host, the session, and the ops
+   and the units of replay work the restore replayed. *)
+let restore_counting ?(config = torture_config) dir =
   let metrics = Rrs_obs.Metrics.create () in
   let h =
-    Server.host
-      { torture_config with checkpoint_dir = Some dir; metrics = Some metrics }
+    Server.host { config with checkpoint_dir = Some dir; metrics = Some metrics }
   in
   let s = Server.open_session h Server.default_session in
-  ( h,
-    s,
-    Rrs_obs.Metrics.value
-      (Rrs_obs.Metrics.counter metrics "serve_restore_replayed_ops") )
+  let counter name = Rrs_obs.Metrics.value (Rrs_obs.Metrics.counter metrics name) in
+  (h, s, counter "serve_restore_replayed_ops", counter "serve_restore_replayed_work")
 
 (* ops generated from round 0, moved to start at [round] *)
 let ops_from round seed =
@@ -1531,17 +1530,20 @@ let test_fast_path_equals_full_replay () =
   write_file (Filename.concat full "journal.jsonl") (read_file jpath);
   Alcotest.(check bool) "the fixture checkpoint holds machine state" true
     (has_machine_state (Filename.concat dir "checkpoint.json"));
+  let checkpointed = checkpoint_ops (Filename.concat dir "checkpoint.json") in
   (* no checkpoint at all: this restore replays the journal from its
      header *)
-  let h1, fast, fast_replayed = restore_counting dir in
-  let h2, slow, slow_replayed = restore_counting full in
+  let h1, fast, fast_replayed, fast_work = restore_counting dir in
+  let h2, slow, slow_replayed, _ = restore_counting full in
   let ops = Server.session_ops fast in
   let every = torture_config.Server.checkpoint_every in
   Alcotest.(check int) "same op count" ops (Server.session_ops slow);
-  Alcotest.(check int) "the fast path replays the suffix only" (ops mod every)
-    fast_replayed;
-  Alcotest.(check bool) "at most checkpoint_every ops replayed" true
-    (fast_replayed <= every);
+  Alcotest.(check int) "the fast path replays the suffix only"
+    (ops - checkpointed) fast_replayed;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d units of work replayed, less than checkpoint_every"
+       fast_work)
+    true (fast_work < every);
   Alcotest.(check int) "the replay from the header replays every op" ops
     slow_replayed;
   (* equal machine states: checkpoints taken now are byte-identical *)
@@ -1572,7 +1574,7 @@ let test_corrupt_current_starts_from_prev () =
   Alcotest.(check bool) "a history of at least 10 intervals" true
     (history >= 10 * every);
   Torture.flip_byte cpath 2;
-  let h, s, replayed = restore_counting dir in
+  let h, s, replayed, _ = restore_counting dir in
   Alcotest.(check bool)
     (Printf.sprintf "%d ops replayed, at most %d" replayed (2 * every))
     true
@@ -1583,6 +1585,93 @@ let test_corrupt_current_starts_from_prev () =
   Alcotest.(check bool) "the corrupt checkpoint quarantined" true
     (Sys.file_exists (cpath ^ ".corrupt-1"));
   Server.abandon_session h s
+
+(* A [step] over a pending load costs more replay work than a whole
+   checkpoint interval (its rounds and the jobs it executes or drops),
+   so the default cadence checkpoints right after it: a restore then
+   replays no op at all. *)
+let test_loaded_step_never_replayed () =
+  with_temp_dir "loadedstep" @@ fun dir ->
+  let config = Server.default_config in
+  let ops =
+    List.init 4 (fun color -> Journal.Submit { round = 0; color; count = 300 })
+    @ [ Journal.Step 64 ]
+  in
+  let h = Server.host { config with checkpoint_dir = Some dir } in
+  let s = Server.open_session h Server.default_session in
+  apply_all h s ops;
+  Alcotest.(check int) "every op applied" 5 (Server.session_ops s);
+  Server.abandon_session h s;
+  let h, s, replayed, work = restore_counting ~config dir in
+  Alcotest.(check int) "no op replayed" 0 replayed;
+  Alcotest.(check int) "no work replayed" 0 work;
+  Alcotest.(check bool) "restored = straight line" true
+    (Snapshot.equal (Server.session_snapshot s)
+       (Torture.straight_line config ops));
+  Server.abandon_session h s
+
+(* Programs of submits, steps of up to 16 rounds and delay
+   reconfigurations, run on a durable session with a random cadence and
+   abandoned after a random op, then restored, run to the end and
+   abandoned again: whatever the history, each restore replays less
+   than [checkpoint_every] units of work (the second one only if the
+   restored session took the work at its checkpoint as its baseline)
+   and lands on the straight line of the ops applied. *)
+let replay_program_gen =
+  QCheck.Gen.(
+    let raw = quad (int_bound 9) (int_bound 15) (int_bound 3) (1 -- 8) in
+    map
+      (fun (every, raws, cut) ->
+        let round = ref 0 in
+        let ops =
+          List.map
+            (fun (kind, a, color, count) ->
+              if kind < 6 then
+                Journal.Submit { round = !round + (a mod 3); color; count }
+              else if kind < 9 then begin
+                round := !round + a + 1;
+                Journal.Step (a + 1)
+              end
+              else
+                Journal.Reconfigure
+                  { delta = None; n = None; delay = [ (color, 2 + a) ] })
+            raws
+        in
+        (every, ops, cut mod (List.length ops + 1)))
+      (triple (1 -- 48) (list_size (0 -- 40) raw) nat))
+
+let print_replay_program (every, ops, cut) =
+  Printf.sprintf "every %d, abandoned after op %d of: %s" every cut
+    (String.concat " | " (List.map Journal.op_to_line ops))
+
+let prop_restore_replays_less_than_every =
+  QCheck.Test.make ~count:150
+    ~name:"a restore replays less than checkpoint_every units"
+    (QCheck.make ~print:print_replay_program replay_program_gen)
+    (fun (every, ops, cut) ->
+      with_temp_dir "replaywork" @@ fun dir ->
+      let config = { torture_config with Server.checkpoint_every = every } in
+      let h = Server.host { config with checkpoint_dir = Some dir } in
+      let s = Server.open_session h Server.default_session in
+      apply_all h s (take cut ops);
+      Server.abandon_session h s;
+      let restore ops =
+        let h, s, _, work = restore_counting ~config dir in
+        if work >= every then
+          QCheck.Test.fail_reportf "replayed %d units of work" work;
+        if
+          not
+            (Snapshot.equal (Server.session_snapshot s)
+               (Torture.straight_line config ops))
+        then QCheck.Test.fail_report "restored state is not the straight line";
+        (h, s)
+      in
+      let h, s = restore (take cut ops) in
+      apply_all h s (drop cut ops);
+      Server.abandon_session h s;
+      let h, s = restore ops in
+      Server.abandon_session h s;
+      true)
 
 (* A checkpoint cut to exactly its first line cannot be a start: it is
    quarantined like any other unreadable checkpoint. *)
@@ -1703,7 +1792,7 @@ let test_commit_reuses_files () =
   done;
   Alcotest.(check bool) "a commit overwrote a longer checkpoint" true !shrunk;
   Server.abandon_session h s;
-  let h2, s2, replayed = restore_counting dir in
+  let h2, s2, replayed, _ = restore_counting dir in
   Alcotest.(check int) "the last checkpoint verifies" 0 replayed;
   Alcotest.(check bool) "and restores the session" true
     (Snapshot.equal (Server.session_snapshot s2) (Server.session_snapshot s));
@@ -1757,7 +1846,7 @@ let test_commit_crash_windows () =
       with_temp_dir "window" @@ fun dir ->
       write_file (Filename.concat dir "journal.jsonl") journal;
       List.iter (fun (name, bytes) -> write_file (Filename.concat dir name) bytes) files;
-      let h, s, replayed = restore_counting dir in
+      let h, s, replayed, _ = restore_counting dir in
       let label what = Printf.sprintf "%s: %s" layout what in
       Alcotest.(check int) (label "starts from the newest checkpoint present")
         (expected.Snapshot.ops - start) replayed;
@@ -2155,6 +2244,9 @@ let () =
             test_lone_divergence_refuses;
           Alcotest.test_case "corrupt current checkpoint starts from .prev"
             `Quick test_corrupt_current_starts_from_prev;
+          Alcotest.test_case "loaded step is never replayed" `Quick
+            test_loaded_step_never_replayed;
+          QCheck_alcotest.to_alcotest prop_restore_replays_less_than_every;
           Alcotest.test_case "a line-1-only checkpoint is quarantined" `Quick
             test_line_one_only_quarantined;
           Alcotest.test_case "a wedged session is never checkpointed" `Quick

@@ -69,9 +69,12 @@ val straight_line : Server.config -> Journal.op list -> Snapshot.t
 val build_fixture : Server.config -> Journal.op list -> string -> unit
 (** Run the ops through a durable host rooted at the directory (the
     config's [checkpoint_dir] is overridden), skipping refused ops,
-    then abandon the session without a final checkpoint.  With [checkpoint_every] well below the
-    op count the fixture carries both [checkpoint.json] and
-    [checkpoint.json.prev], and a journal tail past both. *)
+    then abandon the session without a final checkpoint.  With
+    [checkpoint_every] (units of replay work, see
+    {!Server.config}) well below the ops' total work the fixture
+    carries both [checkpoint.json] and [checkpoint.json.prev]; it
+    leaves a journal tail past both unless the last op triggered a
+    checkpoint. *)
 
 (** {2 Mutators} *)
 
@@ -112,8 +115,10 @@ val journal_edit_campaign :
     over the edit.  Below the previous checkpoint neither checkpoint
     verifies and the restore must refuse (tier 3); between the two the
     previous one verifies, so the current one is quarantined and the
-    restore starts from the previous one (tier 2).  Any other tier is
-    uncontained. *)
+    restore starts from the previous one (tier 2).  Past the current
+    checkpoint nothing checksums the edit: the restore replays it
+    (tier 0), and its state must be the straight line of the edited
+    journal.  Any other tier is uncontained. *)
 
 val checkpoint_campaign :
   ?stride:int -> Server.config -> ops:Journal.op list -> dir:string ->
