@@ -103,17 +103,44 @@ let scaling_instance ~num_colors ~seed =
     ~delay:(Array.make num_colors w)
     ~arrivals:!arrivals ()
 
-let best_of f =
-  let best = ref infinity in
-  let result = ref None in
+(* One timed arm: its last result, its best seconds per run so far and
+   the runs made. *)
+type arm = {
+  run : unit -> Engine.result;
+  mutable result : Engine.result option;
+  mutable best : float;
+  mutable runs : int;
+}
+
+let arm run = { run; result = None; best = infinity; runs = 0 }
+
+(* A block runs an arm at least once and until this long has passed:
+   an incremental run at a few hundred colors takes well under a
+   millisecond, too short to time alone. *)
+let block_seconds = 0.02
+
+(* Best of [repeats] blocks per arm, the arms' blocks alternating, each
+   block's time taken per run.  Alternation lets a drift of the
+   machine's speed reach every arm alike, so their ratio (the speedup)
+   holds still where their rates do not.  A full major collection
+   before each block starts every arm from the same heap, so no arm
+   pays for the garbage the one before it left. *)
+let time_interleaved arms =
   for _ = 1 to max 1 !repeats do
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    let dt = Unix.gettimeofday () -. t0 in
-    result := Some r;
-    if dt < !best then best := dt
-  done;
-  (Option.get !result, !best)
+    List.iter
+      (fun a ->
+        Gc.full_major ();
+        let t0 = Unix.gettimeofday () in
+        let rec go k =
+          a.result <- Some (a.run ());
+          let dt = Unix.gettimeofday () -. t0 in
+          if dt < block_seconds then go (k + 1) else (k, dt)
+        in
+        let k, dt = go 1 in
+        a.runs <- a.runs + k;
+        a.best <- Float.min a.best (dt /. float_of_int k))
+      arms
+  done
 
 let run_scaling oc =
   print_endline
@@ -133,13 +160,8 @@ let run_scaling oc =
         Engine.run_policy (Engine.config ~n:!n ()) instance (policy ())
       in
       let registry = Rrs_obs.Metrics.create () in
-      let incr_result, incr_seconds =
-        best_of
-          (run (fun () -> (Lru_edf.make ~registry instance ~n:!n).policy))
-      in
-      let updates =
-        Rrs_obs.Metrics.value (Rrs_obs.Metrics.counter registry "ranking_update")
-        / max 1 !repeats
+      let incr =
+        arm (run (fun () -> (Lru_edf.make ~registry instance ~n:!n).policy))
       in
       (* the reference's per-round scan is Θ(C): above the cap a timing
          run would dominate the whole bench for no extra signal, so large
@@ -147,10 +169,19 @@ let run_scaling oc =
          runs the reference on every instance it covers) *)
       let rebuild =
         if size <= !rebuild_cap then
-          Some (best_of (run (fun () -> Rrs_oracle.dlru_edf instance ~n:!n)))
+          Some (arm (run (fun () -> Rrs_oracle.dlru_edf instance ~n:!n)))
         else None
       in
-      (* two extra runs, kept out of the [best_of] runs so rounds/sec
+      time_interleaved (incr :: Option.to_list rebuild);
+      let incr_result = Option.get incr.result and incr_seconds = incr.best in
+      let rebuild =
+        Option.map (fun a -> (Option.get a.result, a.best)) rebuild
+      in
+      let updates =
+        Rrs_obs.Metrics.value (Rrs_obs.Metrics.counter registry "ranking_update")
+        / incr.runs
+      in
+      (* two extra runs, kept out of the timed runs so rounds/sec
          stays unperturbed (doc/PERFORMANCE.md): the GC counters read
          around the steps of a Sink.null session give allocations per
          round with nothing but engine rounds in the window, and a

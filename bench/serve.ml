@@ -47,7 +47,9 @@
    ahead and then stepped through them in one [step 64] is restored
    too: the step costs more replay work than a checkpoint interval, so
    it is checkpointed right after it and the restore replays no op
-   ("heavy_step_replayed_ops", Exact). *)
+   ("heavy_step_replayed_ops", Exact).  So does a session left for
+   another one with more replay work since its last checkpoint than it
+   has colors ("left_session_replayed_ops", Exact). *)
 
 open Rrs_core
 module Families = Rrs_workload.Families
@@ -534,6 +536,27 @@ let heavy_step () =
   if replayed <> 0 then fail "a restore replayed %d ops after a loaded step" replayed;
   replayed
 
+(* 48 ops of the steady load, well past the session's 64 colors in
+   replay work and short of a checkpoint interval, then an [open] of
+   another session: the session left is checkpointed, so a restore
+   replays no op. *)
+let left_session () =
+  let dir = temp_dir "left" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let config = steady_config dir in
+  let h = Server.host config in
+  let s = Server.open_session h Server.default_session in
+  run_to h s (steady_ops ()) ~ops:48;
+  if checkpointed_ops dir <> 0 then fail "the left session was checkpointed before it was left";
+  (match Server.exec h s (Protocol.Open "other") with
+  | Server.Switch (other, _) -> Server.abandon_session h other
+  | _ -> failwith "open other: no switch");
+  Server.abandon_session h s;
+  let _, replayed = restore config in
+  Printf.printf "restore of a left session: %d ops replayed\n" replayed;
+  if replayed <> 0 then fail "a restore of a left session replayed %d ops" replayed;
+  replayed
+
 let restore_scaling () =
   print_endline
     "================================================================";
@@ -570,7 +593,8 @@ let restore_scaling () =
   Printf.printf "growth: %.2fx for %.1fx the history\n" growth
     (float_of_int large_ops /. float_of_int small_ops);
   let heavy = heavy_step () in
-  (t_small, t_large, growth, r_small, r_large, small_ops, large_ops, heavy)
+  let left = left_session () in
+  (t_small, t_large, growth, r_small, r_large, small_ops, large_ops, heavy, left)
 
 (* ------------------------------------------------------------------ *)
 
@@ -587,7 +611,7 @@ let () =
   let divergences, restore_seconds, families, rounds_replayed, ckpt_replayed =
     restore_drill ()
   in
-  let t_small, t_large, growth, r_small, r_large, small_ops, large_ops, heavy =
+  let t_small, t_large, growth, r_small, r_large, small_ops, large_ops, heavy, left =
     restore_scaling ()
   in
   Out_channel.with_open_text !out (fun oc ->
@@ -660,6 +684,7 @@ let () =
                ("restore_small_replayed_ops", float_of_int r_small);
                ("restore_large_replayed_ops", float_of_int r_large);
                ("heavy_step_replayed_ops", float_of_int heavy);
+               ("left_session_replayed_ops", float_of_int left);
              ]
            ()));
   (match Rrs_obs.Run_summary.load !out with

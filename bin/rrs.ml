@@ -779,7 +779,11 @@ let status_cmd =
               (i0 "serve_session_restarts")
               (i0 "serve_recovery_torn_tail")
               (i0 "serve_recovery_quarantined")
-              (i0 "serve_recovery_refused"));
+              (i0 "serve_recovery_refused");
+            Format.printf "checkpoints: %d (%d on leave), %d failed@."
+              (i0 "serve_checkpoints")
+              (i0 "serve_leave_checkpoints")
+              (i0 "serve_checkpoint_failures"));
         Format.printf "window: %d rounds, %.3fs since previous beat@."
           (i0 "rounds_since")
           (Option.value ~default:0. (float "seconds_since"));
@@ -916,7 +920,10 @@ let serve_cmd =
        commands and at quit).  Replay work counts one unit per applied \
        command (a $(b,reconfigure) counts the number of colors), per \
        round run and per job executed or dropped, so a restore replays \
-       less than $(docv) units after the current checkpoint."
+       less than $(docv) units after the current checkpoint.  A session \
+       a client leaves (for another session, or by disconnecting) is \
+       also checkpointed once that work reaches its number of colors; \
+       0 turns those checkpoints off too."
     in
     Arg.(
       value
@@ -996,6 +1003,9 @@ let serve_cmd =
       ("serve_recovery_torn_tail", "recovery_torn_tail");
       ("serve_recovery_checkpoint_quarantined", "recovery_quarantined");
       ("serve_recovery_refused", "recovery_refused");
+      ("serve_checkpoints", "checkpoints");
+      ("serve_leave_checkpoints", "leave_checkpoints");
+      ("serve_checkpoint_failures", "checkpoint_failures");
     ]
     |> List.map (fun (counter, field) ->
            ("serve_" ^ field, Rrs_obs.Json.Int (count counter)))

@@ -357,6 +357,9 @@ type counters = {
   torn_tail : Metrics.counter;
   quarantined : Metrics.counter;
   refused : Metrics.counter;
+  checkpoints : Metrics.counter;
+  leave_checkpoints : Metrics.counter;
+  checkpoint_failures : Metrics.counter;
 }
 
 let counters m =
@@ -371,6 +374,9 @@ let counters m =
     torn_tail = c "serve_recovery_torn_tail";
     quarantined = c "serve_recovery_checkpoint_quarantined";
     refused = c "serve_recovery_refused";
+    checkpoints = c "serve_checkpoints";
+    leave_checkpoints = c "serve_leave_checkpoints";
+    checkpoint_failures = c "serve_checkpoint_failures";
   }
 
 type session = {
@@ -702,7 +708,11 @@ let checkpoint_session h s =
   | Some dir, Some w ->
       let snapshot = Snapshot.of_session ~ops:s.ops s.session in
       encode_checkpoint h.checkpoint_buffer snapshot (Journal.anchor w) s.session;
-      write_checkpoint dir h.checkpoint_buffer;
+      (match write_checkpoint dir h.checkpoint_buffer with
+      | () -> Metrics.inc h.counters.checkpoints 1
+      | exception e ->
+          Metrics.inc h.counters.checkpoint_failures 1;
+          raise e);
       s.ckpt_work <- session_work s;
       Some snapshot
   | _ ->
@@ -731,6 +741,26 @@ let commit h s op =
          the journal survives *)
       Stdlib.exit 70
   | _ -> ()
+
+(* Rent or buy: a session a connection leaves is checkpointed once the
+   replay work since its last checkpoint reaches its number of colors.
+   That is what a [reconfigure] is charged for rebuilding the per-color
+   state a checkpoint encodes, so the checkpoint never costs more than
+   the replay it saves.  A failed commit leaves the previous checkpoint
+   in place ([write_checkpoint]), so it fails neither the switch nor the
+   session. *)
+let leave h s =
+  match s.writer with
+  | Some _
+    when h.config.checkpoint_every > 0
+         && session_work s - s.ckpt_work >= Session.num_colors s.session -> (
+      match checkpoint_session h s with
+      | Some _ -> Metrics.inc h.counters.leave_checkpoints 1
+      | None -> ()
+      | exception (Unix.Unix_error _ | Sys_error _) -> ())
+  | _ ->
+      (* ephemeral, wedged, checkpoints off, or too little to save *)
+      ()
 
 let abandon_session h s =
   Option.iter Journal.close s.writer;
@@ -773,6 +803,11 @@ type outcome =
   | Switch of session * string list
   | Bye of string list
   | Stop of string list
+
+(* the connection leaves [from] for [s], unless it stays on it *)
+let switch h ~from s lines =
+  if s.name <> from.name then leave h from;
+  Switch (s, lines)
 
 let session_line s =
   Printf.sprintf "ok %s round=%d ops=%d pending=%d%s" s.name
@@ -836,14 +871,16 @@ let exec ?(apply = apply_op) h (current : session) (cmd : Protocol.command) :
       | Some s when s.wedged = None ->
           if s.name = current.name then
             Reply [ Printf.sprintf "ok attached %s (already current)" name ]
-          else Switch (s, [ Printf.sprintf "ok attached %s (already open)" name ])
+          else
+            switch h ~from:current s
+              [ Printf.sprintf "ok attached %s (already open)" name ]
       | _ -> (
           match try_open h name with
-          | Ok s -> Switch (s, greeting s)
+          | Ok s -> switch h ~from:current s (greeting s)
           | Error diag -> Reply [ "err open: " ^ diag ]))
   | Protocol.Attach name -> (
       match find_session h name with
-      | Some s -> Switch (s, [ "ok attached " ^ name ])
+      | Some s -> switch h ~from:current s [ "ok attached " ^ name ]
       | None ->
           Reply
             [

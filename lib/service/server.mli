@@ -1,8 +1,9 @@
 (** The long-lived scheduler service: streaming
     {!Rrs_core.Engine.Session}s driven by the line protocol
-    ({!Protocol}), journaled ({!Journal}) and periodically checkpointed
-    (the {!Snapshot} line and the session's machine state;
-    doc/SERVICE.md, "The checkpoint format").  A commit reuses the two
+    ({!Protocol}), journaled ({!Journal}) and checkpointed (the
+    {!Snapshot} line and the session's machine state; doc/SERVICE.md,
+    "The checkpoint format") by replay work and when a connection
+    leaves the session ({!leave}).  A commit reuses the two
     checkpoint files: the new bytes overwrite [checkpoint.json.prev]
     in place under a temp name, [checkpoint.json] becomes [.prev] and
     the temp becomes [checkpoint.json], so no commit after a session's
@@ -175,8 +176,21 @@ val checkpoint_session : host -> session -> Snapshot.t option
     [checkpoint.json.prev]): the snapshot line and the machine state,
     anchored to the journal prefix written so far.  Both lines go
     through one buffer the host reuses; a failed write removes its temp
-    file.  [None], and nothing written, for an ephemeral session and
-    for a {!wedge}d one, whose state is untrusted. *)
+    file and is counted in [serve_checkpoint_failures] before the
+    exception propagates, a commit in [serve_checkpoints].  [None], and
+    nothing written, for an ephemeral session and for a {!wedge}d one,
+    whose state is untrusted. *)
+
+val leave : host -> session -> unit
+(** A connection leaves the session (it switched to another one, or it
+    closed): commit a checkpoint if the replay work since the last one
+    reaches the session's number of colors, the work a [reconfigure]
+    is charged, so the checkpoint never costs more than the replay it
+    saves.  Does nothing for an ephemeral or {!wedge}d session or with
+    [checkpoint_every = 0].  A commit that fails with [Unix_error] or
+    [Sys_error] is counted in [serve_checkpoint_failures] and otherwise
+    ignored: the previous checkpoint is still whole.  {!exec} calls it
+    on a successful [open]/[attach] of another session. *)
 
 val close_session : host -> session -> Rrs_core.Engine.result
 (** Final checkpoint (none for a wedged session), close the journal,
@@ -204,7 +218,7 @@ type outcome =
   | Reply of string list  (** answer and keep going *)
   | Switch of session * string list
       (** [open]/[attach] succeeded: the client's current session
-          changed *)
+          changed, and the one it left was offered to {!leave} *)
   | Bye of string list
       (** [quit]: close this client after
           [ok bye round=R executed=E dropped=D recolorings=X cost=C],

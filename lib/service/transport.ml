@@ -231,9 +231,15 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
           let now () = Unix.gettimeofday () in
           let drop ?(slow = false) c =
             (* ending the stdio connection stops the server; its
-               descriptors belong to the caller *)
+               descriptors belong to the caller.  A socket connection
+               leaves its session, unless the server is stopping: the
+               drain closes every session with a checkpoint anyway *)
             if c.paced then shutting := true
-            else (try Unix.close c.fd with Unix.Unix_error _ -> ());
+            else begin
+              (try Unix.close c.fd with Unix.Unix_error _ -> ());
+              if not !shutting then
+                Option.iter (Server.leave h) (Server.find_session h c.sname)
+            end;
             conns := List.filter (fun c' -> c' != c) !conns;
             queued := !queued - c.depth;
             Queue.clear c.cmds;
@@ -682,6 +688,9 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
             end
           in
           loop ();
+          (* [stop] may have ended the loop: the drain's drops leave no
+             session either *)
+          shutting := true;
           (* ---- drain ---------------------------------------------- *)
           (* no new reads: finish every queued command (acked work is
              never dropped by shutdown), say goodbye, flush bounded *)

@@ -13,6 +13,9 @@
     per-connection reply order always matches command order.  [quit]
     answers [ok bye round=R executed=E dropped=D recolorings=X cost=C]
     for the connection's current session and closes the connection.
+    A socket connection that ends, for whatever reason, leaves its
+    current session ({!Server.leave}) unless the server is stopping,
+    whose drain checkpoints every session anyway.
 
     {b The stdio connection} follows three rules:
 

@@ -1506,12 +1506,13 @@ let has_machine_state path =
 
 (* Restore [dir] on a fresh host: the host, the session, and the ops
    and the units of replay work the restore replayed. *)
-let restore_counting ?(config = torture_config) dir =
+let restore_counting ?(config = torture_config) ?(name = Server.default_session)
+    dir =
   let metrics = Rrs_obs.Metrics.create () in
   let h =
     Server.host { config with checkpoint_dir = Some dir; metrics = Some metrics }
   in
-  let s = Server.open_session h Server.default_session in
+  let s = Server.open_session h name in
   let counter name = Rrs_obs.Metrics.value (Rrs_obs.Metrics.counter metrics name) in
   (h, s, counter "serve_restore_replayed_ops", counter "serve_restore_replayed_work")
 
@@ -1672,6 +1673,158 @@ let prop_restore_replays_less_than_every =
       let h, s = restore ops in
       Server.abandon_session h s;
       true)
+
+(* ---- leave checkpoints -------------------------------------------- *)
+
+let counter_of h name =
+  Rrs_obs.Metrics.value (Rrs_obs.Metrics.counter (Server.metrics h) name)
+
+(* [exec] a command that must switch the connection's session *)
+let switch_to h current cmd =
+  match Server.exec h current cmd with
+  | Server.Switch (s, _) -> s
+  | Server.Reply lines | Server.Bye lines | Server.Stop lines ->
+      Alcotest.failf "%s: no switch: %s"
+        (Protocol.command_to_string cmd)
+        (String.concat " / " lines)
+
+let session_checkpoint dir name =
+  Filename.concat (Filename.concat (Filename.concat dir "sessions") name)
+    "checkpoint.json"
+
+(* six submits and a [step 2]: more replay work than the default
+   config's 8 colors *)
+let leave_ops =
+  List.init 6 (fun color -> Journal.Submit { round = 0; color; count = 2 })
+  @ [ Journal.Step 2 ]
+
+(* A session a connection leaves with at least [num_colors] units of
+   replay work since its last checkpoint is checkpointed: restored
+   later, it replays nothing. *)
+let test_left_session_restores_without_replay () =
+  with_temp_dir "leave" @@ fun dir ->
+  let config = Server.default_config in
+  let h = Server.host { config with checkpoint_dir = Some dir } in
+  let a = Server.open_session h "a" in
+  apply_all h a leave_ops;
+  (match Server.exec h a (Protocol.Open "../b") with
+  | Server.Reply [ line ] when String.starts_with ~prefix:"err open: " line -> ()
+  | _ -> Alcotest.fail "open of an invalid name did not fail");
+  Alcotest.(check int) "a failed open leaves nothing" 0
+    (counter_of h "serve_checkpoints");
+  let b = switch_to h a (Protocol.Open "b") in
+  Alcotest.(check int) "one leave checkpoint" 1
+    (counter_of h "serve_leave_checkpoints");
+  Alcotest.(check int) "one checkpoint in all" 1 (counter_of h "serve_checkpoints");
+  Server.abandon_session h a;
+  Server.abandon_session h b;
+  let h, s, replayed, work = restore_counting ~config ~name:"a" dir in
+  Alcotest.(check int) "no op replayed" 0 replayed;
+  Alcotest.(check int) "no work replayed" 0 work;
+  Alcotest.(check bool) "restored = straight line" true
+    (Snapshot.equal (Server.session_snapshot s)
+       (Torture.straight_line config leave_ops));
+  Server.abandon_session h s
+
+(* A client that alternates two sessions, one unit of work per visit,
+   pays one leave checkpoint per [num_colors] units of a session's
+   work, and none below that. *)
+let test_alternating_sessions_checkpoint_per_colors () =
+  with_temp_dir "alternate" @@ fun dir ->
+  let h = Server.host { Server.default_config with checkpoint_dir = Some dir } in
+  let colors = Array.length Server.default_config.delay in
+  let a = Server.open_session h "a" in
+  let b = Server.open_session h "b" in
+  let visit current next =
+    apply_all h current [ Journal.Submit { round = 0; color = 0; count = 1 } ];
+    switch_to h current (Protocol.Attach (Server.session_name next))
+  in
+  let rec alternate k current other =
+    if k > 0 then alternate (k - 1) (visit current other) current
+  in
+  alternate (2 * (colors - 1)) a b;
+  Alcotest.(check int)
+    (Printf.sprintf "%d units per session: no leave checkpoint" (colors - 1))
+    0
+    (counter_of h "serve_checkpoints");
+  Alcotest.(check bool) "no checkpoint file" false
+    (Sys.file_exists (session_checkpoint dir "a")
+    || Sys.file_exists (session_checkpoint dir "b"));
+  (* on to 5 * colors units per session: 5 checkpoints each *)
+  alternate (2 * ((4 * colors) + 1)) a b;
+  Alcotest.(check int) "one leave checkpoint per num_colors units" 10
+    (counter_of h "serve_leave_checkpoints");
+  (* attaching to the current session leaves nothing *)
+  apply_all h a leave_ops;
+  ignore (switch_to h a (Protocol.Attach "a"));
+  ignore (Server.exec h a (Protocol.Open "a"));
+  Alcotest.(check int) "staying on a session is no leave" 10
+    (counter_of h "serve_leave_checkpoints");
+  Server.abandon_session h a;
+  Server.abandon_session h b
+
+let test_no_leave_checkpoint_when_off () =
+  with_temp_dir "leaveoff" @@ fun dir ->
+  let h =
+    Server.host
+      { Server.default_config with checkpoint_dir = Some dir; checkpoint_every = 0 }
+  in
+  let a = Server.open_session h "a" in
+  apply_all h a leave_ops;
+  let b = switch_to h a (Protocol.Open "b") in
+  apply_all h b leave_ops;
+  let a = switch_to h b (Protocol.Attach "a") in
+  Alcotest.(check int) "no checkpoint" 0 (counter_of h "serve_checkpoints");
+  Alcotest.(check bool) "no checkpoint file" false
+    (Sys.file_exists (session_checkpoint dir "a")
+    || Sys.file_exists (session_checkpoint dir "b"));
+  Server.abandon_session h a;
+  Server.abandon_session h b
+
+(* A leave checkpoint whose commit fails (a directory where the temp
+   file goes: the open fails with EISDIR) fails neither the switch nor
+   the session: it is counted, the previous checkpoint stays whole,
+   and the next leave commits. *)
+let test_failed_leave_checkpoint_contained () =
+  with_temp_dir "leavefail" @@ fun dir ->
+  let config = Server.default_config in
+  let h = Server.host { config with checkpoint_dir = Some dir } in
+  let a = Server.open_session h "a" in
+  apply_all h a leave_ops;
+  (match Server.exec h a Protocol.Checkpoint with
+  | Server.Reply [ line ] when String.starts_with ~prefix:"ok checkpoint" line -> ()
+  | _ -> Alcotest.fail "checkpoint refused");
+  let cpath = session_checkpoint dir "a" in
+  let committed = read_file cpath in
+  let more = ops_from (Server.session_snapshot a).Snapshot.round 4 in
+  apply_all h a more;
+  let temp =
+    Filename.concat (Filename.dirname cpath)
+      ("checkpoint.json.tmp." ^ string_of_int (Unix.getpid ()))
+  in
+  Unix.mkdir temp 0o755;
+  let b = switch_to h a (Protocol.Open "b") in
+  Alcotest.(check int) "the failure is counted" 1
+    (counter_of h "serve_checkpoint_failures");
+  Alcotest.(check int) "no leave checkpoint" 0
+    (counter_of h "serve_leave_checkpoints");
+  Alcotest.(check (option string)) "a is not wedged" None (Server.session_wedged a);
+  Alcotest.(check string) "the committed checkpoint is whole" committed
+    (read_file cpath);
+  Unix.rmdir temp;
+  let a = switch_to h b (Protocol.Attach "a") in
+  apply_all h a [ Journal.Step 1 ];
+  ignore (switch_to h a (Protocol.Attach "b"));
+  Alcotest.(check int) "the next leave commits" 1
+    (counter_of h "serve_leave_checkpoints");
+  Server.abandon_session h a;
+  Server.abandon_session h b;
+  let h, s, _, work = restore_counting ~config ~name:"a" dir in
+  Alcotest.(check int) "no work replayed" 0 work;
+  Alcotest.(check bool) "restored = straight line" true
+    (Snapshot.equal (Server.session_snapshot s)
+       (Torture.straight_line config (leave_ops @ more @ [ Journal.Step 1 ])));
+  Server.abandon_session h s
 
 (* A checkpoint cut to exactly its first line cannot be a start: it is
    quarantined like any other unreadable checkpoint. *)
@@ -2008,7 +2161,16 @@ let test_torture_smoke () =
    model is the plain insertion-ordered association list it replaced.
    Random open / attach / step / wedge(+reopen) / abandon / close
    sequences must agree on lookups, on the order of [sessions] and on
-   the [sessions] reply, byte for byte. *)
+   the [sessions] reply, byte for byte.
+
+   With [dir] the sessions are durable, and the model also keeps, for
+   every name ever opened, its journaled round and op count and the
+   replay work since its last checkpoint.  The model's sessions hold
+   no job, so a [step k] adds k + 1 units; a close and a leave with at
+   least [num_colors] units checkpoint.  A session reopened after an
+   abandon or a wedge is restored and must replay exactly that work, so
+   one left with [num_colors] units or more replays none; at the end
+   every session is restored once more on a fresh host. *)
 
 type table_op =
   | T_open of int
@@ -2047,13 +2209,48 @@ let model_line (name, (round, ops, wedged)) =
   Printf.sprintf "ok %s round=%d ops=%d pending=0%s" name round ops
     (if wedged then " wedged" else "")
 
-let run_table_ops ops =
-  let h = Server.host Server.default_config in
+let run_table_ops ?dir ops =
+  let config = { Server.default_config with checkpoint_dir = dir } in
+  let durable = dir <> None in
+  let colors = Array.length config.delay in
+  let h = Server.host config in
   let model = ref [] in
-  let cur = ref None in
+  (* name -> journaled round and ops, replay work since the last
+     checkpoint *)
+  let disk = Hashtbl.create 8 in
+  let leaves = ref 0 in
   let replace name entry =
     model := List.remove_assoc name !model @ [ (name, entry) ]
   in
+  (* a (re)opened session: a durable one is restored from its journal,
+     replaying the work since its last checkpoint *)
+  let reopened name ~replayed =
+    let round, ops, work =
+      match Hashtbl.find_opt disk name with
+      | Some entry when durable -> entry
+      | _ -> (0, 0, 0)
+    in
+    if durable then
+      Alcotest.(check int)
+        (Printf.sprintf "open %s: the work since its last checkpoint replayed"
+           name)
+        work replayed;
+    Hashtbl.replace disk name (round, ops, work);
+    replace name (round, ops, false)
+  in
+  (* the connection left [from] for the session named [name] *)
+  let left from name =
+    match from with
+    | Some f when Server.session_name f <> name -> (
+        let from = Server.session_name f in
+        match (List.assoc_opt from !model, Hashtbl.find_opt disk from) with
+        | Some (_, _, false), Some (round, ops, work) when work >= colors ->
+            incr leaves;
+            Hashtbl.replace disk from (round, ops, 0)
+        | _ -> ())
+    | _ -> ()
+  in
+  let cur = ref None in
   (* with no current session, address the table through one that
      never joins it *)
   let outsider =
@@ -2092,11 +2289,15 @@ let run_table_ops ops =
       (match op with
       | T_open i -> (
           let name = table_name i in
+          let before = counter_of h "serve_restore_replayed_work" in
           match exec (Rrs_service.Protocol.Open name) with
           | Server.Switch (s, _) ->
               (match List.assoc_opt name !model with
               | Some (_, _, false) -> ()
-              | _ -> replace name (0, 0, false));
+              | _ ->
+                  reopened name
+                    ~replayed:(counter_of h "serve_restore_replayed_work" - before));
+              left !cur name;
               cur := Some s
           | Server.Reply lines -> (
               (* already current *)
@@ -2112,6 +2313,7 @@ let run_table_ops ops =
           | Server.Switch (s, _) ->
               if not (List.mem_assoc name !model) then
                 Alcotest.failf "attach %s: not in the model" name;
+              left !cur name;
               cur := Some s
           | _ ->
               if List.mem_assoc name !model then
@@ -2132,7 +2334,13 @@ let run_table_ops ops =
                         (fun (n, e) ->
                           if n = name then (n, (round + k, ops + 1, false))
                           else (n, e))
-                        !model
+                        !model;
+                    let _, _, work = Hashtbl.find disk name in
+                    let work = work + k + 1 in
+                    Hashtbl.replace disk name
+                      ( round + k,
+                        ops + 1,
+                        if work >= config.checkpoint_every then 0 else work )
                   end
               | _ -> Alcotest.fail "step: unexpected outcome")
           | _ -> ())
@@ -2151,7 +2359,13 @@ let run_table_ops ops =
           match Server.find_session h name with
           | Some s ->
               (match op with
-              | T_close _ -> ignore (Server.close_session h s)
+              | T_close _ ->
+                  ignore (Server.close_session h s);
+                  (* a wedged session is closed without a checkpoint *)
+                  let round, ops, work = Hashtbl.find disk name in
+                  if Server.session_wedged s = None then
+                    Hashtbl.replace disk name (round, ops, 0)
+                  else Hashtbl.replace disk name (round, ops, work)
               | _ -> Server.abandon_session h s);
               model := List.remove_assoc name !model;
               if Option.map Server.session_name !cur = Some name then
@@ -2159,14 +2373,44 @@ let run_table_ops ops =
           | None -> ()));
       check op)
     ops;
+  List.iter (Server.abandon_session h) (Server.sessions h);
+  if durable then begin
+    Alcotest.(check int) "one leave checkpoint per leave with C units" !leaves
+      (counter_of h "serve_leave_checkpoints");
+    let h = Server.host config in
+    Hashtbl.iter
+      (fun name (round, ops, work) ->
+        let before = counter_of h "serve_restore_replayed_work" in
+        let s = Server.open_session h name in
+        Alcotest.(check int)
+          (name ^ ": a restart replays the work since its last checkpoint")
+          work
+          (counter_of h "serve_restore_replayed_work" - before);
+        let snapshot = Server.session_snapshot s in
+        Alcotest.(check (pair int int))
+          (name ^ ": restored round and ops")
+          (round, ops)
+          (snapshot.Snapshot.round, snapshot.Snapshot.ops);
+        Server.abandon_session h s)
+      disk
+  end;
   true
+
+let table_program =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print_table_op ops))
+    QCheck.Gen.(list_size (0 -- 40) table_op_gen)
 
 let prop_session_table_model =
   QCheck.Test.make ~count:300 ~name:"session table matches the list model"
-    (QCheck.make
-       ~print:(fun ops -> String.concat "; " (List.map print_table_op ops))
-       QCheck.Gen.(list_size (0 -- 40) table_op_gen))
-    run_table_ops
+    table_program
+    (fun ops -> run_table_ops ops)
+
+let prop_durable_session_table_model =
+  QCheck.Test.make ~count:150
+    ~name:"durable session table: a restore replays the unsaved work"
+    table_program
+    (fun ops -> with_temp_dir "table" @@ fun dir -> run_table_ops ~dir ops)
 
 let () =
   Alcotest.run "service"
@@ -2247,6 +2491,14 @@ let () =
           Alcotest.test_case "loaded step is never replayed" `Quick
             test_loaded_step_never_replayed;
           QCheck_alcotest.to_alcotest prop_restore_replays_less_than_every;
+          Alcotest.test_case "left session restores without replay" `Quick
+            test_left_session_restores_without_replay;
+          Alcotest.test_case "alternating sessions: one checkpoint per C units"
+            `Quick test_alternating_sessions_checkpoint_per_colors;
+          Alcotest.test_case "no leave checkpoint with checkpoint_every 0"
+            `Quick test_no_leave_checkpoint_when_off;
+          Alcotest.test_case "a failed leave checkpoint is contained" `Quick
+            test_failed_leave_checkpoint_contained;
           Alcotest.test_case "a line-1-only checkpoint is quarantined" `Quick
             test_line_one_only_quarantined;
           Alcotest.test_case "a wedged session is never checkpointed" `Quick
@@ -2275,5 +2527,8 @@ let () =
             test_failed_append_keeps_anchor;
         ] );
       ( "session table",
-        [ QCheck_alcotest.to_alcotest prop_session_table_model ] );
+        [
+          QCheck_alcotest.to_alcotest prop_session_table_model;
+          QCheck_alcotest.to_alcotest prop_durable_session_table_model;
+        ] );
     ]

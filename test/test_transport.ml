@@ -594,6 +594,75 @@ let test_failed_open () =
   let stats = finish server in
   Alcotest.(check int) "serve_wedged stays 0" 0 stats.Transport.wedges
 
+(* A socket client that leaves its session, by [quit] or by just
+   closing, leaves it checkpointed: a copy of the session's directory
+   taken while the server still runs restores without replaying an
+   op. *)
+let test_left_by_disconnect () =
+  let dir = temp_dir "left" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let ckpt = Filename.concat dir "state" in
+  Unix.mkdir ckpt 0o755;
+  (* 4 colors: a leave checkpoints at 4 units, the cadence only at 1024 *)
+  let config = { (config ~checkpoint_dir:ckpt ()) with checkpoint_every = 1024 } in
+  let server = start config dir in
+  let work name ~quit =
+    let c = connect server.sock in
+    ignore (recv c);
+    send c ("open " ^ name);
+    ignore (recv c);
+    List.iter
+      (fun line ->
+        send c line;
+        Alcotest.(check bool) (name ^ ": " ^ line) true (starts_with "ok " (recv c)))
+      [ "submit 0 1 2"; "submit 0 2 2"; "step 3" ];
+    send c "state";
+    let state = recv c in
+    if quit then begin
+      send c "quit";
+      Alcotest.(check bool) "bye" true (starts_with "ok bye" (recv c))
+    end;
+    close_client c;
+    state
+  in
+  let quit_state = work "q" ~quit:true in
+  let closed_state = work "c" ~quit:false in
+  (* a command answered on a later connection: the server has handled
+     both disconnects by then *)
+  let c = connect server.sock in
+  ignore (recv c);
+  send c "sessions";
+  Alcotest.(check string) "three sessions" "ok sessions 3" (recv c);
+  let restores_without_replay name state =
+    let copy = Filename.concat dir ("copy-" ^ name) in
+    let src = Filename.concat (Filename.concat ckpt "sessions") name in
+    let dst = Filename.concat copy "sessions" in
+    List.iter (fun d -> Unix.mkdir d 0o755) [ copy; dst; Filename.concat dst name ];
+    Array.iter
+      (fun f ->
+        let contents =
+          In_channel.with_open_bin (Filename.concat src f) In_channel.input_all
+        in
+        Out_channel.with_open_bin
+          (Filename.concat (Filename.concat dst name) f)
+          (fun oc -> output_string oc contents))
+      (Sys.readdir src);
+    let metrics = Metrics.create () in
+    let h =
+      Server.host { config with checkpoint_dir = Some copy; metrics = Some metrics }
+    in
+    let s = Server.open_session h name in
+    Alcotest.(check int) (name ^ ": no op replayed") 0
+      (Metrics.value (Metrics.counter metrics "serve_restore_replayed_ops"));
+    Alcotest.(check string) (name ^ ": the state before the disconnect") state
+      (Rrs_service.Snapshot.to_line (Server.session_snapshot s));
+    Server.abandon_session h s
+  in
+  restores_without_replay "q" quit_state;
+  restores_without_replay "c" closed_state;
+  close_client c;
+  ignore (finish server)
+
 (* The soft RLIMIT_NOFILE, from /proc/self/limits; [None] when it
    cannot be read or is unlimited. *)
 let nofile_limit () =
@@ -817,6 +886,8 @@ let () =
           Alcotest.test_case "abrupt disconnect" `Quick test_abrupt_disconnect;
           Alcotest.test_case "failed open wedges nothing" `Quick
             test_failed_open;
+          Alcotest.test_case "a client that leaves checkpoints" `Quick
+            test_left_by_disconnect;
           Alcotest.test_case "accept past select's fd limit" `Quick
             test_fd_limit;
         ] );
