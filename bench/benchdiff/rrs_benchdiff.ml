@@ -28,6 +28,7 @@ let default_rules =
     rule "analysis.rounds" Exact;
     rule "analysis.engine_runs" Exact;
     rule "analysis.*_replayed_ops" Exact;
+    rule "analysis.*_disk_bytes" Exact;
     (* deterministic work counts: improvements fine, growth gated *)
     rule ~rel_tol:0.10 "analysis.ranking_updates" Lower_better;
     (* the flat hot path holds allocations near zero, so the band is

@@ -1,13 +1,15 @@
 (* The crash-consistency torture campaign.
 
    Part 1 mutates durable state offline through Rrs_torture.Torture:
-   journal truncation at every byte boundary, a byte flip at every
-   offset, every op line duplicated, every submit rewritten with
-   another job count (still a valid op, below the full-state
-   checkpoint), and the same for checkpoint.json
-   — every case must be contained (recovered on the documented tier or
-   refused with a diagnostic) and divergence-free (a successful restore
-   equals the straight line of the ops the mutated journal holds).
+   each journal segment truncated at every byte boundary, a byte
+   flipped at every offset, every line duplicated, every op line
+   rewritten with another value (still a valid op) and swapped with
+   the next, the segments' edges cut and flipped, each segment removed
+   and an extra one added, a kill at each step of a rotating
+   checkpoint commit, and checkpoint.json truncated and flipped — every
+   case must be contained (recovered on the documented tier or refused
+   with a diagnostic) and divergence-free (a successful restore equals
+   the straight line of the acked ops it holds).
 
    Part 2 drills kills end to end over the socket: for every op k a
    child process (this executable re-exec'd with --child-serve) serves
@@ -75,11 +77,6 @@ let fresh_dir name =
   mk dir;
   dir
 
-(* How many ops a journal holds (a torn tail dropped). *)
-let journaled_ops path =
-  Journal.fold path ~init:(fun _ -> 0) ~f:(fun n _ -> n + 1)
-  |> Result.map (fun (n, _tear, _end) -> n)
-
 let is_mutation_ack line =
   let prefixes = [ "ok submitted"; "ok stepped"; "ok reconfigured" ] in
   List.exists
@@ -115,10 +112,26 @@ let offline_campaigns () =
   let flip = run "journal-flip" (Torture.journal_flip_campaign ?stride:None) in
   let dup = run "journal-dup" Torture.journal_dup_campaign in
   let edit = run "journal-edit" Torture.journal_edit_campaign in
+  let reorder = run "journal-reorder" Torture.journal_reorder_campaign in
+  let boundary = run "segment-boundary" Torture.segment_boundary_campaign in
+  let presence = run "segment-presence" Torture.segment_presence_campaign in
+  let rotation = run "kill-rotation" Torture.kill_rotation_campaign in
   let ckpt = run "checkpoint" (Torture.checkpoint_campaign ?stride:None) in
   let prefixes = run "kill-prefix" (Torture.prefix_campaign ~torn:false) in
   let torn = run "kill-prefix-torn" (Torture.prefix_campaign ~torn:true) in
-  (truncate, flip, dup, edit, ckpt, prefixes, torn)
+  [
+    ("journal-truncate", truncate);
+    ("journal-flip", flip);
+    ("journal-dup", dup);
+    ("journal-edit", edit);
+    ("journal-reorder", reorder);
+    ("segment-boundary", boundary);
+    ("segment-presence", presence);
+    ("kill-rotation", rotation);
+    ("checkpoint-torture", ckpt);
+    ("kill-prefix", prefixes);
+    ("kill-prefix-torn", torn);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* part 2: kill-at-every-op over the socket                            *)
@@ -171,6 +184,7 @@ let kill_drill ops k =
             tier = 0;
             contained = false;
             diverged = false;
+            restored_ops = 0;
             detail = "could not connect";
           }
     | fd ->
@@ -200,20 +214,16 @@ let kill_drill ops k =
         let v =
           Torture.restore_case
             ~case:(Printf.sprintf "socket-kill@%d" k)
-            config state
+            ~ops config state
         in
         (* ack-after-log: every acked op must have survived the kill *)
-        (match journaled_ops (Filename.concat state "journal.jsonl") with
-        | Ok journaled ->
-            if journaled < !acked then
-              fail "socket-kill@%d: %d acked but only %d journaled" k !acked
-                journaled
-            else if journaled <> k then
-              fail "socket-kill@%d: journal holds %d ops, want exactly %d" k
-                journaled k
-        | Error e ->
-            fail "socket-kill@%d: journal unreadable: %s" k
-              (Journal.describe_load_error ~path:"journal.jsonl" e));
+        let journaled = v.Torture.restored_ops in
+        if not v.Torture.contained then ()
+        else if journaled < !acked then
+          fail "socket-kill@%d: %d acked but only %d journaled" k !acked journaled
+        else if journaled <> k then
+          fail "socket-kill@%d: journal holds %d ops, want exactly %d" k
+            journaled k;
         v
   in
   rm_rf dir;
@@ -356,23 +366,19 @@ let overload_drill () =
           select_rounds = 0;
         }
   in
-  let journaled =
-    match journaled_ops (Filename.concat state "journal.jsonl") with
-    | Ok n -> n
-    | Error e ->
-        incr uncontained;
-        fail "overload journal: %s"
-          (Journal.describe_load_error ~path:"journal.jsonl" e);
-        0
-  in
+  (* the shutdown checkpointed the session: its restore must reproduce
+     that checkpoint's state and hold every journaled op *)
+  let restore = Torture.restore_case ~case:"overload-restore" config state in
+  if not restore.Torture.contained then begin
+    incr uncontained;
+    fail "overload restore: %s" restore.Torture.detail
+  end;
+  let journaled = restore.Torture.restored_ops in
   (* ack-after-log under pressure: an acked op may never be dropped,
      though journaled-but-unacked ops are expected (killed clients) *)
   if journaled < Atomic.get total_acked then
     fail "overload: %d acked but only %d journaled" (Atomic.get total_acked)
       journaled;
-  let restore = Torture.restore_case ~case:"overload-restore" config state in
-  if not restore.Torture.contained then
-    fail "overload restore: %s" restore.Torture.detail;
   if stats.Transport.slow_drops < 1 then
     fail "overload: slow reader was never dropped (slow_drops=%d)"
       stats.Transport.slow_drops;
@@ -404,12 +410,24 @@ let recovery_timing () =
   Torture.build_fixture config ops dir;
   let clean =
     best_of 3 (fun () ->
-        let v = Torture.restore_case ~case:"timing" config dir in
+        let v = Torture.restore_case ~case:"timing" ~ops config dir in
         if not v.Torture.contained then fail "timing restore: %s" v.detail)
   in
   (* now tear the tail and measure the tier-1 path (which truncates
      the tear away — re-tear before each repetition) *)
-  let jpath = Filename.concat dir "journal.jsonl" in
+  let jpath =
+    let last = ref "" in
+    Array.iter
+      (fun f ->
+        match Journal.segment_of_name f with
+        | Some start
+          when start >= Option.value ~default:(-1) (Journal.segment_of_name !last)
+          ->
+            last := f
+        | _ -> ())
+      (Sys.readdir dir);
+    Filename.concat dir !last
+  in
   let tear () =
     let oc =
       Out_channel.open_gen [ Open_append; Open_text ] 0o644 jpath
@@ -420,7 +438,7 @@ let recovery_timing () =
   let torn =
     best_of 3 (fun () ->
         tear ();
-        let v = Torture.restore_case ~case:"timing-torn" config dir in
+        let v = Torture.restore_case ~case:"timing-torn" ~ops config dir in
         if not (v.Torture.contained && v.Torture.tier = 1) then
           fail "timing torn restore: tier %d (%s)" v.Torture.tier v.detail)
   in
@@ -452,7 +470,7 @@ let () =
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let t0 = Unix.gettimeofday () in
   rm_rf scratch;
-  let truncate, flip, dup, edit, ckpt, prefixes, torn = offline_campaigns () in
+  let offline = offline_campaigns () in
   let kills = socket_kill_campaign () in
   let stats, acked, journaled, overload_uncontained, overload_restore =
     overload_drill ()
@@ -471,13 +489,7 @@ let () =
                ]
              ~analysis:(summary_analysis s) ())
       in
-      campaign "journal-truncate" truncate;
-      campaign "journal-flip" flip;
-      campaign "journal-dup" dup;
-      campaign "journal-edit" edit;
-      campaign "checkpoint-torture" ckpt;
-      campaign "kill-prefix" prefixes;
-      campaign "kill-prefix-torn" torn;
+      List.iter (fun (id, s) -> campaign id s) offline;
       campaign "socket-kill" kills;
       write
         (Rrs_obs.Run_summary.make ~id:"overload-drill" ~kind:"bench"
@@ -523,10 +535,10 @@ let () =
              ]
            ()));
   (match Rrs_obs.Run_summary.load "BENCH_torture.json" with
-  | Ok summaries when List.length summaries = 10 -> ()
+  | Ok summaries when List.length summaries = List.length offline + 3 -> ()
   | Ok summaries ->
-      fail "BENCH_torture.json holds %d summaries, expected 10"
-        (List.length summaries)
+      fail "BENCH_torture.json holds %d summaries, expected %d"
+        (List.length summaries) (List.length offline + 3)
   | Error msg -> fail "BENCH_torture.json unreadable: %s" msg);
   Printf.printf "torture campaign finished in %.1f s\n"
     (Unix.gettimeofday () -. t0);

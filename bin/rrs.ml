@@ -773,10 +773,11 @@ let status_cmd =
               ops select_rate (i0 "serve_busy") (i0 "serve_shed")
               (i0 "serve_slow_drops") (i0 "serve_wedged");
             Format.printf
-              "recovery: %d restores (%d session restarts) — torn tail %d, \
-               quarantined %d, refused %d@."
+              "recovery: %d restores (%d session restarts, %d journal bytes \
+               read) — torn tail %d, quarantined %d, refused %d@."
               (i0 "serve_restores")
               (i0 "serve_session_restarts")
+              (i0 "serve_restore_journal_bytes")
               (i0 "serve_recovery_torn_tail")
               (i0 "serve_recovery_quarantined")
               (i0 "serve_recovery_refused");
@@ -904,8 +905,9 @@ let serve_cmd =
   in
   let checkpoint_dir_arg =
     let doc =
-      "Durable state directory ($(b,journal.jsonl) + $(b,checkpoint.json)); \
-       a restart with the same directory restores the session.  Without it \
+      "Durable state directory (journal segments $(b,journal.jsonl), \
+       $(b,journal.N) and $(b,checkpoint.json)); a restart with the same \
+       directory restores the session.  Without it \
        the session is ephemeral."
     in
     Arg.(
@@ -1000,6 +1002,7 @@ let serve_cmd =
       ("serve_wedged", "wedged");
       ("serve_session_restarts", "session_restarts");
       ("serve_restores", "restores");
+      ("serve_restore_journal_bytes", "restore_journal_bytes");
       ("serve_recovery_torn_tail", "recovery_torn_tail");
       ("serve_recovery_checkpoint_quarantined", "recovery_quarantined");
       ("serve_recovery_refused", "recovery_refused");

@@ -206,7 +206,13 @@ module Hash = struct
 
   let length t = t.length
 
-  let digest t =
+  let assign dst src =
+    Bytes.blit src.st 0 dst.st 0 16;
+    dst.fill <- src.fill;
+    dst.length <- src.length
+
+  (* [@inline], so that the callers below keep the int64 unboxed *)
+  let[@inline] value t =
     let h = Bytes.get_int64_le t.st 0 in
     let h =
       if t.fill = 0 then h
@@ -218,10 +224,57 @@ module Hash = struct
         Int64.mul (Int64.logxor h word) k
     in
     let h = Int64.mul (Int64.logxor h (Int64.of_int t.length)) k in
-    let h = Int64.logxor h (Int64.shift_right_logical h 32) in
-    String.init 16 (fun i ->
-        "0123456789abcdef".[Int64.to_int
-                              (Int64.logand
-                                 (Int64.shift_right_logical h (4 * (15 - i)))
-                                 15L)])
+    Int64.logxor h (Int64.shift_right_logical h 32)
+
+  let hex_digits = "0123456789abcdef"
+
+  let[@inline] hex16 h =
+    let b = Bytes.create 16 in
+    for i = 0 to 15 do
+      Bytes.unsafe_set b i
+        hex_digits.[Int64.to_int
+                      (Int64.logand (Int64.shift_right_logical h (4 * (15 - i))) 15L)]
+    done;
+    Bytes.unsafe_to_string b
+
+  let digest t = hex16 (value t)
+
+  (* A link leaves its digest as the state, with nothing pending and the
+     count at 0: exactly the state [of_chain] rebuilds from the digest's
+     digits. *)
+  let link t =
+    Bytes.set_int64_le t.st 0 (value t);
+    t.fill <- 0;
+    t.length <- 0
+
+  let chain t = hex16 (Bytes.get_int64_le t.st 0)
+
+  let of_chain s =
+    if String.length s <> 16 then None
+    else
+      match Int64.of_string_opt ("0x" ^ s) with
+      | Some h when String.for_all (fun c -> String.contains hex_digits c) s ->
+          let t = create () in
+          Bytes.set_int64_le t.st 0 h;
+          Some t
+      | _ -> None
+
+  (* The chain's top 32 bits as an int: digit [i] of [chain] is bits
+     [4 * (7 - i)] up of it, for [i < 8]. *)
+  let top t = Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_le t.st 0) 32)
+
+  let add_check w t ~digits =
+    if digits > 8 then invalid_arg "Wire.Hash.add_check";
+    let top = top t in
+    for i = 0 to digits - 1 do
+      add_char w hex_digits.[(top lsr (4 * (7 - i))) land 15]
+    done
+
+  let check_matches t s ~pos ~digits =
+    if digits > 8 then invalid_arg "Wire.Hash.check_matches";
+    let top = top t in
+    let rec go i =
+      i = digits || (s.[pos + i] = hex_digits.[(top lsr (4 * (7 - i))) land 15] && go (i + 1))
+    in
+    pos >= 0 && pos + digits <= String.length s && go 0
 end

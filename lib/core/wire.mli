@@ -97,4 +97,33 @@ module Hash : sig
 
   val digest : t -> string
   (** 16 lowercase hex digits; [t] is not changed. *)
+
+  val assign : t -> t -> unit
+  (** [assign dst src] makes [dst] a copy of [src] without allocating. *)
+
+  (** {3 Chains}
+
+      A chain hashes a sequence of records, each seeded with the digest
+      of the one before: a record's value depends on every record up to
+      it, and a reader can start at any link knowing only the 16-digit
+      value there. *)
+
+  val link : t -> unit
+  (** End a record: the state becomes the record's digest, what
+      {!digest} printed just before, and the count restarts, so the
+      next bytes are hashed as by a hash seeded with that value. *)
+
+  val chain : t -> string
+  (** The 16 hex digits of the value the last {!link} left. *)
+
+  val of_chain : string -> t option
+  (** The hash {!chain} printed, ready for the next record; [None]
+      unless the string is 16 lowercase hex digits. *)
+
+  val add_check : writer -> t -> digits:int -> unit
+  (** The first [digits] (at most 8) hex digits of {!chain}, appended
+      to the writer without allocating. *)
+
+  val check_matches : t -> string -> pos:int -> digits:int -> bool
+  (** Whether [s] holds those digits at [pos]. *)
 end

@@ -125,7 +125,6 @@ let ack w session (op : Journal.op) =
 
 (* ---- durable state ------------------------------------------------ *)
 
-let journal_path dir = Filename.concat dir "journal.jsonl"
 let checkpoint_path dir = Filename.concat dir "checkpoint.json"
 let checkpoint_prev_path dir = checkpoint_path dir ^ ".prev"
 
@@ -164,27 +163,34 @@ let quarantine how path =
 (* A checkpoint file (doc/SERVICE.md, "The checkpoint format"):
 
      line 1: the snapshot line, byte for byte the [state] reply;
-     line 2: serve_machine 1 ops=N offset=B lines=L journal=H state=S digest=D
+     line 2: serve_machine 2 policy=P mini_rounds=M ops=N chain=C state=S digest=D
 
-   Line 2 holds the session's machine state [S] ({!Session.save} in the
-   {!Wire} code), taken after op N, when the journal was B bytes and L
-   lines long with prefix hash H.  D hashes every byte before
+   Line 2 holds what loading the session needs without the journal's
+   header: the policy id [P], the mini-rounds [M] and the machine state
+   [S] ({!Session.save} in the {!Wire} code), taken after op N, where
+   the journal's chain value was C; the journal segment that starts at
+   op N names the same two values.  D hashes every byte before
    " digest=", line 1 included. *)
-type machine = { ops : int; anchor : Journal.anchor; state : string }
+type machine = {
+  policy : string;
+  mini_rounds : int;
+  anchor : Journal.anchor;
+  state : string;
+}
 
-let encode_checkpoint w (snapshot : Snapshot.t) (anchor : Journal.anchor) session =
+let encode_checkpoint w ~policy ~mini_rounds (snapshot : Snapshot.t)
+    (anchor : Journal.anchor) session =
   Wire.clear w;
   Snapshot.add_line w snapshot;
   Wire.add_char w '\n';
-  let field name v =
-    Wire.add_string w name;
-    Wire.add_decimal w v
-  in
-  field "serve_machine 1 ops=" snapshot.ops;
-  field " offset=" anchor.offset;
-  field " lines=" anchor.lines;
-  Wire.add_string w " journal=";
-  Wire.add_string w anchor.digest;
+  Wire.add_string w "serve_machine 2 policy=";
+  Wire.add_string w policy;
+  Wire.add_string w " mini_rounds=";
+  Wire.add_decimal w mini_rounds;
+  Wire.add_string w " ops=";
+  Wire.add_decimal w anchor.ops;
+  Wire.add_string w " chain=";
+  Wire.add_string w anchor.chain;
   Wire.add_string w " state=";
   Session.save session w;
   let digest = Wire.Hash.create () in
@@ -235,14 +241,17 @@ let write_checkpoint dir w =
       (try Sys.remove temp with Sys_error _ -> ());
       raise e
 
-(* Temp files a kill before step 4 left behind; each process names its
-   own, so they would pile up across restarts. *)
-let remove_stale_temps dir =
+(* Temp files a kill before step 4 (or in the middle of a journal
+   rotation) left behind; each process names its own, so they would
+   pile up across restarts. *)
+let remove_stale_temps dir listing =
   Array.iter
     (fun f ->
-      if String.starts_with ~prefix:temp_prefix f then
-        try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (try Sys.readdir dir with Sys_error _ -> [||])
+      if
+        String.starts_with ~prefix:temp_prefix f
+        || String.starts_with ~prefix:Journal.temp_prefix f
+      then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    listing
 
 let parse_machine path contents ~start =
   let stop =
@@ -262,51 +271,61 @@ let parse_machine path contents ~start =
     in
     let int key tok = Option.bind (value key tok) int_of_string_opt in
     match String.split_on_char ' ' (String.sub contents start (stop - start)) with
-    | [ "serve_machine"; "1"; ops; offset; lines; journal; state; last ] -> (
+    | [ "serve_machine"; "2"; policy; mini_rounds; ops; chain; state; last ] -> (
         match
-          ( int "ops" ops,
-            int "offset" offset,
-            int "lines" lines,
-            value "journal" journal,
+          ( value "policy" policy,
+            int "mini_rounds" mini_rounds,
+            int "ops" ops,
+            value "chain" chain,
             value "state" state,
             value "digest" last )
         with
-        | Some ops, Some offset, Some lines, Some journal, Some state, Some digest ->
+        | Some policy, Some mini_rounds, Some ops, Some chain, Some state, Some digest ->
             (* everything before " digest=" *)
             let hash = Wire.Hash.create () in
             Wire.Hash.feed hash contents ~pos:0 ~len:(stop - String.length last - 1);
             if Wire.Hash.digest hash <> digest then bad "digest mismatch"
-            else Ok { ops; anchor = { Journal.offset; lines; digest = journal }; state }
+            else Ok { policy; mini_rounds; anchor = { Journal.ops; chain }; state }
         | _ -> bad "malformed field")
+    | "serve_machine" :: "1" :: _ ->
+        bad "version 1 (a version-2 journal's checkpoint) is not supported"
     | _ -> bad "not a serve_machine line"
 
-let session_label name (header : Journal.header) =
+let session_label name policy =
   let suffix = if name = default_session then "" else "-" ^ name in
-  "serve" ^ suffix ^ "-" ^ header.policy
+  "serve" ^ suffix ^ "-" ^ policy
 
 let session_of_header name (header : Journal.header) =
   match factory_of_id header.policy with
   | Error e -> raise (Corrupt e)
   | Ok factory ->
       let cfg = Engine.config ~n:header.n ~mini_rounds:header.mini_rounds () in
-      Session.create ~name:(session_label name header) cfg
+      Session.create ~name:(session_label name header.policy) cfg
         ~delta:header.delta ~delay:header.delay factory
 
 (* What restore finds in a checkpoint file.  [Verified]: line 2 passes
-   its digest, the journal still starts with the prefix it names, and
-   the state it holds loads and reproduces line 1, byte for byte; the
-   session at its op count and the journal position to replay from.
-   The digest covers line 1, so line 1 is exactly what the writer wrote
-   and is not parsed.  [Unanchored]: an intact checkpoint, at the op
-   count given, whose journal prefix changed.  [Unreadable]: anything
-   else, a file with line 1 only included. *)
+   its digest, the journal segment at its op count names its anchor,
+   and the state it holds loads and reproduces line 1, byte for byte;
+   the loaded session and the journal position to replay from.  The
+   digest covers line 1, so line 1 is exactly what the writer wrote and
+   is not parsed.  [Unanchored]: an intact checkpoint, at the op count
+   given, whose segment is missing or names another anchor.
+   [Unreadable]: anything else, a file with line 1 only included. *)
+type start = {
+  policy : string;
+  mini_rounds : int;
+  at : int;  (** op count *)
+  session : Session.t;
+  from : Journal.position;
+}
+
 type checkpoint =
   | Absent
-  | Verified of int * (Journal.header * Journal.position) * Session.t
+  | Verified of start
   | Unanchored of int
   | Unreadable of string
 
-let classify name jpath path =
+let classify name dir path =
   let unreadable what = Unreadable (Printf.sprintf "checkpoint %s: %s" path what) in
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ when not (Sys.file_exists path) -> Absent
@@ -317,24 +336,29 @@ let classify name jpath path =
           match parse_machine path contents ~start:(eol + 1) with
           | Error e -> Unreadable e
           | Ok m -> (
-              match Journal.resume jpath m.anchor with
-              | None -> Unanchored m.ops
-              | Some ((header, _) as from) -> (
-                  let cfg = Engine.config ~n:header.n ~mini_rounds:header.mini_rounds () in
+              match Journal.at dir m.anchor with
+              | None -> Unanchored m.anchor.ops
+              | Some from -> (
                   let reader = Wire.reader m.state ~pos:0 ~stop:(String.length m.state) in
                   match
-                    Result.bind (factory_of_id header.policy) (fun factory ->
-                        Session.load ~name:(session_label name header) cfg factory reader)
+                    Result.bind (factory_of_id m.policy) (fun factory ->
+                        match Engine.config ~n:1 ~mini_rounds:m.mini_rounds () with
+                        | cfg ->
+                            Session.load ~name:(session_label name m.policy) cfg
+                              factory reader
+                        | exception Invalid_argument e -> Error e)
                   with
                   | Error e -> unreadable ("machine state: " ^ e)
                   | Ok session ->
-                      let line = Snapshot.to_line (Snapshot.of_session ~ops:m.ops session) in
+                      let ops = m.anchor.ops in
+                      let line = Snapshot.to_line (Snapshot.of_session ~ops session) in
                       if String.equal line (String.sub contents 0 eol) then
-                        Verified (m.ops, from, session)
+                        Verified
+                          { policy = m.policy; mini_rounds = m.mini_rounds; at = ops; session; from }
                       else unreadable "the machine state does not reproduce line 1")))
       | _ -> unreadable "no machine state line")
 
-let header_of_config config =
+let header_of_config (config : config) =
   {
     Journal.policy = config.policy;
     n = config.n;
@@ -353,6 +377,7 @@ type counters = {
   restores : Metrics.counter;
   replayed : Metrics.counter;
   replayed_work : Metrics.counter;
+  restore_journal_bytes : Metrics.counter;
   session_restarts : Metrics.counter;
   torn_tail : Metrics.counter;
   quarantined : Metrics.counter;
@@ -370,6 +395,7 @@ let counters m =
     restores = c "serve_restores";
     replayed = c "serve_restore_replayed_ops";
     replayed_work = c "serve_restore_replayed_work";
+    restore_journal_bytes = c "serve_restore_journal_bytes";
     session_restarts = c "serve_session_restarts";
     torn_tail = c "serve_recovery_torn_tail";
     quarantined = c "serve_recovery_checkpoint_quarantined";
@@ -383,6 +409,7 @@ type session = {
   name : string;
   seq : int;  (** insertion order in the table *)
   policy_id : string;
+  mini_rounds : int;
   session : Session.t;
   wedged_counter : Metrics.counter;
   mutable writer : Journal.writer option;
@@ -394,6 +421,10 @@ type session = {
       (** [work_of_op] summed over the ops applied since the session
           was opened (see {!replay_work}) *)
   mutable ckpt_work : int;  (** replay work at the last committed checkpoint *)
+  mutable ckpt_ops : int;
+      (** the op count of [checkpoint.json], -1 without one: the next
+          commit rotates it to [.prev], and the journal segments before
+          it are then needed by no checkpoint *)
   mutable wedged : string option;
 }
 
@@ -479,7 +510,6 @@ let refuse h ~name reason =
 
 (* Replay state, threaded through {!Journal.fold} one op at a time. *)
 type replay = {
-  header : Journal.header;
   replayed : Session.t;
   mutable applied : int;
   mutable op_work : int;
@@ -496,169 +526,199 @@ let replay_op r op =
   r.op_work <- r.op_work + work_of_op r.replayed op;
   r
 
-let fresh_session h name ~dir ~writer =
+let new_session h name ~dir ~writer ~policy ~mini_rounds ~restored ~notices
+    ~ops ~op_work ~ckpt_work ~ckpt_ops session =
   {
     name;
     seq = new_seq h;
-    policy_id = h.config.policy;
-    session = session_of_header name (header_of_config h.config);
+    policy_id = policy;
+    mini_rounds;
+    session;
     wedged_counter = h.counters.wedged;
     writer;
     dir;
-    restored = false;
-    notices = [];
-    ops = 0;
-    op_work = 0;
-    ckpt_work = 0;
+    restored;
+    notices;
+    ops;
+    op_work;
+    ckpt_work;
+    ckpt_ops;
     wedged = None;
   }
+
+let fresh_session h name ~dir ~writer =
+  new_session h name ~dir ~writer ~policy:h.config.policy
+    ~mini_rounds:h.config.mini_rounds ~restored:false ~notices:[] ~ops:0
+    ~op_work:0 ~ckpt_work:0 ~ckpt_ops:(-1)
+    (session_of_header name (header_of_config h.config))
 
 (* The tiered restore ladder (doc/SERVICE.md, "Failure matrix").  It
    starts from the newest checkpoint that verifies — the current one,
    else [.prev], which is read only then — or from a fresh session at
    the journal header, and replays the journal from there.  The
    checkpoints that did not verify are judged once the journal has
-   loaded. *)
-let restore h name ~dir jpath =
-  remove_stale_temps dir;
+   loaded.  [segments] are the journal segment files in the directory,
+   and [listing] is all of it. *)
+let restore h name ~dir ~segments listing =
+  remove_stale_temps dir listing;
   let cpath = checkpoint_path dir in
   let ppath = checkpoint_prev_path dir in
-  let current = classify name jpath cpath in
+  let current = classify name dir cpath in
   let prev =
-    match current with Verified _ -> Absent | _ -> classify name jpath ppath
+    match current with Verified _ -> Absent | _ -> classify name dir ppath
+  in
+  let corrupt_journal e =
+    (* tier 3: the source of truth is unreadable — keep a forensic copy
+       of the segment aside, leave the original in place so restarts
+       keep refusing, and stop with a precise diagnostic *)
+    let diag = Journal.describe_load_error ~dir e in
+    let segment =
+      match e with
+      | Journal.Corrupt_body { segment; _ } -> segment
+      | _ -> Journal.segment_name 0
+    in
+    let diag =
+      match quarantine `Copy (Filename.concat dir segment) with
+      | Some target -> Printf.sprintf "%s (forensic copy: %s)" diag target
+      | None -> diag
+    in
+    refuse h ~name diag
   in
   (* a restored session's baseline is the work at the checkpoint it
      loaded; a fresh session's is 0 *)
-  let from, init, start_ops, start_work =
+  let start =
     match (current, prev) with
-    | Verified (ops, from, session), _ | _, Verified (ops, from, session) ->
-        ( Some from,
-          (fun header ->
-            { header; replayed = session; applied = ops; op_work = 0 }),
-          ops,
-          replay_work session ~op_work:0 )
-    | _ ->
-        ( None,
-          (fun header ->
+    | Verified v, _ | _, Verified v -> v
+    | _ -> (
+        match Journal.top dir with
+        | Ok (header, from) ->
             {
-              header;
-              replayed = session_of_header name header;
-              applied = 0;
-              op_work = 0;
-            }),
-          0,
-          0 )
+              policy = header.policy;
+              mini_rounds = header.mini_rounds;
+              at = 0;
+              session = session_of_header name header;
+              from;
+            }
+        | Error Journal.Missing ->
+            refuse h ~name
+              (Printf.sprintf
+                 "journal %s: segment 0 is gone (retired at a checkpoint) and \
+                  no checkpoint verifies: the ops below the oldest segment \
+                  cannot be replayed"
+                 dir)
+        | Error e -> corrupt_journal e)
   in
-  match Journal.fold ?from jpath ~init ~f:replay_op with
-  | Error Journal.Missing ->
-      fresh_session h name ~dir:(Some dir)
-        ~writer:(Some (Journal.create jpath (header_of_config h.config)))
-  | Error e ->
-      (* tier 3: the source of truth is unreadable — keep a forensic
-         copy aside, leave the original in place so restarts keep
-         refusing, and stop with a precise diagnostic *)
-      let diag = Journal.describe_load_error ~path:jpath e in
-      let diag =
-        match quarantine `Copy jpath with
-        | Some target -> Printf.sprintf "%s (forensic copy: %s)" diag target
-        | None -> diag
-      in
-      refuse h ~name diag
-  | Ok (r, tear, position) ->
-      let notices = ref [] in
-      let notice fmt = Printf.ksprintf (fun m -> notices := m :: !notices) fmt in
-      (match tear with
-      | None -> ()
-      | Some t ->
-          (* tier 1: the crash interrupted the final append; the op was
-             never acked, so dropping it is the documented at-most-once
-             window.  Cut the file at the tear too — otherwise the next
-             append would glue its line onto the torn fragment and turn
-             a benign tail into mid-body corruption *)
-          let msg = Journal.describe_tear ~path:jpath t in
-          recovery_event ~counter:h.counters.torn_tail
-            ~name:("torn-tail-" ^ name) ~reason:msg;
-          (try Unix.truncate jpath t.Journal.offset
-           with Unix.Unix_error _ -> ());
-          notice "%s" msg);
-      (* tier 2: checkpoints are derived state — one that cannot be a
-         start is quarantined out of the restore path *)
-      let set_aside path what =
+  (* a restored session's baseline is the work at the checkpoint it
+     loaded; one replayed from the header starts at 0 *)
+  let start_work = replay_work start.session ~op_work:0 in
+  let r, tear, position =
+    match
+      Journal.fold dir start.from
+        ~init:{ replayed = start.session; applied = start.at; op_work = 0 }
+        ~f:replay_op
+    with
+    | Error e -> corrupt_journal e
+    | Ok result -> result
+  in
+  Metrics.inc h.counters.restore_journal_bytes (Journal.bytes_read position);
+  let checkpoints =
+    [ ("checkpoint", cpath, current); ("previous checkpoint", ppath, prev) ]
+  in
+  (* tier 3 first, so that a refused restore changes nothing on disk.
+     The start is the newest verified checkpoint, so only an unanchored
+     one can be ahead of the journal, and one the journal reaches but
+     whose segment is gone leaves the ops after it unaccounted for *)
+  List.iter
+    (function
+      | which, _, Unanchored ops when ops > r.applied ->
+          refuse h ~name
+            (Printf.sprintf
+               "journal %s holds %d op%s but the %s was committed at op %d: \
+                acked ops are missing from the journal"
+               dir r.applied
+               (if r.applied = 1 then "" else "s")
+               which ops)
+      | which, _, Unanchored ops when ops = r.applied ->
+          refuse h ~name
+            (Printf.sprintf
+               "journal %s ends at op %d, where the %s was committed, but \
+                the segment that starts there is missing or changed: acked \
+                ops after it may be missing"
+               dir ops which)
+      | _ -> ())
+    checkpoints;
+  (* a segment past the op count the journal reached: the chain stopped
+     short of it, so the acked ops between are missing *)
+  (match List.find_opt (fun start -> start > r.applied) segments with
+  | Some start ->
+      refuse h ~name
+        (Printf.sprintf
+           "journal %s ends at op %d, but segment %s starts at op %d: the \
+            ops between are missing"
+           dir r.applied (Journal.segment_name start) start)
+  | None -> ());
+  (* an intact checkpoint whose segment changed below the journal's end:
+     only a verified previous checkpoint can vouch for the journal *)
+  (match (current, prev) with
+  | Unanchored ops, (Absent | Unanchored _ | Unreadable _) ->
+      refuse h ~name
+        (Printf.sprintf
+           "journal %s no longer holds the segment the checkpoint at op %d \
+            was taken at, and no previous checkpoint verifies: the journal \
+            changed below acked state"
+           dir ops)
+  | _ -> ());
+  let notices = ref [] in
+  let notice fmt = Printf.ksprintf (fun m -> notices := m :: !notices) fmt in
+  (match tear with
+  | None -> ()
+  | Some t ->
+      (* tier 1: the crash interrupted the final append; the op was
+         never acked, so dropping it is the documented at-most-once
+         window.  Cut the segment at the tear too — otherwise the next
+         append would glue its line onto the torn fragment and turn a
+         benign tail into mid-body corruption.  A segment cut short in
+         its header holds no op: it goes. *)
+      let msg = Journal.describe_tear ~dir t in
+      recovery_event ~counter:h.counters.torn_tail ~name:("torn-tail-" ^ name)
+        ~reason:msg;
+      let path = Filename.concat dir t.Journal.segment in
+      (try
+         if t.Journal.offset = 0 then Unix.unlink path
+         else Unix.truncate path t.Journal.offset
+       with Unix.Unix_error _ -> ());
+      notice "%s" msg);
+  (* tier 2: checkpoints are derived state — one that cannot be a start
+     is quarantined out of the restore path *)
+  List.iter
+    (fun (which, path, checkpoint) ->
+      let set_aside what =
         let target = quarantine `Rename path in
         let msg =
           Printf.sprintf "quarantined %s%s" what
             (match target with Some t -> " to " ^ t | None -> "")
         in
-        recovery_event ~counter:h.counters.quarantined
-          ~name:("checkpoint-" ^ name) ~reason:msg;
+        recovery_event ~counter:h.counters.quarantined ~name:("checkpoint-" ^ name)
+          ~reason:msg;
         notice "%s" msg
       in
-      let checkpoints =
-        [ ("checkpoint", cpath, current); ("previous checkpoint", ppath, prev) ]
-      in
-      List.iter
-        (function
-          | which, path, Unreadable e ->
-              set_aside path (Printf.sprintf "unreadable %s (%s)" which e)
-          | _ -> ())
-        checkpoints;
-      (* the start is the newest verified checkpoint, so only an
-         unanchored one can be ahead of the journal *)
-      List.iter
-        (function
-          | which, _, Unanchored ops when ops > r.applied ->
-              refuse h ~name
-                (Printf.sprintf
-                   "journal %s holds %d op%s but the %s was committed at op %d: \
-                    acked ops are missing from the journal"
-                   jpath r.applied
-                   (if r.applied = 1 then "" else "s")
-                   which ops)
-          | _ -> ())
-        checkpoints;
-      (* an intact checkpoint over a journal prefix that changed: the
-         journal is the source of truth, but only a verified previous
-         checkpoint can vouch for it below the current one *)
-      (match (current, prev) with
-      | Unanchored ops, Verified _ ->
-          set_aside cpath
-            (Printf.sprintf
-               "checkpoint at op %d whose journal prefix changed (the previous \
-                checkpoint verifies)"
-               ops)
-      | Unanchored ops, _ ->
-          refuse h ~name
-            (Printf.sprintf
-               "journal %s no longer starts with the prefix the checkpoint at \
-                op %d was taken at, and no previous checkpoint verifies: the \
-                journal changed below acked state"
-               jpath ops)
-      | _ -> ());
-      (match prev with
+      match checkpoint with
+      | Unreadable e -> set_aside (Printf.sprintf "unreadable %s (%s)" which e)
       | Unanchored ops ->
-          set_aside ppath
-            (Printf.sprintf
-               "previous checkpoint at op %d whose journal prefix changed" ops)
-      | _ -> ());
-      Metrics.inc h.counters.restores 1;
-      Metrics.inc h.counters.replayed (r.applied - start_ops);
-      Metrics.inc h.counters.replayed_work
-        (replay_work r.replayed ~op_work:r.op_work - start_work);
-      {
-        name;
-        seq = new_seq h;
-        policy_id = r.header.Journal.policy;
-        session = r.replayed;
-        wedged_counter = h.counters.wedged;
-        writer = Some (Journal.append_to jpath position);
-        dir = Some dir;
-        restored = true;
-        notices = List.rev !notices;
-        ops = r.applied;
-        op_work = r.op_work;
-        ckpt_work = start_work;
-        wedged = None;
-      }
+          set_aside
+            (Printf.sprintf "%s at op %d whose journal segment changed" which ops)
+      | Absent | Verified _ -> ())
+    checkpoints;
+  let writer = Journal.append_to dir position ~segments in
+  Metrics.inc h.counters.restores 1;
+  Metrics.inc h.counters.replayed (r.applied - start.at);
+  Metrics.inc h.counters.replayed_work
+    (replay_work r.replayed ~op_work:r.op_work - start_work);
+  new_session h name ~dir:(Some dir) ~writer:(Some writer) ~policy:start.policy
+    ~mini_rounds:start.mini_rounds ~restored:true ~notices:(List.rev !notices)
+    ~ops:r.applied ~op_work:r.op_work ~ckpt_work:start_work
+    ~ckpt_ops:(match current with Verified v -> v.at | _ -> -1)
+    r.replayed
 
 let open_session h name =
   if not (Protocol.valid_session_name name) then
@@ -679,11 +739,14 @@ let open_session h name =
     | None -> fresh_session h name ~dir:None ~writer:None
     | Some dir ->
         mkdir_p dir;
-        let jpath = journal_path dir in
-        if Sys.file_exists jpath then restore h name ~dir jpath
+        let listing = try Sys.readdir dir with Sys_error _ -> [||] in
+        let segments =
+          List.filter_map Journal.segment_of_name (Array.to_list listing)
+        in
+        if segments <> [] then restore h name ~dir ~segments listing
         else
           fresh_session h name ~dir:(Some dir)
-            ~writer:(Some (Journal.create jpath (header_of_config h.config)))
+            ~writer:(Some (Journal.create dir (header_of_config h.config)))
   in
   (* restore replayed on Sink.null: only live rounds beat *)
   Option.iter
@@ -707,12 +770,22 @@ let checkpoint_session h s =
   match (s.dir, s.writer) with
   | Some dir, Some w ->
       let snapshot = Snapshot.of_session ~ops:s.ops s.session in
-      encode_checkpoint h.checkpoint_buffer snapshot (Journal.anchor w) s.session;
-      (match write_checkpoint dir h.checkpoint_buffer with
+      (match
+         (* the checkpoint's segment starts at its op count, in the file
+            of one the commit retires *)
+         Journal.rotate w ~reuse_below:s.ckpt_ops;
+         encode_checkpoint h.checkpoint_buffer ~policy:s.policy_id
+           ~mini_rounds:s.mini_rounds snapshot (Journal.anchor w) s.session;
+         write_checkpoint dir h.checkpoint_buffer
+       with
       | () -> Metrics.inc h.counters.checkpoints 1
       | exception e ->
           Metrics.inc h.counters.checkpoint_failures 1;
           raise e);
+      (* the checkpoint the commit rotated to [.prev] is the oldest one
+         kept: no restore reads a segment before it *)
+      Journal.retire w ~below:s.ckpt_ops;
+      s.ckpt_ops <- s.ops;
       s.ckpt_work <- session_work s;
       Some snapshot
   | _ ->

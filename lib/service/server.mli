@@ -23,17 +23,20 @@
     Memory-boundedness contract: the server retains no per-round
     history — no recorded schedule, no response log; its resident state
     is each session (pending jobs + fed-ahead arrivals + policy state)
-    and one journal append buffer per durable session.  Durable state
-    grows only in the journal files (doc/SERVICE.md).
+    and one journal append buffer per durable session.  On disk a
+    session keeps two checkpoints and the journal segments that start
+    at them (doc/SERVICE.md).
 
     {b Tiered recovery} (doc/SERVICE.md, "Failure matrix").  Restoring
     a durable session starts from the newest checkpoint that verifies:
     [checkpoint.json], else [checkpoint.json.prev] (read only then),
     else a fresh session at the journal header.  A checkpoint
     {e verifies} when its machine-state line passes its digest, the
-    journal still starts with the prefix it was taken at (same length
-    and hash), and the loaded state reproduces its snapshot line.
-    Restore loads that state and replays the journal after it: with
+    journal segment that starts at its op count names the same chain
+    value, and the loaded state reproduces its snapshot line.  Restore
+    loads that state and replays the segments from it on, reading no
+    journal byte below it (counted in [serve_restore_journal_bytes]):
+    with
     the current checkpoint less than [checkpoint_every] units of replay
     work, from [.prev] less than twice that plus the op that triggered
     the current checkpoint (counted in [serve_restore_replayed_ops] and
@@ -43,22 +46,29 @@
       the un-acked op is dropped with a warning naming its exact byte
       offset (tier 1, today's at-most-once contract);
     - {e unreadable checkpoint} — one that fails to verify for any
-      reason but a changed journal prefix (a failing digest, a file
+      reason but its journal segment (a failing digest, a file
       with line 1 only, a state that does not load or does not
       reproduce line 1): derived state, quarantined to
       [checkpoint.json.corrupt-<n>] (tier 2);
-    - {e unanchored checkpoint} — intact, but the journal no longer
-      starts with its prefix.  A current one is quarantined when
-      [.prev] verifies (tier 2) and refuses otherwise (tier 3); an
-      unanchored [.prev] is quarantined (tier 2);
+    - {e unanchored checkpoint} — intact, but its segment is missing or
+      names another chain value.  A current one the journal runs past
+      is quarantined when [.prev] verifies (tier 2) and refuses
+      otherwise (tier 3); an unanchored [.prev] is quarantined
+      (tier 2);
     - {e missing acked ops} — an intact checkpoint was taken at more
-      ops than the journal holds: the restore refuses (tier 3);
-    - {e corrupt journal body} — the source of truth cannot be
-      trusted; a forensic copy is quarantined to
-      [journal.jsonl.corrupt-<n>] (the original stays in place so
-      restarts keep refusing) and the restore refuses with a
-      diagnostic naming the line and byte offset (tier 3).  No
-      checkpoint is judged then.
+      ops than the journal holds, or at as many and its segment is
+      gone; the journal's chain ends before a segment file that starts
+      later; or no checkpoint verifies and segment 0 is gone: the
+      restore refuses (tier 3);
+    - {e corrupt journal body} — a line that fails its check or does
+      not decode: the source of truth cannot be trusted; a forensic
+      copy of the segment is quarantined to [<segment>.corrupt-<n>]
+      (the original stays in place so restarts keep refusing) and the
+      restore refuses with a diagnostic naming the segment, line and
+      byte offset (tier 3).  No checkpoint is judged then.
+
+    A refused restore changes nothing on disk but the forensic copy
+    (and the removal of temp files a killed commit left).
 
     Every recovery action increments a [serve_recovery_*] counter in
     the host metrics and, when a flight recorder with a dump directory
@@ -80,7 +90,7 @@ type config = {
   mini_rounds : int;
   checkpoint_dir : string option;
       (** root of the durable tree: the default session keeps
-          [journal.jsonl] + [checkpoint.json] at the root (compatible
+          its journal segments and checkpoints at the root (compatible
           with single-session layouts), named sessions live under
           [sessions/NAME/]; [None] = every session is ephemeral *)
   checkpoint_every : int;
@@ -173,13 +183,16 @@ val try_open : host -> string -> (session, string) result
 
 val checkpoint_session : host -> session -> Snapshot.t option
 (** Commit a checkpoint now (rotating the previous one to
-    [checkpoint.json.prev]): the snapshot line and the machine state,
-    anchored to the journal prefix written so far.  Both lines go
-    through one buffer the host reuses; a failed write removes its temp
-    file and is counted in [serve_checkpoint_failures] before the
-    exception propagates, a commit in [serve_checkpoints].  [None], and
-    nothing written, for an ephemeral session and for a {!wedge}d one,
-    whose state is untrusted. *)
+    [checkpoint.json.prev]): start a journal segment at the session's
+    op count ({!Journal.rotate}, in the file of the segment this commit
+    retires), write the snapshot line and the machine state anchored to
+    that segment, then retire the segments before the checkpoint now in
+    [.prev].  Both lines go through one buffer the host reuses; a
+    failed rotation or write is counted in [serve_checkpoint_failures]
+    before the exception propagates (a failed write removes its temp
+    file), a commit in [serve_checkpoints].  [None], and nothing
+    written, for an ephemeral session and for a {!wedge}d one, whose
+    state is untrusted. *)
 
 val leave : host -> session -> unit
 (** A connection leaves the session (it switched to another one, or it

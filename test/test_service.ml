@@ -625,7 +625,7 @@ let check_kill_restore label instance =
       mini_rounds = 1;
     }
   in
-  let w = Journal.create (Filename.concat dir "journal.jsonl") header in
+  let w = Journal.create dir header in
   List.iter (fun op -> Journal.append w op) (submit_ops instance);
   Journal.append w (Journal.Step k);
   Journal.close w;
@@ -982,71 +982,109 @@ let torture_config =
     checkpoint_every = 6;
   }
 
-(* A journal written literally, its last op line cut short. *)
+let journal_header_fields =
+  {
+    Journal.policy = torture_config.Server.policy;
+    n = torture_config.Server.n;
+    delta = torture_config.Server.delta;
+    delay = torture_config.Server.delay;
+    mini_rounds = torture_config.Server.mini_rounds;
+  }
+
+let journal_header = Journal.header_to_line journal_header_fields
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+let append_file path s =
+  Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+      Out_channel.output_string oc s)
+
+(* The lines a version-3 writer writes after [journal_header] for these
+   op texts, checks built here from the chain's definition: each op
+   text hashed with the chain value of the line before (of the header,
+   for the first), and the first six hex digits of the result. *)
+let checked_lines texts =
+  let hash = Wire.Hash.create () in
+  Wire.Hash.feed hash journal_header ~pos:0 ~len:(String.length journal_header);
+  Wire.Hash.link hash;
+  List.map
+    (fun text ->
+      Wire.Hash.feed hash text ~pos:0 ~len:(String.length text);
+      Wire.Hash.link hash;
+      text ^ " #" ^ String.sub (Wire.Hash.chain hash) 0 6 ^ "\n")
+    texts
+
+let checked_journal texts =
+  journal_header ^ "\n" ^ String.concat "" (checked_lines texts)
+
+(* Every op the journal in [dir] holds from segment 0 on, and the torn
+   tail dropped, if any. *)
+let journal_ops dir =
+  Result.bind (Journal.top dir) (fun (_, from) ->
+      Journal.fold dir from ~init:[] ~f:(fun ops op -> op :: ops)
+      |> Result.map (fun (ops, tear, _) -> (List.rev ops, tear)))
+
+(* The journal's segment files in [dir], oldest first. *)
+let segment_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter_map (fun f ->
+         Option.map (fun start -> (start, Filename.concat dir f)) (Journal.segment_of_name f))
+  |> List.sort compare |> List.map snd
+
+let last_segment dir = List.nth (segment_files dir) (List.length (segment_files dir) - 1)
+
+(* A journal written by the writer, then the start of one more op line
+   with no newline. *)
 let write_torn_journal dir =
+  let w = Journal.create dir journal_header_fields in
+  Journal.append w (Journal.Submit { round = 0; color = 1; count = 2 });
+  Journal.append w (Journal.Step 1);
+  Journal.close w;
   let path = Filename.concat dir "journal.jsonl" in
-  Out_channel.with_open_bin path (fun oc ->
-      List.iter
-        (fun line ->
-          output_string oc line;
-          output_char oc '\n')
-        [
-          {|{"type":"serve_open","version":2,"policy":"dlru-edf","n":4,"delta":2,"delay":[6,6,6,6],"mini_rounds":1}|};
-          "submit 0 1 2";
-          "step 1";
-        ]);
   let intact = (Unix.stat path).Unix.st_size in
-  let oc = Out_channel.open_gen [ Open_append; Open_binary ] 0o644 path in
-  output_string oc "submit 1 3";
-  Out_channel.close oc;
+  append_file path "submit 1 3";
   (path, intact)
+
+let contains needle s =
+  let n = String.length needle and m = String.length s in
+  let rec find i = i + n <= m && (String.sub s i n = needle || find (i + 1)) in
+  find 0
 
 let test_torn_tail_offset () =
   let dir = temp_dir "torn" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let path, intact = write_torn_journal dir in
-  (match
-     Journal.fold path ~init:(fun _ -> []) ~f:(fun ops op -> op :: ops)
-   with
-  | Ok (ops, Some tear, _) ->
+  (match journal_ops dir with
+  | Ok (ops, Some tear) ->
       Alcotest.(check int) "ops before the tear" 2 (List.length ops);
       Alcotest.(check int) "tear offset" intact tear.Journal.offset;
-      let msg = Journal.describe_tear ~path tear in
+      let msg = Journal.describe_tear ~dir tear in
       Alcotest.(check bool)
         (Printf.sprintf "describe_tear names offset %d: %s" intact msg)
         true
-        (let needle = string_of_int intact in
-         let n = String.length needle and m = String.length msg in
-         let rec find i =
-           i + n <= m && (String.sub msg i n = needle || find (i + 1))
-         in
-         find 0)
-  | Ok (_, None, _) -> Alcotest.fail "tear not detected"
+        (contains (string_of_int intact) msg)
+  | Ok (_, None) -> Alcotest.fail "tear not detected"
   | Error e ->
-      Alcotest.failf "load failed: %s"
-        (Journal.describe_load_error ~path e));
+      Alcotest.failf "load failed: %s" (Journal.describe_load_error ~dir e));
   (* the server restore drops the tear (tier 1), reports it, and
      truncates the file so the next append cannot glue onto it *)
   let h = Server.host { torture_config with checkpoint_dir = Some dir } in
   let s = Server.open_session h Server.default_session in
   Alcotest.(check int) "restored ops" 2 (Server.session_ops s);
   Alcotest.(check bool) "a recovery notice names the offset" true
-    (List.exists
-       (fun notice ->
-         let needle = string_of_int intact in
-         let n = String.length needle and m = String.length notice in
-         let rec find i =
-           i + n <= m && (String.sub notice i n = needle || find (i + 1))
-         in
-         find 0)
-       (Server.session_notices s));
+    (List.exists (contains (string_of_int intact)) (Server.session_notices s));
   Alcotest.(check int) "journal truncated to the tear offset" intact
     (Unix.stat path).Unix.st_size;
   Server.abandon_session h s
 
 (* ---- tiered recovery ---------------------------------------------- *)
 
-let torture_ops = Torture.ops_of_seed ~count:24 ~colors:4 5
+(* 25 ops: the fixture's last segment holds one op past the current
+   checkpoint *)
+let torture_ops = Torture.ops_of_seed ~count:25 ~colors:4 5
 
 let rec rm_rf_deep path =
   match Sys.is_directory path with
@@ -1058,22 +1096,19 @@ let rec rm_rf_deep path =
   | false -> Sys.remove path
   | exception Sys_error _ -> ()
 
-let with_fixture_dir name f =
+let with_fixture_dir ?(config = torture_config) name f =
   let dir = temp_dir name in
   Fun.protect ~finally:(fun () -> rm_rf_deep dir) @@ fun () ->
-  Torture.build_fixture torture_config torture_ops dir;
+  Torture.build_fixture config torture_ops dir;
   f dir
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
-let write_file path s =
-  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+let restore_case case dir = Torture.restore_case ~case ~ops:torture_ops torture_config dir
 
 let test_checkpoint_quarantine () =
   with_fixture_dir "ckptq" @@ fun dir ->
   let cpath = Filename.concat dir "checkpoint.json" in
   write_file cpath "this is not a snapshot\n";
-  let v = Torture.restore_case ~case:"ckpt-garbage" torture_config dir in
+  let v = restore_case "ckpt-garbage" dir in
   Alcotest.(check int) "tier 2 (quarantine + replay)" 2 v.Torture.tier;
   Alcotest.(check bool) "contained" true v.Torture.contained;
   Alcotest.(check bool) "no divergence" false v.Torture.diverged;
@@ -1082,52 +1117,43 @@ let test_checkpoint_quarantine () =
   Alcotest.(check bool) "no replacement checkpoint left behind" true
     (not (Sys.file_exists cpath) || read_file cpath <> "this is not a snapshot\n")
 
+(* Line [i] of a file replaced. *)
+let replace_line path i line =
+  let lines = String.split_on_char '\n' (read_file path) in
+  if i >= List.length lines - 1 then Alcotest.failf "%s has no line %d" path i;
+  write_file path (String.concat "\n" (List.mapi (fun j l -> if j = i then line else l) lines))
+
 let test_journal_body_refuses () =
   with_fixture_dir "bodyq" @@ fun dir ->
-  let jpath = Filename.concat dir "journal.jsonl" in
-  let lines = String.split_on_char '\n' (read_file jpath) in
-  let mangled =
-    List.mapi (fun i l -> if i = 8 then "definitely not an op" else l) lines
-  in
-  write_file jpath (String.concat "\n" mangled);
-  let original = read_file jpath in
+  (* the segment a restore from the current checkpoint reads; line 0 is
+     its header *)
+  let segment = last_segment dir in
+  replace_line segment 1 "definitely not an op";
+  let original = read_file segment in
   let refuses case =
-    let v = Torture.restore_case ~case torture_config dir in
+    let v = restore_case case dir in
     Alcotest.(check int) (case ^ " tier 3") 3 v.Torture.tier;
     Alcotest.(check bool) (case ^ " contained") true v.Torture.contained
   in
   refuses "journal-body";
   Alcotest.(check bool) "forensic copy quarantined" true
-    (Sys.file_exists (jpath ^ ".corrupt-1"));
-  Alcotest.(check string) "original journal untouched" original
-    (read_file jpath);
+    (Sys.file_exists (segment ^ ".corrupt-1"));
+  Alcotest.(check string) "original segment untouched" original (read_file segment);
   (* the original stays put, so a blind restart refuses again *)
   refuses "journal-body-again"
 
-(* ---- journal version 2: framing, strictness, version 1 refused ---- *)
-
-let journal_header_fields =
-  {
-    Journal.policy = torture_config.Server.policy;
-    n = torture_config.Server.n;
-    delta = torture_config.Server.delta;
-    delay = torture_config.Server.delay;
-    mini_rounds = torture_config.Server.mini_rounds;
-  }
-
-let journal_header = Journal.header_to_line journal_header_fields ^ "\n"
-
-let journal_ops path =
-  Journal.fold path ~init:(fun _ -> []) ~f:(fun ops op -> op :: ops)
-  |> Result.map (fun (ops, tear, _) -> (List.rev ops, tear))
+(* ---- journal lines: framing, checks, strictness, old versions ----
+   (the group keeps the name of version 2, which made op lines protocol
+   lines; version 3 adds their checks and the segments) *)
 
 let with_temp_dir name f =
   let dir = temp_dir name in
   Fun.protect ~finally:(fun () -> rm_rf_deep dir) @@ fun () -> f dir
 
-(* The writer's bytes are the header line and one [op_to_line] line per
-   append, and its anchor is their length, line count and hash — for a
-   fresh journal and for one reopened at the end of a fold. *)
+(* The writer's bytes are the header line and one checked [op_to_line]
+   line per append, and its anchor is the op count and the chain value
+   after the last one — for a fresh journal and for one reopened at the
+   end of a fold. *)
 let test_writer_bytes () =
   with_temp_dir "writer" @@ fun dir ->
   let path = Filename.concat dir "journal.jsonl" in
@@ -1140,30 +1166,28 @@ let test_writer_bytes () =
   in
   let first = List.filteri (fun i _ -> i < 150) ops
   and rest = List.filteri (fun i _ -> i >= 150) ops in
-  let expect ops =
-    journal_header
-    ^ String.concat "" (List.map (fun op -> Journal.op_to_line op ^ "\n") ops)
-  in
   let check_anchor label w ops =
-    let bytes = read_file path in
-    Alcotest.(check string) (label ^ ": bytes") (expect ops) bytes;
+    let lines = checked_lines (List.map Journal.op_to_line ops) in
+    Alcotest.(check string) (label ^ ": bytes")
+      (journal_header ^ "\n" ^ String.concat "" lines)
+      (read_file path);
     let a = Journal.anchor w in
-    let hash = Wire.Hash.create () in
-    Wire.Hash.feed hash bytes ~pos:0 ~len:(String.length bytes);
-    Alcotest.(check int) (label ^ ": offset") (String.length bytes)
-      a.Journal.offset;
-    Alcotest.(check int) (label ^ ": lines") (1 + List.length ops)
-      a.Journal.lines;
-    Alcotest.(check string) (label ^ ": digest") (Wire.Hash.digest hash)
-      a.Journal.digest
+    Alcotest.(check int) (label ^ ": ops") (List.length ops) a.Journal.ops;
+    (* the chain value's first digits are the last line's check *)
+    let last = List.nth lines (List.length lines - 1) in
+    Alcotest.(check string) (label ^ ": chain")
+      (String.sub last (String.length last - 7) 6)
+      (String.sub a.Journal.chain 0 6)
   in
-  let w = Journal.create path journal_header_fields in
+  let w = Journal.create dir journal_header_fields in
   List.iter (Journal.append w) first;
   check_anchor "created" w first;
   Journal.close w;
-  match Journal.fold path ~init:(fun _ -> ()) ~f:(fun () _ -> ()) with
+  match Result.bind (Journal.top dir) (fun (_, from) ->
+            Journal.fold dir from ~init:() ~f:(fun () _ -> ()))
+  with
   | Ok ((), None, position) ->
-      let w = Journal.append_to path position in
+      let w = Journal.append_to dir position ~segments:[ 0 ] in
       List.iter (Journal.append w) rest;
       check_anchor "reopened" w ops;
       Journal.close w
@@ -1174,26 +1198,18 @@ let test_writer_bytes () =
 let test_failed_append_keeps_anchor () =
   with_temp_dir "failedappend" @@ fun dir ->
   let path = Filename.concat dir "journal.jsonl" in
-  write_file path (journal_header ^ "submit 0 1 2\n");
-  match Journal.fold path ~init:(fun _ -> ()) ~f:(fun () _ -> ()) with
-  | Ok ((), None, position) -> (
-      let w = Journal.append_to path position in
-      Journal.append w (Journal.Step 3);
-      let before = Journal.anchor w and bytes = read_file path in
-      Journal.close w;
-      match
-        Journal.append w (Journal.Submit { round = 3; color = 1; count = 1 })
-      with
-      | () -> Alcotest.fail "an append on a closed descriptor succeeded"
-      | exception Unix.Unix_error _ ->
-          let after = Journal.anchor w in
-          Alcotest.(check int) "offset" before.Journal.offset
-            after.Journal.offset;
-          Alcotest.(check int) "lines" before.Journal.lines after.Journal.lines;
-          Alcotest.(check string) "digest" before.Journal.digest
-            after.Journal.digest;
-          Alcotest.(check string) "file" bytes (read_file path))
-  | _ -> Alcotest.fail "the fixture does not fold cleanly"
+  let w = Journal.create dir journal_header_fields in
+  Journal.append w (Journal.Submit { round = 0; color = 1; count = 2 });
+  Journal.append w (Journal.Step 3);
+  let before = Journal.anchor w and bytes = read_file path in
+  Journal.close w;
+  match Journal.append w (Journal.Submit { round = 3; color = 1; count = 1 }) with
+  | () -> Alcotest.fail "an append on a closed descriptor succeeded"
+  | exception Unix.Unix_error _ ->
+      let after = Journal.anchor w in
+      Alcotest.(check int) "ops" before.Journal.ops after.Journal.ops;
+      Alcotest.(check string) "chain" before.Journal.chain after.Journal.chain;
+      Alcotest.(check string) "file" bytes (read_file path)
 
 let test_op_lines_roundtrip () =
   let ops =
@@ -1219,15 +1235,18 @@ let test_op_lines_roundtrip () =
         | _ -> false))
     ops
 
-(* A protocol line is not self-delimiting: the append cut one byte
-   short of [submit 12345 517 32] still parses, as a different op, so
-   only the missing newline marks it torn. *)
+(* A protocol line is not self-delimiting, and neither is its check:
+   only the newline marks a line whole, so a final line without one is
+   torn whatever it holds. *)
 let test_unterminated_tail_torn () =
   with_temp_dir "v2torn" @@ fun dir ->
   let path = Filename.concat dir "journal.jsonl" in
-  let body = journal_header ^ "submit 0 1 2\nstep\n" in
-  write_file path (body ^ "submit 12345 517 3");
-  (match journal_ops path with
+  let lines = checked_lines [ "submit 0 1 2"; "step"; "submit 12345 517 32" ] in
+  let body = journal_header ^ "\n" ^ List.nth lines 0 ^ List.nth lines 1 in
+  let last = List.nth lines 2 in
+  (* the whole last line, its check included, but not its newline *)
+  write_file path (body ^ String.sub last 0 (String.length last - 1));
+  (match journal_ops dir with
   | Ok (ops, Some tear) ->
       Alcotest.(check bool) "only the terminated ops" true
         (ops
@@ -1235,10 +1254,10 @@ let test_unterminated_tail_torn () =
       Alcotest.(check int) "tear line" 4 tear.Journal.line;
       Alcotest.(check int) "tear offset" (String.length body) tear.Journal.offset
   | Ok (_, None) -> Alcotest.fail "the unterminated final line was replayed"
-  | Error e -> Alcotest.failf "load failed: %s" (Journal.describe_load_error ~path e));
+  | Error e -> Alcotest.failf "load failed: %s" (Journal.describe_load_error ~dir e));
   (* the same line with its newline is an op like any other *)
-  write_file path (body ^ "submit 12345 517 3\n");
-  (match journal_ops path with
+  write_file path (body ^ last);
+  (match journal_ops dir with
   | Ok (ops, None) -> Alcotest.(check int) "terminated, replayed" 3 (List.length ops)
   | _ -> Alcotest.fail "a terminated final line must load");
   (* the server drops the unterminated op (tier 1) and cuts the file *)
@@ -1251,106 +1270,132 @@ let test_unterminated_tail_torn () =
     (Unix.stat path).Unix.st_size;
   Server.abandon_session h s
 
+(* A line whose check is right but which is no journal op is corrupt,
+   as is an op line without its check, or with a wrong one — the last
+   line of the file included. *)
 let test_only_canonical_ops () =
   with_temp_dir "v2strict" @@ fun dir ->
   let path = Filename.concat dir "journal.jsonl" in
-  let before = journal_header ^ "submit 0 1 2\n" in
+  let before = checked_journal [ "submit 0 1 2" ] in
+  let refused label contents ~line ~offset =
+    write_file path contents;
+    match journal_ops dir with
+    | Error (Journal.Corrupt_body c) ->
+        Alcotest.(check int) (label ^ ": line") line c.line;
+        Alcotest.(check int) (label ^ ": offset") offset c.offset
+    | Error e ->
+        Alcotest.failf "%S: wrong refusal: %s" label (Journal.describe_load_error ~dir e)
+    | Ok _ -> Alcotest.failf "%S: accepted as a journal" label
+  in
   List.iter
     (fun bad ->
-      write_file path (before ^ bad ^ "\nstep\n");
-      match journal_ops path with
-      | Error (Journal.Corrupt_body { line; offset; _ }) ->
-          Alcotest.(check int) (bad ^ ": line") 3 line;
-          Alcotest.(check int) (bad ^ ": offset") (String.length before) offset
-      | Error e ->
-          Alcotest.failf "%S: wrong refusal: %s" bad
-            (Journal.describe_load_error ~path e)
-      | Ok _ -> Alcotest.failf "%S: accepted as a journal op" bad)
-    [ "state"; "open x"; "submit 1 2"; "# a comment"; "quit" ]
+      refused bad (checked_journal [ "submit 0 1 2"; bad; "step" ]) ~line:3
+        ~offset:(String.length before))
+    [ "state"; "open x"; "submit 1 2"; "# a comment"; "quit" ];
+  refused "no check" (before ^ "step\nstep\n") ~line:3 ~offset:(String.length before);
+  let good = checked_journal [ "submit 0 1 2"; "step" ] in
+  let wrong = String.sub good 0 (String.length good - 2) ^ (if good.[String.length good - 2] = '0' then "1" else "0") ^ "\n" in
+  refused "a wrong check on the last line" wrong ~line:3 ~offset:(String.length before)
 
 (* A fold ends at the position a reopened writer carries on from: blank
-   lines included, a torn tail excluded.  The writer's anchor is then
-   the length, line count and hash of the file's bytes, and [resume]
-   accepts it. *)
+   lines skipped, a torn tail excluded.  A rotated segment starts at the
+   writer's anchor, and [Journal.at] finds it there and nowhere else. *)
 let test_journal_positions () =
   with_temp_dir "positions" @@ fun dir ->
   let path = Filename.concat dir "journal.jsonl" in
-  let intact = journal_header ^ "submit 0 1 2\n\n  \nstep\n\n" in
+  let lines = checked_lines [ "submit 0 1 2"; "step" ] in
+  let intact = journal_header ^ "\n" ^ List.nth lines 0 ^ "\n  \n" ^ List.nth lines 1 ^ "\n" in
   write_file path (intact ^ "submit 5 1");
-  match Journal.fold path ~init:(fun _ -> ()) ~f:(fun () _ -> ()) with
+  match Result.bind (Journal.top dir) (fun (_, from) ->
+            Journal.fold dir from ~init:() ~f:(fun () _ -> ()))
+  with
   | Ok ((), Some tear, position) ->
       Alcotest.(check int) "tear at the end of the intact part"
         (String.length intact) tear.Journal.offset;
       Unix.truncate path tear.Journal.offset;
-      let w = Journal.append_to path position in
+      let w = Journal.append_to dir position ~segments:[ 0 ] in
       Journal.append w (Journal.Step 2);
-      Journal.close w;
-      let bytes = read_file path in
-      let hash = Rrs_core.Wire.Hash.create () in
-      Rrs_core.Wire.Hash.feed hash bytes ~pos:0 ~len:(String.length bytes);
       let anchor = Journal.anchor w in
-      Alcotest.(check int) "offset" (String.length bytes) anchor.Journal.offset;
-      Alcotest.(check int) "lines" 7 anchor.Journal.lines;
-      Alcotest.(check string) "digest" (Rrs_core.Wire.Hash.digest hash)
-        anchor.Journal.digest;
-      Alcotest.(check bool) "resume accepts it" true
-        (Option.is_some (Journal.resume path anchor));
-      Alcotest.(check bool) "resume refuses another digest" true
+      Alcotest.(check int) "ops" 3 anchor.Journal.ops;
+      Alcotest.(check bool) "no segment starts mid-journal" true
+        (Option.is_none (Journal.at dir anchor));
+      Journal.rotate w ~reuse_below:0;
+      Alcotest.(check bool) "rotated: a segment named after the anchor" true
+        (Sys.file_exists (Filename.concat dir (Journal.segment_name 3)));
+      Journal.append w (Journal.Step 1);
+      Journal.close w;
+      Alcotest.(check bool) "at finds the segment" true
+        (Option.is_some (Journal.at dir anchor));
+      Alcotest.(check bool) "at refuses another chain value" true
         (Option.is_none
-           (Journal.resume path { anchor with Journal.digest = String.make 16 '0' }));
-      Alcotest.(check bool) "resume refuses a longer prefix" true
-        (Option.is_none
-           (Journal.resume path { anchor with Journal.offset = anchor.Journal.offset + 1 }))
+           (Journal.at dir { anchor with Journal.chain = String.make 16 '0' }));
+      Alcotest.(check bool) "at refuses another op count" true
+        (Option.is_none (Journal.at dir { anchor with Journal.ops = 2 }));
+      (* the fold from the top runs through both segments *)
+      (match journal_ops dir with
+      | Ok (ops, None) -> Alcotest.(check int) "ops through both segments" 4 (List.length ops)
+      | _ -> Alcotest.fail "the two segments do not fold cleanly");
+      let at_zero = Journal.at dir { Journal.ops = 0; chain = String.make 16 '0' } in
+      Alcotest.(check bool) "segment 0 is hashed, not trusted" true (Option.is_none at_zero)
   | Ok (_, None, _) -> Alcotest.fail "tear not detected"
-  | Error e -> Alcotest.failf "load failed: %s" (Journal.describe_load_error ~path e)
+  | Error e -> Alcotest.failf "load failed: %s" (Journal.describe_load_error ~dir e)
 
 (* A corrupt journal body refuses before any checkpoint is judged: an
    unreadable checkpoint stays where it is. *)
 let test_corrupt_body_keeps_checkpoint () =
   with_fixture_dir "bodyckpt" @@ fun dir ->
-  let jpath = Filename.concat dir "journal.jsonl" in
   let cpath = Filename.concat dir "checkpoint.json" in
-  let lines = String.split_on_char '\n' (read_file jpath) in
-  write_file jpath
-    (String.concat "\n" (List.mapi (fun i l -> if i = 3 then "state" else l) lines));
+  replace_line (last_segment dir) 1 "state";
   write_file cpath "this is not a snapshot\n";
-  let v = Torture.restore_case ~case:"body-and-checkpoint" torture_config dir in
+  let v = restore_case "body-and-checkpoint" dir in
   Alcotest.(check int) "tier 3" 3 v.Torture.tier;
   Alcotest.(check string) "checkpoint left in place" "this is not a snapshot\n"
     (read_file cpath);
   Alcotest.(check bool) "no checkpoint quarantined" false
     (Sys.file_exists (cpath ^ ".corrupt-1"))
 
-(* A version-1 journal (one JSON object per op, as servers before
-   version 2 wrote it) is no longer read: its header refuses the
-   restore (tier 3) with a message that names the version, and the
-   file is left as it was. *)
-let test_v1_journal_refused () =
-  with_temp_dir "v1" @@ fun dir ->
+(* Journals of older versions are not read: the header refuses the
+   restore (tier 3) with a message that names the version, and the file
+   is left as it was.  Version 1 wrote one JSON object per op, version 2
+   protocol lines without checks. *)
+let test_old_journal_refused version body () =
+  with_temp_dir (Printf.sprintf "v%d" version) @@ fun dir ->
   let path = Filename.concat dir "journal.jsonl" in
-  let v1_journal =
-    {|{"type":"serve_open","version":1,"policy":"dlru-edf","n":4,"delta":2,"delay":[6,6,6,6],"mini_rounds":1}
-{"type":"serve_op","op":"submit","round":0,"color":1,"count":2}
-{"type":"serve_op","op":"step","rounds":2}
-|}
+  let journal =
+    Printf.sprintf
+      {|{"type":"serve_open","version":%d,"policy":"dlru-edf","n":4,"delta":2,"delay":[6,6,6,6],"mini_rounds":1}
+%s|}
+      version body
   in
-  write_file path v1_journal;
-  (match journal_ops path with
+  write_file path journal;
+  (match journal_ops dir with
   | Error (Journal.Bad_header { offset = 0; reason }) ->
       Alcotest.(check bool)
-        (Printf.sprintf "the reason names version 1: %s" reason)
+        (Printf.sprintf "the reason names version %d: %s" version reason)
         true
-        (String.starts_with ~prefix:"journal header: version 1 " reason)
-  | _ -> Alcotest.fail "a version-1 header was read");
-  let v = Torture.restore_case ~case:"v1" torture_config dir in
+        (String.starts_with
+           ~prefix:(Printf.sprintf "journal header: version %d " version)
+           reason)
+  | _ -> Alcotest.failf "a version-%d header was read" version);
+  let v = restore_case (Printf.sprintf "v%d" version) dir in
   Alcotest.(check int) "tier 3" 3 v.Torture.tier;
   Alcotest.(check bool) "contained" true v.Torture.contained;
-  Alcotest.(check string) "journal untouched" v1_journal (read_file path)
+  Alcotest.(check string) "journal untouched" journal (read_file path)
 
-(* The journal body is an [rrs serve] script: piped into a fresh
-   ephemeral server, it rebuilds the journaled state. *)
+let test_v1_journal_refused =
+  test_old_journal_refused 1
+    {|{"type":"serve_op","op":"submit","round":0,"color":1,"count":2}
+{"type":"serve_op","op":"step","rounds":2}
+|}
+
+let test_v2_journal_refused = test_old_journal_refused 2 "submit 0 1 2\nstep 2\n"
+
+(* Segment 0's body is an [rrs serve] script: the checks are comments
+   to the protocol parser, so piped into a fresh ephemeral server it
+   rebuilds the journaled state. *)
 let test_body_is_serve_script () =
-  with_fixture_dir "script" @@ fun dir ->
+  with_fixture_dir ~config:{ torture_config with checkpoint_every = 0 } "script"
+  @@ fun dir ->
   let lines =
     In_channel.with_open_bin (Filename.concat dir "journal.jsonl")
       In_channel.input_lines
@@ -1389,7 +1434,7 @@ let test_prev_checkpoint_arbitration () =
   tamper_checkpoint cpath;
   (* the tampered current checkpoint fails its digest and the previous
      one verifies: quarantine the current one and start from [.prev] *)
-  let v = Torture.restore_case ~case:"arbitration" torture_config dir in
+  let v = restore_case "arbitration" dir in
   Alcotest.(check int) "tier 2" 2 v.Torture.tier;
   Alcotest.(check bool) "contained" true v.Torture.contained;
   Alcotest.(check bool) "lying checkpoint quarantined" true
@@ -1400,36 +1445,41 @@ let checkpoint_ops path =
   | Ok s -> s.Snapshot.ops
   | Error e -> Alcotest.failf "%s: %s" path e
 
+(* A torn line can only end the journal: the previous checkpoint's
+   segment cut one byte short, with the current checkpoint corrupt so
+   that the restore reads it, is followed by the current checkpoint's
+   segment and refuses (tier 3), where the same cut in the last segment
+   is a torn tail (tier 1). *)
+let test_torn_line_before_a_segment_refuses () =
+  with_fixture_dir "tornmid" @@ fun dir ->
+  let cpath = Filename.concat dir "checkpoint.json" in
+  let cut path = Unix.truncate path ((Unix.stat path).Unix.st_size - 1) in
+  cut (Filename.concat dir (Journal.segment_name (checkpoint_ops (cpath ^ ".prev"))));
+  Torture.flip_byte cpath 2;
+  let v = restore_case "torn-before-a-segment" dir in
+  Alcotest.(check int) "tier 3" 3 v.Torture.tier;
+  Alcotest.(check bool) "contained" true v.Torture.contained;
+  with_fixture_dir "tornend" @@ fun dir ->
+  cut (last_segment dir);
+  let v = restore_case "torn-last-segment" dir in
+  Alcotest.(check int) "tier 1" 1 v.Torture.tier;
+  Alcotest.(check bool) "contained" true v.Torture.contained
+
+(* The current checkpoint's segment names another chain value, and no
+   previous checkpoint is left to vouch for the journal: the restore
+   refuses and leaves the checkpoint where it is. *)
 let test_lone_divergence_refuses () =
   with_fixture_dir "lonediv" @@ fun dir ->
   let cpath = Filename.concat dir "checkpoint.json" in
-  let jpath = Filename.concat dir "journal.jsonl" in
   Sys.remove (cpath ^ ".prev");
-  (* the last submit at or below the checkpoint (line i holds op i)
-     gets another job count: the journal still decodes *)
-  let ops = checkpoint_ops cpath in
-  let lines = String.split_on_char '\n' (read_file jpath) in
-  let edited = ref (-1) in
-  List.iteri
-    (fun i l -> if i <= ops && String.starts_with ~prefix:"submit " l then edited := i)
-    lines;
-  if !edited < 0 then Alcotest.fail "no submit below the checkpoint";
-  write_file jpath
-    (String.concat "\n"
-       (List.mapi
-          (fun i l ->
-            if i <> !edited then l
-            else
-              match String.split_on_char ' ' l with
-              | [ "submit"; round; color; count ] ->
-                  Printf.sprintf "submit %s %s %d" round color (int_of_string count + 1)
-              | _ -> l)
-          lines));
-  Alcotest.(check bool) "the journal still decodes" true
-    (Result.is_ok (journal_ops jpath));
-  (* no second witness: the checkpoint's journal prefix changed and no
-     previous checkpoint verifies — the restore must refuse *)
-  let v = Torture.restore_case ~case:"lone-divergence" torture_config dir in
+  let segment = Filename.concat dir (Journal.segment_name (checkpoint_ops cpath)) in
+  (match String.split_on_char '\n' (read_file segment) with
+  | header :: _ ->
+      let n = String.length header in
+      replace_line segment 0
+        (String.sub header 0 (n - 1) ^ if header.[n - 1] = '0' then "1" else "0")
+  | [] -> Alcotest.fail "empty segment");
+  let v = restore_case "lone-divergence" dir in
   Alcotest.(check int) "tier 3" 3 v.Torture.tier;
   Alcotest.(check bool) "contained" true v.Torture.contained;
   Alcotest.(check bool) "checkpoint left in place" false
@@ -1501,7 +1551,7 @@ let checkpoint_lines path =
 
 let has_machine_state path =
   match checkpoint_lines path with
-  | [ _; machine ] -> String.starts_with ~prefix:"serve_machine 1 " machine
+  | [ _; machine ] -> String.starts_with ~prefix:"serve_machine 2 " machine
   | _ -> false
 
 (* Restore [dir] on a fresh host: the host, the session, and the ops
@@ -1527,8 +1577,8 @@ let ops_from round seed =
 let test_fast_path_equals_full_replay () =
   with_fixture_dir "fast" @@ fun dir ->
   with_temp_dir "full" @@ fun full ->
-  let jpath = Filename.concat dir "journal.jsonl" in
-  write_file (Filename.concat full "journal.jsonl") (read_file jpath);
+  (* the same history without checkpoints: one segment *)
+  Torture.build_fixture { torture_config with checkpoint_every = 0 } torture_ops full;
   Alcotest.(check bool) "the fixture checkpoint holds machine state" true
     (has_machine_state (Filename.concat dir "checkpoint.json"));
   let checkpointed = checkpoint_ops (Filename.concat dir "checkpoint.json") in
@@ -1698,6 +1748,29 @@ let leave_ops =
   List.init 6 (fun color -> Journal.Submit { round = 0; color; count = 2 })
   @ [ Journal.Step 2 ]
 
+(* A restore from the current checkpoint reads the segment that
+   starts at it and no byte below: [serve_restore_journal_bytes] is that
+   segment's size, the fixture's older segment unread.  A session that
+   runs on keeps two segments, whatever its length. *)
+let test_restore_reads_one_segment () =
+  with_fixture_dir "onesegment" @@ fun dir ->
+  let cpath = Filename.concat dir "checkpoint.json" in
+  let segment = Filename.concat dir (Journal.segment_name (checkpoint_ops cpath)) in
+  Alcotest.(check bool) "the fixture keeps an older segment" true
+    (List.exists (fun p -> p <> segment) (segment_files dir));
+  let h, s, replayed, _ = restore_counting dir in
+  Alcotest.(check int) "journal bytes read = the checkpoint's segment"
+    (Unix.stat segment).Unix.st_size
+    (counter_of h "serve_restore_journal_bytes");
+  Alcotest.(check int) "its one op replayed" 1 replayed;
+  apply_all h s (ops_from (Server.session_snapshot s).Snapshot.round 4);
+  ignore (Server.checkpoint_session h s);
+  Alcotest.(check int) "two segments after a longer run" 2
+    (List.length (segment_files dir));
+  Alcotest.(check bool) "segment 0 retired" false
+    (Sys.file_exists (Filename.concat dir "journal.jsonl"));
+  Server.abandon_session h s
+
 (* A session a connection leaves with at least [num_colors] units of
    replay work since its last checkpoint is checkpointed: restored
    later, it replays nothing. *)
@@ -1833,39 +1906,47 @@ let test_line_one_only_quarantined () =
   let cpath = Filename.concat dir "checkpoint.json" in
   let line = List.hd (checkpoint_lines cpath) ^ "\n" in
   write_file cpath line;
-  let v = Torture.restore_case ~case:"line-1-only" torture_config dir in
+  let v = restore_case "line-1-only" dir in
   Alcotest.(check int) "tier 2" 2 v.Torture.tier;
   Alcotest.(check bool) "contained" true v.Torture.contained;
   Alcotest.(check string) "quarantined as it was" line
     (read_file (cpath ^ ".corrupt-1"))
 
-(* An op below a valid full-state checkpoint changed into another valid
-   op: the journal still parses, so only the prefix hash keeps the fast
-   path from loading the checkpoint over it, and the full replay then
-   refuses as before. *)
+(* An op of the previous checkpoint's segment changed into another
+   valid op, its check kept.  A restore from the current checkpoint
+   never reads that segment, so it restores the unchanged state; with
+   the current checkpoint corrupt, the restore starts from [.prev],
+   reads the line, and refuses. *)
 let test_flip_below_checkpoint_refuses () =
   with_fixture_dir "flipbelow" @@ fun dir ->
-  let jpath = Filename.concat dir "journal.jsonl" in
+  let cpath = Filename.concat dir "checkpoint.json" in
   Alcotest.(check bool) "the fixture checkpoint holds machine state" true
-    (has_machine_state (Filename.concat dir "checkpoint.json"));
-  let lines = String.split_on_char '\n' (read_file jpath) in
+    (has_machine_state cpath);
+  let segment =
+    Filename.concat dir (Journal.segment_name (checkpoint_ops (cpath ^ ".prev")))
+  in
+  let lines = String.split_on_char '\n' (read_file segment) in
   let first_submit =
     let rec find i = function
       | l :: rest -> if String.starts_with ~prefix:"submit " l then i else find (i + 1) rest
-      | [] -> Alcotest.fail "no submit in the fixture"
+      | [] -> Alcotest.fail "no submit in the previous checkpoint's segment"
     in
     find 0 lines
   in
   let recount l =
-    let last = String.length l - 1 in
-    String.mapi (fun i c -> if i = last then (if c = '1' then '2' else '1') else c) l
+    match String.split_on_char ' ' l with
+    | [ "submit"; round; color; count; check ] ->
+        String.concat " "
+          [ "submit"; round; color; (if count = "1" then "2" else "1"); check ]
+    | _ -> Alcotest.failf "not a submit line: %S" l
   in
-  write_file jpath
-    (String.concat "\n" (List.mapi (fun i l -> if i = first_submit then recount l else l) lines));
-  Alcotest.(check bool) "the journal still decodes" true
-    (Result.is_ok (journal_ops jpath));
-  let v = Torture.restore_case ~case:"flip-below-checkpoint" torture_config dir in
-  Alcotest.(check int) "tier 3" 3 v.Torture.tier;
+  replace_line segment first_submit (recount (List.nth lines first_submit));
+  let v = restore_case "flip-below-current" dir in
+  Alcotest.(check int) "a segment no restore reads: tier 0" 0 v.Torture.tier;
+  Alcotest.(check bool) "and the unchanged state" true v.Torture.contained;
+  Torture.flip_byte cpath 2;
+  let v = restore_case "flip-below-checkpoint" dir in
+  Alcotest.(check int) "read from .prev: tier 3" 3 v.Torture.tier;
   Alcotest.(check bool) "contained" true v.Torture.contained
 
 (* Line 2 is checked by its digest: one changed byte of the machine
@@ -1878,7 +1959,7 @@ let test_corrupt_machine_state_quarantined () =
   let at = String.length contents - 40 in
   write_file cpath
     (String.mapi (fun i c -> if i = at then (if c = '0' then '1' else '0') else c) contents);
-  let v = Torture.restore_case ~case:"machine-state" torture_config dir in
+  let v = restore_case "machine-state" dir in
   Alcotest.(check int) "tier 2" 2 v.Torture.tier;
   Alcotest.(check bool) "contained" true v.Torture.contained;
   Alcotest.(check bool) "quarantined" true (Sys.file_exists (cpath ^ ".corrupt-1"))
@@ -1889,13 +1970,14 @@ let test_stale_temp_removed () =
   with_fixture_dir "staletmp" @@ fun dir ->
   let stale = Filename.concat dir "checkpoint.json.tmp.99999" in
   write_file stale "serve_state, half writ";
-  let v = Torture.restore_case ~case:"stale-temp" torture_config dir in
+  let v = restore_case "stale-temp" dir in
   Alcotest.(check int) "tier 0" 0 v.Torture.tier;
   Alcotest.(check bool) "stale temp removed" false (Sys.file_exists stale)
 
 (* The commit reuses the two files it rotates: once a session has two
    checkpoints, later ones create no file, so [checkpoint.json] and
-   [.prev] keep the same two inodes.  Descriptors held open on both pin
+   [.prev] keep the same two inodes, and so do the journal's two
+   segments, each rotation taking the file of the one it retires.  Descriptors held open on both pin
    them, so a commit that creates a file cannot get one of their inode
    numbers back.  The checkpoints shrink as the fed-ahead arrivals
    drain, so a commit that skipped its truncate would leave the tail
@@ -1921,9 +2003,14 @@ let test_commit_reuses_files () =
   apply_all h s [ Journal.Step 1 ];
   let second = checkpoint () in
   let id (st : Unix.stats) = (st.Unix.st_dev, st.Unix.st_ino) in
-  let pinned = List.map (fun p -> Unix.openfile p [ Unix.O_RDONLY ] 0) [ cpath; ppath ] in
+  let segments () = List.sort compare (List.map (fun p -> id (Unix.stat p)) (segment_files dir)) in
+  let pinned =
+    List.map (fun p -> Unix.openfile p [ Unix.O_RDONLY ] 0) (cpath :: ppath :: segment_files dir)
+  in
   Fun.protect ~finally:(fun () -> List.iter Unix.close pinned) @@ fun () ->
-  let pair = List.sort compare (List.map (fun fd -> id (Unix.fstat fd)) pinned) in
+  let pair = List.sort compare (List.map (fun p -> id (Unix.stat p)) [ cpath; ppath ]) in
+  let segment_pair = segments () in
+  Alcotest.(check int) "two segments" 2 (List.length segment_pair);
   let sizes = ref [ second; first ] and shrunk = ref false in
   for k = 1 to 5 do
     apply_all h s [ Journal.Step 10 ];
@@ -1934,6 +2021,8 @@ let test_commit_reuses_files () =
     let label what = Printf.sprintf "checkpoint %d: %s" (k + 2) what in
     Alcotest.(check bool) (label "same two inodes") true
       (pair = List.sort compare (List.map (fun p -> id (Unix.stat p)) [ cpath; ppath ]));
+    Alcotest.(check bool) (label "the journal's two segment files reused") true
+      (segment_pair = segments ());
     Alcotest.(check (list string)) (label "no temp file left") []
       (List.filter
          (String.starts_with ~prefix:"checkpoint.json.tmp.")
@@ -1984,7 +2073,10 @@ let test_commit_crash_windows () =
     let b = checkpoint_at (3 * every) in
     let c = checkpoint_at (4 * every) in
     Server.abandon_session h s;
-    (a, b, c, read_file (Filename.concat dir "journal.jsonl"), List.rev !fed)
+    let segments =
+      List.map (fun path -> (Filename.basename path, read_file path)) (segment_files dir)
+    in
+    (a, b, c, segments, List.rev !fed)
   in
   let expected = Torture.straight_line torture_config fed in
   let half_written =
@@ -1997,7 +2089,7 @@ let test_commit_crash_windows () =
   List.iter
     (fun (layout, files, (start, _)) ->
       with_temp_dir "window" @@ fun dir ->
-      write_file (Filename.concat dir "journal.jsonl") journal;
+      List.iter (fun (name, bytes) -> write_file (Filename.concat dir name) bytes) journal;
       List.iter (fun (name, bytes) -> write_file (Filename.concat dir name) bytes) files;
       let h, s, replayed, _ = restore_counting dir in
       let label what = Printf.sprintf "%s: %s" layout what in
@@ -2149,6 +2241,10 @@ let test_torture_smoke () =
     (Torture.journal_flip_campaign ~stride:23 torture_config ~ops ~dir);
   check "dup" (Torture.journal_dup_campaign torture_config ~ops ~dir);
   check "edit" (Torture.journal_edit_campaign torture_config ~ops ~dir);
+  check "reorder" (Torture.journal_reorder_campaign torture_config ~ops ~dir);
+  check "boundary" (Torture.segment_boundary_campaign torture_config ~ops ~dir);
+  check "presence" (Torture.segment_presence_campaign torture_config ~ops ~dir);
+  check "rotation" (Torture.kill_rotation_campaign torture_config ~ops ~dir);
   check "checkpoint"
     (Torture.checkpoint_campaign ~stride:11 torture_config ~ops ~dir);
   check "prefix" (Torture.prefix_campaign ~torn:false torture_config ~ops ~dir);
@@ -2484,10 +2580,14 @@ let () =
             test_commit_reuses_files;
           Alcotest.test_case "every commit crash window restores" `Quick
             test_commit_crash_windows;
+          Alcotest.test_case "a torn line before a segment refuses" `Quick
+            test_torn_line_before_a_segment_refuses;
           Alcotest.test_case "lone divergence refuses" `Quick
             test_lone_divergence_refuses;
           Alcotest.test_case "corrupt current checkpoint starts from .prev"
             `Quick test_corrupt_current_starts_from_prev;
+          Alcotest.test_case "a restore reads only its checkpoint's segment"
+            `Quick test_restore_reads_one_segment;
           Alcotest.test_case "loaded step is never replayed" `Quick
             test_loaded_step_never_replayed;
           QCheck_alcotest.to_alcotest prop_restore_replays_less_than_every;
@@ -2519,6 +2619,8 @@ let () =
             test_corrupt_body_keeps_checkpoint;
           Alcotest.test_case "version-1 journal refused" `Quick
             test_v1_journal_refused;
+          Alcotest.test_case "version-2 journal refused" `Quick
+            test_v2_journal_refused;
           Alcotest.test_case "body is a serve script" `Quick
             test_body_is_serve_script;
           Alcotest.test_case "writer bytes = header + op lines" `Quick
