@@ -55,7 +55,13 @@
    interval, so it is checkpointed right after it and the restore
    replays no op ("heavy_step_replayed_ops", Exact).  So does a session
    left for another one with more replay work since its last checkpoint
-   than it has colors ("left_session_replayed_ops", Exact). *)
+   than it has colors ("left_session_replayed_ops", Exact).  Last, 32
+   finished sessions of perfbench's [bursty] shape, each left by its
+   connection, are restored by a fresh host: each restore opens its
+   checkpoint and that checkpoint's segment, once each
+   ("multi_restore_files_read", 2 per session, Exact), and allocates
+   "alloc_multi_restore_words_per_session" minor words (gated);
+   "multi_restore_session_us" is Info. *)
 
 open Rrs_core
 module Families = Rrs_workload.Families
@@ -591,6 +597,85 @@ let disk_bound dir (config : Server.config) =
           intervals of journal and two checkpoints (%d)" disk bound;
   disk
 
+(* 32 finished sessions shaped like perfbench's [bursty] workload: the
+   bursty family at its registry size (12 colors), n = 8, the server's
+   default cadence, each played round by round ([submit]s, then [step
+   1]) over one host's [Server.exec] and left for the next, so each is
+   checkpointed as its connection leaves it.  A fresh host restores all
+   32; the best of [repeats] times, and the minor words and files the
+   last restore took, per session.  A restore from a verified checkpoint
+   reads that checkpoint and the segment that starts at it, each once:
+   2 files per session (Exact). *)
+let multi_session_restore () =
+  let sessions = 32 in
+  let dir = temp_dir "multi" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let family = Option.get (Families.find "bursty") in
+  let instance seed = family.build ~seed in
+  let first = instance 1 in
+  let config =
+    {
+      Server.default_config with
+      n = 8;
+      delta = first.Instance.delta;
+      delay = Array.copy first.Instance.delay;
+      checkpoint_dir = Some dir;
+    }
+  in
+  let names = List.init sessions (Printf.sprintf "s%02d") in
+  let h = Server.host config in
+  let exec cur cmd =
+    match Server.exec h cur cmd with
+    | Server.Reply [ l ] when String.starts_with ~prefix:"ok " l -> cur
+    | Server.Switch (s, _) -> s
+    | _ -> failwith ("multi-session restore: refused " ^ Protocol.command_to_string cmd)
+  in
+  let cur = ref (Server.open_session h Server.default_session) in
+  List.iteri
+    (fun i name ->
+      cur := exec !cur (Protocol.Open name);
+      let stream = Stream.of_instance (instance (i + 1)) in
+      let rec play () =
+        match Stream.next stream with
+        | None -> ()
+        | Some (round, batch) ->
+            List.iter
+              (fun (color, count) ->
+                cur := exec !cur (Protocol.Submit { round = Some round; color; count }))
+              batch;
+            cur := exec !cur (Protocol.Step 1);
+            play ()
+      in
+      play ())
+    names;
+  cur := exec !cur (Protocol.Open Server.default_session);
+  List.iter (Server.abandon_session h) (Server.sessions h);
+  let best = ref infinity and words = ref 0. and files = ref 0 and replayed = ref 0 in
+  for _ = 1 to max 5 !repeats do
+    let metrics = Rrs_obs.Metrics.create () in
+    let h = Server.host { config with metrics = Some metrics } in
+    Gc.full_major ();
+    let w0 = Gc.minor_words () in
+    let t0 = Unix.gettimeofday () in
+    let restored = List.map (Server.open_session h) names in
+    best := min !best (Unix.gettimeofday () -. t0);
+    words := Gc.minor_words () -. w0;
+    let counter name = Rrs_obs.Metrics.value (Rrs_obs.Metrics.counter metrics name) in
+    files := counter "serve_restore_files_read";
+    replayed := counter "serve_restore_replayed_ops";
+    List.iter (Server.abandon_session h) restored
+  done;
+  let per_session x = x /. float_of_int sessions in
+  let files = per_session (float_of_int !files) and words = per_session !words in
+  let us = per_session (!best *. 1e6) in
+  Printf.printf
+    "restore of %d left bursty sessions: %.1f us, %.0f words, %.2f files read per \
+     session (%d ops replayed)\n"
+    sessions us words files !replayed;
+  if files <> 2. then fail "a restore read %.2f files per session, not its checkpoint and segment" files;
+  if !replayed <> 0 then fail "a restore of left sessions replayed %d ops" !replayed;
+  (us, words, files)
+
 let restore_scaling () =
   print_endline
     "================================================================";
@@ -655,7 +740,8 @@ let restore_scaling () =
   let disk = disk_bound dir config in
   let heavy = heavy_step () in
   let left = left_session () in
-  (t_small, t_large, growth, r_small, r_large, small_ops, large_ops, heavy, left, disk)
+  let multi = multi_session_restore () in
+  (t_small, t_large, growth, r_small, r_large, small_ops, large_ops, heavy, left, disk, multi)
 
 (* ------------------------------------------------------------------ *)
 
@@ -672,7 +758,17 @@ let () =
   let divergences, restore_seconds, families, rounds_replayed, ckpt_replayed =
     restore_drill ()
   in
-  let t_small, t_large, growth, r_small, r_large, small_ops, large_ops, heavy, left, disk =
+  let ( t_small,
+        t_large,
+        growth,
+        r_small,
+        r_large,
+        small_ops,
+        large_ops,
+        heavy,
+        left,
+        disk,
+        (multi_us, multi_words, multi_files) ) =
     restore_scaling ()
   in
   Out_channel.with_open_text !out (fun oc ->
@@ -747,6 +843,9 @@ let () =
                ("heavy_step_replayed_ops", float_of_int heavy);
                ("left_session_replayed_ops", float_of_int left);
                ("session_disk_bytes", float_of_int disk);
+               ("multi_restore_files_read", multi_files);
+               ("alloc_multi_restore_words_per_session", multi_words);
+               ("multi_restore_session_us", multi_us);
              ]
            ()));
   (match Rrs_obs.Run_summary.load !out with

@@ -774,10 +774,12 @@ let status_cmd =
               (i0 "serve_slow_drops") (i0 "serve_wedged");
             Format.printf
               "recovery: %d restores (%d session restarts, %d journal bytes \
-               read) — torn tail %d, quarantined %d, refused %d@."
+               read, %d files read) — torn tail %d, quarantined %d, refused \
+               %d@."
               (i0 "serve_restores")
               (i0 "serve_session_restarts")
               (i0 "serve_restore_journal_bytes")
+              (i0 "serve_restore_files_read")
               (i0 "serve_recovery_torn_tail")
               (i0 "serve_recovery_quarantined")
               (i0 "serve_recovery_refused");
@@ -1003,6 +1005,7 @@ let serve_cmd =
       ("serve_session_restarts", "session_restarts");
       ("serve_restores", "restores");
       ("serve_restore_journal_bytes", "restore_journal_bytes");
+      ("serve_restore_files_read", "restore_files_read");
       ("serve_recovery_torn_tail", "recovery_torn_tail");
       ("serve_recovery_checkpoint_quarantined", "recovery_quarantined");
       ("serve_recovery_refused", "recovery_refused");

@@ -63,48 +63,24 @@ let op_of_line line =
 
 let ( let* ) = Result.bind
 
-let field name json =
+(* The field [name] of [json], decoded by [decode]. *)
+let field decode name json =
   match Json.member name json with
-  | Some v -> Ok v
+  | Some v -> Result.map_error (Printf.sprintf "field %S: %s" name) (decode v)
   | None -> Error (Printf.sprintf "missing field %S" name)
 
-let int_field name json =
-  let* v = field name json in
-  Result.map_error (fun e -> Printf.sprintf "field %S: %s" name e) (Json.to_int v)
-
-let string_field name json =
-  let* v = field name json in
-  Result.map_error
-    (fun e -> Printf.sprintf "field %S: %s" name e)
-    (Json.to_string_lit v)
-
-let int_array_field name json =
-  let* v = field name json in
-  let* items =
-    Result.map_error (fun e -> Printf.sprintf "field %S: %s" name e)
-      (Json.to_list v)
-  in
-  let* ints =
-    List.fold_left
-      (fun acc item ->
-        let* acc = acc in
-        let* v =
-          Result.map_error
-            (fun e -> Printf.sprintf "field %S: %s" name e)
-            (Json.to_int item)
-        in
-        Ok (v :: acc))
-      (Ok []) items
-  in
-  Ok (Array.of_list (List.rev ints))
+let ints v =
+  let* items = Json.to_list v in
+  let add acc item = Result.bind acc (fun acc -> Result.map (fun i -> i :: acc) (Json.to_int item)) in
+  Result.map (fun ints -> Array.of_list (List.rev ints)) (List.fold_left add (Ok []) items)
 
 let header_of_line line =
   let* json = Json.parse line in
-  let* ty = string_field "type" json in
+  let* ty = field Json.to_string_lit "type" json in
   if ty <> "serve_open" then
     Error (Printf.sprintf "journal header: type %S (want serve_open)" ty)
   else
-    let* version = int_field "version" json in
+    let* version = field Json.to_int "version" json in
     if version <> header_version then
       Error
         (Printf.sprintf
@@ -112,11 +88,11 @@ let header_of_line line =
             reads version %d only)"
            version header_version)
     else
-      let* policy = string_field "policy" json in
-      let* n = int_field "n" json in
-      let* delta = int_field "delta" json in
-      let* delay = int_array_field "delay" json in
-      let* mini_rounds = int_field "mini_rounds" json in
+      let* policy = field Json.to_string_lit "policy" json in
+      let* n = field Json.to_int "n" json in
+      let* delta = field Json.to_int "delta" json in
+      let* delay = field ints "delay" json in
+      let* mini_rounds = field Json.to_int "mini_rounds" json in
       Ok { policy; n; delta; delay; mini_rounds }
 
 (* ---- segments ---------------------------------------------------- *)
@@ -163,11 +139,6 @@ let segment_header_of_line line =
 let check_digits = 6
 let check_length = check_digits + 2
 
-(* The op text's length, when the line ends in a check's shape. *)
-let op_length line =
-  let n = String.length line - check_length in
-  if n > 0 && line.[n] = ' ' && line.[n + 1] = '#' then Some n else None
-
 type tear = { segment : string; line : int; offset : int; reason : string }
 
 let describe_tear ~dir t =
@@ -202,12 +173,81 @@ let describe_load_error ~dir = function
          tail, refusing to load"
         (Filename.concat dir segment) line offset reason
 
-let is_blank line =
-  String.for_all
-    (function ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false)
-    line
+let rec is_blank buf ~pos ~stop =
+  pos >= stop
+  || (match Bytes.get buf pos with ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false)
+     && is_blank buf ~pos:(pos + 1) ~stop
 
 (* ---- reading ------------------------------------------------------ *)
+
+(* One buffer for every file a restore reads: read(2) fills it and
+   lines are cut from it in place.  [buf.[pos .. len-1]] holds the bytes
+   not consumed yet, and [files] counts the files opened. *)
+type reader = {
+  mutable buf : Bytes.t;
+  mutable fd : Unix.file_descr option;
+  mutable pos : int;
+  mutable len : int;
+  mutable files : int;
+}
+
+let reader ?(capacity = 65536) () =
+  { buf = Bytes.create (max 1 capacity); fd = None; pos = 0; len = 0; files = 0 }
+
+let files_read r = r.files
+let buffer r = r.buf
+
+let release r =
+  Option.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) r.fd;
+  r.fd <- None
+
+let open_file r path =
+  release r;
+  r.fd <- Some (Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0);
+  r.files <- r.files + 1;
+  r.pos <- 0;
+  r.len <- 0
+
+(* More of the file after [buf.[len-1]], once the consumed bytes are
+   moved out and a full buffer is doubled; false at the end of the
+   file.  The buffer grows only to hold a line longer than it. *)
+let refill r =
+  if r.pos > 0 then begin
+    Bytes.blit r.buf r.pos r.buf 0 (r.len - r.pos);
+    r.len <- r.len - r.pos;
+    r.pos <- 0
+  end;
+  if r.len = Bytes.length r.buf then r.buf <- Bytes.extend r.buf 0 r.len;
+  match r.fd with
+  | None -> false
+  | Some fd ->
+      let n = Unix.read fd r.buf r.len (Bytes.length r.buf - r.len) in
+      r.len <- r.len + n;
+      n > 0
+
+(* The index in [buf] of the newline that ends the line at [pos], from
+   [i] on, read on until the line is whole in the buffer; -1 when the
+   file ends first, with the rest of it in [buf.[pos .. len-1]]. *)
+let rec next_line r i =
+  if i < r.len then if Bytes.get r.buf i = '\n' then i else next_line r (i + 1)
+  else
+    let scanned = i - r.pos in
+    if refill r then next_line r (r.pos + scanned) else -1
+
+let slurp r path =
+  open_file r path;
+  Fun.protect ~finally:(fun () -> release r) (fun () ->
+      while refill r do () done;
+      r.len)
+
+let copy_file r src dst =
+  let out = Unix.openfile dst [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ] 0o666 in
+  Fun.protect ~finally:(fun () -> release r; Unix.close out) (fun () ->
+      open_file r src;
+      while refill r do
+        ignore (Unix.write out r.buf 0 r.len);
+        r.pos <- r.len
+      done)
 
 (* Where a read stands: in segment [segment], [offset] bytes into its
    file, after [ops] ops, with the chain value of the last line read.
@@ -221,146 +261,132 @@ type position = {
 }
 
 let bytes_read p = p.read
-
-(* The first line of a file and the offset after it, which exceeds the
-   line's length when a newline ended it. *)
-let read_first path =
-  In_channel.with_open_bin path (fun ic ->
-      match In_channel.input_line ic with
-      | None -> None
-      | Some line -> Some (line, pos_in ic))
+let where p = (p.segment, p.offset, { ops = p.ops; chain = Wire.Hash.chain p.hash })
 
 (* The chain starts at the hash of segment 0's header line. *)
-let header_chain text =
+let header_chain buf ~len =
   let hash = Wire.Hash.create () in
-  Wire.Hash.feed hash text ~pos:0 ~len:(String.length text);
+  Wire.Hash.feed_bytes hash buf ~pos:0 ~len;
   Wire.Hash.link hash;
   hash
 
-let top dir =
-  let path = Filename.concat dir (segment_name 0) in
-  if not (Sys.file_exists path) then Error Missing
-  else
-    match read_first path with
-    | None -> Error Empty
-    | Some (text, offset) -> (
-        match header_of_line text with
-        | Error reason -> Error (Bad_header { offset = 0; reason })
-        | Ok header ->
-            Ok
-              ( header,
-                { segment = 0; offset; ops = 0; hash = header_chain text; read = offset } ))
+(* Open the segment that starts at [ops] and read its first line, which
+   starts at [buf.[0]]: the line's end and the offset after it, which
+   exceeds the end when a newline ended it; [None] for an empty file. *)
+let first_line r dir ops =
+  open_file r (Filename.concat dir (segment_name ops));
+  match next_line r 0 with
+  | eol when eol >= 0 -> Some (eol, eol + 1)
+  | _ -> if r.len > 0 then Some (r.len, r.len) else None
+
+let start r ~segment ~offset ~ops hash =
+  r.pos <- offset;
+  { segment; offset; ops; hash; read = offset }
+
+let top r dir =
+  match first_line r dir 0 with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Error Missing
+  | None -> Error Empty
+  | Some (stop, offset) -> (
+      match header_of_line (Bytes.sub_string r.buf 0 stop) with
+      | Error reason -> Error (Bad_header { offset = 0; reason })
+      | Ok header -> Ok (header, start r ~segment:0 ~offset ~ops:0 (header_chain r.buf ~len:stop)))
 
 (* Segment 0's header is hashed, not parsed: a checkpoint at op 0 names
    its chain value. *)
-let at dir (a : anchor) =
-  match read_first (Filename.concat dir (segment_name a.ops)) with
-  | Some (line, offset) when offset > String.length line ->
+let at r dir (a : anchor) =
+  match first_line r dir a.ops with
+  | Some (eol, offset) when offset > eol -> (
       let hash =
-        if a.ops = 0 then Some (header_chain line)
+        if a.ops = 0 then Some (header_chain r.buf ~len:eol)
         else
-          match segment_header_of_line line with
+          match segment_header_of_line (Bytes.sub_string r.buf 0 eol) with
           | Some h when h.ops = a.ops -> Wire.Hash.of_chain h.chain
           | _ -> None
       in
-      Option.bind hash (fun hash ->
-          if Wire.Hash.chain hash = a.chain then
-            Some { segment = a.ops; offset; ops = a.ops; hash; read = offset }
-          else None)
-  | _ | (exception Sys_error _) -> None
+      match hash with
+      | Some hash when Wire.Hash.chain hash = a.chain -> Some (start r ~segment:a.ops ~offset ~ops:a.ops hash)
+      | _ -> None)
+  | _ | (exception Unix.Unix_error _) -> None
 
-(* Read segments from [p]: each op line's check must continue the
-   chain, and each op goes to [f].  Blank lines are skipped.  At the end
-   of a segment's file the journal continues in the segment that starts
-   at the op count reached, when one exists: its header must name that
+(* The op in [buf.[pos .. stop-1]], when its check continues the chain
+   in [hash]. *)
+let decode hash buf ~pos ~stop =
+  let len = stop - pos - check_length in
+  if len <= 0 || Bytes.get buf (pos + len) <> ' ' || Bytes.get buf (pos + len + 1) <> '#' then
+    Error "no line check"
+  else begin
+    Wire.Hash.feed_bytes hash buf ~pos ~len;
+    Wire.Hash.link hash;
+    if Wire.Hash.check_matches hash (Bytes.unsafe_to_string buf) ~pos:(stop - check_digits) ~digits:check_digits
+    then op_of_line (Bytes.sub_string buf pos len)
+    else
+      Error
+        "line check mismatch: this line or one before it was changed, moved \
+         or removed"
+  end
+
+(* Read segments on from [p], the position the last {!top} or {!at} on
+   [r] left open: each op line's check must continue the chain, and each
+   op goes to [f].  Blank lines are skipped.  At the end of a segment's
+   file the journal continues in the segment that starts at the op
+   count reached, when [segments] lists one: its header must name that
    op count and chain value. *)
-let fold dir (p : position) ~init ~f =
+let fold r dir (p : position) ~segments ~init ~f =
   let hash = Wire.Hash.copy p.hash in
   let corrupt segment line offset reason =
     Error (Corrupt_body { segment; line; offset; reason })
   in
-  let rec segment seg ~start ~ops ~read acc =
+  let follows seg ops = ops <> seg && List.mem ops segments in
+  let rec segment seg ~start ~read =
     let name = segment_name seg in
-    let ic = open_in_bin (Filename.concat dir name) in
-    let stop =
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-      (* line numbers count from the top of the file *)
-      let number = ref 0 in
-      while pos_in ic < start && In_channel.input_line ic <> None do
-        incr number
-      done;
-      let rec go ops acc =
-        let offset = pos_in ic in
-        match In_channel.input_line ic with
-        | None -> `End (ops, offset, acc)
-        | Some text when not (pos_in ic > offset + String.length text) ->
-            (* only the file's last line can lack its newline *)
-            `Torn
-              ( { segment = name; line = !number + 1; offset;
-                  reason = "no trailing newline: the append was cut short" },
-                ops, offset, acc )
-        | Some text when is_blank text ->
-            incr number;
-            go ops acc
-        | Some text -> (
-            incr number;
-            let decoded =
-              match op_length text with
-              | None -> Error "no line check"
-              | Some len ->
-                  Wire.Hash.feed hash text ~pos:0 ~len;
-                  Wire.Hash.link hash;
-                  if
-                    Wire.Hash.check_matches hash text ~pos:(len + 2)
-                      ~digits:check_digits
-                  then op_of_line (String.sub text 0 len)
-                  else
-                    Error
-                      "line check mismatch: this line or one before it was \
-                       changed, moved or removed"
-            in
-            match decoded with
-            | Ok op -> go (ops + 1) (f acc op)
-            | Error reason -> `Corrupt (!number, offset, reason))
-      in
-      go ops acc
-    in
     let here ops offset = { segment = seg; offset; ops; hash; read = read + offset - start } in
-    match stop with
-    | `Corrupt (line, offset, reason) -> corrupt name line offset reason
-    | `Torn (t, ops, offset, acc) ->
-        (* a crash cuts only the last append of the last segment *)
-        if ops <> seg && Sys.file_exists (Filename.concat dir (segment_name ops))
-        then corrupt name t.line t.offset (t.reason ^ ", yet a later segment follows")
-        else Ok (acc, Some t, here ops offset)
-    | `End (ops, offset, acc) -> (
-        let next = segment_name ops in
-        let path = Filename.concat dir next in
-        if ops = seg || not (Sys.file_exists path) then Ok (acc, None, here ops offset)
+    (* [lines]: the lines read, counting from the top of the file, and
+       [offset] the file offset after them *)
+    let rec go lines offset ops acc =
+      let eol = next_line r r.pos in
+      if eol >= 0 then begin
+        let line = r.pos in
+        r.pos <- eol + 1;
+        let after = offset + eol + 1 - line in
+        if is_blank r.buf ~pos:line ~stop:eol then go (lines + 1) after ops acc
         else
-          match read_first path with
-          | Some (line, after) when after > String.length line -> (
-              match segment_header_of_line line with
-              | Some h when h.ops = ops && h.chain = Wire.Hash.chain hash ->
-                  let read = read + offset - start + after in
-                  segment ops ~start:after ~ops ~read acc
-              | _ ->
-                  corrupt next 1 0
-                    (Printf.sprintf
-                       "segment header %S does not continue the journal (ops=%d \
-                        chain=%s)"
-                       line ops (Wire.Hash.chain hash)))
-          | _ ->
-              (* empty, or its header cut short: the checkpoint rotation
-                 that made it was interrupted before any op went there *)
-              Ok
-                ( acc,
-                  Some
-                    { segment = next; line = 1; offset = 0;
-                      reason = "the segment header was cut short" },
-                  here ops offset ))
+          match decode hash r.buf ~pos:line ~stop:eol with
+          | Ok op -> go (lines + 1) after (ops + 1) (f acc op)
+          | Error reason -> corrupt name (lines + 1) offset reason
+      end
+      else if r.pos < r.len then
+        (* only the file's last line can lack its newline, and a crash
+           cuts only the last append of the last segment *)
+        let reason = "no trailing newline: the append was cut short" in
+        if follows seg ops then corrupt name (lines + 1) offset (reason ^ ", yet a later segment follows")
+        else Ok (acc, Some { segment = name; line = lines + 1; offset; reason }, here ops offset)
+      else if not (follows seg ops) then Ok (acc, None, here ops offset)
+      else
+        let next = segment_name ops in
+        match first_line r dir ops with
+        | Some (eol, after) when after > eol -> (
+            let line = Bytes.sub_string r.buf 0 eol in
+            match segment_header_of_line line with
+            | Some h when h.ops = ops && h.chain = Wire.Hash.chain hash ->
+                r.pos <- after;
+                segment ops ~start:after ~read:(read + offset - start + after) 1 after ops acc
+            | _ ->
+                corrupt next 1 0
+                  (Printf.sprintf
+                     "segment header %S does not continue the journal (ops=%d \
+                      chain=%s)"
+                     line ops (Wire.Hash.chain hash)))
+        | _ ->
+            (* empty, or its header cut short: the checkpoint rotation
+               that made it was interrupted before any op went there *)
+            let tear = { segment = next; line = 1; offset = 0; reason = "the segment header was cut short" } in
+            Ok (acc, Some tear, here ops offset)
+    in
+    go
   in
-  segment p.segment ~start:p.offset ~ops:p.ops ~read:p.read init
+  Fun.protect ~finally:(fun () -> release r) (fun () ->
+      segment p.segment ~start:p.offset ~read:p.read 1 p.offset p.ops init)
 
 (* ---- writing ------------------------------------------------------ *)
 
@@ -403,7 +429,7 @@ let create dir header =
     dir;
     fd;
     line;
-    hash = header_chain text;
+    hash = header_chain (Bytes.unsafe_of_string text) ~len:(String.length text);
     next = Wire.Hash.create ();
     ops = 0;
     segment = 0;

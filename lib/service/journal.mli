@@ -60,6 +60,7 @@ type header = {
 }
 
 val header_to_line : header -> string
+val header_of_line : string -> (header, string) result
 
 val op_to_line : op -> string
 (** The canonical protocol line, {!Protocol.command_to_string}. *)
@@ -110,6 +111,28 @@ type load_error =
 
 val describe_load_error : dir:string -> load_error -> string
 
+(** {2 Reading} *)
+
+type reader
+(** One buffer, refilled with [read(2)] and cut into lines in place,
+    for every file a restore reads.  It grows only to hold a line longer
+    than it, or a file {!slurp} reads.  One file is open at a time,
+    until {!release} or the next open. *)
+
+val reader : ?capacity:int -> unit -> reader
+(** [capacity] defaults to 64 KiB. *)
+
+val files_read : reader -> int
+(** Files opened so far. *)
+
+val slurp : reader -> string -> int
+(** Read a whole file into {!buffer}, where it stays until the next
+    read; its length.  @raise Unix.Unix_error *)
+
+val buffer : reader -> Bytes.t
+val copy_file : reader -> string -> string -> unit
+val release : reader -> unit
+
 (** {2 Positions} *)
 
 type anchor = { ops : int; chain : string }
@@ -121,32 +144,39 @@ type position
 (** Where a read stands: a segment, an offset in its file, the op count
     and the chain value. *)
 
-val top : string -> (header * position, load_error) result
+val top : reader -> string -> (header * position, load_error) result
 (** The header of the journal in the directory, from segment 0, and
-    the position before its first op. *)
+    the position before its first op, where {!fold} reads on. *)
 
-val at : string -> anchor -> position option
+val at : reader -> string -> anchor -> position option
 (** The start of the segment at [anchor.ops], when its first line names
     that anchor (for segment 0: when the header line hashes to
-    [anchor.chain]).  Reads that line only and decodes no op. *)
+    [anchor.chain]), where {!fold} reads on.  Reads that line only and
+    decodes no op. *)
 
 val bytes_read : position -> int
 (** Journal bytes read to reach the position, from the first line of
     the segment {!top} or {!at} started in. *)
 
+val where : position -> int * int * anchor
+(** The position's segment, its offset in that file and its anchor. *)
+
 val fold :
+  reader ->
   string ->
   position ->
+  segments:int list ->
   init:'a ->
   f:('a -> op -> 'a) ->
   ('a * tear option * position, load_error) result
-(** Read the journal in the directory from the position on, one line at
-    a time, through every segment that continues it: [f] gets each op
-    in order.  The second component reports a dropped torn tail, when
-    there was one; the third is where the journal's intact part ends,
-    the position to reopen its writer at.  On [Corrupt_body], [f] has
-    already seen the ops before the bad line.  Exceptions from [f]
-    propagate (the file is closed). *)
+(** Read the journal in the directory on from the position the last
+    {!top} or {!at} on the reader returned, one line at a time, through
+    every segment in [segments] (a listing of the directory) that
+    continues it: [f] gets each op in order.  The second component
+    reports a dropped torn tail, when there was one; the third is where
+    the journal's intact part ends, the position to reopen its writer
+    at.  On [Corrupt_body], [f] has already seen the ops before the bad
+    line.  Exceptions from [f] propagate (the file is closed). *)
 
 (** An append handle: the open segment's file descriptor and one reused
     line buffer.  Each {!append} formats its op once into that buffer,

@@ -128,22 +128,18 @@ let ack w session (op : Journal.op) =
 let checkpoint_path dir = Filename.concat dir "checkpoint.json"
 let checkpoint_prev_path dir = checkpoint_path dir ^ ".prev"
 
-let mkdir_p dir =
-  let rec go dir =
-    if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir)
-    then begin
-      go (Filename.dirname dir);
-      try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-    end
-  in
-  go dir
+let rec mkdir_p dir =
+  if not (List.mem dir [ ""; "/"; "." ] || Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
 
 (* Quarantine a corrupt artifact to the first free <path>.corrupt-<n>.
    [`Rename] moves derived state (checkpoints) out of the restore path
    so the fallback tier engages on the next start too; [`Copy] keeps
    the source of truth (the journal) in place so restarts keep
    refusing until an operator intervenes. *)
-let quarantine how path =
+let quarantine reader how path =
   if not (Sys.file_exists path) then None
   else begin
     let rec free n =
@@ -153,10 +149,7 @@ let quarantine how path =
     let target = free 1 in
     (match how with
     | `Rename -> Sys.rename path target
-    | `Copy ->
-        let contents = In_channel.with_open_bin path In_channel.input_all in
-        Out_channel.with_open_bin target (fun oc ->
-            Out_channel.output_string oc contents));
+    | `Copy -> Journal.copy_file reader path target);
     Some target
   end
 
@@ -175,7 +168,7 @@ type machine = {
   policy : string;
   mini_rounds : int;
   anchor : Journal.anchor;
-  state : string;
+  state : int * int;  (** its bounds in the bytes read *)
 }
 
 let encode_checkpoint w ~policy ~mini_rounds (snapshot : Snapshot.t)
@@ -253,43 +246,44 @@ let remove_stale_temps dir listing =
       then try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
     listing
 
-let parse_machine path contents ~start =
-  let stop =
-    match String.index_from_opt contents start '\n' with
-    | Some i when i = String.length contents - 1 -> i
-    | None -> String.length contents
-    | Some _ -> -1
-  in
+(* Line 2 of the checkpoint in [buf.[0 .. len-1]], from [start], read in
+   place: one pass finds where the line and its tokens end ([ends.(k)]
+   for token [k]), and the state stays in [buf], at the bounds [state]
+   gives. *)
+let parse_machine path buf ~start ~len =
   let bad what = Error (Printf.sprintf "checkpoint %s: line 2: %s" path what) in
-  if stop < 0 then bad "trailing bytes after it"
-  else
-    let value key tok =
-      let prefix = key ^ "=" in
-      if String.starts_with ~prefix tok then
-        Some (String.sub tok (String.length prefix) (String.length tok - String.length prefix))
-      else None
-    in
-    let int key tok = Option.bind (value key tok) int_of_string_opt in
-    match String.split_on_char ' ' (String.sub contents start (stop - start)) with
-    | [ "serve_machine"; "2"; policy; mini_rounds; ops; chain; state; last ] -> (
-        match
-          ( value "policy" policy,
-            int "mini_rounds" mini_rounds,
-            int "ops" ops,
-            value "chain" chain,
-            value "state" state,
-            value "digest" last )
-        with
-        | Some policy, Some mini_rounds, Some ops, Some chain, Some state, Some digest ->
-            (* everything before " digest=" *)
-            let hash = Wire.Hash.create () in
-            Wire.Hash.feed hash contents ~pos:0 ~len:(stop - String.length last - 1);
-            if Wire.Hash.digest hash <> digest then bad "digest mismatch"
-            else Ok { policy; mini_rounds; anchor = { Journal.ops; chain }; state }
-        | _ -> bad "malformed field")
-    | "serve_machine" :: "1" :: _ ->
-        bad "version 1 (a version-2 journal's checkpoint) is not supported"
-    | _ -> bad "not a serve_machine line"
+  let stop = ref start and blanks = ref [] in
+  while !stop < len && Bytes.get buf !stop <> '\n' do
+    if Bytes.get buf !stop = ' ' then blanks := !stop :: !blanks;
+    incr stop
+  done;
+  let stop = !stop in
+  let ends = Array.of_list (List.rev (stop :: !blanks)) in
+  let first k = if k = 0 then start else ends.(k - 1) + 1 in
+  let sub pos stop = Bytes.sub_string buf pos (stop - pos) in
+  let is k s = k < Array.length ends && sub (first k) ends.(k) = s in
+  (* where the value of token [k], [key=VALUE], starts *)
+  let value k key =
+    let v = first k + String.length key + 1 in
+    if v <= ends.(k) && sub (first k) v = key ^ "=" then Some v else None
+  in
+  let text k key = Option.map (fun v -> sub v ends.(k)) (value k key) in
+  let int k key = Option.bind (text k key) int_of_string_opt in
+  if stop < len - 1 then bad "trailing bytes after it"
+  else if Array.length ends = 8 && is 0 "serve_machine" && is 1 "2" then
+    match
+      (text 2 "policy", int 3 "mini_rounds", int 4 "ops", text 5 "chain", value 6 "state", text 7 "digest")
+    with
+    | Some policy, Some mini_rounds, Some ops, Some chain, Some state, Some digest ->
+        (* everything before " digest=" *)
+        let hash = Wire.Hash.create () in
+        Wire.Hash.feed_bytes hash buf ~pos:0 ~len:ends.(6);
+        if Wire.Hash.digest hash <> digest then bad "digest mismatch"
+        else Ok { policy; mini_rounds; anchor = { Journal.ops; chain }; state = (state, ends.(6)) }
+    | _ -> bad "malformed field"
+  else if is 0 "serve_machine" && is 1 "1" then
+    bad "version 1 (a version-2 journal's checkpoint) is not supported"
+  else bad "not a serve_machine line"
 
 let session_label name policy =
   let suffix = if name = default_session then "" else "-" ^ name in
@@ -325,37 +319,44 @@ type checkpoint =
   | Unanchored of int
   | Unreadable of string
 
-let classify name dir path =
+(* The checkpoint is read whole into the reader's buffer and its state
+   loaded from there; the segment at its op count is opened after the
+   load but decides first: a checkpoint whose segment does not name its
+   anchor is [Unanchored], whether its state loads or not. *)
+let classify reader name dir path =
   let unreadable what = Unreadable (Printf.sprintf "checkpoint %s: %s" path what) in
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ when not (Sys.file_exists path) -> Absent
-  | exception Sys_error e -> Unreadable e
-  | contents -> (
-      match String.index_opt contents '\n' with
-      | Some eol when eol < String.length contents - 1 -> (
-          match parse_machine path contents ~start:(eol + 1) with
+  match Journal.slurp reader path with
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Absent
+  | exception Unix.Unix_error (e, _, _) -> Unreadable (path ^ ": " ^ Unix.error_message e)
+  | len -> (
+      let buf = Journal.buffer reader in
+      match Bytes.index_from_opt buf 0 '\n' with
+      | Some eol when eol < len - 1 -> (
+          match parse_machine path buf ~start:(eol + 1) ~len with
           | Error e -> Unreadable e
           | Ok m -> (
-              match Journal.at dir m.anchor with
-              | None -> Unanchored m.anchor.ops
-              | Some from -> (
-                  let reader = Wire.reader m.state ~pos:0 ~stop:(String.length m.state) in
-                  match
-                    Result.bind (factory_of_id m.policy) (fun factory ->
-                        match Engine.config ~n:1 ~mini_rounds:m.mini_rounds () with
-                        | cfg ->
-                            Session.load ~name:(session_label name m.policy) cfg
-                              factory reader
-                        | exception Invalid_argument e -> Error e)
-                  with
-                  | Error e -> unreadable ("machine state: " ^ e)
-                  | Ok session ->
-                      let ops = m.anchor.ops in
-                      let line = Snapshot.to_line (Snapshot.of_session ~ops session) in
-                      if String.equal line (String.sub contents 0 eol) then
-                        Verified
-                          { policy = m.policy; mini_rounds = m.mini_rounds; at = ops; session; from }
-                      else unreadable "the machine state does not reproduce line 1")))
+              let pos, stop = m.state in
+              let loaded =
+                match
+                  Result.bind (factory_of_id m.policy) (fun factory ->
+                      match Engine.config ~n:1 ~mini_rounds:m.mini_rounds () with
+                      | cfg ->
+                          Session.load ~name:(session_label name m.policy) cfg factory
+                            (Wire.reader (Bytes.unsafe_to_string buf) ~pos ~stop)
+                      | exception Invalid_argument e -> Error e)
+                with
+                | Error e -> Error ("machine state: " ^ e)
+                | Ok session ->
+                    let line = Snapshot.to_line (Snapshot.of_session ~ops:m.anchor.ops session) in
+                    if String.equal line (Bytes.sub_string buf 0 eol) then Ok session
+                    else Error "the machine state does not reproduce line 1"
+              in
+              match (Journal.at reader dir m.anchor, loaded) with
+              | None, _ -> Unanchored m.anchor.ops
+              | Some _, Error e -> unreadable e
+              | Some from, Ok session ->
+                  Verified
+                    { policy = m.policy; mini_rounds = m.mini_rounds; at = m.anchor.ops; session; from }))
       | _ -> unreadable "no machine state line")
 
 let header_of_config (config : config) =
@@ -378,6 +379,7 @@ type counters = {
   replayed : Metrics.counter;
   replayed_work : Metrics.counter;
   restore_journal_bytes : Metrics.counter;
+  restore_files_read : Metrics.counter;
   session_restarts : Metrics.counter;
   torn_tail : Metrics.counter;
   quarantined : Metrics.counter;
@@ -396,6 +398,7 @@ let counters m =
     replayed = c "serve_restore_replayed_ops";
     replayed_work = c "serve_restore_replayed_work";
     restore_journal_bytes = c "serve_restore_journal_bytes";
+    restore_files_read = c "serve_restore_files_read";
     session_restarts = c "serve_session_restarts";
     torn_tail = c "serve_recovery_torn_tail";
     quarantined = c "serve_recovery_checkpoint_quarantined";
@@ -452,6 +455,7 @@ type host = {
   counters : counters;
   checkpoint_buffer : Wire.writer;  (** reused by every checkpoint *)
   ack_buffer : Wire.writer;  (** reused by every ack *)
+  reader : Journal.reader;  (** reads every file a restore reads *)
   table : (string, session) Hashtbl.t;
   mutable next_seq : int;
   mutable fresh_ops : int;
@@ -469,6 +473,7 @@ let host (config : config) =
     counters = counters metrics;
     checkpoint_buffer = Wire.writer ~capacity:4096 ();
     ack_buffer = Wire.writer ~capacity:64 ();
+    reader = Journal.reader ();
     table = Hashtbl.create 64;
     next_seq = 0;
     fresh_ops = 0;
@@ -560,12 +565,17 @@ let fresh_session h name ~dir ~writer =
    loaded.  [segments] are the journal segment files in the directory,
    and [listing] is all of it. *)
 let restore h name ~dir ~segments listing =
+  let files = Journal.files_read h.reader in
+  Fun.protect ~finally:(fun () ->
+      Journal.release h.reader;
+      Metrics.inc h.counters.restore_files_read (Journal.files_read h.reader - files))
+  @@ fun () ->
   remove_stale_temps dir listing;
   let cpath = checkpoint_path dir in
   let ppath = checkpoint_prev_path dir in
-  let current = classify name dir cpath in
+  let current = classify h.reader name dir cpath in
   let prev =
-    match current with Verified _ -> Absent | _ -> classify name dir ppath
+    match current with Verified _ -> Absent | _ -> classify h.reader name dir ppath
   in
   let corrupt_journal e =
     (* tier 3: the source of truth is unreadable — keep a forensic copy
@@ -578,19 +588,17 @@ let restore h name ~dir ~segments listing =
       | _ -> Journal.segment_name 0
     in
     let diag =
-      match quarantine `Copy (Filename.concat dir segment) with
+      match quarantine h.reader `Copy (Filename.concat dir segment) with
       | Some target -> Printf.sprintf "%s (forensic copy: %s)" diag target
       | None -> diag
     in
     refuse h ~name diag
   in
-  (* a restored session's baseline is the work at the checkpoint it
-     loaded; a fresh session's is 0 *)
   let start =
     match (current, prev) with
     | Verified v, _ | _, Verified v -> v
     | _ -> (
-        match Journal.top dir with
+        match Journal.top h.reader dir with
         | Ok (header, from) ->
             {
               policy = header.policy;
@@ -613,7 +621,7 @@ let restore h name ~dir ~segments listing =
   let start_work = replay_work start.session ~op_work:0 in
   let r, tear, position =
     match
-      Journal.fold dir start.from
+      Journal.fold h.reader dir start.from ~segments
         ~init:{ replayed = start.session; applied = start.at; op_work = 0 }
         ~f:replay_op
     with
@@ -693,7 +701,7 @@ let restore h name ~dir ~segments listing =
   List.iter
     (fun (which, path, checkpoint) ->
       let set_aside what =
-        let target = quarantine `Rename path in
+        let target = quarantine h.reader `Rename path in
         let msg =
           Printf.sprintf "quarantined %s%s" what
             (match target with Some t -> " to " ^ t | None -> "")
@@ -738,8 +746,12 @@ let open_session h name =
     match session_dir h name with
     | None -> fresh_session h name ~dir:None ~writer:None
     | Some dir ->
-        mkdir_p dir;
-        let listing = try Sys.readdir dir with Sys_error _ -> [||] in
+        let listing =
+          try Sys.readdir dir
+          with Sys_error _ ->
+            mkdir_p dir;
+            [||]
+        in
         let segments =
           List.filter_map Journal.segment_of_name (Array.to_list listing)
         in

@@ -355,3 +355,6 @@ let par_edf (instance : Instance.t) ~m : Par_edf.result =
     done
   done;
   { drop_cost = !dropped; executed = !executed; drops_by_color }
+
+(* The channel-based journal reader (journal_oracle.ml). *)
+module Journal = Journal_oracle

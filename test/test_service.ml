@@ -1020,19 +1020,26 @@ let checked_lines texts =
 let checked_journal texts =
   journal_header ^ "\n" ^ String.concat "" (checked_lines texts)
 
+(* The op counts the journal's segment files in [dir] start at. *)
+let segment_starts dir =
+  List.filter_map Journal.segment_of_name (Array.to_list (Sys.readdir dir))
+
+(* Fold the journal in [dir] from segment 0 on. *)
+let fold_top dir ~init ~f =
+  let r = Journal.reader () in
+  Result.bind (Journal.top r dir) (fun (_, from) ->
+      Journal.fold r dir from ~segments:(segment_starts dir) ~init ~f)
+
 (* Every op the journal in [dir] holds from segment 0 on, and the torn
    tail dropped, if any. *)
 let journal_ops dir =
-  Result.bind (Journal.top dir) (fun (_, from) ->
-      Journal.fold dir from ~init:[] ~f:(fun ops op -> op :: ops)
-      |> Result.map (fun (ops, tear, _) -> (List.rev ops, tear)))
+  fold_top dir ~init:[] ~f:(fun ops op -> op :: ops)
+  |> Result.map (fun (ops, tear, _) -> (List.rev ops, tear))
 
 (* The journal's segment files in [dir], oldest first. *)
 let segment_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter_map (fun f ->
-         Option.map (fun start -> (start, Filename.concat dir f)) (Journal.segment_of_name f))
-  |> List.sort compare |> List.map snd
+  List.sort compare (segment_starts dir)
+  |> List.map (fun start -> Filename.concat dir (Journal.segment_name start))
 
 let last_segment dir = List.nth (segment_files dir) (List.length (segment_files dir) - 1)
 
@@ -1183,9 +1190,7 @@ let test_writer_bytes () =
   List.iter (Journal.append w) first;
   check_anchor "created" w first;
   Journal.close w;
-  match Result.bind (Journal.top dir) (fun (_, from) ->
-            Journal.fold dir from ~init:() ~f:(fun () _ -> ()))
-  with
+  match fold_top dir ~init:() ~f:(fun () _ -> ()) with
   | Ok ((), None, position) ->
       let w = Journal.append_to dir position ~segments:[ 0 ] in
       List.iter (Journal.append w) rest;
@@ -1306,39 +1311,260 @@ let test_journal_positions () =
   let lines = checked_lines [ "submit 0 1 2"; "step" ] in
   let intact = journal_header ^ "\n" ^ List.nth lines 0 ^ "\n  \n" ^ List.nth lines 1 ^ "\n" in
   write_file path (intact ^ "submit 5 1");
-  match Result.bind (Journal.top dir) (fun (_, from) ->
-            Journal.fold dir from ~init:() ~f:(fun () _ -> ()))
-  with
+  match fold_top dir ~init:() ~f:(fun () _ -> ()) with
   | Ok ((), Some tear, position) ->
       Alcotest.(check int) "tear at the end of the intact part"
         (String.length intact) tear.Journal.offset;
       Unix.truncate path tear.Journal.offset;
       let w = Journal.append_to dir position ~segments:[ 0 ] in
       Journal.append w (Journal.Step 2);
-      let anchor = Journal.anchor w in
+      let anchor = Journal.anchor w and r = Journal.reader () in
       Alcotest.(check int) "ops" 3 anchor.Journal.ops;
       Alcotest.(check bool) "no segment starts mid-journal" true
-        (Option.is_none (Journal.at dir anchor));
+        (Option.is_none (Journal.at r dir anchor));
       Journal.rotate w ~reuse_below:0;
       Alcotest.(check bool) "rotated: a segment named after the anchor" true
         (Sys.file_exists (Filename.concat dir (Journal.segment_name 3)));
       Journal.append w (Journal.Step 1);
       Journal.close w;
       Alcotest.(check bool) "at finds the segment" true
-        (Option.is_some (Journal.at dir anchor));
+        (Option.is_some (Journal.at r dir anchor));
       Alcotest.(check bool) "at refuses another chain value" true
         (Option.is_none
-           (Journal.at dir { anchor with Journal.chain = String.make 16 '0' }));
+           (Journal.at r dir { anchor with Journal.chain = String.make 16 '0' }));
       Alcotest.(check bool) "at refuses another op count" true
-        (Option.is_none (Journal.at dir { anchor with Journal.ops = 2 }));
+        (Option.is_none (Journal.at r dir { anchor with Journal.ops = 2 }));
       (* the fold from the top runs through both segments *)
       (match journal_ops dir with
       | Ok (ops, None) -> Alcotest.(check int) "ops through both segments" 4 (List.length ops)
       | _ -> Alcotest.fail "the two segments do not fold cleanly");
-      let at_zero = Journal.at dir { Journal.ops = 0; chain = String.make 16 '0' } in
+      let at_zero = Journal.at r dir { Journal.ops = 0; chain = String.make 16 '0' } in
       Alcotest.(check bool) "segment 0 is hashed, not trusted" true (Option.is_none at_zero)
   | Ok (_, None, _) -> Alcotest.fail "tear not detected"
   | Error e -> Alcotest.failf "load failed: %s" (Journal.describe_load_error ~dir e)
+
+(* ---- the read(2) reader against the channel oracle (QCheck) ------ *)
+
+module Oracle_journal = Rrs_oracle.Journal
+
+(* What is done to a journal the writer wrote.  Segments are picked by
+   index among the files on disk (oldest first) and lines by index in
+   the file, both modulo what exists. *)
+type journal_mutation =
+  | Blank of int * int * string  (** a blank line before a line *)
+  | Tear of string  (** an unterminated line after the last segment's end *)
+  | Cut_newline  (** the last segment's final newline removed *)
+  | Cut_header of int * int  (** a later segment cut to its first bytes *)
+  | Remove of int  (** a segment removed *)
+  | Flip of int * int  (** one byte of a segment flipped *)
+  | Edit of int * int * string  (** a line's op text replaced, its check kept *)
+  | Swap of int * int  (** a line swapped with the next *)
+  | Cut of int * int  (** a segment truncated *)
+
+type journal_case = {
+  ops : Journal.op list;
+  rotations : int list;  (** op counts a rotation happens at *)
+  retire : bool;  (** segment 0 retired after the rotations *)
+  mutations : journal_mutation list;
+  start : int option;  (** the anchor of the nth rotation, or the top *)
+  bad_chain : bool;  (** ... with its chain value changed *)
+  capacity : int;  (** the reader's buffer *)
+}
+
+let print_mutation = function
+  | Blank (s, l, t) -> Printf.sprintf "blank(%d,%d,%S)" s l t
+  | Tear t -> Printf.sprintf "tear(%S)" t
+  | Cut_newline -> "cut-newline"
+  | Cut_header (s, k) -> Printf.sprintf "cut-header(%d,%d)" s k
+  | Remove s -> Printf.sprintf "remove(%d)" s
+  | Flip (s, b) -> Printf.sprintf "flip(%d,%d)" s b
+  | Edit (s, l, t) -> Printf.sprintf "edit(%d,%d,%S)" s l t
+  | Swap (s, l) -> Printf.sprintf "swap(%d,%d)" s l
+  | Cut (s, b) -> Printf.sprintf "cut(%d,%d)" s b
+
+let print_journal_case c =
+  Printf.sprintf "%d ops, rotations [%s]%s, mutations [%s], start %s%s, capacity %d"
+    (List.length c.ops)
+    (String.concat ";" (List.map string_of_int c.rotations))
+    (if c.retire then ", segment 0 retired" else "")
+    (String.concat "; " (List.map print_mutation c.mutations))
+    (match c.start with None -> "top" | Some i -> Printf.sprintf "rotation %d" i)
+    (if c.bad_chain then " (bad chain)" else "")
+    c.capacity
+
+let journal_case_gen =
+  let open QCheck.Gen in
+  let long_reconfigure =
+    map
+      (fun k -> Journal.Reconfigure { delta = None; n = None; delay = List.init k (fun c -> (c, 4 + c)) })
+      (20 -- 120)
+  in
+  let* count = frequency [ (9, 0 -- 60); (1, 3000 -- 6000) ] in
+  let* seed = 0 -- 10_000 in
+  let* longs = list_size (0 -- 3) (pair (0 -- max 0 count) long_reconfigure) in
+  let ops =
+    List.fold_left
+      (fun ops (at, op) -> List.filteri (fun i _ -> i < at) ops @ [ op ] @ List.filteri (fun i _ -> i >= at) ops)
+      (Torture.ops_of_seed ~count ~colors:6 seed)
+      longs
+  in
+  let total = List.length ops in
+  let* rotations = list_size (0 -- 4) (0 -- total) in
+  let rotations = List.sort_uniq compare rotations in
+  let* retire = frequency [ (4, return false); (1, return true) ] in
+  let mutation =
+    let small = 0 -- 1000 in
+    frequency
+      [
+        (2, map3 (fun s l t -> Blank (s, l, t)) small small (oneofl [ ""; " "; "\t\r"; "  \012" ]));
+        (2, map (fun t -> Tear t) (oneofl [ "s"; "submit 1 2"; "step #"; "step #0a1b2c" ]));
+        (1, return Cut_newline);
+        (2, map2 (fun s k -> Cut_header (s, k)) small (0 -- 60));
+        (1, map (fun s -> Remove s) small);
+        (2, map2 (fun s b -> Flip (s, b)) small (0 -- 100_000));
+        (2, map3 (fun s l t -> Edit (s, l, t)) small small (oneofl [ "step"; "step 2"; "submit 0 1 1"; "state" ]));
+        (2, map2 (fun s l -> Swap (s, l)) small small);
+        (1, map2 (fun s b -> Cut (s, b)) small (0 -- 100_000));
+        (1, map2 (fun s b -> Cut (s, b)) small (0 -- 3));
+      ]
+  in
+  let* mutations = frequency [ (1, return []); (4, list_size (1 -- 2) mutation) ] in
+  let* start = frequency [ (1, return None); (2, map Option.some (0 -- 4)) ] in
+  let* bad_chain = frequency [ (6, return false); (1, return true) ] in
+  let* capacity = oneofl [ 1; 7; 16; 64; 65536 ] in
+  return { ops; rotations; retire; mutations; start; bad_chain; capacity }
+
+(* The lines of [text], each with its newline when it had one. *)
+let split_lines text =
+  let rec go acc i =
+    if i >= String.length text then List.rev acc
+    else
+      match String.index_from_opt text i '\n' with
+      | Some j -> go (String.sub text i (j - i + 1) :: acc) (j + 1)
+      | None -> List.rev (String.sub text i (String.length text - i) :: acc)
+  in
+  go [] 0
+
+let mutate_journal dir m =
+  let files = segment_files dir in
+  let nth k = List.nth files (k mod List.length files) in
+  let edit_lines k f =
+    let path = nth k in
+    write_file path (String.concat "" (f (Array.of_list (split_lines (read_file path)))))
+  in
+  let last () = List.nth files (List.length files - 1) in
+  if files <> [] then
+    match m with
+    | Blank (k, l, t) ->
+        edit_lines k (fun lines ->
+            let l = l mod (Array.length lines + 1) in
+            Array.to_list (Array.sub lines 0 l) @ [ t ^ "\n" ]
+            @ Array.to_list (Array.sub lines l (Array.length lines - l)))
+    | Tear t -> append_file (last ()) t
+    | Cut_newline ->
+        let path = last () in
+        let size = (Unix.stat path).Unix.st_size in
+        if size > 0 && (read_file path).[size - 1] = '\n' then Unix.truncate path (size - 1)
+    | Cut_header (k, keep) ->
+        (* a segment after segment 0's *)
+        let path = nth k in
+        if Journal.segment_of_name (Filename.basename path) <> Some 0 then
+          Unix.truncate path (min keep (String.index (read_file path ^ "\n") '\n'))
+    | Remove k -> Sys.remove (nth k)
+    | Flip (k, b) ->
+        let path = nth k in
+        let text = Bytes.of_string (read_file path) in
+        if Bytes.length text > 0 then begin
+          let b = b mod Bytes.length text in
+          Bytes.set text b (Char.chr (Char.code (Bytes.get text b) lxor (1 lsl (b mod 7))));
+          write_file path (Bytes.to_string text)
+        end
+    | Edit (k, l, t) ->
+        edit_lines k (fun lines ->
+            List.mapi
+              (fun i line ->
+                let n = String.length line in
+                if i = l mod Array.length lines && n > 9 && line.[n - 9] = ' ' && line.[n - 8] = '#'
+                then t ^ String.sub line (n - 9) 9
+                else line)
+              (Array.to_list lines))
+    | Swap (k, l) ->
+        edit_lines k (fun lines ->
+            let n = Array.length lines in
+            if n > 1 then begin
+              let l = l mod (n - 1) in
+              let a = lines.(l) in
+              lines.(l) <- lines.(l + 1);
+              lines.(l + 1) <- a
+            end;
+            Array.to_list lines)
+    | Cut (k, b) ->
+        let path = nth k in
+        Unix.truncate path (b mod ((Unix.stat path).Unix.st_size + 1))
+
+let prop_reader_matches_oracle =
+  QCheck.Test.make ~count:300 ~name:"the read(2) reader = the channel oracle"
+    (QCheck.make ~print:print_journal_case journal_case_gen)
+    (fun c ->
+      with_temp_dir "oracle" @@ fun dir ->
+      let w = Journal.create dir journal_header_fields in
+      let anchors = ref [] in
+      List.iteri
+        (fun i op ->
+          if List.mem i c.rotations then begin
+            Journal.rotate w ~reuse_below:0;
+            anchors := Journal.anchor w :: !anchors
+          end;
+          Journal.append w op)
+        c.ops;
+      if List.mem (List.length c.ops) c.rotations then begin
+        Journal.rotate w ~reuse_below:0;
+        anchors := Journal.anchor w :: !anchors
+      end;
+      if c.retire && !anchors <> [] then Journal.retire w ~below:1;
+      Journal.close w;
+      List.iter (mutate_journal dir) c.mutations;
+      let r = Journal.reader ~capacity:c.capacity () in
+      let anchors = List.rev !anchors in
+      let same_position (p : Journal.position) (q : Oracle_journal.position) =
+        Journal.where p = Oracle_journal.where q
+        && Journal.bytes_read p = q.Oracle_journal.read
+      in
+      let folded p q =
+        let collect ops op = op :: ops in
+        match
+          ( Journal.fold r dir p ~segments:(segment_starts dir) ~init:[] ~f:collect,
+            Oracle_journal.fold dir q ~init:[] ~f:collect )
+        with
+        | Ok (ops, tear, p), Ok (ops', tear', q) ->
+            if ops <> ops' then QCheck.Test.fail_reportf "ops differ: %d, oracle %d" (List.length ops) (List.length ops');
+            if tear <> tear' then QCheck.Test.fail_report "tears differ";
+            if not (same_position p q) then QCheck.Test.fail_report "end positions differ";
+            true
+        | Error e, Error e' ->
+            if e <> e' then
+              QCheck.Test.fail_reportf "errors differ: %s / oracle %s"
+                (Journal.describe_load_error ~dir e) (Journal.describe_load_error ~dir e');
+            true
+        | Ok _, Error e -> QCheck.Test.fail_reportf "only the oracle refused: %s" (Journal.describe_load_error ~dir e)
+        | Error e, Ok _ -> QCheck.Test.fail_reportf "only the reader refused: %s" (Journal.describe_load_error ~dir e)
+      in
+      match Option.map (fun i -> List.nth_opt anchors (i mod max 1 (List.length anchors))) c.start with
+      | Some (Some (a : Journal.anchor)) -> (
+          let a = if c.bad_chain then { a with Journal.chain = String.make 16 'f' } else a in
+          match (Journal.at r dir a, Oracle_journal.at dir a) with
+          | None, None -> true
+          | Some p, Some q ->
+              if not (same_position p q) then QCheck.Test.fail_report "start positions differ";
+              folded p q
+          | _ -> QCheck.Test.fail_report "at: only one side found the anchor")
+      | Some None | None -> (
+          match (Journal.top r dir, Oracle_journal.top dir) with
+          | Error e, Error e' -> e = e' || QCheck.Test.fail_report "top errors differ"
+          | Ok (h, p), Ok (h', q) ->
+              if h <> h' || not (same_position p q) then QCheck.Test.fail_report "tops differ";
+              folded p q
+          | _ -> QCheck.Test.fail_report "top: only one side failed"))
 
 (* A corrupt journal body refuses before any checkpoint is judged: an
    unreadable checkpoint stays where it is. *)
@@ -1770,6 +1996,29 @@ let test_restore_reads_one_segment () =
   Alcotest.(check bool) "segment 0 retired" false
     (Sys.file_exists (Filename.concat dir "journal.jsonl"));
   Server.abandon_session h s
+
+(* A restore opens each file it reads once: from the current
+   checkpoint, that checkpoint and the segment it replays; with the
+   current checkpoint corrupt, both checkpoints and the two segments
+   from [.prev]'s on; without a checkpoint, the segments from segment 0
+   on.  [serve_restore_files_read] counts them. *)
+let test_restore_reads_each_file_once () =
+  let files_read dir =
+    let h, s, _, _ = restore_counting dir in
+    Server.abandon_session h s;
+    counter_of h "serve_restore_files_read"
+  in
+  with_fixture_dir "filesonce" @@ fun dir ->
+  let cpath = Filename.concat dir "checkpoint.json" in
+  Alcotest.(check int) "two segments on disk" 2 (List.length (segment_files dir));
+  Alcotest.(check int) "the checkpoint and its segment" 2 (files_read dir);
+  (* a restore leaves the files as they were *)
+  Alcotest.(check int) "again" 2 (files_read dir);
+  write_file cpath "this is not a snapshot\n";
+  Alcotest.(check int) "both checkpoints and both segments" 4 (files_read dir);
+  with_temp_dir "filesonce_top" @@ fun top ->
+  Torture.build_fixture { torture_config with checkpoint_every = 0 } torture_ops top;
+  Alcotest.(check int) "segment 0 alone" 1 (files_read top)
 
 (* A session a connection leaves with at least [num_colors] units of
    replay work since its last checkpoint is checkpointed: restored
@@ -2588,6 +2837,8 @@ let () =
             `Quick test_corrupt_current_starts_from_prev;
           Alcotest.test_case "a restore reads only its checkpoint's segment"
             `Quick test_restore_reads_one_segment;
+          Alcotest.test_case "a restore reads each file once" `Quick
+            test_restore_reads_each_file_once;
           Alcotest.test_case "loaded step is never replayed" `Quick
             test_loaded_step_never_replayed;
           QCheck_alcotest.to_alcotest prop_restore_replays_less_than_every;
@@ -2627,6 +2878,7 @@ let () =
             test_writer_bytes;
           Alcotest.test_case "a failed append keeps the anchor" `Quick
             test_failed_append_keeps_anchor;
+          QCheck_alcotest.to_alcotest prop_reader_matches_oracle;
         ] );
       ( "session table",
         [
