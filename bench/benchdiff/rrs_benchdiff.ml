@@ -37,6 +37,10 @@ let default_rules =
     rule ~rel_tol:0.08 ~abs_tol:16. "analysis.alloc_*" Lower_better;
     (* machine-relative ratio — the load-bearing perf gate *)
     rule ~rel_tol:0.35 ~abs_tol:0.15 "analysis.speedup" Higher_better;
+    (* a ratio of two timings taken in turns in one process: a command
+       deadline may cost a clock read between rounds, never twice the
+       bare service path (a domain per command cost ~100x) *)
+    rule ~rel_tol:1.0 "analysis.deadline_overhead" Lower_better;
     (* absolute machine speed: gate only on order-of-magnitude collapse *)
     rule ~rel_tol:0.75 "analysis.*_rounds_per_sec" Higher_better;
     (* pure wall clock: never gate across machines *)

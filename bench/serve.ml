@@ -61,7 +61,16 @@
    checkpoint and that checkpoint's segment, once each
    ("multi_restore_files_read", 2 per session, Exact), and allocates
    "alloc_multi_restore_words_per_session" minor words (gated);
-   "multi_restore_session_us" is Info. *)
+   "multi_restore_session_us" is Info.
+
+   Part 5 — deadline overhead: the 691-command script
+   [rrs serve --emit-script -f bursty -s 1] writes, less its [quit],
+   through [Server.exec] on an ephemeral host, with [Server.apply_op]
+   and with the deadline apply [rrs serve --deadline 5] uses, in
+   alternating blocks.  "deadline_overhead", the ratio of the two
+   median block times, is gated to stay under twice its baseline: a
+   budget costs a clock read between a step's rounds, where a domain
+   per command cost hundreds of times the bare path. *)
 
 open Rrs_core
 module Families = Rrs_workload.Families
@@ -744,6 +753,72 @@ let restore_scaling () =
   (t_small, t_large, growth, r_small, r_large, small_ops, large_ops, heavy, left, disk, multi)
 
 (* ------------------------------------------------------------------ *)
+(* Part 5: deadline overhead                                            *)
+(* ------------------------------------------------------------------ *)
+
+let deadline_overhead () =
+  print_endline
+    "================================================================";
+  print_endline " Deadline overhead (the bursty script, bare and --deadline 5)";
+  print_endline
+    "================================================================";
+  let instance = (Option.get (Families.find "bursty")).build ~seed:1 in
+  let script = Buffer.create 16_384 in
+  Stream.to_script (Stream.of_instance instance) script;
+  let cmds =
+    String.split_on_char '\n' (Buffer.contents script)
+    |> List.filter_map (fun line ->
+           match Protocol.parse line with
+           | Ok (Some Protocol.Quit) | Ok None -> None
+           | Ok (Some cmd) -> Some cmd
+           | Error e -> failwith ("deadline overhead: " ^ e))
+    |> Array.of_list
+  in
+  let config =
+    {
+      Server.default_config with
+      n = 8;
+      delta = instance.Instance.delta;
+      delay = Array.copy instance.Instance.delay;
+    }
+  in
+  let block apply =
+    let h = Server.host config in
+    let s = Server.open_session h Server.default_session in
+    let t0 = Unix.gettimeofday () in
+    Array.iter
+      (fun cmd ->
+        match Server.exec ~apply h s cmd with
+        | Server.Reply [ l ] when not (String.starts_with ~prefix:"err" l) -> ()
+        | _ -> failwith "deadline overhead: a command was refused")
+      cmds;
+    let t = Unix.gettimeofday () -. t0 in
+    Server.abandon_session h s;
+    t
+  in
+  let bare = Server.apply_op and budget = Server.apply_within 5.0 in
+  let blocks = 41 in
+  let t_bare = Array.make blocks 0. and t_budget = Array.make blocks 0. in
+  ignore (block bare, block budget);
+  for i = 0 to blocks - 1 do
+    (* either side goes first in turn *)
+    if i mod 2 = 0 then t_bare.(i) <- block bare;
+    t_budget.(i) <- block budget;
+    if i mod 2 = 1 then t_bare.(i) <- block bare
+  done;
+  let median a =
+    Array.sort Float.compare a;
+    a.(Array.length a / 2)
+  in
+  let bare_us = median t_bare *. 1e6 and budget_us = median t_budget *. 1e6 in
+  let ratio = budget_us /. bare_us in
+  Printf.printf
+    "%d commands: %.0f us bare, %.0f us with --deadline 5 (median of %d \
+     blocks): overhead %.3fx\n"
+    (Array.length cmds) bare_us budget_us blocks ratio;
+  (ratio, bare_us, budget_us)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let t0 = Unix.gettimeofday () in
@@ -770,6 +845,9 @@ let () =
         disk,
         (multi_us, multi_words, multi_files) ) =
     restore_scaling ()
+  in
+  let deadline_ratio, deadline_bare_us, deadline_budget_us =
+    deadline_overhead ()
   in
   Out_channel.with_open_text !out (fun oc ->
       let write = Rrs_obs.Run_summary.write oc in
@@ -847,11 +925,21 @@ let () =
                ("alloc_multi_restore_words_per_session", multi_words);
                ("multi_restore_session_us", multi_us);
              ]
+           ());
+      write
+        (Rrs_obs.Run_summary.make ~id:"serve-deadline" ~kind:"bench"
+           ~config:[ ("family", "bursty"); ("deadline", "5") ]
+           ~analysis:
+             [
+               ("deadline_overhead", deadline_ratio);
+               ("deadline_bare_script_us", deadline_bare_us);
+               ("deadline_script_us", deadline_budget_us);
+             ]
            ()));
   (match Rrs_obs.Run_summary.load !out with
-  | Ok summaries when List.length summaries = 4 -> ()
+  | Ok summaries when List.length summaries = 5 -> ()
   | Ok summaries ->
-      fail "%s holds %d summaries, expected 4" !out (List.length summaries)
+      fail "%s holds %d summaries, expected 5" !out (List.length summaries)
   | Error msg -> fail "%s unreadable: %s" !out msg);
   Printf.printf "bench finished in %.1f s\n" (Unix.gettimeofday () -. t0);
   Printf.printf "run summaries written to %s\n" !out;

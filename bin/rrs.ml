@@ -983,9 +983,9 @@ let serve_cmd =
   in
   let deadline_arg =
     let doc =
-      "Per-command apply budget in seconds; a command that overruns wedges \
-       its session (the next command restores it from its journal) and the \
-       client gets $(b,err deadline ...)."
+      "The longest a command may hold the server, in seconds, up to one \
+       round: a $(b,step K) stops at the first round boundary past it and \
+       is journaled as the J rounds it ran ($(b,ok stepped J of K rounds))."
     in
     Arg.(
       value & opt (some float) None & info [ "deadline" ] ~docv:"SECS" ~doc)

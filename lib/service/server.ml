@@ -55,8 +55,7 @@ let default_config =
   }
 
 (* Durable-state corruption: the journal or checkpoint cannot be
-   trusted, so a restart must not silently continue.  Fatal under
-   {!Rrs_robust.Supervisor.classify_default}. *)
+   trusted, so a restart must not silently continue. *)
 exception Corrupt of string
 
 let default_session = "default"
@@ -375,6 +374,7 @@ let header_of_config (config : config) =
 type counters = {
   ops : Metrics.counter;
   wedged : Metrics.counter;
+  deadline_cuts : Metrics.counter;
   restores : Metrics.counter;
   replayed : Metrics.counter;
   replayed_work : Metrics.counter;
@@ -394,6 +394,7 @@ let counters m =
   {
     ops = c "serve_ops";
     wedged = c "serve_wedged";
+    deadline_cuts = c "serve_deadline_cuts";
     restores = c "serve_restores";
     replayed = c "serve_restore_replayed_ops";
     replayed_work = c "serve_restore_replayed_work";
@@ -442,9 +443,8 @@ let wedge s reason =
   if s.wedged = None then begin
     s.wedged <- Some reason;
     Metrics.inc s.wedged_counter 1;
-    (* an abandoned command attempt may still be running against this
-       session's in-memory state; make sure it can never reach the
-       journal behind the server's back *)
+    (* the state no longer matches the journal: nothing may append to
+       it or checkpoint the session until a reopen restores it *)
     Option.iter Journal.close s.writer;
     s.writer <- None
   end
@@ -734,11 +734,9 @@ let open_session h name =
   (match find_session h name with
   | Some s when s.wedged = None ->
       invalid_arg (Printf.sprintf "session %S already open" name)
-  | Some s ->
-      (* reopening a wedged session: the in-memory state is untrusted,
-         discard it and restore from the journal *)
-      Option.iter Journal.close s.writer;
-      s.writer <- None;
+  | Some _ ->
+      (* reopening a wedged session (its writer closed): the in-memory
+         state is untrusted, discard it and restore from the journal *)
       Hashtbl.remove h.table name;
       Metrics.inc h.counters.session_restarts 1
   | None -> ());
@@ -805,6 +803,19 @@ let checkpoint_session h s =
       None
 
 let apply_op s op = apply_to s.session op
+
+(* The clock is read before a step's first round and after every round
+   but the last; [apply_op] refuses a step that cannot run whole. *)
+let apply_within seconds s (op : Journal.op) =
+  match op with
+  | Journal.Step k when k > 0 && Session.check_step s.session ~rounds:k = Ok () ->
+      let stop = Unix.gettimeofday () +. seconds in
+      let rec run i =
+        Session.step s.session;
+        if i < k && Unix.gettimeofday () < stop then run (i + 1)
+      in
+      Ok (run 1)
+  | _ -> apply_op s op
 
 let commit h s op =
   (match s.writer with Some w -> Journal.append w op | None -> ());
@@ -909,16 +920,23 @@ let wedged_reply s reason =
     ]
 
 (* A state-changing command: apply, journal, ack.  A top-level function,
-   so serving one builds no closure. *)
+   so serving one builds no closure.  A step {!apply_within} cut short is
+   journaled as the rounds that ran. *)
 let mutate apply h current op =
   match current.wedged with
   | Some reason -> wedged_reply current reason
   | None -> (
-      match apply current op with
-      | Ok () ->
+      let before = Session.round current.session in
+      match (apply current op, op) with
+      | Ok (), Journal.Step k when Session.round current.session - before < k ->
+          let round = Session.round current.session in
+          Metrics.inc h.counters.deadline_cuts 1;
+          commit h current (Journal.Step (round - before));
+          Reply [ Printf.sprintf "ok stepped %d of %d rounds to round %d" (round - before) k round ]
+      | Ok (), _ ->
           commit h current op;
           Reply [ ack h.ack_buffer current.session op ]
-      | Error e -> Reply [ "err " ^ e ])
+      | Error e, _ -> Reply [ "err " ^ e ])
 
 let exec ?(apply = apply_op) h (current : session) (cmd : Protocol.command) :
     outcome =

@@ -120,7 +120,7 @@ val default_config : config
 exception Corrupt of string
 (** Durable-state corruption that refuses restore (recovery tier 3):
     the journal or checkpoint cannot be trusted, so a restart must not
-    silently continue.  Fatal under {!Rrs_robust.Supervisor.classify_default}. *)
+    silently continue. *)
 
 (** {2 The session table} *)
 
@@ -137,15 +137,15 @@ val session_notices : session -> string list
     drops, checkpoint quarantines). *)
 
 val session_wedged : session -> string option
-(** Set when a command deadline expired or a journal append failed
-    mid-command: the in-memory state can no longer be trusted to match
+(** Set when a command failed after its apply (a journal append, any
+    exception): the in-memory state can no longer be trusted to match
     the journal, so the session refuses further commands until it is
     reopened (restored from its journal). *)
 
 val wedge : session -> string -> unit
 (** Mark the session wedged with the given reason (counted as
-    [serve_wedged]); closes the journal writer so an abandoned
-    command attempt can never append behind the server's back. *)
+    [serve_wedged]); closes the journal writer, so nothing appends to
+    the journal or checkpoints the session until it is reopened. *)
 
 val session_snapshot : session -> Snapshot.t
 (** The observable state, at the session's current op count. *)
@@ -220,6 +220,12 @@ val apply_op : session -> Journal.op -> (unit, string) result
     it with the reason.  Builds no reply text: {!exec} writes the ack,
     and restore replays the journal through the same apply. *)
 
+val apply_within : float -> session -> Journal.op -> (unit, string) result
+(** {!apply_op} with a budget of that many seconds on a [step k]: it
+    stops at the first round boundary past the budget, after [j]
+    rounds, [1 <= j <= k], and {!exec} journals [step j] and answers
+    [ok stepped j of k rounds to round R] ([serve_deadline_cuts]). *)
+
 val commit : host -> session -> Journal.op -> unit
 (** Journal the (already applied) op, advance the op counters, commit
     a periodic checkpoint when due, and honor [crash_after].
@@ -246,11 +252,9 @@ val exec :
   Protocol.command ->
   outcome
 (** Execute one parsed command against the client's current session.
-    [apply] (default {!apply_op}) lets the transport run the
-    session mutation under a per-command deadline; journaling
-    ({!commit}) always happens on the caller's side of that boundary,
-    {e after} a successful apply, so an abandoned attempt can never
-    reach the journal. *)
+    [apply] (default {!apply_op}) runs the session mutation, which is
+    then journaled ({!commit}) as the op that ran: a [step k] that
+    {!apply_within} stopped after [j] rounds as [step j]. *)
 
 val greeting : session -> string list
 (** The lines a client sees when a session becomes current: one

@@ -1,4 +1,3 @@
-module Supervisor = Rrs_robust.Supervisor
 module Metrics = Rrs_obs.Metrics
 
 type address =
@@ -119,7 +118,6 @@ type counters = {
   conns_accepted : Metrics.counter;
   conns_dropped : Metrics.counter;
   slow_drops : Metrics.counter;
-  deadline_wedges : Metrics.counter;
   command_faults : Metrics.counter;
   write_faults : Metrics.counter;
   accept_faults : Metrics.counter;
@@ -136,7 +134,6 @@ let counters m =
     conns_accepted = c "serve_conns_accepted";
     conns_dropped = c "serve_conns_dropped";
     slow_drops = c "serve_slow_client_drops";
-    deadline_wedges = c "serve_deadline_wedges";
     command_faults = c "serve_command_faults";
     write_faults = c "serve_write_faults";
     accept_faults = c "serve_accept_faults";
@@ -253,8 +250,8 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
             match Server.find_session h c.sname with
             | Some s when Server.session_wedged s = None -> Ok s
             | _ ->
-                (* not open yet, or wedged by an earlier deadline or
-                   fault: the next command restores it from its journal *)
+                (* not open yet, or wedged by an earlier fault: the next
+                   command restores it from its journal *)
                 Server.try_open h c.sname
           in
           let session_depth sname =
@@ -263,34 +260,11 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                 if c.sname = sname then acc + c.depth else acc)
               0 !conns
           in
-          (* ---- per-command deadline ------------------------------- *)
-          let deadline_apply s op =
+          (* a command deadline stops a [step] at a round boundary *)
+          let apply =
             match limits.command_deadline with
-            | None -> Server.apply_op s op
-            | Some t -> (
-                let policy =
-                  { Supervisor.default with timeout = Some t; retries = 0 }
-                in
-                match
-                  Supervisor.run ~policy ~name:"transport.apply" (fun () ->
-                      Server.apply_op s op)
-                with
-                | Ok r -> r
-                | Error f ->
-                    (* the abandoned attempt may still be mutating the
-                       in-memory session: wedge it (journal writer
-                       closed) so nothing it does can be acked or
-                       journaled *)
-                    let reason =
-                      Format.asprintf "%a" Supervisor.pp_failure f
-                    in
-                    Server.wedge s reason;
-                    inc ctr.deadline_wedges;
-                    Error
-                      (Printf.sprintf
-                         "deadline: %s; session %s wedged, reopen restores \
-                          it from its journal"
-                         reason (Server.session_name s)))
+            | None -> Server.apply_op
+            | Some t -> Server.apply_within t
           in
           let shed_guard cmd =
             if !queued > limits.shed_threshold then begin
@@ -314,7 +288,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
               | Error d -> Server.Reply [ "err " ^ d ]
               | Ok s ->
                   Rrs_fault.probe "serve.command";
-                  Server.exec ~apply:deadline_apply h s cmd
+                  Server.exec ~apply h s cmd
             in
             match
               match cmd with
@@ -352,7 +326,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                      (if transient then "transient" else "fatal"))
             | exception e ->
                 (* unknown failure mid-command: the session may be
-                   half-mutated, treat it like a deadline expiry *)
+                   half-mutated, so it is wedged like a faulted one *)
                 inc ctr.command_faults;
                 append c ("err " ^ Printexc.to_string e);
                 wedge_current c (Printexc.to_string e)

@@ -57,13 +57,10 @@
       is dropped and counted as [serve_slow_client_drops] — one reader
       that stops reading cannot wedge the loop or grow memory
       unboundedly;
-    - {e deadlines}: with [command_deadline = Some t], each mutating
-      command's apply runs under a {!Rrs_robust.Supervisor} timeout.
-      On expiry the session is {!Server.wedge}d (the abandoned domain
-      may still be running: the journal writer is closed so it can
-      never append) and the client gets an [err deadline ...]; the next
-      command addressed to the session restores it from its journal
-      ([serve_session_restarts]).
+    - {e deadlines}: with [command_deadline = Some t], a [step] stops
+      at the first round boundary past [t] seconds and is journaled as
+      the rounds it ran ({!Server.apply_within}); [submit] and
+      [reconfigure] are short and run whole.
 
     {b One failure model.}  Faults injected at the [serve.accept] and
     [serve.write] probes are contained to the connection they hit
@@ -110,7 +107,8 @@ type limits = {
   shed_threshold : int;
       (** total queued commands above which read-only commands shed *)
   command_deadline : float option;
-      (** per-command apply budget, seconds; [None] = no deadline *)
+      (** the longest a command may hold the loop, seconds, up to one
+          round; [None] = no deadline *)
   write_buffer_limit : int;
       (** pending outbound bytes per connection (not yet taken by the
           peer) *)

@@ -99,6 +99,17 @@ let test_noise_within_tolerance_passes () =
   in
   Alcotest.(check bool) "within tolerance" true (B.ok (compare_one current))
 
+(* The command-deadline overhead is a ratio of two timings taken in
+   turns in one process: noise passes, and the domain per command it
+   replaced (~100x the bare path) fails. *)
+let test_deadline_overhead_band () =
+  let summary v = [ summary ~id:"serve-deadline" [ ("deadline_overhead", v) ] ] in
+  let ok v =
+    B.ok (B.compare_summaries ~baseline:(summary 1.05) ~current:(summary v) ())
+  in
+  Alcotest.(check bool) "noise passes" true (ok 1.6);
+  Alcotest.(check bool) "a domain per command fails" false (ok 100.)
+
 let test_improvements_pass () =
   let current =
     [
@@ -204,6 +215,8 @@ let () =
           Alcotest.test_case "noise within tolerance" `Quick
             test_noise_within_tolerance_passes;
           Alcotest.test_case "improvements pass" `Quick test_improvements_pass;
+          Alcotest.test_case "deadline overhead band" `Quick
+            test_deadline_overhead_band;
           Alcotest.test_case "missing ids and metrics" `Quick
             test_missing_id_and_metric_are_regressions;
           Alcotest.test_case "ranking" `Quick test_regressions_ranked_first;

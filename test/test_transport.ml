@@ -9,8 +9,11 @@
      backlog pressure while mutations keep flowing;
    - an abrupt client disconnect never hurts the server or the
      session other clients share;
-   - a command deadline wedges the session (no journal append from the
-     abandoned attempt) and the next command restores it;
+   - a command deadline stops a step at a round boundary: the reply
+     and the journal name the rounds that ran, and a restore replays
+     them to the straight-line state;
+   - a journal fault wedges the session and the next command restores
+     it from its journal;
    - shutdown executes every queued command before closing;
    - a lockstep client costs one select round per command, or per
      malformed line, and a pipelined burst is answered in order, byte
@@ -26,6 +29,7 @@ module Transport = Rrs_service.Transport
 module Server = Rrs_service.Server
 module Journal = Rrs_service.Journal
 module Metrics = Rrs_obs.Metrics
+module Torture = Rrs_torture.Torture
 
 let temp_dir =
   let counter = ref 0 in
@@ -281,36 +285,110 @@ let test_abrupt_disconnect () =
   let stats = finish server in
   Alcotest.(check int) "both clients counted" 2 stats.Transport.conns_accepted
 
-let test_deadline_wedge () =
+(* Commit a checkpoint of [s] and return [checkpoint.json]'s bytes:
+   the state line and the machine state, [Session.save] included. *)
+let checkpoint_bytes h s dir =
+  ignore (Server.checkpoint_session h s);
+  In_channel.with_open_bin (Filename.concat dir "checkpoint.json")
+    In_channel.input_all
+
+let test_deadline_cut () =
   let dir = temp_dir "deadline" in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
-  (* a Delay injection at the engine's own probe point makes the step
-     overshoot its 50 ms budget deterministically *)
+  let ckpt = Filename.concat dir "state" in
+  Unix.mkdir ckpt 0o755;
+  (* a Delay injection at the engine's own probe point makes the
+     step's second round overshoot its 0.2 s budget deterministically;
+     with no cadence checkpoint, segment 0 keeps every op *)
   let plan =
     Rrs_fault.plan
-      [ Rrs_fault.delay_on "engine.round" (Rrs_fault.Nth 1) ~seconds:0.5 ]
+      [ Rrs_fault.delay_on "engine.round" (Rrs_fault.Nth 2) ~seconds:0.5 ]
   in
-  let limits =
-    { Transport.default_limits with command_deadline = Some 0.05 }
-  in
-  let server = start ~limits ~plan (config ()) dir in
+  let limits = { Transport.default_limits with command_deadline = Some 0.2 } in
+  let config = { (config ~checkpoint_dir:ckpt ()) with checkpoint_every = 0 } in
+  let server = start ~limits ~plan config dir in
   let c = connect server.sock in
   ignore (recv c);
-  send c "step 1";
-  let reply = recv c in
-  Alcotest.(check bool)
-    "deadline reply"
-    true
-    (starts_with "err deadline" reply);
-  (* the next command restores the wedged session from scratch
-     (ephemeral: no journal, so a fresh greeting-equivalent state) *)
+  send c "submit 0 1 5";
+  ignore (recv c);
+  send c "step 5";
+  Alcotest.(check string) "cut reply" "ok stepped 2 of 5 rounds to round 2"
+    (recv c);
+  send c "step 3";
+  Alcotest.(check string) "a step within its budget runs whole"
+    "ok stepped 3 rounds to round 5" (recv c);
+  close_client c;
+  ignore (finish server);
+  let ops =
+    let r = Journal.reader () in
+    let segments =
+      List.filter_map Journal.segment_of_name (Array.to_list (Sys.readdir ckpt))
+    in
+    match
+      Result.bind (Journal.top r ckpt) (fun (_, from) ->
+          Journal.fold r ckpt from ~segments ~init:[] ~f:(fun ops op -> op :: ops))
+    with
+    | Ok (ops, None, _) -> List.rev ops
+    | _ -> Alcotest.fail "journal unreadable"
+  in
+  Alcotest.(check (list string)) "journaled as the rounds that ran"
+    [ "submit 0 1 5"; "step 2"; "step 3" ]
+    (List.map Journal.op_to_line ops);
+  (* restore from the journal alone: the replay runs [step 2] with no
+     budget, and lands on the state of a session fed the journaled ops *)
+  Sys.remove (Filename.concat ckpt "checkpoint.json");
+  let h = Server.host config in
+  let restored =
+    checkpoint_bytes h (Server.open_session h Server.default_session) ckpt
+  in
+  let straight = Filename.concat dir "straight" in
+  Unix.mkdir straight 0o755;
+  let h = Server.host { config with checkpoint_dir = Some straight } in
+  let s = Server.open_session h Server.default_session in
+  List.iter
+    (fun op ->
+      match Server.apply_op s op with
+      | Ok () -> Server.commit h s op
+      | Error e -> Alcotest.failf "straight line refused: %s" e)
+    ops;
+  Alcotest.(check string) "restore = straight line" (checkpoint_bytes h s straight)
+    restored
+
+(* A fault at the [serve.journal] probe strikes after the apply: the
+   session no longer matches its journal, so it is wedged, and the next
+   command addressed to it restores it from the journal, without the
+   un-acked op. *)
+let test_journal_fault_reopens () =
+  let dir = temp_dir "journal_fault" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let ckpt = Filename.concat dir "state" in
+  Unix.mkdir ckpt 0o755;
+  let plan =
+    Rrs_fault.plan
+      [ Rrs_fault.fail_on ~transient:true "serve.journal" (Rrs_fault.Nth 2) ]
+  in
+  let config = config ~checkpoint_dir:ckpt () in
+  let server = start ~plan config dir in
+  let c = connect server.sock in
+  ignore (recv c);
   send c "submit 0 1 2";
-  Alcotest.(check bool)
-    "restored session serves again" true
-    (starts_with "ok submitted" (recv c));
+  ignore (recv c);
+  send c "submit 0 2 1";
+  let reply = recv c in
+  Alcotest.(check bool) ("fault reply: " ^ reply) true
+    (starts_with "err transient fault injected at serve.journal" reply);
+  send c "state";
+  Alcotest.(check string) "restored from the journal"
+    (Rrs_service.Snapshot.to_line
+       (Torture.straight_line config
+          [ Journal.Submit { round = 0; color = 1; count = 2 } ]))
+    (recv c);
+  send c "step 1";
+  Alcotest.(check string) "the restored session serves again"
+    "ok stepped 1 round to round 1" (recv c);
   close_client c;
   let stats = finish server in
-  Alcotest.(check bool) "wedge counted" true (stats.Transport.wedges >= 1)
+  Alcotest.(check int) "wedge counted" 1 stats.Transport.wedges
 
 let test_shutdown_drains () =
   let dir = temp_dir "drain" in
@@ -911,8 +989,10 @@ let () =
         [
           Alcotest.test_case "busy at admission" `Quick test_busy_admission;
           Alcotest.test_case "shed read-only" `Quick test_shed;
-          Alcotest.test_case "deadline wedges, reopen restores" `Quick
-            test_deadline_wedge;
+          Alcotest.test_case "deadline cuts a step at a round boundary" `Quick
+            test_deadline_cut;
+          Alcotest.test_case "journal fault wedges, next command restores"
+            `Quick test_journal_fault_reopens;
           Alcotest.test_case "shutdown drains the queue" `Quick
             test_shutdown_drains;
         ] );
