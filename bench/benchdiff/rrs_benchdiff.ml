@@ -41,6 +41,9 @@ let default_rules =
        deadline may cost a clock read between rounds, never twice the
        bare service path (a domain per command cost ~100x) *)
     rule ~rel_tol:1.0 "analysis.deadline_overhead" Lower_better;
+    (* the same for a heartbeat beating every round: a beat's two file
+       rewrites, which a replacing rename each made 3-4 times dearer *)
+    rule ~rel_tol:1.0 "analysis.heartbeat_overhead" Lower_better;
     (* absolute machine speed: gate only on order-of-magnitude collapse *)
     rule ~rel_tol:0.75 "analysis.*_rounds_per_sec" Higher_better;
     (* pure wall clock: never gate across machines *)

@@ -70,7 +70,12 @@
    alternating blocks.  "deadline_overhead", the ratio of the two
    median block times, is gated to stay under twice its baseline: a
    budget costs a clock read between a step's rounds, where a domain
-   per command cost hundreds of times the bare path. *)
+   per command cost hundreds of times the bare path.  The same script
+   on a host whose heartbeat beats every round, against one without,
+   gives "heartbeat_overhead", gated the same way: a beat rewrites
+   [FILE.status] and [FILE.prom] through their [.prev]
+   ({!Rrs_obs.File_commit.replace}), where a replacing rename per file
+   measured 3-4 times the cost of the write. *)
 
 open Rrs_core
 module Families = Rrs_workload.Families
@@ -753,15 +758,12 @@ let restore_scaling () =
   (t_small, t_large, growth, r_small, r_large, small_ops, large_ops, heavy, left, disk, multi)
 
 (* ------------------------------------------------------------------ *)
-(* Part 5: deadline overhead                                            *)
+(* Part 5: deadline and heartbeat overhead                              *)
 (* ------------------------------------------------------------------ *)
 
-let deadline_overhead () =
-  print_endline
-    "================================================================";
-  print_endline " Deadline overhead (the bursty script, bare and --deadline 5)";
-  print_endline
-    "================================================================";
+(* The 691-command bursty script less its [quit], and a host config
+   for it. *)
+let bursty_script () =
   let instance = (Option.get (Families.find "bursty")).build ~seed:1 in
   let script = Buffer.create 16_384 in
   Stream.to_script (Stream.of_instance instance) script;
@@ -771,7 +773,7 @@ let deadline_overhead () =
            match Protocol.parse line with
            | Ok (Some Protocol.Quit) | Ok None -> None
            | Ok (Some cmd) -> Some cmd
-           | Error e -> failwith ("deadline overhead: " ^ e))
+           | Error e -> failwith ("bursty script: " ^ e))
     |> Array.of_list
   in
   let config =
@@ -782,7 +784,13 @@ let deadline_overhead () =
       delay = Array.copy instance.Instance.delay;
     }
   in
-  let block apply =
+  (cmds, config)
+
+(* The script through [Server.exec] on a fresh host of [config] per
+   block, [base] and [arm] in alternating blocks (either goes first in
+   turn); the median block times, microseconds. *)
+let alternate cmds ~blocks base arm =
+  let block (config, apply) =
     let h = Server.host config in
     let s = Server.open_session h Server.default_session in
     let t0 = Unix.gettimeofday () in
@@ -790,33 +798,82 @@ let deadline_overhead () =
       (fun cmd ->
         match Server.exec ~apply h s cmd with
         | Server.Reply [ l ] when not (String.starts_with ~prefix:"err" l) -> ()
-        | _ -> failwith "deadline overhead: a command was refused")
+        | _ -> failwith "bursty script: a command was refused")
       cmds;
     let t = Unix.gettimeofday () -. t0 in
     Server.abandon_session h s;
     t
   in
-  let bare = Server.apply_op and budget = Server.apply_within 5.0 in
-  let blocks = 41 in
-  let t_bare = Array.make blocks 0. and t_budget = Array.make blocks 0. in
-  ignore (block bare, block budget);
+  let t_base = Array.make blocks 0. and t_arm = Array.make blocks 0. in
+  ignore (block base, block arm);
   for i = 0 to blocks - 1 do
-    (* either side goes first in turn *)
-    if i mod 2 = 0 then t_bare.(i) <- block bare;
-    t_budget.(i) <- block budget;
-    if i mod 2 = 1 then t_bare.(i) <- block bare
+    if i mod 2 = 0 then t_base.(i) <- block base;
+    t_arm.(i) <- block arm;
+    if i mod 2 = 1 then t_base.(i) <- block base
   done;
   let median a =
     Array.sort Float.compare a;
-    a.(Array.length a / 2)
+    a.(Array.length a / 2) *. 1e6
   in
-  let bare_us = median t_bare *. 1e6 and budget_us = median t_budget *. 1e6 in
+  (median t_base, median t_arm)
+
+let overhead_banner what =
+  print_endline
+    "================================================================";
+  Printf.printf " %s overhead (the bursty script)\n" what;
+  print_endline
+    "================================================================"
+
+let deadline_overhead () =
+  overhead_banner "Deadline";
+  let cmds, config = bursty_script () in
+  let blocks = 41 in
+  let bare_us, budget_us =
+    alternate cmds ~blocks
+      (config, Server.apply_op)
+      (config, Server.apply_within 5.0)
+  in
   let ratio = budget_us /. bare_us in
   Printf.printf
     "%d commands: %.0f us bare, %.0f us with --deadline 5 (median of %d \
      blocks): overhead %.3fx\n"
     (Array.length cmds) bare_us budget_us blocks ratio;
   (ratio, bare_us, budget_us)
+
+(* A heartbeat beating every round, as [rrs serve --heartbeat FILE
+   --heartbeat-every 1] has it: its stream, [FILE.status] and
+   [FILE.prom] rewritten per beat. *)
+let heartbeat_overhead () =
+  overhead_banner "Heartbeat";
+  let cmds, config = bursty_script () in
+  let dir = temp_dir "heartbeat" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let path = Filename.concat dir "hb.jsonl" in
+  let metrics = Rrs_obs.Metrics.create () in
+  let hb =
+    Rrs_obs.Heartbeat.create ~every_rounds:1 ~path
+      ~status_path:(path ^ ".status") ~registry:metrics
+      ~expose_path:(path ^ ".prom")
+      ~extra:(fun () ->
+        List.map
+          (fun (name, v) -> (name, Rrs_obs.Json.Int v))
+          (Rrs_obs.Metrics.counters metrics))
+      ()
+  in
+  let blocks = 11 in
+  let bare_us, beating_us =
+    alternate cmds ~blocks
+      (config, Server.apply_op)
+      ( { config with heartbeat = Some hb; metrics = Some metrics },
+        Server.apply_op )
+  in
+  Rrs_obs.Heartbeat.finish hb;
+  let ratio = beating_us /. bare_us in
+  Printf.printf
+    "%d commands: %.0f us bare, %.0f us beating every round (median of %d \
+     blocks): overhead %.3fx\n"
+    (Array.length cmds) bare_us beating_us blocks ratio;
+  (ratio, bare_us, beating_us)
 
 (* ------------------------------------------------------------------ *)
 
@@ -848,6 +905,9 @@ let () =
   in
   let deadline_ratio, deadline_bare_us, deadline_budget_us =
     deadline_overhead ()
+  in
+  let heartbeat_ratio, heartbeat_bare_us, heartbeat_us =
+    heartbeat_overhead ()
   in
   Out_channel.with_open_text !out (fun oc ->
       let write = Rrs_obs.Run_summary.write oc in
@@ -935,11 +995,21 @@ let () =
                ("deadline_bare_script_us", deadline_bare_us);
                ("deadline_script_us", deadline_budget_us);
              ]
+           ());
+      write
+        (Rrs_obs.Run_summary.make ~id:"serve-heartbeat" ~kind:"bench"
+           ~config:[ ("family", "bursty"); ("heartbeat_every", "1") ]
+           ~analysis:
+             [
+               ("heartbeat_overhead", heartbeat_ratio);
+               ("heartbeat_bare_script_us", heartbeat_bare_us);
+               ("heartbeat_script_us", heartbeat_us);
+             ]
            ()));
   (match Rrs_obs.Run_summary.load !out with
-  | Ok summaries when List.length summaries = 5 -> ()
+  | Ok summaries when List.length summaries = 6 -> ()
   | Ok summaries ->
-      fail "%s holds %d summaries, expected 5" !out (List.length summaries)
+      fail "%s holds %d summaries, expected 6" !out (List.length summaries)
   | Error msg -> fail "%s unreadable: %s" !out msg);
   Printf.printf "bench finished in %.1f s\n" (Unix.gettimeofday () -. t0);
   Printf.printf "run summaries written to %s\n" !out;

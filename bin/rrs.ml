@@ -127,9 +127,10 @@ let heartbeat_arg =
   let doc =
     "Stream live health snapshots to this JSONL file (one \
      $(b,heartbeat) object per beat, flushed immediately so the file \
-     can be tailed), plus an atomically-replaced single-line status \
-     file at $(docv)$(b,.status) and a Prometheus text exposition at \
-     $(docv)$(b,.prom).  Render the latest beat with $(b,rrs status); \
+     can be tailed), plus a single-line status file at \
+     $(docv)$(b,.status) and a Prometheus text exposition at \
+     $(docv)$(b,.prom), each rewritten per beat with the one before kept \
+     as its $(b,.prev).  Render the latest beat with $(b,rrs status); \
      see doc/TELEMETRY.md, \"Live telemetry\"."
   in
   Arg.(value & opt (some string) None & info [ "heartbeat" ] ~docv:"FILE" ~doc)
@@ -699,6 +700,13 @@ let status_cmd =
      not there, a file with no bytes, and a file with bytes but no
      parseable heartbeat line each get their own message *)
   let last_beat file =
+    (* a beat's commit leaves [file] absent for an instant, its [.prev]
+       holding the latest beat *)
+    let prev = file ^ ".prev" in
+    let file =
+      if Sys.file_exists file || not (Sys.file_exists prev) then file
+      else prev
+    in
     if not (Sys.file_exists file) then Error `Missing
     else
       let lines = In_channel.with_open_text file In_channel.input_lines in
@@ -769,9 +777,10 @@ let status_cmd =
             in
             Format.printf
               "service: %d ops%s; overload busy %d, shed %d, slow drops %d, \
-               wedged %d@."
+               wedged %d, deadline cuts %d@."
               ops select_rate (i0 "serve_busy") (i0 "serve_shed")
-              (i0 "serve_slow_drops") (i0 "serve_wedged");
+              (i0 "serve_slow_client_drops") (i0 "serve_wedged")
+              (i0 "serve_deadline_cuts");
             Format.printf
               "recovery: %d restores (%d session restarts, %d journal bytes \
                read, %d files read) — torn tail %d, quarantined %d, refused \
@@ -781,7 +790,7 @@ let status_cmd =
               (i0 "serve_restore_journal_bytes")
               (i0 "serve_restore_files_read")
               (i0 "serve_recovery_torn_tail")
-              (i0 "serve_recovery_quarantined")
+              (i0 "serve_recovery_checkpoint_quarantined")
               (i0 "serve_recovery_refused");
             Format.printf "checkpoints: %d (%d on leave), %d failed@."
               (i0 "serve_checkpoints")
@@ -990,32 +999,6 @@ let serve_cmd =
     Arg.(
       value & opt (some float) None & info [ "deadline" ] ~docv:"SECS" ~doc)
   in
-  let serve_counters metrics =
-    let count name =
-      Rrs_obs.Metrics.(value (counter metrics name))
-    in
-    [
-      ("serve_ops", "ops");
-      ("serve_commands", "commands");
-      ("serve_select_rounds", "select_rounds");
-      ("serve_busy", "busy");
-      ("serve_shed", "shed");
-      ("serve_slow_client_drops", "slow_drops");
-      ("serve_wedged", "wedged");
-      ("serve_session_restarts", "session_restarts");
-      ("serve_restores", "restores");
-      ("serve_restore_journal_bytes", "restore_journal_bytes");
-      ("serve_restore_files_read", "restore_files_read");
-      ("serve_recovery_torn_tail", "recovery_torn_tail");
-      ("serve_recovery_checkpoint_quarantined", "recovery_quarantined");
-      ("serve_recovery_refused", "recovery_refused");
-      ("serve_checkpoints", "checkpoints");
-      ("serve_leave_checkpoints", "leave_checkpoints");
-      ("serve_checkpoint_failures", "checkpoint_failures");
-    ]
-    |> List.map (fun (counter, field) ->
-           ("serve_" ^ field, Rrs_obs.Json.Int (count counter)))
-  in
   let run policy n delta colors delay_bound mini_rounds family seed emit_script
       step_chunk checkpoint_dir checkpoint_every crash_after
       heartbeat_file heartbeat_every socket tcp max_conns queue_limit
@@ -1082,8 +1065,9 @@ let serve_cmd =
               prerr_endline msg;
               2
           | Ok address ->
-              (* overload/recovery counts live in a registry the
-                 heartbeat also reports from, so `rrs status` shows them *)
+              (* the service's [serve_*] counters live in a registry
+                 whose every counter each beat carries, so `rrs status`
+                 shows them *)
               let metrics = Rrs_obs.Metrics.create () in
               let heartbeat =
                 Option.map
@@ -1092,7 +1076,10 @@ let serve_cmd =
                       ~path
                       ~status_path:(path ^ ".status")
                       ~registry:metrics ~expose_path:(path ^ ".prom")
-                      ~extra:(fun () -> serve_counters metrics)
+                      ~extra:(fun () ->
+                        List.map
+                          (fun (name, v) -> (name, Rrs_obs.Json.Int v))
+                          (Rrs_obs.Metrics.counters metrics))
                       ())
                   heartbeat_file
               in

@@ -11,7 +11,6 @@ let round_latency_max_us = 65535
 type t = {
   lock : Mutex.t;
   every_rounds : int;
-  every_seconds : float option;
   clock : unit -> float;
   stream : out_channel option;
   status_path : string option;
@@ -42,7 +41,7 @@ type t = {
   mutable closed : bool;
 }
 
-let create ?(every_rounds = 64) ?every_seconds ?(clock = Unix.gettimeofday)
+let create ?(every_rounds = 64) ?(clock = Unix.gettimeofday)
     ?path ?status_path ?expose_path ?registry ?extra () =
   if every_rounds < 1 then invalid_arg "Heartbeat.create: every_rounds < 1";
   let minor0 = Gc.minor_words () in
@@ -50,7 +49,6 @@ let create ?(every_rounds = 64) ?every_seconds ?(clock = Unix.gettimeofday)
   {
     lock = Mutex.create ();
     every_rounds;
-    every_seconds;
     clock;
     stream = Option.map open_out path;
     status_path;
@@ -75,20 +73,16 @@ let create ?(every_rounds = 64) ?every_seconds ?(clock = Unix.gettimeofday)
     closed = false;
   }
 
-let replace_file path contents =
-  let temp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
-  try
-    Out_channel.with_open_text temp (fun oc -> output_string oc contents);
-    Sys.rename temp path
-  with e ->
-    (try Sys.remove temp with Sys_error _ -> ());
-    raise e
-
 (* One artifact write of a beat; a failure (a vanished directory, a
    full disk) is counted and the beat goes on. *)
 let write t f =
   try f ()
   with Sys_error _ | Unix.Unix_error _ -> t.write_errors <- t.write_errors + 1
+
+let replace t path contents =
+  write t (fun () ->
+      File_commit.replace path (fun fd ->
+          Unix.write_substring fd contents 0 (String.length contents)))
 
 (* Called with the lock held. *)
 let beat_locked t ~final =
@@ -160,12 +154,9 @@ let beat_locked t ~final =
           if (Unix.fstat (Unix.descr_of_out_channel oc)).Unix.st_nlink = 0
           then raise (Sys_error "heartbeat stream: file removed"))
   | None -> ());
-  (match t.status_path with
-  | Some path -> write t (fun () -> replace_file path (line ^ "\n"))
-  | None -> ());
+  Option.iter (fun path -> replace t path (line ^ "\n")) t.status_path;
   (match (t.expose_path, t.registry) with
-  | Some path, Some reg ->
-      write t (fun () -> replace_file path (Metrics.expose reg))
+  | Some path, Some reg -> replace t path (Metrics.expose reg)
   | _ -> ());
   (match Flight_recorder.ambient () with
   | Some r -> Flight_recorder.record_snapshot r (Json.parse_exn line)
@@ -201,14 +192,7 @@ let observe_round t ~round ~delta ~recolorings ~executed ~dropped ~latency_us =
          t.lat.(t.lat_len) <- min latency_us round_latency_max_us;
          t.lat_len <- t.lat_len + 1
        end;
-       let due =
-         t.rounds_since >= t.every_rounds
-         ||
-         match t.every_seconds with
-         | Some s -> t.clock () -. t.last_beat_at >= s
-         | None -> false
-       in
-       if due then beat_locked t ~final:false
+       if t.rounds_since >= t.every_rounds then beat_locked t ~final:false
      end
    with
   | () -> Mutex.unlock t.lock

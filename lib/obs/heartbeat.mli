@@ -3,20 +3,21 @@
     A heartbeat consumes the engine's event sink ({!attach}): per
     round it counts [Reconfigure], [Execute] and [Drop] events, and
     closes the round at its [Round_end] (the round's Δ and wall
-    latency).  Every K rounds and/or T seconds it emits one JSON object —
-    round reached, cumulative costs, recolorings, round-latency
-    percentiles {e since the last beat}, allocation/GC gauges — to an
-    owned JSONL stream (flushed per line, so it can be tailed live), an
-    atomically-replaced single-line status file, and a Prometheus
-    exposition file ({!Metrics.expose}) when a registry is attached.
-    [rrs status] renders the latest line of either file.  A write that
-    fails (the directory vanished, the disk is full) is counted in the
-    beat line's ["write_errors"] field (present once non-zero), its
+    latency).  Every K rounds it emits one JSON object — round reached,
+    cumulative costs, recolorings, round-latency percentiles {e since
+    the last beat}, allocation/GC gauges — to an owned JSONL stream
+    (flushed per line, so it can be tailed live), a single-line status
+    file, and a Prometheus exposition file ({!Metrics.expose}) when a
+    registry is attached.  Both files are rewritten by
+    {!File_commit.replace}, which keeps the beat before as [FILE.prev].
+    [rrs status] renders the latest line of the stream or the status
+    file (of its [.prev] while it is absent).  A write that fails
+    (the directory vanished, the disk is full) is counted in the beat
+    line's ["write_errors"] field (present once non-zero), its
     temporary file removed, and the run goes on.
 
-    The clock is injectable, so time-based cadence is deterministic
-    under test; with the default [every_rounds] cadence alone a run's
-    beat sequence is a pure function of the round stream.
+    A run's beat sequence is a pure function of the round stream; the
+    clock only stamps ["seconds_since"].
 
     A heartbeat observes events and never feeds anything back into a
     decision path — the 130-case differential suite runs with a
@@ -40,7 +41,6 @@ val round_latency_max_us : int
 
 val create :
   ?every_rounds:int ->
-  ?every_seconds:float ->
   ?clock:(unit -> float) ->
   ?path:string ->
   ?status_path:string ->
@@ -50,14 +50,12 @@ val create :
   unit ->
   t
 (** [every_rounds] (default 64, [>= 1]) beats after that many observed
-    rounds; [every_seconds], when given, additionally beats once that
-    much [clock] time passed since the last beat (checked on round
-    boundaries — an idle engine emits nothing).  [path] is an owned
-    JSONL stream (created/truncated now, closed by {!finish});
-    [status_path] is atomically replaced with the latest beat line;
-    [expose_path] is atomically replaced with [Metrics.expose registry]
-    on every beat (requires [registry]).  [extra] contributes fields
-    appended to every beat line (e.g. watchdog status).
+    rounds (an idle engine emits nothing).  [path] is an owned JSONL
+    stream (created/truncated now, closed by {!finish}); [status_path]
+    is replaced with the latest beat line and [expose_path] with
+    [Metrics.expose registry] on every beat (requires [registry]), each
+    through its [.prev] ({!File_commit.replace}).  [extra] contributes
+    fields appended to every beat line (e.g. the service's counters).
     @raise Invalid_argument if [every_rounds < 1]. *)
 
 val attach : t -> Sink.t -> Sink.t

@@ -125,6 +125,11 @@ let sorted_instruments t =
       Hashtbl.fold (fun name i acc -> (name, i) :: acc) t.instruments [])
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+let counters t =
+  List.filter_map
+    (function name, Counter c -> Some (name, Atomic.get c) | _ -> None)
+    (sorted_instruments t)
+
 let timers t =
   List.filter_map
     (fun (name, i) ->

@@ -113,6 +113,9 @@ val merge_into : into:t -> t -> unit
 
 (** {2 Export} *)
 
+val counters : t -> (string * int) list
+(** [(name, value)] of every counter, in ascending name order. *)
+
 val timers : t -> (string * int * float) list
 (** [(name, span count, total seconds)] in ascending name order. *)
 

@@ -44,8 +44,9 @@ let to_command = function
 
 let op_to_line op = Protocol.command_to_string (to_command op)
 
-(* The version-2 decoder: the protocol parser, restricted to the three
-   canonical state-changing forms (a submit carries its round). *)
+(* The op decoder, for a line {!decode} has stripped of its check: the
+   protocol parser, restricted to the three canonical state-changing
+   forms (a submit carries its round). *)
 let op_of_line line =
   match Protocol.parse line with
   | Ok (Some (Protocol.Submit { round = Some round; color; count })) ->
@@ -470,44 +471,36 @@ let append w op =
 
 let temp_prefix = "journal.tmp."
 
-(* A new segment file holding its header line, from the oldest segment
-   before [reuse_below] when there is one: that file is renamed to a
-   temp name, overwritten in place and cut to the header's length, then
-   renamed to the new segment's free name, so a crash leaves it under
-   the temp name, which no restore reads, or as the new segment holding
-   its header alone.  Creating a file measured costlier than the rest of
-   a checkpoint commit (doc/PERFORMANCE.md, "Restore reads one
-   segment").  Without one to reuse, the file is created. *)
-let new_segment w ~reuse_below =
-  let path = Filename.concat w.dir (segment_name w.ops) in
-  match w.segments with
-  | oldest :: rest when oldest < reuse_below -> (
-      let temp = Filename.concat w.dir (temp_prefix ^ string_of_int (Unix.getpid ())) in
-      Unix.rename (Filename.concat w.dir (segment_name oldest)) temp;
-      w.segments <- rest;
-      let fd = Unix.openfile temp [ Unix.O_WRONLY; Unix.O_CLOEXEC ] 0 in
-      match
-        write_line fd w.line;
-        Unix.ftruncate fd (Wire.length w.line);
-        Unix.rename temp path
-      with
-      | () -> fd
-      | exception e ->
-          Unix.close fd;
-          raise e)
-  | _ -> (
-      let fd = open_segment w.dir w.ops [ Unix.O_TRUNC; Unix.O_APPEND ] 0o666 in
-      match write_line fd w.line with
-      | () -> fd
-      | exception e ->
-          Unix.close fd;
-          raise e)
-
+(* The header is written under the temp name, in the file of the
+   oldest segment before [reuse_below] when there is one
+   ({!Rrs_obs.File_commit.overwrite}), then renamed to the segment's
+   free name, so a crash leaves it under the temp name, which no
+   restore reads, or as the new segment holding its header alone.
+   Creating a file measured costlier than the rest of a checkpoint
+   commit (doc/PERFORMANCE.md, "Restore reads one segment"). *)
 let rotate w ~reuse_below =
   if w.ops <> w.segment then begin
     Wire.clear w.line;
     add_segment_header w.line (anchor w);
-    let fd = new_segment w ~reuse_below in
+    let reuse, kept =
+      match w.segments with
+      | oldest :: rest when oldest < reuse_below ->
+          (Some (Filename.concat w.dir (segment_name oldest)), rest)
+      | segments -> (None, segments)
+    in
+    let temp =
+      Filename.concat w.dir (temp_prefix ^ string_of_int (Unix.getpid ()))
+    in
+    let fd =
+      Rrs_obs.File_commit.overwrite ?reuse ~temp (fun fd ->
+          write_line fd w.line;
+          Wire.length w.line)
+    in
+    w.segments <- kept;
+    (try Unix.rename temp (Filename.concat w.dir (segment_name w.ops))
+     with e ->
+       Unix.close fd;
+       raise e);
     (try Unix.close w.fd with Unix.Unix_error _ -> ());
     w.fd <- fd;
     w.segment <- w.ops;

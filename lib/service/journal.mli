@@ -207,12 +207,11 @@ val append : writer -> op -> unit
 
 val rotate : writer -> reuse_below:int -> unit
 (** Start a new segment at the op count reached, write its header line
-    and append there from now on.  The file is the oldest segment's
-    that starts before [reuse_below], when there is one — one the
-    caller is about to {!retire} — renamed to a temp name, overwritten
-    in place and cut to the header, then renamed to the new segment's
-    name; otherwise it is created.  Nothing happens when the open
-    segment starts at that op count already.  A failure raises and
+    and append there from now on.  The header is written under a temp
+    name ({!Rrs_obs.File_commit.overwrite}), in the file of the oldest
+    segment before [reuse_below] (one the caller is about to {!retire})
+    when there is one, then renamed to the segment's name.  Nothing
+    happens when the open segment starts at that op count already.  A failure raises and
     leaves the writer on the old segment. *)
 
 val retire : writer -> below:int -> unit

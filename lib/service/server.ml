@@ -191,47 +191,11 @@ let encode_checkpoint w ~policy ~mini_rounds (snapshot : Snapshot.t)
   Wire.add_string w (Wire.Hash.digest digest);
   Wire.add_char w '\n'
 
-(* The commit (doc/SERVICE.md, "The checkpoint commit") reuses the two
-   files it rotates:
-
-   1. [.prev], the checkpoint before last, becomes the temp file;
-   2. the new bytes overwrite it in place, then [ftruncate] cuts it to
-      their length;
-   3. [checkpoint.json] becomes [.prev];
-   4. the temp file becomes [checkpoint.json].
-
-   Only the first two checkpoints of a session create a file, and no
-   rename replaces one: on ext4 a rename that replaces a file, like a
-   truncate to zero, starts writing back delayed data inside the call
-   (doc/PERFORMANCE.md, "What a checkpoint costs").
-   A complete checkpoint exists at every instant: [checkpoint.json] up
-   to step 3, [.prev] after it.  From step 1 to step 3 there is no
-   [.prev] to fall back on, so restore starts from the header only if
-   [checkpoint.json] is corrupt as well.  An exception before step 4
-   removes the temp file instead of committing it. *)
+(* The commit (doc/SERVICE.md, "The checkpoint commit") is
+   {!Rrs_obs.File_commit.replace}.  From its step 1 to step 3 there is
+   no [.prev] to fall back on, so restore starts from the header only
+   if [checkpoint.json] is corrupt as well. *)
 let temp_prefix = "checkpoint.json.tmp."
-
-let rename_if_present src dst =
-  try Unix.rename src dst with Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let write_checkpoint dir w =
-  let path = checkpoint_path dir and prev = checkpoint_prev_path dir in
-  let temp = Filename.concat dir (temp_prefix ^ string_of_int (Unix.getpid ())) in
-  rename_if_present prev temp;
-  match
-    let fd = Unix.openfile temp [ O_WRONLY; O_CREAT; O_CLOEXEC ] 0o666 in
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        Wire.write_fd fd w;
-        Unix.ftruncate fd (Wire.length w));
-    rename_if_present path prev;
-    Unix.rename temp path
-  with
-  | () -> ()
-  | exception e ->
-      (try Sys.remove temp with Sys_error _ -> ());
-      raise e
 
 (* Temp files a kill before step 4 (or in the middle of a journal
    rotation) left behind; each process names its own, so they would
@@ -786,7 +750,9 @@ let checkpoint_session h s =
          Journal.rotate w ~reuse_below:s.ckpt_ops;
          encode_checkpoint h.checkpoint_buffer ~policy:s.policy_id
            ~mini_rounds:s.mini_rounds snapshot (Journal.anchor w) s.session;
-         write_checkpoint dir h.checkpoint_buffer
+         Rrs_obs.File_commit.replace (checkpoint_path dir) (fun fd ->
+             Wire.write_fd fd h.checkpoint_buffer;
+             Wire.length h.checkpoint_buffer)
        with
       | () -> Metrics.inc h.counters.checkpoints 1
       | exception e ->
@@ -843,7 +809,7 @@ let commit h s op =
    That is what a [reconfigure] is charged for rebuilding the per-color
    state a checkpoint encodes, so the checkpoint never costs more than
    the replay it saves.  A failed commit leaves the previous checkpoint
-   in place ([write_checkpoint]), so it fails neither the switch nor the
+   in place ({!Rrs_obs.File_commit.replace}), so it fails neither the switch nor the
    session. *)
 let leave h s =
   match s.writer with

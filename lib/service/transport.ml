@@ -17,8 +17,6 @@ type limits = {
   command_deadline : float option;
   write_buffer_limit : int;
   write_stall_timeout : float;
-  max_line : int;
-  retry_after : float;
 }
 
 let default_limits =
@@ -29,9 +27,12 @@ let default_limits =
     command_deadline = None;
     write_buffer_limit = 1 lsl 20;
     write_stall_timeout = 5.0;
-    max_line = 1 lsl 16;
-    retry_after = 0.05;
   }
+
+(* the longest accepted command line, bytes, and the hint in [busy]
+   replies, seconds *)
+let max_line = 1 lsl 16
+let retry_after = 0.05
 
 type stats = {
   conns_accepted : int;
@@ -272,7 +273,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
               Some
                 (Printf.sprintf "busy shed %s queued=%d retry-after=%g"
                    (Protocol.command_to_string cmd)
-                   !queued limits.retry_after)
+                   !queued retry_after)
             end
             else None
           in
@@ -372,7 +373,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                   answer c
                     (Printf.sprintf
                        "busy queue session=%s depth=%d retry-after=%g"
-                       c.sname depth limits.retry_after)
+                       c.sname depth retry_after)
                 end
                 else begin
                   Queue.push (Command cmd) c.cmds;
@@ -402,10 +403,10 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
               let i = newline_in start stop in
               if i < 0 then begin
                 Buffer.add_subbytes c.pending rbuf start (stop - start);
-                if Buffer.length c.pending > limits.max_line then begin
+                if Buffer.length c.pending > max_line then begin
                   append c
                     (Printf.sprintf "err line longer than %d bytes"
-                       limits.max_line);
+                       max_line);
                   c.closing <- true;
                   Buffer.reset c.pending
                 end;
@@ -534,7 +535,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                     let line =
                       Printf.sprintf
                         "busy connections fd-limit retry-after=%g\n"
-                        limits.retry_after
+                        retry_after
                     in
                     (try
                        Unix.set_nonblock fd;
@@ -551,7 +552,7 @@ let run ?(limits = default_limits) ?(stop = fun () -> false) ?on_ready
                       append c
                         (Printf.sprintf
                            "busy connections limit=%d retry-after=%g"
-                           limits.max_conns limits.retry_after);
+                           limits.max_conns retry_after);
                       c.closing <- true
                     end
                     else

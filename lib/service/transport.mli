@@ -114,8 +114,6 @@ type limits = {
           peer) *)
   write_stall_timeout : float;
       (** seconds a connection may refuse bytes while output is pending *)
-  max_line : int;  (** longest accepted command line, bytes *)
-  retry_after : float;  (** the hint in [busy] replies, seconds *)
 }
 
 val default_limits : limits

@@ -110,6 +110,18 @@ let test_deadline_overhead_band () =
   Alcotest.(check bool) "noise passes" true (ok 1.6);
   Alcotest.(check bool) "a domain per command fails" false (ok 100.)
 
+(* The same for a heartbeat beating every round: noise passes, and the
+   replacing-rename status write it replaced (2.5-3.6x) fails. *)
+let test_heartbeat_overhead_band () =
+  let summary v =
+    [ summary ~id:"serve-heartbeat" [ ("heartbeat_overhead", v) ] ]
+  in
+  let ok v =
+    B.ok (B.compare_summaries ~baseline:(summary 39.) ~current:(summary v) ())
+  in
+  Alcotest.(check bool) "noise passes" true (ok 60.);
+  Alcotest.(check bool) "a replacing rename per file fails" false (ok 99.)
+
 let test_improvements_pass () =
   let current =
     [
@@ -217,6 +229,8 @@ let () =
           Alcotest.test_case "improvements pass" `Quick test_improvements_pass;
           Alcotest.test_case "deadline overhead band" `Quick
             test_deadline_overhead_band;
+          Alcotest.test_case "heartbeat overhead band" `Quick
+            test_heartbeat_overhead_band;
           Alcotest.test_case "missing ids and metrics" `Quick
             test_missing_id_and_metric_are_regressions;
           Alcotest.test_case "ranking" `Quick test_regressions_ranked_first;

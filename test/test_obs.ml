@@ -720,32 +720,14 @@ let test_heartbeat_round_cadence () =
   Alcotest.(check int) "total_cost" 30 (int_field "total_cost");
   Alcotest.(check int) "executed" 30 (int_field "executed")
 
-let test_heartbeat_time_cadence () =
-  let now = ref 0.0 in
-  let hb =
-    Heartbeat.create ~every_rounds:max_int ~every_seconds:1.0
-      ~clock:(fun () -> !now)
-      ()
-  in
-  observe hb ~round:1;
-  observe hb ~round:2;
-  Alcotest.(check int) "no beat before the deadline" 0 (Heartbeat.beats hb);
-  now := 1.5;
-  observe hb ~round:3;
-  Alcotest.(check int) "beat once time passed" 1 (Heartbeat.beats hb);
-  observe hb ~round:4;
-  Alcotest.(check int) "window restarts" 1 (Heartbeat.beats hb);
-  now := 3.0;
-  observe hb ~round:5;
-  Alcotest.(check int) "second deadline" 2 (Heartbeat.beats hb)
-
 let test_heartbeat_stream_and_status () =
   let path = Filename.temp_file "rrs_hb" ".jsonl" in
   let status = path ^ ".status" in
   Fun.protect
     ~finally:(fun () ->
-      Sys.remove path;
-      if Sys.file_exists status then Sys.remove status)
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ path; status; status ^ ".prev" ])
     (fun () ->
       let hb =
         Heartbeat.create ~every_rounds:2 ~path ~status_path:status ()
@@ -773,6 +755,36 @@ let test_heartbeat_stream_and_status () =
       in
       Alcotest.(check string) "status = last line" status_line
         (Option.get (Heartbeat.last_line hb)))
+
+(* Whichever file [File_commit.replace] writes in — a fresh one, a
+   longer [.prev] it reuses, or a longer temp file an earlier process
+   of the same pid left — the live file holds the new bytes alone. *)
+let test_file_commit_exact_bytes () =
+  let path = Filename.temp_file "rrs_commit" ".txt" in
+  let prev = path ^ ".prev" in
+  let temp = path ^ ".tmp." ^ string_of_int (Unix.getpid ()) in
+  let put file s = Out_channel.with_open_bin file (fun oc -> output_string oc s) in
+  let read file = In_channel.with_open_bin file In_channel.input_all in
+  let replace s =
+    Rrs_obs.File_commit.replace path (fun fd ->
+        Unix.write_substring fd s 0 (String.length s))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ path; prev; temp ])
+    (fun () ->
+      Sys.remove path;
+      replace "first";
+      Alcotest.(check string) "created" "first" (read path);
+      put temp (String.make 100 'x');
+      replace "second";
+      Alcotest.(check string) "over a stale temp" "second" (read path);
+      Alcotest.(check string) "prev" "first" (read prev);
+      put prev (String.make 100 'y');
+      replace "third";
+      Alcotest.(check string) "in the reused prev" "third" (read path);
+      Alcotest.(check string) "prev after" "second" (read prev);
+      Alcotest.(check bool) "no temp left" false (Sys.file_exists temp))
 
 let test_heartbeat_feeds_ambient_recorder () =
   let r = Flight_recorder.create () in
@@ -890,10 +902,10 @@ let () =
       ( "heartbeat",
         [
           Alcotest.test_case "round cadence" `Quick test_heartbeat_round_cadence;
-          Alcotest.test_case "time cadence (injected clock)" `Quick
-            test_heartbeat_time_cadence;
           Alcotest.test_case "stream, status and final beat" `Quick
             test_heartbeat_stream_and_status;
+          Alcotest.test_case "file commit writes the new bytes alone" `Quick
+            test_file_commit_exact_bytes;
           Alcotest.test_case "beats feed the ambient recorder" `Quick
             test_heartbeat_feeds_ambient_recorder;
           Alcotest.test_case "prometheus exposition" `Quick test_metrics_expose;

@@ -23,7 +23,10 @@
    - the stdio connection answers a piped script line for line and in
      order, never [busy]; stdin EOF runs every buffered command before
      the goodbye; a refused restore prints [err fatal ...] and the CLI
-     exits 1; a socket server whose stdin is at EOF keeps serving. *)
+     exits 1; a socket server whose stdin is at EOF keeps serving;
+   - a served heartbeat carries the service's counters, the deadline's
+     cuts among them, and [rrs status] renders a beat from [.prev]
+     while the status file is absent. *)
 
 module Transport = Rrs_service.Transport
 module Server = Rrs_service.Server
@@ -877,10 +880,17 @@ let rrs_exe =
     (Filename.dirname Sys.executable_name)
     [ Filename.parent_dir_name; "bin"; "rrs.exe" ]
 
-(* Run [rrs ARGS] with stdin already at EOF, stdout into [out]. *)
-let spawn_rrs args ~out =
-  let in_r, in_w = Unix.pipe ~cloexec:true () in
-  Unix.close in_w;
+(* Run [rrs ARGS] with stdin reading [input] (already at EOF without
+   it), stdout into [out]. *)
+let spawn_rrs ?input args ~out =
+  let in_r =
+    match input with
+    | Some path -> Unix.openfile path [ Unix.O_RDONLY ] 0
+    | None ->
+        let in_r, in_w = Unix.pipe ~cloexec:true () in
+        Unix.close in_w;
+        in_r
+  in
   let out_fd =
     Unix.openfile out [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
@@ -956,6 +966,79 @@ let test_socket_stdin_eof () =
   close_client c;
   Alcotest.(check int) "clean exit" 0 (exit_code pid)
 
+let read_lines path = In_channel.with_open_text path In_channel.input_lines
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* [rrs serve ARGS] on [script] in [dir], replies into [dir/out.txt]. *)
+let serve_script dir script args =
+  let input = Filename.concat dir "script.txt" in
+  Out_channel.with_open_text input (fun oc -> output_string oc script);
+  let out = Filename.concat dir "out.txt" in
+  Alcotest.(check int) "serve exits 0" 0
+    (exit_code (spawn_rrs ~input ~out ("serve" :: args)));
+  read_lines out
+
+let rrs_status dir file =
+  let out = Filename.concat dir "status.txt" in
+  Alcotest.(check int) "status exits 0" 0
+    (exit_code (spawn_rrs ~out [ "status"; file ]));
+  read_lines out
+
+let session_args = [ "-n"; "4"; "--delta"; "2"; "--colors"; "4" ]
+
+(* The beat's service fields are every [serve_*] counter of the
+   registry, so a deadline cut shows in [FILE.status] and on [rrs
+   status]'s [service:] line. *)
+let test_heartbeat_deadline_cuts () =
+  let dir = temp_dir "hb_deadline" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let hb = Filename.concat dir "H" in
+  let replies =
+    serve_script dir "submit 0 1 2\nstep 5\n"
+      (session_args @ [ "--deadline"; "0"; "--heartbeat"; hb ])
+  in
+  Alcotest.(check bool) "the step is cut" true
+    (List.mem "ok stepped 1 of 5 rounds to round 1" replies);
+  let status = In_channel.with_open_text (hb ^ ".status") In_channel.input_all in
+  Alcotest.(check bool) status true
+    (contains ~sub:{|"serve_deadline_cuts":1|} status);
+  let service =
+    List.find (starts_with "service:") (rrs_status dir (hb ^ ".status"))
+  in
+  Alcotest.(check bool) service true (contains ~sub:"deadline cuts 1" service)
+
+(* Between a beat's last two renames [FILE.status] is absent and
+   [FILE.status.prev] holds the latest complete beat: [rrs status]
+   renders that. *)
+let test_heartbeat_commit_window () =
+  let dir = temp_dir "hb_window" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let hb = Filename.concat dir "H" in
+  ignore
+    (serve_script dir "submit 0 1 2\nstep 5\n"
+       (session_args @ [ "--heartbeat"; hb; "--heartbeat-every"; "1" ]));
+  let status = hb ^ ".status" in
+  Sys.remove status;
+  let prev =
+    Rrs_obs.Json.parse_exn
+      (In_channel.with_open_text (status ^ ".prev") In_channel.input_all)
+  in
+  let beat =
+    match Rrs_obs.Json.member "beat" prev with
+    | Some (Rrs_obs.Json.Int b) -> b
+    | _ -> Alcotest.fail "no beat field in .prev"
+  in
+  Alcotest.(check bool) "an earlier beat" true (beat >= 1);
+  match rrs_status dir status with
+  | first :: _ ->
+      Alcotest.(check bool) first true
+        (starts_with (Printf.sprintf "beat %d " beat) first)
+  | [] -> Alcotest.fail "rrs status printed nothing"
+
 let () =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "transport"
@@ -995,6 +1078,13 @@ let () =
             `Quick test_journal_fault_reopens;
           Alcotest.test_case "shutdown drains the queue" `Quick
             test_shutdown_drains;
+        ] );
+      ( "heartbeat",
+        [
+          Alcotest.test_case "beats carry the deadline's cuts" `Quick
+            test_heartbeat_deadline_cuts;
+          Alcotest.test_case "status reads .prev in the commit window" `Quick
+            test_heartbeat_commit_window;
         ] );
       ( "stdio",
         [

@@ -549,9 +549,10 @@ let segment_presence_campaign config ~ops ~dir =
    journal into the file of the segment it retires: the commit's end
    state is made by the real server, and each intermediate directory
    from the fixture's files and its.  Every one restores every
-   journaled op; a new segment cut short in its header, as the create
-   path of a session's first rotations can leave it, is a torn tail
-   (tier 1). *)
+   journaled op; a new segment cut short in its header is a torn tail
+   (tier 1).  The rotation writes the header under the temp name, so
+   only a file system that kept the rename and lost the data leaves
+   one now. *)
 let kill_rotation_campaign config ~ops ~dir =
   let fdir = Filename.concat dir "fixture" and final = Filename.concat dir "final" in
   mkdir_fresh fdir;
