@@ -60,8 +60,10 @@
    connection, are restored by a fresh host: each restore opens its
    checkpoint and that checkpoint's segment, once each
    ("multi_restore_files_read", 2 per session, Exact), and allocates
-   "alloc_multi_restore_words_per_session" minor words (gated);
-   "multi_restore_session_us" is Info.
+   "alloc_multi_restore_words_per_session" words, minor and direct
+   major (gated); "multi_restore_session_us" is Info.  A 1024-color
+   [zipf] session is restored too: "alloc_zipf_restore_words" (minor
+   and direct major) and "alloc_zipf_restore_major_words" (gated).
 
    Part 5 — deadline overhead: the 691-command script
    [rrs serve --emit-script -f bursty -s 1] writes, less its [quit],
@@ -611,15 +613,32 @@ let disk_bound dir (config : Server.config) =
           intervals of journal and two checkpoints (%d)" disk bound;
   disk
 
+(* [f ()], the minor words it allocated and the words it allocated
+   straight on the major heap (major less promoted), which
+   [Gc.minor_words] does not see: blocks over 256 words, such as a
+   1024-color section array, are made there.  The minor words come
+   from [Gc.minor_words]: [Gc.counters]'s leave out the minor heap's
+   current fill.  [Gc.counters] is read at the two boundaries only:
+   under OCaml 5.1.1 its floats can be left dangling if many are kept
+   (perfbench/README.md). *)
+let allocated f =
+  Gc.full_major ();
+  let _, promoted0, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () in
+  let x = f () in
+  let minor = Gc.minor_words () -. minor0 in
+  let _, promoted1, major1 = Gc.counters () in
+  (x, minor, major1 -. major0 -. (promoted1 -. promoted0))
+
 (* 32 finished sessions shaped like perfbench's [bursty] workload: the
    bursty family at its registry size (12 colors), n = 8, the server's
    default cadence, each played round by round ([submit]s, then [step
    1]) over one host's [Server.exec] and left for the next, so each is
    checkpointed as its connection leaves it.  A fresh host restores all
-   32; the best of [repeats] times, and the minor words and files the
-   last restore took, per session.  A restore from a verified checkpoint
-   reads that checkpoint and the segment that starts at it, each once:
-   2 files per session (Exact). *)
+   32; the best of [repeats] times, and the words (minor and direct
+   major) and files the last restore took, per session.  A restore from
+   a verified checkpoint reads that checkpoint and the segment that
+   starts at it, each once: 2 files per session (Exact). *)
 let multi_session_restore () =
   let sessions = 32 in
   let dir = temp_dir "multi" in
@@ -668,12 +687,12 @@ let multi_session_restore () =
   for _ = 1 to max 5 !repeats do
     let metrics = Rrs_obs.Metrics.create () in
     let h = Server.host { config with metrics = Some metrics } in
-    Gc.full_major ();
-    let w0 = Gc.minor_words () in
     let t0 = Unix.gettimeofday () in
-    let restored = List.map (Server.open_session h) names in
+    let restored, minor, major =
+      allocated (fun () -> List.map (Server.open_session h) names)
+    in
     best := min !best (Unix.gettimeofday () -. t0);
-    words := Gc.minor_words () -. w0;
+    words := minor +. major;
     let counter name = Rrs_obs.Metrics.value (Rrs_obs.Metrics.counter metrics name) in
     files := counter "serve_restore_files_read";
     replayed := counter "serve_restore_replayed_ops";
@@ -689,6 +708,63 @@ let multi_session_restore () =
   if files <> 2. then fail "a restore read %.2f files per session, not its checkpoint and segment" files;
   if !replayed <> 0 then fail "a restore of left sessions replayed %d ops" !replayed;
   (us, words, files)
+
+(* One session shaped like perfbench's [zipf] workload: the zipf family
+   scaled to 1024 colors, n = 64, its whole script in [step 64] chunks
+   over one host's [Server.exec] at the server's default cadence, then
+   checkpointed and dropped.  Fresh hosts restore it, each to the state
+   it was dropped in: the minor and the direct major words
+   the last restore allocated.  At 1024 colors a restore is mostly
+   decoding the checkpoint's machine state, so the words count the
+   staging a decoder makes besides the structures it fills. *)
+let zipf_restore () =
+  let instance =
+    match Families.scale_to (Option.get (Families.find "zipf")) ~num_colors:1024 ~seed:3000 with
+    | Ok i -> i
+    | Error e -> failwith (Families.string_of_scale_error e)
+  in
+  let dir = temp_dir "zipf" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let config =
+    {
+      Server.default_config with
+      n = 64;
+      delta = instance.Instance.delta;
+      delay = Array.copy instance.Instance.delay;
+      checkpoint_dir = Some dir;
+    }
+  in
+  let script = Buffer.create 65_536 in
+  Stream.to_script ~step_chunk:64 (Stream.of_instance instance) script;
+  let h = Server.host config in
+  let s = Server.open_session h Server.default_session in
+  List.iter
+    (fun line ->
+      match Protocol.parse line with
+      | Ok (Some Protocol.Quit) | Ok None -> ()
+      | Ok (Some cmd) -> (
+          match Server.exec h s cmd with
+          | Server.Reply [ l ] when not (String.starts_with ~prefix:"err" l) -> ()
+          | _ -> failwith ("zipf restore: refused " ^ line))
+      | Error e -> failwith ("zipf script: " ^ e))
+    (String.split_on_char '\n' (Buffer.contents script));
+  ignore (Server.checkpoint_session h s);
+  let before = Snapshot.to_line (Server.session_snapshot s) in
+  Server.abandon_session h s;
+  let minor = ref 0. and major = ref 0. in
+  for _ = 1 to 5 do
+    let h = Server.host config in
+    let s, mi, ma = allocated (fun () -> Server.open_session h Server.default_session) in
+    minor := mi;
+    major := ma;
+    if Snapshot.to_line (Server.session_snapshot s) <> before then
+      fail "a zipf restore differs from the session it restores";
+    Server.abandon_session h s
+  done;
+  Printf.printf
+    "restore of a 1024-color zipf session: %.0f minor + %.0f direct major words\n"
+    !minor !major;
+  (!minor, !major)
 
 let restore_scaling () =
   print_endline
@@ -755,7 +831,8 @@ let restore_scaling () =
   let heavy = heavy_step () in
   let left = left_session () in
   let multi = multi_session_restore () in
-  (t_small, t_large, growth, r_small, r_large, small_ops, large_ops, heavy, left, disk, multi)
+  let zipf = zipf_restore () in
+  (t_small, t_large, growth, r_small, r_large, small_ops, large_ops, heavy, left, disk, multi, zipf)
 
 (* ------------------------------------------------------------------ *)
 (* Part 5: deadline and heartbeat overhead                              *)
@@ -900,7 +977,8 @@ let () =
         heavy,
         left,
         disk,
-        (multi_us, multi_words, multi_files) ) =
+        (multi_us, multi_words, multi_files),
+        (zipf_minor, zipf_major) ) =
     restore_scaling ()
   in
   let deadline_ratio, deadline_bare_us, deadline_budget_us =
@@ -984,6 +1062,8 @@ let () =
                ("multi_restore_files_read", multi_files);
                ("alloc_multi_restore_words_per_session", multi_words);
                ("multi_restore_session_us", multi_us);
+               ("alloc_zipf_restore_words", zipf_minor +. zipf_major);
+               ("alloc_zipf_restore_major_words", zipf_major);
              ]
            ());
       write

@@ -104,17 +104,16 @@ let live_slots t = t.slots
 let save t w = Wire.add_ints w t.slots
 
 let load t r =
-  let slots = Wire.ints r in
-  if Array.length slots <> Array.length t.slots then
-    raise (Wire.Malformed "cache state: slot count differs");
+  let q = Array.length t.slots in
+  if Wire.count r <> q then raise (Wire.Malformed "cache state: slot count differs");
+  Wire.read_into r t.slots ~pos:0 ~len:q;
   Array.fill t.flags 0 (Array.length t.flags) false;
-  Array.iteri
-    (fun i c ->
-      if c <> Types.black && (c < 0 || c >= Array.length t.flags) then
-        raise (Wire.Malformed "cache state: color out of range");
-      t.slots.(i) <- c;
-      if c >= 0 then t.flags.(c) <- true)
-    slots
+  for i = 0 to q - 1 do
+    let c = t.slots.(i) in
+    if c <> Types.black && (c < 0 || c >= Array.length t.flags) then
+      raise (Wire.Malformed "cache state: color out of range");
+    if c >= 0 then t.flags.(c) <- true
+  done
 
 let codec ?eligibility t =
   match eligibility with

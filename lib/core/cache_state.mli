@@ -41,8 +41,9 @@ val save : t -> Wire.writer -> unit
     policy's slots and the cache differ. *)
 
 val load : t -> Wire.reader -> unit
-(** @raise Wire.Malformed on a slot count or color {!save} cannot have
-    written. *)
+(** What {!save} wrote, decoded straight into the slots.
+    @raise Wire.Malformed on a slot count or color {!save} cannot have
+    written; the slots are then left part-filled, to be discarded. *)
 
 val codec : ?eligibility:Eligibility.t -> t -> Policy.codec
 (** The codec of a policy whose state is these slots, after the

@@ -257,39 +257,53 @@ let save t w =
     t.info;
   Wire.add_ints_prefix w a len
 
+(* Column by column, straight into the per-color records: one pass
+   over them per column, no staging array. *)
 let load t r =
-  let a = Wire.ints r in
+  let malformed what = raise (Wire.Malformed ("eligibility: " ^ what)) in
   let c = Array.length t.info in
-  if Array.length a <> 4 + (7 * c) then
-    raise (Wire.Malformed "eligibility: color count differs");
-  t.last_round <- a.(0);
-  t.total_epochs_ended <- a.(1);
-  t.eligible_drops <- a.(2);
-  t.ineligible_drops <- a.(3);
-  Array.iteri
-    (fun color ci ->
-      let k = 4 + color in
-      let flags = a.(k + (2 * c)) in
-      if flags land lnot 3 <> 0 then
-        raise (Wire.Malformed "eligibility: bad flags");
-      ci.cnt <- a.(k);
-      ci.dd <- a.(k + c);
-      ci.eligible <- flags land 1 <> 0;
-      ci.active_epoch <- flags land 2 <> 0;
-      ci.last_wrap <- a.(k + (3 * c));
-      ci.timestamp <- a.(k + (4 * c));
-      ci.epochs_ended <- a.(k + (5 * c));
-      ci.wrap_events <- a.(k + (6 * c));
-      (* the derived deadline of an ineligible color rests on this *)
-      if (not ci.eligible) && ci.timestamp <> ci.last_wrap then
-        raise (Wire.Malformed "eligibility: ineligible color off its wrap"))
-    t.info;
+  if Wire.count r <> 4 + (7 * c) then malformed "color count differs";
+  t.last_round <- Wire.int r;
+  t.total_epochs_ended <- Wire.int r;
+  t.eligible_drops <- Wire.int r;
+  t.ineligible_drops <- Wire.int r;
+  let info = t.info in
+  for color = 0 to c - 1 do
+    info.(color).cnt <- Wire.int r
+  done;
+  for color = 0 to c - 1 do
+    info.(color).dd <- Wire.int r
+  done;
+  for color = 0 to c - 1 do
+    let ci = info.(color) in
+    let flags = Wire.int r in
+    if flags land lnot 3 <> 0 then malformed "bad flags";
+    ci.eligible <- flags land 1 <> 0;
+    ci.active_epoch <- flags land 2 <> 0
+  done;
+  for color = 0 to c - 1 do
+    info.(color).last_wrap <- Wire.int r
+  done;
+  for color = 0 to c - 1 do
+    info.(color).timestamp <- Wire.int r
+  done;
+  for color = 0 to c - 1 do
+    info.(color).epochs_ended <- Wire.int r
+  done;
+  for color = 0 to c - 1 do
+    info.(color).wrap_events <- Wire.int r
+  done;
   (* The boundary heap holds exactly one entry per eligible color, at
      its deadline, so it is rebuilt from the loaded state, not saved. *)
   Rrs_dstruct.Int_heap.clear t.boundary;
-  Array.iteri
-    (fun color ci ->
-      if ci.eligible then
-        Rrs_dstruct.Int_heap.add t.boundary
-          (Packed.pack_pair ~value:ci.dd ~color))
-    t.info
+  for color = 0 to c - 1 do
+    let ci = info.(color) in
+    if ci.eligible then
+      Rrs_dstruct.Int_heap.add t.boundary (Packed.pack_pair ~value:ci.dd ~color)
+    else begin
+      (* the derived deadline of an ineligible color rests on this *)
+      if ci.timestamp <> ci.last_wrap then malformed "ineligible color off its wrap";
+      (* [save] writes the derived deadline, which is past [last_round] *)
+      if ci.dd <= t.last_round then malformed "ineligible color's deadline passed"
+    end
+  done

@@ -104,8 +104,9 @@ val save : t -> Wire.writer -> unit
 
 val load : t -> Wire.reader -> unit
 (** Overwrite the state of a fresh [t], built from the same instance
-    parameters, with what {!save} wrote.  Notifies nothing.  An
-    ineligible color whose timestamp is not its last wrap is refused
-    as malformed: {!save} cannot write one.
+    parameters, with what {!save} wrote, decoded straight into its
+    per-color records.  Notifies nothing.  An ineligible color whose
+    timestamp is not its last wrap, or whose deadline is not past
+    [last_round], is refused as malformed: {!save} cannot write one.
     @raise Wire.Malformed or [Invalid_argument] on input {!save} cannot
-    have written. *)
+    have written; [t] is then left part-filled, to be discarded. *)

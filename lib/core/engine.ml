@@ -167,7 +167,7 @@ module Session = struct
   let round t = t.round
   let n t = t.n
   let delta t = t.delta
-  let delay t = Array.copy t.delay
+  let delay t = t.delay
   let num_colors t = t.num_colors
   let pending_jobs t = Pending.grand_total t.pending
   let nonidle_colors t = Pending.nonidle_count t.pending
@@ -503,6 +503,11 @@ module Session = struct
         codec.Policy.save w
     | _ -> invalid_arg "Engine.Session.save: session is not checkpointable"
 
+  (* Every section is decoded straight into the structures the session
+     keeps: the delay bounds into the one array the instance and the
+     session share, the accounting and the cache into the arrays [make]
+     allocates, the pending buckets, future batches and policy state
+     into their own stores. *)
   let load ?(name = "session") (cfg : config) factory r =
     let malformed what = raise (Wire.Malformed ("session state: " ^ what)) in
     match
@@ -511,68 +516,46 @@ module Session = struct
       let round = int () in
       let n = int () in
       let delta = int () in
-      let delay = Wire.ints r in
-      let num_colors = Array.length delay in
+      let num_colors = Wire.count r in
       if round < 0 || n < 1 then malformed "round or n out of range";
       if num_colors > Packed.max_colors then malformed "too many colors";
-      let params =
-        Instance.create ~name ~delta ~delay:(Array.copy delay) ~arrivals:[] ()
-      in
+      let delay = Array.make num_colors 0 in
+      Wire.read_into r delay ~pos:0 ~len:num_colors;
+      let params = Instance.create ~name ~delta ~delay ~arrivals:[] () in
       let policy = factory params ~n in
-      let charges = int () in
-      let reconfig_cost = int () in
-      let executed = int () in
-      let dropped = int () in
-      let drops_by_color = Wire.ints r in
-      let executions_by_color = Wire.ints r in
-      let cache = Wire.ints r in
-      if
-        Array.length drops_by_color <> num_colors
-        || Array.length executions_by_color <> num_colors
-        || Array.length cache <> n
-        || Array.exists (fun c -> c <> Types.black && (c < 0 || c >= num_colors)) cache
-      then malformed "accounting or cache shape";
-      let pending = Pending.create ~num_colors in
-      Pending.load pending r;
       let future = Future_batches.create () in
-      let nr = int () in
-      let a = Wire.ints r in
-      let np = (Array.length a - (2 * nr)) / 2 in
-      if nr < 0 || np < 0 || Array.length a <> (2 * nr) + (2 * np) then
-        malformed "arrivals length";
-      let k = ref 0 in
-      for j = 0 to nr - 1 do
-        let at = a.(j) and len = a.(nr + j) in
-        if at < round || Future_batches.mem future at then
-          malformed "arrival round";
-        if len < 1 || !k + len > np then malformed "arrival batch length";
-        for i = !k to !k + len - 1 do
-          let color = a.((2 * nr) + i) and count = a.((2 * nr) + np + i) in
-          if color < 0 || color >= num_colors || count <= 0 then
-            malformed "arrival batch";
-          Future_batches.add future ~round:at ~color ~count
-        done;
-        k := !k + len
+      let t =
+        make { cfg with n } ~name ~delta ~delay ~num_colors
+          ~factory:(Some factory) ~source:(Stream future) ~policy
+          ~pending:(Pending.create ~num_colors)
+          ~cache:(Array.make n Types.black)
+      in
+      t.round <- round;
+      t.reconfig_charges <- int ();
+      t.reconfig_cost <- int ();
+      t.executed <- int ();
+      t.dropped <- int ();
+      let column a =
+        if Wire.count r <> Array.length a then malformed "accounting or cache shape";
+        Wire.read_into r a ~pos:0 ~len:(Array.length a)
+      in
+      column t.drops_by_color;
+      column t.executions_by_color;
+      column t.cache;
+      for i = 0 to n - 1 do
+        let c = t.cache.(i) in
+        if c <> Types.black && (c < 0 || c >= num_colors) then
+          malformed "accounting or cache shape"
       done;
-      if !k <> np then malformed "arrival batch lengths";
+      Pending.load t.pending r;
+      Future_batches.load future r ~from:round ~num_colors;
+      t.future <- Future_batches.jobs future;
       (match policy.Policy.codec with
       | Some codec -> codec.Policy.load r
       | None -> malformed "the policy is not checkpointable");
       if not (Wire.at_end r) then malformed "trailing bytes";
       Rrs_fault.probe "engine.run";
       Rrs_prof.enter "engine.run";
-      let t =
-        make { cfg with n } ~name ~delta:params.delta ~delay:params.delay
-          ~num_colors ~factory:(Some factory) ~source:(Stream future) ~policy
-          ~pending ~cache
-      in
-      t.round <- round;
-      t.reconfig_charges <- charges;
-      t.reconfig_cost <- reconfig_cost;
-      t.executed <- executed;
-      t.dropped <- dropped;
-      Array.blit drops_by_color 0 t.drops_by_color 0 num_colors;
-      Array.blit executions_by_color 0 t.executions_by_color 0 num_colors;
       t
     with
     | t -> Ok t

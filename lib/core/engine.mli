@@ -200,7 +200,9 @@ module Session : sig
   val delta : t -> int
 
   val delay : t -> int array
-  (** A copy. *)
+  (** The session's own array, not a copy: the session never writes it
+      (a reconfiguration of a bound replaces it), and a caller must
+      not. *)
 
   val num_colors : t -> int
 
@@ -252,8 +254,11 @@ module Session : sig
       the saved n; the factory and [config.mini_rounds] must be the
       ones the saved session ran with.  Stepping the result with the
       same calls as the saved session decides identically — the
-      restore fast path of the service layer (doc/SERVICE.md).
-      [Error] names what was malformed. *)
+      restore fast path of the service layer (doc/SERVICE.md).  Every
+      section is decoded straight into the structures the session
+      keeps.  [Error] names what was malformed; input {!save} cannot
+      have written is refused, so a session that loads saves exactly
+      the bytes it was loaded from. *)
 
   val set_sink : t -> Rrs_obs.Sink.t -> unit
   (** Replace the session's event sink from the next round on.  The

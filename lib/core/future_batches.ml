@@ -195,3 +195,47 @@ let save t w =
   done;
   Wire.add_int w nr;
   Wire.add_ints_prefix w a size
+
+(* The rounds and batch lengths are staged in one small array; the
+   colors and counts, [save]'s last two columns, are decoded straight
+   into the arena, whose entries they fill front to back, and each
+   round's chain is then linked over its entries. *)
+let load t r ~from ~num_colors =
+  let malformed what = raise (Wire.Malformed ("session state: " ^ what)) in
+  if t.rounds > 0 || t.used > 0 then invalid_arg "Future_batches.load: not empty";
+  let nr = Wire.int r in
+  let size = Wire.count r in
+  let np = (size - (2 * nr)) / 2 in
+  if nr < 0 || np < 0 || size <> (2 * nr) + (2 * np) then
+    malformed "arrivals length";
+  let rounds = Array.make (2 * nr) 0 in
+  Wire.read_into r rounds ~pos:0 ~len:(2 * nr);
+  t.colors <- Array.make np 0;
+  t.counts <- Array.make np 0;
+  t.next <- Array.make np (-1);
+  Wire.read_into r t.colors ~pos:0 ~len:np;
+  Wire.read_into r t.counts ~pos:0 ~len:np;
+  let k = ref 0 in
+  for j = 0 to nr - 1 do
+    let at = rounds.(j) and len = rounds.(nr + j) in
+    (* ascending, as [save] sorts them *)
+    if at < from || (j > 0 && at <= rounds.(j - 1)) then malformed "arrival round";
+    if len < 1 || !k + len > np then malformed "arrival batch length";
+    if 2 * (t.rounds + 1) > Array.length t.keys then grow_table t;
+    let s = find t at in
+    t.keys.(s) <- at;
+    t.heads.(s) <- !k;
+    t.tails.(s) <- !k + len - 1;
+    t.rounds <- t.rounds + 1;
+    for e = !k to !k + len - 1 do
+      let color = t.colors.(e) and count = t.counts.(e) in
+      if color < 0 || color >= num_colors || count <= 0 then
+        malformed "arrival batch";
+      if e > !k then t.next.(e - 1) <- e;
+      t.jobs <- t.jobs + count
+    done;
+    k := !k + len
+  done;
+  if !k <> np then malformed "arrival batch lengths";
+  t.used <- np;
+  t.entries <- np

@@ -31,3 +31,9 @@ val save : t -> Wire.writer -> unit
     columns: the rounds (ascending), their batch lengths, then the
     colors and the counts of all batches, round by round in feed order.
     Equal contents save equal bytes, whatever order they were fed in. *)
+
+val load : t -> Wire.reader -> from:int -> num_colors:int -> unit
+(** Fill an empty table with what {!save} wrote: batches of rounds at
+    [from] or later, of colors below [num_colors].
+    @raise Wire.Malformed on input {!save} cannot have written (rounds
+    out of order among them). *)

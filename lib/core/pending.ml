@@ -187,21 +187,49 @@ let save t w =
   done;
   Wire.add_ints_prefix w a len
 
+(* The bucket counts are decoded into [lens], each color's ring is
+   sized for them (the capacity [add] would have grown it to), and the
+   deadline and job-count columns go straight into the rings' slots. *)
 let load t r =
-  let a = Wire.ints r in
+  let malformed what = raise (Wire.Malformed ("pending: " ^ what)) in
   let c = num_colors t in
-  let b = (Array.length a - c) / 2 in
-  if Array.length a < c || Array.length a <> c + (2 * b) then
-    raise (Wire.Malformed "pending: bad length");
-  let k = ref c in
+  let size = Wire.count r in
+  let b = (size - c) / 2 in
+  if size < c || size <> c + (2 * b) then malformed "bad length";
+  if t.grand_total <> 0 then invalid_arg "Pending.load: the store is not empty";
+  Wire.read_into r t.lens ~pos:0 ~len:c;
+  let left = ref b in
   for color = 0 to c - 1 do
-    for _ = 1 to a.(color) do
-      if !k >= c + b then raise (Wire.Malformed "pending: bucket counts");
-      let deadline = a.(!k) and count = a.(!k + b) in
-      if deadline < 0 || count <= 0 then
-        raise (Wire.Malformed "pending: bad bucket");
-      add t color ~deadline ~count;
-      incr k
+    let len = t.lens.(color) in
+    if len < 0 || len > !left then malformed "bucket counts";
+    left := !left - len;
+    if len > 0 then begin
+      let cap = ref 4 in
+      while !cap < len do
+        cap := 2 * !cap
+      done;
+      t.rings.(color) <- Array.make (2 * !cap) 0;
+      t.heads.(color) <- 0
+    end
+  done;
+  if !left <> 0 then malformed "bucket counts";
+  for column = 0 to 1 do
+    for color = 0 to c - 1 do
+      let ring = t.rings.(color) in
+      for i = 0 to t.lens.(color) - 1 do
+        ring.((2 * i) + column) <- Wire.int r
+      done
     done
   done;
-  if !k <> c + b then raise (Wire.Malformed "pending: bucket counts")
+  for color = 0 to c - 1 do
+    let ring = t.rings.(color) and len = t.lens.(color) in
+    for i = 0 to len - 1 do
+      let deadline = ring.(2 * i) and count = ring.((2 * i) + 1) in
+      (* strictly increasing: [add] merges a bucket into an equal one *)
+      if deadline < 0 || count <= 0 || (i > 0 && deadline <= ring.((2 * i) - 2))
+      then malformed "bad bucket";
+      Rrs_dstruct.Int_heap.add t.due (Packed.pack_pair ~value:deadline ~color);
+      bump t color count
+    done;
+    if len > 0 then t.on_front_change color
+  done

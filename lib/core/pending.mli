@@ -76,7 +76,9 @@ val save : t -> Wire.writer -> unit
 (** The pending buckets of every color, front first. *)
 
 val load : t -> Wire.reader -> unit
-(** Enqueue what {!save} wrote into a fresh, empty store, notifying the
-    front subscriber as {!add} does.
+(** Fill a fresh, empty store with what {!save} wrote, decoded straight
+    into its rings, and notify the front subscriber once for every color
+    that gets buckets, as {!add} does for a color's first one.
     @raise Wire.Malformed or [Invalid_argument] on input {!save} cannot
-    have written. *)
+    have written (deadlines out of order among them); the store is then
+    left part-filled, to be discarded. *)

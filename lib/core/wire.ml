@@ -24,6 +24,22 @@ let[@inline] reserve w extra =
   let need = w.len + extra in
   if need > Bytes.length w.buf then grow w need
 
+(* eight bytes at a time; the int64s compared at their type stay
+   unboxed *)
+let equal_bytes w b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then
+    invalid_arg "Wire.equal_bytes";
+  let buf = w.buf in
+  let rec words i =
+    if i + 8 > len then tail i
+    else
+      (Bytes.get_int64_ne buf i : int64) = Bytes.get_int64_ne b (pos + i)
+      && words (i + 8)
+  and tail i =
+    i = len || (Bytes.unsafe_get buf i = Bytes.unsafe_get b (pos + i) && tail (i + 1))
+  in
+  w.len = len && words 0
+
 let add_char w c =
   reserve w 1;
   Bytes.unsafe_set w.buf w.len c;
@@ -110,24 +126,42 @@ let reader s ~pos ~stop =
     invalid_arg "Wire.reader: range outside the string";
   { s; pos; stop }
 
-let int r =
-  let z = ref 0 and shift = ref 0 and fin = ref false in
-  while not !fin do
-    if r.pos >= r.stop then raise (Malformed "an int is cut short");
-    if !shift > 60 then raise (Malformed "an int has too many digits");
-    let d = Char.code (String.unsafe_get r.s r.pos) - 48 in
-    r.pos <- r.pos + 1;
-    if d < 0 || d > 63 then raise (Malformed "a byte outside the int code");
-    if d < 32 then begin
-      z := !z lor (d lsl !shift);
-      fin := true
+let cut_short = Malformed "an int is cut short"
+let too_long = Malformed "an int has too many digits"
+let outside = Malformed "a byte outside the int code"
+let not_canonical = Malformed "an int not in its one encoding"
+
+(* The decode loops: tight recursions over the bytes of [r], from
+   [s.[i]], that keep no [ref]s.  [z] holds the digits of the int read
+   so far, [shift] where the next one goes.  [d lsr 5 = 0] is a final
+   digit, [d lsr 6 = 0] otherwise a continuation, and anything else
+   (a byte below ['0'] included) is outside the code.  The encoder
+   writes at most 13 digits, no final digit 0 after others (it would
+   be a continuation's) and no 13th digit over 7 (its bits past the
+   63rd would be lost), so none of these is read: every int has
+   exactly one encoding. *)
+let[@inline] final z d shift =
+  if shift = 0 then (d lsr 1) lxor -(d land 1)
+  else if d = 0 || (shift = 60 && d > 7) then raise not_canonical
+  else
+    let z = z lor (d lsl shift) in
+    (z lsr 1) lxor -(z land 1)
+
+let[@inline] not_final d = raise (if d lsr 6 = 0 then too_long else outside)
+
+let rec int_from r s i z shift =
+  if i >= r.stop then raise cut_short
+  else
+    let d = Char.code (String.unsafe_get s i) - 48 in
+    if d lsr 5 = 0 then begin
+      r.pos <- i + 1;
+      final z d shift
     end
-    else begin
-      z := !z lor ((d - 32) lsl !shift);
-      shift := !shift + 5
-    end
-  done;
-  (!z lsr 1) lxor (-(!z land 1))
+    else if d lsr 6 = 0 && shift < 60 then
+      int_from r s (i + 1) (z lor ((d - 32) lsl shift)) (shift + 5)
+    else not_final d
+
+let int r = int_from r r.s r.pos 0 0
 
 let count r =
   let n = int r in
@@ -135,13 +169,24 @@ let count r =
     raise (Malformed (Printf.sprintf "a count of %d" n));
   n
 
-let ints r =
-  let n = count r in
-  let a = Array.make n 0 in
-  for k = 0 to n - 1 do
-    Array.unsafe_set a k (int r)
-  done;
-  a
+(* [a.(k)] up to [a.(last - 1)], one int after the other *)
+let rec ints_from r s i z shift a k last =
+  if k = last then r.pos <- i
+  else if i >= r.stop then raise cut_short
+  else
+    let d = Char.code (String.unsafe_get s i) - 48 in
+    if d lsr 5 = 0 then begin
+      Array.unsafe_set a k (final z d shift);
+      ints_from r s (i + 1) 0 0 a (k + 1) last
+    end
+    else if d lsr 6 = 0 && shift < 60 then
+      ints_from r s (i + 1) (z lor ((d - 32) lsl shift)) (shift + 5) a k last
+    else not_final d
+
+let read_into r a ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Array.length a then
+    invalid_arg "Wire.read_into";
+  ints_from r r.s r.pos 0 0 a pos (pos + len)
 
 let at_end r = r.pos = r.stop
 

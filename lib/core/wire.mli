@@ -31,6 +31,11 @@ val write_fd : Unix.file_descr -> writer -> unit
     descriptor, without an intermediate string; raises
     [Unix.Unix_error] when the write fails. *)
 
+val equal_bytes : writer -> Bytes.t -> pos:int -> len:int -> bool
+(** Whether the written bytes are [b.[pos .. pos+len-1]], compared in
+    place.
+    @raise Invalid_argument if the range is not inside [b]. *)
+
 val add_char : writer -> char -> unit
 val add_string : writer -> string -> unit
 
@@ -63,12 +68,21 @@ val reader : string -> pos:int -> stop:int -> reader
 
 val int : reader -> int
 (** @raise Malformed on a byte outside the code, an int cut short by
-    the end of the range, or more than 13 digits. *)
+    the end of the range, more than 13 digits, or digits {!add_int}
+    does not write (a final digit 0 after others, a 13th digit over
+    7): every int has exactly one encoding, so what a reader accepts
+    is what a writer of the ints read would write. *)
 
-val ints : reader -> int array
-(** What {!add_ints} wrote.  The length must be no larger than the
-    characters left (every element takes at least one), so corrupt
-    input cannot ask for a huge allocation. *)
+val count : reader -> int
+(** The length {!add_ints} writes first, no larger than the characters
+    left (every element takes at least one), so corrupt input cannot
+    ask for a huge allocation. *)
+
+val read_into : reader -> int array -> pos:int -> len:int -> unit
+(** [len] ints into [a.(pos) .. a.(pos + len - 1)]: the elements
+    {!add_ints} wrote after its {!count}, decoded straight into the
+    caller's array.
+    @raise Invalid_argument if the range is not inside [a]. *)
 
 val at_end : reader -> bool
 

@@ -210,39 +210,52 @@ let remove_stale_temps dir listing =
     listing
 
 (* Line 2 of the checkpoint in [buf.[0 .. len-1]], from [start], read in
-   place: one pass finds where the line and its tokens end ([ends.(k)]
-   for token [k]), and the state stays in [buf], at the bounds [state]
-   gives. *)
+   place.  Its six header tokens end at its first six blanks, found
+   from the front; its digest, 16 hex digits after the blank of
+   " digest=", closes it, found from the back (the file's last newline
+   may be missing).  The state is everything between, and no byte of
+   it is looked at here: the {!Wire} code holds no blank and no
+   newline, so the decoder refuses a stray one. *)
 let parse_machine path buf ~start ~len =
   let bad what = Error (Printf.sprintf "checkpoint %s: line 2: %s" path what) in
-  let stop = ref start and blanks = ref [] in
-  while !stop < len && Bytes.get buf !stop <> '\n' do
-    if Bytes.get buf !stop = ' ' then blanks := !stop :: !blanks;
-    incr stop
-  done;
-  let stop = !stop in
-  let ends = Array.of_list (List.rev (stop :: !blanks)) in
+  let stop = if len > start && Bytes.get buf (len - 1) = '\n' then len - 1 else len in
+  let ends = Array.make 6 stop in
+  let rec blanks k i =
+    if k = 6 || i >= stop then k
+    else if Bytes.get buf i = ' ' then begin
+      ends.(k) <- i;
+      blanks (k + 1) (i + 1)
+    end
+    else blanks k (i + 1)
+  in
+  let tokens = blanks 0 start in
   let first k = if k = 0 then start else ends.(k - 1) + 1 in
   let sub pos stop = Bytes.sub_string buf pos (stop - pos) in
-  let is k s = k < Array.length ends && sub (first k) ends.(k) = s in
+  let is k s = k < tokens && sub (first k) ends.(k) = s in
   (* where the value of token [k], [key=VALUE], starts *)
-  let value k key =
+  let value k key ~until =
     let v = first k + String.length key + 1 in
-    if v <= ends.(k) && sub (first k) v = key ^ "=" then Some v else None
+    if v <= until && sub (first k) v = key ^ "=" then Some v else None
   in
-  let text k key = Option.map (fun v -> sub v ends.(k)) (value k key) in
+  let text k key = Option.map (fun v -> sub v ends.(k)) (value k key ~until:ends.(k)) in
   let int k key = Option.bind (text k key) int_of_string_opt in
-  if stop < len - 1 then bad "trailing bytes after it"
-  else if Array.length ends = 8 && is 0 "serve_machine" && is 1 "2" then
-    match
-      (text 2 "policy", int 3 "mini_rounds", int 4 "ops", text 5 "chain", value 6 "state", text 7 "digest")
-    with
-    | Some policy, Some mini_rounds, Some ops, Some chain, Some state, Some digest ->
+  let digest_blank = stop - 24 in
+  let state =
+    if tokens = 6 && digest_blank >= first 6 && sub digest_blank (stop - 16) = " digest=" then
+      value 6 "state" ~until:digest_blank
+    else None
+  in
+  let rec newline i = i < stop && (Bytes.get buf i = '\n' || newline (i + 1)) in
+  if state = None && newline start then bad "trailing bytes after it"
+  else if is 0 "serve_machine" && is 1 "2" then
+    match (text 2 "policy", int 3 "mini_rounds", int 4 "ops", text 5 "chain", state) with
+    | Some policy, Some mini_rounds, Some ops, Some chain, Some state ->
         (* everything before " digest=" *)
         let hash = Wire.Hash.create () in
-        Wire.Hash.feed_bytes hash buf ~pos:0 ~len:ends.(6);
-        if Wire.Hash.digest hash <> digest then bad "digest mismatch"
-        else Ok { policy; mini_rounds; anchor = { Journal.ops; chain }; state = (state, ends.(6)) }
+        Wire.Hash.feed_bytes hash buf ~pos:0 ~len:digest_blank;
+        if Wire.Hash.digest hash <> sub (stop - 16) stop then bad "digest mismatch"
+        else
+          Ok { policy; mini_rounds; anchor = { Journal.ops; chain }; state = (state, digest_blank) }
     | _ -> bad "malformed field"
   else if is 0 "serve_machine" && is 1 "1" then
     bad "version 1 (a version-2 journal's checkpoint) is not supported"
@@ -283,10 +296,12 @@ type checkpoint =
   | Unreadable of string
 
 (* The checkpoint is read whole into the reader's buffer and its state
-   loaded from there; the segment at its op count is opened after the
-   load but decides first: a checkpoint whose segment does not name its
-   anchor is [Unanchored], whether its state loads or not. *)
-let classify reader name dir path =
+   loaded from there; the loaded session's snapshot line is written
+   into [w] and compared with line 1 in place.  The segment at its op
+   count is opened after the load but decides first: a checkpoint whose
+   segment does not name its anchor is [Unanchored], whether its state
+   loads or not. *)
+let classify reader w name dir path =
   let unreadable what = Unreadable (Printf.sprintf "checkpoint %s: %s" path what) in
   match Journal.slurp reader path with
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Absent
@@ -310,8 +325,9 @@ let classify reader name dir path =
                 with
                 | Error e -> Error ("machine state: " ^ e)
                 | Ok session ->
-                    let line = Snapshot.to_line (Snapshot.of_session ~ops:m.anchor.ops session) in
-                    if String.equal line (Bytes.sub_string buf 0 eol) then Ok session
+                    Wire.clear w;
+                    Snapshot.add_line w (Snapshot.of_session ~ops:m.anchor.ops session);
+                    if Wire.equal_bytes w buf ~pos:0 ~len:eol then Ok session
                     else Error "the machine state does not reproduce line 1"
               in
               match (Journal.at reader dir m.anchor, loaded) with
@@ -417,7 +433,10 @@ type host = {
   config : config;
   metrics : Metrics.t;
   counters : counters;
-  checkpoint_buffer : Wire.writer;  (** reused by every checkpoint *)
+  line_buffer : Wire.writer;
+      (** a snapshot line, with a checkpoint's machine state after it:
+          reused by every checkpoint, [state] reply and restore's line-1
+          check *)
   ack_buffer : Wire.writer;  (** reused by every ack *)
   reader : Journal.reader;  (** reads every file a restore reads *)
   table : (string, session) Hashtbl.t;
@@ -435,7 +454,7 @@ let host (config : config) =
     config;
     metrics;
     counters = counters metrics;
-    checkpoint_buffer = Wire.writer ~capacity:4096 ();
+    line_buffer = Wire.writer ~capacity:4096 ();
     ack_buffer = Wire.writer ~capacity:64 ();
     reader = Journal.reader ();
     table = Hashtbl.create 64;
@@ -537,9 +556,11 @@ let restore h name ~dir ~segments listing =
   remove_stale_temps dir listing;
   let cpath = checkpoint_path dir in
   let ppath = checkpoint_prev_path dir in
-  let current = classify h.reader name dir cpath in
+  let current = classify h.reader h.line_buffer name dir cpath in
   let prev =
-    match current with Verified _ -> Absent | _ -> classify h.reader name dir ppath
+    match current with
+    | Verified _ -> Absent
+    | _ -> classify h.reader h.line_buffer name dir ppath
   in
   let corrupt_journal e =
     (* tier 3: the source of truth is unreadable — keep a forensic copy
@@ -748,11 +769,11 @@ let checkpoint_session h s =
          (* the checkpoint's segment starts at its op count, in the file
             of one the commit retires *)
          Journal.rotate w ~reuse_below:s.ckpt_ops;
-         encode_checkpoint h.checkpoint_buffer ~policy:s.policy_id
+         encode_checkpoint h.line_buffer ~policy:s.policy_id
            ~mini_rounds:s.mini_rounds snapshot (Journal.anchor w) s.session;
          Rrs_obs.File_commit.replace (checkpoint_path dir) (fun fd ->
-             Wire.write_fd fd h.checkpoint_buffer;
-             Wire.length h.checkpoint_buffer)
+             Wire.write_fd fd h.line_buffer;
+             Wire.length h.line_buffer)
        with
       | () -> Metrics.inc h.counters.checkpoints 1
       | exception e ->
@@ -911,7 +932,10 @@ let exec ?(apply = apply_op) h (current : session) (cmd : Protocol.command) :
       Reply
         (String.split_on_char '\n' Protocol.grammar
         |> List.map (fun l -> "ok " ^ l))
-  | Protocol.State -> Reply [ Snapshot.to_line (session_snapshot current) ]
+  | Protocol.State ->
+      Wire.clear h.line_buffer;
+      Snapshot.add_line h.line_buffer (session_snapshot current);
+      Reply [ Wire.contents h.line_buffer ]
   | Protocol.Checkpoint -> (
       match current.wedged with
       | Some reason -> wedged_reply current reason

@@ -35,6 +35,8 @@ type t = {
 val version : int
 
 val of_session : ops:int -> Rrs_core.Engine.Session.t -> t
+(** [delay] is the session's own array ({!Rrs_core.Engine.Session.delay}),
+    which nothing writes; [cache] is a copy. *)
 
 val to_line : t -> string
 (** The [serve_state] line: one canonical JSON object (the

@@ -356,5 +356,46 @@ let par_edf (instance : Instance.t) ~m : Par_edf.result =
   done;
   { drop_cost = !dropped; executed = !executed; drops_by_color }
 
+(* ---- the int code's array reader ---------------------------------- *)
+
+(* [Wire.ints] as it was before sections were decoded in place: the
+   count, then a fresh array filled one [ref]-based int decode at a
+   time, over [s.[pos ..]].  It accepts the encodings [Wire.add_int]
+   never writes (a final digit 0 after others), which production now
+   refuses, so the two agree on what [Wire.add_ints] writes; the
+   round-trip property in test_session_state compares them there. *)
+module Wire_ints = struct
+  exception Malformed
+
+  (* the int at [s.[!pos]], [pos] moved past it *)
+  let int s pos =
+    let z = ref 0 and shift = ref 0 and fin = ref false in
+    while not !fin do
+      if !pos >= String.length s || !shift > 60 then raise Malformed;
+      let d = Char.code s.[!pos] - 48 in
+      incr pos;
+      if d < 0 || d > 63 then raise Malformed;
+      if d < 32 then begin
+        z := !z lor (d lsl !shift);
+        fin := true
+      end
+      else begin
+        z := !z lor ((d - 32) lsl !shift);
+        shift := !shift + 5
+      end
+    done;
+    (!z lsr 1) lxor -(!z land 1)
+
+  let ints s ~pos =
+    let pos = ref pos in
+    let n = int s pos in
+    if n < 0 || n > String.length s - !pos then raise Malformed;
+    let a = Array.make n 0 in
+    for k = 0 to n - 1 do
+      a.(k) <- int s pos
+    done;
+    a
+end
+
 (* The channel-based journal reader (journal_oracle.ml). *)
 module Journal = Journal_oracle

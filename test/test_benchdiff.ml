@@ -122,6 +122,21 @@ let test_heartbeat_overhead_band () =
   Alcotest.(check bool) "noise passes" true (ok 60.);
   Alcotest.(check bool) "a replacing rename per file fails" false (ok 99.)
 
+(* A restore's allocation row counts the words made straight on the
+   major heap as well as the minor ones: a 1024-color zipf restore that
+   decodes each state section into an array of its own first (37264
+   words, 26444 of them direct major) fails the band of one that decodes
+   in place (24047), and noise passes. *)
+let test_restore_words_band () =
+  let summary v =
+    [ summary ~id:"serve-restore-scaling" [ ("alloc_zipf_restore_words", v) ] ]
+  in
+  let ok v =
+    B.ok (B.compare_summaries ~baseline:(summary 24047.) ~current:(summary v) ())
+  in
+  Alcotest.(check bool) "noise passes" true (ok 24800.);
+  Alcotest.(check bool) "staging arrays per section fail" false (ok 37264.)
+
 let test_improvements_pass () =
   let current =
     [
@@ -231,6 +246,7 @@ let () =
             test_deadline_overhead_band;
           Alcotest.test_case "heartbeat overhead band" `Quick
             test_heartbeat_overhead_band;
+          Alcotest.test_case "restore words band" `Quick test_restore_words_band;
           Alcotest.test_case "missing ids and metrics" `Quick
             test_missing_id_and_metric_are_regressions;
           Alcotest.test_case "ranking" `Quick test_regressions_ranked_first;

@@ -2213,6 +2213,73 @@ let test_corrupt_machine_state_quarantined () =
   Alcotest.(check bool) "contained" true v.Torture.contained;
   Alcotest.(check bool) "quarantined" true (Sys.file_exists (cpath ^ ".corrupt-1"))
 
+(* Line 2 with its digest made right again for its bytes before
+   " digest=", so that only the damage done besides it can refuse it. *)
+let redigest contents =
+  let rec last i = if String.sub contents i 8 = " digest=" then i else last (i - 1) in
+  let at = last (String.length contents - 8) in
+  let h = Wire.Hash.create () in
+  Wire.Hash.feed h contents ~pos:0 ~len:at;
+  String.sub contents 0 at ^ " digest=" ^ Wire.Hash.digest h ^ "\n"
+
+(* Byte 10 of line 2's state replaced by [c]. *)
+let in_state c contents =
+  let rec find i = if String.sub contents i 6 = "state=" then i + 6 else find (i + 1) in
+  let k = find (String.index contents '\n') + 10 in
+  String.mapi (fun i b -> if i = k then c else b) contents
+
+(* Line 2 damaged by [edit]: the checkpoint stays unreadable whatever
+   the digest says, the restore quarantines it (tier 2) with a notice
+   that names the file and [why], and replays the journal from the
+   previous checkpoint to the straight line of every op. *)
+let line_two_unreadable case edit why =
+  with_fixture_dir case @@ fun dir ->
+  let cpath = Filename.concat dir "checkpoint.json" in
+  let bad = edit (read_file cpath) in
+  write_file cpath bad;
+  let h, s, _, _ = restore_counting dir in
+  Alcotest.(check int) (case ^ ": tier 2") 1
+    (counter_of h "serve_recovery_checkpoint_quarantined");
+  Alcotest.(check int) (case ^ ": no torn tail") 0 (counter_of h "serve_recovery_torn_tail");
+  let named = "unreadable checkpoint (checkpoint " ^ cpath ^ ": " in
+  if not (List.exists (fun m -> contains named m && contains why m) (Server.session_notices s))
+  then
+    Alcotest.failf "%s: no notice names %s and %S: %s" case cpath why
+      (String.concat " | " (Server.session_notices s));
+  Alcotest.(check string) (case ^ ": quarantined as it was") bad (read_file (cpath ^ ".corrupt-1"));
+  Alcotest.(check bool) (case ^ ": the straight line") true
+    (Snapshot.equal (Server.session_snapshot s) (Torture.straight_line torture_config torture_ops));
+  Server.abandon_session h s
+
+(* The Wire code holds no blank and no newline: one inside the state is
+   refused by the decoder, not taken for a field or line boundary. *)
+let test_line_two_blank_in_state () =
+  line_two_unreadable "blank-in-state"
+    (fun c -> redigest (in_state ' ' c))
+    "machine state: a byte outside the int code";
+  line_two_unreadable "newline-in-state"
+    (fun c -> redigest (in_state '\n' c))
+    "machine state: a byte outside the int code"
+
+let test_line_two_no_digest () =
+  line_two_unreadable "no-digest"
+    (fun c ->
+      let rec last i = if String.sub c i 8 = " digest=" then i else last (i - 1) in
+      String.sub c 0 (last (String.length c - 8)) ^ "\n")
+    "line 2: malformed field"
+
+let test_line_two_trailing_bytes () =
+  line_two_unreadable "trailing" (fun c -> c ^ "serve_machine 2\n") "line 2: trailing bytes after it"
+
+let test_line_two_version_one () =
+  line_two_unreadable "version-one"
+    (fun c ->
+      let at = String.index c '\n' + 1 in
+      redigest
+        (String.sub c 0 at ^ "serve_machine 1"
+        ^ String.sub c (at + 15) (String.length c - at - 15)))
+    "line 2: version 1"
+
 (* A kill between a checkpoint's open and its rename leaves a temp file
    named after the dead process; restore removes it. *)
 let test_stale_temp_removed () =
@@ -2823,6 +2890,13 @@ let () =
             test_flip_below_checkpoint_refuses;
           Alcotest.test_case "corrupt machine state quarantined" `Quick
             test_corrupt_machine_state_quarantined;
+          Alcotest.test_case "line 2: a blank or newline in the state" `Quick
+            test_line_two_blank_in_state;
+          Alcotest.test_case "line 2: no digest" `Quick test_line_two_no_digest;
+          Alcotest.test_case "line 2: bytes after it" `Quick
+            test_line_two_trailing_bytes;
+          Alcotest.test_case "line 2: serve_machine 1" `Quick
+            test_line_two_version_one;
           Alcotest.test_case "stale checkpoint temp removed" `Quick
             test_stale_temp_removed;
           Alcotest.test_case "the commit reuses its two files" `Quick

@@ -122,6 +122,108 @@ let prop_save_load_suffix =
       Session.cost loaded = Session.cost straight
       && Session.cache loaded = Session.cache straight)
 
+(* ---- damaged states ------------------------------------------------ *)
+
+(* The registry-size families, then [zipf] scaled to 1024 colors. *)
+let damage_instances =
+  lazy
+    (Array.append
+       (Array.init (Array.length families) instance_of)
+       [|
+         (match Families.scale_to (Option.get (Families.find "zipf")) ~num_colors:1024 ~seed:1 with
+         | Ok i -> i
+         | Error e -> failwith (Families.string_of_scale_error e));
+       |])
+
+type damage = Flip of char | Cut | Insert of char
+
+let print_damage = function
+  | Flip c -> Printf.sprintf "flip to %C" c
+  | Cut -> "cut"
+  | Insert c -> Printf.sprintf "insert %C" c
+
+let damage_gen =
+  QCheck.Gen.(
+    let byte =
+      frequency
+        [ (4, map Char.chr (int_range 48 111)); (1, oneofl [ ' '; '\n'; '/'; 'p' ]); (1, char) ]
+    in
+    frequency [ (3, map (fun c -> Flip c) byte); (1, return Cut); (1, map (fun c -> Insert c) byte) ])
+
+let damaged s at = function
+  | Flip c ->
+      let c = if s.[at] = c then Char.chr (Char.code c lxor 1) else c in
+      String.mapi (fun i b -> if i = at then c else b) s
+  | Cut -> String.sub s 0 at ^ String.sub s (at + 1) (String.length s - at - 1)
+  | Insert c -> String.sub s 0 at ^ String.make 1 c ^ String.sub s at (String.length s - at)
+
+(* A session saved after a random prefix of its family's calls, one byte
+   of its state flipped, cut or inserted: the load refuses, or it loads
+   a session that saves exactly the damaged bytes, so the bytes were a
+   state [save] writes and nothing was read as something else.  Every
+   int has one encoding and every section one layout, so no damage can
+   load as a session that saves other bytes. *)
+let prop_damaged_state =
+  QCheck.Test.make ~count:400 ~name:"a damaged state never loads as another session"
+    (QCheck.make
+       ~print:(fun ((f, p), (rounds, (at, d))) ->
+         let instances = Lazy.force damage_instances in
+         Printf.sprintf "instance %d (%d colors), policy %s, %d rounds, byte %d mod the length: %s" f
+           instances.(f).Instance.num_colors (fst policies.(p)) rounds at (print_damage d))
+       QCheck.Gen.(
+         pair
+           (pair (int_bound (Array.length families)) (int_bound (Array.length policies - 1)))
+           (pair (int_range 0 96) (pair nat damage_gen))))
+    (fun ((f, p), (rounds, (at, d))) ->
+      let instance = (Lazy.force damage_instances).(f) in
+      let factory = snd policies.(p) in
+      let s =
+        Session.create (Engine.config ~n:8 ()) ~delta:instance.delta
+          ~delay:instance.delay factory
+      in
+      List.iter (apply s)
+        (calls_of instance ~rounds ~lead:2 ~at:(rounds / 2)
+           ~reconfig:(Reconfigure (8, instance.delta, (0, instance.delay.(0)))));
+      let saved = save_string s in
+      let bad = damaged saved (at mod String.length saved) d in
+      match
+        Session.load (Engine.config ~n:8 ()) factory
+          (Wire.reader bad ~pos:0 ~stop:(String.length bad))
+      with
+      | Error _ -> true
+      | Ok loaded -> save_string loaded = bad)
+
+let reader_of bytes = Wire.reader bytes ~pos:0 ~stop:(String.length bytes)
+
+let refuses what load bytes =
+  match load (reader_of bytes) with
+  | () -> Alcotest.failf "%s loaded" what
+  | exception Wire.Malformed _ -> ()
+
+let ints a =
+  let w = Wire.writer () in
+  Wire.add_ints w a;
+  Wire.contents w
+
+(* Two colors: the bucket counts, then the deadline and the job count
+   columns of one bucket.  Counts that do not add up to the buckets
+   there are refused. *)
+let test_pending_refuses_bucket_counts () =
+  let load r = Pending.load (Pending.create ~num_colors:2) r in
+  load (reader_of (ints [| 1; 0; 5; 3 |]));
+  refuses "two buckets over one" load (ints [| 1; 1; 5; 3 |]);
+  refuses "no bucket over one" load (ints [| 0; 0; 5; 3 |]);
+  refuses "a negative bucket count" load (ints [| -1; 2; 5; 3 |])
+
+(* Two distinct slots over four colors. *)
+let test_cache_state_refuses_slots () =
+  let load r = Cache_state.load (Cache_state.create ~num_colors:4 ~distinct_slots:2) r in
+  load (reader_of (ints [| Types.black; 3 |]));
+  refuses "three slots for two" load (ints [| 0; 1; 2 |]);
+  refuses "one slot for two" load (ints [| 0 |]);
+  refuses "a color past the universe" load (ints [| 0; 4 |]);
+  refuses "a negative color other than black" load (ints [| -2; 1 |])
+
 (* ---- the running future-arrival count ----------------------------- *)
 
 (* The oracle: the walk [future_arrivals] used to make, over what was
@@ -237,7 +339,22 @@ let prop_wire_roundtrip =
       &&
       let r = Wire.reader s ~pos:0 ~stop:(String.length s) in
       let back = List.map (fun _ -> Wire.int r) ints in
-      back = ints && Wire.at_end r)
+      back = ints && Wire.at_end r
+      &&
+      (* the whole list as one section, decoded in place after two
+         slots of other data, against the allocating reader it
+         replaced *)
+      let a = Array.of_list ints in
+      let w = Wire.writer ~capacity:1 () in
+      Wire.add_ints w a;
+      let s = Wire.contents w in
+      let r = Wire.reader s ~pos:0 ~stop:(String.length s) in
+      let n = Wire.count r in
+      let into = Array.make (n + 2) 0 in
+      Wire.read_into r into ~pos:2 ~len:n;
+      Array.sub into 2 n = a
+      && Wire.at_end r
+      && Rrs_oracle.Wire_ints.ints s ~pos:0 = a)
 
 let prop_decimal =
   QCheck.Test.make ~count:500 ~name:"Wire.add_decimal = string_of_int"
@@ -282,11 +399,14 @@ let test_malformed () =
     | v -> Alcotest.failf "%S decoded to %d" s v
   in
   List.iter rejects [ ""; "P"; " "; "\n"; "p"; String.make 14 'P' ^ "0" ];
+  (* digits [add_int] never writes: a final 0 after others, and a 13th
+     digit whose bits would pass the 63rd *)
+  List.iter rejects [ "P0"; "o0"; "QP0"; String.make 12 'P' ^ "8" ];
   (* a count larger than what is left is refused before allocating *)
   let w = Wire.writer () in
   Wire.add_int w 1_000_000;
   let s = Wire.contents w in
-  match Wire.ints (Wire.reader s ~pos:0 ~stop:(String.length s)) with
+  match Wire.count (Wire.reader s ~pos:0 ~stop:(String.length s)) with
   | exception Wire.Malformed _ -> ()
   | _ -> Alcotest.fail "a huge count was accepted"
 
@@ -439,6 +559,11 @@ let () =
           Alcotest.test_case "not checkpointable" `Quick test_not_checkpointable;
           Alcotest.test_case "reconfigure leaves no stale index" `Quick
             test_reconfigure_leaves_no_stale_index;
+          QCheck_alcotest.to_alcotest prop_damaged_state;
+          Alcotest.test_case "pending refuses bucket counts" `Quick
+            test_pending_refuses_bucket_counts;
+          Alcotest.test_case "cache state refuses slots" `Quick
+            test_cache_state_refuses_slots;
         ] );
       ( "arrivals",
         [
